@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dgla import Dgla, DglaMorphism, ValidationReport
+from .dgla import Dgla, ValidationReport
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      StructuralError)
 from .linalg import Q, Vector
@@ -260,24 +260,3 @@ def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> NilpotentDgla:
         if nonzero:
             brackets[(m, n)] = big_table
     return NilpotentDgla(base=g, coefficients=a, dgla=Dgla(cx, brackets))
-
-
-def induced_nilpotent_morphism(f: DglaMorphism, a: ArtinAlgebra,
-                               source: NilpotentDgla, target: NilpotentDgla) -> DglaMorphism:
-    """Functoriality: f (x) id on g (x) m_A."""
-    na = a.dim
-    blocks = {}
-    for deg in f.source.space.degrees:
-        base_block = f.map.block(deg)
-        rows = f.target.space.dim(deg)
-        cols = f.source.space.dim(deg)
-        big = [[Q(0)] * (cols * na) for _ in range(rows * na)]
-        for r in range(rows):
-            for c in range(cols):
-                if base_block[r][c]:
-                    for t in range(na):
-                        big[r * na + t][c * na + t] = base_block[r][c]
-        if rows:
-            blocks[deg] = big
-    return DglaMorphism(source.dgla, target.dgla,
-                        GradedMap(source.space, target.space, 0, blocks))

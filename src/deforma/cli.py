@@ -109,6 +109,15 @@ def _named(doc: ModelDocument, option: str | None, default_key: str, kind: str) 
     return name
 
 
+def _positive(value: int | None, default: int, option: str) -> int:
+    """An optional ``--option`` bound: ``default`` if absent, else at least 1."""
+    if value is None:
+        return default
+    if value < 1:
+        raise CommandError(f"--{option} must be at least 1, got {value}")
+    return value
+
+
 def _artin_from_args(doc: ModelDocument, args) -> "ArtinAlgebra":
     if args.artin:
         parts = args.artin.split(",")
@@ -116,6 +125,9 @@ def _artin_from_args(doc: ModelDocument, args) -> "ArtinAlgebra":
             k, order = int(parts[0]), int(parts[1])
         except (IndexError, ValueError):
             raise CommandError("--artin expects k,N (generators, truncation order)")
+        if k < 1 or order < 2:
+            raise CommandError("--artin k,N needs k >= 1 generators and "
+                               f"truncation order N >= 2, got {k},{order}")
         return truncated_polynomial_algebra(k, order)
     name = doc.default("artin")
     if name:
@@ -270,8 +282,8 @@ def cmd_cartan_check(doc: ModelDocument, args) -> Report:
 
 
 def cmd_transport(doc: ModelDocument, args) -> Report:
+    arity = _positive(args.arity, DEFAULT_ARITY, "arity")
     t, omega, end, i = _contraction(doc, args)
-    arity = args.arity or DEFAULT_ARITY
     total = gauge_zero_transport(t, end.dgla, i, arity)
     fam = extract_taylor(total)
     l = lie_from_cartan(t, end.dgla, i)
@@ -291,11 +303,11 @@ def cmd_transport(doc: ModelDocument, args) -> Report:
 
 
 def cmd_holim(doc: ModelDocument, args) -> Report:
+    tdeg = _positive(args.tdeg, 2, "tdeg")
     g = _default_dgla(doc, args)
     sub_name = _named(doc, args.sub, "sub", "sub-dgla")
     n = doc.sub_dgla(sub_name)
     pair = holim_pair(g, n)
-    tdeg = args.tdeg or 2
     if args.witness or (args.section and not args.cohomology):
         section = doc.map(_named(doc, args.section, "section", "section"))
         witness = quasi_abelian_witness(pair, section, tdeg)

@@ -150,10 +150,6 @@ def hom_scale(c: Fraction, a: BigradedHomElement) -> BigradedHomElement:
                               {k: vec_scale(c, v) for k, v in a.values.items()}).prune()
 
 
-def hom_eq(a: BigradedHomElement, b: BigradedHomElement) -> bool:
-    return hom_add(a, hom_scale(Q(-1), b)).is_zero()
-
-
 def _unshuffle_sign(positions: tuple, degrees: list[int]) -> int:
     """Koszul sign of the permutation (selected block, complement block)."""
     sign = 1
@@ -259,28 +255,6 @@ def hom_d01(f: BigradedHomElement) -> BigradedHomElement:
         if not vec_is_zero(acc):
             out.values[keys] = acc
     return out
-
-
-def hom_d(f: BigradedHomElement) -> tuple[BigradedHomElement, BigradedHomElement]:
-    return hom_d10(f), hom_d01(f)
-
-
-def build_hom_bidegrees(g: Dgla, h: Dgla, arity: int = DEFAULT_ARITY,
-                        tuple_guard: int = 20000) -> dict[tuple[int, int], int]:
-    """Dimension table of Hom^{p,q}(g, h) for 1 <= q <= arity."""
-    dims: dict[tuple[int, int], int] = {}
-    hdims = {d: h.space.dim(d) for d in h.space.degrees}
-    count = 0
-    for q in range(1, arity + 1):
-        for keys in canonical_tuples(g, q):
-            count += 1
-            if count > tuple_guard:
-                raise StructuralError("arity bound produces too many input tuples")
-            s = sum(k[0] for k in keys)
-            for hd, dim in hdims.items():
-                p = hd - s
-                dims[(p, q)] = dims.get((p, q), 0) + dim
-    return dict(sorted(dims.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -261,16 +261,8 @@ def f7_dgla() -> Dgla:
 # ---------------------------------------------------------------------------
 # Artin coefficient algebras
 
-def a1() -> ArtinAlgebra:
-    return truncated_polynomial_algebra(1, 2)
-
-
 def a2() -> ArtinAlgebra:
     return truncated_polynomial_algebra(1, 3)
-
-
-def a3() -> ArtinAlgebra:
-    return truncated_polynomial_algebra(1, 4)
 
 
 # ---------------------------------------------------------------------------

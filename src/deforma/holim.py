@@ -163,10 +163,6 @@ def holim_pair(h: Dgla, n: SubDgla) -> HolimPair:
     return HolimPair(h, n, quotient)
 
 
-def holim_pair_from_span(h: Dgla, span: dict) -> HolimPair:
-    return holim_pair(h, sub_dgla_span(h, span))
-
-
 def shifted_quotient(pair: HolimPair) -> Complex:
     """(h/n)[-1], the target of the projection quasi-isomorphism."""
     return shift_complex(pair.quotient.complex, -1)
@@ -205,11 +201,6 @@ def holim_validate(e: HolimElement) -> ValidationReport:
 
 def holim_d(e: HolimElement) -> HolimElement:
     return HolimElement(e.pair, e.pair.h.d(e.x), path_d(e.path))
-
-
-def holim_bracket(a: HolimElement, b: HolimElement) -> HolimElement:
-    return HolimElement(a.pair, a.pair.h.bracket(a.x, b.x),
-                        path_bracket(a.path, b.path))
 
 
 def holim_project(e: HolimElement) -> GVec:

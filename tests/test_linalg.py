@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,3 +95,30 @@ def test_extend_to_complement():
         e[i] = Q(1)
         extra.append(e)
     assert linalg.rank(basis + extra) == 3
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle (a development dependency only)
+
+sparse_rationals = st.one_of(st.just(Q(0)), rationals)
+
+
+def to_fractions(matrix) -> list[list[Q]]:
+    return [[Q(int(x.p), int(x.q)) for x in matrix.row(i)]
+            for i in range(matrix.rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_rref_rank_nullspace_match_sympy(rows, cols, data):
+    sympy = pytest.importorskip("sympy")
+    m = data.draw(st.lists(st.lists(sparse_rationals, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                        for row in m])
+    red, pivots = ref.rref()
+    assert linalg.rref(m) == (to_fractions(red), list(pivots))
+    assert linalg.rank(m) == ref.rank()
+    # both put 1 at one free column and 0 at the others, so the bases agree
+    assert linalg.nullspace(m) == [[row[0] for row in to_fractions(v)]
+                                   for v in ref.nullspace()]

@@ -209,3 +209,46 @@ def test_cli_fixture_dir_override(tmp_path):
     proc2 = run_cli("validate", "--model", "F1",
                     env_extra={"DEFORMA_FIXTURE_DIR": str(tmp_path)})
     assert proc2.returncode == 2
+
+
+@pytest.mark.parametrize("model", ["F4", "F5", "F6"])
+def test_cli_cartan_check_ok(model):
+    proc = run_cli("cartan-check", "--model", model)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "cartan-check"
+    assert doc["status"] == "ok"
+    assert doc["payload"]["failures"] == []
+    notes = doc["payload"]["notes"]
+    assert notes["lie_bracket_compatible"] and notes["lie_is_closed"]
+    assert notes["stronger_bracket_identity"] and notes["stronger_square_zero"]
+
+
+def test_cli_gauge_equiv_needs_maurer_cartan_elements():
+    # the F7 seed x e is not Maurer-Cartan over K[e]/e^3: [xe, xe] = y e^2
+    proc = run_cli("gauge", "--model", "F7", "--equiv")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "failed"
+    assert "Maurer-Cartan" in doc["payload"]["error"]
+
+
+def test_cli_gauge_stabilizer():
+    proc = run_cli("gauge", "--model", "F7", "--stabilizer")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "ok"
+    assert doc["payload"] == {"basis": [], "dimension": 0}
+
+
+@pytest.mark.parametrize("args,message", [
+    (("holim", "--model", "F2", "--cohomology", "--tdeg", "0"), "--tdeg"),
+    (("transport", "--model", "F5", "--arity", "0"), "--arity"),
+    (("mc", "--model", "F7", "--artin", "1,1"), "--artin"),
+])
+def test_cli_out_of_range_arguments_are_bad_input(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "invalid"
+    assert message in doc["payload"]["error"]
