@@ -62,7 +62,8 @@ def matvec(a: Matrix, v: Vector) -> Vector:
         return []
     if k != len(v):
         raise ValueError(f"shape mismatch: {n}x{k} @ vec {len(v)}")
-    return [sum((a[i][t] * v[t] for t in range(k) if v[t]), Q(0)) for i in range(n)]
+    nonzero = [(t, c) for t, c in enumerate(v) if c]
+    return [sum((row[t] * c for t, c in nonzero if row[t]), Q(0)) for row in a]
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:

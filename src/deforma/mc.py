@@ -9,7 +9,7 @@ obstruction classes, and the Baker-Campbell-Hausdorff group law.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 from .artin import NilpotentDgla
@@ -36,25 +36,30 @@ def is_mc(ng: NilpotentDgla, x: GVec) -> bool:
     return vec_is_zero(mc_residue(ng, x))
 
 
-def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
-    """e^alpha * x = x + sum_n ad_alpha^n / (n+1)! ([alpha, x] - d alpha).
+def _gauge_terms(ng: NilpotentDgla, alpha: GVec, x: GVec) -> list[GVec]:
+    """The nonzero terms ad_alpha^n / (n+1)! ([alpha, x] - d alpha), n >= 0.
 
     The series terminates because alpha has positive coefficient weight.
     """
     _require_degree(alpha, 0, "gauge parameter")
     _require_degree(x, 1, "gauge argument")
-    seed = vec_sub(ng.bracket(alpha, x), ng.d(alpha))
-    out = dict(x)
-    term = seed
-    n = 0
+    terms = []
+    term = vec_sub(ng.bracket(alpha, x), ng.d(alpha))
     factorial = 1
     while not vec_is_zero(term):
-        n += 1
-        factorial *= n
-        out = vec_add(out, vec_scale(Q(1, factorial), term))
-        if n > ng.coefficients.order:
+        factorial *= len(terms) + 1
+        terms.append(vec_scale(Q(1, factorial), term))
+        if len(terms) > ng.coefficients.order:
             raise RuntimeError("gauge series failed to terminate")
         term = ng.bracket(alpha, term)
+    return terms
+
+
+def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
+    """e^alpha * x = x + sum_n ad_alpha^n / (n+1)! ([alpha, x] - d alpha)."""
+    out = dict(x)
+    for term in _gauge_terms(ng, alpha, x):
+        out = vec_add(out, term)
     return out
 
 
@@ -255,43 +260,65 @@ def mc_extend(ng: NilpotentDgla, seed: GVec) -> ExtensionResult:
 # ---------------------------------------------------------------------------
 # Baker-Campbell-Hausdorff
 
-def _nested_bracket(bracket, word: list[GVec]) -> GVec:
-    out = word[-1]
-    for letter in reversed(word[:-1]):
-        out = bracket(letter, out)
-    return out
+def _bernoulli(n: int) -> list[Q]:
+    """B_0 .. B_n from sum_{k <= m} C(m+1, k) B_k = 0 (so B_1 = -1/2)."""
+    b = [Q(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def _compositions(n: int, parts: int):
+    """Every (k_1, ..., k_parts) with k_i >= 1 and sum n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(1, n - parts + 2):
+        for rest in _compositions(n - k, parts - 1):
+            yield (k,) + rest
 
 
 def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
-    """log(e^x e^y) by the explicit commutator series, with all bracket words
-    of length > cutoff treated as zero.
+    """log(e^x e^y) = Z_1 + ... + Z_cutoff, with Z_n the part of bracket
+    length n, by Varadarajan's recursion (Lie Groups, Lie Algebras and Their
+    Representations, 1984, section 2.15):
+
+        Z_1 = x + y,
+        (n+1) Z_{n+1} = 1/2 [x - y, Z_n]
+            + sum_{p >= 1, 2p <= n} B_2p / (2p)!
+              sum_{k_1 + ... + k_2p = n, k_i >= 1}
+              [Z_k1, [... [Z_k2p, x + y] ...]]
+
+    with B_2p the Bernoulli numbers.  Each nested bracket is computed once,
+    memoised by its suffix (k_j, ..., k_2p).
 
     ``bracket`` is the Lie bracket; x and y should be degree-0 elements of a
     nilpotent Lie algebra whose (cutoff+1)-fold brackets vanish — for
-    g (x) m_A take cutoff = order - 1.
+    g (x) m_A take cutoff = order - 1.  The sum is then the whole series.
     """
+    def lie(a: GVec, b: GVec) -> GVec:
+        return {} if vec_is_zero(a) or vec_is_zero(b) else bracket(a, b)
+
+    z = [{}, vec_add(x, y)]             # z[n] = Z_n
+    diff = vec_sub(x, y)
+    nested = {(): z[1]}                 # suffix -> [Z_kj, [..., [Z_k2p, x + y]...]]
+
+    def nest(ks: tuple) -> GVec:
+        if ks not in nested:
+            nested[ks] = lie(z[ks[0]], nest(ks[1:]))
+        return nested[ks]
+
+    bernoulli = _bernoulli(cutoff)
+    for n in range(1, cutoff):
+        acc = vec_scale(Q(1, 2), lie(diff, z[n]))
+        for p in range(1, n // 2 + 1):
+            c = bernoulli[2 * p] / math.factorial(2 * p)
+            for ks in _compositions(n, 2 * p):
+                acc = vec_add(acc, vec_scale(c, nest(ks)))
+        z.append(vec_scale(Q(1, n + 1), acc))
     total: GVec = {}
-    for n in range(1, cutoff + 1):
-        outer = Q(-1) ** (n - 1) / Q(n)
-        pair_choices = [(r, s) for r in range(cutoff + 1)
-                        for s in range(cutoff + 1) if r + s >= 1]
-        for combo in itertools.product(pair_choices, repeat=n):
-            length = sum(r + s for r, s in combo)
-            if length > cutoff:
-                continue
-            denom = Q(length)
-            for r, s in combo:
-                for t in range(2, r + 1):
-                    denom *= t
-                for t in range(2, s + 1):
-                    denom *= t
-            word: list[GVec] = []
-            for r, s in combo:
-                word.extend([x] * r)
-                word.extend([y] * s)
-            term = _nested_bracket(bracket, word)
-            if not vec_is_zero(term):
-                total = vec_add(total, vec_scale(outer / denom, term))
+    for zn in z[1:cutoff + 1]:
+        total = vec_add(total, zn)
     return total
 
 
@@ -317,20 +344,7 @@ def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
     p' = dq + [p, q]; see the regression tests.
     """
     from .holim import PathElement
-    _require_degree(alpha, 0, "gauge parameter")
-    _require_degree(x, 1, "gauge argument")
-    seed = vec_sub(ng.bracket(alpha, x), ng.d(alpha))
-    p = [dict(x)]
-    term = seed
-    m = 0
-    factorial = 1
-    while not vec_is_zero(term):
-        m += 1
-        factorial *= m
-        p.append(vec_scale(Q(1, factorial), term))
-        if m > ng.coefficients.order:
-            raise RuntimeError("gauge series failed to terminate")
-        term = ng.bracket(alpha, term)
+    p = [dict(x)] + _gauge_terms(ng, alpha, x)
     q = [vec_scale(Q(-1), alpha)] if not vec_is_zero(alpha) else []
     return PathElement(ng.dgla, 1, p, q)
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: hand oracles plus algebraic property tests."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -39,6 +40,44 @@ def test_degenerate_shapes():
     assert linalg.matvec([], [Q(1), Q(2)]) == []
     assert linalg.matmul([], [[Q(1)]]) == []
     assert linalg.nullspace([]) == []
+
+
+def dense_matvec(a, v):
+    """Every coordinate of every row, zero or not."""
+    out = []
+    for row in a:
+        total = Q(0)
+        for x, c in zip(row, v):
+            total += x * c
+        out.append(total)
+    return out
+
+
+def test_matvec_matches_dense_reference():
+    rng = random.Random(5)
+
+    def entry(density):
+        return Q(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Q(0)
+
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = [[entry(0.3) for _ in range(cols)] for _ in range(rows)]
+        a[rng.randrange(rows)] = [Q(0)] * cols          # a zero row
+        one_hot = [Q(0)] * cols
+        one_hot[rng.randrange(cols)] = Q(rng.randint(1, 5), rng.randint(1, 3))
+        for v in ([entry(0.5) for _ in range(cols)], [Q(0)] * cols, one_hot):
+            got = linalg.matvec(a, v)
+            assert got == dense_matvec(a, v)
+            assert all(type(c) is Q for c in got)
+
+
+def test_matvec_shapes():
+    assert linalg.matvec([], []) == []
+    assert linalg.matvec([[Q(0), Q(0)]], [Q(0), Q(0)]) == [Q(0)]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.matvec([[Q(1), Q(2)]], [Q(1)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.matvec([[Q(1)]], [Q(1), Q(0)])
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)

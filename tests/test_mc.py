@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from bch_reference import bch as dynkin_bch
 from deforma import fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.dgla import Dgla
@@ -25,6 +26,12 @@ def sparse(ng, degree, nnz=3):
     for _ in range(min(nnz, dim)):
         v[rng.randrange(dim)] = Q(rng.randint(-3, 3), rng.randint(1, 3))
     return {degree: v} if any(v) else {}
+
+
+def dense(ng, degree, rng):
+    """Every coordinate nonzero, so that the longest brackets survive."""
+    return {degree: [Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                     for _ in range(ng.space.dim(degree))]}
 
 
 # ---------------------------------------------------------------------------
@@ -138,51 +145,143 @@ def test_obstruction_independent_of_correction_choice():
 # ---------------------------------------------------------------------------
 # BCH against an exact matrix oracle
 
-def n3_dgla() -> Dgla:
-    """Strictly upper-triangular 3x3 matrices: basis e12, e13, e23."""
-    space = GradedVectorSpace({0: ("e12", "e13", "e23")})
+def upper_dgla(n: int) -> Dgla:
+    """Strictly upper-triangular n x n matrices in degree 0, basis e_ij
+    (i < j) in row order, with the commutator bracket."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {ij: t for t, ij in enumerate(pairs)}
+    space = GradedVectorSpace({0: tuple(f"e{i + 1}{j + 1}" for i, j in pairs)})
     cx = Complex(space, zero_map(space, space, 1))
-    z = [Q(0)] * 3
-    table = [
-        [list(z), list(z), [Q(0), Q(1), Q(0)]],
-        [list(z), list(z), list(z)],
-        [[Q(0), Q(-1), Q(0)], list(z), list(z)],
-    ]
+    table = []
+    for (i, j) in pairs:
+        row = []
+        for (k, l) in pairs:
+            v = [Q(0)] * len(pairs)
+            if j == k:
+                v[index[(i, l)]] += 1
+            if l == i:
+                v[index[(k, j)]] -= 1
+            row.append(v)
+        table.append(row)
     return Dgla(cx, {(0, 0): table})
 
 
-def to_matrix(v):
-    a, b, c = v
-    return [[Q(0), a, b], [Q(0), Q(0), c], [Q(0), Q(0), Q(0)]]
+def to_matrix(v, n):
+    m = [[Q(0)] * n for _ in range(n)]
+    t = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = v[t]
+            t += 1
+    return m
+
+
+def from_matrix(m):
+    n = len(m)
+    return [m[i][j] for i in range(n) for j in range(i + 1, n)]
 
 
 def mat_mul(x, y):
-    return [[sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
+    n = len(x)
+    return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
-def mat_exp(n):
-    # n^3 = 0 exactly
-    n2 = mat_mul(n, n)
-    return [[(Q(1) if i == j else Q(0)) + n[i][j] + n2[i][j] / 2
-             for j in range(3)] for i in range(3)]
+def mat_add(x, y, c=1):
+    return [[a + c * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def mat_identity(n):
+    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+
+
+def mat_exp(a):
+    # a is strictly upper triangular, so a^n = 0 exactly
+    n = len(a)
+    out, power = mat_identity(n), mat_identity(n)
+    for k in range(1, n):
+        power = [[c / k for c in row] for row in mat_mul(power, a)]
+        out = mat_add(out, power)
+    return out
 
 
 def mat_log(m):
-    n = [[m[i][j] - (Q(1) if i == j else Q(0)) for j in range(3)] for i in range(3)]
-    n2 = mat_mul(n, n)
-    return [[n[i][j] - n2[i][j] / 2 for j in range(3)] for i in range(3)]
+    # m - 1 is strictly upper triangular: log m = sum_k (-1)^(k+1) (m-1)^k / k
+    n = len(m)
+    a = mat_add(m, mat_identity(n), -1)
+    out, power = [[Q(0)] * n for _ in range(n)], mat_identity(n)
+    for k in range(1, n):
+        power = mat_mul(power, a)
+        out = mat_add(out, power, Q((-1) ** (k + 1), k))
+    return out
+
+
+def bch_via_matrices(xv, yv, n):
+    m = mat_log(mat_mul(mat_exp(to_matrix(xv, n)), mat_exp(to_matrix(yv, n))))
+    return from_matrix(m)
 
 
 def test_bch_matches_matrix_logarithm():
-    g = n3_dgla()
+    g = upper_dgla(3)
     for _ in range(25):
         xv = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
         yv = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
         z = bch(g.bracket, {0: xv}, {0: yv}, 4)
-        m = mat_log(mat_mul(mat_exp(to_matrix(xv)), mat_exp(to_matrix(yv))))
-        expect = [m[0][1], m[0][2], m[1][2]]
-        assert z.get(0, [Q(0)] * 3) == expect
+        assert z.get(0, [Q(0)] * 3) == bch_via_matrices(xv, yv, 3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_bch_matches_matrix_logarithm_upper_triangular(n):
+    # n x n strictly upper-triangular matrices: brackets of length n vanish
+    g = upper_dgla(n)
+    dim = n * (n - 1) // 2
+    local = random.Random(100 + n)
+    for _ in range(4):
+        xv = [Q(local.randint(-3, 3), local.randint(1, 3)) for _ in range(dim)]
+        yv = [Q(local.randint(-3, 3), local.randint(1, 3)) for _ in range(dim)]
+        z = bch(g.bracket, {0: xv}, {0: yv}, n - 1)
+        assert z.get(0, [Q(0)] * dim) == bch_via_matrices(xv, yv, n)
+
+
+@pytest.mark.parametrize("name,k,order", [("F2", 1, 5), ("F2", 2, 4), ("F5", 1, 4)])
+def test_bch_matches_dynkin_series(name, k, order):
+    # the Dynkin enumeration is exponential in the cutoff; keep cutoff <= 4
+    ng = tensor_nilpotent(F.fixture_dgla(name), truncated_polynomial_algebra(k, order))
+    local = random.Random(order * 10 + k)
+    for _ in range(3):
+        x, y = dense(ng, 0, local), dense(ng, 0, local)
+        assert bch(ng.bracket, x, y, order - 1) == dynkin_bch(ng.bracket, x, y, order - 1)
+
+
+@pytest.mark.parametrize("name", ["F3", "F4", "F5"])
+def test_gauge_action_composes_by_bch(name):
+    # e^a * (e^b * x) = e^{bch(a, b)} * x on Maurer-Cartan x.  x is a gauge
+    # image of the extension of (basis vector) (x) e, so it has a weight-1
+    # part on which the brackets inside bch(a, b) act.  F3 is abelian in
+    # degree 0, so there only the affine part of the action is checked.
+    g = F.fixture_dgla(name)
+    ng = tensor_nilpotent(g, truncated_polynomial_algebra(1, 4))
+    local = random.Random(7)
+    for i in range(4):
+        v = [Q(0)] * g.space.dim(1)
+        v[i % len(v)] = Q(1)
+        extension = mc_extend(ng, ng.tensor_element({1: v}, 0))
+        assert extension.status == "solved"
+        x = gauge_act(ng, dense(ng, 0, local), extension.element)
+        assert is_mc(ng, x)
+        a, b = dense(ng, 0, local), dense(ng, 0, local)
+        assert vec_eq(gauge_act(ng, a, gauge_act(ng, b, x)),
+                      gauge_act(ng, bch(ng.bracket, a, b, 3), x))
+
+
+def test_pi1_multiply_associative_at_order_seven():
+    # gl_2 (x) K[e]/e^7: BCH at cutoff 6
+    ng = tensor_nilpotent(F.f2_dgla(), truncated_polynomial_algebra(1, 7))
+    local = random.Random(6)
+    for _ in range(3):
+        a, b, c = (dense(ng, 0, local) for _ in range(3))
+        assert vec_eq(pi1_multiply(ng, pi1_multiply(ng, a, b), c),
+                      pi1_multiply(ng, a, pi1_multiply(ng, b, c)))
 
 
 # ---------------------------------------------------------------------------
