@@ -1,7 +1,10 @@
 """Local Artin coefficient algebras and the nilpotent dgla g (x) m_A.
 
 Only classical (ungraded) Artin algebras are implemented.  Monomial bases are
-ordered degree-then-lexicographic for reproducibility.
+ordered degree-then-lexicographic for reproducibility.  g (x) m_A is
+``dgla.tensor_dgla`` of g with m_A as a degree-0 cdga with zero
+differential, so its basis in each degree is (g basis) major, (monomials)
+minor, labelled "v@m".
 """
 
 from __future__ import annotations
@@ -9,9 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dgla import Dgla, ValidationReport
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
-                     StructuralError)
+from .dgla import CdgaModel, Dgla, ValidationReport, tensor_dgla
+from .graded import (Complex, GradedVectorSpace, GVec, StructuralError,
+                     zero_map)
 from .linalg import Q, Vector
 
 
@@ -208,55 +211,11 @@ class NilpotentDgla:
 
 
 def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> NilpotentDgla:
-    """d(v (x) m) = dv (x) m;  [v (x) m, w (x) m'] = [v, w] (x) mm'."""
-    sp = g.space
-    na = a.dim
-    components = {
-        deg: tuple(f"{lbl}@{mon}" for lbl in sp.labels(deg) for mon in a.labels)
-        for deg in sp.degrees
-    }
-    space = GradedVectorSpace(components)
+    """g (x) m_A, the ``tensor_dgla`` of g with m_A read as a cdga
+    concentrated in degree 0 with d = 0:
 
-    d_blocks = {}
-    for deg in sp.degrees:
-        base_block = g.underlying.differential.block(deg)
-        rows, cols = len(base_block), sp.dim(deg)
-        if not rows:
-            continue
-        big = [[Q(0)] * (cols * na) for _ in range(rows * na)]
-        nonzero = False
-        for r in range(rows):
-            for c in range(cols):
-                val = base_block[r][c]
-                if val:
-                    nonzero = True
-                    for t in range(na):
-                        big[r * na + t][c * na + t] = val
-        if nonzero:
-            d_blocks[deg] = big
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
-
-    brackets = {}
-    for (m, n), table in g.brackets.items():
-        out_dim = sp.dim(m + n) * na
-        big_table = []
-        nonzero = False
-        for i in range(sp.dim(m)):
-            for mi in range(na):
-                row = []
-                for j in range(sp.dim(n)):
-                    base_val = table[i][j]
-                    for mj in range(na):
-                        prod = a.multiply(mi, mj)
-                        v = [Q(0)] * out_dim
-                        for bi, bc in enumerate(base_val):
-                            if bc:
-                                for t, pc in enumerate(prod):
-                                    if pc:
-                                        v[bi * na + t] = bc * pc
-                                        nonzero = True
-                        row.append(v)
-                big_table.append(row)
-        if nonzero:
-            brackets[(m, n)] = big_table
-    return NilpotentDgla(base=g, coefficients=a, dgla=Dgla(cx, brackets))
+        d(v (x) m) = dv (x) m,   [v (x) m, w (x) m'] = [v, w] (x) mm'.
+    """
+    space = GradedVectorSpace({0: a.labels})
+    m_a = CdgaModel(Complex(space, zero_map(space, space, 1)), {(0, 0): a.table})
+    return NilpotentDgla(base=g, coefficients=a, dgla=tensor_dgla(g, m_a))

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dgla import Dgla, DglaMorphism, validate_morphism
+from .dgla import Dgla, DglaMorphism, ad_exp_terms, validate_morphism
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      StructuralError, vec_add, vec_is_zero, vec_scale)
 from .linalg import Q
@@ -344,18 +344,11 @@ def total_gauge_act(alpha: TotalHomElement, x: TotalHomElement) -> TotalHomEleme
 
     The series terminates because the bracket strictly raises arity.
     """
-    seed = total_sub(total_bracket(alpha, x), total_d(alpha))
     out = x.copy()
-    term = seed
-    n = 0
-    factorial = 1
-    while not term.is_zero():
-        n += 1
-        factorial *= n
-        out = total_add(out, total_scale(Q(1, factorial), term))
-        if n > x.arity_bound + 2:
-            raise RuntimeError("gauge series failed to terminate under truncation")
-        term = total_bracket(alpha, term)
+    for term in ad_exp_terms(total_bracket, total_scale, TotalHomElement.is_zero,
+                             alpha, total_sub(total_bracket(alpha, x), total_d(alpha)),
+                             x.arity_bound + 2):
+        out = total_add(out, term)
     return out
 
 

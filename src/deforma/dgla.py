@@ -1,5 +1,6 @@
 """Differential graded Lie algebras: data type, axiom validation, morphisms,
-sub-dglas and quotients.
+sub-dglas and quotients; finite cdga models; the tensor dgla g (x) A; and
+the exponential series shared by every gauge action.
 
 Bracket structure constants are stored only for degree pairs (m, n) with
 m <= n; the other order is derived from graded antisymmetry, which removes a
@@ -8,7 +9,13 @@ JSON form.  Every bracket is evaluated from one sparse table per dgla
 (``Dgla.table``): indexed by flat basis position, holding only the nonzero
 constants, for both orders of each pair.  Typical tables are sparse (under
 1% nonzero on the convolution Hom slices), so ``bracket``, ``pair_bracket``
-and ``validate_dgla`` cost in proportion to the nonzeros they meet.
+and ``validate_dgla`` cost in proportion to the nonzeros they meet.  A
+``CdgaModel`` stores its products the same way, with the graded-commutative
+sign in place of the antisymmetric one.
+
+``tensor_dgla(g, A)`` is the one construction of a dgla tensored with a
+finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``) and the
+path objects h (x) Omega(Delta^1) (``holim``) are both built by it.
 """
 
 from __future__ import annotations
@@ -55,19 +62,21 @@ _ZERO = Q(0)
 
 
 class StructureTable:
-    """The nonzero structure constants of a dgla over its flat basis.
+    """The nonzero structure constants of a bilinear map over a flat basis.
 
     Basis vector ``idx`` of degree ``deg`` sits at flat position
     ``offset[deg] + idx`` (``space.basis()`` order).  ``row(a)[b]`` is the
-    sparse vector of [e_a, e_b]; pairs whose bracket is zero are absent.
-    Rows cover both orders of every pair, with the antisymmetry sign of
-    mixed-degree pairs applied.  Each row is read out of the dense tables the
-    first time it is asked for, so a few brackets on a large host touch only
-    the rows of their left arguments.
+    sparse vector of e_a * e_b; pairs whose product is zero are absent.
+    Rows cover both orders of every pair: e_b * e_a = -(-1)^{|a||b|} e_a * e_b
+    for a Lie bracket, and (-1)^{|a||b|} e_a * e_b for a graded-commutative
+    product (``symmetric``), for mixed-degree pairs.  Each row is read out of
+    the dense tables the first time it is asked for, so a few brackets on a
+    large host touch only the rows of their left arguments.
     """
 
     def __init__(self, space: GradedVectorSpace,
-                 brackets: dict[tuple[int, int], list[list[Vector]]]):
+                 brackets: dict[tuple[int, int], list[list[Vector]]],
+                 symmetric: bool = False):
         self.dims = {deg: space.dim(deg) for deg in space.degrees}
         self.offset: dict[int, int] = {}
         self.position: list[tuple[int, int]] = []     # flat -> (deg, idx)
@@ -81,7 +90,8 @@ class StructureTable:
             if m in self._sources:
                 self._sources[m].append((n, table, None))
             if m != n and n in self._sources:
-                self._sources[n].append((m, table, -1 if (m * n) % 2 == 0 else 1))
+                odd = (m * n) % 2 == 1
+                self._sources[n].append((m, table, 1 if odd != symmetric else -1))
         self._rows: list[dict[int, Sparse] | None] = [None] * len(self.position)
 
     def __len__(self) -> int:
@@ -103,6 +113,18 @@ class StructureTable:
         return row
 
     __getitem__ = row
+
+    def pair(self, m: int, i: int, n: int, j: int) -> GVec:
+        """e_i * e_j for basis vectors of degrees m, n."""
+        if m not in self.offset or n not in self.offset:
+            return {}
+        entry = self.row(self.offset[m] + i).get(self.offset[n] + j)
+        return self.graded(entry) if entry else {}
+
+    def product(self, x: GVec, y: GVec) -> GVec:
+        acc: Sparse = {}
+        _bracket_into(acc, 1, self, self.flat(x), self.flat(y))
+        return self.graded(acc)
 
     def flat(self, x: GVec) -> Sparse:
         out: Sparse = {}
@@ -187,17 +209,10 @@ class Dgla:
 
     def pair_bracket(self, m: int, i: int, n: int, j: int) -> GVec:
         """[e_i, e_j] for basis vectors of degrees m, n."""
-        t = self.table
-        if m not in t.offset or n not in t.offset:
-            return {}
-        entry = t.row(t.offset[m] + i).get(t.offset[n] + j)
-        return t.graded(entry) if entry else {}
+        return self.table.pair(m, i, n, j)
 
     def bracket(self, x: GVec, y: GVec) -> GVec:
-        t = self.table
-        acc: Sparse = {}
-        _bracket_into(acc, 1, t, t.flat(x), t.flat(y))
-        return t.graded(acc)
+        return self.table.product(x, y)
 
     def basis_element(self, deg: int, idx: int) -> GVec:
         return self.space.basis_element(deg, idx)
@@ -214,11 +229,10 @@ def abelian_dgla(c: Complex) -> Dgla:
     return Dgla(c, {})
 
 
-def _differential_columns(g: Dgla) -> list[Sparse]:
-    """d e_a as a sparse vector, for every flat position a."""
-    t = g.table
+def _differential_columns(t: StructureTable, d: GradedMap) -> list[Sparse]:
+    """d e_a as a sparse vector, for every flat position a of ``t``."""
     cols: list[Sparse] = [{} for _ in t.position]
-    for deg, block in g.underlying.differential.blocks.items():
+    for deg, block in d.blocks.items():
         if deg not in t.offset:
             continue
         src, dst = t.offset[deg], t.offset.get(deg + 1)
@@ -238,7 +252,7 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     report = ValidationReport()
     t = g.table
     rows = [t.row(a) for a in range(len(t))]
-    dcols = _differential_columns(g)
+    dcols = _differential_columns(t, g.underlying.differential)
     n_basis = len(rows)
     labels = [g.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
@@ -309,6 +323,120 @@ def validate_dgla(g: Dgla) -> ValidationReport:
                 if any(acc.values()):
                     fail("jacobi", (a, b, c), acc)
     return report
+
+
+@dataclass(frozen=True)
+class CdgaModel:
+    """Complex plus graded-commutative product structure constants.
+
+    ``products[(m, n)][i][j]`` (stored for m <= n) is e_i * e_j in degree
+    m + n; the other order is derived from graded commutativity.  Products
+    are evaluated from ``table``, the sparse form built from it on first use.
+    """
+
+    complex: Complex
+    products: dict
+
+    @cached_property
+    def table(self) -> StructureTable:
+        return StructureTable(self.space, self.products, symmetric=True)
+
+    @property
+    def space(self) -> GradedVectorSpace:
+        return self.complex.space
+
+    def d(self, x: GVec) -> GVec:
+        return self.complex.d(x)
+
+    def pair_product(self, m: int, i: int, n: int, j: int) -> GVec:
+        return self.table.pair(m, i, n, j)
+
+    def multiply(self, x: GVec, y: GVec) -> GVec:
+        return self.table.product(x, y)
+
+
+def tensor_basis(g: GradedVectorSpace, a: GradedVectorSpace) -> dict[int, list]:
+    """The basis of g (x) A by total degree, as pairs ((p, i), (q, j)) for
+    e_i (x) f_j.  Within a total degree the A-degree q ascends; within one
+    q the g index is major and the A index minor."""
+    out: dict[int, list] = {}
+    for q in a.degrees:
+        for p in g.degrees:
+            out.setdefault(p + q, []).extend(
+                ((p, i), (q, j)) for i in range(g.dim(p)) for j in range(a.dim(q)))
+    return out
+
+
+def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
+    """g (x) A for a dgla g and a finite cdga A, on the basis ``tensor_basis``
+    with labels "v@a":
+
+        d(v (x) a) = dv (x) a + (-1)^{|v|} v (x) da,
+        [v (x) a, w (x) b] = (-1)^{|a||w|} [v, w] (x) ab.
+
+    The dense tables are filled from the nonzeros of ``g.table``,
+    ``a.table`` and the two differentials only.
+    """
+    gt, at = g.table, a.table
+    basis = tensor_basis(g.space, a.space)
+    space = GradedVectorSpace({
+        k: tuple(f"{g.label(*v)}@{a.space.label(*f)}" for v, f in pairs)
+        for k, pairs in basis.items()})
+    place = {}      # (g flat position, A flat position) -> (degree, index)
+    for k, pairs in basis.items():
+        for idx, ((p, i), (q, j)) in enumerate(pairs):
+            place[gt.offset[p] + i, at.offset[q] + j] = (k, idx)
+    gdeg = [deg for deg, _ in gt.position]
+    adeg = [deg for deg, _ in at.position]
+
+    gd = _differential_columns(gt, g.underlying.differential)
+    ad = _differential_columns(at, a.complex.differential)
+    d_blocks = {}
+    for (v, f), (k, col) in place.items():
+        sign = -1 if gdeg[v] % 2 else 1
+        for key, c in ([((u, f), c) for u, c in gd[v].items()]
+                       + [((v, h), sign * c) for h, c in ad[f].items()]):
+            if k not in d_blocks:
+                d_blocks[k] = linalg.zeros(space.dim(k + 1), space.dim(k))
+            d_blocks[k][place[key][1]][col] += c
+
+    brackets = {}
+    for v in range(len(gt)):
+        for w, vw in gt.row(v).items():
+            for f in range(len(at)):
+                sign = -1 if adeg[f] * gdeg[w] % 2 else 1
+                for h, fh in at.row(f).items():
+                    (k1, x), (k2, y) = place[v, f], place[w, h]
+                    if k1 > k2:
+                        continue
+                    if (k1, k2) not in brackets:
+                        out = space.dim(k1 + k2)
+                        brackets[k1, k2] = [[[_ZERO] * out for _ in range(space.dim(k2))]
+                                            for _ in range(space.dim(k1))]
+                    cell = brackets[k1, k2][x][y]
+                    for u, c in vw.items():
+                        for e, s in fh.items():
+                            cell[place[u, e][1]] = sign * c * s
+    return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), brackets)
+
+
+def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
+    """The terms ad_alpha^n(s) / (n+1)!, n = 0, 1, ..., up to the first zero.
+
+    Every gauge action is e^alpha * x = x + (sum of these terms) with
+    s = [alpha, x] - d alpha.  ``bracket``, ``scale`` and ``is_zero`` act on
+    the caller's elements.  ad_alpha must be nilpotent: a nonzero term past
+    the first ``limit`` raises RuntimeError.
+    """
+    terms = []
+    factorial = 1
+    while not is_zero(s):
+        if len(terms) == limit:
+            raise RuntimeError("exponential series failed to terminate")
+        factorial *= len(terms) + 1
+        terms.append(scale(Q(1, factorial), s))
+        s = bracket(alpha, s)
+    return terms
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ gamma = p(t) + q(t) dt a polynomial path in h (x) K[t, dt] satisfying
 p(0) = x and p(1) = 0.  This complex is quasi-isomorphic to (h/n)[-1]; the
 quasi-isomorphism integrates the dt-component and reduces mod n.  Cohomology
 computations bound the polynomial t-degree by D and report stabilization.
+The explicit path dgla (``path_dgla``) is ``dgla.tensor_dgla`` of h with
+the polynomial forms on [0, 1].
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .convolution import (BigradedHomElement, TotalHomElement,
                           hom_element_from_linear, total_add, total_bracket,
                           total_d, total_mc_residual, total_scale, total_sub,
                           total_zero)
-from .dgla import (Dgla, SubDgla, ValidationReport, _residual_repr,
-                   abelian_dgla, restrict_to_sub, sub_dgla_span, sub_quotient)
+from .dgla import (CdgaModel, Dgla, SubDgla, ValidationReport, _residual_repr,
+                   abelian_dgla, ad_exp_terms, restrict_to_sub, sub_dgla_span,
+                   sub_quotient, tensor_basis, tensor_dgla)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError,
                      cohomology, induced_map_on_cohomology, is_chain_map,
@@ -219,8 +222,15 @@ def holim_project(e: HolimElement) -> GVec:
 
 @dataclass(frozen=True)
 class PathDgla:
-    """Basis entries per total degree k: ('p', m, j) for t^m e_j with e_j of
-    host degree k, and ('q', m, j) for t^m e_j dt with e_j of degree k - 1.
+    """h (x) Omega(Delta^1) truncated at t-degree ``tmax``: the
+    ``tensor_dgla`` of the host with the forms t^m (degree 0) and t^m dt
+    (degree 1), m <= tmax, where d t^m = m t^{m-1} dt.
+
+    ``index[k]`` lists the basis of total degree k in the tensor order:
+    first ('p', m, j) for e_j (x) t^m with e_j of host degree k, then
+    ('q', m, j) for e_j (x) t^m dt with e_j of degree k - 1; in each part
+    the host index j is major and m minor.  The labels are "v@t<m>" and
+    "v@t<m>*dt".  ``positions[k]`` inverts ``index[k]``.
 
     Brackets whose t-degree exceeds ``tmax`` are silently projected away, so
     only use elements whose products stay within the bound (the holim
@@ -239,146 +249,48 @@ class PathDgla:
 
     def to_coords(self, gamma: PathElement) -> GVec:
         k = gamma.degree
-        dim = self.space.dim(k)
-        v = [Q(0)] * dim
+        v = [Q(0)] * self.space.dim(k)
         pos = self.positions.get(k, {})
-        for m, coeff in enumerate(gamma.p):
-            if m > self.tmax:
-                raise StructuralError("path exceeds the t-degree bound")
-            for j, c in enumerate(coeff.get(k, [])):
-                if c:
-                    v[pos[('p', m, j)]] += c
-        for m, coeff in enumerate(gamma.q):
-            if m > self.tmax:
-                raise StructuralError("path exceeds the t-degree bound")
-            for j, c in enumerate(coeff.get(k - 1, [])):
-                if c:
-                    v[pos[('q', m, j)]] += c
+        for kind, coeffs, hdeg in (('p', gamma.p, k), ('q', gamma.q, k - 1)):
+            for m, coeff in enumerate(coeffs):
+                if m > self.tmax:
+                    raise StructuralError("path exceeds the t-degree bound")
+                for j, c in enumerate(coeff.get(hdeg, [])):
+                    if c:
+                        v[pos[(kind, m, j)]] += c
         return {k: v} if any(v) else {}
 
     def to_path(self, x: GVec, degree: int) -> PathElement:
-        h = self.host
-        p = [dict() for _ in range(self.tmax + 1)]
-        q = [dict() for _ in range(self.tmax + 1)]
-        v = x.get(degree, [])
-        for posn, c in enumerate(v):
-            if not c:
-                continue
-            kind, m, j = self.index[degree][posn]
-            if kind == 'p':
-                tgt, hdeg = p, degree
-            else:
-                tgt, hdeg = q, degree - 1
-            vec = tgt[m].setdefault(hdeg, [Q(0)] * h.space.dim(hdeg))
-            vec[j] += c
-        return PathElement(h, degree,
-                           [c if c else {} for c in p],
-                           [c if c else {} for c in q])
+        parts = {kind: [{} for _ in range(self.tmax + 1)] for kind in 'pq'}
+        for posn, c in enumerate(x.get(degree, [])):
+            if c:
+                kind, m, j = self.index[degree][posn]
+                hdeg = degree if kind == 'p' else degree - 1
+                vec = parts[kind][m].setdefault(hdeg, [Q(0)] * self.host.space.dim(hdeg))
+                vec[j] += c
+        return PathElement(self.host, degree, parts['p'], parts['q'])
+
+
+def _interval_forms(tmax: int) -> CdgaModel:
+    """Polynomial forms on [0, 1] up to t-degree tmax; products past tmax
+    are dropped (so Leibniz fails on that corner)."""
+    n = tmax + 1
+    space = GradedVectorSpace({0: tuple(f"t{m}" for m in range(n)),
+                               1: tuple(f"t{m}*dt" for m in range(n))})
+    times = [[[Q(1) if r == a + b else Q(0) for r in range(n)] for b in range(n)]
+             for a in range(n)]
+    d = [[Q(m) if r == m - 1 else Q(0) for m in range(n)] for r in range(n)]
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, {0: d})),
+                     {(0, 0): times, (0, 1): times})
 
 
 def path_dgla(host: Dgla, tmax: int) -> PathDgla:
-    sp = host.space
-    hdegs = sp.degrees
-    degs = sorted(set(hdegs) | {k + 1 for k in hdegs})
-    index: dict[int, tuple] = {}
-    for k in degs:
-        entries = []
-        for m in range(tmax + 1):
-            for j in range(sp.dim(k)):
-                entries.append(('p', m, j))
-        for m in range(tmax + 1):
-            for j in range(sp.dim(k - 1)):
-                entries.append(('q', m, j))
-        if entries:
-            index[k] = tuple(entries)
+    forms = _interval_forms(tmax)
+    index = {k: tuple(('q' if q else 'p', m, j) for (_, j), (q, m) in pairs)
+             for k, pairs in tensor_basis(host.space, forms.space).items()}
     positions = {k: {e: i for i, e in enumerate(entries)}
                  for k, entries in index.items()}
-    components = {}
-    for k, entries in index.items():
-        labels = []
-        for kind, m, j in entries:
-            lbl = sp.label(k if kind == 'p' else k - 1, j)
-            labels.append(f"t{m}*{lbl}" + ("*dt" if kind == 'q' else ""))
-        components[k] = tuple(labels)
-    space = GradedVectorSpace(components)
-
-    def entry_vec(k: int, entry, coeff: Fraction, out: list):
-        p = positions[k].get(entry)
-        if p is not None:
-            out[p] += coeff
-
-    d_blocks = {}
-    for k, entries in index.items():
-        tdim = space.dim(k + 1)
-        if not tdim:
-            continue
-        cols = []
-        for kind, m, j in entries:
-            col = [Q(0)] * tdim
-            if kind == 'p':
-                img = host.d(sp.basis_element(k, j))
-                for jj, c in enumerate(img.get(k + 1, [])):
-                    if c:
-                        entry_vec(k + 1, ('p', m, jj), c, col)
-                if m >= 1:
-                    sign = Q(-1) if k % 2 else Q(1)
-                    entry_vec(k + 1, ('q', m - 1, j), sign * Q(m), col)
-            else:
-                img = host.d(sp.basis_element(k - 1, j))
-                for jj, c in enumerate(img.get(k, [])):
-                    if c:
-                        entry_vec(k + 1, ('q', m, jj), c, col)
-            cols.append(col)
-        if any(any(c) for c in cols):
-            d_blocks[k] = [[cols[j][i] for j in range(len(cols))]
-                           for i in range(tdim)]
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
-
-    def pair_bracket(k1, e1, k2, e2, out_dim, outk):
-        kind1, m1, j1 = e1
-        kind2, m2, j2 = e2
-        col = [Q(0)] * out_dim
-        m = m1 + m2
-        if m > tmax or (kind1 == 'q' and kind2 == 'q'):
-            return col
-        if kind1 == 'p' and kind2 == 'p':
-            br = host.pair_bracket(k1, j1, k2, j2)
-            for jj, c in enumerate(br.get(k1 + k2, [])):
-                if c:
-                    entry_vec(outk, ('p', m, jj), c, col)
-        elif kind1 == 'p':
-            br = host.pair_bracket(k1, j1, k2 - 1, j2)
-            for jj, c in enumerate(br.get(k1 + k2 - 1, [])):
-                if c:
-                    entry_vec(outk, ('q', m, jj), c, col)
-        else:
-            sign = Q(-1) if k2 % 2 else Q(1)
-            br = host.pair_bracket(k1 - 1, j1, k2, j2)
-            for jj, c in enumerate(br.get(k1 + k2 - 1, [])):
-                if c:
-                    entry_vec(outk, ('q', m, jj), sign * c, col)
-        return col
-
-    brackets = {}
-    for k1 in index:
-        for k2 in index:
-            if k1 > k2 or (k1 + k2) not in index:
-                continue
-            outk = k1 + k2
-            out_dim = space.dim(outk)
-            table = []
-            any_nonzero = False
-            for e1 in index[k1]:
-                row = []
-                for e2 in index[k2]:
-                    v = pair_bracket(k1, e1, k2, e2, out_dim, outk)
-                    if any(v):
-                        any_nonzero = True
-                    row.append(v)
-                table.append(row)
-            if any_nonzero:
-                brackets[(k1, k2)] = table
-    return PathDgla(host, tmax, Dgla(cx, brackets), index, positions)
+    return PathDgla(host, tmax, tensor_dgla(host, forms), index, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +484,9 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
     ltot.put(hom_element_from_linear(g, pair.h, l))
     seed = total_sub(total_bracket(itot, ltot), total_d(itot))
 
-    flow = {0: ltot}
-    term = seed
-    m = 0
-    factorial = 1
-    while not term.is_zero():
-        m += 1
-        factorial *= m
-        flow[m] = total_scale(Q(1, factorial), term)
-        if m > arity_bound + 1:
-            raise RuntimeError("gauge flow failed to terminate under truncation")
-        term = total_bracket(itot, term)
+    terms = ad_exp_terms(total_bracket, total_scale, TotalHomElement.is_zero,
+                         itot, seed, arity_bound + 1)
+    flow = {0: ltot} | {m: term for m, term in enumerate(terms, 1)}
 
     at_one = total_zero(g, pair.h, arity_bound)
     for c in flow.values():

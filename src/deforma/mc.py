@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .artin import NilpotentDgla
-from .dgla import Dgla, SubDgla
+from .dgla import Dgla, SubDgla, ad_exp_terms
 from .graded import (GVec, StructuralError, cohomology, vec_add, vec_component,
                      vec_degree, vec_is_zero, vec_scale, vec_sub)
 from . import linalg
@@ -43,16 +43,9 @@ def _gauge_terms(ng: NilpotentDgla, alpha: GVec, x: GVec) -> list[GVec]:
     """
     _require_degree(alpha, 0, "gauge parameter")
     _require_degree(x, 1, "gauge argument")
-    terms = []
-    term = vec_sub(ng.bracket(alpha, x), ng.d(alpha))
-    factorial = 1
-    while not vec_is_zero(term):
-        factorial *= len(terms) + 1
-        terms.append(vec_scale(Q(1, factorial), term))
-        if len(terms) > ng.coefficients.order:
-            raise RuntimeError("gauge series failed to terminate")
-        term = ng.bracket(alpha, term)
-    return terms
+    return ad_exp_terms(ng.bracket, vec_scale, vec_is_zero, alpha,
+                        vec_sub(ng.bracket(alpha, x), ng.d(alpha)),
+                        ng.coefficients.order)
 
 
 def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
@@ -320,20 +313,6 @@ def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
     for zn in z[1:cutoff + 1]:
         total = vec_add(total, zn)
     return total
-
-
-def mc_extend_order(ng: NilpotentDgla, partial: GVec) -> ExtensionResult:
-    """One order of the extension problem: correct the lowest-weight residue
-    of a partial solution, or report its obstruction class.
-
-    ``mc_extend`` iterates this to a full solution or a genuine obstruction.
-    """
-    obs = mc_obstruction(ng, partial)
-    if obs is None:
-        return ExtensionResult("solved", dict(partial))
-    if not obs.vanishes:
-        return ExtensionResult("obstructed", dict(partial), obs)
-    return ExtensionResult("extended", mc_correct_step(ng, partial), obs)
 
 
 def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):

@@ -1,4 +1,5 @@
-"""Finite filtered cdga models, the endomorphism pair (End, End^{>=0}),
+"""Finite filtered cdga models (validation and filtrations; the type is
+``dgla.CdgaModel``), the endomorphism pair (End, End^{>=0}),
 contractions as Cartan homotopies, the end of the flag diagram, and the
 period differential.
 
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cartan import cartan_check, lie_from_cartan
-from .dgla import (Dgla, DglaMorphism, SubDgla, ValidationReport,
+from .dgla import (CdgaModel, Dgla, DglaMorphism, SubDgla, ValidationReport,
                    _residual_repr, sub_dgla_span, validate_morphism,
                    validate_sub_dgla)
 from .endo import EndDgla, end_dgla
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
+from .graded import (Complex, GradedMap, GradedVectorSpace,
                      StructuralError, SubSpaceData,
                      cohomology, quotient_complex, vec_add,
                      vec_is_zero, vec_scale, vec_sub, zero_map)
@@ -31,51 +32,6 @@ from .linalg import Q, Vector
 
 # ---------------------------------------------------------------------------
 # finite cdga models
-
-@dataclass(frozen=True)
-class CdgaModel:
-    """Complex plus graded-commutative product structure constants.
-
-    ``products[(m, n)][i][j]`` (stored for m <= n) is e_i * e_j in degree
-    m + n; the other order is derived from graded commutativity.
-    """
-
-    complex: Complex
-    products: dict
-
-    @property
-    def space(self) -> GradedVectorSpace:
-        return self.complex.space
-
-    def d(self, x: GVec) -> GVec:
-        return self.complex.d(x)
-
-    def pair_product(self, m: int, i: int, n: int, j: int) -> GVec:
-        if m <= n:
-            table = self.products.get((m, n))
-            v = table[i][j] if table else None
-        else:
-            table = self.products.get((n, m))
-            w = table[j][i] if table else None
-            sign = Q(-1) if (m * n) % 2 else Q(1)
-            v = [sign * c for c in w] if w else None
-        if v is None or not any(v):
-            return {}
-        return {m + n: list(v)}
-
-    def multiply(self, x: GVec, y: GVec) -> GVec:
-        out: GVec = {}
-        for m, xv in x.items():
-            for i, xc in enumerate(xv):
-                if not xc:
-                    continue
-                for n, yv in y.items():
-                    for j, yc in enumerate(yv):
-                        if yc:
-                            out = vec_add(out, vec_scale(
-                                xc * yc, self.pair_product(m, i, n, j)))
-        return out
-
 
 def validate_cdga(omega: CdgaModel) -> ValidationReport:
     """Graded commutativity, associativity and the Leibniz rule on bases.

@@ -1,12 +1,15 @@
-"""Dense reference implementation of the bracket and the axiom sweep.
+"""Dense reference implementations of the bracket, the axiom sweep and
+g (x) m_A.
 
 These read ``Dgla.brackets`` directly, coordinate by coordinate, with no
 use of the sparse table.  They are the oracle for ``Dgla.bracket``,
-``Dgla.pair_bracket`` and ``validate_dgla`` in test_sparse_kernel.py.
+``Dgla.pair_bracket`` and ``validate_dgla`` in test_sparse_kernel.py, and
+for ``tensor_nilpotent`` in test_artin.py.
 """
 
-from deforma.dgla import ValidationReport, _residual_repr
-from deforma.graded import GVec, vec_add, vec_is_zero, vec_scale, vec_sub
+from deforma.dgla import Dgla, ValidationReport, _residual_repr
+from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
+                            vec_add, vec_is_zero, vec_scale, vec_sub)
 from deforma.linalg import Q
 
 
@@ -93,3 +96,60 @@ def validate_dgla(g) -> ValidationReport:
                                 [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
                                 _residual_repr(res))
     return report
+
+
+def tensor_nilpotent(g, a) -> Dgla:
+    """g (x) m_A on the basis (g basis) major, (monomials) minor, labels
+    "v@m": d(v (x) m) = dv (x) m, [v (x) m, w (x) m'] = [v, w] (x) mm'.
+    Every pair of tensor basis vectors gets its own dense vector."""
+    sp = g.space
+    na = a.dim
+    components = {
+        deg: tuple(f"{lbl}@{mon}" for lbl in sp.labels(deg) for mon in a.labels)
+        for deg in sp.degrees
+    }
+    space = GradedVectorSpace(components)
+
+    d_blocks = {}
+    for deg in sp.degrees:
+        base_block = g.underlying.differential.block(deg)
+        rows, cols = len(base_block), sp.dim(deg)
+        if not rows:
+            continue
+        big = [[Q(0)] * (cols * na) for _ in range(rows * na)]
+        nonzero = False
+        for r in range(rows):
+            for c in range(cols):
+                val = base_block[r][c]
+                if val:
+                    nonzero = True
+                    for t in range(na):
+                        big[r * na + t][c * na + t] = val
+        if nonzero:
+            d_blocks[deg] = big
+    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
+
+    brackets = {}
+    for (m, n), table in g.brackets.items():
+        out_dim = sp.dim(m + n) * na
+        big_table = []
+        nonzero = False
+        for i in range(sp.dim(m)):
+            for mi in range(na):
+                row = []
+                for j in range(sp.dim(n)):
+                    base_val = table[i][j]
+                    for mj in range(na):
+                        prod = a.multiply(mi, mj)
+                        v = [Q(0)] * out_dim
+                        for bi, bc in enumerate(base_val):
+                            if bc:
+                                for t, pc in enumerate(prod):
+                                    if pc:
+                                        v[bi * na + t] = bc * pc
+                                        nonzero = True
+                        row.append(v)
+                big_table.append(row)
+        if nonzero:
+            brackets[(m, n)] = big_table
+    return Dgla(cx, brackets)

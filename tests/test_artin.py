@@ -2,6 +2,9 @@
 
 from fractions import Fraction as Q
 
+import pytest
+
+import dense_reference
 from deforma import fixtures as F
 from deforma.artin import (tensor_nilpotent, truncated_polynomial_algebra,
                            validate_artin)
@@ -65,3 +68,14 @@ def test_tensor_bracket_truncates():
     ng = tensor_nilpotent(F.f7_dgla(), truncated_polynomial_algebra(1, 2))
     x = ng.tensor_element({1: [Q(1)]}, 0)
     assert ng.bracket(x, x) == {}
+
+
+@pytest.mark.parametrize("name", F.FIXTURE_NAMES)
+def test_tensor_nilpotent_matches_dense_reference(name):
+    g = F.fixture_dgla(name)
+    for k, order in ((1, 3), (1, 4), (1, 5), (2, 3)):
+        a = truncated_polynomial_algebra(k, order)
+        ng, ref = tensor_nilpotent(g, a).dgla, dense_reference.tensor_nilpotent(g, a)
+        assert ng.space.components == ref.space.components
+        assert ng.underlying.differential.blocks == ref.underlying.differential.blocks
+        assert all(ng.table.row(p) == ref.table.row(p) for p in range(len(ref.table)))

@@ -2,12 +2,16 @@
 
 from fractions import Fraction as Q
 
+import pytest
+
 from deforma import fixtures as F
-from deforma.dgla import (Dgla, DglaMorphism, identity_morphism,
+from deforma.dgla import (Dgla, DglaMorphism, ad_exp_terms, identity_morphism,
                           inclusion_as_morphism, restrict_to_sub, sub_dgla_span,
-                          sub_quotient, validate_dgla, validate_morphism,
-                          validate_sub_dgla)
-from deforma.graded import Complex, GradedMap, GradedVectorSpace, zero_map
+                          sub_quotient, tensor_dgla, validate_dgla,
+                          validate_morphism, validate_sub_dgla)
+from deforma.graded import (Complex, GradedMap, GradedVectorSpace, vec_is_zero,
+                            vec_scale, zero_map)
+from deforma.period import validate_cdga
 
 
 def test_all_fixture_dglas_valid():
@@ -95,3 +99,29 @@ def test_morphism_validation():
 def test_abelian_flag():
     assert F.f1_dgla().is_abelian()
     assert not F.f2_dgla().is_abelian()
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F6", "F7"])
+def test_tensor_with_odd_coefficients_is_dgla(name):
+    # Lambda(xi, xibar) has odd generators, so the Koszul sign
+    # (-1)^{|a||w|} of the tensor bracket is exercised
+    omega = F.f6_cdga()
+    assert validate_cdga(omega).ok
+    assert validate_dgla(tensor_dgla(F.fixture_dgla(name), omega)).ok
+
+
+def test_exponential_series_terminates_or_raises():
+    g = F.f2_dgla()                      # gl_2: e11, e12, e21, e22
+    e11, e12, e21 = (g.basis_element(0, i) for i in range(3))
+
+    def terms(alpha, s, limit):
+        return ad_exp_terms(g.bracket, vec_scale, vec_is_zero, alpha, s, limit)
+
+    # e21 -> [e12, e21] = e11 - e22 -> -2 e12 -> 0: three terms
+    assert terms(e12, e21, 3) == [e21, {0: [Q(1, 2), Q(0), Q(0), Q(-1, 2)]},
+                                  {0: [Q(0), Q(-1, 3), Q(0), Q(0)]}]
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        terms(e12, e21, 2)
+    # [e11, e12] = e12: ad_e11 is not nilpotent on e12
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        terms(e11, e12, 10)

@@ -19,7 +19,7 @@ from deforma.holim import (PathElement, constant_path,
 rng = random.Random(73)
 
 
-def random_path(host, degree, tmax=2):
+def random_path(host, degree, tmax=2, rng=rng):
     def rv(d):
         dim = host.space.dim(d)
         v = [Q(rng.randint(-2, 2)) for _ in range(dim)]
@@ -79,6 +79,17 @@ def test_path_dgla_bracket_matches_pathwise():
         via_coords = paths.dgla.bracket(paths.to_coords(a), paths.to_coords(b))
         direct = paths.to_coords(path_bracket(a, b))
         assert vec_eq(via_coords, direct)
+    # F3 has a nonzero d, and degree-1 paths carry the Koszul signs
+    host, own = F.f3_dgla(), random.Random(74)
+    paths = path_dgla(host, 4)
+    for da, db in ((0, 1), (1, 0), (1, 1), (-1, 1)):
+        for _ in range(3):
+            a = random_path(host, da, rng=own)
+            b = random_path(host, db, rng=own)
+            ca, cb = paths.to_coords(a), paths.to_coords(b)
+            assert vec_eq(paths.dgla.bracket(ca, cb),
+                          paths.to_coords(path_bracket(a, b)))
+            assert vec_eq(paths.dgla.d(ca), paths.to_coords(path_d(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from deforma.graded import Complex, GradedVectorSpace, StructuralError, vec_eq, 
 from deforma.holim import path_add, path_bracket, path_d, path_scale
 from deforma.mc import (bch, gauge_act, gauge_equivalent, gauge_path,
                         irrelevant_stabilizer, is_mc, mc_extend,
-                        mc_extend_order, mc_obstruction,
+                        mc_correct_step, mc_obstruction,
                         pi1_at_zero, pi1_inverse, pi1_multiply)
 
 rng = random.Random(41)
@@ -118,9 +118,10 @@ def test_f7_obstruction_is_half_y():
 def test_f7_single_step_matches():
     ng = tensor_nilpotent(F.f7_dgla(), truncated_polynomial_algebra(1, 3))
     seed = ng.tensor_element({1: [Q(1)]}, 0)
-    step = mc_extend_order(ng, seed)
-    assert step.status == "obstructed"
-    assert step.obstruction.classes == {"e^2": [Q(1, 2)]}
+    obstruction = mc_obstruction(ng, seed)
+    assert obstruction.weight == 2
+    assert obstruction.classes == {"e^2": [Q(1, 2)]}
+    assert mc_correct_step(ng, seed) is None
 
 
 def test_f6_unobstructed_to_order_four():
