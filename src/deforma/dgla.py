@@ -559,10 +559,7 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
         for deg, v in x.items():
             if not any(v):
                 continue
-            basis = bases.get(deg)
-            if not basis:
-                raise StructuralError(f"element leaves the subspace in degree {deg}")
-            sol = linalg.solve(linalg.columns_matrix(basis, len(v)), list(v))
+            sol = n.span.coords(deg, v)
             if sol is None:
                 raise StructuralError(f"element leaves the subspace in degree {deg}")
             out[deg] = sol
@@ -580,7 +577,8 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
     cx = Complex(space, GradedMap(space, space, 1, d_blocks))
 
     brackets = {}
-    degs = sorted(bases)
+    # brackets of an abelian parent vanish, so there are no tables to build
+    degs = [] if h.is_abelian() else sorted(bases)
     for m in degs:
         for p in degs:
             if m > p:

@@ -7,6 +7,7 @@ space are dicts ``degree -> coordinate list``; missing degrees mean zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -230,24 +231,41 @@ class SubSpaceData:
                 if len(v) != self.parent.dim(deg):
                     raise StructuralError(f"span vector length mismatch in degree {deg}")
 
+    @cached_property
+    def echelon(self) -> dict[int, tuple[list[Vector], list[int]]]:
+        """Per degree: the reduced echelon basis of the span and its pivot
+        columns (basis vector i is 1 at pivot i and 0 at the other pivots)."""
+        out = {}
+        for deg, vecs in self.span.items():
+            if vecs:
+                red, pivots = linalg.rref(vecs)
+                out[deg] = (red[:len(pivots)], pivots)
+        return out
+
     def basis_in_degree(self, deg: int) -> list[Vector]:
         """Deterministic independent basis of the span in one degree."""
-        vecs = self.span.get(deg, [])
-        if not vecs:
-            return []
-        red, pivots = linalg.rref(vecs)
-        return [red[i] for i in range(len(pivots))]
+        return self.echelon.get(deg, ([], []))[0]
 
     def dim(self, deg: int) -> int:
         return len(self.basis_in_degree(deg))
 
+    def coords(self, deg: int, v: Vector) -> Vector | None:
+        """Coordinates of v in ``basis_in_degree(deg)``, or None if v is not
+        in the span.  They are read off the pivot columns, then checked by
+        rebuilding v from them."""
+        basis, pivots = self.echelon.get(deg, ([], []))
+        c = [v[p] for p in pivots]
+        rebuilt = [Q(0)] * len(v)
+        for ci, b in zip(c, basis):
+            if ci:
+                for j, bj in enumerate(b):
+                    if bj:
+                        rebuilt[j] += ci * bj
+        return c if rebuilt == list(v) else None
+
     def contains(self, x: GVec) -> bool:
-        for deg, v in x.items():
-            if not any(v):
-                continue
-            if not linalg.in_span(self.basis_in_degree(deg), list(v)):
-                return False
-        return True
+        return all(self.coords(deg, v) is not None
+                   for deg, v in x.items() if any(v))
 
 
 @dataclass(frozen=True)
@@ -381,13 +399,10 @@ def cohomology(c: Complex) -> CohomologyResult:
             [r for r in linalg.identity(dim)]
         d_prev = c.differential.block(deg - 1) if c.space.dim(deg - 1) else None
         cobs = linalg.column_space_basis(d_prev) if d_prev else []
-        # extend coboundaries to cocycles, deterministically
-        reps: list[Vector] = []
-        current = [v[:] for v in cobs]
-        for z in cocycles:
-            if not linalg.in_span(current, z):
-                current.append(z)
-                reps.append(z)
+        # extend coboundaries to cocycles, deterministically: the cocycles
+        # among the pivot columns of [cobs | cocycles], leftmost first
+        _, pivots = linalg.rref(linalg.columns_matrix(cobs + cocycles, dim))
+        reps = [cocycles[p - len(cobs)] for p in pivots if p >= len(cobs)]
         by_degree[deg] = DegreeCohomology(rank=len(reps), representatives=reps,
                                           coboundaries=cobs)
     return CohomologyResult(c, by_degree)

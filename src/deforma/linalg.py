@@ -1,8 +1,10 @@
 """Exact rational matrix routines.
 
-Matrices are lists of rows, entries are ``fractions.Fraction``.  Everything
-here is dense and deterministic: pivoting is always "leftmost column, first
-usable row", so identical inputs give identical outputs.
+Matrices are lists of rows, entries are ``fractions.Fraction``.  Matrices
+are stored dense, but the kernels skip zeros: ``matvec`` multiplies only the
+vector's nonzeros, and ``rref`` updates a row only where the pivot row is
+nonzero.  Everything is deterministic: pivoting is always "leftmost column,
+first usable row", so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -97,11 +99,14 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = Q(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
+        support = [(j, y) for j, y in enumerate(m[r]) if y]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and row[c]:
+                f = row[c]
+                for j, y in support:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
     return m, pivots
@@ -173,14 +178,9 @@ def in_span(vectors: list[Vector], v: Vector) -> bool:
 def extend_to_complement(span: list[Vector], dim: int) -> list[int]:
     """Indices of standard basis vectors completing ``span`` to all of K^dim.
 
-    Chosen greedily in index order, so the result is deterministic.
+    These are the pivots among the identity columns of ``[span | I]``: e_i is
+    chosen iff it is independent of ``span`` and the e_j before it, so the
+    result is the greedy choice in index order.
     """
-    chosen: list[int] = []
-    current = [v[:] for v in span]
-    for i in range(dim):
-        e = [Q(0)] * dim
-        e[i] = Q(1)
-        if not in_span(current, e):
-            current.append(e)
-            chosen.append(i)
-    return chosen
+    _, pivots = rref(columns_matrix(span + identity(dim), dim))
+    return [p - len(span) for p in pivots if p >= len(span)]

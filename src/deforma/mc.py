@@ -68,16 +68,21 @@ def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
     out = []
     deg = -1
     na = ng.coefficients.dim
+    pairs = []  # (h, d h)
     if sub is None:
-        dim = ng.space.dim(deg)
-        hs = [ng.space.basis_element(deg, i) for i in range(dim)]
+        # d e_i is column i of the d block
+        block = ng.dgla.underlying.differential.block(deg)
+        for i in range(ng.space.dim(deg)):
+            col = [row[i] for row in block]
+            pairs.append((ng.space.basis_element(deg, i),
+                          {deg + 1: col} if any(col) else {}))
     else:
-        hs = []
         for v in sub.span.basis_in_degree(deg):
             for mon in range(na):
-                hs.append(ng.tensor_element({deg: list(v)}, mon))
-    for h in hs:
-        g = vec_add(ng.d(h), ng.bracket(x, h))
+                h = ng.tensor_element({deg: list(v)}, mon)
+                pairs.append((h, ng.d(h)))
+    for h, dh in pairs:
+        g = vec_add(dh, ng.bracket(x, h))
         if not vec_is_zero(g):
             out.append(g)
     return out

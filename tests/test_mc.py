@@ -10,7 +10,8 @@ from bch_reference import bch as dynkin_bch
 from deforma import fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.dgla import Dgla
-from deforma.graded import Complex, GradedVectorSpace, StructuralError, vec_eq, zero_map
+from deforma.graded import (Complex, GradedVectorSpace, StructuralError, vec_add, vec_eq,
+                            vec_is_zero, zero_map)
 from deforma.holim import path_add, path_bracket, path_d, path_scale
 from deforma.mc import (bch, gauge_act, gauge_equivalent, gauge_path,
                         irrelevant_stabilizer, is_mc, mc_extend,
@@ -323,6 +324,20 @@ def test_f3_irrelevant_stabilizer_nonzero():
 def test_gl2_irrelevant_stabilizer_zero():
     ng = tensor_nilpotent(F.f2_dgla(), truncated_polynomial_algebra(1, 2))
     assert irrelevant_stabilizer(ng, {}) == []
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5"])
+def test_irrelevant_stabilizer_matches_applied_differential(name):
+    # d e_i is read off the d block; applying d to e_i must give the same list
+    ng = tensor_nilpotent(F.fixture_dgla(name), truncated_polynomial_algebra(1, 3))
+    for x in ({}, gauge_act(ng, sparse(ng, 0), {})):
+        expected = []
+        for i in range(ng.space.dim(-1)):
+            h = ng.space.basis_element(-1, i)
+            g = vec_add(ng.d(h), ng.bracket(x, h))
+            if not vec_is_zero(g):
+                expected.append(g)
+        assert irrelevant_stabilizer(ng, x) == expected
 
 
 # ---------------------------------------------------------------------------
