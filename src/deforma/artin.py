@@ -177,9 +177,6 @@ class NilpotentDgla:
     def bracket(self, x: GVec, y: GVec) -> GVec:
         return self.dgla.bracket(x, y)
 
-    def monomial_weight(self, flat_index: int) -> int:
-        return self.coefficients.weights[flat_index % self.coefficients.dim]
-
     def tensor_element(self, x: GVec, monomial: int) -> GVec:
         """x (x) (basis monomial)."""
         na = self.coefficients.dim

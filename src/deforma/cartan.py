@@ -1,39 +1,42 @@
 """Cartan homotopies and the transport they induce.
 
-A Cartan homotopy is a degree -1 linear map i: g -> h between dglas such
-that, writing l_a = d_h i_a + i_{d_g a}:
+A Cartan homotopy is a degree -1 linear map i: g -> h between dglas.  Read
+i as an arity-one element of the convolution dgla h (x) CE_{<=N}(g)
+(``convolution``), where the arity of a coordinate is the length of its
+CE word, and let l be the arity-one part of D i: l_a = d_h i_a + i_{d_g a}.
+The conditions are
 
-  (A)  the degree (-1, 2) convolution element  d_{0,1}(i) - [i, l]/2  vanishes
-       (equivalently: i_{[a,b]} matches the symmetrization of [i_a, l_b]); and
+  (A)  the length-two words of  D i - [i, D i]/2  vanish, i.e. the arity-two
+       part of D i equals [i, l]/2 (equivalently: i_{[a,b]} matches the
+       symmetrization of [i_a, l_b]); and
   (B)  [i_a, [i_b, l_c]] = 0 for all a, b, c.
 
 Then l is a dgla morphism, and gauging the zero Maurer-Cartan element of the
 convolution dgla by -i produces a morphism-up-to-arity-N whose linear part
-is l and whose higher parts are built from i alone.
+is l, whose length-two words are those of condition (A), and whose higher
+parts are built from i alone.
 """
 
 from __future__ import annotations
 
 
-from .convolution import (DEFAULT_ARITY, LinfMorphism, TotalHomElement,
-                          extract_taylor, hom_add, hom_bracket, hom_d01,
-                          hom_d10, hom_element_from_linear, hom_scale,
-                          linear_from_hom_element, total_gauge_act, total_zero)
-from .dgla import Dgla, DglaMorphism, ValidationReport, _residual_repr
-from .graded import GradedMap, StructuralError, vec_is_zero, vec_sub
+from .convolution import Convolution, convolution
+from .dgla import Dgla, DglaMorphism, ValidationReport, _residual_repr, ad_exp_terms
+from .graded import GradedMap, GVec, StructuralError, vec_add, vec_is_zero, vec_scale, vec_sub
 from .linalg import Q
 
 
-def _as_hom_element(g: Dgla, h: Dgla, i: GradedMap):
+def _cartan_element(conv: Convolution, i: GradedMap) -> GVec:
     if i.shift != -1:
         raise StructuralError("a Cartan homotopy must have degree -1")
-    return hom_element_from_linear(g, h, i)
+    return conv.from_linear(i)
 
 
 def lie_from_cartan(g: Dgla, h: Dgla, i: GradedMap) -> GradedMap:
     """l_a = d_h i_a + i_{d_g a}; a chain map always, a dgla morphism when i
     satisfies the Cartan conditions."""
-    return linear_from_hom_element(hom_d10(_as_hom_element(g, h, i)))
+    conv = convolution(g, h, 1)
+    return conv.linear_part(conv.dgla.d(_cartan_element(conv, i)), 0)
 
 
 def cartan_check(g: Dgla, h: Dgla, i: GradedMap) -> ValidationReport:
@@ -41,15 +44,16 @@ def cartan_check(g: Dgla, h: Dgla, i: GradedMap) -> ValidationReport:
     stronger pointwise identities i_{[a,b]} = [i_a, l_b] and [i_a, i_b] = 0
     hold as well."""
     report = ValidationReport()
-    ielem = _as_hom_element(g, h, i)
-    lelem = hom_d10(ielem)
-    lmap = linear_from_hom_element(lelem)
+    conv = convolution(g, h, 2)
+    ielem = _cartan_element(conv, i)
+    di = conv.dgla.d(ielem)
+    lmap = conv.linear_part(di, 0)
 
-    condition_a = hom_add(hom_d01(ielem),
-                          hom_scale(Q(-1, 2), hom_bracket(ielem, lelem)))
-    for keys in condition_a.support():
-        labels = [g.space.label(d, t) for d, t in keys]
-        report.fail("condition_A", labels, _residual_repr(condition_a.values[keys]))
+    condition_a = vec_sub(di, vec_scale(Q(1, 2), conv.dgla.bracket(ielem, di)))
+    for word, val in sorted(conv.values(condition_a).items()):
+        if len(word) == 2:
+            report.fail("condition_A", [g.space.label(*key) for key in word],
+                        _residual_repr(val))
 
     sp = g.space
     basis = sp.basis()
@@ -87,20 +91,17 @@ def lie_morphism_from_cartan(g: Dgla, h: Dgla, i: GradedMap) -> DglaMorphism:
     return DglaMorphism(g, h, lie_from_cartan(g, h, i))
 
 
-def gauge_zero_transport(g: Dgla, h: Dgla, i: GradedMap,
-                         arity_bound: int = DEFAULT_ARITY) -> TotalHomElement:
-    """e^{-i} * 0 in the arity-truncated convolution dgla.
+def gauge_zero_transport(conv: Convolution, i: GradedMap) -> GVec:
+    """e^{-i} * 0 in the convolution dgla ``conv``.
 
-    Always a Maurer-Cartan element (it is a gauge transform of zero); for a
-    Cartan homotopy its linear part is l and its degree (-1,2) part vanishes.
+    Always a Maurer-Cartan element (it is a gauge transform of zero); its
+    arity-one part is l, and for a Cartan homotopy its arity-two part
+    vanishes.  The series terminates because the bracket raises arity.
     """
-    ielem = _as_hom_element(g, h, i)
-    alpha = total_zero(g, h, arity_bound)
-    alpha.put(hom_scale(Q(-1), ielem))
-    return total_gauge_act(alpha, total_zero(g, h, arity_bound))
-
-
-def transport_morphism(g: Dgla, h: Dgla, i: GradedMap,
-                       arity_bound: int = DEFAULT_ARITY) -> LinfMorphism:
-    """The transport of zero repackaged as Taylor coefficients."""
-    return extract_taylor(gauge_zero_transport(g, h, i, arity_bound))
+    d = conv.dgla
+    alpha = vec_scale(Q(-1), _cartan_element(conv, i))
+    out: GVec = {}
+    for term in ad_exp_terms(d.bracket, vec_scale, vec_is_zero, alpha,
+                             vec_scale(Q(-1), d.d(alpha)), conv.arity_bound + 2):
+        out = vec_add(out, term)
+    return out

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .artin import truncated_polynomial_algebra, tensor_nilpotent, validate_artin
-from .cartan import gauge_zero_transport, lie_from_cartan
-from .convolution import DEFAULT_ARITY, extract_taylor, linf_residual, taylor_from_linear
+from .cartan import gauge_zero_transport
+from .convolution import DEFAULT_ARITY, convolution, linf_residual, taylor_from_linear
 from .dgla import DglaMorphism, validate_dgla, validate_morphism
 from .graded import StructuralError, cohomology
 from .holim import holim_cohomology_bounded, holim_pair, quasi_abelian_witness
@@ -256,12 +256,11 @@ def cmd_linf_check(doc: ModelDocument, args) -> Report:
                                   or target_name in doc.section("end_dglas")) else g
     map_name = _named(doc, args.map, "section", "map")
     f = doc.map(map_name)
-    fam = taylor_from_linear(g, h, f)
-    residuals = linf_residual(fam)
-    payload = {"arity_bound": fam.arity_bound,
-               "residual_arities": {str(n): not e.is_zero()
-                                    for n, e in sorted(residuals.items())}}
-    ok = all(e.is_zero() for e in residuals.values())
+    conv = convolution(g, h)
+    residuals = linf_residual(conv, taylor_from_linear(conv, f))
+    payload = {"arity_bound": conv.arity_bound,
+               "residual_arities": {str(n): True for n in residuals}}
+    ok = not residuals
     return Report("linf-check", "ok" if ok else "failed", payload)
 
 
@@ -284,11 +283,11 @@ def cmd_cartan_check(doc: ModelDocument, args) -> Report:
 def cmd_transport(doc: ModelDocument, args) -> Report:
     arity = _positive(args.arity, DEFAULT_ARITY, "arity")
     t, omega, end, i = _contraction(doc, args)
-    total = gauge_zero_transport(t, end.dgla, i, arity)
-    fam = extract_taylor(total)
-    l = lie_from_cartan(t, end.dgla, i)
+    conv = convolution(t, end.dgla, arity)
+    total = gauge_zero_transport(conv, i)
+    l = conv.linear_part(total, 0)
     rep = validate_morphism(DglaMorphism(t, end.dgla, l))
-    nonzero = sorted(n for n, e in fam.coefficients.items() if not e.is_zero())
+    nonzero = sorted(conv.taylor(total))
     strict = nonzero in ([], [1])
     payload = {
         "arity_bound": arity,

@@ -1,32 +1,49 @@
-"""The bigraded convolution dgla Hom^{p,q}(g, h).
+"""The convolution dgla Hom(S^{<=N}(g[1]), h) = h (x) CE_{<=N}(g).
 
-Elements of bidegree (p, q) are graded-symmetric q-linear maps on the
-suspension g[1], valued in h; the value on an input tuple with g-degrees
-summing to s lies in h^{s+p}, and the total dgla degree is p + q.
+For a finite-dimensional dgla g, the graded-symmetric multilinear maps on
+the suspension g[1] with values in a dgla h, truncated at arity N, form the
+dgla h (x) CE_{<=N}(g), where CE_{<=N}(g) is the Chevalley-Eilenberg cdga
+of g cut off at word length N.  It is built by ``tensor_dgla``, so its
+differential and bracket are the ones of every other tensor dgla; the sign
+conventions of the convolution dgla live only in the CE cdga below.
 
-Sign regime (frozen; see tests/test_convolution.py for the regression suite
-that pins it):
-  * suspension differential:   delta(s a) = -s(d_g a)
-  * suspension bracket:        mu(s a, s b) = (-1)^{|a|} s[a, b]_g
-  * convolution bracket:       [F, G](v_1 ... v_q) sums over unshuffles with
-    the symmetric Koszul sign in g[1]-degrees times (-1)^{|G| * (first block)}
-  * differential:              D F = d_h o F - (-1)^{|F|} F o (delta + mu)
-With these choices D^2 = 0, the bracket is a graded Lie bracket, the
-Maurer-Cartan elements of the total dgla are exactly the arity-truncated
-L-infinity morphisms, and d_{1,0} of an arity-one element i is the map
-a -> d_h i_a + i_{d_g a}.
+CE_{<=N}(g), in g[1]-degrees |s a| = |a| - 1 (``vdeg``):
+  * generators:   one xi_a of degree 1 - |a| per basis vector a of g;
+  * basis:        xi^[A] for A in ``canonical_tuples(g, q)``, q = 1..N, of
+    degree sum(1 - |a_i|): the basis dual to the canonical monomials
+    s a_1 ... s a_q, so an even xi has divided powers;
+  * product:      xi^[A] xi^[B] = (-1)^{|xi^[A]||xi^[B]|} sum_P eps(P) xi^[C]
+    with C = sorted(A + B), P running over the position sets with
+    C|_P = A and C|_{P^c} = B, and eps(P) the Koszul sign of the unshuffle
+    (P, P^c) in g[1]-degrees; it is zero if C repeats an odd key or is
+    longer than N;
+  * differential: d xi_c = (-1)^{|xi_c|} (sum_a (d_g a)_c xi_a
+    - sum_{(a, b)} (-1)^{|a|} [a, b]_c xi^[ab]), (a, b) over
+    ``canonical_tuples(g, 2)``, extended as a derivation.  Writing
+    xi_{a_1} ... xi_{a_q} = kappa_A xi^[A] (a Koszul sign times the
+    factorials of the multiplicities), d xi^[A] is kappa_A^{-1} times the
+    Leibniz expansion of d(xi_{a_1} ... xi_{a_q}).  Longer words span a dg
+    ideal, so dropping words longer than N is exact.
+
+The basis vector e_k (x) xi^[A] of the slice is the map sending the
+canonical monomial A to e_k and every other canonical monomial to 0, with no
+sign and no factorial.  So the arity of a coordinate is the length of its
+word, and for an element i of degree s + 1 concentrated in arity one (a map
+i: g -> h of shift s), the arity-one part of D i is a -> d_h i_a
+- (-1)^s i_{d_g a}.  Maurer-Cartan elements are exactly the
+arity-truncated L-infinity morphisms g ~> h.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .dgla import Dgla, DglaMorphism, ad_exp_terms, validate_morphism
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
-                     StructuralError, vec_add, vec_is_zero, vec_scale)
+from .dgla import CdgaModel, Dgla, DglaMorphism, tensor_basis, tensor_dgla, validate_morphism
+from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, StructuralError,
+                     vec_is_zero)
 from .linalg import Q
+from .mc import mc_residue
 
 VKey = tuple  # (g-degree, basis index) of a suspended basis vector
 
@@ -70,86 +87,6 @@ def canonical_tuples(g: Dgla, q: int) -> list[tuple]:
     return out
 
 
-@dataclass
-class BigradedHomElement:
-    """Element of Hom^{p,q}(g, h), stored on canonical input tuples."""
-
-    g: Dgla
-    h: Dgla
-    p: int
-    q: int
-    values: dict = field(default_factory=dict)  # canonical tuple -> GVec in h
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise StructuralError("arity q must be at least 1")
-        for keys, val in self.values.items():
-            if len(keys) != self.q:
-                raise StructuralError("value tuple length does not match arity")
-            s = sum(k[0] for k in keys)
-            for deg, v in val.items():
-                if any(v) and deg != s + self.p:
-                    raise StructuralError(
-                        f"value on {keys} has degree {deg}, expected {s + self.p}")
-
-    @property
-    def total_degree(self) -> int:
-        return self.p + self.q
-
-    def evaluate(self, keys: tuple) -> GVec:
-        canon = canonicalize(keys, self.g)
-        if canon is None:
-            return {}
-        ckeys, sign = canon
-        val = self.values.get(ckeys, {})
-        return vec_scale(Q(sign), val) if val else {}
-
-    def evaluate_elements(self, elements: list[GVec]) -> GVec:
-        """Multilinear evaluation on (suspended) homogeneous g-elements."""
-        out: GVec = {}
-        factors: list[list[tuple[VKey, Fraction]]] = []
-        for x in elements:
-            terms = [((deg, i), c) for deg, v in x.items() for i, c in enumerate(v) if c]
-            factors.append(terms)
-        for combo in itertools.product(*factors):
-            keys = tuple(t[0] for t in combo)
-            coeff = Q(1)
-            for t in combo:
-                coeff *= t[1]
-            val = self.evaluate(keys)
-            if val:
-                out = vec_add(out, vec_scale(coeff, val))
-        return out
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(v) for v in self.values.values())
-
-    def prune(self) -> "BigradedHomElement":
-        self.values = {k: v for k, v in self.values.items() if not vec_is_zero(v)}
-        return self
-
-    def support(self) -> list[tuple]:
-        return sorted(k for k, v in self.values.items() if not vec_is_zero(v))
-
-
-def hom_zero(g: Dgla, h: Dgla, p: int, q: int) -> BigradedHomElement:
-    return BigradedHomElement(g, h, p, q, {})
-
-
-def hom_add(a: BigradedHomElement, b: BigradedHomElement) -> BigradedHomElement:
-    if (a.p, a.q) != (b.p, b.q):
-        raise StructuralError("bidegree mismatch in addition")
-    values = {k: dict(v) for k, v in a.values.items()}
-    for k, v in b.values.items():
-        values[k] = vec_add(values[k], v) if k in values else v
-    return BigradedHomElement(a.g, a.h, a.p, a.q, values).prune()
-
-
-def hom_scale(c: Fraction, a: BigradedHomElement) -> BigradedHomElement:
-    return BigradedHomElement(a.g, a.h, a.p, a.q,
-                              {k: vec_scale(c, v) for k, v in a.values.items()}).prune()
-
-
 def _unshuffle_sign(positions: tuple, degrees: list[int]) -> int:
     """Koszul sign of the permutation (selected block, complement block)."""
     sign = 1
@@ -163,401 +100,206 @@ def _unshuffle_sign(positions: tuple, degrees: list[int]) -> int:
     return sign
 
 
-def hom_bracket(f: BigradedHomElement, g_elem: BigradedHomElement) -> BigradedHomElement:
-    if f.g is not g_elem.g and f.g.space.components != g_elem.g.space.components:
-        raise StructuralError("convolution bracket requires the same source dgla")
-    if f.h is not g_elem.h and f.h.space.components != g_elem.h.space.components:
-        raise StructuralError("convolution bracket requires the same target dgla")
-    q = f.q + g_elem.q
-    out = hom_zero(f.g, f.h, f.p + g_elem.p, q)
-    gdeg2 = g_elem.total_degree % 2
-    for keys in canonical_tuples(f.g, q):
-        degs = [vdeg(k) for k in keys]
-        acc: GVec = {}
-        for positions in itertools.combinations(range(q), f.q):
-            first = tuple(keys[i] for i in positions)
-            rest = tuple(keys[i] for i in range(q) if i not in positions)
-            sign = _unshuffle_sign(positions, degs)
-            if gdeg2 and sum(degs[i] for i in positions) % 2:
-                sign = -sign
-            fv = f.evaluate(first)
-            gv = g_elem.evaluate(rest)
-            if vec_is_zero(fv) or vec_is_zero(gv):
-                continue
-            acc = vec_add(acc, vec_scale(Q(sign), f.h.bracket(fv, gv)))
-        if not vec_is_zero(acc):
-            out.values[keys] = acc
-    return out
+# ---------------------------------------------------------------------------
+# the Chevalley-Eilenberg cdga
+
+def _ce_words(g: Dgla, arity_bound: int) -> dict[int, list[tuple]]:
+    """The words of CE_{<=N}(g) by degree, shortest first."""
+    out: dict[int, list[tuple]] = {}
+    for q in range(1, arity_bound + 1):
+        for word in canonical_tuples(g, q):
+            out.setdefault(-sum(vdeg(k) for k in word), []).append(word)
+    return dict(sorted(out.items()))
 
 
-def _delta(g: Dgla, key: VKey) -> list[tuple[VKey, Fraction]]:
-    """delta(s a) = -s(d_g a) as a combination of VKeys."""
-    deg, idx = key
-    img = g.d(g.space.basis_element(deg, idx))
-    out = []
-    for d2, v in img.items():
-        for i, c in enumerate(v):
+def _word_product(a: tuple, b: tuple, g: Dgla, arity_bound: int):
+    """xi^[a] xi^[b] as (word, coefficient), or None; () is the unit."""
+    c = tuple(sorted(a + b))
+    if len(c) > arity_bound or canonicalize(c, g) is None:
+        return None
+    degs = [vdeg(k) for k in c]
+    coeff = sum(_unshuffle_sign(p, degs)
+                for p in itertools.combinations(range(len(c)), len(a))
+                if tuple(c[i] for i in p) == a)
+    if sum(vdeg(k) for k in a) * sum(vdeg(k) for k in b) % 2:
+        coeff = -coeff
+    return c, coeff
+
+
+def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
+    """CE_{<=N}(g) on the words of length 1..N (module docstring)."""
+    words = _ce_words(g, arity_bound)
+    space = GradedVectorSpace({
+        k: tuple("^".join(g.label(*key) for key in w) for w in ws)
+        for k, ws in words.items()})
+    place = {w: (k, i) for k, ws in words.items() for i, w in enumerate(ws)}
+
+    def times(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                prod = _word_product(a, b, g, arity_bound)
+                if prod:
+                    out[prod[0]] = out.get(prod[0], 0) + prod[1] * ca * cb
+        return {w: c for w, c in out.items() if c}
+
+    # d xi_c: the coefficient of xi_a is (-1)^{|xi_c|} (d_g a)_c, and that of
+    # xi^[ab] is -(-1)^{|xi_c| + |a|} [a, b]_c
+    sources = [((a,), g.d(g.space.basis_element(*a)), 1) for a in v_basis(g)]
+    if arity_bound >= 2:
+        sources += [((a, b), g.pair_bracket(*a, *b), 1 if a[0] % 2 else -1)
+                    for a, b in canonical_tuples(g, 2)]
+    dgen: dict[VKey, dict] = {key: {} for key in v_basis(g)}
+    for word, image, sign in sources:
+        for deg, v in image.items():
+            for t, c in enumerate(v):
+                if c:
+                    dgen[deg, t][word] = -sign * c if vdeg((deg, t)) % 2 else sign * c
+
+    d_blocks: dict[int, list] = {}
+    for w, (k, col) in place.items():
+        kappa = {(): 1}
+        for key in w:
+            kappa = times(kappa, {(key,): 1})
+        image: dict = {}
+        for i, key in enumerate(w):
+            term = {(): Q(-1) if sum(vdeg(k) for k in w[:i]) % 2 else Q(1)}
+            for j, other in enumerate(w):
+                term = times(term, dgen[key] if i == j else {(other,): 1})
+            for u, c in term.items():
+                image[u] = image.get(u, 0) + c
+        for u, c in image.items():
             if c:
-                out.append(((d2, i), -c))
-    return out
+                if k not in d_blocks:
+                    d_blocks[k] = [[Q(0)] * space.dim(k) for _ in range(space.dim(k + 1))]
+                d_blocks[k][place[u][1]][col] = c / kappa[w]
+
+    products: dict[tuple[int, int], list] = {}
+    for a, (m, i) in place.items():
+        for b, (n, j) in place.items():
+            prod = _word_product(a, b, g, arity_bound) if m <= n else None
+            if prod:
+                if (m, n) not in products:
+                    products[m, n] = [[[Q(0)] * space.dim(m + n) for _ in range(space.dim(n))]
+                                      for _ in range(space.dim(m))]
+                products[m, n][i][j][place[prod[0]][1]] = Q(prod[1])
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_blocks)), products)
 
 
-def _mu(g: Dgla, k1: VKey, k2: VKey) -> list[tuple[VKey, Fraction]]:
-    """mu(s a, s b) = (-1)^{|a|} s[a, b]_g as a combination of VKeys."""
-    (m, i), (n, j) = k1, k2
-    br = g.pair_bracket(m, i, n, j)
-    sign = Q(-1) if m % 2 else Q(1)
-    out = []
-    for d2, v in br.items():
-        for t, c in enumerate(v):
-            if c:
-                out.append(((d2, t), sign * c))
-    return out
-
-
-def hom_d10(f: BigradedHomElement) -> BigradedHomElement:
-    out = hom_zero(f.g, f.h, f.p + 1, f.q)
-    fsign = Q(-1) if f.total_degree % 2 else Q(1)
-    for keys in canonical_tuples(f.g, f.q):
-        acc = f.h.d(f.evaluate(keys))
-        degs = [vdeg(k) for k in keys]
-        for i in range(f.q):
-            pre = sum(degs[:i]) % 2
-            koszul = Q(-1) if pre else Q(1)
-            for nk, coeff in _delta(f.g, keys[i]):
-                sub = keys[:i] + (nk,) + keys[i + 1:]
-                val = f.evaluate(sub)
-                if not vec_is_zero(val):
-                    acc = vec_add(acc, vec_scale(-fsign * koszul * coeff, val))
-        if not vec_is_zero(acc):
-            out.values[keys] = acc
-    return out
-
-
-def hom_d01(f: BigradedHomElement) -> BigradedHomElement:
-    out = hom_zero(f.g, f.h, f.p, f.q + 1)
-    fsign = Q(-1) if f.total_degree % 2 else Q(1)
-    q = f.q + 1
-    for keys in canonical_tuples(f.g, q):
-        degs = [vdeg(k) for k in keys]
-        acc: GVec = {}
-        for i, j in itertools.combinations(range(q), 2):
-            ksign = 1
-            if degs[i] % 2 and sum(degs[:i]) % 2:
-                ksign = -ksign
-            if degs[j] % 2 and (sum(degs[:j]) - degs[i]) % 2:
-                ksign = -ksign
-            rest = tuple(keys[t] for t in range(q) if t not in (i, j))
-            for nk, coeff in _mu(f.g, keys[i], keys[j]):
-                val = f.evaluate((nk,) + rest)
-                if not vec_is_zero(val):
-                    acc = vec_add(acc, vec_scale(-fsign * Q(ksign) * coeff, val))
-        if not vec_is_zero(acc):
-            out.values[keys] = acc
-    return out
+def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
+    """The convolution dgla truncated at arity N, h (x) CE_{<=N}(g)."""
+    return tensor_dgla(h, chevalley_eilenberg(g, arity_bound))
 
 
 # ---------------------------------------------------------------------------
-# the arity-truncated total dgla
+# elements of the slice as maps on canonical monomials
 
-@dataclass
-class TotalHomElement:
-    """Element of the total Hom dgla, truncated at arity <= arity_bound."""
+@dataclass(frozen=True)
+class Convolution:
+    """The slice ``hom_dgla_slice(g, h, N)`` with the word of each basis
+    position.
 
-    g: Dgla
-    h: Dgla
-    arity_bound: int
-    components: dict = field(default_factory=dict)  # (p, q) -> BigradedHomElement
-
-    def component(self, p: int, q: int) -> BigradedHomElement:
-        return self.components.get((p, q)) or hom_zero(self.g, self.h, p, q)
-
-    def put(self, elem: BigradedHomElement):
-        if elem.q <= self.arity_bound and not elem.is_zero():
-            key = (elem.p, elem.q)
-            if key in self.components:
-                self.components[key] = hom_add(self.components[key], elem)
-            else:
-                self.components[key] = elem
-            if self.components[key].is_zero():
-                del self.components[key]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components.values())
-
-    def degrees(self) -> set[int]:
-        return {p + q for p, q in self.components}
-
-    def copy(self) -> "TotalHomElement":
-        out = TotalHomElement(self.g, self.h, self.arity_bound)
-        for c in self.components.values():
-            out.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
-        return out
-
-
-def total_zero(g: Dgla, h: Dgla, arity_bound: int) -> TotalHomElement:
-    return TotalHomElement(g, h, arity_bound)
-
-
-def total_add(a: TotalHomElement, b: TotalHomElement) -> TotalHomElement:
-    out = a.copy()
-    for c in b.components.values():
-        out.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
-    return out
-
-
-def total_scale(c: Fraction, a: TotalHomElement) -> TotalHomElement:
-    out = total_zero(a.g, a.h, a.arity_bound)
-    for elem in a.components.values():
-        out.put(hom_scale(c, elem))
-    return out
-
-
-def total_sub(a: TotalHomElement, b: TotalHomElement) -> TotalHomElement:
-    return total_add(a, total_scale(Q(-1), b))
-
-
-def total_bracket(a: TotalHomElement, b: TotalHomElement) -> TotalHomElement:
-    out = total_zero(a.g, a.h, min(a.arity_bound, b.arity_bound))
-    for ca in a.components.values():
-        for cb in b.components.values():
-            if ca.q + cb.q <= out.arity_bound:
-                out.put(hom_bracket(ca, cb))
-    return out
-
-
-def total_d(a: TotalHomElement) -> TotalHomElement:
-    out = total_zero(a.g, a.h, a.arity_bound)
-    for c in a.components.values():
-        out.put(hom_d10(c))
-        if c.q + 1 <= a.arity_bound:
-            out.put(hom_d01(c))
-    return out
-
-
-def total_mc_residual(a: TotalHomElement) -> TotalHomElement:
-    return total_add(total_d(a), total_scale(Q(1, 2), total_bracket(a, a)))
-
-
-def total_gauge_act(alpha: TotalHomElement, x: TotalHomElement) -> TotalHomElement:
-    """e^alpha * x in the arity-truncated total dgla.
-
-    The series terminates because the bracket strictly raises arity.
-    """
-    out = x.copy()
-    for term in ad_exp_terms(total_bracket, total_scale, TotalHomElement.is_zero,
-                             alpha, total_sub(total_bracket(alpha, x), total_d(alpha)),
-                             x.arity_bound + 2):
-        out = total_add(out, term)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# L-infinity morphisms via Taylor coefficients
-
-@dataclass
-class LinfMorphism:
-    """Taylor coefficients F_n of an arity-truncated L-infinity morphism.
-
-    Coefficient n is a BigradedHomElement of bidegree (1 - n, n); all results
-    are "up to arity N".
+    ``index[k]`` lists the basis of degree k as (h key, word) pairs in the
+    ``tensor_basis`` order; ``positions`` maps each pair to (k, position).
+    An element x is a map on canonical monomials: ``values(x)`` gives its
+    value in h on each word, and ``taylor(x)`` groups those by word length,
+    the arity.
     """
 
     g: Dgla
     h: Dgla
     arity_bound: int
-    coefficients: dict = field(default_factory=dict)  # n -> BigradedHomElement
+    dgla: Dgla
+    index: dict          # degree -> tuple of (h key, word)
+    positions: dict      # (h key, word) -> (degree, position)
 
-    def __post_init__(self):
-        for n, c in self.coefficients.items():
-            if (c.p, c.q) != (1 - n, n):
-                raise StructuralError(f"Taylor coefficient {n} has bidegree ({c.p},{c.q})")
+    @property
+    def space(self) -> GradedVectorSpace:
+        return self.dgla.space
 
-    def coefficient(self, n: int) -> BigradedHomElement:
-        return self.coefficients.get(n) or hom_zero(self.g, self.h, 1 - n, n)
+    def values(self, x: GVec) -> dict[tuple, GVec]:
+        out: dict[tuple, GVec] = {}
+        for deg, v in x.items():
+            for pos, c in enumerate(v):
+                if c:
+                    (hd, hi), word = self.index[deg][pos]
+                    val = out.setdefault(word, {})
+                    val.setdefault(hd, [Q(0)] * self.h.space.dim(hd))[hi] += c
+        return {w: val for w, val in out.items() if not vec_is_zero(val)}
 
-    def is_strict(self) -> bool:
-        return all(c.is_zero() for n, c in self.coefficients.items() if n >= 2)
+    def from_values(self, values: dict[tuple, GVec]) -> GVec:
+        out: GVec = {}
+        for word, val in values.items():
+            for hd, v in val.items():
+                for hi, c in enumerate(v):
+                    if c:
+                        deg, pos = self.positions[(hd, hi), word]
+                        out.setdefault(deg, [Q(0)] * self.space.dim(deg))[pos] += c
+        return {d: v for d, v in out.items() if any(v)}
+
+    def taylor(self, x: GVec) -> dict[int, dict[tuple, GVec]]:
+        """The nonzero arity components of x, as values by word length."""
+        out: dict[int, dict] = {}
+        for word, val in self.values(x).items():
+            out.setdefault(len(word), {})[word] = val
+        return dict(sorted(out.items()))
+
+    def from_linear(self, f: GradedMap) -> GVec:
+        """The arity-one element a -> f(a)."""
+        return self.from_values({(key,): f.apply(self.g.space.basis_element(*key))
+                                 for key in v_basis(self.g)})
+
+    def linear_part(self, x: GVec, shift: int) -> GradedMap:
+        """The arity-one part of x as a map g -> h of the given shift."""
+        values = self.values(x)
+        src, tgt = self.g.space, self.h.space
+        blocks = {}
+        for deg in src.degrees:
+            rows = tgt.dim(deg + shift)
+            if rows:
+                cols = [values.get(((deg, idx),), {}).get(deg + shift, [Q(0)] * rows)
+                        for idx in range(src.dim(deg))]
+                blocks[deg] = [[col[r] for col in cols] for r in range(rows)]
+        return GradedMap(src, tgt, shift, blocks)
 
 
-def assemble(f: LinfMorphism) -> TotalHomElement:
-    out = total_zero(f.g, f.h, f.arity_bound)
-    for c in f.coefficients.values():
-        out.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
-    return out
+def convolution(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Convolution:
+    ce = chevalley_eilenberg(g, arity_bound)
+    words = _ce_words(g, arity_bound)
+    index = {k: tuple((hkey, words[q][j]) for hkey, (q, j) in pairs)
+             for k, pairs in tensor_basis(h.space, ce.space).items()}
+    positions = {entry: (k, pos) for k, entries in index.items()
+                 for pos, entry in enumerate(entries)}
+    return Convolution(g, h, arity_bound, tensor_dgla(h, ce), index, positions)
 
 
-def extract_taylor(x: TotalHomElement, arity_bound: int | None = None) -> LinfMorphism:
-    """Inverse of assemble; rejects stray bidegrees (q = 0 never occurs here,
-    but total degree != 1 does)."""
-    bound = arity_bound if arity_bound is not None else x.arity_bound
-    coeffs = {}
-    for (p, q), c in x.components.items():
-        if c.is_zero():
-            continue
-        if p + q != 1:
-            raise StructuralError(f"stray bidegree ({p},{q}) in Taylor extraction")
-        if q <= bound:
-            coeffs[q] = c
-    return LinfMorphism(x.g, x.h, bound, coeffs)
+# ---------------------------------------------------------------------------
+# L-infinity morphisms as Maurer-Cartan elements
 
-
-def taylor_from_linear(g: Dgla, h: Dgla, f: GradedMap,
-                       arity_bound: int = DEFAULT_ARITY) -> LinfMorphism:
+def taylor_from_linear(conv: Convolution, f: GradedMap) -> GVec:
     """The Taylor family with F_1 = f and no higher coefficients.
 
     No validity requirement on f; use strict_embed for validated morphisms.
     """
     if f.shift != 0:
         raise StructuralError("arity-one Taylor coefficient must have shift 0")
-    values = {}
-    for key in v_basis(g):
-        deg, idx = key
-        img = f.apply(g.space.basis_element(deg, idx))
-        if not vec_is_zero(img):
-            values[(key,)] = img
-    coeff = BigradedHomElement(g, h, 0, 1, values)
-    return LinfMorphism(g, h, arity_bound, {1: coeff} if values else {})
+    return conv.from_linear(f)
 
 
-def strict_embed(phi: DglaMorphism, arity_bound: int = DEFAULT_ARITY) -> LinfMorphism:
+def strict_embed(conv: Convolution, phi: DglaMorphism) -> GVec:
     report = validate_morphism(phi)
     if not report.ok:
         raise StructuralError(f"not a dgla morphism: {report.failures[:3]}")
-    return taylor_from_linear(phi.source, phi.target, phi.map, arity_bound)
+    return taylor_from_linear(conv, phi.map)
 
 
-def linf_residual(f: LinfMorphism) -> dict[int, BigradedHomElement]:
-    """Arity slices of D(F) + [F,F]/2, computable up to arity N + 1.
+def linf_residual(conv: Convolution, x: GVec) -> dict[int, dict[tuple, GVec]]:
+    """The nonzero arity slices of D(F) + [F,F]/2 (``Convolution.taylor``)
+    for a Taylor family F in ``conv``, computed up to arity N + 1.
 
-    All slices vanish iff F is an L-infinity morphism up to arity N.
+    There are none iff F is an L-infinity morphism up to arity N.
     """
-    wide = total_zero(f.g, f.h, f.arity_bound + 1)
-    for c in f.coefficients.values():
-        wide.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
-    res = total_mc_residual(wide)
-    out: dict[int, BigradedHomElement] = {}
-    for (p, q), c in sorted(res.components.items()):
-        if not c.is_zero():
-            out[q] = hom_add(out[q], c) if q in out else c
-    return out
-
-
-def hom_element_from_linear(g: Dgla, h: Dgla, f: GradedMap) -> BigradedHomElement:
-    """An arity-one element of bidegree (shift, 1) from a graded linear map."""
-    values = {}
-    for key in v_basis(g):
-        deg, idx = key
-        img = f.apply(g.space.basis_element(deg, idx))
-        if not vec_is_zero(img):
-            values[(key,)] = img
-    return BigradedHomElement(g, h, f.shift, 1, values)
-
-
-def linear_from_hom_element(f: BigradedHomElement) -> GradedMap:
-    if f.q != 1:
-        raise StructuralError("only arity-one elements define linear maps")
-    blocks: dict[int, list] = {}
-    src, tgt = f.g.space, f.h.space
-    for deg in src.degrees:
-        cols = []
-        for idx in range(src.dim(deg)):
-            val = f.evaluate(((deg, idx),))
-            cols.append(list(val.get(deg + f.p, [Q(0)] * tgt.dim(deg + f.p))))
-        if tgt.dim(deg + f.p):
-            blocks[deg] = [[cols[j][i] for j in range(len(cols))]
-                           for i in range(tgt.dim(deg + f.p))]
-    return GradedMap(src, tgt, f.p, blocks)
-
-
-# ---------------------------------------------------------------------------
-# explicit dgla structure on an arity-truncated slice (for axiom validation)
-
-def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
-    """The truncated total Hom dgla as an explicit Dgla with structure
-    constants, graded by total degree p + q.
-
-    Brackets of arity above the bound are projected away; this is consistent
-    because the bracket strictly raises arity.
-    """
-    basis: list[tuple[tuple, tuple[int, int]]] = []  # (input tuple, h basis key)
-    for q in range(1, arity_bound + 1):
-        for keys in canonical_tuples(g, q):
-            s = sum(k[0] for k in keys)
-            for hd in h.space.degrees:
-                for hi in range(h.space.dim(hd)):
-                    basis.append((keys, (hd, hi)))
-
-    def total_degree(entry) -> int:
-        keys, (hd, hi) = entry
-        return (hd - sum(k[0] for k in keys)) + len(keys)
-
-    by_degree: dict[int, list] = {}
-    for entry in basis:
-        by_degree.setdefault(total_degree(entry), []).append(entry)
-    degs = sorted(by_degree)
-    index: dict = {}
-    components = {}
-    for deg in degs:
-        labels = []
-        for pos, entry in enumerate(by_degree[deg]):
-            keys, (hd, hi) = entry
-            lbl = "^".join(g.space.label(kd, ki) for kd, ki in keys)
-            labels.append(f"({lbl})->{h.space.label(hd, hi)}")
-            index[entry] = (deg, pos)
-        components[deg] = tuple(labels)
-    space = GradedVectorSpace(components)
-
-    def to_coords(x: TotalHomElement) -> GVec:
-        out: GVec = {}
-        for c in x.components.values():
-            for keys, val in c.values.items():
-                for hd, v in val.items():
-                    for hi, coeff in enumerate(v):
-                        if coeff:
-                            deg, pos = index[(keys, (hd, hi))]
-                            out.setdefault(deg, [Q(0)] * space.dim(deg))[pos] += coeff
-        return {d: v for d, v in out.items() if any(v)}
-
-    def basis_total(entry) -> TotalHomElement:
-        keys, (hd, hi) = entry
-        elem = BigradedHomElement(g, h, hd - sum(k[0] for k in keys), len(keys),
-                                  {keys: h.space.basis_element(hd, hi)})
-        out = total_zero(g, h, arity_bound)
-        out.put(elem)
-        return out
-
-    d_blocks: dict[int, list] = {}
-    for deg in degs:
-        entries = by_degree[deg]
-        tdim = space.dim(deg + 1)
-        if not tdim:
-            continue
-        cols = []
-        for entry in entries:
-            img = to_coords(total_d(basis_total(entry)))
-            cols.append(list(img.get(deg + 1, [Q(0)] * tdim)))
-        d_blocks[deg] = [[cols[j][i] for j in range(len(cols))] for i in range(tdim)]
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
-
-    brackets = {}
-    for m in degs:
-        for n in degs:
-            if m > n:
-                continue
-            out_dim = space.dim(m + n)
-            table = []
-            any_nonzero = False
-            for ea in by_degree[m]:
-                row = []
-                ta = basis_total(ea)
-                for eb in by_degree[n]:
-                    img = to_coords(total_bracket(ta, basis_total(eb)))
-                    v = list(img.get(m + n, [Q(0)] * out_dim))
-                    if any(v):
-                        any_nonzero = True
-                    row.append(v)
-                table.append(row)
-            if any_nonzero:
-                brackets[(m, n)] = table
-    return Dgla(cx, brackets)
+    if any(deg != 1 for deg, v in x.items() if any(v)):
+        raise StructuralError("a Taylor family lies in degree 1")
+    wide = convolution(conv.g, conv.h, conv.arity_bound + 1)
+    return wide.taylor(mc_residue(wide.dgla, wide.from_values(conv.values(x))))

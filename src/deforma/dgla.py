@@ -14,8 +14,9 @@ and ``validate_dgla`` cost in proportion to the nonzeros they meet.  A
 sign in place of the antisymmetric one.
 
 ``tensor_dgla(g, A)`` is the one construction of a dgla tensored with a
-finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``) and the
-path objects h (x) Omega(Delta^1) (``holim``) are both built by it.
+finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``), the
+path objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
+h (x) CE_{<=N}(g) (``convolution``) are all built by it.
 """
 
 from __future__ import annotations

@@ -61,12 +61,6 @@ class GradedVectorSpace:
     def label(self, deg: int, idx: int) -> str:
         return self.components[deg][idx]
 
-    def check_element(self, x: GVec):
-        for deg, v in x.items():
-            if len(v) != self.dim(deg):
-                raise StructuralError(
-                    f"element has length {len(v)} in degree {deg}, expected {self.dim(deg)}")
-
 
 def vec_add(x: GVec, y: GVec) -> GVec:
     out = {d: v[:] for d, v in x.items()}

@@ -16,10 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cartan import cartan_check, lie_from_cartan
-from .convolution import (BigradedHomElement, TotalHomElement,
-                          hom_element_from_linear, total_add, total_bracket,
-                          total_d, total_mc_residual, total_scale, total_sub,
-                          total_zero)
+from .convolution import Convolution, convolution
 from .dgla import (CdgaModel, Dgla, SubDgla, ValidationReport, _residual_repr,
                    abelian_dgla, ad_exp_terms, restrict_to_sub, sub_dgla_span,
                    sub_quotient, tensor_basis, tensor_dgla)
@@ -412,36 +409,30 @@ def induced_quotient_map(pair: HolimPair, g: Dgla, i: GradedMap) -> GradedMap:
 class HolimMorphism:
     """The arity-truncated morphism (l, e^i) from g into holim(n => h).
 
-    ``flow_coefficients[m]`` is the t^m coefficient of Phi(t) = e^{t i} * l in
-    the convolution dgla Hom(g, h); the dt-component is concentrated in arity
-    one with values (-1)^{|a|} i_a.  ``total`` assembles everything into a
-    degree-1 element of Hom(g, path dgla); ``residual_slices`` records the
-    arity slices of its Maurer-Cartan residual (all zero for a genuine Cartan
-    homotopy).
+    ``flow[m]`` is the t^m coefficient of Phi(t) = e^{t i} * l in the
+    convolution dgla ``conv`` = Hom(g, h); the dt-component is concentrated
+    in arity one with values (-1)^{|a|} i_a.  Hom(g, h (x) Omega) is
+    (h (x) CE) (x) Omega after the Koszul swap of CE and the forms, which
+    turns that dt-component into -i dt.  So ``total`` = Phi(t) - i dt is a
+    path in ``conv``, and ``residual`` is its Maurer-Cartan residual, zero
+    for a genuine Cartan homotopy.
     """
 
     g: Dgla
     pair: HolimPair
     i: GradedMap
     l: GradedMap
-    arity_bound: int
-    paths: PathDgla
-    flow_coefficients: dict
-    total: TotalHomElement
-    residual_slices: dict
+    conv: Convolution
+    flow: list
+    total: PathElement
+    residual: PathElement
 
     def arity_one(self, a: GVec) -> HolimElement:
         """The first Taylor coefficient a -> (l_a, gamma_a)."""
         deg = vec_degree(a)
         if deg is None:
             raise StructuralError("need a homogeneous nonzero argument")
-        p = []
-        for m in sorted(self.flow_coefficients):
-            c = self.flow_coefficients[m].component(0, 1)
-            val = c.evaluate_elements([a])
-            while len(p) <= m:
-                p.append({})
-            p[m] = val
+        p = [self.conv.linear_part(c, 0).apply(a) for c in self.flow]
         q0 = vec_scale(Q(-1) if deg % 2 else Q(1), self.i.apply(a))
         return HolimElement(self.pair, self.l.apply(a),
                             PathElement(self.pair.h, deg, p, [q0]))
@@ -478,54 +469,22 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
             raise StructuralError(
                 f"l({g.space.label(deg, idx)}) is not in the sub-dgla")
 
-    itot = total_zero(g, pair.h, arity_bound)
-    itot.put(hom_element_from_linear(g, pair.h, i))
-    ltot = total_zero(g, pair.h, arity_bound)
-    ltot.put(hom_element_from_linear(g, pair.h, l))
-    seed = total_sub(total_bracket(itot, ltot), total_d(itot))
-
-    terms = ad_exp_terms(total_bracket, total_scale, TotalHomElement.is_zero,
-                         itot, seed, arity_bound + 1)
-    flow = {0: ltot} | {m: term for m, term in enumerate(terms, 1)}
-
-    at_one = total_zero(g, pair.h, arity_bound)
-    for c in flow.values():
-        at_one = total_add(at_one, c)
-    if not at_one.is_zero():
+    conv = convolution(g, pair.h, arity_bound)
+    d = conv.dgla
+    ielem, lelem = conv.from_linear(i), conv.from_linear(l)
+    flow = [lelem] + ad_exp_terms(d.bracket, vec_scale, vec_is_zero, ielem,
+                                  vec_sub(d.bracket(ielem, lelem), d.d(ielem)),
+                                  arity_bound + 1)
+    at_one: GVec = {}
+    for c in flow:
+        at_one = vec_add(at_one, c)
+    if not vec_is_zero(at_one):
         raise StructuralError("flow endpoint Phi(1) is nonzero; "
                               "the Cartan identities do not close the series")
 
-    paths = path_dgla(pair.h, arity_bound + 2)
-    total = total_zero(g, paths.dgla, arity_bound)
-    for m, coeff in flow.items():
-        for c in coeff.components.values():
-            values = {}
-            for keys, val in c.values.items():
-                hdeg = sum(k[0] for k in keys) + c.p
-                gamma = PathElement(pair.h, hdeg, [{} for _ in range(m)] + [val], [])
-                pv = paths.to_coords(gamma)
-                if pv:
-                    values[keys] = pv
-            if values:
-                total.put(BigradedHomElement(g, paths.dgla, c.p, c.q, values))
-    qvalues = {}
-    for (deg, idx) in g.space.basis():
-        a = g.space.basis_element(deg, idx)
-        val = vec_scale(Q(-1) if deg % 2 else Q(1), i.apply(a))
-        if not vec_is_zero(val):
-            gamma = PathElement(pair.h, deg, [], [val])
-            pv = paths.to_coords(gamma)
-            if pv:
-                qvalues[((deg, idx),)] = pv
-    if qvalues:
-        total.put(BigradedHomElement(g, paths.dgla, 0, 1, qvalues))
-
-    residual = total_mc_residual(total)
-    slices = {}
-    for (p, q), c in sorted(residual.components.items()):
-        if not c.is_zero():
-            slices[(p, q)] = c
-    return HolimMorphism(g, pair, i, l, arity_bound, paths, flow, total, slices)
+    total = PathElement(d, 1, list(flow), [vec_scale(Q(-1), ielem)])
+    residual = path_add(path_d(total), path_scale(Q(1, 2), path_bracket(total, total)))
+    return HolimMorphism(g, pair, i, l, conv, flow, total, residual)
 
 
 # ---------------------------------------------------------------------------

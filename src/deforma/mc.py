@@ -26,8 +26,8 @@ def _require_degree(x: GVec, deg: int, what: str):
         raise StructuralError(f"{what} must be homogeneous of degree {deg}")
 
 
-def mc_residue(ng: NilpotentDgla, x: GVec) -> GVec:
-    """dx + [x, x]/2 for a degree-1 element of g (x) m_A."""
+def mc_residue(ng: NilpotentDgla | Dgla, x: GVec) -> GVec:
+    """dx + [x, x]/2 for a degree-1 element of g (x) m_A or of any dgla."""
     _require_degree(x, 1, "Maurer-Cartan candidate")
     return vec_add(ng.d(x), vec_scale(Q(1, 2), ng.bracket(x, x)))
 

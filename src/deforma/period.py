@@ -332,16 +332,6 @@ class EndSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def family_blocks(self, flat: Vector) -> dict:
-        out: dict = {}
-        offset = 0
-        for (p, deg, rows, cols) in self.layout:
-            block = [[flat[offset + r * cols + c] for c in range(cols)]
-                     for r in range(rows)]
-            offset += rows * cols
-            out[(p, deg)] = block
-        return out
-
     def coordinates_of(self, blocks: dict) -> Vector | None:
         """Coordinates of a compatible family in the chosen basis."""
         flat = []

@@ -11,12 +11,26 @@ rewrites whole rows, greedy ``in_span`` loops for cohomology
 representatives and complements, and sub-dgla coordinates by ``solve``.
 They are the oracle for ``linalg.rref``, ``cohomology``,
 ``quotient_complex`` and ``restrict_to_sub`` in test_elimination.py.
+
+The convolution oracle is the hand-written Hom calculus that
+``convolution.hom_dgla_slice`` replaced: bigraded elements stored on
+canonical input tuples, with their own Koszul signs, bracket, d and gauge
+action.  Its slice, transports and L-infinity residuals are the oracle for
+h (x) CE_{<=N}(g) in test_convolution.py, test_cartan.py and
+test_acceptance.py.
 """
 
-from deforma.dgla import Dgla, SubDgla, ValidationReport, _residual_repr
+import itertools
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
+                                 canonical_tuples, canonicalize, v_basis, vdeg)
+from deforma.dgla import (Dgla, DglaMorphism, SubDgla, ValidationReport,
+                          _residual_repr, ad_exp_terms, validate_morphism)
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
-                            SubSpaceData, vec_add, vec_is_zero, vec_scale,
-                            vec_sub)
+                            StructuralError, SubSpaceData, vec_add,
+                            vec_is_zero, vec_scale, vec_sub)
 from deforma.linalg import Matrix, Q, Vector, columns_matrix, identity, transpose
 
 
@@ -310,3 +324,497 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
             if any(any(cell) for row in table for cell in row):
                 brackets[(m, p)] = table
     return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), brackets)
+
+
+# ---------------------------------------------------------------------------
+# the hand-written convolution calculus
+
+@dataclass
+class BigradedHomElement:
+    """Element of Hom^{p,q}(g, h), stored on canonical input tuples."""
+
+    g: Dgla
+    h: Dgla
+    p: int
+    q: int
+    values: dict = field(default_factory=dict)  # canonical tuple -> GVec in h
+
+    def __post_init__(self):
+        if self.q < 1:
+            raise StructuralError("arity q must be at least 1")
+        for keys, val in self.values.items():
+            if len(keys) != self.q:
+                raise StructuralError("value tuple length does not match arity")
+            s = sum(k[0] for k in keys)
+            for deg, v in val.items():
+                if any(v) and deg != s + self.p:
+                    raise StructuralError(
+                        f"value on {keys} has degree {deg}, expected {s + self.p}")
+
+    @property
+    def total_degree(self) -> int:
+        return self.p + self.q
+
+    def evaluate(self, keys: tuple) -> GVec:
+        canon = canonicalize(keys, self.g)
+        if canon is None:
+            return {}
+        ckeys, sign = canon
+        val = self.values.get(ckeys, {})
+        return vec_scale(Q(sign), val) if val else {}
+
+    def evaluate_elements(self, elements: list[GVec]) -> GVec:
+        """Multilinear evaluation on (suspended) homogeneous g-elements."""
+        out: GVec = {}
+        factors: list[list[tuple[VKey, Fraction]]] = []
+        for x in elements:
+            terms = [((deg, i), c) for deg, v in x.items() for i, c in enumerate(v) if c]
+            factors.append(terms)
+        for combo in itertools.product(*factors):
+            keys = tuple(t[0] for t in combo)
+            coeff = Q(1)
+            for t in combo:
+                coeff *= t[1]
+            val = self.evaluate(keys)
+            if val:
+                out = vec_add(out, vec_scale(coeff, val))
+        return out
+
+    def is_zero(self) -> bool:
+        return all(vec_is_zero(v) for v in self.values.values())
+
+    def prune(self) -> "BigradedHomElement":
+        self.values = {k: v for k, v in self.values.items() if not vec_is_zero(v)}
+        return self
+
+    def support(self) -> list[tuple]:
+        return sorted(k for k, v in self.values.items() if not vec_is_zero(v))
+
+
+def hom_zero(g: Dgla, h: Dgla, p: int, q: int) -> BigradedHomElement:
+    return BigradedHomElement(g, h, p, q, {})
+
+
+def hom_add(a: BigradedHomElement, b: BigradedHomElement) -> BigradedHomElement:
+    if (a.p, a.q) != (b.p, b.q):
+        raise StructuralError("bidegree mismatch in addition")
+    values = {k: dict(v) for k, v in a.values.items()}
+    for k, v in b.values.items():
+        values[k] = vec_add(values[k], v) if k in values else v
+    return BigradedHomElement(a.g, a.h, a.p, a.q, values).prune()
+
+
+def hom_scale(c: Fraction, a: BigradedHomElement) -> BigradedHomElement:
+    return BigradedHomElement(a.g, a.h, a.p, a.q,
+                              {k: vec_scale(c, v) for k, v in a.values.items()}).prune()
+
+
+def hom_bracket(f: BigradedHomElement, g_elem: BigradedHomElement) -> BigradedHomElement:
+    if f.g is not g_elem.g and f.g.space.components != g_elem.g.space.components:
+        raise StructuralError("convolution bracket requires the same source dgla")
+    if f.h is not g_elem.h and f.h.space.components != g_elem.h.space.components:
+        raise StructuralError("convolution bracket requires the same target dgla")
+    q = f.q + g_elem.q
+    out = hom_zero(f.g, f.h, f.p + g_elem.p, q)
+    gdeg2 = g_elem.total_degree % 2
+    for keys in canonical_tuples(f.g, q):
+        degs = [vdeg(k) for k in keys]
+        acc: GVec = {}
+        for positions in itertools.combinations(range(q), f.q):
+            first = tuple(keys[i] for i in positions)
+            rest = tuple(keys[i] for i in range(q) if i not in positions)
+            sign = _unshuffle_sign(positions, degs)
+            if gdeg2 and sum(degs[i] for i in positions) % 2:
+                sign = -sign
+            fv = f.evaluate(first)
+            gv = g_elem.evaluate(rest)
+            if vec_is_zero(fv) or vec_is_zero(gv):
+                continue
+            acc = vec_add(acc, vec_scale(Q(sign), f.h.bracket(fv, gv)))
+        if not vec_is_zero(acc):
+            out.values[keys] = acc
+    return out
+
+
+def _delta(g: Dgla, key: VKey) -> list[tuple[VKey, Fraction]]:
+    """delta(s a) = -s(d_g a) as a combination of VKeys."""
+    deg, idx = key
+    img = g.d(g.space.basis_element(deg, idx))
+    out = []
+    for d2, v in img.items():
+        for i, c in enumerate(v):
+            if c:
+                out.append(((d2, i), -c))
+    return out
+
+
+def _mu(g: Dgla, k1: VKey, k2: VKey) -> list[tuple[VKey, Fraction]]:
+    """mu(s a, s b) = (-1)^{|a|} s[a, b]_g as a combination of VKeys."""
+    (m, i), (n, j) = k1, k2
+    br = g.pair_bracket(m, i, n, j)
+    sign = Q(-1) if m % 2 else Q(1)
+    out = []
+    for d2, v in br.items():
+        for t, c in enumerate(v):
+            if c:
+                out.append(((d2, t), sign * c))
+    return out
+
+
+def hom_d10(f: BigradedHomElement) -> BigradedHomElement:
+    out = hom_zero(f.g, f.h, f.p + 1, f.q)
+    fsign = Q(-1) if f.total_degree % 2 else Q(1)
+    for keys in canonical_tuples(f.g, f.q):
+        acc = f.h.d(f.evaluate(keys))
+        degs = [vdeg(k) for k in keys]
+        for i in range(f.q):
+            pre = sum(degs[:i]) % 2
+            koszul = Q(-1) if pre else Q(1)
+            for nk, coeff in _delta(f.g, keys[i]):
+                sub = keys[:i] + (nk,) + keys[i + 1:]
+                val = f.evaluate(sub)
+                if not vec_is_zero(val):
+                    acc = vec_add(acc, vec_scale(-fsign * koszul * coeff, val))
+        if not vec_is_zero(acc):
+            out.values[keys] = acc
+    return out
+
+
+def hom_d01(f: BigradedHomElement) -> BigradedHomElement:
+    out = hom_zero(f.g, f.h, f.p, f.q + 1)
+    fsign = Q(-1) if f.total_degree % 2 else Q(1)
+    q = f.q + 1
+    for keys in canonical_tuples(f.g, q):
+        degs = [vdeg(k) for k in keys]
+        acc: GVec = {}
+        for i, j in itertools.combinations(range(q), 2):
+            ksign = 1
+            if degs[i] % 2 and sum(degs[:i]) % 2:
+                ksign = -ksign
+            if degs[j] % 2 and (sum(degs[:j]) - degs[i]) % 2:
+                ksign = -ksign
+            rest = tuple(keys[t] for t in range(q) if t not in (i, j))
+            for nk, coeff in _mu(f.g, keys[i], keys[j]):
+                val = f.evaluate((nk,) + rest)
+                if not vec_is_zero(val):
+                    acc = vec_add(acc, vec_scale(-fsign * Q(ksign) * coeff, val))
+        if not vec_is_zero(acc):
+            out.values[keys] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the arity-truncated total dgla
+
+@dataclass
+class TotalHomElement:
+    """Element of the total Hom dgla, truncated at arity <= arity_bound."""
+
+    g: Dgla
+    h: Dgla
+    arity_bound: int
+    components: dict = field(default_factory=dict)  # (p, q) -> BigradedHomElement
+
+    def component(self, p: int, q: int) -> BigradedHomElement:
+        return self.components.get((p, q)) or hom_zero(self.g, self.h, p, q)
+
+    def put(self, elem: BigradedHomElement):
+        if elem.q <= self.arity_bound and not elem.is_zero():
+            key = (elem.p, elem.q)
+            if key in self.components:
+                self.components[key] = hom_add(self.components[key], elem)
+            else:
+                self.components[key] = elem
+            if self.components[key].is_zero():
+                del self.components[key]
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components.values())
+
+    def degrees(self) -> set[int]:
+        return {p + q for p, q in self.components}
+
+    def copy(self) -> "TotalHomElement":
+        out = TotalHomElement(self.g, self.h, self.arity_bound)
+        for c in self.components.values():
+            out.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
+        return out
+
+
+def total_zero(g: Dgla, h: Dgla, arity_bound: int) -> TotalHomElement:
+    return TotalHomElement(g, h, arity_bound)
+
+
+def total_add(a: TotalHomElement, b: TotalHomElement) -> TotalHomElement:
+    out = a.copy()
+    for c in b.components.values():
+        out.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
+    return out
+
+
+def total_scale(c: Fraction, a: TotalHomElement) -> TotalHomElement:
+    out = total_zero(a.g, a.h, a.arity_bound)
+    for elem in a.components.values():
+        out.put(hom_scale(c, elem))
+    return out
+
+
+def total_sub(a: TotalHomElement, b: TotalHomElement) -> TotalHomElement:
+    return total_add(a, total_scale(Q(-1), b))
+
+
+def total_bracket(a: TotalHomElement, b: TotalHomElement) -> TotalHomElement:
+    out = total_zero(a.g, a.h, min(a.arity_bound, b.arity_bound))
+    for ca in a.components.values():
+        for cb in b.components.values():
+            if ca.q + cb.q <= out.arity_bound:
+                out.put(hom_bracket(ca, cb))
+    return out
+
+
+def total_d(a: TotalHomElement) -> TotalHomElement:
+    out = total_zero(a.g, a.h, a.arity_bound)
+    for c in a.components.values():
+        out.put(hom_d10(c))
+        if c.q + 1 <= a.arity_bound:
+            out.put(hom_d01(c))
+    return out
+
+
+def total_mc_residual(a: TotalHomElement) -> TotalHomElement:
+    return total_add(total_d(a), total_scale(Q(1, 2), total_bracket(a, a)))
+
+
+def total_gauge_act(alpha: TotalHomElement, x: TotalHomElement) -> TotalHomElement:
+    """e^alpha * x in the arity-truncated total dgla.
+
+    The series terminates because the bracket strictly raises arity.
+    """
+    out = x.copy()
+    for term in ad_exp_terms(total_bracket, total_scale, TotalHomElement.is_zero,
+                             alpha, total_sub(total_bracket(alpha, x), total_d(alpha)),
+                             x.arity_bound + 2):
+        out = total_add(out, term)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# L-infinity morphisms via Taylor coefficients
+
+@dataclass
+class LinfMorphism:
+    """Taylor coefficients F_n of an arity-truncated L-infinity morphism.
+
+    Coefficient n is a BigradedHomElement of bidegree (1 - n, n); all results
+    are "up to arity N".
+    """
+
+    g: Dgla
+    h: Dgla
+    arity_bound: int
+    coefficients: dict = field(default_factory=dict)  # n -> BigradedHomElement
+
+    def __post_init__(self):
+        for n, c in self.coefficients.items():
+            if (c.p, c.q) != (1 - n, n):
+                raise StructuralError(f"Taylor coefficient {n} has bidegree ({c.p},{c.q})")
+
+    def coefficient(self, n: int) -> BigradedHomElement:
+        return self.coefficients.get(n) or hom_zero(self.g, self.h, 1 - n, n)
+
+    def is_strict(self) -> bool:
+        return all(c.is_zero() for n, c in self.coefficients.items() if n >= 2)
+
+
+def assemble(f: LinfMorphism) -> TotalHomElement:
+    out = total_zero(f.g, f.h, f.arity_bound)
+    for c in f.coefficients.values():
+        out.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
+    return out
+
+
+def extract_taylor(x: TotalHomElement, arity_bound: int | None = None) -> LinfMorphism:
+    """Inverse of assemble; rejects stray bidegrees (q = 0 never occurs here,
+    but total degree != 1 does)."""
+    bound = arity_bound if arity_bound is not None else x.arity_bound
+    coeffs = {}
+    for (p, q), c in x.components.items():
+        if c.is_zero():
+            continue
+        if p + q != 1:
+            raise StructuralError(f"stray bidegree ({p},{q}) in Taylor extraction")
+        if q <= bound:
+            coeffs[q] = c
+    return LinfMorphism(x.g, x.h, bound, coeffs)
+
+
+def taylor_from_linear(g: Dgla, h: Dgla, f: GradedMap,
+                       arity_bound: int = DEFAULT_ARITY) -> LinfMorphism:
+    """The Taylor family with F_1 = f and no higher coefficients.
+
+    No validity requirement on f; use strict_embed for validated morphisms.
+    """
+    if f.shift != 0:
+        raise StructuralError("arity-one Taylor coefficient must have shift 0")
+    values = {}
+    for key in v_basis(g):
+        deg, idx = key
+        img = f.apply(g.space.basis_element(deg, idx))
+        if not vec_is_zero(img):
+            values[(key,)] = img
+    coeff = BigradedHomElement(g, h, 0, 1, values)
+    return LinfMorphism(g, h, arity_bound, {1: coeff} if values else {})
+
+
+def strict_embed(phi: DglaMorphism, arity_bound: int = DEFAULT_ARITY) -> LinfMorphism:
+    report = validate_morphism(phi)
+    if not report.ok:
+        raise StructuralError(f"not a dgla morphism: {report.failures[:3]}")
+    return taylor_from_linear(phi.source, phi.target, phi.map, arity_bound)
+
+
+def linf_residual(f: LinfMorphism) -> dict[int, BigradedHomElement]:
+    """Arity slices of D(F) + [F,F]/2, computable up to arity N + 1.
+
+    All slices vanish iff F is an L-infinity morphism up to arity N.
+    """
+    wide = total_zero(f.g, f.h, f.arity_bound + 1)
+    for c in f.coefficients.values():
+        wide.put(BigradedHomElement(c.g, c.h, c.p, c.q, dict(c.values)))
+    res = total_mc_residual(wide)
+    out: dict[int, BigradedHomElement] = {}
+    for (p, q), c in sorted(res.components.items()):
+        if not c.is_zero():
+            out[q] = hom_add(out[q], c) if q in out else c
+    return out
+
+
+def hom_element_from_linear(g: Dgla, h: Dgla, f: GradedMap) -> BigradedHomElement:
+    """An arity-one element of bidegree (shift, 1) from a graded linear map."""
+    values = {}
+    for key in v_basis(g):
+        deg, idx = key
+        img = f.apply(g.space.basis_element(deg, idx))
+        if not vec_is_zero(img):
+            values[(key,)] = img
+    return BigradedHomElement(g, h, f.shift, 1, values)
+
+
+def linear_from_hom_element(f: BigradedHomElement) -> GradedMap:
+    if f.q != 1:
+        raise StructuralError("only arity-one elements define linear maps")
+    blocks: dict[int, list] = {}
+    src, tgt = f.g.space, f.h.space
+    for deg in src.degrees:
+        cols = []
+        for idx in range(src.dim(deg)):
+            val = f.evaluate(((deg, idx),))
+            cols.append(list(val.get(deg + f.p, [Q(0)] * tgt.dim(deg + f.p))))
+        if tgt.dim(deg + f.p):
+            blocks[deg] = [[cols[j][i] for j in range(len(cols))]
+                           for i in range(tgt.dim(deg + f.p))]
+    return GradedMap(src, tgt, f.p, blocks)
+
+
+# ---------------------------------------------------------------------------
+# explicit dgla structure on an arity-truncated slice (for axiom validation)
+
+def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
+    """The truncated total Hom dgla as an explicit Dgla with structure
+    constants, graded by total degree p + q.
+
+    Brackets of arity above the bound are projected away; this is consistent
+    because the bracket strictly raises arity.
+    """
+    basis: list[tuple[tuple, tuple[int, int]]] = []  # (input tuple, h basis key)
+    for q in range(1, arity_bound + 1):
+        for keys in canonical_tuples(g, q):
+            s = sum(k[0] for k in keys)
+            for hd in h.space.degrees:
+                for hi in range(h.space.dim(hd)):
+                    basis.append((keys, (hd, hi)))
+
+    def total_degree(entry) -> int:
+        keys, (hd, hi) = entry
+        return (hd - sum(k[0] for k in keys)) + len(keys)
+
+    by_degree: dict[int, list] = {}
+    for entry in basis:
+        by_degree.setdefault(total_degree(entry), []).append(entry)
+    degs = sorted(by_degree)
+    index: dict = {}
+    components = {}
+    for deg in degs:
+        labels = []
+        for pos, entry in enumerate(by_degree[deg]):
+            keys, (hd, hi) = entry
+            lbl = "^".join(g.space.label(kd, ki) for kd, ki in keys)
+            labels.append(f"({lbl})->{h.space.label(hd, hi)}")
+            index[entry] = (deg, pos)
+        components[deg] = tuple(labels)
+    space = GradedVectorSpace(components)
+
+    def to_coords(x: TotalHomElement) -> GVec:
+        out: GVec = {}
+        for c in x.components.values():
+            for keys, val in c.values.items():
+                for hd, v in val.items():
+                    for hi, coeff in enumerate(v):
+                        if coeff:
+                            deg, pos = index[(keys, (hd, hi))]
+                            out.setdefault(deg, [Q(0)] * space.dim(deg))[pos] += coeff
+        return {d: v for d, v in out.items() if any(v)}
+
+    def basis_total(entry) -> TotalHomElement:
+        keys, (hd, hi) = entry
+        elem = BigradedHomElement(g, h, hd - sum(k[0] for k in keys), len(keys),
+                                  {keys: h.space.basis_element(hd, hi)})
+        out = total_zero(g, h, arity_bound)
+        out.put(elem)
+        return out
+
+    d_blocks: dict[int, list] = {}
+    for deg in degs:
+        entries = by_degree[deg]
+        tdim = space.dim(deg + 1)
+        if not tdim:
+            continue
+        cols = []
+        for entry in entries:
+            img = to_coords(total_d(basis_total(entry)))
+            cols.append(list(img.get(deg + 1, [Q(0)] * tdim)))
+        d_blocks[deg] = [[cols[j][i] for j in range(len(cols))] for i in range(tdim)]
+    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
+
+    brackets = {}
+    for m in degs:
+        for n in degs:
+            if m > n:
+                continue
+            out_dim = space.dim(m + n)
+            table = []
+            any_nonzero = False
+            for ea in by_degree[m]:
+                row = []
+                ta = basis_total(ea)
+                for eb in by_degree[n]:
+                    img = to_coords(total_bracket(ta, basis_total(eb)))
+                    v = list(img.get(m + n, [Q(0)] * out_dim))
+                    if any(v):
+                        any_nonzero = True
+                    row.append(v)
+                table.append(row)
+            if any_nonzero:
+                brackets[(m, n)] = table
+    return Dgla(cx, brackets)
+
+
+def gauge_zero_transport(g: Dgla, h: Dgla, i: GradedMap,
+                         arity_bound: int = DEFAULT_ARITY) -> TotalHomElement:
+    """e^{-i} * 0 in the arity-truncated convolution dgla."""
+    if i.shift != -1:
+        raise StructuralError("a Cartan homotopy must have degree -1")
+    ielem = hom_element_from_linear(g, h, i)
+    alpha = total_zero(g, h, arity_bound)
+    alpha.put(hom_scale(Q(-1), ielem))
+    return total_gauge_act(alpha, total_zero(g, h, arity_bound))

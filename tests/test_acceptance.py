@@ -15,19 +15,16 @@ from fractions import Fraction as Q
 
 import pytest
 
+import dense_reference as dense
 from deforma import fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.cartan import (cartan_check, gauge_zero_transport,
-                            lie_morphism_from_cartan, transport_morphism)
-from deforma.convolution import (BigradedHomElement, LinfMorphism, assemble,
-                                 canonical_tuples, hom_add, hom_bracket,
-                                 hom_d01, hom_d10, hom_dgla_slice,
-                                 hom_element_from_linear, hom_scale,
-                                 linf_residual, strict_embed,
-                                 taylor_from_linear, total_mc_residual)
+                            lie_morphism_from_cartan)
+from deforma.convolution import (convolution, hom_dgla_slice, linf_residual,
+                                 strict_embed, taylor_from_linear)
 from deforma.dgla import sub_dgla_span, validate_dgla
 from deforma.endo import end_dgla
-from deforma.graded import GradedMap, StructuralError, vec_is_zero, vec_sub
+from deforma.graded import GradedMap, StructuralError, vec_eq, vec_is_zero, vec_sub
 from deforma.holim import (holim_cohomology_bounded, holim_pair,
                            quasi_abelian_witness)
 from deforma.mc import (gauge_act, irrelevant_stabilizer, is_mc, mc_extend,
@@ -97,21 +94,9 @@ def test_criterion_02():
             checked += 1
 
 
-def _random_linf(g, h, rng, maxar=3):
-    coeffs = {}
-    for n in range(1, maxar + 1):
-        p, q = 1 - n, n
-        values = {}
-        for key in canonical_tuples(g, q):
-            deg = sum(k[0] for k in key) + p
-            dim = h.space.dim(deg)
-            if dim:
-                v = [Q(rng.randint(-2, 2)) for _ in range(dim)]
-                if any(v):
-                    values[key] = {deg: v}
-        if values:
-            coeffs[n] = BigradedHomElement(g, h, p, q, values)
-    return LinfMorphism(g, h, maxar, coeffs)
+def _random_linf(conv, rng):
+    v = [Q(rng.randint(-2, 2)) for _ in range(conv.space.dim(1))]
+    return {1: v} if any(v) else {}
 
 
 @announce(3, "morphism families are L-infinity iff Maurer-Cartan")
@@ -119,12 +104,12 @@ def test_criterion_03():
     rng = random.Random(3)
     for name in ("F1", "F2"):
         g = F.fixture_dgla(name)
+        conv = convolution(g, g, 3)
         seen_nonzero = False
         for _ in range(25):
-            fam = _random_linf(g, g, rng)
-            res = linf_residual(fam)
-            left = all(e.is_zero() for e in res.values())
-            right = total_mc_residual(assemble(fam)).is_zero()
+            fam = _random_linf(conv, rng)
+            left = not linf_residual(conv, fam)
+            right = vec_is_zero(mc_residue(conv.dgla, fam))
             assert left == right
             seen_nonzero = seen_nonzero or not left
         if name == "F2":
@@ -132,22 +117,23 @@ def test_criterion_03():
     # strict embeddings of dgla morphisms have zero residual
     from deforma.dgla import identity_morphism
     g2 = F.f2_dgla()
-    emb = strict_embed(identity_morphism(g2))
-    assert all(e.is_zero() for e in linf_residual(emb).values())
+    conv2 = convolution(g2, g2)
+    emb = strict_embed(conv2, identity_morphism(g2))
+    assert linf_residual(conv2, emb) == {}
     # for a linear family the whole residual is the arity-2 bracket defect
     for _ in range(10):
         blk = [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         f = GradedMap(g2.space, g2.space, 0, {0: blk})
-        res = linf_residual(taylor_from_linear(g2, g2, f))
-        assert set(n for n, e in res.items() if not e.is_zero()) <= {2}
-        r2 = res[2]
+        res = linf_residual(conv2, taylor_from_linear(conv2, f))
+        assert set(res) <= {2}
+        r2 = res.get(2, {})
         for i in range(4):
             for j in range(i + 1, 4):
                 a = g2.space.basis_element(0, i)
                 b = g2.space.basis_element(0, j)
                 want = vec_sub(f.apply(g2.bracket(a, b)),
                                g2.bracket(f.apply(a), f.apply(b)))
-                assert vec_is_zero(vec_sub(r2.evaluate_elements([a, b]), want))
+                assert vec_is_zero(vec_sub(r2.get(((0, i), (0, j)), {}), want))
 
 
 @announce(4, "transport of zero: strict for Cartan homotopies, "
@@ -158,27 +144,30 @@ def test_criterion_04():
                               (F.f6_cdga, F.f6_dgla, F.f6_contraction)]:
         end = end_dgla(omega_f().complex)
         t, h, i = t_f(), end.dgla, i_f(end)
-        fam = transport_morphism(t, h, i)
-        emb = strict_embed(lie_morphism_from_cartan(t, h, i))
-        assert set(fam.coefficients) == set(emb.coefficients)
-        for n in fam.coefficients:
-            assert fam.coefficients[n].values == emb.coefficients[n].values
+        conv = convolution(t, h)
+        fam = gauge_zero_transport(conv, i)
+        emb = strict_embed(conv, lie_morphism_from_cartan(t, h, i))
+        assert set(conv.taylor(fam)) == set(conv.taylor(emb))
+        assert conv.taylor(fam) == conv.taylor(emb)
+        assert vec_eq(fam, emb)
     # within gl_2 every degree -1 map is forced zero (vacuous host)
     g2 = F.f2_dgla()
     assert g2.space.dim(-1) == 0
-    # against End(K -> K) the arity-2 component is d01(i) - [i, d10(i)]/2
+    # against End(K -> K) the arity-2 component is d01(i) - [i, d10(i)]/2,
+    # evaluated by the hand-written Hom calculus
     h = F.f3_end().dgla
+    conv = convolution(g2, h)
     rng = random.Random(4)
     seen_noncartan = 0
     for _ in range(20):
         i = GradedMap(g2.space, h.space, -1,
                       {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
-        ielem = hom_element_from_linear(g2, h, i)
-        formula = hom_add(hom_d01(ielem),
-                          hom_scale(Q(-1, 2),
-                                    hom_bracket(ielem, hom_d10(ielem))))
-        got = gauge_zero_transport(g2, h, i).component(-1, 2)
-        assert got.prune().values == formula.prune().values
+        ielem = dense.hom_element_from_linear(g2, h, i)
+        formula = dense.hom_add(dense.hom_d01(ielem),
+                                dense.hom_scale(Q(-1, 2),
+                                                dense.hom_bracket(ielem, dense.hom_d10(ielem))))
+        got = conv.taylor(gauge_zero_transport(conv, i)).get(2, {})
+        assert got == formula.prune().values
         if not cartan_check(g2, h, i).ok:
             seen_noncartan += 1
     assert seen_noncartan >= 1

@@ -5,14 +5,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+import dense_reference as dense
 from deforma import fixtures as F
 from deforma.cartan import (cartan_check, gauge_zero_transport, lie_from_cartan,
-                            lie_morphism_from_cartan, transport_morphism)
-from deforma.convolution import (hom_add, hom_bracket, hom_d01, hom_d10,
-                                 hom_element_from_linear, hom_scale, strict_embed)
+                            lie_morphism_from_cartan)
+from deforma.convolution import convolution, strict_embed
 from deforma.dgla import validate_morphism
 from deforma.endo import end_dgla
-from deforma.graded import GradedMap, StructuralError
+from deforma.graded import GradedMap, StructuralError, vec_eq
 
 rng = random.Random(59)
 
@@ -79,41 +79,46 @@ def test_cartan_violation_reported():
 
 def test_transport_is_strict_for_cartan():
     for t, h, i in contraction_cases():
-        fam = transport_morphism(t, h, i)
-        emb = strict_embed(lie_morphism_from_cartan(t, h, i))
-        assert set(fam.coefficients) == set(emb.coefficients)
-        for n in fam.coefficients:
-            assert fam.coefficients[n].values == emb.coefficients[n].values
+        conv = convolution(t, h)
+        fam = gauge_zero_transport(conv, i)
+        emb = strict_embed(conv, lie_morphism_from_cartan(t, h, i))
+        assert set(conv.taylor(fam)) == set(conv.taylor(emb))
+        assert conv.taylor(fam) == conv.taylor(emb)
+        assert vec_eq(fam, emb)
 
 
 def test_transport_linear_part_always_d10():
     """No Cartan hypothesis: the arity-1 part of e^{-i}*0 is d10(i)."""
     g = F.f2_dgla()
     h = F.f3_end().dgla
+    conv = convolution(g, h)
     for _ in range(20):
         i = GradedMap(g.space, h.space, -1,
                       {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
-        total = gauge_zero_transport(g, h, i)
-        expected = hom_d10(hom_element_from_linear(g, h, i))
-        got = total.component(0, 1)
-        assert got.prune().values == expected.prune().values
+        total = gauge_zero_transport(conv, i)
+        expected = dense.hom_d10(dense.hom_element_from_linear(g, h, i))
+        got = conv.taylor(total).get(1, {})
+        assert got == expected.prune().values
+        assert conv.linear_part(total, 0).blocks == lie_from_cartan(g, h, i).blocks
 
 
 def test_arity_two_component_formula():
-    """e^{-i}*0 at arity 2 equals d01(i) - [i, d10(i)]/2 for arbitrary i."""
+    """e^{-i}*0 at arity 2 equals d01(i) - [i, d10(i)]/2 for arbitrary i,
+    with the formula evaluated by the hand-written Hom calculus."""
     g = F.f2_dgla()
     h = F.f3_end().dgla
+    conv = convolution(g, h)
     seen_noncartan = False
     for _ in range(25):
         i = GradedMap(g.space, h.space, -1,
                       {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
-        ielem = hom_element_from_linear(g, h, i)
-        lelem = hom_d10(ielem)
-        formula = hom_add(hom_d01(ielem),
-                          hom_scale(Q(-1, 2), hom_bracket(ielem, lelem)))
-        total = gauge_zero_transport(g, h, i)
-        got = total.component(-1, 2)
-        assert got.prune().values == formula.prune().values
+        ielem = dense.hom_element_from_linear(g, h, i)
+        lelem = dense.hom_d10(ielem)
+        formula = dense.hom_add(dense.hom_d01(ielem),
+                                dense.hom_scale(Q(-1, 2), dense.hom_bracket(ielem, lelem)))
+        total = gauge_zero_transport(conv, i)
+        got = conv.taylor(total).get(2, {})
+        assert got == formula.prune().values
         seen_noncartan = seen_noncartan or not cartan_check(g, h, i).ok
     assert seen_noncartan
 

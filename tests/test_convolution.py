@@ -1,8 +1,10 @@
-"""Convolution algebra of maps between dglas.
+"""Convolution algebra of maps between dglas, h (x) CE_{<=N}(g).
 
 The Koszul-sign regime is pinned by executable constraints (D squared is
-zero, graded Jacobi on truncated slices, and the strict characterization of
-morphisms); the regression values frozen here keep it from drifting.
+zero, graded Jacobi on truncated slices, the CE cdga axioms, and the strict
+characterization of morphisms); the regression values frozen here and the
+entry-by-entry comparison with the hand-written Hom calculus in
+``dense_reference`` keep it from drifting.
 """
 
 import random
@@ -10,46 +12,50 @@ from fractions import Fraction as Q
 
 import pytest
 
+import dense_reference as dense
 from deforma import fixtures as F
-from deforma.convolution import (BigradedHomElement, LinfMorphism,
-                                 assemble, canonical_tuples, canonicalize,
-                                 extract_taylor, hom_bracket, hom_d01,
-                                 hom_d10, hom_element_from_linear, hom_add,
-                                 hom_dgla_slice, linear_from_hom_element,
-                                 linf_residual, strict_embed, taylor_from_linear,
-                                 total_d, total_mc_residual, total_zero)
+from deforma.cartan import gauge_zero_transport
+from deforma.convolution import (canonical_tuples, canonicalize,
+                                 chevalley_eilenberg, convolution,
+                                 hom_dgla_slice, linf_residual, strict_embed,
+                                 taylor_from_linear)
 from deforma.dgla import DglaMorphism, identity_morphism, validate_dgla
-from deforma.graded import GradedMap, StructuralError, identity_map, vec_is_zero, vec_sub
+from deforma.endo import end_dgla
+from deforma.graded import (GradedMap, StructuralError, identity_map, vec_eq,
+                            vec_is_zero, vec_scale, vec_sub)
+from deforma.mc import mc_residue
+from deforma.period import validate_cdga
 
 
 # ---------------------------------------------------------------------------
 # frozen sign regressions
 
 def test_frozen_signs_on_square_zero_host():
-    """x in degree 1 with [x,x] = y pins the differential and bracket signs."""
+    """x in degree 1 with [x,x] = y pins the differential and bracket signs:
+    in Hom(F7, F7)@2 the arity-2 part of d(id) is -1 on y (x) xi^[xx] and
+    [id, id] is 2 there."""
     g = F.f7_dgla()
-    f = hom_element_from_linear(g, g, identity_map(g.space))
-    d01 = hom_d01(f)
-    assert (d01.p, d01.q) == (0, 2)
-    assert d01.values == {((1, 0), (1, 0)): {2: [Q(-1)]}}
-    assert hom_d10(f).is_zero()          # d = 0 on both sides
-    br = hom_bracket(f, f)
-    assert br.values == {((1, 0), (1, 0)): {2: [Q(2)]}}
-    # identity is a dgla morphism: MC residual d01(f) + 1/2 [f,f] vanishes
-    from deforma.convolution import hom_scale
-    assert hom_add(d01, hom_scale(Q(1, 2), br)).is_zero()
+    conv = convolution(g, g, 2)
+    f = conv.from_linear(identity_map(g.space))
+    d = conv.dgla.d(f)
+    assert conv.taylor(d) == {2: {((1, 0), (1, 0)): {2: [Q(-1)]}}}
+    assert 1 not in conv.taylor(d)       # d = 0 on both sides
+    br = conv.dgla.bracket(f, f)
+    assert conv.taylor(br) == {2: {((1, 0), (1, 0)): {2: [Q(2)]}}}
+    # identity is a dgla morphism: MC residual d(f) + 1/2 [f,f] vanishes
+    assert vec_is_zero(mc_residue(conv.dgla, f))
 
 
 def test_frozen_cartan_signs():
     """i_x = e00 + e11 into End(K -> K): l = d10(i) = 0 and d01(i) = 0."""
     g = F.f7_dgla()
     h = F.f3_end().dgla
+    conv = convolution(g, h, 2)
     i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
-    ie = hom_element_from_linear(g, h, i)
-    assert (ie.p, ie.q) == (-1, 1)
-    assert ie.values == {((1, 0),): {0: [Q(1), Q(1)]}}
-    assert hom_d10(ie).is_zero()
-    assert hom_d01(ie).is_zero()
+    ie = conv.from_linear(i)
+    assert set(ie) == {0}                # bidegree (-1, 1): total degree 0
+    assert conv.values(ie) == {((1, 0),): {0: [Q(1), Q(1)]}}
+    assert vec_is_zero(conv.dgla.d(ie))
 
 
 def test_odd_repeat_tuples_vanish():
@@ -68,31 +74,25 @@ def test_even_repeats_allowed():
 # ---------------------------------------------------------------------------
 # structural invariants
 
-def _random_total(g, h, rng, maxar=3):
-    total = total_zero(g, h, maxar)
-    for n in range(1, maxar + 1):
-        for p in range(-3, 3):
-            values = {}
-            for key in canonical_tuples(g, n):
-                deg = sum(k[0] for k in key) + p
-                dim = h.space.dim(deg)
-                if dim and rng.random() < 0.6:
-                    v = [Q(rng.randint(-2, 2)) for _ in range(dim)]
-                    if any(v):
-                        values[key] = {deg: v}
-            if values:
-                total.put(BigradedHomElement(g, h, p, n, values))
-    return total
+def _random_element(conv, rng):
+    out = {}
+    for deg in conv.space.degrees:
+        v = [Q(rng.randint(-2, 2)) if rng.random() < 0.6 else Q(0)
+             for _ in range(conv.space.dim(deg))]
+        if any(v):
+            out[deg] = v
+    return out
 
 
 @pytest.mark.parametrize("pair", [("F1", "F1"), ("F2", "F2"), ("F7", "F3")])
 def test_total_d_squares_to_zero(pair):
     g = F.fixture_dgla(pair[0])
     h = F.fixture_dgla(pair[1])
+    conv = convolution(g, h, 3)
     rng = random.Random(hash(pair) & 0xFFFF)
     for _ in range(8):
-        a = _random_total(g, h, rng)
-        assert total_d(total_d(a)).is_zero()
+        a = _random_element(conv, rng)
+        assert vec_is_zero(conv.dgla.d(conv.dgla.d(a)))
 
 
 def test_hom_slice_is_dgla():
@@ -102,49 +102,137 @@ def test_hom_slice_is_dgla():
 
 def test_antisymmetry_of_values_under_transposition():
     g = F.f2_dgla()
+    conv = convolution(g, g, 3)
+    ce = chevalley_eilenberg(g, 2)
     rng = random.Random(5)
-    e = _random_total(g, g, rng)
-    for comp in e.components.values():
-        if comp.q != 2:
-            continue
-        for (a, b) in list(comp.values):
-            # degree-0 inputs have odd shifted degree: swapping them flips sign
-            forward = comp.evaluate((a, b))
-            backward = comp.evaluate((b, a))
-            assert vec_is_zero(vec_sub(forward, {k: [-c for c in v]
-                                                 for k, v in backward.items()}))
+    e = _random_element(conv, rng)
+    values = conv.taylor(e)[2]
+    assert values
+    for (a, b), forward in values.items():
+        # degree-0 inputs have odd shifted degree: swapping them flips sign
+        keys, sign = canonicalize((b, a), g)
+        assert keys == (a, b) and sign == -1
+        backward = vec_scale(Q(sign), forward)
+        assert vec_is_zero(vec_sub(forward, vec_scale(Q(-1), backward)))
+        # the same sign is the graded commutativity of the odd xi_a, xi_b
+        xa, xb = ce.space.basis_element(1, a[1]), ce.space.basis_element(1, b[1])
+        ab, ba = ce.multiply(xa, xb), ce.multiply(xb, xa)
+        assert not vec_is_zero(ab) and vec_eq(ab, vec_scale(Q(-1), ba))
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3", "F6", "F7"])
+def test_chevalley_eilenberg_is_a_cdga(name):
+    g = F.fixture_dgla(name)
+    for n in (1, 2, 3):
+        assert validate_cdga(chevalley_eilenberg(g, n)).ok, (name, n)
+
+
+# ---------------------------------------------------------------------------
+# the slice against the hand-written Hom calculus
+
+ORACLE_PAIRS = [
+    ("F1", "F1", 4), ("F2", "F2", 4), ("F3", "F3", 3), ("F7", "F7", 3),
+    ("F7", "F7", 5), ("F3", "F2", 3), ("F2", "F3", 3), ("F7", "F3", 3),
+    ("F3", "F7", 3), ("F6", "F6", 3), ("F6", "F3", 4), ("F1", "F3", 4),
+    ("Der F5", "End F5", 4)]
+
+
+def _pair(source, target):
+    if source == "Der F5":
+        return F.f5_derivations(), end_dgla(F.f5_cdga().complex).dgla
+    return F.fixture_dgla(source), F.fixture_dgla(target)
+
+
+def _oracle_positions(conv, oracle):
+    """Slice (degree, position) -> oracle position, matched by label:
+    e_k (x) xi^[A] is the oracle's "(A)->e_k", with no sign."""
+    perm = {}
+    for k in conv.space.degrees:
+        labels = {lbl: pos for pos, lbl in enumerate(oracle.space.labels(k))}
+        assert len(labels) == conv.space.dim(k)
+        for pos, (hkey, word) in enumerate(conv.index[k]):
+            glabels = "^".join(conv.g.label(*key) for key in word)
+            perm[k, pos] = labels[f"({glabels})->{conv.h.label(*hkey)}"]
+    return perm
+
+
+@pytest.mark.parametrize("source,target,arity", ORACLE_PAIRS)
+def test_slice_matches_oracle(source, target, arity):
+    g, h = _pair(source, target)
+    conv = convolution(g, h, arity)
+    oracle = dense.hom_dgla_slice(g, h, arity)
+    new = hom_dgla_slice(g, h, arity)
+    assert new.space.components == conv.space.components
+    assert new.brackets == conv.dgla.brackets
+    perm = _oracle_positions(conv, oracle)
+    for k in new.space.degrees:
+        block, ref = new.underlying.differential.block(k), oracle.underlying.differential.block(k)
+        for r in range(new.space.dim(k + 1)):
+            for c in range(new.space.dim(k)):
+                assert block[r][c] == ref[perm[k + 1, r]][perm[k, c]]
+    nt, ot = new.table, oracle.table
+
+    def flat(a):
+        k, i = nt.position[a]
+        return ot.offset[k] + perm[k, i]
+
+    for a in range(len(nt)):
+        row = {flat(b): {flat(x): c for x, c in e.items()}
+               for b, e in nt.row(a).items()}
+        assert row == ot.row(flat(a))
+
+
+def _random_map(g, h, shift, rng):
+    blocks = {}
+    for k in g.space.degrees:
+        rows, cols = h.space.dim(k + shift), g.space.dim(k)
+        if rows:
+            blocks[k] = [[Q(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+    return GradedMap(g.space, h.space, shift, blocks)
+
+
+@pytest.mark.parametrize("source,target,arity", ORACLE_PAIRS)
+def test_transport_and_residual_match_oracle(source, target, arity):
+    g, h = _pair(source, target)
+    conv = convolution(g, h, arity)
+    rng = random.Random(arity * 101 + len(source + target))
+    for _ in range(3):
+        i = _random_map(g, h, -1, rng)
+        got = conv.taylor(gauge_zero_transport(conv, i))
+        want = dense.extract_taylor(dense.gauge_zero_transport(g, h, i, arity))
+        assert set(got) == {n for n, c in want.coefficients.items() if not c.is_zero()}
+        for n, values in got.items():
+            ref = want.coefficients[n].prune().values
+            assert set(values) == set(ref)
+            assert all(vec_eq(values[w], ref[w]) for w in values)
+        f = _random_map(g, h, 0, rng)
+        got = linf_residual(conv, taylor_from_linear(conv, f))
+        want = dense.linf_residual(dense.taylor_from_linear(g, h, f, arity))
+        assert set(got) == {n for n, c in want.items() if not c.is_zero()}
+        for n, values in got.items():
+            ref = want[n].prune().values
+            assert set(values) == set(ref)
+            assert all(vec_eq(values[w], ref[w]) for w in values)
 
 
 # ---------------------------------------------------------------------------
 # MC <-> L-infinity correspondence
 
-def _random_linf(g, h, rng, maxar=3):
-    coeffs = {}
-    for n in range(1, maxar + 1):
-        p, q = 1 - n, n
-        values = {}
-        for key in canonical_tuples(g, q):
-            deg = sum(k[0] for k in key) + p
-            dim = h.space.dim(deg)
-            if dim:
-                v = [Q(rng.randint(-2, 2)) for _ in range(dim)]
-                if any(v):
-                    values[key] = {deg: v}
-        if values:
-            coeffs[n] = BigradedHomElement(g, h, p, q, values)
-    return LinfMorphism(g, h, maxar, coeffs)
+def _random_linf(conv, rng):
+    v = [Q(rng.randint(-2, 2)) for _ in range(conv.space.dim(1))]
+    return {1: v} if any(v) else {}
 
 
 @pytest.mark.parametrize("name", ["F1", "F2"])
 def test_mc_iff_linf(name):
     g = F.fixture_dgla(name)
+    conv = convolution(g, g, 3)
     rng = random.Random(17)
     seen_nonzero = False
     for _ in range(25):
-        fam = _random_linf(g, g, rng)
-        res = linf_residual(fam)
-        left = all(e.is_zero() for e in res.values())
-        right = total_mc_residual(assemble(fam)).is_zero()
+        fam = _random_linf(conv, rng)
+        left = not linf_residual(conv, fam)
+        right = vec_is_zero(mc_residue(conv.dgla, fam))
         assert left == right
         seen_nonzero = seen_nonzero or not left
     if name == "F2":
@@ -154,8 +242,9 @@ def test_mc_iff_linf(name):
 
 def test_strict_embed_zero_residual():
     g = F.f2_dgla()
-    emb = strict_embed(identity_morphism(g))
-    assert all(e.is_zero() for e in linf_residual(emb).values())
+    conv = convolution(g, g)
+    emb = strict_embed(conv, identity_morphism(g))
+    assert linf_residual(conv, emb) == {}
 
 
 def test_strict_embed_rejects_non_morphism():
@@ -166,24 +255,24 @@ def test_strict_embed_rejects_non_morphism():
         [Q(0), Q(1), Q(0), Q(0)],
         [Q(0), Q(0), Q(0), Q(1)]]})
     with pytest.raises(StructuralError):
-        strict_embed(DglaMorphism(g, g, t))
+        strict_embed(convolution(g, g), DglaMorphism(g, g, t))
 
 
 def test_bracket_defect_is_the_arity_two_residual():
     g = F.f2_dgla()
+    conv = convolution(g, g)
     rng = random.Random(23)
     for _ in range(10):
         blk = [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         f = GradedMap(g.space, g.space, 0, {0: blk})
-        fam = taylor_from_linear(g, g, f)
-        res = linf_residual(fam)
-        assert set(n for n, e in res.items() if not e.is_zero()) <= {2}
-        r2 = res[2]
+        res = linf_residual(conv, taylor_from_linear(conv, f))
+        assert set(res) <= {2}
+        r2 = res.get(2, {})
         for i in range(4):
             for j in range(i + 1, 4):
                 a = g.space.basis_element(0, i)
                 b = g.space.basis_element(0, j)
-                got = r2.evaluate_elements([a, b])
+                got = r2.get(((0, i), (0, j)), {})
                 want = vec_sub(f.apply(g.bracket(a, b)),
                                g.bracket(f.apply(a), f.apply(b)))
                 assert vec_is_zero(vec_sub(got, want))
@@ -191,27 +280,31 @@ def test_bracket_defect_is_the_arity_two_residual():
 
 def test_extract_taylor_roundtrip():
     g = F.f2_dgla()
+    conv = convolution(g, g, 3)
     rng = random.Random(29)
     for _ in range(10):
-        fam = _random_linf(g, g, rng)
-        back = extract_taylor(assemble(fam))
-        assert set(back.coefficients) == set(fam.coefficients)
-        for n, e in fam.coefficients.items():
-            assert back.coefficients[n].values == e.values
+        fam = _random_linf(conv, rng)
+        coefficients = conv.taylor(fam)
+        assert all(len(w) == n for n, vals in coefficients.items() for w in vals)
+        merged = {w: v for vals in coefficients.values() for w, v in vals.items()}
+        assert merged == conv.values(fam)
+        assert vec_eq(conv.from_values(merged), fam)
 
 
 def test_extract_taylor_rejects_wrong_degree():
     g = F.f7_dgla()
-    total = total_zero(g, g, 3)
-    # bidegree (1,1) has total degree 2, not the Maurer-Cartan degree 1
-    total.put(BigradedHomElement(g, g, 1, 1, {((1, 0),): {2: [Q(1)]}}))
+    conv = convolution(g, g, 3)
+    # y (x) xi_x, the map x -> y of bidegree (1,1), has total degree 2, not
+    # the Maurer-Cartan degree 1
+    stray = conv.from_values({((1, 0),): {2: [Q(1)]}})
+    assert set(stray) == {2}
     with pytest.raises(StructuralError):
-        extract_taylor(total)
+        linf_residual(conv, stray)
 
 
 def test_linear_roundtrip():
     g = F.f2_dgla()
+    conv = convolution(g, g, 2)
     f = identity_map(g.space)
-    e = hom_element_from_linear(g, g, f)
-    back = linear_from_hom_element(e)
+    back = conv.linear_part(conv.from_linear(f), 0)
     assert all(back.block(d) == f.block(d) for d in g.space.degrees)

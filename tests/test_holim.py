@@ -7,6 +7,7 @@ import pytest
 
 from deforma import fixtures as F
 from deforma.dgla import sub_dgla_span
+from deforma.endo import end_dgla
 from deforma.graded import GradedMap, StructuralError, is_chain_map, vec_eq
 from deforma.holim import (PathElement, constant_path,
                            holim_bounded, holim_cohomology_bounded, holim_d,
@@ -171,7 +172,27 @@ def f7_cartan_setup():
 def test_map_into_holim_residual_vanishes():
     g, h, i, pair = f7_cartan_setup()
     morphism = map_into_holim(g, i, pair)
-    assert all(e.is_zero() for e in morphism.residual_slices.values())
+    assert morphism.residual.is_zero()
+
+
+def test_map_into_holim_residual_vanishes_with_nonzero_l():
+    """The F5 contraction has l != 0, so the flow e^{t i} * l is nontrivial
+    and the dt-component's sign matters: -i dt closes the residual, +i dt
+    does not."""
+    end = end_dgla(F.f5_cdga().complex)
+    h = end.dgla
+    everything = {d: [[Q(int(r == c)) for c in range(h.space.dim(d))]
+                      for r in range(h.space.dim(d))] for d in h.space.degrees}
+    pair = holim_pair(h, sub_dgla_span(h, everything))
+    i = F.f5_contraction(end)
+    morphism = map_into_holim(F.f5_derivations(), i, pair, 3)
+    assert sum(1 for c in morphism.flow if c) == 3
+    assert morphism.residual.is_zero()
+    flipped = PathElement(morphism.conv.dgla, 1, list(morphism.flow),
+                          [morphism.conv.from_linear(i)])
+    residual = path_add(path_d(flipped),
+                        path_scale(Q(1, 2), path_bracket(flipped, flipped)))
+    assert not residual.is_zero()
 
 
 def test_map_into_holim_arity_one_validates():
