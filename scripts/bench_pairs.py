@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a base revision and the working tree, summarised per metric.
+
+    python3 scripts/bench_pairs.py --base HEAD --workloads mc linear \\
+        --seeds 11 12 13 --out BENCH_<n>.json
+
+The base revision is extracted with ``git archive`` into a temporary
+directory under ``$TMPDIR``; the change is the working tree at the
+repository root as it stands.  For every seed and workload it runs
+``bench/run.py --trace 0`` once on each side, for the ``run_seconds`` of
+``BENCHMARK.json``, alternating which side goes first, and keeps the JSON
+result line.  The output file holds, per workload
+and per end-to-end metric of ``BENCHMARK.json``: the median and quartiles
+of each side, the ratio of the medians, and in how many pairs the change
+was better.  It also keeps every run's ``correct``, ``attempted`` and
+``failed``.  The benchmark harness itself is only run, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def extract(rev: str, into: str) -> str:
+    """The committed files of ``rev`` under ``into``; returns the directory."""
+    os.makedirs(into)
+    archive = os.path.join(into, "tree.tar")
+    subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o", archive, rev],
+                   check=True)
+    target = os.path.join(into, "tree")
+    with tarfile.open(archive) as tar:
+        tar.extractall(target)
+    os.remove(archive)
+    return target
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds),
+                          "--trace", "0"],
+                         cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode or not lines:
+        raise RuntimeError(f"bench/run.py failed in {tree} ({workload}, seed {seed}):\n"
+                           f"{out.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    out = {}
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        sb, sc = summary(base), summary(change)
+        out[name] = {"unit": spec["unit"], "better": spec["better"],
+                     "base": sb, "change": sc,
+                     "ratio": sc["median"] / sb["median"] if sb["median"] else None,
+                     "change_better_pairs": wins, "base_iqr": sb["q3"] - sb["q1"],
+                     "values": {"base": base, "change": change}}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--base", default="HEAD", help="git revision of the base")
+    p.add_argument("--workloads", nargs="+", default=["mc"])
+    p.add_argument("--seeds", nargs="+", type=int, default=list(range(11, 21)))
+    p.add_argument("--out", required=True, help="output file, BENCH_<n>.json")
+    args = p.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"base": extract(args.base, os.path.join(tmp, "base")), "change": ROOT}
+        result = {
+            "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
+            "change": {"rev": "WORKTREE", "on_top_of": git("rev-parse", "HEAD")},
+            "command": f"python3 bench/run.py --workload W --seed S "
+                       f"--seconds {seconds:g} --trace 0",
+            "seeds": args.seeds,
+            "host": {"python": platform.python_version(), "machine": platform.machine(),
+                     "cpus": os.cpu_count()},
+            "workloads": {}}
+        for workload in args.workloads:
+            pairs = []
+            for n, seed in enumerate(args.seeds):
+                order = ("base", "change") if n % 2 == 0 else ("change", "base")
+                runs = {side: run_once(trees[side], workload, seed, seconds)
+                        for side in order}
+                pairs.append((runs["base"], runs["change"]))
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} wall_s {runs[side]['metrics']['wall_s']['value']:.4g}"
+                    for side in ("base", "change")), file=sys.stderr)
+            result["workloads"][workload] = {
+                "pairs": len(pairs),
+                "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
+                                for r in (pair[i] for pair in pairs)]
+                         for i, side in enumerate(("base", "change"))},
+                "metrics": compare(pairs, metrics)}
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

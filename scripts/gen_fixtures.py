@@ -44,20 +44,14 @@ def complex_json(cx: Complex, space_name: str) -> dict:
 def dgla_json(g: Dgla, complex_name: str) -> dict:
     if g.is_abelian():
         return {"complex": complex_name, "abelian": True}
-    brackets = {}
-    for (m, n) in sorted(g.brackets):
-        table = g.brackets[(m, n)]
-        if any(any(any(v) for v in row) for row in table):
-            brackets[f"{m},{n}"] = [[vector_json(v) for v in row] for row in table]
+    brackets = {f"{m},{n}": [[vector_json(v) for v in row] for row in table]
+                for (m, n), table in g.brackets.items()}
     return {"complex": complex_name, "brackets": brackets}
 
 
 def cdga_json(omega: CdgaModel, complex_name: str) -> dict:
-    products = {}
-    for (m, n) in sorted(omega.products):
-        table = omega.products[(m, n)]
-        if any(any(any(v) for v in row) for row in table):
-            products[f"{m},{n}"] = [[vector_json(v) for v in row] for row in table]
+    products = {f"{m},{n}": [[vector_json(v) for v in row] for row in table]
+                for (m, n), table in omega.products.items()}
     return {"complex": complex_name, "products": products}
 
 

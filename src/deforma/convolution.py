@@ -39,7 +39,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dgla import CdgaModel, Dgla, DglaMorphism, tensor_basis, tensor_dgla, validate_morphism
+from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, tensor_basis, tensor_dgla,
+                   validate_morphism)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, StructuralError,
                      vec_is_zero)
 from .linalg import Q
@@ -174,16 +175,16 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
                     d_blocks[k] = [[Q(0)] * space.dim(k) for _ in range(space.dim(k + 1))]
                 d_blocks[k][place[u][1]][col] = c / kappa[w]
 
-    products: dict[tuple[int, int], list] = {}
-    for a, (m, i) in place.items():
-        for b, (n, j) in place.items():
+    flat = FlatBasis(space)
+    position = {w: flat.offset[k] + i for w, (k, i) in place.items()}
+    upper = []      # ((a, b), xi^[a] xi^[b]) for |a| <= |b|, nonzero only
+    for a, (m, _) in place.items():
+        for b, (n, _) in place.items():
             prod = _word_product(a, b, g, arity_bound) if m <= n else None
-            if prod:
-                if (m, n) not in products:
-                    products[m, n] = [[[Q(0)] * space.dim(m + n) for _ in range(space.dim(n))]
-                                      for _ in range(space.dim(m))]
-                products[m, n][i][j][place[prod[0]][1]] = Q(prod[1])
-    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_blocks)), products)
+            if prod and prod[1]:
+                upper.append(((position[a], position[b]), {position[prod[0]]: Q(prod[1])}))
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_blocks)),
+                     flat.table_from_upper(upper, symmetric=True))
 
 
 def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:

@@ -2,16 +2,23 @@
 sub-dglas and quotients; finite cdga models; the tensor dgla g (x) A; and
 the exponential series shared by every gauge action.
 
-Bracket structure constants are stored only for degree pairs (m, n) with
-m <= n; the other order is derived from graded antisymmetry, which removes a
-redundancy-consistency failure mode.  This dense storage is the input and
-JSON form.  Every bracket is evaluated from one sparse table per dgla
-(``Dgla.table``): indexed by flat basis position, holding only the nonzero
-constants, for both orders of each pair.  Typical tables are sparse (under
-1% nonzero on the convolution Hom slices), so ``bracket``, ``pair_bracket``
-and ``validate_dgla`` cost in proportion to the nonzeros they meet.  A
-``CdgaModel`` stores its products the same way, with the graded-commutative
-sign in place of the antisymmetric one.
+Structure constants live in one sparse table per dgla (``Dgla.table``, a
+``StructureTable``): indexed by flat basis position, holding only the
+nonzero constants, for both orders of each pair.  Constructors write only
+nonzeros: ``end_dgla``, ``restrict_to_sub`` and the Chevalley-Eilenberg
+cdga list them, and ``tensor_dgla`` composes each row from the rows of its
+factors the first time it is asked for, so no construction allocates a
+dense table.  ``bracket``, ``pair_bracket`` and ``validate_dgla`` cost in
+proportion to the nonzeros they meet.  A ``CdgaModel`` holds its products
+the same way, with the graded-commutative sign in place of the
+antisymmetric one.
+
+Dense tables exist only at the JSON boundary.  The JSON form stores
+``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
+following from graded antisymmetry (which removes a
+redundancy-consistency failure mode).  ``Dgla`` and ``CdgaModel`` accept
+that form as input, with its shape checks, and give it back as the derived
+``brackets``/``products`` views for emitting JSON.
 
 ``tensor_dgla(g, A)`` is the one construction of a dgla tensored with a
 finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``), the
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import linalg
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, SubSpaceData,
@@ -58,74 +66,26 @@ def _residual_repr(x: GVec) -> dict:
 
 
 Sparse = dict  # flat basis position -> nonzero coefficient
+Row = dict     # flat position b -> Sparse e_a * e_b
 
 _ZERO = Q(0)
 
 
-class StructureTable:
-    """The nonzero structure constants of a bilinear map over a flat basis.
+class FlatBasis:
+    """The basis of a graded space by flat position: basis vector ``idx`` of
+    degree ``deg`` sits at ``offset[deg] + idx`` (``space.basis()`` order)."""
 
-    Basis vector ``idx`` of degree ``deg`` sits at flat position
-    ``offset[deg] + idx`` (``space.basis()`` order).  ``row(a)[b]`` is the
-    sparse vector of e_a * e_b; pairs whose product is zero are absent.
-    Rows cover both orders of every pair: e_b * e_a = -(-1)^{|a||b|} e_a * e_b
-    for a Lie bracket, and (-1)^{|a||b|} e_a * e_b for a graded-commutative
-    product (``symmetric``), for mixed-degree pairs.  Each row is read out of
-    the dense tables the first time it is asked for, so a few brackets on a
-    large host touch only the rows of their left arguments.
-    """
-
-    def __init__(self, space: GradedVectorSpace,
-                 brackets: dict[tuple[int, int], list[list[Vector]]],
-                 symmetric: bool = False):
+    def __init__(self, space: GradedVectorSpace):
+        self.space = space
         self.dims = {deg: space.dim(deg) for deg in space.degrees}
         self.offset: dict[int, int] = {}
         self.position: list[tuple[int, int]] = []     # flat -> (deg, idx)
         for deg, dim in self.dims.items():
             self.offset[deg] = len(self.position)
             self.position.extend((deg, i) for i in range(dim))
-        # degree m -> [(n, dense table, sign)]: sign None reads table[i][j]
-        # from (m, n); a sign reads table[j][i] from the stored (n, m), n < m
-        self._sources: dict[int, list] = {deg: [] for deg in self.offset}
-        for (m, n), table in brackets.items():
-            if m in self._sources:
-                self._sources[m].append((n, table, None))
-            if m != n and n in self._sources:
-                odd = (m * n) % 2 == 1
-                self._sources[n].append((m, table, 1 if odd != symmetric else -1))
-        self._rows: list[dict[int, Sparse] | None] = [None] * len(self.position)
 
     def __len__(self) -> int:
         return len(self.position)
-
-    def row(self, a: int) -> dict[int, Sparse]:
-        row = self._rows[a]
-        if row is None:
-            row = self._rows[a] = {}
-            m, i = self.position[a]
-            for n, table, sign in self._sources[m]:
-                base, target = self.offset.get(n), self.offset.get(m + n)
-                vectors = table[i] if sign is None else [r[i] for r in table]
-                for j, v in enumerate(vectors):
-                    entry = {target + k: c if sign is None else sign * c
-                             for k, c in enumerate(v) if c}
-                    if entry:
-                        row[base + j] = entry
-        return row
-
-    __getitem__ = row
-
-    def pair(self, m: int, i: int, n: int, j: int) -> GVec:
-        """e_i * e_j for basis vectors of degrees m, n."""
-        if m not in self.offset or n not in self.offset:
-            return {}
-        entry = self.row(self.offset[m] + i).get(self.offset[n] + j)
-        return self.graded(entry) if entry else {}
-
-    def product(self, x: GVec, y: GVec) -> GVec:
-        acc: Sparse = {}
-        _bracket_into(acc, 1, self, self.flat(x), self.flat(y))
-        return self.graded(acc)
 
     def flat(self, x: GVec) -> Sparse:
         out: Sparse = {}
@@ -149,6 +109,114 @@ class StructureTable:
                     v = out[deg] = [_ZERO] * self.dims[deg]
                 v[idx] = c
         return out
+
+    def table_from_upper(self, upper, symmetric: bool = False) -> "StructureTable":
+        """The table of ``upper``, pairs ((a, b), e_a * e_b) with |a| <= |b|
+        (equal degrees in both orders).  A mixed-degree pair is mirrored with
+        e_b * e_a = -(-1)^{|a||b|} e_a * e_b, or with (-1)^{|a||b|} for a
+        graded-commutative product (``symmetric``)."""
+        rows: list[Row] = [{} for _ in self.position]
+        for (a, b), s in upper:
+            if not s:
+                continue
+            rows[a][b] = s
+            m, n = self.position[a][0], self.position[b][0]
+            if m != n:
+                rows[b][a] = s if (m * n % 2 == 1) != symmetric else {
+                    k: -c for k, c in s.items()}
+        return StructureTable(self.space, rows.__getitem__)
+
+
+class StructureTable(FlatBasis):
+    """The nonzero structure constants of a bilinear map over a flat basis.
+
+    ``row(a)[b]`` is the sparse vector of e_a * e_b; pairs whose product is
+    zero are absent, and rows cover both orders of every pair.  Row a is
+    made by ``row_of(a)`` the first time it is asked for and kept, so a few
+    brackets on a large host touch only the rows of their left arguments.
+    ``is_zero``, when given, decides whether every row is empty without
+    making them.
+    """
+
+    def __init__(self, space: GradedVectorSpace, row_of: Callable[[int], Row],
+                 is_zero: Callable[[], bool] | None = None):
+        super().__init__(space)
+        self._row_of = row_of
+        self._is_zero = is_zero
+        self._rows: list[Row | None] = [None] * len(self.position)
+
+    @staticmethod
+    def from_dense(space: GradedVectorSpace,
+                   tables: dict[tuple[int, int], list[list[Vector]]],
+                   symmetric: bool = False) -> "StructureTable":
+        """The table of the JSON form: ``tables[(m, n)][i][j]`` (m <= n) is
+        the coordinate vector of e_i * e_j in degree m + n, and the other
+        order of a mixed-degree pair follows as in ``table_from_upper``.
+        The shapes are checked here, where a dense table enters."""
+        for (m, n), table in tables.items():
+            if m > n:
+                raise StructuralError(f"table for ({m},{n}) must be stored as ({n},{m})")
+            if len(table) != space.dim(m):
+                raise StructuralError(f"table ({m},{n}) has {len(table)} rows, expected {space.dim(m)}")
+            for row in table:
+                if len(row) != space.dim(n):
+                    raise StructuralError(f"table ({m},{n}) row length mismatch")
+                for v in row:
+                    if len(v) != space.dim(m + n):
+                        raise StructuralError(f"value in ({m},{n}) has wrong length")
+        basis = FlatBasis(space)
+        upper = []
+        for (m, n), table in tables.items():
+            target = basis.offset.get(m + n)
+            for i, row in enumerate(table):
+                for j, v in enumerate(row):
+                    upper.append(((basis.offset[m] + i, basis.offset[n] + j),
+                                  {target + k: c for k, c in enumerate(v) if c}))
+        return basis.table_from_upper(upper, symmetric)
+
+    def row(self, a: int) -> Row:
+        row = self._rows[a]
+        if row is None:
+            row = self._rows[a] = self._row_of(a)
+        return row
+
+    __getitem__ = row
+
+    def is_zero(self) -> bool:
+        if self._is_zero is not None:
+            return self._is_zero()
+        return not any(self.row(a) for a in range(len(self)))
+
+    def pair(self, m: int, i: int, n: int, j: int) -> GVec:
+        """e_i * e_j for basis vectors of degrees m, n."""
+        if m not in self.offset or n not in self.offset:
+            return {}
+        entry = self.row(self.offset[m] + i).get(self.offset[n] + j)
+        return self.graded(entry) if entry else {}
+
+    def product(self, x: GVec, y: GVec) -> GVec:
+        acc: Sparse = {}
+        _bracket_into(acc, 1, self, self.flat(x), self.flat(y))
+        return self.graded(acc)
+
+    def dense(self) -> dict[tuple[int, int], list[list[Vector]]]:
+        """The dense tables of the JSON form: ``[(m, n)][i][j]`` for the
+        degree pairs m <= n with a nonzero entry, in ascending order."""
+        tables: dict[tuple[int, int], list[list[Vector]]] = {}
+        for a, (m, i) in enumerate(self.position):
+            for b, entry in self.row(a).items():
+                n, j = self.position[b]
+                if m > n:
+                    continue
+                table = tables.get((m, n))
+                if table is None:
+                    out = self.dims[m + n]
+                    table = tables[m, n] = [[[_ZERO] * out for _ in range(self.dims[n])]
+                                            for _ in range(self.dims[m])]
+                cell, base = table[i][j], self.offset[m + n]
+                for k, c in entry.items():
+                    cell[k - base] = c
+        return dict(sorted(tables.items()))
 
 
 def _add_into(acc: Sparse, scale, s: Sparse):
@@ -174,32 +242,25 @@ def _bracket_into(acc: Sparse, scale, rows, x: Sparse, y: Sparse):
 class Dgla:
     """Complex plus bracket structure constants.
 
-    ``brackets[(m, n)][i][j]`` (only m <= n stored) is the coordinate vector
-    of [e_i, e_j] in degree m + n.  This dense form is the JSON format and is
-    never mutated; brackets are evaluated from ``table``, the sparse form
-    built from it on first use.
+    Brackets are evaluated from ``table``, the sparse ``StructureTable``.
+    A dict of dense tables in the JSON form (``StructureTable.from_dense``)
+    is accepted in its place and converted, with its shape checks.
+    ``brackets`` is the dense form computed back from the table, for
+    emitting JSON.
     """
 
     underlying: Complex
-    brackets: dict[tuple[int, int], list[list[Vector]]]
+    table: StructureTable
 
     def __post_init__(self):
-        sp = self.space
-        for (m, n), table in self.brackets.items():
-            if m > n:
-                raise StructuralError(f"bracket table for ({m},{n}) must be stored as ({n},{m})")
-            if len(table) != sp.dim(m):
-                raise StructuralError(f"bracket table ({m},{n}) has {len(table)} rows, expected {sp.dim(m)}")
-            for row in table:
-                if len(row) != sp.dim(n):
-                    raise StructuralError(f"bracket table ({m},{n}) row length mismatch")
-                for v in row:
-                    if len(v) != sp.dim(m + n):
-                        raise StructuralError(f"bracket value in ({m},{n}) has wrong length")
+        if isinstance(self.table, dict):
+            object.__setattr__(self, "table",
+                               StructureTable.from_dense(self.space, self.table))
 
     @cached_property
-    def table(self) -> StructureTable:
-        return StructureTable(self.space, self.brackets)
+    def brackets(self) -> dict[tuple[int, int], list[list[Vector]]]:
+        """``brackets[(m, n)][i][j]`` (m <= n) is [e_i, e_j] in degree m + n."""
+        return self.table.dense()
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -222,8 +283,7 @@ class Dgla:
         return self.space.label(deg, idx)
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return not any(t.row(a) for a in range(len(t)))
+        return self.table.is_zero()
 
 
 def abelian_dgla(c: Complex) -> Dgla:
@@ -263,20 +323,32 @@ def validate_dgla(g: Dgla) -> ValidationReport:
         report.fail(kind, [labels[p] for p in positions],
                     _residual_repr(t.graded(acc)))
 
-    # antisymmetry within equal degrees (mixed degrees are antisymmetric by
-    # construction of the table); [a,a] = 0 for even |a|
-    for (m, n) in g.brackets:
-        if m != n or m not in t.offset:
-            continue
-        base = t.offset[m]
-        sign = 1 if (m * m) % 2 else -1  # -(-1)^{m^2}
-        for a in range(base, base + t.dims[m]):
-            for b in range(a, base + t.dims[m]):
-                acc: Sparse = {}
-                _add_into(acc, 1, rows[a].get(b, empty))
-                _add_into(acc, -sign, rows[b].get(a, empty))
-                if any(acc.values()):
-                    fail("antisymmetry", (a, b), acc)
+    # antisymmetry [a,b] = -(-1)^{|a||b|}[b,a] on every pair with an entry in
+    # either order (so [a,a] = 0 for even |a|), visited from the row of the
+    # lower of the two in (degree, position) order, or from the higher one's
+    # row when the lower row lacks the pair; witnesses in that order
+    key = [(deg, a) for a, deg in enumerate(degree)]
+    found = []
+    for a, row in enumerate(rows):
+        for b in row:
+            if key[b] < key[a]:
+                if a in rows[b]:
+                    continue
+                lo, hi = b, a
+            else:
+                lo, hi = a, b
+            ab, ba = rows[lo].get(hi, empty), rows[hi].get(lo, empty)
+            sign = 1 if (degree[a] * degree[b]) % 2 else -1  # -(-1)^{|a||b|}
+            if ab == ba if sign == 1 else (
+                    len(ab) == len(ba) and all(ba.get(k) == -c for k, c in ab.items())):
+                continue
+            acc: Sparse = {}
+            _add_into(acc, 1, ab)
+            _add_into(acc, -sign, ba)
+            if any(acc.values()):
+                found.append(((degree[lo], degree[hi], lo, hi), acc))
+    for (_, _, lo, hi), acc in sorted(found, key=lambda f: f[0]):
+        fail("antisymmetry", (lo, hi), acc)
 
     # graded Leibniz: d[a,b] = [da,b] + (-1)^{|a|}[a,db]
     for a in range(n_basis):
@@ -330,17 +402,23 @@ def validate_dgla(g: Dgla) -> ValidationReport:
 class CdgaModel:
     """Complex plus graded-commutative product structure constants.
 
-    ``products[(m, n)][i][j]`` (stored for m <= n) is e_i * e_j in degree
-    m + n; the other order is derived from graded commutativity.  Products
-    are evaluated from ``table``, the sparse form built from it on first use.
+    Products are evaluated from ``table``; as for ``Dgla``, dense tables in
+    the JSON form are accepted in its place, and ``products`` is the dense
+    form computed back from the table.
     """
 
     complex: Complex
-    products: dict
+    table: StructureTable
+
+    def __post_init__(self):
+        if isinstance(self.table, dict):
+            object.__setattr__(self, "table", StructureTable.from_dense(
+                self.space, self.table, symmetric=True))
 
     @cached_property
-    def table(self) -> StructureTable:
-        return StructureTable(self.space, self.products, symmetric=True)
+    def products(self) -> dict[tuple[int, int], list[list[Vector]]]:
+        """``products[(m, n)][i][j]`` (m <= n) is e_i * e_j in degree m + n."""
+        return self.table.dense()
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -375,50 +453,53 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         d(v (x) a) = dv (x) a + (-1)^{|v|} v (x) da,
         [v (x) a, w (x) b] = (-1)^{|a||w|} [v, w] (x) ab.
 
-    The dense tables are filled from the nonzeros of ``g.table``,
-    ``a.table`` and the two differentials only.
+    d is filled from the nonzeros of the two differentials.  The bracket
+    table is lazy: the row of v (x) f is composed from the rows of v in
+    ``g.table`` and of f in ``a.table`` when it is first asked for, over
+    both orders at once, so no dense table is made.
     """
     gt, at = g.table, a.table
     basis = tensor_basis(g.space, a.space)
     space = GradedVectorSpace({
         k: tuple(f"{g.label(*v)}@{a.space.label(*f)}" for v, f in pairs)
         for k, pairs in basis.items()})
-    place = {}      # (g flat position, A flat position) -> (degree, index)
+    flat = FlatBasis(space)
+    place = {}      # (g flat position, A flat position) -> tensor flat position
     for k, pairs in basis.items():
         for idx, ((p, i), (q, j)) in enumerate(pairs):
-            place[gt.offset[p] + i, at.offset[q] + j] = (k, idx)
+            place[gt.offset[p] + i, at.offset[q] + j] = flat.offset[k] + idx
+    factors = {t: vf for vf, t in place.items()}
     gdeg = [deg for deg, _ in gt.position]
     adeg = [deg for deg, _ in at.position]
 
     gd = _differential_columns(gt, g.underlying.differential)
     ad = _differential_columns(at, a.complex.differential)
     d_blocks = {}
-    for (v, f), (k, col) in place.items():
+    for (v, f), t in place.items():
+        k, col = flat.position[t]
         sign = -1 if gdeg[v] % 2 else 1
         for key, c in ([((u, f), c) for u, c in gd[v].items()]
                        + [((v, h), sign * c) for h, c in ad[f].items()]):
             if k not in d_blocks:
                 d_blocks[k] = linalg.zeros(space.dim(k + 1), space.dim(k))
-            d_blocks[k][place[key][1]][col] += c
+            d_blocks[k][flat.position[place[key]][1]][col] += c
 
-    brackets = {}
-    for v in range(len(gt)):
-        for w, vw in gt.row(v).items():
-            for f in range(len(at)):
-                sign = -1 if adeg[f] * gdeg[w] % 2 else 1
-                for h, fh in at.row(f).items():
-                    (k1, x), (k2, y) = place[v, f], place[w, h]
-                    if k1 > k2:
-                        continue
-                    if (k1, k2) not in brackets:
-                        out = space.dim(k1 + k2)
-                        brackets[k1, k2] = [[[_ZERO] * out for _ in range(space.dim(k2))]
-                                            for _ in range(space.dim(k1))]
-                    cell = brackets[k1, k2][x][y]
-                    for u, c in vw.items():
-                        for e, s in fh.items():
-                            cell[place[u, e][1]] = sign * c * s
-    return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), brackets)
+    def row_of(t: int) -> Row:
+        # [v (x) f, w (x) h] = (-1)^{|f||w|} [v, w] (x) fh, over every w (x) h
+        v, f = factors[t]
+        vrow, frow = gt.row(v), at.row(f)
+        row: Row = {}
+        if not vrow or not frow:
+            return row
+        for w, vw in vrow.items():
+            sign = -1 if adeg[f] * gdeg[w] % 2 else 1
+            for h, fh in frow.items():
+                row[place[w, h]] = {place[u, e]: sign * c * s
+                                    for u, c in vw.items() for e, s in fh.items()}
+        return row
+
+    table = StructureTable(space, row_of, lambda: gt.is_zero() or at.is_zero())
+    return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), table)
 
 
 def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
@@ -577,21 +658,16 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
             d_blocks[deg] = linalg.transpose(cols)
     cx = Complex(space, GradedMap(space, space, 1, d_blocks))
 
-    brackets = {}
-    # brackets of an abelian parent vanish, so there are no tables to build
+    # brackets of an abelian parent vanish, so there is nothing to compute
     degs = [] if h.is_abelian() else sorted(bases)
+    flat = FlatBasis(space)
+    upper = []      # ((a, b), [e_a, e_b]) for |a| <= |b|
     for m in degs:
         for p in degs:
             if m > p:
                 continue
-            table = []
-            for v in bases[m]:
-                row = []
-                for w in bases[p]:
-                    b = h.bracket({m: v}, {p: w})
-                    coords = to_sub_coords(b)
-                    row.append(vec_component(coords, m + p, space.dim(m + p)))
-                table.append(row)
-            if any(any(c for c in cell) for row in table for cell in row):
-                brackets[(m, p)] = table
-    return Dgla(cx, brackets)
+            for i, v in enumerate(bases[m]):
+                for j, w in enumerate(bases[p]):
+                    b = to_sub_coords(h.bracket({m: v}, {p: w}))
+                    upper.append(((flat.offset[m] + i, flat.offset[p] + j), flat.flat(b)))
+    return Dgla(cx, flat.table_from_upper(upper))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dgla import Dgla
+from .dgla import Dgla, FlatBasis
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      StructuralError)
 from .linalg import Q
@@ -65,6 +65,13 @@ class EndDgla:
 
 
 def end_dgla(c: Complex) -> EndDgla:
+    """End(C) on the elementary maps E_ts sending basis vector s to t and
+    every other basis vector to 0.  Its structure constants are written
+    directly, with only the nonzeros kept:
+
+        [d, E_ts] = sum_r (d)_rt E_rs - (-1)^k sum_u (d)_su E_tu,
+        [E_ab, E_cd] = delta_bc E_ad - (-1)^{|E_ab||E_cd|} delta_da E_cb.
+    """
     sp = c.space
     degs = sorted(sp.degrees)
     index: dict[int, list] = {}
@@ -85,54 +92,50 @@ def end_dgla(c: Complex) -> EndDgla:
         for k, entries in index.items()
     }
     space = GradedVectorSpace(components)
-
-    def elem_map(k: int, pos: int) -> GradedMap:
-        sd, si, di = index[k][pos]
-        block = [[Q(1) if (r == di and cc == si) else Q(0)
-                  for cc in range(sp.dim(sd))] for r in range(sp.dim(sd + k))]
-        return GradedMap(sp, sp, k, {sd: block})
-
-    def map_coords(f: GradedMap) -> list:
-        k = f.shift
-        return [f.block(sd)[di][si] for (sd, si, di) in index[k]]
+    flat = FlatBasis(space)
+    # E_ts as (source, target) basis vectors (degree, index), by flat position
+    ends = [((sd, si), (sd + k, di)) for k in sorted(index) for (sd, si, di) in index[k]]
+    place = {st: a for a, st in enumerate(ends)}
+    by_source: dict[tuple, list[int]] = {}
+    by_target: dict[tuple, list[int]] = {}
+    for a, (s, t) in enumerate(ends):
+        by_source.setdefault(s, []).append(a)
+        by_target.setdefault(t, []).append(a)
 
     d_blocks = {}
     for k in index:
         if k + 1 not in index:
             continue
-        cols = []
-        for pos in range(len(index[k])):
-            f = elem_map(k, pos)
-            # [d, f] = d o f - (-1)^k f o d
-            df = c.differential.compose(f)
-            fd = f.compose(c.differential)
-            sign = Q(-1) if k % 2 else Q(1)
-            comm = df.add(fd.scale(-sign))
-            cols.append(map_coords(comm))
-        d_blocks[k] = [[cols[j][i] for j in range(len(cols))]
-                       for i in range(len(index[k + 1]))]
+        block = d_blocks[k] = [[Q(0)] * len(index[k]) for _ in index[k + 1]]
+        sign = -1 if k % 2 else 1
+        base = flat.offset[k + 1]
+        for pos, (sd, si, di) in enumerate(index[k]):
+            s, t = (sd, si), (sd + k, di)
+            for r, row in enumerate(c.differential.block(sd + k)):
+                if row[di]:
+                    block[place[s, (sd + k + 1, r)] - base][pos] += row[di]
+            for u, val in enumerate(c.differential.block(sd - 1)[si]):
+                if val:
+                    block[place[(sd - 1, u), t] - base][pos] -= sign * val
     cx = Complex(space, GradedMap(space, space, 1, d_blocks))
 
-    brackets = {}
-    for m in index:
-        for n in index:
-            if m > n or (m + n) not in index:
-                continue
-            out_dim = len(index[m + n])
-            sign = Q(-1) if (m * n) % 2 else Q(1)
-            table = []
-            any_nonzero = False
-            for i in range(len(index[m])):
-                fi = elem_map(m, i)
-                row = []
-                for j in range(len(index[n])):
-                    fj = elem_map(n, j)
-                    comm = fi.compose(fj).add(fj.compose(fi).scale(-sign))
-                    v = map_coords(comm)
-                    if any(v):
-                        any_nonzero = True
-                    row.append(v)
-                table.append(row)
-            if any_nonzero:
-                brackets[(m, n)] = table
-    return EndDgla(complex=c, dgla=Dgla(cx, brackets), index=index)
+    def composite(a: int, b: int) -> int:
+        """The flat position of E_a o E_b, whose source is E_b's source."""
+        return place[ends[b][0], ends[a][1]]
+
+    # entries with |E_a| <= |E_b|; the table mirrors the mixed-degree pairs
+    degree = [deg for deg, _ in flat.position]
+    upper = []
+    for a, (s, t) in enumerate(ends):
+        m = degree[a]
+        entries: dict[int, dict] = {}
+        for b in by_target.get(s, ()):          # E_a o E_b
+            if degree[b] >= m:
+                entries.setdefault(b, {})[composite(a, b)] = 1
+        for b in by_source.get(t, ()):          # -(-1)^{mn} E_b o E_a
+            if degree[b] >= m:
+                entry, k = entries.setdefault(b, {}), composite(b, a)
+                entry[k] = entry.get(k, 0) + (1 if m * degree[b] % 2 else -1)
+        upper.extend(((a, b), {k: Q(c) for k, c in e.items() if c})
+                     for b, e in entries.items())
+    return EndDgla(complex=c, dgla=Dgla(cx, flat.table_from_upper(upper)), index=index)

@@ -1,10 +1,21 @@
 """Dense reference implementations of the bracket, the axiom sweep,
 g (x) m_A and the exact linear algebra of subspaces.
 
-The bracket oracles read ``Dgla.brackets`` directly, coordinate by
-coordinate, with no use of the sparse table.  They are the oracle for
-``Dgla.bracket``, ``Dgla.pair_bracket`` and ``validate_dgla`` in
-test_sparse_kernel.py, and for ``tensor_nilpotent`` in test_artin.py.
+The bracket oracles read ``g.brackets`` coordinate by coordinate, with no
+use of the sparse table.  ``g`` is a ``Dgla`` (whose ``brackets`` is the
+dense view computed back from its table) or a ``DenseDgla``, which holds the
+raw dense tables that went into a ``Dgla`` and so checks their conversion
+too.  They are the oracle for ``Dgla.bracket``, ``Dgla.pair_bracket`` and
+``validate_dgla`` in test_sparse_kernel.py, and for ``tensor_nilpotent`` in
+test_artin.py.  ``assert_table_holds_dense`` checks a table against the raw
+dense tables it was built from, cell by cell.
+
+The table oracles build dense bracket tables the way the constructors did
+before they wrote only nonzeros: ``tensor_tables`` fills one dense vector
+per pair of tensor basis vectors, and ``end_tables`` composes two dense
+elementary maps per pair.  They are the oracle for ``tensor_dgla``,
+``path_dgla``, ``hom_dgla_slice`` and ``end_dgla`` in
+test_sparse_tables.py and test_convolution.py.
 
 The linear-algebra oracles do one elimination per vector: an ``rref`` that
 rewrites whole rows, greedy ``in_span`` loops for cohomology
@@ -27,11 +38,51 @@ from fractions import Fraction
 from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
                                  canonical_tuples, canonicalize, v_basis, vdeg)
 from deforma.dgla import (Dgla, DglaMorphism, SubDgla, ValidationReport,
-                          _residual_repr, ad_exp_terms, validate_morphism)
+                          _ZERO as ZERO, _differential_columns, _residual_repr,
+                          ad_exp_terms, tensor_basis, validate_morphism)
+from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
                             vec_is_zero, vec_scale, vec_sub)
-from deforma.linalg import Matrix, Q, Vector, columns_matrix, identity, transpose
+from deforma.linalg import (Matrix, Q, Vector, columns_matrix, identity, transpose,
+                            zeros)
+
+
+@dataclass(frozen=True)
+class DenseDgla:
+    """A dgla read only through its complex and raw dense tables."""
+
+    underlying: Complex
+    brackets: dict
+
+    @property
+    def space(self) -> GradedVectorSpace:
+        return self.underlying.space
+
+    def d(self, x: GVec) -> GVec:
+        return self.underlying.d(x)
+
+
+def assert_table_holds_dense(table, tables: dict, symmetric: bool = False):
+    """``table`` holds exactly the nonzero cells of the raw dense ``tables``
+    (m <= n): each cell in its own row, its mirror e_j * e_i in the row of
+    e_j for m != n, and no other entry."""
+    count = 0
+    for (m, n), t in tables.items():
+        mirror = (m * n % 2 == 1) != symmetric      # e_j * e_i = e_i * e_j
+        out = table.offset.get(m + n)
+        for i, row in enumerate(t):
+            a = table.offset[m] + i
+            for j, v in enumerate(row):
+                b = table.offset[n] + j
+                cell = {out + k: c for k, c in enumerate(v) if c}
+                assert table.row(a).get(b, {}) == cell, ((m, n), i, j)
+                count += bool(cell)
+                if m != n:
+                    assert table.row(b).get(a, {}) == (
+                        cell if mirror else {k: -c for k, c in cell.items()}), ((m, n), i, j)
+                    count += bool(cell)
+    assert sum(len(table.row(a)) for a in range(len(table))) == count
 
 
 def pair_bracket(g, m: int, i: int, n: int, j: int) -> GVec:
@@ -174,6 +225,131 @@ def tensor_nilpotent(g, a) -> Dgla:
         if nonzero:
             brackets[(m, n)] = big_table
     return Dgla(cx, brackets)
+
+
+def tensor_tables(g, a) -> tuple[Complex, dict]:
+    """g (x) A for a dgla g and a finite cdga A, as the complex and the dense
+    bracket tables: every pair of tensor basis vectors with a nonzero
+    bracket gets its own dense vector in the (k1 <= k2) table of its total
+    degrees, filled from the nonzeros of ``g.table``, ``a.table`` and the
+    two differentials.  Basis and labels as ``dgla.tensor_dgla``.  Zero
+    cells are deforma's own zero object, so that comparing with a derived
+    ``Dgla.brackets`` view short-cuts on identity (values are unaffected)."""
+    gt, at = g.table, a.table
+    basis = tensor_basis(g.space, a.space)
+    space = GradedVectorSpace({
+        k: tuple(f"{g.label(*v)}@{a.space.label(*f)}" for v, f in pairs)
+        for k, pairs in basis.items()})
+    place = {}      # (g flat position, A flat position) -> (degree, index)
+    for k, pairs in basis.items():
+        for idx, ((p, i), (q, j)) in enumerate(pairs):
+            place[gt.offset[p] + i, at.offset[q] + j] = (k, idx)
+    gdeg = [deg for deg, _ in gt.position]
+    adeg = [deg for deg, _ in at.position]
+
+    gd = _differential_columns(gt, g.underlying.differential)
+    ad = _differential_columns(at, a.complex.differential)
+    d_blocks = {}
+    for (v, f), (k, col) in place.items():
+        sign = -1 if gdeg[v] % 2 else 1
+        for key, c in ([((u, f), c) for u, c in gd[v].items()]
+                       + [((v, h), sign * c) for h, c in ad[f].items()]):
+            if k not in d_blocks:
+                d_blocks[k] = zeros(space.dim(k + 1), space.dim(k))
+            d_blocks[k][place[key][1]][col] += c
+
+    brackets = {}
+    for v in range(len(gt)):
+        for w, vw in gt.row(v).items():
+            for f in range(len(at)):
+                sign = -1 if adeg[f] * gdeg[w] % 2 else 1
+                for h, fh in at.row(f).items():
+                    (k1, x), (k2, y) = place[v, f], place[w, h]
+                    if k1 > k2:
+                        continue
+                    if (k1, k2) not in brackets:
+                        out = space.dim(k1 + k2)
+                        brackets[k1, k2] = [[[ZERO] * out for _ in range(space.dim(k2))]
+                                            for _ in range(space.dim(k1))]
+                    cell = brackets[k1, k2][x][y]
+                    for u, c in vw.items():
+                        for e, s in fh.items():
+                            cell[place[u, e][1]] = sign * c * s
+    return Complex(space, GradedMap(space, space, 1, d_blocks)), brackets
+
+
+def end_tables(c: Complex) -> tuple[Complex, dict]:
+    """End(C) as the complex and the dense bracket tables, on the basis of
+    ``endo.end_dgla``: d and every bracket computed by composing two dense
+    elementary ``GradedMap``s; (m, n) tables kept only when nonzero."""
+    sp = c.space
+    end = end_dgla(c)
+    index, space = end.index, end.space
+
+    def elem_map(k: int, pos: int) -> GradedMap:
+        sd, si, di = index[k][pos]
+        block = [[Q(1) if (r == di and cc == si) else Q(0)
+                  for cc in range(sp.dim(sd))] for r in range(sp.dim(sd + k))]
+        return GradedMap(sp, sp, k, {sd: block})
+
+    def map_coords(f: GradedMap) -> list:
+        k = f.shift
+        return [f.block(sd)[di][si] for (sd, si, di) in index[k]]
+
+    d_blocks = {}
+    for k in index:
+        if k + 1 not in index:
+            continue
+        cols = []
+        for pos in range(len(index[k])):
+            f = elem_map(k, pos)
+            # [d, f] = d o f - (-1)^k f o d
+            df = c.differential.compose(f)
+            fd = f.compose(c.differential)
+            sign = Q(-1) if k % 2 else Q(1)
+            comm = df.add(fd.scale(-sign))
+            cols.append(map_coords(comm))
+        d_blocks[k] = [[cols[j][i] for j in range(len(cols))]
+                       for i in range(len(index[k + 1]))]
+
+    brackets = {}
+    for m in index:
+        for n in index:
+            if m > n or (m + n) not in index:
+                continue
+            sign = Q(-1) if (m * n) % 2 else Q(1)
+            table = []
+            any_nonzero = False
+            for i in range(len(index[m])):
+                fi = elem_map(m, i)
+                row = []
+                for j in range(len(index[n])):
+                    fj = elem_map(n, j)
+                    comm = fi.compose(fj).add(fj.compose(fi).scale(-sign))
+                    v = map_coords(comm)
+                    if any(v):
+                        any_nonzero = True
+                    row.append(v)
+                table.append(row)
+            if any_nonzero:
+                brackets[(m, n)] = table
+    return Complex(space, GradedMap(space, space, 1, d_blocks)), brackets
+
+
+def assert_same_tables(g: Dgla, cx: Complex, brackets: dict):
+    """g equals the oracle (``cx``, dense ``brackets``) entry by entry: the
+    complex, and the derived ``g.brackets``, which holds every row entry
+    e_a * e_b with |a| <= |b|.  Each remaining entry must be the mirror of
+    one of those under graded antisymmetry."""
+    assert g.space.components == cx.space.components
+    assert g.underlying.differential.blocks == cx.differential.blocks
+    assert g.brackets == brackets
+    t = g.table
+    for a, (m, _) in enumerate(t.position):
+        for b, entry in t.row(a).items():
+            n = t.position[b][0]
+            sign = 1 if m * n % 2 else -1
+            assert t.row(b).get(a) == {k: sign * c for k, c in entry.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,13 @@ def _oracle_positions(conv, oracle):
 
 
 @pytest.mark.parametrize("source,target,arity", ORACLE_PAIRS)
+def test_slice_matches_dense_tables(source, target, arity):
+    g, h = _pair(source, target)
+    dense.assert_same_tables(hom_dgla_slice(g, h, arity),
+                             *dense.tensor_tables(h, chevalley_eilenberg(g, arity)))
+
+
+@pytest.mark.parametrize("source,target,arity", ORACLE_PAIRS)
 def test_slice_matches_oracle(source, target, arity):
     g, h = _pair(source, target)
     conv = convolution(g, h, arity)

@@ -1,0 +1,174 @@
+"""Sparse-first structure tables against the dense table oracles.
+
+Constructors write only nonzero structure constants, and ``tensor_dgla``
+composes its rows on first use.  Their rows, their derived dense views and
+their complexes must equal ``dense_reference.tensor_tables`` and
+``end_tables`` entry by entry.  A host far too large for dense tables must
+still build and carry the Maurer-Cartan calculus.
+"""
+
+import json
+import os
+import random
+from fractions import Fraction as Q
+
+import pytest
+
+import dense_reference as dense
+from deforma import fixtures as F
+from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
+from deforma.convolution import hom_dgla_slice
+from deforma.dgla import (CdgaModel, Dgla, StructureTable, tensor_dgla,
+                          validate_dgla)
+from deforma.endo import end_dgla
+from deforma.graded import (Complex, GradedVectorSpace, StructuralError,
+                            zero_map)
+from deforma.holim import _interval_forms, path_dgla
+from deforma.mc import gauge_act, is_mc
+from deforma.models import parse_model
+
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "src", "deforma", "fixtures")
+
+ARTIN = ((1, 3), (1, 4), (1, 5), (2, 3))
+
+
+def coefficient_cdga(a) -> CdgaModel:
+    """m_A as a degree-0 cdga with d = 0, as ``tensor_nilpotent`` reads it."""
+    space = GradedVectorSpace({0: a.labels})
+    return CdgaModel(Complex(space, zero_map(space, space, 1)), {(0, 0): a.table})
+
+
+@pytest.mark.parametrize("name", F.FIXTURE_NAMES)
+def test_tensor_nilpotent_matches_dense_tables(name):
+    g = F.fixture_dgla(name)
+    for k, order in ARTIN:
+        a = truncated_polynomial_algebra(k, order)
+        dense.assert_same_tables(tensor_nilpotent(g, a).dgla,
+                                 *dense.tensor_tables(g, coefficient_cdga(a)))
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3", "F5"])
+def test_path_dgla_matches_dense_tables(name):
+    host = F.fixture_dgla(name)
+    for tmax in range(1, 7):
+        dense.assert_same_tables(path_dgla(host, tmax).dgla,
+                                 *dense.tensor_tables(host, _interval_forms(tmax)))
+
+
+@pytest.mark.parametrize("complex_of", [F.f3_complex, lambda: F.f4_cdga().complex,
+                                        lambda: F.f5_cdga().complex,
+                                        lambda: F.f6_cdga().complex],
+                         ids=["F3", "F4", "F5", "F6"])
+def test_end_dgla_matches_dense_tables(complex_of):
+    c = complex_of()
+    dense.assert_same_tables(end_dgla(c).dgla, *dense.end_tables(c))
+
+
+ROUND_TRIP_HOSTS = {
+    **{name: (lambda name=name: F.fixture_dgla(name)) for name in F.FIXTURE_NAMES},
+    "F5 (x) e^4": lambda: tensor_nilpotent(F.fixture_dgla("F5"),
+                                           truncated_polynomial_algebra(1, 4)).dgla,
+    "F2 (x) m^3": lambda: tensor_nilpotent(F.f2_dgla(),
+                                           truncated_polynomial_algebra(2, 3)).dgla,
+    "End F5": lambda: end_dgla(F.f5_cdga().complex).dgla,
+    "path F5 @ 2": lambda: path_dgla(F.fixture_dgla("F5"), 2).dgla,
+    "Hom(F7, F7) @ 3": lambda: hom_dgla_slice(F.f7_dgla(), F.f7_dgla(), 3)}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_HOSTS))
+def test_dense_view_reads_back_to_the_same_rows(name):
+    g = ROUND_TRIP_HOSTS[name]()
+    again = Dgla(g.underlying, g.brackets)
+    assert all(again.table.row(p) == g.table.row(p) for p in range(len(g.table)))
+    assert again.brackets == g.brackets
+
+
+def raw_tables(raw: dict) -> dict:
+    """The dense tables of a JSON "brackets"/"products" entry, read directly."""
+    return {tuple(int(d) for d in key.split(",")): [[[Q(c) for c in v] for v in row]
+                                                    for row in table]
+            for key, table in raw.items()}
+
+
+@pytest.mark.parametrize("name", F.FIXTURE_NAMES)
+def test_fixture_tables_keep_their_dense_input(name):
+    # every dgla and cdga of the fixture file against its raw JSON tables,
+    # read here without the parser: each cell in the table and in the view
+    path = os.path.join(FIXTURE_DIR, f"{name}.json")
+    with open(path) as fh:
+        raw = json.load(fh)
+    doc = parse_model(path)
+    checked = 0
+    for section, key, build, symmetric in (("dglas", "brackets", doc.dgla, False),
+                                           ("cdgas", "products", doc.cdga, True)):
+        for entry_name, entry in raw.get(section, {}).items():
+            tables = raw_tables(entry.get(key) or {})
+            model = build(entry_name)
+            dense.assert_table_holds_dense(model.table, tables, symmetric)
+            view = model.products if symmetric else model.brackets
+            assert view == {k: t for k, t in sorted(tables.items())
+                            if any(c for row in t for v in row for c in v)}
+            checked += 1
+    assert checked == len(raw.get("dglas", {})) + len(raw.get("cdgas", {}))
+
+
+def test_validate_dgla_sees_mixed_degree_asymmetry():
+    # A non-commutative degree-0 product (u * e = e, e * u = 0) makes
+    # g (x) A fail antisymmetry on pairs of different degrees too.
+    space = GradedVectorSpace({0: ("u", "e")})
+    unit, e = [Q(1), Q(0)], [Q(0), Q(1)]
+    zero = [Q(0), Q(0)]
+    a = CdgaModel(Complex(space, zero_map(space, space, 1)),
+                  {(0, 0): [[unit, e], [zero, zero]]})
+    g = end_dgla(F.f3_complex()).dgla
+    ng = tensor_dgla(g, a)
+    degree = {lbl: k for k in ng.space.degrees for lbl in ng.space.labels(k)}
+    pairs = [f["witness"] for f in validate_dgla(ng).failures
+             if f["kind"] == "antisymmetry"]
+    assert any(degree[x] != degree[y] for x, y in pairs)
+    # and a hand-made table with [a, b] = b = [b, a] across degrees 0 and 1
+    space = GradedVectorSpace({0: ("a",), 1: ("b",)})
+    rows = [{1: {1: Q(1)}}, {0: {1: Q(1)}}]
+    h = Dgla(Complex(space, zero_map(space, space, 1)),
+             StructureTable(space, rows.__getitem__))
+    assert [f["witness"] for f in validate_dgla(h).failures
+            if f["kind"] == "antisymmetry"] == [["a", "b"]]
+
+
+def test_dense_input_is_checked():
+    g, omega = F.f2_dgla(), F.f5_cdga()
+    assert CdgaModel(omega.complex, omega.products).products == omega.products
+    with pytest.raises(StructuralError):
+        Dgla(g.underlying, {(0, 0): g.brackets[(0, 0)][:-1]})
+    with pytest.raises(StructuralError):
+        CdgaModel(omega.complex, {(1, 0): omega.products[(0, 1)]})
+
+
+def test_tensor_is_abelian_without_making_rows():
+    a = truncated_polynomial_algebra(1, 4)
+    for g, abelian in ((F.f6_dgla(), True), (F.f2_dgla(), False)):
+        ng = tensor_nilpotent(g, a).dgla
+        assert ng.is_abelian() == abelian
+        assert ng.table._rows == [None] * len(ng.table)
+    trivial = truncated_polynomial_algebra(1, 2)          # e * e = 0
+    assert tensor_nilpotent(F.f2_dgla(), trivial).dgla.is_abelian()
+
+
+def test_large_tensor_host_builds_and_gauges():
+    # End(F5) (x) K[e1,e2]/m^15: 36 x 119 = 4,284 dimensions; its dense
+    # (0, 0) bracket table alone would hold 2142^3, about 9.8e9, constants.
+    end = end_dgla(F.f5_cdga().complex).dgla
+    a = truncated_polynomial_algebra(2, 15)
+    ng = tensor_nilpotent(end, a)
+    assert a.dim == 119
+    assert {k: ng.space.dim(k) for k in ng.space.degrees} == {-1: 1071, 0: 2142, 1: 1071}
+    assert isinstance(ng.dgla.table, StructureTable)
+    rng = random.Random(2024)
+    alpha = [Q(0)] * ng.space.dim(0)
+    for v in rng.sample(range(end.space.dim(0)), 9):
+        alpha[v * a.dim + rng.randrange(5)] = Q(rng.choice([-2, -1, 1, 2, 3]),
+                                                rng.choice([1, 2, 3]))
+    x = gauge_act(ng, {0: alpha}, {})
+    assert sum(1 for c in x[1] if c) > 100
+    assert is_mc(ng, x)
