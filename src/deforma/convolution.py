@@ -157,7 +157,7 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
                 if c:
                     dgen[deg, t][word] = -sign * c if vdeg((deg, t)) % 2 else sign * c
 
-    d_blocks: dict[int, list] = {}
+    d_columns: dict[int, list] = {}
     for w, (k, col) in place.items():
         kappa = {(): 1}
         for key in w:
@@ -169,11 +169,9 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
                 term = times(term, dgen[key] if i == j else {(other,): 1})
             for u, c in term.items():
                 image[u] = image.get(u, 0) + c
-        for u, c in image.items():
-            if c:
-                if k not in d_blocks:
-                    d_blocks[k] = [[Q(0)] * space.dim(k) for _ in range(space.dim(k + 1))]
-                d_blocks[k][place[u][1]][col] = c / kappa[w]
+        column = {place[u][1]: c / kappa[w] for u, c in image.items() if c}
+        if column:
+            d_columns.setdefault(k, [{} for _ in range(space.dim(k))])[col] = column
 
     flat = FlatBasis(space)
     position = {w: flat.offset[k] + i for w, (k, i) in place.items()}
@@ -183,7 +181,7 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
             prod = _word_product(a, b, g, arity_bound) if m <= n else None
             if prod and prod[1]:
                 upper.append(((position[a], position[b]), {position[prod[0]]: Q(prod[1])}))
-    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_blocks)),
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)),
                      flat.table_from_upper(upper, symmetric=True))
 
 

@@ -33,8 +33,8 @@ from functools import cached_property
 from typing import Callable
 
 from . import linalg
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, SubSpaceData,
-                     StructuralError, QuotientComplex, is_chain_map,
+from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
+                     SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
                      quotient_complex, vec_component, vec_is_zero, vec_sub)
 from .linalg import Q, Vector
 
@@ -67,8 +67,6 @@ def _residual_repr(x: GVec) -> dict:
 
 Sparse = dict  # flat basis position -> nonzero coefficient
 Row = dict     # flat position b -> Sparse e_a * e_b
-
-_ZERO = Q(0)
 
 
 class FlatBasis:
@@ -290,20 +288,6 @@ def abelian_dgla(c: Complex) -> Dgla:
     return Dgla(c, {})
 
 
-def _differential_columns(t: StructureTable, d: GradedMap) -> list[Sparse]:
-    """d e_a as a sparse vector, for every flat position a of ``t``."""
-    cols: list[Sparse] = [{} for _ in t.position]
-    for deg, block in d.blocks.items():
-        if deg not in t.offset:
-            continue
-        src, dst = t.offset[deg], t.offset.get(deg + 1)
-        for r, row in enumerate(block):
-            for c, val in enumerate(row):
-                if val:
-                    cols[src + c][dst + r] = val
-    return cols
-
-
 def validate_dgla(g: Dgla) -> ValidationReport:
     """Check graded antisymmetry, Leibniz and Jacobi on every basis instance.
 
@@ -313,7 +297,9 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     report = ValidationReport()
     t = g.table
     rows = [t.row(a) for a in range(len(t))]
-    dcols = _differential_columns(t, g.underlying.differential)
+    d = g.underlying.differential.columns
+    dcols = [{t.offset[deg + 1] + r: c for r, c in d[deg][i].items()} if deg in d else {}
+             for deg, i in t.position]
     n_basis = len(rows)
     labels = [g.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
@@ -453,7 +439,8 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         d(v (x) a) = dv (x) a + (-1)^{|v|} v (x) da,
         [v (x) a, w (x) b] = (-1)^{|a||w|} [v, w] (x) ab.
 
-    d is filled from the nonzeros of the two differentials.  The bracket
+    d is written column by column from the columns of the two
+    differentials, with no dense block.  The bracket
     table is lazy: the row of v (x) f is composed from the rows of v in
     ``g.table`` and of f in ``a.table`` when it is first asked for, over
     both orders at once, so no dense table is made.
@@ -472,17 +459,21 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
     gdeg = [deg for deg, _ in gt.position]
     adeg = [deg for deg, _ in at.position]
 
-    gd = _differential_columns(gt, g.underlying.differential)
-    ad = _differential_columns(at, a.complex.differential)
-    d_blocks = {}
+    # d(v (x) f) = dv (x) f + (-1)^{|v|} v (x) df, column by column; the two
+    # parts lie in different A-degrees, so their entries never meet
+    gd, ad = g.underlying.differential.columns, a.complex.differential.columns
+    d_columns = {k: [{} for _ in pairs] for k, pairs in basis.items()}
     for (v, f), t in place.items():
         k, col = flat.position[t]
-        sign = -1 if gdeg[v] % 2 else 1
-        for key, c in ([((u, f), c) for u, c in gd[v].items()]
-                       + [((v, h), sign * c) for h, c in ad[f].items()]):
-            if k not in d_blocks:
-                d_blocks[k] = linalg.zeros(space.dim(k + 1), space.dim(k))
-            d_blocks[k][flat.position[place[key]][1]][col] += c
+        (p, i), (q, j) = gt.position[v], at.position[f]
+        column = d_columns[k][col]
+        if p in gd:
+            for u, c in gd[p][i].items():
+                column[flat.position[place[gt.offset[p + 1] + u, f]][1]] = c
+        if q in ad:
+            sign = -1 if p % 2 else 1
+            for h, c in ad[q][j].items():
+                column[flat.position[place[v, at.offset[q + 1] + h]][1]] = sign * c
 
     def row_of(t: int) -> Row:
         # [v (x) f, w (x) h] = (-1)^{|f||w|} [v, w] (x) fh, over every w (x) h
@@ -499,7 +490,7 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         return row
 
     table = StructureTable(space, row_of, lambda: gt.is_zero() or at.is_zero())
-    return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), table)
+    return Dgla(Complex(space, GradedMap(space, space, 1, d_columns)), table)
 
 
 def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
@@ -538,11 +529,9 @@ class DglaMorphism:
 def validate_morphism(f: DglaMorphism) -> ValidationReport:
     report = ValidationReport()
     res = is_chain_map(f.map, f.source.underlying, f.target.underlying)
-    for deg in sorted(res.blocks):
-        block = res.block(deg)
-        if not linalg.is_zero_matrix(block):
-            report.fail("chain_map", [f"degree {deg}"],
-                        [[str(x) for x in row] for row in block])
+    for deg in res.columns:
+        report.fail("chain_map", [f"degree {deg}"],
+                    [[str(x) for x in row] for row in res.block(deg)])
     sp = f.source.space
     basis = sp.basis()
     images = [f.apply(sp.basis_element(m, i)) for (m, i) in basis]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dgla import Dgla, FlatBasis
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
+from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      StructuralError)
 from .linalg import Q
 
@@ -40,27 +40,22 @@ class EndDgla:
             raise StructuralError("element is not homogeneous")
         k = degs[0]
         sp = self.complex.space
-        blocks: dict[int, list] = {}
+        columns: dict[int, list] = {}
         for coeff, (src_deg, src_idx, dst_idx) in zip(x[k], self.index[k]):
-            if not coeff:
-                continue
-            if src_deg not in blocks:
-                blocks[src_deg] = [[Q(0)] * sp.dim(src_deg)
-                                   for _ in range(sp.dim(src_deg + k))]
-            blocks[src_deg][dst_idx][src_idx] += coeff
-        return GradedMap(sp, sp, k, blocks)
+            if coeff:
+                cols = columns.setdefault(src_deg, [{} for _ in range(sp.dim(src_deg))])
+                cols[src_idx][dst_idx] = coeff
+        return GradedMap(sp, sp, k, columns)
 
     def map_to_element(self, f: GradedMap) -> GVec:
         k = f.shift
         if k not in self.index:
-            if all(not any(c for row in f.block(d) for c in row)
-                   for d in self.complex.space.degrees):
+            if f.is_zero():
                 return {}
             raise StructuralError(f"no endomorphisms of degree {k}")
-        coords = []
-        for (src_deg, src_idx, dst_idx) in self.index[k]:
-            coords.append(f.block(src_deg)[dst_idx][src_idx]
-                          if self.complex.space.dim(src_deg + k) else Q(0))
+        cols = f.columns
+        coords = [cols[src_deg][src_idx].get(dst_idx, _ZERO) if src_deg in cols else _ZERO
+                  for (src_deg, src_idx, dst_idx) in self.index[k]]
         return {k: coords} if any(coords) else {}
 
 
@@ -102,22 +97,30 @@ def end_dgla(c: Complex) -> EndDgla:
         by_source.setdefault(s, []).append(a)
         by_target.setdefault(t, []).append(a)
 
-    d_blocks = {}
+    # d E_ts = d o E_ts - (-1)^k E_ts o d: column t of d and row s of d; the
+    # two parts have targets of different degrees, so they never meet
+    d = c.differential.columns
+    d_rows = {deg: [{} for _ in range(sp.dim(deg + 1))] for deg in d}
+    for deg, cols in d.items():
+        for u, col in enumerate(cols):
+            for r, val in col.items():
+                d_rows[deg][r][u] = val
+    d_columns = {}
     for k in index:
         if k + 1 not in index:
             continue
-        block = d_blocks[k] = [[Q(0)] * len(index[k]) for _ in index[k + 1]]
+        cols = d_columns[k] = [{} for _ in index[k]]
         sign = -1 if k % 2 else 1
         base = flat.offset[k + 1]
-        for pos, (sd, si, di) in enumerate(index[k]):
+        for (sd, si, di), col in zip(index[k], cols):
             s, t = (sd, si), (sd + k, di)
-            for r, row in enumerate(c.differential.block(sd + k)):
-                if row[di]:
-                    block[place[s, (sd + k + 1, r)] - base][pos] += row[di]
-            for u, val in enumerate(c.differential.block(sd - 1)[si]):
-                if val:
-                    block[place[(sd - 1, u), t] - base][pos] -= sign * val
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
+            if sd + k in d:
+                for r, val in d[sd + k][di].items():
+                    col[place[s, (sd + k + 1, r)] - base] = val
+            if sd - 1 in d:
+                for u, val in d_rows[sd - 1][si].items():
+                    col[place[(sd - 1, u), t] - base] = -sign * val
+    cx = Complex(space, GradedMap(space, space, 1, d_columns))
 
     def composite(a: int, b: int) -> int:
         """The flat position of E_a o E_b, whose source is E_b's source."""

@@ -2,6 +2,12 @@
 
 All spaces are finitely supported over the rationals.  Elements of a graded
 space are dicts ``degree -> coordinate list``; missing degrees mean zero.
+``vec_add``, ``vec_sub`` and ``vec_scale`` do no arithmetic on a zero
+coordinate.  Graded maps are stored as sparse columns, one dict of nonzero
+coefficients per source basis vector (``GradedMap``), so applying and
+composing them costs in proportion to the nonzeros met.  Dense blocks are a
+view, made for the elimination kernels (``cohomology``, ``solve``) and for
+JSON, or kept as given when a map is built from them.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix, Q, Vector
+
+_ZERO = Q(0)
 
 GVec = dict  # degree -> list[Fraction]
 
@@ -65,21 +73,35 @@ class GradedVectorSpace:
 def vec_add(x: GVec, y: GVec) -> GVec:
     out = {d: v[:] for d, v in x.items()}
     for d, v in y.items():
-        if d in out:
-            out[d] = [a + b for a, b in zip(out[d], v)]
-        else:
+        w = out.get(d)
+        if w is None:
             out[d] = v[:]
+            continue
+        for i, b in enumerate(v):
+            if b:
+                a = w[i]
+                w[i] = a + b if a else b
     return {d: v for d, v in out.items() if any(v)}
 
 
 def vec_scale(c: Fraction, x: GVec) -> GVec:
     if not c:
         return {}
-    return {d: [c * a for a in v] for d, v in x.items()}
+    return {d: [c * a if a else a for a in v] for d, v in x.items()}
 
 
 def vec_sub(x: GVec, y: GVec) -> GVec:
-    return vec_add(x, vec_scale(Q(-1), y))
+    out = {d: v[:] for d, v in x.items()}
+    for d, v in y.items():
+        w = out.get(d)
+        if w is None:
+            out[d] = [-b if b else b for b in v]
+            continue
+        for i, b in enumerate(v):
+            if b:
+                a = w[i]
+                w[i] = a - b if a else -b
+    return {d: v for d, v in out.items() if any(v)}
 
 
 def vec_is_zero(x: GVec) -> bool:
@@ -103,22 +125,82 @@ def vec_component(x: GVec, deg: int, dim: int) -> Vector:
 # ---------------------------------------------------------------------------
 # maps
 
+Column = dict  # target basis index -> nonzero coefficient
+
+
+def _combine(cols: list[Column], coeffs) -> Column:
+    """The sum of c * cols[j] over the pairs (j, c) of ``coeffs``, zeros dropped."""
+    acc: Column = {}
+    for j, c in coeffs:
+        for r, e in cols[j].items():
+            acc[r] = acc[r] + c * e if r in acc else c * e
+    return {r: s for r, s in acc.items() if s}
+
+
+def _is_dense(blocks: dict) -> bool:
+    """Dense blocks are lists of rows; columns are lists of dicts."""
+    return not any(block and isinstance(block[0], dict) for block in blocks.values())
+
+
 @dataclass(frozen=True)
 class GradedMap:
-    """Degree-homogeneous linear map: blocks[n] maps V_n -> W_{n+shift}."""
+    """Degree-homogeneous linear map V -> W of degree ``shift``, held as
+    sparse columns: ``columns[n][j]`` is the image of basis vector j of V_n,
+    a dict from indices of W_{n+shift} to nonzero coefficients.  Degrees
+    where the map is zero are absent.
+
+    Dense blocks, ``blocks[n]`` a list of rows mapping V_n -> W_{n+shift},
+    are accepted in the place of ``columns`` and converted, with their shape
+    checks.  ``blocks`` and ``block(n)`` are the dense view, for the
+    elimination kernels and for JSON: the dense input itself, or built from
+    the columns when first asked for.  ``apply`` and ``compose`` read only
+    the columns and cost in proportion to the nonzeros they meet.
+    """
 
     source: GradedVectorSpace
     target: GradedVectorSpace
     shift: int
-    blocks: dict[int, Matrix]
+    columns: dict[int, list[Column]]
 
     def __post_init__(self):
-        for n, block in self.blocks.items():
-            rows, cols = linalg.shape(block)
-            if cols != self.source.dim(n) or rows != self.target.dim(n + self.shift):
-                raise StructuralError(
-                    f"block at degree {n} has shape {rows}x{cols}, expected "
-                    f"{self.target.dim(n + self.shift)}x{self.source.dim(n)}")
+        given = self.columns
+        if _is_dense(given):
+            for n, block in given.items():
+                rows, cols = linalg.shape(block)
+                if cols != self.source.dim(n) or rows != self.target.dim(n + self.shift):
+                    raise StructuralError(
+                        f"block at degree {n} has shape {rows}x{cols}, expected "
+                        f"{self.target.dim(n + self.shift)}x{self.source.dim(n)}")
+            self.__dict__["blocks"] = given
+            columns = {}
+            for n, block in given.items():
+                cols = columns[n] = [{} for _ in range(self.source.dim(n))]
+                for r, row in enumerate(block):
+                    for j, c in enumerate(row):
+                        if c:
+                            cols[j][r] = c
+        else:
+            for n, cols in given.items():
+                rows = self.target.dim(n + self.shift)
+                if len(cols) != self.source.dim(n) or not all(
+                        c and 0 <= r < rows for col in cols for r, c in col.items()):
+                    raise StructuralError(
+                        f"columns at degree {n}: expected {self.source.dim(n)} columns "
+                        f"of nonzero entries in rows 0..{rows - 1}, got {len(cols)}")
+            columns = given
+        object.__setattr__(self, "columns",
+                           {n: cols for n, cols in sorted(columns.items()) if any(cols)})
+
+    @cached_property
+    def blocks(self) -> dict[int, Matrix]:
+        """``blocks[n]`` is the dense matrix of V_n -> W_{n+shift}."""
+        out = {}
+        for n, cols in self.columns.items():
+            block = out[n] = linalg.zeros(self.target.dim(n + self.shift), len(cols))
+            for j, col in enumerate(cols):
+                for r, c in col.items():
+                    block[r][j] = c
+        return out
 
     def block(self, n: int) -> Matrix:
         if n in self.blocks:
@@ -128,35 +210,50 @@ class GradedMap:
     def apply(self, x: GVec) -> GVec:
         out: GVec = {}
         for deg, v in x.items():
-            if not any(v):
+            nonzero = [(j, c) for j, c in enumerate(v) if c]
+            if not nonzero:
                 continue
-            w = linalg.matvec(self.block(deg), v)
-            if any(w):
-                out[vd] = [a + b for a, b in zip(out[vd], w)] if (vd := deg + self.shift) in out else w
-        return {d: v for d, v in out.items() if any(v)}
+            if len(v) != self.source.dim(deg):
+                raise ValueError(f"shape mismatch: vector of length {len(v)} in degree "
+                                 f"{deg}, expected {self.source.dim(deg)}")
+            cols = self.columns.get(deg)
+            image = _combine(cols, nonzero) if cols else None
+            if image:
+                w = out[deg + self.shift] = [_ZERO] * self.target.dim(deg + self.shift)
+                for r, c in image.items():
+                    w[r] = c
+        return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
-        blocks = {}
+        columns = {}
         for n in other.source.degrees:
-            m = linalg.matmul(self.block(n + other.shift), other.block(n))
-            if not linalg.is_zero_matrix(m):
-                blocks[n] = m
-        return GradedMap(other.source, self.target, self.shift + other.shift, blocks)
+            m = n + other.shift
+            if self.source.dim(m) != other.target.dim(m):
+                raise ValueError(f"shape mismatch: composing through degree {m} of "
+                                 f"dimensions {self.source.dim(m)} and {other.target.dim(m)}")
+            inner, outer = other.columns.get(n), self.columns.get(m)
+            if inner and outer:
+                columns[n] = [_combine(outer, col.items()) for col in inner]
+        return GradedMap(other.source, self.target, self.shift + other.shift, columns)
 
     def add(self, other: "GradedMap") -> "GradedMap":
         if other.shift != self.shift:
             raise StructuralError("cannot add maps of different shifts")
-        degs = set(self.blocks) | set(other.blocks)
-        return GradedMap(self.source, self.target, self.shift,
-                         {n: linalg.add(self.block(n), other.block(n)) for n in degs})
+        columns = dict(self.columns)
+        for n, cols in other.columns.items():
+            mine = columns.get(n)
+            columns[n] = cols if mine is None else [    # a + b, column by column
+                _combine((a, b), ((0, 1), (1, 1))) for a, b in zip(mine, cols)]
+        return GradedMap(self.source, self.target, self.shift, columns)
 
     def scale(self, c: Fraction) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.shift,
-                         {n: linalg.scale(c, b) for n, b in self.blocks.items()})
+        columns = {n: [{r: c * e for r, e in col.items()} for col in cols]
+                   for n, cols in self.columns.items()} if c else {}
+        return GradedMap(self.source, self.target, self.shift, columns)
 
     def is_zero(self) -> bool:
-        return all(linalg.is_zero_matrix(b) for b in self.blocks.values())
+        return not self.columns
 
 
 def zero_map(source: GradedVectorSpace, target: GradedVectorSpace, shift: int = 0) -> GradedMap:
@@ -165,7 +262,7 @@ def zero_map(source: GradedVectorSpace, target: GradedVectorSpace, shift: int = 
 
 def identity_map(space: GradedVectorSpace) -> GradedMap:
     return GradedMap(space, space, 0,
-                     {n: linalg.identity(space.dim(n)) for n in space.degrees})
+                     {n: [{i: Q(1)} for i in range(space.dim(n))] for n in space.degrees})
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +281,7 @@ class Complex:
             raise StructuralError("differential source does not match space")
         dd = d.compose(d)
         if not dd.is_zero():
-            bad = sorted(n for n, b in dd.blocks.items() if not linalg.is_zero_matrix(b))
-            raise StructuralError(f"d^2 != 0 starting in degrees {bad}")
+            raise StructuralError(f"d^2 != 0 starting in degrees {list(dd.columns)}")
 
     def d(self, x: GVec) -> GVec:
         return self.differential.apply(x)
@@ -194,9 +290,9 @@ class Complex:
 def shift_complex(c: Complex, k: int) -> Complex:
     """(C[k])^n = C^{n+k} with differential (-1)^k d."""
     space = GradedVectorSpace({n - k: labels for n, labels in c.space.components.items()})
-    sign = Q(-1) if k % 2 else Q(1)
-    blocks = {n - k: linalg.scale(sign, b) for n, b in c.differential.blocks.items()}
-    return Complex(space, GradedMap(space, space, 1, blocks))
+    d = c.differential.scale(Q(-1)) if k % 2 else c.differential
+    return Complex(space, GradedMap(space, space, 1,
+                                    {n - k: cols for n, cols in d.columns.items()}))
 
 
 def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> GradedMap:
@@ -224,6 +320,17 @@ class SubSpaceData:
             for v in vecs:
                 if len(v) != self.parent.dim(deg):
                     raise StructuralError(f"span vector length mismatch in degree {deg}")
+
+    @classmethod
+    def from_echelon(cls, parent: GradedVectorSpace,
+                     echelon: dict[int, tuple[list[Vector], list[int]]]) -> "SubSpaceData":
+        """The span of vectors already in echelon form: per degree, vectors
+        and columns with vector i 1 at column i and 0 at the other columns
+        (as ``linalg.kernel`` gives them).  They are the basis as they are,
+        with no elimination."""
+        sub = cls(parent, {deg: vecs for deg, (vecs, _) in echelon.items()})
+        sub.__dict__["echelon"] = {deg: e for deg, e in echelon.items() if e[0]}
+        return sub
 
     @cached_property
     def echelon(self) -> dict[int, tuple[list[Vector], list[int]]]:
@@ -307,19 +414,13 @@ def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
             proj_blocks[deg] = [inv[len(sub_basis) + j] for j in range(len(comp_idx))]
 
     qspace = GradedVectorSpace(components)
-    d_blocks: dict[int, Matrix] = {}
-    for deg in qspace.degrees:
-        cols = []
-        for i in section_indices[deg]:
-            img = c.d(c.space.basis_element(deg, i))
-            w = vec_component(img, deg + 1, c.space.dim(deg + 1))
-            pb = proj_blocks.get(deg + 1)
-            cols.append(linalg.matvec(pb, w) if pb else [])
-        if cols and any(any(col) for col in cols):
-            d_blocks[deg] = linalg.transpose(cols)
-    qdiff = GradedMap(qspace, qspace, 1, d_blocks)
     proj = GradedMap(c.space, qspace, 0,
                      {deg: blk for deg, blk in proj_blocks.items() if blk and qspace.dim(deg)})
+    # d on the quotient: the projection of d on the chosen section
+    pd = proj.compose(c.differential).columns
+    qdiff = GradedMap(qspace, qspace, 1, {
+        deg: [pd[deg][i] for i in section_indices[deg]]
+        for deg in qspace.degrees if deg in pd})
     return QuotientComplex(Complex(qspace, qdiff), proj, section_indices)
 
 
@@ -411,8 +512,8 @@ def induced_map_on_cohomology(f: GradedMap, source: Complex, target: Complex,
     """
     residual = is_chain_map(f, source, target)
     if not residual.is_zero():
-        bad = sorted(n for n, b in residual.blocks.items() if not linalg.is_zero_matrix(b))
-        raise StructuralError(f"not a chain map; residual nonzero in degrees {bad}")
+        raise StructuralError(
+            f"not a chain map; residual nonzero in degrees {list(residual.columns)}")
     hs = source_cohomology or cohomology(source)
     ht = target_cohomology or cohomology(target)
     out: dict[int, Matrix] = {}

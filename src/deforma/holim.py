@@ -18,10 +18,10 @@ from . import linalg
 from .cartan import cartan_check, lie_from_cartan
 from .convolution import Convolution, convolution
 from .dgla import (CdgaModel, Dgla, SubDgla, ValidationReport, _residual_repr,
-                   abelian_dgla, ad_exp_terms, restrict_to_sub, sub_dgla_span,
-                   sub_quotient, tensor_basis, tensor_dgla)
+                   abelian_dgla, ad_exp_terms, restrict_to_sub, sub_quotient,
+                   tensor_basis, tensor_dgla)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
-                     QuotientComplex, StructuralError,
+                     QuotientComplex, StructuralError, SubSpaceData,
                      cohomology, induced_map_on_cohomology, is_chain_map,
                      shift_complex, vec_add, vec_degree, vec_is_zero,
                      vec_scale, vec_sub)
@@ -334,11 +334,14 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
                     if c:
                         row[ambient.positions[k][('p', 0, j)]] = c
                 rows.append(row)
-        kernel = linalg.nullspace(rows) if rows else [list(r) for r in linalg.identity(dim)]
-        if kernel:
+        kernel = linalg.kernel(rows) if rows else (linalg.identity(dim), list(range(dim)))
+        if kernel[0]:
             span[k] = kernel
 
-    sub = sub_dgla_span(abelian_dgla(ambient.dgla.underlying), span)
+    # the kernel vectors are in echelon form already (1 at their free
+    # column, 0 at the other free columns), so they need no second rref
+    sub = SubDgla(abelian_dgla(ambient.dgla.underlying),
+                  SubSpaceData.from_echelon(ambient.space, span))
     restricted = restrict_to_sub(sub)
     basis = {k: sub.span.basis_in_degree(k) for k in sorted(span)}
     basis = {k: bs for k, bs in basis.items() if bs}
@@ -394,15 +397,10 @@ def induced_quotient_map(pair: HolimPair, g: Dgla, i: GradedMap) -> GradedMap:
     if i.shift != -1:
         raise StructuralError("the inducing map must have degree -1")
     target = shifted_quotient(pair)
-    blocks = {}
-    for k in g.space.degrees:
-        pblock = pair.quotient.projection.blocks.get(k - 1)
-        iblock = i.blocks.get(k)
-        if not pblock or not iblock:
-            continue
-        sign = Q(-1) if k % 2 else Q(1)
-        blocks[k] = linalg.scale(sign, linalg.matmul(pblock, iblock))
-    return GradedMap(g.space, target.space, 0, blocks)
+    pi = pair.quotient.projection.compose(i)
+    return GradedMap(g.space, target.space, 0, {
+        k: [{r: -c for r, c in col.items()} for col in cols] if k % 2 else cols
+        for k, cols in pi.columns.items()})
 
 
 @dataclass
@@ -520,23 +518,17 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
     qcx = pair.quotient.complex
     if section.shift != 0:
         raise StructuralError("the section must be a degree-0 map h/n -> h")
-    composite = pair.quotient.projection.compose(section)
-    identity_defect = False
-    for k in qcx.space.degrees:
-        dim = qcx.space.dim(k)
-        blk = composite.block(k)
-        if any(blk[r][c] != (Q(1) if r == c else Q(0))
-               for r in range(dim) for c in range(dim)):
-            identity_defect = True
-    if identity_defect:
+    composite = pair.quotient.projection.compose(section).columns
+    if any(composite.get(k) != [{c: 1} for c in range(qcx.space.dim(k))]
+           for k in qcx.space.degrees):
         raise StructuralError("the given map is not a section of the projection")
     res = is_chain_map(section, qcx, pair.h.underlying)
     if not res.is_zero():
         raise StructuralError("the section is not a chain map")
 
     source = abelian_dgla(shifted_quotient(pair))
-    sblocks = {qdeg + 1: blk for qdeg, blk in section.blocks.items()}
-    s_shift = GradedMap(source.space, pair.h.space, -1, sblocks)
+    s_shift = GradedMap(source.space, pair.h.space, -1,
+                        {qdeg + 1: cols for qdeg, cols in section.columns.items()})
 
     morphism = map_into_holim(source, s_shift, pair, arity_bound=2)
     if not morphism.l.is_zero():

@@ -1,10 +1,13 @@
 """Exact rational matrix routines.
 
-Matrices are lists of rows, entries are ``fractions.Fraction``.  Matrices
-are stored dense, but the kernels skip zeros: ``matvec`` multiplies only the
-vector's nonzeros, and ``rref`` updates a row only where the pivot row is
-nonzero.  Everything is deterministic: pivoting is always "leftmost column,
-first usable row", so identical inputs give identical outputs.
+Matrices are lists of rows, entries are ``fractions.Fraction``.  These are
+the elimination kernels (rref, nullspace, solve and what is built on them),
+and they take dense matrices; ``rref`` updates a row only where the pivot
+row is nonzero.  Linear maps themselves are held as sparse columns
+(``graded.GradedMap``), which apply and compose without a dense matrix; a
+map's dense blocks are made only for these kernels and for JSON.
+Everything is deterministic: pivoting is always "leftmost column, first
+usable row", so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -36,53 +39,9 @@ def shape(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = shape(a)
-    k2, m = shape(b)
-    if not a or not b:
-        # empty matrices carry no column count; the product is empty or zero
-        return zeros(n, m)
-    if k != k2:
-        raise ValueError(f"shape mismatch: {n}x{k} @ {k2}x{m}")
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def matvec(a: Matrix, v: Vector) -> Vector:
-    n, k = shape(a)
-    if n == 0:
-        return []
-    if k != len(v):
-        raise ValueError(f"shape mismatch: {n}x{k} @ vec {len(v)}")
-    nonzero = [(t, c) for t, c in enumerate(v) if c]
-    return [sum((row[t] * c for t, c in nonzero if row[t]), Q(0)) for row in a]
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     n, m = shape(a)
     return [[a[i][j] for i in range(n)] for j in range(m)]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -116,12 +75,15 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the kernel, one vector per free column, deterministic order."""
+def kernel(a: Matrix) -> tuple[list[Vector], list[int]]:
+    """Basis of the kernel, one vector per free column, deterministic order,
+    and the free columns: vector i is 1 at free column i and 0 at the other
+    free columns, so the pair is in the echelon form of ``SubSpaceData``."""
     rows, cols = shape(a)
     red, pivots = rref(a)
     pivot_set = set(pivots)
     basis: list[Vector] = []
+    free_columns: list[int] = []
     for free in range(cols):
         if free in pivot_set:
             continue
@@ -130,7 +92,13 @@ def nullspace(a: Matrix) -> list[Vector]:
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][free]
         basis.append(v)
-    return basis
+        free_columns.append(free)
+    return basis, free_columns
+
+
+def nullspace(a: Matrix) -> list[Vector]:
+    """Basis of the kernel, one vector per free column, deterministic order."""
+    return kernel(a)[0]
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

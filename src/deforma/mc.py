@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .artin import NilpotentDgla
-from .dgla import Dgla, SubDgla, ad_exp_terms
+from .dgla import _ZERO, Dgla, SubDgla, _add_into, ad_exp_terms
 from .graded import (GVec, StructuralError, cohomology, vec_add, vec_component,
                      vec_degree, vec_is_zero, vec_scale, vec_sub)
 from . import linalg
@@ -65,25 +65,34 @@ def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
     ranges over degree -1 elements of sub (x) m_A instead.
     """
     _require_degree(x, 1, "Maurer-Cartan point")
-    out = []
     deg = -1
-    na = ng.coefficients.dim
-    pairs = []  # (h, d h)
-    if sub is None:
-        # d e_i is column i of the d block
-        block = ng.dgla.underlying.differential.block(deg)
-        for i in range(ng.space.dim(deg)):
-            col = [row[i] for row in block]
-            pairs.append((ng.space.basis_element(deg, i),
-                          {deg + 1: col} if any(col) else {}))
-    else:
+    if sub is not None:
+        out = []
         for v in sub.span.basis_in_degree(deg):
-            for mon in range(na):
+            for mon in range(ng.coefficients.dim):
                 h = ng.tensor_element({deg: list(v)}, mon)
-                pairs.append((h, ng.d(h)))
-    for h, dh in pairs:
-        g = vec_add(dh, ng.bracket(x, h))
-        if not vec_is_zero(g):
+                g = vec_add(ng.d(h), ng.bracket(x, h))
+                if not vec_is_zero(g):
+                    out.append(g)
+        return out
+    # d e_i is column i of d, and [x, e_i] = sum_a x_a [e_a, e_i] is read
+    # off the table rows of the nonzero coordinates of x
+    t = ng.dgla.table
+    if deg not in t.offset:
+        return []
+    base, dim = t.offset[deg], t.dims[deg]
+    dcols = ng.dgla.underlying.differential.columns.get(deg)
+    target = t.offset.get(deg + 1)
+    rows = [(c, t.row(a)) for a, c in t.flat(x).items()]
+    out = []
+    for i in range(dim):
+        acc = {target + r: c for r, c in dcols[i].items()} if dcols else {}
+        for c, row in rows:
+            entry = row.get(base + i)
+            if entry:
+                _add_into(acc, c, entry)
+        g = t.graded(acc)
+        if g:
             out.append(g)
     return out
 
@@ -99,6 +108,16 @@ def _weight_indices(ng: NilpotentDgla, deg: int, weight: int) -> list[int]:
     na = ng.coefficients.dim
     return [t for t in range(ng.space.dim(deg))
             if ng.coefficients.weights[t % na] == weight]
+
+
+def _d_slice(ng: NilpotentDgla, deg: int, rows: list[int], cols: list[int]) -> linalg.Matrix:
+    """The dense submatrix of d: degree ``deg`` -> ``deg + 1`` on the given
+    row and column indices, read off the columns of d."""
+    dcols = ng.dgla.underlying.differential.columns.get(deg)
+    if dcols is None:
+        return linalg.zeros(len(rows), len(cols))
+    picked = [dcols[c] for c in cols]
+    return [[col.get(r, _ZERO) for col in picked] for r in rows]
 
 
 def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
@@ -129,13 +148,13 @@ def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
             continue
         rows = _weight_indices(ng, 1, w)
         cols = _weight_indices(ng, 0, w)
-        rhs = [vec_component(r_w, 1, dim1)[r] for r in rows]
+        r_1 = vec_component(r_w, 1, dim1)
+        rhs = [r_1[r] for r in rows]
         if not cols:
             sol = [] if not any(rhs) else None
         else:
-            block = ng.dgla.underlying.differential.block(0)
-            mat = [[-(block[r][c]) for c in cols] for r in rows]
-            sol = linalg.solve(mat, rhs)
+            # d alpha_w = -r_w; [B | -b] and [-B | b] have the same rref
+            sol = linalg.solve(_d_slice(ng, 0, rows, cols), [-c if c else c for c in rhs])
         if sol is None:
             if w == 1 or abelian:
                 return GaugeResult("not_equivalent", None,
@@ -213,13 +232,12 @@ def mc_correct_step(ng: NilpotentDgla, x: GVec) -> GVec | None:
         return None
     rows = _weight_indices(ng, 2, obs.weight)
     cols = _weight_indices(ng, 1, obs.weight)
-    rhs = [-vec_component(obs.representative, 2, ng.space.dim(2))[r] for r in rows]
+    r_2 = vec_component(obs.representative, 2, ng.space.dim(2))
+    rhs = [-r_2[r] for r in rows]
     if not cols:
         sol = [] if not any(rhs) else None
     else:
-        block = ng.dgla.underlying.differential.block(1)
-        mat = [[block[r][c] for c in cols] for r in rows]
-        sol = linalg.solve(mat, rhs)
+        sol = linalg.solve(_d_slice(ng, 1, rows, cols), rhs)
     if sol is None:
         raise StructuralError("vanishing obstruction class with unsolvable "
                               "correction; inconsistent cohomology data")

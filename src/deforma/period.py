@@ -25,7 +25,7 @@ from .dgla import (CdgaModel, Dgla, DglaMorphism, SubDgla, ValidationReport,
 from .endo import EndDgla, end_dgla
 from .graded import (Complex, GradedMap, GradedVectorSpace,
                      StructuralError, SubSpaceData,
-                     cohomology, quotient_complex, vec_add,
+                     cohomology, quotient_complex, vec_add, vec_component,
                      vec_is_zero, vec_scale, vec_sub, zero_map)
 from .linalg import Q, Vector
 
@@ -285,9 +285,9 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
             if not basis:
                 continue
             # cocycles inside F^p in this degree
-            d_block = omega.complex.differential.block(deg)
-            mat = [[sum(d_block[r][t] * v[t] for t in range(dim))
-                    for v in basis] for r in range(omega.space.dim(deg + 1))]
+            images = [vec_component(omega.d({deg: v}), deg + 1, omega.space.dim(deg + 1))
+                      for v in basis]
+            mat = linalg.transpose(images)
             if mat:
                 kernel = linalg.nullspace(mat)
             else:

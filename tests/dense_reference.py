@@ -17,6 +17,14 @@ elementary maps per pair.  They are the oracle for ``tensor_dgla``,
 ``path_dgla``, ``hom_dgla_slice`` and ``end_dgla`` in
 test_sparse_tables.py and test_convolution.py.
 
+The map oracles are the dense matrix products that ``GradedMap`` used
+before it held sparse columns: ``matvec`` and ``matmul`` on its dense
+blocks, as ``apply`` and ``compose``, and ``differential_columns``, d read
+off those blocks.  ``irrelevant_stabilizer`` is the former loop that made
+d e_i from a column of the dense d block and one bracket per e_i.  They are
+the oracle for ``GradedMap``, ``tensor_dgla``'s d and
+``mc.irrelevant_stabilizer`` in test_sparse_maps.py.
+
 The linear-algebra oracles do one elimination per vector: an ``rref`` that
 rewrites whole rows, greedy ``in_span`` loops for cohomology
 representatives and complements, and sub-dgla coordinates by ``solve``.
@@ -38,14 +46,14 @@ from fractions import Fraction
 from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
                                  canonical_tuples, canonicalize, v_basis, vdeg)
 from deforma.dgla import (Dgla, DglaMorphism, SubDgla, ValidationReport,
-                          _ZERO as ZERO, _differential_columns, _residual_repr,
+                          _ZERO as ZERO, _residual_repr,
                           ad_exp_terms, tensor_basis, validate_morphism)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
                             vec_is_zero, vec_scale, vec_sub)
-from deforma.linalg import (Matrix, Q, Vector, columns_matrix, identity, transpose,
-                            zeros)
+from deforma.linalg import (Matrix, Q, Vector, columns_matrix, identity, shape,
+                            transpose, zeros)
 
 
 @dataclass(frozen=True)
@@ -227,6 +235,91 @@ def tensor_nilpotent(g, a) -> Dgla:
     return Dgla(cx, brackets)
 
 
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    n, k = shape(a)
+    k2, m = shape(b)
+    if not a or not b:
+        # empty matrices carry no column count; the product is empty or zero
+        return zeros(n, m)
+    if k != k2:
+        raise ValueError(f"shape mismatch: {n}x{k} @ {k2}x{m}")
+    out = zeros(n, m)
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            c = ai[t]
+            if c:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += c * bt[j]
+    return out
+
+
+def matvec(a: Matrix, v: Vector) -> Vector:
+    n, k = shape(a)
+    if n == 0:
+        return []
+    if k != len(v):
+        raise ValueError(f"shape mismatch: {n}x{k} @ vec {len(v)}")
+    nonzero = [(t, c) for t, c in enumerate(v) if c]
+    return [sum((row[t] * c for t, c in nonzero if row[t]), Q(0)) for row in a]
+
+
+def apply(f: GradedMap, x: GVec) -> GVec:
+    """f(x) by ``matvec`` on the dense blocks of f."""
+    out: GVec = {}
+    for deg, v in x.items():
+        if not any(v):
+            continue
+        w = matvec(f.block(deg), v)
+        if any(w):
+            out[deg + f.shift] = w
+    return out
+
+
+def compose(f: GradedMap, g: GradedMap) -> dict[int, Matrix]:
+    """The nonzero dense blocks of f after g, by ``matmul``."""
+    blocks = {}
+    for n in g.source.degrees:
+        m = matmul(f.block(n + g.shift), g.block(n))
+        if any(any(row) for row in m):
+            blocks[n] = m
+    return blocks
+
+
+def irrelevant_stabilizer(ng, x: GVec) -> list[GVec]:
+    """{d e_i + [x, e_i]} over the degree -1 basis of g (x) m_A, zeros
+    dropped: d e_i is column i of the dense d block, and each bracket is
+    made on its own."""
+    out = []
+    block = ng.dgla.underlying.differential.block(-1)
+    dim0 = ng.space.dim(0)
+    for i in range(ng.space.dim(-1)):
+        col = [row[i] for row in block]
+        br = ng.bracket(x, ng.space.basis_element(-1, i)).get(0, [Q(0)] * dim0)
+        g = [a + b for a, b in zip(col, br)]
+        if any(g):
+            out.append({0: g})
+    return out
+
+
+def differential_columns(t, d: GradedMap) -> list[dict]:
+    """d e_a as a sparse vector over the flat basis of the table ``t``, for
+    every flat position a, read off the dense blocks of d."""
+    cols: list[dict] = [{} for _ in t.position]
+    for deg, block in d.blocks.items():
+        if deg not in t.offset:
+            continue
+        src, dst = t.offset[deg], t.offset.get(deg + 1)
+        for r, row in enumerate(block):
+            for c, val in enumerate(row):
+                if val:
+                    cols[src + c][dst + r] = val
+    return cols
+
+
 def tensor_tables(g, a) -> tuple[Complex, dict]:
     """g (x) A for a dgla g and a finite cdga A, as the complex and the dense
     bracket tables: every pair of tensor basis vectors with a nonzero
@@ -247,8 +340,8 @@ def tensor_tables(g, a) -> tuple[Complex, dict]:
     gdeg = [deg for deg, _ in gt.position]
     adeg = [deg for deg, _ in at.position]
 
-    gd = _differential_columns(gt, g.underlying.differential)
-    ad = _differential_columns(at, a.complex.differential)
+    gd = differential_columns(gt, g.underlying.differential)
+    ad = differential_columns(at, a.complex.differential)
     d_blocks = {}
     for (v, f), (k, col) in place.items():
         sign = -1 if gdeg[v] % 2 else 1
@@ -281,36 +374,42 @@ def tensor_tables(g, a) -> tuple[Complex, dict]:
 def end_tables(c: Complex) -> tuple[Complex, dict]:
     """End(C) as the complex and the dense bracket tables, on the basis of
     ``endo.end_dgla``: d and every bracket computed by composing two dense
-    elementary ``GradedMap``s; (m, n) tables kept only when nonzero."""
+    elementary maps with ``matmul``; d blocks and (m, n) tables kept only
+    when nonzero."""
     sp = c.space
     end = end_dgla(c)
     index, space = end.index, end.space
+    d = (1, {n: c.differential.block(n) for n in sp.degrees})
 
-    def elem_map(k: int, pos: int) -> GradedMap:
+    def elem_map(k: int, pos: int) -> tuple[int, dict]:
+        """(shift, dense blocks) of the elementary map E_ts."""
         sd, si, di = index[k][pos]
         block = [[Q(1) if (r == di and cc == si) else Q(0)
                   for cc in range(sp.dim(sd))] for r in range(sp.dim(sd + k))]
-        return GradedMap(sp, sp, k, {sd: block})
+        return k, {sd: block}
 
-    def map_coords(f: GradedMap) -> list:
-        k = f.shift
-        return [f.block(sd)[di][si] for (sd, si, di) in index[k]]
+    def after(f, g) -> dict:
+        (fk, fb), (gk, gb) = f, g
+        return {n: matmul(fb[n + gk], b) for n, b in gb.items() if n + gk in fb}
+
+    def commutator_coords(f, g, sign) -> list:
+        """Coordinates of f o g - sign g o f in the elementary basis."""
+        fg, gf = after(f, g), after(g, f)
+        k = f[0] + g[0]
+        return [(fg[sd][di][si] if sd in fg else Q(0))
+                - sign * (gf[sd][di][si] if sd in gf else Q(0))
+                for (sd, si, di) in index[k]]
 
     d_blocks = {}
     for k in index:
         if k + 1 not in index:
             continue
-        cols = []
-        for pos in range(len(index[k])):
-            f = elem_map(k, pos)
-            # [d, f] = d o f - (-1)^k f o d
-            df = c.differential.compose(f)
-            fd = f.compose(c.differential)
-            sign = Q(-1) if k % 2 else Q(1)
-            comm = df.add(fd.scale(-sign))
-            cols.append(map_coords(comm))
-        d_blocks[k] = [[cols[j][i] for j in range(len(cols))]
-                       for i in range(len(index[k + 1]))]
+        # [d, f] = d o f - (-1)^k f o d
+        sign = Q(-1) if k % 2 else Q(1)
+        cols = [commutator_coords(d, elem_map(k, pos), sign) for pos in range(len(index[k]))]
+        block = [[cols[j][i] for j in range(len(cols))] for i in range(len(index[k + 1]))]
+        if any(any(row) for row in block):
+            d_blocks[k] = block
 
     brackets = {}
     for m in index:
@@ -318,20 +417,9 @@ def end_tables(c: Complex) -> tuple[Complex, dict]:
             if m > n or (m + n) not in index:
                 continue
             sign = Q(-1) if (m * n) % 2 else Q(1)
-            table = []
-            any_nonzero = False
-            for i in range(len(index[m])):
-                fi = elem_map(m, i)
-                row = []
-                for j in range(len(index[n])):
-                    fj = elem_map(n, j)
-                    comm = fi.compose(fj).add(fj.compose(fi).scale(-sign))
-                    v = map_coords(comm)
-                    if any(v):
-                        any_nonzero = True
-                    row.append(v)
-                table.append(row)
-            if any_nonzero:
+            table = [[commutator_coords(elem_map(m, i), elem_map(n, j), sign)
+                      for j in range(len(index[n]))] for i in range(len(index[m]))]
+            if any(any(v) for row in table for v in row):
                 brackets[(m, n)] = table
     return Complex(space, GradedMap(space, space, 1, d_blocks)), brackets
 
@@ -416,6 +504,25 @@ def echelon_basis(vectors: list[Vector]) -> list[Vector]:
     return red[:len(pivots)]
 
 
+def sub_basis(span: SubSpaceData, deg: int) -> list[Vector]:
+    """The basis of ``span`` in one degree: the echelon basis of its vectors,
+    or, for a span given in echelon form (``SubSpaceData.from_echelon``),
+    the vectors themselves.  The echelon form is checked here: vector i is 1
+    at column i of ``span.echelon`` and 0 at the others, and the vectors
+    are independent."""
+    vectors = span.span.get(deg, [])
+    basis = echelon_basis(vectors)
+    if span.basis_in_degree(deg) == basis:
+        return basis
+    assert span.basis_in_degree(deg) == vectors
+    columns = span.echelon[deg][1]
+    assert len(columns) == len(vectors)
+    assert all(v[c] == (1 if i == j else 0)
+               for i, v in enumerate(vectors) for j, c in enumerate(columns))
+    assert len(basis) == len(vectors)
+    return vectors
+
+
 def extend_to_complement(span: list[Vector], dim: int) -> list[int]:
     """Standard basis vectors outside the span of those before, greedily."""
     chosen: list[int] = []
@@ -469,10 +576,10 @@ def quotient_sections(c: Complex, sub: SubSpaceData
 
 
 def restrict_to_sub(n: SubDgla) -> Dgla:
-    """The induced dgla on the echelon basis of n, every coordinate found by
-    ``solve`` and every bracket table built."""
+    """The induced dgla on the basis ``sub_basis`` of n, every coordinate
+    found by ``solve`` and every bracket table built."""
     h = n.parent
-    bases = {deg: echelon_basis(vs) for deg, vs in sorted(n.span.span.items())}
+    bases = {deg: sub_basis(n.span, deg) for deg in sorted(n.span.span)}
     bases = {deg: bs for deg, bs in bases.items() if bs}
     space = GradedVectorSpace({deg: tuple(f"s{deg}_{i}" for i in range(len(bs)))
                                for deg, bs in bases.items()})
