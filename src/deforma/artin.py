@@ -1,10 +1,12 @@
 """Local Artin coefficient algebras and the nilpotent dgla g (x) m_A.
 
-Only classical (ungraded) Artin algebras are implemented.  Monomial bases are
-ordered degree-then-lexicographic for reproducibility.  g (x) m_A is
-``dgla.tensor_dgla`` of g with m_A as a degree-0 cdga with zero
-differential, so its basis in each degree is (g basis) major, (monomials)
-minor, labelled "v@m".
+Only classical (ungraded) Artin algebras are implemented.  m_A is held as a
+``dgla.CdgaModel`` concentrated in degree 0 with zero differential, whose
+sparse table lists only the nonzero monomial products; it is validated by
+``dgla.validate_cdga`` plus a nilpotency check.  Monomial bases are ordered
+degree-then-lexicographic for reproducibility.  g (x) m_A is
+``dgla.tensor_dgla`` of g with that cdga, so its basis in each degree is
+(g basis) major, (monomials) minor, labelled "v@m".
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dgla import CdgaModel, Dgla, ValidationReport, tensor_dgla
+from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_into,
+                   tensor_dgla, validate_cdga)
 from .graded import (Complex, GradedVectorSpace, GVec, StructuralError,
                      zero_map)
-from .linalg import Q, Vector
+from .linalg import Q
 
 
 def _monomial_label(exponents: tuple[int, ...], k: int) -> str:
@@ -32,45 +35,24 @@ def _monomial_label(exponents: tuple[int, ...], k: int) -> str:
 class ArtinAlgebra:
     """Maximal ideal of a local Artin algebra, by monomial basis.
 
-    ``table[i][j]`` is the coordinate vector of (basis i) * (basis j).
-    ``weights[i]`` is the m-adic order of basis element i (used by the staged
-    solvers); for truncated polynomial algebras it is the monomial degree.
+    ``cdga`` is m_A as a degree-0 cdga with d = 0; its basis is the monomial
+    basis.  ``weights[i]`` is the m-adic order of basis element i (used by
+    the staged solvers); for truncated polynomial algebras it is the
+    monomial degree.
     """
 
-    labels: tuple[str, ...]
-    table: tuple[tuple[tuple, ...], ...]
+    cdga: CdgaModel
     order: int                      # nilpotency: m^order = 0
     generators: int
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise StructuralError("multiplication table shape mismatch")
-        for row in self.table:
-            for v in row:
-                if len(v) != n:
-                    raise StructuralError("multiplication table value length mismatch")
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.cdga.space.labels(0)
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
-
-    def multiply(self, i: int, j: int) -> Vector:
-        return list(self.table[i][j])
-
-    def multiply_vectors(self, x: Vector, y: Vector) -> Vector:
-        out = [Q(0)] * self.dim
-        for i, xc in enumerate(x):
-            if not xc:
-                continue
-            for j, yc in enumerate(y):
-                if not yc:
-                    continue
-                for t, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[t] += xc * yc * c
-        return out
+        return self.cdga.space.dim(0)
 
 
 def truncated_polynomial_algebra(k: int, order: int) -> ArtinAlgebra:
@@ -84,20 +66,13 @@ def truncated_polynomial_algebra(k: int, order: int) -> ArtinAlgebra:
         batch = [e for e in itertools.product(range(total + 1), repeat=k) if sum(e) == total]
         monomials.extend(sorted(batch, reverse=True))
     index = {m: i for i, m in enumerate(monomials)}
-    n = len(monomials)
-    table = []
-    for a in monomials:
-        row = []
-        for b in monomials:
-            prod = tuple(x + y for x, y in zip(a, b))
-            v = [Q(0)] * n
-            if sum(prod) < order:
-                v[index[prod]] = Q(1)
-            row.append(tuple(v))
-        table.append(tuple(row))
+    space = GradedVectorSpace({0: tuple(_monomial_label(m, k) for m in monomials)})
+    # e_a * e_b = e_{a+b} below the truncation, both orders of every pair
+    upper = [((index[a], index[b]), {index[tuple(x + y for x, y in zip(a, b))]: Q(1)})
+             for a in monomials for b in monomials if sum(a) + sum(b) < order]
+    table = FlatBasis(space).table_from_upper(upper, symmetric=True)
     return ArtinAlgebra(
-        labels=tuple(_monomial_label(m, k) for m in monomials),
-        table=tuple(table),
+        cdga=CdgaModel(Complex(space, zero_map(space, space, 1)), table),
         order=order,
         generators=k,
         weights=tuple(sum(m) for m in monomials),
@@ -105,53 +80,30 @@ def truncated_polynomial_algebra(k: int, order: int) -> ArtinAlgebra:
 
 
 def validate_artin(a: ArtinAlgebra) -> ValidationReport:
-    report = ValidationReport()
-    n = a.dim
-    for i in range(n):
-        for j in range(i, n):
-            res = [x - y for x, y in zip(a.multiply(i, j), a.multiply(j, i))]
-            if any(res):
-                report.fail("commutativity", [a.labels[i], a.labels[j]],
-                            [str(x) for x in res])
-    for i in range(n):
-        for j in range(n):
-            ij = a.multiply(i, j)
-            for t in range(n):
-                et = [Q(1) if s == t else Q(0) for s in range(n)]
-                lhs = a.multiply_vectors(ij, et)
-                jt = a.multiply(j, t)
-                ei = [Q(1) if s == i else Q(0) for s in range(n)]
-                rhs = a.multiply_vectors(ei, jt)
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if any(res):
-                    report.fail("associativity",
-                                [a.labels[i], a.labels[j], a.labels[t]],
-                                [str(x) for x in res])
+    report = validate_cdga(a.cdga)
     report.merge(_check_nilpotency(a))
     return report
 
 
 def _check_nilpotency(a: ArtinAlgebra) -> ValidationReport:
     report = ValidationReport()
-    n = a.dim
+    rows, n = a.cdga.table, a.dim
     # m^j spanned by j-fold products; all order-fold products must vanish
-    current: list[tuple[list, tuple]] = [([Q(1) if s == i else Q(0) for s in range(n)], (i,))
-                                         for i in range(n)]
+    current = [({i: Q(1)}, (i,)) for i in range(n)]
     for depth in range(2, a.order + 1):
         nxt = []
         for vec, word in current:
-            if not any(vec):
-                continue
-            for t in range(n):
-                et = [Q(1) if s == t else Q(0) for s in range(n)]
-                prod = a.multiply_vectors(vec, et)
-                if any(prod):
+            for t in sorted({b for i in vec for b in rows[i]}):
+                acc: dict = {}
+                _bracket_into(acc, 1, rows, vec, {t: 1})
+                prod = {s: c for s, c in acc.items() if c}
+                if prod:
                     nxt.append((prod, word + (t,)))
         current = nxt
         if depth == a.order:
             for vec, word in current:
                 report.fail("nilpotency", [a.labels[t] for t in word],
-                            [str(x) for x in vec])
+                            [str(vec.get(s, Q(0))) for s in range(n)])
     return report
 
 
@@ -213,6 +165,4 @@ def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> NilpotentDgla:
 
         d(v (x) m) = dv (x) m,   [v (x) m, w (x) m'] = [v, w] (x) mm'.
     """
-    space = GradedVectorSpace({0: a.labels})
-    m_a = CdgaModel(Complex(space, zero_map(space, space, 1)), {(0, 0): a.table})
-    return NilpotentDgla(base=g, coefficients=a, dgla=tensor_dgla(g, m_a))
+    return NilpotentDgla(base=g, coefficients=a, dgla=tensor_dgla(g, a.cdga))

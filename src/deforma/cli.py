@@ -25,14 +25,13 @@ from importlib import resources
 from .artin import truncated_polynomial_algebra, tensor_nilpotent, validate_artin
 from .cartan import gauge_zero_transport
 from .convolution import DEFAULT_ARITY, convolution, linf_residual, taylor_from_linear
-from .dgla import DglaMorphism, validate_dgla, validate_morphism
+from .dgla import DglaMorphism, validate_cdga, validate_dgla, validate_morphism
 from .graded import StructuralError, cohomology
 from .holim import holim_cohomology_bounded, holim_pair, quasi_abelian_witness
 from .mc import (gauge_act, gauge_equivalent, irrelevant_stabilizer, mc_extend,
                  mc_residue)
 from .models import ModelDocument, ModelError, gvec_json, matrix_json, parse_model, vector_json
-from .period import (contraction_cartan, period_differential, validate_cdga,
-                     validate_filtration)
+from .period import contraction_cartan, period_differential, validate_filtration
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

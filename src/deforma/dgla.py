@@ -1,17 +1,18 @@
 """Differential graded Lie algebras: data type, axiom validation, morphisms,
-sub-dglas and quotients; finite cdga models; the tensor dgla g (x) A; and
-the exponential series shared by every gauge action.
+sub-dglas and quotients; finite cdga models and their validation; the
+tensor dgla g (x) A; and the exponential series shared by every gauge
+action.
 
 Structure constants live in one sparse table per dgla (``Dgla.table``, a
 ``StructureTable``): indexed by flat basis position, holding only the
 nonzero constants, for both orders of each pair.  Constructors write only
-nonzeros: ``end_dgla``, ``restrict_to_sub`` and the Chevalley-Eilenberg
-cdga list them, and ``tensor_dgla`` composes each row from the rows of its
-factors the first time it is asked for, so no construction allocates a
-dense table.  ``bracket``, ``pair_bracket`` and ``validate_dgla`` cost in
-proportion to the nonzeros they meet.  A ``CdgaModel`` holds its products
-the same way, with the graded-commutative sign in place of the
-antisymmetric one.
+nonzeros: ``end_dgla``, ``restrict_to_sub``, the Chevalley-Eilenberg cdga,
+the Artin coefficients m_A and the interval forms list them, and
+``tensor_dgla`` composes each row from the rows of its factors the first
+time it is asked for, so no construction allocates a dense table.
+``bracket``, ``pair_bracket`` and ``validate_dgla`` cost in proportion to
+the nonzeros they meet.  A ``CdgaModel`` holds its products the same way,
+with the graded-commutative sign in place of the antisymmetric one.
 
 Dense tables exist only at the JSON boundary.  The JSON form stores
 ``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
@@ -23,11 +24,13 @@ that form as input, with its shape checks, and give it back as the derived
 ``tensor_dgla(g, A)`` is the one construction of a dgla tensored with a
 finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``), the
 path objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
-h (x) CE_{<=N}(g) (``convolution``) are all built by it.
+h (x) CE_{<=N}(g) (``convolution``) are all built by it.  ``validate_cdga``
+is the one check of a cdga's axioms, m_A's included.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -35,7 +38,8 @@ from typing import Callable
 from . import linalg
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
-                     quotient_complex, vec_component, vec_is_zero, vec_sub)
+                     quotient_complex, vec_add, vec_component, vec_is_zero,
+                     vec_scale, vec_sub)
 from .linalg import Q, Vector
 
 
@@ -418,6 +422,49 @@ class CdgaModel:
 
     def multiply(self, x: GVec, y: GVec) -> GVec:
         return self.table.product(x, y)
+
+
+def validate_cdga(omega: CdgaModel) -> ValidationReport:
+    """Graded commutativity, associativity and the Leibniz rule on bases.
+
+    Failures are reported, not raised: some useful truncated models satisfy
+    everything except Leibniz on their top corner, and the endomorphism
+    constructions only need the complex structure.
+    """
+    report = ValidationReport()
+    sp = omega.space
+    basis = sp.basis()
+    for (m, i) in basis:
+        for (n, j) in basis:
+            sign = Q(-1) if (m * n) % 2 else Q(1)
+            res = vec_sub(omega.pair_product(m, i, n, j),
+                          vec_scale(sign, omega.pair_product(n, j, m, i)))
+            if not vec_is_zero(res):
+                report.fail("commutativity", [sp.label(m, i), sp.label(n, j)],
+                            _residual_repr(res))
+    for (m, i), (n, j), (p, k) in itertools.product(basis, repeat=3):
+        lhs = omega.multiply(omega.pair_product(m, i, n, j),
+                             sp.basis_element(p, k))
+        rhs = omega.multiply(sp.basis_element(m, i),
+                             omega.pair_product(n, j, p, k))
+        res = vec_sub(lhs, rhs)
+        if not vec_is_zero(res):
+            report.fail("associativity",
+                        [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
+                        _residual_repr(res))
+    for (m, i) in basis:
+        a = sp.basis_element(m, i)
+        for (n, j) in basis:
+            b = sp.basis_element(n, j)
+            lhs = omega.d(omega.pair_product(m, i, n, j))
+            sign = Q(-1) if m % 2 else Q(1)
+            rhs = vec_add(omega.multiply(omega.d(a), b),
+                          vec_scale(sign, omega.multiply(a, omega.d(b))))
+            res = vec_sub(lhs, rhs)
+            if not vec_is_zero(res):
+                report.fail("leibniz", [sp.label(m, i), sp.label(n, j)],
+                            _residual_repr(res))
+    return report
 
 
 def tensor_basis(g: GradedVectorSpace, a: GradedVectorSpace) -> dict[int, list]:

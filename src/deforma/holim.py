@@ -17,9 +17,9 @@ from fractions import Fraction
 from . import linalg
 from .cartan import cartan_check, lie_from_cartan
 from .convolution import Convolution, convolution
-from .dgla import (CdgaModel, Dgla, SubDgla, ValidationReport, _residual_repr,
-                   abelian_dgla, ad_exp_terms, restrict_to_sub, sub_quotient,
-                   tensor_basis, tensor_dgla)
+from .dgla import (CdgaModel, Dgla, FlatBasis, SubDgla, ValidationReport,
+                   _residual_repr, abelian_dgla, ad_exp_terms, restrict_to_sub,
+                   sub_quotient, tensor_basis, tensor_dgla)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError, SubSpaceData,
                      cohomology, induced_map_on_cohomology, is_chain_map,
@@ -274,11 +274,13 @@ def _interval_forms(tmax: int) -> CdgaModel:
     n = tmax + 1
     space = GradedVectorSpace({0: tuple(f"t{m}" for m in range(n)),
                                1: tuple(f"t{m}*dt" for m in range(n))})
-    times = [[[Q(1) if r == a + b else Q(0) for r in range(n)] for b in range(n)]
-             for a in range(n)]
-    d = [[Q(m) if r == m - 1 else Q(0) for m in range(n)] for r in range(n)]
-    return CdgaModel(Complex(space, GradedMap(space, space, 1, {0: d})),
-                     {(0, 0): times, (0, 1): times})
+    # t^a t^b = t^{a+b} and t^a (t^b dt) = t^{a+b} dt; t^m sits at flat
+    # position m and t^m dt at n + m
+    upper = [((a, shift + b), {shift + a + b: Q(1)})
+             for shift in (0, n) for a in range(n) for b in range(n - a)]
+    d = {0: [{m - 1: Q(m)} if m else {} for m in range(n)]}    # d t^m = m t^{m-1} dt
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, d)),
+                     FlatBasis(space).table_from_upper(upper, symmetric=True))
 
 
 def path_dgla(host: Dgla, tmax: int) -> PathDgla:

@@ -1,7 +1,7 @@
-"""Finite filtered cdga models (validation and filtrations; the type is
-``dgla.CdgaModel``), the endomorphism pair (End, End^{>=0}),
-contractions as Cartan homotopies, the end of the flag diagram, and the
-period differential.
+"""Filtrations of finite cdga models (the type and its validation are
+``dgla.CdgaModel`` and ``dgla.validate_cdga``), the endomorphism pair
+(End, End^{>=0}), contractions as Cartan homotopies, the end of the flag
+diagram, and the period differential.
 
 The pipeline: a finite graded-commutative dg algebra Omega with a decreasing
 filtration F stands in for a de Rham complex; End(Omega) with [d,-] and the
@@ -14,7 +14,6 @@ H^1(End/End^{>=0}).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -28,52 +27,6 @@ from .graded import (Complex, GradedMap, GradedVectorSpace,
                      cohomology, quotient_complex, vec_add, vec_component,
                      vec_is_zero, vec_scale, vec_sub, zero_map)
 from .linalg import Q, Vector
-
-
-# ---------------------------------------------------------------------------
-# finite cdga models
-
-def validate_cdga(omega: CdgaModel) -> ValidationReport:
-    """Graded commutativity, associativity and the Leibniz rule on bases.
-
-    Failures are reported, not raised: some useful truncated models satisfy
-    everything except Leibniz on their top corner, and the endomorphism
-    constructions only need the complex structure.
-    """
-    report = ValidationReport()
-    sp = omega.space
-    basis = sp.basis()
-    for (m, i) in basis:
-        for (n, j) in basis:
-            sign = Q(-1) if (m * n) % 2 else Q(1)
-            res = vec_sub(omega.pair_product(m, i, n, j),
-                          vec_scale(sign, omega.pair_product(n, j, m, i)))
-            if not vec_is_zero(res):
-                report.fail("commutativity", [sp.label(m, i), sp.label(n, j)],
-                            _residual_repr(res))
-    for (m, i), (n, j), (p, k) in itertools.product(basis, repeat=3):
-        lhs = omega.multiply(omega.pair_product(m, i, n, j),
-                             sp.basis_element(p, k))
-        rhs = omega.multiply(sp.basis_element(m, i),
-                             omega.pair_product(n, j, p, k))
-        res = vec_sub(lhs, rhs)
-        if not vec_is_zero(res):
-            report.fail("associativity",
-                        [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
-                        _residual_repr(res))
-    for (m, i) in basis:
-        a = sp.basis_element(m, i)
-        for (n, j) in basis:
-            b = sp.basis_element(n, j)
-            lhs = omega.d(omega.pair_product(m, i, n, j))
-            sign = Q(-1) if m % 2 else Q(1)
-            rhs = vec_add(omega.multiply(omega.d(a), b),
-                          vec_scale(sign, omega.multiply(a, omega.d(b))))
-            res = vec_sub(lhs, rhs)
-            if not vec_is_zero(res):
-                report.fail("leibniz", [sp.label(m, i), sp.label(n, j)],
-                            _residual_repr(res))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +78,6 @@ def validate_filtration(c: Complex, f: FiltrationData) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # End(Omega) and the filtration-preserving sub-dgla
 
-def build_end_dgla(omega: CdgaModel) -> EndDgla:
-    return end_dgla(omega.complex)
-
-
 def _annihilator_rows(vectors: list[Vector], dim: int) -> list[Vector]:
     """Linear functionals (as rows) vanishing exactly on the span."""
     if not vectors:
@@ -139,7 +88,7 @@ def _annihilator_rows(vectors: list[Vector], dim: int) -> list[Vector]:
 def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
                      end: EndDgla | None = None) -> SubDgla:
     """End^{>=0}: endomorphisms phi with phi(F^p) inside F^p for every p."""
-    end = end or build_end_dgla(omega)
+    end = end or end_dgla(omega.complex)
     report = validate_filtration(omega.complex, f)
     if not report.ok:
         raise StructuralError(f"invalid filtration: {report.failures[:3]}")
@@ -201,7 +150,7 @@ def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
     homotopy into End(Omega); reports the derived identities
     l_{[a,b]} = [l_a, l_b] and [d, l_a] = 0, and filtration preservation of l
     when a filtration is supplied."""
-    end = end or build_end_dgla(omega)
+    end = end or end_dgla(omega.complex)
     if i.shift != -1:
         raise StructuralError("contraction assignment must have degree -1")
     sp = omega.space

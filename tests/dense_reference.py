@@ -1,5 +1,6 @@
 """Dense reference implementations of the bracket, the axiom sweep,
-g (x) m_A and the exact linear algebra of subspaces.
+m_A and g (x) m_A, the interval forms and the exact linear algebra of
+subspaces.
 
 The bracket oracles read ``g.brackets`` coordinate by coordinate, with no
 use of the sparse table.  ``g`` is a ``Dgla`` (whose ``brackets`` is the
@@ -9,6 +10,13 @@ too.  They are the oracle for ``Dgla.bracket``, ``Dgla.pair_bracket`` and
 ``validate_dgla`` in test_sparse_kernel.py, and for ``tensor_nilpotent`` in
 test_artin.py.  ``assert_table_holds_dense`` checks a table against the raw
 dense tables it was built from, cell by cell.
+
+``artin_table`` is the dense monomial table that ``ArtinAlgebra`` held
+before m_A became a sparse cdga, and ``interval_forms`` the dense builder
+of the polynomial forms on [0, 1].  They are the oracle for
+``truncated_polynomial_algebra`` in test_artin.py and for
+``holim._interval_forms`` in test_sparse_tables.py.  ``tensor_nilpotent``
+reads ``artin_table`` in place of the algebra's own table.
 
 The table oracles build dense bracket tables the way the constructors did
 before they wrote only nonzeros: ``tensor_tables`` fills one dense vector
@@ -45,7 +53,7 @@ from fractions import Fraction
 
 from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
                                  canonical_tuples, canonicalize, v_basis, vdeg)
-from deforma.dgla import (Dgla, DglaMorphism, SubDgla, ValidationReport,
+from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, SubDgla, ValidationReport,
                           _ZERO as ZERO, _residual_repr,
                           ad_exp_terms, tensor_basis, validate_morphism)
 from deforma.endo import end_dgla
@@ -178,12 +186,37 @@ def validate_dgla(g) -> ValidationReport:
     return report
 
 
+def artin_table(k: int, order: int) -> list[list[Vector]]:
+    """The dense multiplication table of m_A, A = K[e1..ek]/m^order, on the
+    monomial basis ordered degree-then-lexicographic: ``table[i][j]`` is the
+    coordinate vector of (monomial i) * (monomial j)."""
+    monomials = []
+    for total in range(1, order):
+        batch = [e for e in itertools.product(range(total + 1), repeat=k) if sum(e) == total]
+        monomials.extend(sorted(batch, reverse=True))
+    index = {m: i for i, m in enumerate(monomials)}
+    n = len(monomials)
+    table = []
+    for a in monomials:
+        row = []
+        for b in monomials:
+            prod = tuple(x + y for x, y in zip(a, b))
+            v = [Q(0)] * n
+            if sum(prod) < order:
+                v[index[prod]] = Q(1)
+            row.append(v)
+        table.append(row)
+    return table
+
+
 def tensor_nilpotent(g, a) -> Dgla:
     """g (x) m_A on the basis (g basis) major, (monomials) minor, labels
     "v@m": d(v (x) m) = dv (x) m, [v (x) m, w (x) m'] = [v, w] (x) mm'.
-    Every pair of tensor basis vectors gets its own dense vector."""
+    Every pair of tensor basis vectors gets its own dense vector; the
+    monomial products come from ``artin_table``, not from ``a.cdga``."""
     sp = g.space
     na = a.dim
+    products = artin_table(a.generators, a.order)
     components = {
         deg: tuple(f"{lbl}@{mon}" for lbl in sp.labels(deg) for mon in a.labels)
         for deg in sp.degrees
@@ -220,7 +253,7 @@ def tensor_nilpotent(g, a) -> Dgla:
                 for j in range(sp.dim(n)):
                     base_val = table[i][j]
                     for mj in range(na):
-                        prod = a.multiply(mi, mj)
+                        prod = products[mi][mj]
                         v = [Q(0)] * out_dim
                         for bi, bc in enumerate(base_val):
                             if bc:
@@ -318,6 +351,20 @@ def differential_columns(t, d: GradedMap) -> list[dict]:
                 if val:
                     cols[src + c][dst + r] = val
     return cols
+
+
+def interval_forms(tmax: int) -> CdgaModel:
+    """Polynomial forms on [0, 1] up to t-degree tmax from dense tables:
+    one dense vector per product t^a * t^b and t^a * t^b dt, and
+    d t^m = m t^{m-1} dt as a dense block."""
+    n = tmax + 1
+    space = GradedVectorSpace({0: tuple(f"t{m}" for m in range(n)),
+                               1: tuple(f"t{m}*dt" for m in range(n))})
+    times = [[[Q(1) if r == a + b else Q(0) for r in range(n)] for b in range(n)]
+             for a in range(n)]
+    d = [[Q(m) if r == m - 1 else Q(0) for m in range(n)] for r in range(n)]
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, {0: d})),
+                     {(0, 0): times, (0, 1): times})
 
 
 def tensor_tables(g, a) -> tuple[Complex, dict]:

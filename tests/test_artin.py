@@ -1,14 +1,17 @@
 """Truncated polynomial Artin algebras and nilpotent tensor dglas."""
 
+import dataclasses
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 
 import dense_reference
 from deforma import fixtures as F
-from deforma.artin import (tensor_nilpotent, truncated_polynomial_algebra,
-                           validate_artin)
-from deforma.dgla import validate_dgla
+from deforma.artin import (ArtinAlgebra, tensor_nilpotent,
+                           truncated_polynomial_algebra, validate_artin)
+from deforma.dgla import CdgaModel, validate_dgla
+from deforma.graded import Complex, GradedVectorSpace, zero_map
 
 
 def test_dual_numbers_table():
@@ -16,14 +19,25 @@ def test_dual_numbers_table():
     assert a.labels == ("e",)
     assert tuple(a.weights) == (1,)
     # e * e = 0
-    assert a.multiply_vectors([Q(1)], [Q(1)]) == [Q(0)]
+    assert a.cdga.multiply({0: [Q(1)]}, {0: [Q(1)]}) == {}
 
 
 def test_order_three_table():
     a = truncated_polynomial_algebra(1, 3)
     assert a.labels == ("e", "e^2")
-    assert a.multiply_vectors([Q(1), Q(0)], [Q(1), Q(0)]) == [Q(0), Q(1)]
-    assert a.multiply_vectors([Q(0), Q(1)], [Q(1), Q(0)]) == [Q(0), Q(0)]
+    assert a.cdga.multiply({0: [Q(1), Q(0)]}, {0: [Q(1), Q(0)]}) == {0: [Q(0), Q(1)]}
+    assert a.cdga.multiply({0: [Q(0), Q(1)]}, {0: [Q(1), Q(0)]}) == {}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_artin_cdga_matches_dense_table(k):
+    for order in range(2, 7):
+        a = truncated_polynomial_algebra(k, order)
+        table = dense_reference.artin_table(k, order)
+        assert a.cdga.space.degrees == [0] and a.dim == len(table)
+        assert a.cdga.complex.differential.columns == {}
+        dense_reference.assert_table_holds_dense(a.cdga.table, {(0, 0): table},
+                                                 symmetric=True)
 
 
 def test_two_generators():
@@ -37,6 +51,35 @@ def test_two_generators():
 def test_validate_artin_all_orders():
     for order in (2, 3, 4, 5):
         assert validate_artin(truncated_polynomial_algebra(1, order)).ok
+
+
+def nilpotency_failure(witness, hot, n):
+    return {"kind": "nilpotency", "witness": witness,
+            "residual": ["1" if s == hot else "0" for s in range(n)]}
+
+
+def test_validate_artin_reports_nilpotency():
+    # m^3 != 0 in K[e]/e^4 and K[e1,e2]/m^4: every nonzero threefold product
+    # of basis monomials, by word, with its dense residual
+    a = truncated_polynomial_algebra(1, 4)
+    assert validate_artin(dataclasses.replace(a, order=3)).failures == [
+        nilpotency_failure(["e", "e", "e"], 2, 3)]
+    a = truncated_polynomial_algebra(2, 4)     # e1^3, e1^2 e2, e1 e2^2, e2^3 at 5..8
+    assert validate_artin(dataclasses.replace(a, order=3)).failures == [
+        nilpotency_failure(list(word), 5 + word.count("e2"), 9)
+        for word in itertools.product(("e1", "e2"), repeat=3)]
+
+
+def test_validate_artin_reports_commutativity():
+    # x * y = y but y * x = 0
+    space = GradedVectorSpace({0: ("x", "y")})
+    zero, y = [Q(0), Q(0)], [Q(0), Q(1)]
+    cdga = CdgaModel(Complex(space, zero_map(space, space, 1)),
+                     {(0, 0): [[zero, y], [zero, zero]]})
+    a = ArtinAlgebra(cdga=cdga, order=3, generators=2, weights=(1, 1))
+    assert [f for f in validate_artin(a).failures if f["kind"] == "commutativity"] == [
+        {"kind": "commutativity", "witness": ["x", "y"], "residual": {"0": ["0", "1"]}},
+        {"kind": "commutativity", "witness": ["y", "x"], "residual": {"0": ["0", "-1"]}}]
 
 
 def test_tensor_nilpotent_is_dgla():

@@ -19,12 +19,12 @@ from deforma.convolution import (canonical_tuples, canonicalize,
                                  chevalley_eilenberg, convolution,
                                  hom_dgla_slice, linf_residual, strict_embed,
                                  taylor_from_linear)
-from deforma.dgla import DglaMorphism, identity_morphism, validate_dgla
+from deforma.dgla import (DglaMorphism, identity_morphism, validate_cdga,
+                          validate_dgla)
 from deforma.endo import end_dgla
 from deforma.graded import (GradedMap, StructuralError, identity_map, vec_eq,
                             vec_is_zero, vec_scale, vec_sub)
 from deforma.mc import mc_residue
-from deforma.period import validate_cdga
 
 
 # ---------------------------------------------------------------------------

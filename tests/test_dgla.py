@@ -7,11 +7,10 @@ import pytest
 from deforma import fixtures as F
 from deforma.dgla import (Dgla, DglaMorphism, ad_exp_terms, identity_morphism,
                           inclusion_as_morphism, restrict_to_sub, sub_dgla_span,
-                          sub_quotient, tensor_dgla, validate_dgla,
-                          validate_morphism, validate_sub_dgla)
+                          sub_quotient, tensor_dgla, validate_cdga,
+                          validate_dgla, validate_morphism, validate_sub_dgla)
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, vec_is_zero,
                             vec_scale, zero_map)
-from deforma.period import validate_cdga
 
 
 def test_all_fixture_dglas_valid():

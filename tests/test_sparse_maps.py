@@ -17,7 +17,7 @@ import dense_reference as dense
 from deforma import fixtures as F
 from deforma import linalg
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
-from deforma.dgla import CdgaModel, tensor_dgla
+from deforma.dgla import tensor_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
                             SubSpaceData, vec_add, vec_scale, vec_sub, zero_map)
 from deforma.holim import _interval_forms
@@ -169,15 +169,10 @@ def test_d_squared_message_on_perturbed_d():
     assert failures >= 5
 
 
-def coefficient_cdga(a) -> CdgaModel:
-    space = GradedVectorSpace({0: a.labels})
-    return CdgaModel(Complex(space, zero_map(space, space, 1)), {(0, 0): a.table})
-
-
 @pytest.mark.parametrize("name", F.FIXTURE_NAMES)
 def test_tensor_differential_columns_match_dense_tables(name):
     g = F.fixture_dgla(name)
-    cdgas = [coefficient_cdga(truncated_polynomial_algebra(k, order))
+    cdgas = [truncated_polynomial_algebra(k, order).cdga
              for k, order in ((1, 3), (1, 5), (2, 3))] + [_interval_forms(2)]
     for a in cdgas:
         d = tensor_dgla(g, a).underlying.differential

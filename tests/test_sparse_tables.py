@@ -3,7 +3,8 @@
 Constructors write only nonzero structure constants, and ``tensor_dgla``
 composes its rows on first use.  Their rows, their derived dense views and
 their complexes must equal ``dense_reference.tensor_tables`` and
-``end_tables`` entry by entry.  A host far too large for dense tables must
+``end_tables`` entry by entry, and the interval forms must equal
+``dense_reference.interval_forms``.  A host far too large for dense tables must
 still build and carry the Maurer-Cartan calculus.
 """
 
@@ -33,19 +34,23 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
 ARTIN = ((1, 3), (1, 4), (1, 5), (2, 3))
 
 
-def coefficient_cdga(a) -> CdgaModel:
-    """m_A as a degree-0 cdga with d = 0, as ``tensor_nilpotent`` reads it."""
-    space = GradedVectorSpace({0: a.labels})
-    return CdgaModel(Complex(space, zero_map(space, space, 1)), {(0, 0): a.table})
-
-
 @pytest.mark.parametrize("name", F.FIXTURE_NAMES)
 def test_tensor_nilpotent_matches_dense_tables(name):
     g = F.fixture_dgla(name)
     for k, order in ARTIN:
         a = truncated_polynomial_algebra(k, order)
         dense.assert_same_tables(tensor_nilpotent(g, a).dgla,
-                                 *dense.tensor_tables(g, coefficient_cdga(a)))
+                                 *dense.tensor_tables(g, a.cdga))
+
+
+def test_interval_forms_match_dense_reference():
+    for tmax in range(1, 7):
+        forms, ref = _interval_forms(tmax), dense.interval_forms(tmax)
+        assert forms.space.components == ref.space.components
+        assert all(forms.table.row(p) == ref.table.row(p) for p in range(len(ref.table)))
+        assert forms.products == ref.products
+        assert forms.complex.differential.columns == ref.complex.differential.columns
+        assert forms.complex.differential.blocks == ref.complex.differential.blocks
 
 
 @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F5"])
@@ -53,7 +58,7 @@ def test_path_dgla_matches_dense_tables(name):
     host = F.fixture_dgla(name)
     for tmax in range(1, 7):
         dense.assert_same_tables(path_dgla(host, tmax).dgla,
-                                 *dense.tensor_tables(host, _interval_forms(tmax)))
+                                 *dense.tensor_tables(host, dense.interval_forms(tmax)))
 
 
 @pytest.mark.parametrize("complex_of", [F.f3_complex, lambda: F.f4_cdga().complex,
