@@ -11,11 +11,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from deforma import fixtures as F
-from deforma.dgla import CdgaModel, Dgla, SubDgla
+from deforma.dgla import CdgaModel, Dgla, FiltrationData, SubDgla
 from deforma.endo import end_dgla
 from deforma.graded import Complex, GradedMap, GradedVectorSpace
 from deforma.models import SCHEMA_VERSION, matrix_json, vector_json
-from deforma.period import FiltrationData
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "deforma" / "fixtures"
 

@@ -8,6 +8,11 @@ transport, holim, period.  ``--model`` accepts a path or the bare name of a
 shipped fixture (F1..F7); the environment variable DEFORMA_FIXTURE_DIR
 overrides the shipped fixture directory.
 
+Each command imports the kernel modules it uses (``mc``, ``convolution``,
+``cartan``, ``holim``, ``period``) when it runs, so a call loads only those:
+``validate`` and ``cohomology`` load none of them, ``mc`` and ``gauge`` only
+``mc``.
+
 Exit codes: 0 ok, 1 axiom/check failure, 2 malformed input, 3 inconclusive.
 JSON reports use canonical key order and exact "num/den" rationals, so
 identical invocations emit byte-identical output.
@@ -20,18 +25,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .artin import truncated_polynomial_algebra, tensor_nilpotent, validate_artin
-from .cartan import gauge_zero_transport
-from .convolution import DEFAULT_ARITY, convolution, linf_residual, taylor_from_linear
-from .dgla import DglaMorphism, validate_cdga, validate_dgla, validate_morphism
+from .dgla import (DglaMorphism, validate_cdga, validate_dgla, validate_filtration,
+                   validate_morphism)
 from .graded import StructuralError, cohomology
-from .holim import holim_cohomology_bounded, holim_pair, quasi_abelian_witness
-from .mc import (gauge_act, gauge_equivalent, irrelevant_stabilizer, mc_extend,
-                 mc_residue)
 from .models import ModelDocument, ModelError, gvec_json, matrix_json, parse_model, vector_json
-from .period import contraction_cartan, period_differential, validate_filtration
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -80,7 +79,7 @@ def _fixture_dir() -> str:
     override = os.environ.get("DEFORMA_FIXTURE_DIR")
     if override:
         return override
-    return str(resources.files("deforma") / "fixtures")
+    return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _resolve_model(spec: str | None) -> str:
@@ -180,6 +179,7 @@ def cmd_cohomology(doc: ModelDocument, args) -> Report:
 
 
 def cmd_mc(doc: ModelDocument, args) -> Report:
+    from .mc import mc_extend, mc_residue
     g = _default_dgla(doc, args)
     a = _artin_from_args(doc, args)
     ng = tensor_nilpotent(g, a)
@@ -211,6 +211,7 @@ def cmd_mc(doc: ModelDocument, args) -> Report:
 
 
 def cmd_gauge(doc: ModelDocument, args) -> Report:
+    from .mc import gauge_act, gauge_equivalent, irrelevant_stabilizer, mc_residue
     g = _default_dgla(doc, args)
     a = _artin_from_args(doc, args)
     ng = tensor_nilpotent(g, a)
@@ -249,6 +250,7 @@ def cmd_gauge(doc: ModelDocument, args) -> Report:
 
 
 def cmd_linf_check(doc: ModelDocument, args) -> Report:
+    from .convolution import convolution, linf_residual, taylor_from_linear
     g = _default_dgla(doc, args)
     target_name = args.target or doc.default("target") or _named(doc, args.dgla, "dgla", "dgla")
     h = doc.dgla(target_name) if (target_name in doc.section("dglas")
@@ -269,6 +271,7 @@ def _contraction(doc: ModelDocument, args):
 
 
 def cmd_cartan_check(doc: ModelDocument, args) -> Report:
+    from .period import contraction_cartan
     t, omega, end, i = _contraction(doc, args)
     filt = None
     fname = args.filtration or doc.default("filtration")
@@ -280,6 +283,8 @@ def cmd_cartan_check(doc: ModelDocument, args) -> Report:
 
 
 def cmd_transport(doc: ModelDocument, args) -> Report:
+    from .cartan import gauge_zero_transport
+    from .convolution import DEFAULT_ARITY, convolution
     arity = _positive(args.arity, DEFAULT_ARITY, "arity")
     t, omega, end, i = _contraction(doc, args)
     conv = convolution(t, end.dgla, arity)
@@ -301,6 +306,7 @@ def cmd_transport(doc: ModelDocument, args) -> Report:
 
 
 def cmd_holim(doc: ModelDocument, args) -> Report:
+    from .holim import holim_cohomology_bounded, holim_pair, quasi_abelian_witness
     tdeg = _positive(args.tdeg, 2, "tdeg")
     g = _default_dgla(doc, args)
     sub_name = _named(doc, args.sub, "sub", "sub-dgla")
@@ -324,6 +330,7 @@ def cmd_holim(doc: ModelDocument, args) -> Report:
 
 
 def cmd_period(doc: ModelDocument, args) -> Report:
+    from .period import contraction_cartan, period_differential
     t, omega, end, i = _contraction(doc, args)
     fname = _named(doc, args.filtration, "filtration", "filtration")
     filt = doc.filtration(fname)

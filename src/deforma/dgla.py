@@ -25,12 +25,13 @@ that form as input, with its shape checks, and give it back as the derived
 finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``), the
 path objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
 h (x) CE_{<=N}(g) (``convolution``) are all built by it.  ``validate_cdga``
-is the one check of a cdga's axioms, m_A's included.
+is the one check of a cdga's axioms, m_A's included; ``FiltrationData`` and
+``validate_filtration`` are the decreasing filtrations of a complex that
+the period map reads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -38,8 +39,7 @@ from typing import Callable
 from . import linalg
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
-                     quotient_complex, vec_add, vec_component, vec_is_zero,
-                     vec_scale, vec_sub)
+                     quotient_complex, vec_component, vec_is_zero, vec_sub)
 from .linalg import Q, Vector
 
 
@@ -292,6 +292,43 @@ def abelian_dgla(c: Complex) -> Dgla:
     return Dgla(c, {})
 
 
+def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
+    """What an axiom sweep over ``t`` reads, by flat position: the table rows,
+    the columns of d, the degrees, and ``fail(kind, positions, acc)``, which
+    adds a failure to ``report`` with its labels and residual."""
+    rows = [t.row(a) for a in range(len(t))]
+    d = cx.differential.columns
+    dcols = [{t.offset[deg + 1] + r: c for r, c in d[deg][i].items()} if deg in d else {}
+             for deg, i in t.position]
+    labels = [cx.space.label(deg, idx) for deg, idx in t.position]
+    degree = [deg for deg, _ in t.position]
+
+    def fail(kind, positions, acc):
+        report.fail(kind, [labels[p] for p in positions],
+                    _residual_repr(t.graded(acc)))
+    return rows, dcols, degree, fail
+
+
+def _check_leibniz(rows, dcols, degree, fail):
+    """Graded Leibniz d(ab) = (da)b + (-1)^{|a|} a(db) on every basis pair,
+    for the bracket or product whose table rows are ``rows``."""
+    empty: Sparse = {}
+    n_basis = len(rows)
+    for a in range(n_basis):
+        row, da = rows[a], dcols[a]
+        if not row and not da:
+            continue
+        sign = -1 if degree[a] % 2 else 1
+        for b in range(n_basis):
+            acc = {}
+            for k, c in row.get(b, empty).items():
+                _add_into(acc, c, dcols[k])
+            _bracket_into(acc, -1, rows, da, {b: 1})
+            _bracket_into(acc, -sign, rows, {a: 1}, dcols[b])
+            if any(acc.values()):
+                fail("leibniz", (a, b), acc)
+
+
 def validate_dgla(g: Dgla) -> ValidationReport:
     """Check graded antisymmetry, Leibniz and Jacobi on every basis instance.
 
@@ -299,19 +336,9 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     from it is zero without arithmetic.
     """
     report = ValidationReport()
-    t = g.table
-    rows = [t.row(a) for a in range(len(t))]
-    d = g.underlying.differential.columns
-    dcols = [{t.offset[deg + 1] + r: c for r, c in d[deg][i].items()} if deg in d else {}
-             for deg, i in t.position]
+    rows, dcols, degree, fail = _sweep(g.table, g.underlying, report)
     n_basis = len(rows)
-    labels = [g.label(deg, idx) for deg, idx in t.position]
-    degree = [deg for deg, _ in t.position]
     empty: Sparse = {}
-
-    def fail(kind, positions, acc):
-        report.fail(kind, [labels[p] for p in positions],
-                    _residual_repr(t.graded(acc)))
 
     # antisymmetry [a,b] = -(-1)^{|a||b|}[b,a] on every pair with an entry in
     # either order (so [a,a] = 0 for even |a|), visited from the row of the
@@ -341,19 +368,7 @@ def validate_dgla(g: Dgla) -> ValidationReport:
         fail("antisymmetry", (lo, hi), acc)
 
     # graded Leibniz: d[a,b] = [da,b] + (-1)^{|a|}[a,db]
-    for a in range(n_basis):
-        row, da = rows[a], dcols[a]
-        if not row and not da:
-            continue
-        sign = -1 if degree[a] % 2 else 1
-        for b in range(n_basis):
-            acc = {}
-            for k, c in row.get(b, empty).items():
-                _add_into(acc, c, dcols[k])
-            _bracket_into(acc, -1, rows, da, {b: 1})
-            _bracket_into(acc, -sign, rows, {a: 1}, dcols[b])
-            if any(acc.values()):
-                fail("leibniz", (a, b), acc)
+    _check_leibniz(rows, dcols, degree, fail)
 
     # graded Jacobi in the symmetric cyclic form; with antisymmetry in hand,
     # unordered triples suffice.  For a <= b, a c >= b can only give a
@@ -430,40 +445,102 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
     Failures are reported, not raised: some useful truncated models satisfy
     everything except Leibniz on their top corner, and the endomorphism
     constructions only need the complex structure.
+
+    Runs over the sparse table, as ``validate_dgla`` does: a pair with no
+    product in either order commutes, and a triple with ab = bc = 0
+    associates, without arithmetic.  Failures come in basis order, as a
+    sweep over every instance would list them.
     """
     report = ValidationReport()
-    sp = omega.space
-    basis = sp.basis()
-    for (m, i) in basis:
-        for (n, j) in basis:
-            sign = Q(-1) if (m * n) % 2 else Q(1)
-            res = vec_sub(omega.pair_product(m, i, n, j),
-                          vec_scale(sign, omega.pair_product(n, j, m, i)))
-            if not vec_is_zero(res):
-                report.fail("commutativity", [sp.label(m, i), sp.label(n, j)],
-                            _residual_repr(res))
-    for (m, i), (n, j), (p, k) in itertools.product(basis, repeat=3):
-        lhs = omega.multiply(omega.pair_product(m, i, n, j),
-                             sp.basis_element(p, k))
-        rhs = omega.multiply(sp.basis_element(m, i),
-                             omega.pair_product(n, j, p, k))
-        res = vec_sub(lhs, rhs)
-        if not vec_is_zero(res):
-            report.fail("associativity",
-                        [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
-                        _residual_repr(res))
-    for (m, i) in basis:
-        a = sp.basis_element(m, i)
-        for (n, j) in basis:
-            b = sp.basis_element(n, j)
-            lhs = omega.d(omega.pair_product(m, i, n, j))
-            sign = Q(-1) if m % 2 else Q(1)
-            rhs = vec_add(omega.multiply(omega.d(a), b),
-                          vec_scale(sign, omega.multiply(a, omega.d(b))))
-            res = vec_sub(lhs, rhs)
-            if not vec_is_zero(res):
-                report.fail("leibniz", [sp.label(m, i), sp.label(n, j)],
-                            _residual_repr(res))
+    rows, dcols, degree, fail = _sweep(omega.table, omega.complex, report)
+    n_basis = len(rows)
+    empty: Sparse = {}
+
+    # graded commutativity ab = (-1)^{|a||b|} ba, on the pairs with a
+    # product in either order
+    partners = [set() for _ in range(n_basis)]   # b with e_b * e_a present
+    for b, row in enumerate(rows):
+        for a in row:
+            partners[a].add(b)
+    for a, row in enumerate(rows):
+        for b in sorted(partners[a].union(row)):
+            acc: Sparse = {}
+            _add_into(acc, 1, row.get(b, empty))
+            _add_into(acc, 1 if (degree[a] * degree[b]) % 2 else -1,
+                      rows[b].get(a, empty))
+            if any(acc.values()):
+                fail("commutativity", (a, b), acc)
+
+    # associativity (ab)c = a(bc); for ab = bc = 0 both sides vanish, so c
+    # runs over the c with bc present or with (ab)c possibly nonzero
+    for a, row in enumerate(rows):
+        if not row:
+            continue
+        for b in range(n_basis):
+            ab = row.get(b)
+            if not ab and not rows[b]:
+                continue
+            cs = set(rows[b])
+            if ab:
+                for k in ab:
+                    cs.update(rows[k])
+            for c in sorted(cs):
+                acc = {}
+                if ab:
+                    _bracket_into(acc, 1, rows, ab, {c: 1})
+                bc = rows[b].get(c)
+                if bc:
+                    _bracket_into(acc, -1, rows, {a: 1}, bc)
+                if any(acc.values()):
+                    fail("associativity", (a, b, c), acc)
+
+    _check_leibniz(rows, dcols, degree, fail)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# decreasing filtrations
+
+@dataclass(frozen=True)
+class FiltrationData:
+    """Decreasing filtration: steps[p] spans F^p degree-wise; outside the
+    given range F^p is everything (below) or zero (above)."""
+
+    space: GradedVectorSpace
+    steps: dict   # p -> {degree -> list of spanning vectors}
+
+    def levels(self) -> list[int]:
+        return sorted(self.steps)
+
+    def step(self, p: int) -> SubSpaceData:
+        if not self.steps:
+            return SubSpaceData(self.space, {})
+        lo, hi = min(self.steps), max(self.steps)
+        if p < lo:
+            span = {deg: [list(v) for v in linalg.identity(self.space.dim(deg))]
+                    for deg in self.space.degrees}
+            return SubSpaceData(self.space, span)
+        if p > hi:
+            return SubSpaceData(self.space, {})
+        return SubSpaceData(self.space, self.steps.get(p, {}))
+
+
+def validate_filtration(c: Complex, f: FiltrationData) -> ValidationReport:
+    report = ValidationReport()
+    if f.space.components != c.space.components:
+        raise StructuralError("filtration declared on a different space")
+    levels = f.levels()
+    for p in levels:
+        sub = f.step(p)
+        prev = f.step(p - 1)
+        for deg in sorted(sub.span):
+            for idx, v in enumerate(sub.basis_in_degree(deg)):
+                if not prev.contains({deg: v}):
+                    report.fail("decreasing", [f"F^{p} degree {deg} vector {idx}"])
+                img = c.d({deg: v})
+                if not vec_is_zero(img) and not sub.contains(img):
+                    report.fail("d_stability", [f"F^{p} degree {deg} vector {idx}"],
+                                _residual_repr(img))
     return report
 
 

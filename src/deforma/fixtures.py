@@ -18,11 +18,10 @@ Seven small rational models exercising every feature:
 from __future__ import annotations
 
 from .artin import ArtinAlgebra, truncated_polynomial_algebra
-from .dgla import CdgaModel, Dgla, SubDgla, abelian_dgla, sub_dgla_span
+from .dgla import CdgaModel, Dgla, FiltrationData, SubDgla, abelian_dgla, sub_dgla_span
 from .endo import EndDgla, end_dgla
 from .graded import Complex, GradedMap, GradedVectorSpace, zero_map
 from .linalg import Q, Vector
-from .period import FiltrationData
 
 
 def _unit(dim: int, i: int) -> Vector:

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .artin import ArtinAlgebra, truncated_polynomial_algebra
-from .dgla import CdgaModel, Dgla, SubDgla, abelian_dgla, sub_dgla_span
+from .dgla import CdgaModel, Dgla, FiltrationData, SubDgla, abelian_dgla, sub_dgla_span
 from .endo import EndDgla, end_dgla
 from .graded import Complex, GradedMap, GradedVectorSpace, GVec, StructuralError
 from .linalg import Q, Matrix, Vector
-from .period import FiltrationData
 
 SCHEMA_VERSION = 1
 

@@ -1,7 +1,8 @@
-"""Filtrations of finite cdga models (the type and its validation are
-``dgla.CdgaModel`` and ``dgla.validate_cdga``), the endomorphism pair
-(End, End^{>=0}), contractions as Cartan homotopies, the end of the flag
-diagram, and the period differential.
+"""The endomorphism pair (End, End^{>=0}) of a filtered finite cdga model
+(the model, the filtration and their checks are ``dgla.CdgaModel``,
+``dgla.FiltrationData``, ``dgla.validate_cdga`` and
+``dgla.validate_filtration``), contractions as Cartan homotopies, the end
+of the flag diagram, and the period differential.
 
 The pipeline: a finite graded-commutative dg algebra Omega with a decreasing
 filtration F stands in for a de Rham complex; End(Omega) with [d,-] and the
@@ -18,61 +19,15 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cartan import cartan_check, lie_from_cartan
-from .dgla import (CdgaModel, Dgla, DglaMorphism, SubDgla, ValidationReport,
-                   _residual_repr, sub_dgla_span, validate_morphism,
-                   validate_sub_dgla)
+from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
+                   ValidationReport, sub_dgla_span, validate_filtration,
+                   validate_morphism, validate_sub_dgla)
 from .endo import EndDgla, end_dgla
 from .graded import (Complex, GradedMap, GradedVectorSpace,
-                     StructuralError, SubSpaceData,
+                     StructuralError,
                      cohomology, quotient_complex, vec_add, vec_component,
                      vec_is_zero, vec_scale, vec_sub, zero_map)
 from .linalg import Q, Vector
-
-
-# ---------------------------------------------------------------------------
-# decreasing filtrations
-
-@dataclass(frozen=True)
-class FiltrationData:
-    """Decreasing filtration: steps[p] spans F^p degree-wise; outside the
-    given range F^p is everything (below) or zero (above)."""
-
-    space: GradedVectorSpace
-    steps: dict   # p -> {degree -> list of spanning vectors}
-
-    def levels(self) -> list[int]:
-        return sorted(self.steps)
-
-    def step(self, p: int) -> SubSpaceData:
-        if not self.steps:
-            return SubSpaceData(self.space, {})
-        lo, hi = min(self.steps), max(self.steps)
-        if p < lo:
-            span = {deg: [list(v) for v in linalg.identity(self.space.dim(deg))]
-                    for deg in self.space.degrees}
-            return SubSpaceData(self.space, span)
-        if p > hi:
-            return SubSpaceData(self.space, {})
-        return SubSpaceData(self.space, self.steps.get(p, {}))
-
-
-def validate_filtration(c: Complex, f: FiltrationData) -> ValidationReport:
-    report = ValidationReport()
-    if f.space.components != c.space.components:
-        raise StructuralError("filtration declared on a different space")
-    levels = f.levels()
-    for p in levels:
-        sub = f.step(p)
-        prev = f.step(p - 1)
-        for deg in sorted(sub.span):
-            for idx, v in enumerate(sub.basis_in_degree(deg)):
-                if not prev.contains({deg: v}):
-                    report.fail("decreasing", [f"F^{p} degree {deg} vector {idx}"])
-                img = c.d({deg: v})
-                if not vec_is_zero(img) and not sub.contains(img):
-                    report.fail("d_stability", [f"F^{p} degree {deg} vector {idx}"],
-                                _residual_repr(img))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ raw dense tables that went into a ``Dgla`` and so checks their conversion
 too.  They are the oracle for ``Dgla.bracket``, ``Dgla.pair_bracket`` and
 ``validate_dgla`` in test_sparse_kernel.py, and for ``tensor_nilpotent`` in
 test_artin.py.  ``assert_table_holds_dense`` checks a table against the raw
-dense tables it was built from, cell by cell.
+dense tables it was built from, cell by cell.  ``validate_cdga`` is the
+dense sweep of a cdga's axioms over every ordered pair and triple, the
+oracle for ``dgla.validate_cdga`` in test_artin.py.
 
 ``artin_table`` is the dense monomial table that ``ArtinAlgebra`` held
 before m_A became a sparse cdga, and ``interval_forms`` the dense builder
@@ -183,6 +185,45 @@ def validate_dgla(g) -> ValidationReport:
                     report.fail("jacobi",
                                 [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
                                 _residual_repr(res))
+    return report
+
+
+def validate_cdga(omega: CdgaModel) -> ValidationReport:
+    """Graded commutativity, associativity and the Leibniz rule, with dense
+    arithmetic on every basis instance, ordered triples included."""
+    report = ValidationReport()
+    sp = omega.space
+    basis = sp.basis()
+    for (m, i) in basis:
+        for (n, j) in basis:
+            sign = Q(-1) if (m * n) % 2 else Q(1)
+            res = vec_sub(omega.pair_product(m, i, n, j),
+                          vec_scale(sign, omega.pair_product(n, j, m, i)))
+            if not vec_is_zero(res):
+                report.fail("commutativity", [sp.label(m, i), sp.label(n, j)],
+                            _residual_repr(res))
+    for (m, i), (n, j), (p, k) in itertools.product(basis, repeat=3):
+        lhs = omega.multiply(omega.pair_product(m, i, n, j),
+                             sp.basis_element(p, k))
+        rhs = omega.multiply(sp.basis_element(m, i),
+                             omega.pair_product(n, j, p, k))
+        res = vec_sub(lhs, rhs)
+        if not vec_is_zero(res):
+            report.fail("associativity",
+                        [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
+                        _residual_repr(res))
+    for (m, i) in basis:
+        a = sp.basis_element(m, i)
+        for (n, j) in basis:
+            b = sp.basis_element(n, j)
+            lhs = omega.d(omega.pair_product(m, i, n, j))
+            sign = Q(-1) if m % 2 else Q(1)
+            rhs = vec_add(omega.multiply(omega.d(a), b),
+                          vec_scale(sign, omega.multiply(a, omega.d(b))))
+            res = vec_sub(lhs, rhs)
+            if not vec_is_zero(res):
+                report.fail("leibniz", [sp.label(m, i), sp.label(n, j)],
+                            _residual_repr(res))
     return report
 
 

@@ -10,8 +10,8 @@ import dense_reference
 from deforma import fixtures as F
 from deforma.artin import (ArtinAlgebra, tensor_nilpotent,
                            truncated_polynomial_algebra, validate_artin)
-from deforma.dgla import CdgaModel, validate_dgla
-from deforma.graded import Complex, GradedVectorSpace, zero_map
+from deforma.dgla import CdgaModel, validate_cdga, validate_dgla
+from deforma.graded import Complex, GradedMap, GradedVectorSpace, zero_map
 
 
 def test_dual_numbers_table():
@@ -70,16 +70,65 @@ def test_validate_artin_reports_nilpotency():
         for word in itertools.product(("e1", "e2"), repeat=3)]
 
 
-def test_validate_artin_reports_commutativity():
+def non_commutative_artin() -> ArtinAlgebra:
     # x * y = y but y * x = 0
     space = GradedVectorSpace({0: ("x", "y")})
     zero, y = [Q(0), Q(0)], [Q(0), Q(1)]
     cdga = CdgaModel(Complex(space, zero_map(space, space, 1)),
                      {(0, 0): [[zero, y], [zero, zero]]})
-    a = ArtinAlgebra(cdga=cdga, order=3, generators=2, weights=(1, 1))
+    return ArtinAlgebra(cdga=cdga, order=3, generators=2, weights=(1, 1))
+
+
+def test_validate_artin_reports_commutativity():
+    a = non_commutative_artin()
     assert [f for f in validate_artin(a).failures if f["kind"] == "commutativity"] == [
         {"kind": "commutativity", "witness": ["x", "y"], "residual": {"0": ["0", "1"]}},
         {"kind": "commutativity", "witness": ["y", "x"], "residual": {"0": ["0", "-1"]}}]
+
+
+def non_associative_cdga() -> CdgaModel:
+    # commutative, x x = y and y w = z only: (x x) w = z but x (x w) = 0, a
+    # triple whose bc vanishes while (ab)c does not
+    space = GradedVectorSpace({0: ("x", "y", "w", "z")})
+    o = [Q(0)] * 4
+    y, z = [Q(0), Q(1), Q(0), Q(0)], [Q(0), Q(0), Q(0), Q(1)]
+    return CdgaModel(Complex(space, zero_map(space, space, 1)),
+                     {(0, 0): [[y, o, o, o], [o, o, z, o], [o, z, o, o], [o, o, o, o]]})
+
+
+def odd_square_cdga() -> CdgaModel:
+    # an odd generator with a nonzero square, and d(u) = xi not a derivation
+    space = GradedVectorSpace({0: ("1", "u"), 1: ("xi",), 2: ("w",)})
+    d = GradedMap(space, space, 1, {0: [[Q(0), Q(1)]]})
+    one0, one1 = [Q(1), Q(0)], [Q(1)]
+    return CdgaModel(Complex(space, d), {
+        (0, 0): [[one0, [Q(0), Q(1)]], [[Q(0), Q(1)], [Q(0), Q(0)]]],
+        (0, 1): [[one1], [[Q(0)]]],
+        (0, 2): [[[Q(1)]], [[Q(0)]]],
+        (1, 1): [[[Q(1)]]]})
+
+
+def test_validate_cdga_matches_dense_sweep():
+    """The sparse sweep lists the same failures, entry for entry, as the
+    dense sweep over every ordered pair and triple."""
+    models = [F.f4_cdga(), F.f5_cdga(), F.f6_cdga(), non_associative_cdga(),
+              odd_square_cdga(), non_commutative_artin().cdga]
+    models += [truncated_polynomial_algebra(k, order).cdga
+               for k in (1, 2, 3) for order in range(2, 7)]
+    broken = 0
+    for cdga in models:
+        expected = dense_reference.validate_cdga(cdga)
+        assert validate_cdga(cdga).failures == expected.failures
+        broken += not expected.ok
+    assert broken == 4    # F5's Leibniz corner and the three hand-made tables
+
+
+def test_validate_cdga_reports_associativity():
+    assert validate_cdga(non_associative_cdga()).failures == [
+        {"kind": "associativity", "witness": ["x", "x", "w"],
+         "residual": {"0": ["0", "0", "0", "1"]}},
+        {"kind": "associativity", "witness": ["w", "x", "x"],
+         "residual": {"0": ["0", "0", "0", "-1"]}}]
 
 
 def test_tensor_nilpotent_is_dgla():

@@ -7,13 +7,13 @@ from types import SimpleNamespace
 import pytest
 
 from deforma import fixtures as F
-from deforma.dgla import validate_cdga, validate_sub_dgla
+from deforma.dgla import (FiltrationData, validate_cdga, validate_filtration,
+                          validate_sub_dgla)
 from deforma.endo import end_dgla
 from deforma.graded import GradedMap, StructuralError
-from deforma.period import (FiltrationData, contraction_cartan,
-                            end_of_flag_diagram, filtered_subdgla, flag_data,
-                            obstruction_image, period_differential,
-                            validate_filtration)
+from deforma.period import (contraction_cartan, end_of_flag_diagram,
+                            filtered_subdgla, flag_data, obstruction_image,
+                            period_differential)
 
 
 # ---------------------------------------------------------------------------
