@@ -18,7 +18,7 @@ from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_into,
                    tensor_dgla, validate_cdga)
 from .graded import (Complex, GradedVectorSpace, GVec, StructuralError,
                      zero_map)
-from .linalg import Q
+from .linalg import Echelon, Q
 
 
 def _monomial_label(exponents: tuple[int, ...], k: int) -> str:
@@ -85,25 +85,47 @@ def validate_artin(a: ArtinAlgebra) -> ValidationReport:
     return report
 
 
+def _products(rows, vec: dict) -> list[tuple[dict, int]]:
+    """The nonzero products vec * e_t with their t, in increasing t."""
+    out = []
+    for t in sorted({b for i in vec for b in rows[i]}):
+        acc: dict = {}
+        _bracket_into(acc, 1, rows, vec, {t: 1})
+        prod = {s: c for s, c in acc.items() if c}
+        if prod:
+            out.append((prod, t))
+    return out
+
+
 def _check_nilpotency(a: ArtinAlgebra) -> ValidationReport:
+    """m^order = 0, where m^j is spanned by the products of m^(j-1) with m.
+    A basis of each power is found from the one before, so the check is
+    polynomial in the dimension and the order.  Only when m^order is not
+    zero are the words of length ``order`` walked, for the witnesses."""
+    rows, n = a.cdga.table, a.dim
+    power = [{i: Q(1)} for i in range(n)]
+    for _ in range(2, a.order + 1):
+        e = Echelon()
+        for vec in power:
+            for prod, _t in _products(rows, vec):
+                e.insert(prod)
+        power = list(e.rows.values())
+        if not power:
+            return ValidationReport()
+    return _nilpotency_witnesses(a)
+
+
+def _nilpotency_witnesses(a: ArtinAlgebra) -> ValidationReport:
+    """Every word of ``order`` basis monomials with a nonzero product."""
     report = ValidationReport()
     rows, n = a.cdga.table, a.dim
-    # m^j spanned by j-fold products; all order-fold products must vanish
-    current = [({i: Q(1)}, (i,)) for i in range(n)]
-    for depth in range(2, a.order + 1):
-        nxt = []
-        for vec, word in current:
-            for t in sorted({b for i in vec for b in rows[i]}):
-                acc: dict = {}
-                _bracket_into(acc, 1, rows, vec, {t: 1})
-                prod = {s: c for s, c in acc.items() if c}
-                if prod:
-                    nxt.append((prod, word + (t,)))
-        current = nxt
-        if depth == a.order:
-            for vec, word in current:
-                report.fail("nilpotency", [a.labels[t] for t in word],
-                            [str(vec.get(s, Q(0))) for s in range(n)])
+    current = [({i: Q(1)}, (i,)) for i in range(n)] if a.order >= 2 else []
+    for _ in range(2, a.order + 1):
+        current = [(prod, word + (t,)) for vec, word in current
+                   for prod, t in _products(rows, vec)]
+    for vec, word in current:
+        report.fail("nilpotency", [a.labels[t] for t in word],
+                    [str(vec.get(s, Q(0))) for s in range(n)])
     return report
 
 

@@ -43,7 +43,7 @@ from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, tensor_basis, tenso
                    validate_morphism)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, StructuralError,
                      vec_is_zero)
-from .linalg import Q
+from .linalg import Q, sparse
 from .mc import mc_residue
 
 VKey = tuple  # (g-degree, basis index) of a suspended basis vector
@@ -252,14 +252,10 @@ class Convolution:
         """The arity-one part of x as a map g -> h of the given shift."""
         values = self.values(x)
         src, tgt = self.g.space, self.h.space
-        blocks = {}
-        for deg in src.degrees:
-            rows = tgt.dim(deg + shift)
-            if rows:
-                cols = [values.get(((deg, idx),), {}).get(deg + shift, [Q(0)] * rows)
-                        for idx in range(src.dim(deg))]
-                blocks[deg] = [[col[r] for col in cols] for r in range(rows)]
-        return GradedMap(src, tgt, shift, blocks)
+        return GradedMap(src, tgt, shift, {
+            deg: [sparse(values.get(((deg, idx),), {}).get(deg + shift, []))
+                  for idx in range(src.dim(deg))]
+            for deg in src.degrees if tgt.dim(deg + shift)})
 
 
 def convolution(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Convolution:

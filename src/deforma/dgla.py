@@ -36,11 +36,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from . import linalg
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
-                     quotient_complex, vec_component, vec_is_zero, vec_sub)
-from .linalg import Q, Vector
+                     quotient_complex, vec_is_zero, vec_sub)
+from .linalg import Q, Vector, sparse
 
 
 @dataclass
@@ -517,9 +516,10 @@ class FiltrationData:
             return SubSpaceData(self.space, {})
         lo, hi = min(self.steps), max(self.steps)
         if p < lo:
-            span = {deg: [list(v) for v in linalg.identity(self.space.dim(deg))]
-                    for deg in self.space.degrees}
-            return SubSpaceData(self.space, span)
+            return SubSpaceData.from_echelon(self.space, {
+                deg: ([{i: Q(1)} for i in range(self.space.dim(deg))],
+                      list(range(self.space.dim(deg))))
+                for deg in self.space.degrees})
         if p > hi:
             return SubSpaceData(self.space, {})
         return SubSpaceData(self.space, self.steps.get(p, {}))
@@ -732,12 +732,9 @@ def sub_quotient(h: Dgla, n: SubDgla) -> tuple[ValidationReport, QuotientComplex
 def inclusion_as_morphism(n: SubDgla) -> DglaMorphism:
     """The sub-dgla on its own basis, included into the parent."""
     sub = restrict_to_sub(n)
-    blocks = {}
-    for deg in sub.space.degrees:
-        cols = [list(v) for v in n.span.basis_in_degree(deg)]
-        blocks[deg] = linalg.transpose(cols)
+    columns = {deg: n.span.echelon[deg][0] for deg in sub.space.degrees}
     return DglaMorphism(sub, n.parent,
-                        GradedMap(sub.space, n.parent.space, 0, blocks))
+                        GradedMap(sub.space, n.parent.space, 0, columns))
 
 
 def restrict_to_sub(n: SubDgla) -> Dgla:
@@ -760,16 +757,10 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
             out[deg] = sol
         return out
 
-    d_blocks = {}
-    for deg, bs in bases.items():
-        cols = []
-        for v in bs:
-            img = h.d({deg: v})
-            coords = to_sub_coords(img)
-            cols.append(vec_component(coords, deg + 1, space.dim(deg + 1)))
-        if space.dim(deg + 1) and cols:
-            d_blocks[deg] = linalg.transpose(cols)
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
+    d_columns = {deg: [sparse(to_sub_coords(h.d({deg: v})).get(deg + 1, []))
+                       for v in bs]
+                 for deg, bs in bases.items() if space.dim(deg + 1)}
+    cx = Complex(space, GradedMap(space, space, 1, d_columns))
 
     # brackets of an abelian parent vanish, so there is nothing to compute
     degs = [] if h.is_abelian() else sorted(bases)

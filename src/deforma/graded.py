@@ -5,9 +5,10 @@ space are dicts ``degree -> coordinate list``; missing degrees mean zero.
 ``vec_add``, ``vec_sub`` and ``vec_scale`` do no arithmetic on a zero
 coordinate.  Graded maps are stored as sparse columns, one dict of nonzero
 coefficients per source basis vector (``GradedMap``), so applying and
-composing them costs in proportion to the nonzeros met.  Dense blocks are a
-view, made for the elimination kernels (``cohomology``, ``solve``) and for
-JSON, or kept as given when a map is built from them.
+composing them costs in proportion to the nonzeros met.  Cohomology,
+subspaces and quotients read those columns straight into the sparse
+echelons of ``linalg``.  Dense blocks are a view for JSON, or kept as given
+when a map is built from them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from . import linalg
-from .linalg import Matrix, Q, Vector
+from .linalg import (Echelon, Q, Row, Vector, column_space_basis, combine, dense,
+                     extend_to_complement, nullspace, sparse, transpose)
 
-_ZERO = Q(0)
+_ZERO, _ONE = Q(0), Q(1)
+
+Matrix = list[list[Fraction]]
 
 GVec = dict  # degree -> list[Fraction]
 
@@ -125,16 +128,7 @@ def vec_component(x: GVec, deg: int, dim: int) -> Vector:
 # ---------------------------------------------------------------------------
 # maps
 
-Column = dict  # target basis index -> nonzero coefficient
-
-
-def _combine(cols: list[Column], coeffs) -> Column:
-    """The sum of c * cols[j] over the pairs (j, c) of ``coeffs``, zeros dropped."""
-    acc: Column = {}
-    for j, c in coeffs:
-        for r, e in cols[j].items():
-            acc[r] = acc[r] + c * e if r in acc else c * e
-    return {r: s for r, s in acc.items() if s}
+Column = Row  # target basis index -> nonzero coefficient
 
 
 def _is_dense(blocks: dict) -> bool:
@@ -151,10 +145,10 @@ class GradedMap:
 
     Dense blocks, ``blocks[n]`` a list of rows mapping V_n -> W_{n+shift},
     are accepted in the place of ``columns`` and converted, with their shape
-    checks.  ``blocks`` and ``block(n)`` are the dense view, for the
-    elimination kernels and for JSON: the dense input itself, or built from
-    the columns when first asked for.  ``apply`` and ``compose`` read only
-    the columns and cost in proportion to the nonzeros they meet.
+    checks.  ``blocks`` and ``block(n)`` are the dense view, for JSON: the
+    dense input itself, or built from the columns when first asked for.
+    ``apply`` and ``compose`` read only the columns and cost in proportion
+    to the nonzeros they meet.
     """
 
     source: GradedVectorSpace
@@ -166,7 +160,7 @@ class GradedMap:
         given = self.columns
         if _is_dense(given):
             for n, block in given.items():
-                rows, cols = linalg.shape(block)
+                rows, cols = len(block), len(block[0]) if block else 0
                 if cols != self.source.dim(n) or rows != self.target.dim(n + self.shift):
                     raise StructuralError(
                         f"block at degree {n} has shape {rows}x{cols}, expected "
@@ -196,7 +190,8 @@ class GradedMap:
         """``blocks[n]`` is the dense matrix of V_n -> W_{n+shift}."""
         out = {}
         for n, cols in self.columns.items():
-            block = out[n] = linalg.zeros(self.target.dim(n + self.shift), len(cols))
+            block = out[n] = [[_ZERO] * len(cols)
+                              for _ in range(self.target.dim(n + self.shift))]
             for j, col in enumerate(cols):
                 for r, c in col.items():
                     block[r][j] = c
@@ -205,7 +200,7 @@ class GradedMap:
     def block(self, n: int) -> Matrix:
         if n in self.blocks:
             return self.blocks[n]
-        return linalg.zeros(self.target.dim(n + self.shift), self.source.dim(n))
+        return [[_ZERO] * self.source.dim(n) for _ in range(self.target.dim(n + self.shift))]
 
     def apply(self, x: GVec) -> GVec:
         out: GVec = {}
@@ -217,7 +212,7 @@ class GradedMap:
                 raise ValueError(f"shape mismatch: vector of length {len(v)} in degree "
                                  f"{deg}, expected {self.source.dim(deg)}")
             cols = self.columns.get(deg)
-            image = _combine(cols, nonzero) if cols else None
+            image = combine(cols, nonzero) if cols else None
             if image:
                 w = out[deg + self.shift] = [_ZERO] * self.target.dim(deg + self.shift)
                 for r, c in image.items():
@@ -234,7 +229,7 @@ class GradedMap:
                                  f"dimensions {self.source.dim(m)} and {other.target.dim(m)}")
             inner, outer = other.columns.get(n), self.columns.get(m)
             if inner and outer:
-                columns[n] = [_combine(outer, col.items()) for col in inner]
+                columns[n] = [combine(outer, col.items()) for col in inner]
         return GradedMap(other.source, self.target, self.shift + other.shift, columns)
 
     def add(self, other: "GradedMap") -> "GradedMap":
@@ -244,7 +239,7 @@ class GradedMap:
         for n, cols in other.columns.items():
             mine = columns.get(n)
             columns[n] = cols if mine is None else [    # a + b, column by column
-                _combine((a, b), ((0, 1), (1, 1))) for a, b in zip(mine, cols)]
+                combine((a, b), ((0, 1), (1, 1))) for a, b in zip(mine, cols)]
         return GradedMap(self.source, self.target, self.shift, columns)
 
     def scale(self, c: Fraction) -> "GradedMap":
@@ -323,32 +318,40 @@ class SubSpaceData:
 
     @classmethod
     def from_echelon(cls, parent: GradedVectorSpace,
-                     echelon: dict[int, tuple[list[Vector], list[int]]]) -> "SubSpaceData":
-        """The span of vectors already in echelon form: per degree, vectors
-        and columns with vector i 1 at column i and 0 at the other columns
-        (as ``linalg.kernel`` gives them).  They are the basis as they are,
-        with no elimination."""
-        sub = cls(parent, {deg: vecs for deg, (vecs, _) in echelon.items()})
+                     echelon: dict[int, tuple[list[Row], list[int]]]) -> "SubSpaceData":
+        """The span of sparse vectors already in echelon form: per degree,
+        vectors and columns with vector i 1 at column i and 0 at the other
+        columns (as ``linalg.kernel`` gives them).  They are the basis as
+        they are, with no elimination."""
+        sub = cls(parent, {deg: [dense(r, parent.dim(deg)) for r in rows]
+                           for deg, (rows, _) in echelon.items()})
         sub.__dict__["echelon"] = {deg: e for deg, e in echelon.items() if e[0]}
         return sub
 
     @cached_property
-    def echelon(self) -> dict[int, tuple[list[Vector], list[int]]]:
-        """Per degree: the reduced echelon basis of the span and its pivot
-        columns (basis vector i is 1 at pivot i and 0 at the other pivots)."""
+    def echelon(self) -> dict[int, tuple[list[Row], list[int]]]:
+        """Per degree: the reduced echelon basis of the span, as sparse rows,
+        and its pivot columns (basis vector i is 1 at pivot i and 0 at the
+        other pivots)."""
         out = {}
         for deg, vecs in self.span.items():
-            if vecs:
-                red, pivots = linalg.rref(vecs)
-                out[deg] = (red[:len(pivots)], pivots)
+            e = Echelon(sparse(v) for v in vecs)
+            if e.rows:
+                pivots = sorted(e.rows)
+                out[deg] = ([e.rows[p] for p in pivots], pivots)
         return out
+
+    @cached_property
+    def _bases(self) -> dict[int, list[Vector]]:
+        return {deg: [dense(r, self.parent.dim(deg)) for r in rows]
+                for deg, (rows, _) in self.echelon.items()}
 
     def basis_in_degree(self, deg: int) -> list[Vector]:
         """Deterministic independent basis of the span in one degree."""
-        return self.echelon.get(deg, ([], []))[0]
+        return self._bases.get(deg, [])
 
     def dim(self, deg: int) -> int:
-        return len(self.basis_in_degree(deg))
+        return len(self.echelon.get(deg, ((), ()))[0])
 
     def coords(self, deg: int, v: Vector) -> Vector | None:
         """Coordinates of v in ``basis_in_degree(deg)``, or None if v is not
@@ -356,13 +359,8 @@ class SubSpaceData:
         rebuilding v from them."""
         basis, pivots = self.echelon.get(deg, ([], []))
         c = [v[p] for p in pivots]
-        rebuilt = [Q(0)] * len(v)
-        for ci, b in zip(c, basis):
-            if ci:
-                for j, bj in enumerate(b):
-                    if bj:
-                        rebuilt[j] += ci * bj
-        return c if rebuilt == list(v) else None
+        rebuilt = combine(basis, [(i, x) for i, x in enumerate(c) if x])
+        return c if rebuilt == sparse(v) else None
 
     def contains(self, x: GVec) -> bool:
         return all(self.coords(deg, v) is not None
@@ -378,6 +376,22 @@ class QuotientComplex:
     section_indices: dict[int, list[int]]  # chosen parent basis indices per degree
 
 
+def _complement_projection(basis: list[Row], comp: list[int], dim: int) -> list[Column]:
+    """Columns of the projection K^dim -> K^comp along the span of ``basis``,
+    where e_i, i in ``comp``, complete that span to K^dim.  The span meets
+    the other coordinates isomorphically, so its echelon with the columns of
+    ``comp`` put last has a row s_i at each other column i, and e_i - s_i
+    lies in the span of the e_c."""
+    pos = {i: j for j, i in enumerate(comp)}
+    order = [i for i in range(dim) if i not in pos] + comp
+    relabel = {i: k for k, i in enumerate(order)}
+    rows = Echelon({relabel[j]: x for j, x in row.items()} for row in basis).rows
+    first = dim - len(comp)
+    return [{pos[i]: _ONE} if i in pos else
+            {k - first: -x for k, x in rows[relabel[i]].items() if k >= first}
+            for i in range(dim)]
+
+
 def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
     """Quotient by a d-closed subspace; rejects if the subspace is not d-closed."""
     for deg in sorted(sub.span):
@@ -388,34 +402,17 @@ def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
 
     components: dict[int, tuple[str, ...]] = {}
     section_indices: dict[int, list[int]] = {}
-    proj_blocks: dict[int, Matrix] = {}
-    bases: dict[int, list[Vector]] = {}
-
+    proj_columns: dict[int, list[Column]] = {}
     for deg in c.space.degrees:
         dim = c.space.dim(deg)
-        sub_basis = sub.basis_in_degree(deg)
-        comp_idx = linalg.extend_to_complement(sub_basis, dim)
-        section_indices[deg] = comp_idx
-        labels = tuple(f"[{c.space.label(deg, i)}]" for i in comp_idx)
-        if labels:
-            components[deg] = labels
-        comp_vectors = []
-        for i in comp_idx:
-            e = [Q(0)] * dim
-            e[i] = Q(1)
-            comp_vectors.append(e)
-        bases[deg] = sub_basis + comp_vectors
-        # projection: coordinates along the complement part of the adapted basis
-        if dim:
-            full = linalg.columns_matrix(bases[deg], dim)
-            red, pivots = linalg.rref([full[i][:] + row for i, row in enumerate(linalg.identity(dim))])
-            # invert the adapted basis matrix: full is square invertible
-            inv = [row[dim:] for row in red]
-            proj_blocks[deg] = [inv[len(sub_basis) + j] for j in range(len(comp_idx))]
+        basis = sub.echelon.get(deg, ([], []))[0]
+        comp = section_indices[deg] = extend_to_complement(basis, dim)
+        if comp:
+            components[deg] = tuple(f"[{c.space.label(deg, i)}]" for i in comp)
+            proj_columns[deg] = _complement_projection(basis, comp, dim)
 
     qspace = GradedVectorSpace(components)
-    proj = GradedMap(c.space, qspace, 0,
-                     {deg: blk for deg, blk in proj_blocks.items() if blk and qspace.dim(deg)})
+    proj = GradedMap(c.space, qspace, 0, proj_columns)
     # d on the quotient: the projection of d on the chosen section
     pd = proj.compose(c.differential).columns
     qdiff = GradedMap(qspace, qspace, 1, {
@@ -431,7 +428,7 @@ def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
 class DegreeCohomology:
     rank: int
     representatives: list[Vector]   # cocycle coordinate vectors in C^n
-    coboundaries: list[Vector]      # basis of im(d_{n-1})
+    coboundaries: list[Row]         # basis of im(d_{n-1}), as sparse vectors
 
 
 @dataclass(frozen=True)
@@ -451,6 +448,13 @@ class CohomologyResult:
         data = self.by_degree.get(deg)
         return data.representatives if data else []
 
+    @cached_property
+    def _class_echelons(self) -> dict[int, tuple[Echelon, Echelon]]:
+        """Per degree, filled when first asked for: the echelon of the
+        coboundaries, and that of the representatives reduced by it, each
+        representative j tagged by a 1 at column dim + j."""
+        return {}
+
     def project(self, x: GVec) -> dict[int, Vector]:
         """Cohomology coordinates of a cocycle, per degree.
 
@@ -462,18 +466,21 @@ class CohomologyResult:
         for deg, v in x.items():
             if not any(v):
                 continue
-            data = self.by_degree.get(deg)
-            reps = data.representatives if data else []
-            cobs = data.coboundaries if data else []
-            cols = cobs + reps
-            if not cols:
-                if any(v):
-                    raise ValueError(f"nonzero cocycle in degree {deg} with trivial cocycle space")
-                continue
-            sol = linalg.solve(linalg.columns_matrix(cols, len(v)), list(v))
-            if sol is None:
+            dim = self.complex.space.dim(deg)
+            found = self._class_echelons.get(deg)
+            if found is None:
+                data = self.by_degree.get(deg) or DegreeCohomology(0, [], [])
+                cobs, reps = Echelon(data.coboundaries), Echelon()
+                for j, rep in enumerate(data.representatives):
+                    reps.insert({**cobs.reduce(sparse(rep)), dim + j: _ONE})
+                found = self._class_echelons[deg] = (cobs, reps)
+            cobs, reps = found
+            # v = b + sum x_j rep_j: the tags of the residual are -x
+            residual = reps.reduce(cobs.reduce(sparse(v)))
+            if any(j < dim for j in residual):
                 raise ValueError(f"element is not a cocycle in degree {deg}")
-            coords = sol[len(cobs):]
+            coords = [-residual[dim + j] if dim + j in residual else _ZERO
+                      for j in range(len(reps.rows))]
             if any(coords):
                 out[deg] = coords
         return out
@@ -483,21 +490,19 @@ class CohomologyResult:
 
 
 def cohomology(c: Complex) -> CohomologyResult:
+    """Per degree: the cocycles are the kernel of d, read off d's columns
+    as rows; the coboundaries are the columns of the previous d independent
+    of those before them, and the representatives the cocycles then
+    independent of the coboundaries and the cocycles before them, all from
+    one echelon."""
     by_degree: dict[int, DegreeCohomology] = {}
-    degs = c.space.degrees
-    for deg in degs:
+    d = c.differential.columns
+    for deg in c.space.degrees:
         dim = c.space.dim(deg)
-        if not dim:
-            continue
-        d_here = c.differential.block(deg)
-        cocycles = linalg.nullspace(d_here) if c.space.dim(deg + 1) else \
-            [r for r in linalg.identity(dim)]
-        d_prev = c.differential.block(deg - 1) if c.space.dim(deg - 1) else None
-        cobs = linalg.column_space_basis(d_prev) if d_prev else []
-        # extend coboundaries to cocycles, deterministically: the cocycles
-        # among the pivot columns of [cobs | cocycles], leftmost first
-        _, pivots = linalg.rref(linalg.columns_matrix(cobs + cocycles, dim))
-        reps = [cocycles[p - len(cobs)] for p in pivots if p >= len(cobs)]
+        cocycles = nullspace(transpose(d.get(deg, []), c.space.dim(deg + 1)), dim)
+        e = Echelon()
+        cobs = column_space_basis(d.get(deg - 1, []), e)
+        reps = [dense(z, dim) for z in column_space_basis(cocycles, e)]
         by_degree[deg] = DegreeCohomology(rank=len(reps), representatives=reps,
                                           coboundaries=cobs)
     return CohomologyResult(c, by_degree)
@@ -505,8 +510,10 @@ def cohomology(c: Complex) -> CohomologyResult:
 
 def induced_map_on_cohomology(f: GradedMap, source: Complex, target: Complex,
                               source_cohomology: CohomologyResult | None = None,
-                              target_cohomology: CohomologyResult | None = None) -> dict[int, Matrix]:
-    """Matrices of H^n(f) in the chosen representative bases.
+                              target_cohomology: CohomologyResult | None = None
+                              ) -> dict[int, list[Column]]:
+    """H^n(f) in the chosen representative bases, as sparse columns: one
+    per source representative, its target coordinates.
 
     Rejects f if it is not a chain map (residual reported in the error).
     """
@@ -516,15 +523,6 @@ def induced_map_on_cohomology(f: GradedMap, source: Complex, target: Complex,
             f"not a chain map; residual nonzero in degrees {list(residual.columns)}")
     hs = source_cohomology or cohomology(source)
     ht = target_cohomology or cohomology(target)
-    out: dict[int, Matrix] = {}
-    for deg, data in hs.by_degree.items():
-        if not data.rank:
-            continue
-        tdeg = deg + f.shift
-        cols = []
-        for rep in data.representatives:
-            img = f.apply({deg: rep})
-            coords = ht.project(img).get(tdeg, [Q(0)] * ht.rank(tdeg))
-            cols.append(coords)
-        out[deg] = linalg.transpose(cols) if ht.rank(tdeg) else linalg.zeros(0, data.rank)
-    return out
+    return {deg: [sparse(ht.project(f.apply({deg: rep})).get(deg + f.shift, []))
+                  for rep in data.representatives]
+            for deg, data in hs.by_degree.items() if data.rank}

@@ -25,7 +25,9 @@ from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      cohomology, induced_map_on_cohomology, is_chain_map,
                      shift_complex, vec_add, vec_degree, vec_is_zero,
                      vec_scale, vec_sub)
-from .linalg import Q
+from .linalg import Q, sparse
+
+_ZERO, _ONE = Q(0), Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ class HolimBounded:
     pair: HolimPair
     tbound: int
     ambient: PathDgla
-    basis: dict                    # degree -> list of ambient coordinate vectors
+    span: SubSpaceData             # the subcomplex, in ambient coordinates
     complex: Complex               # on its own basis
     projection_map: GradedMap      # complex.space -> shifted quotient space
 
@@ -311,32 +313,21 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
         raise StructuralError("t-degree bound must be at least 1")
     ambient = path_dgla(pair.h, tbound)
     hsp = pair.h.space
-    span: dict[int, list] = {}
+    proj_columns = pair.quotient.projection.columns
+    span: dict[int, tuple] = {}
     for k, entries in ambient.index.items():
-        dim = len(entries)
-        rows = []
+        where = ambient.positions[k]
         # q-coefficients of t-degree D vanish
-        for posn, (kind, m, j) in enumerate(entries):
-            if kind == 'q' and m >= tbound:
-                row = [Q(0)] * dim
-                row[posn] = Q(1)
-                rows.append(row)
+        rows = [{posn: _ONE} for posn, (kind, m, _) in enumerate(entries)
+                if kind == 'q' and m >= tbound]
         # p(1) = 0
-        for j in range(hsp.dim(k)):
-            row = [Q(0)] * dim
-            for m in range(tbound + 1):
-                row[ambient.positions[k][('p', m, j)]] = Q(1)
-            rows.append(row)
+        rows += [{where[('p', m, j)]: _ONE for m in range(tbound + 1)}
+                 for j in range(hsp.dim(k))]
         # p(0) in n: quotient projection of the constant coefficient vanishes
-        proj_block = pair.quotient.projection.blocks.get(k)
-        if proj_block:
-            for prow in proj_block:
-                row = [Q(0)] * dim
-                for j, c in enumerate(prow):
-                    if c:
-                        row[ambient.positions[k][('p', 0, j)]] = c
-                rows.append(row)
-        kernel = linalg.kernel(rows) if rows else (linalg.identity(dim), list(range(dim)))
+        qdim = pair.quotient.complex.space.dim(k)
+        rows += [{where[('p', 0, j)]: c for j, c in row.items()}
+                 for row in linalg.transpose(proj_columns.get(k, []), qdim)]
+        kernel = linalg.kernel(rows, len(entries))
         if kernel[0]:
             span[k] = kernel
 
@@ -345,23 +336,15 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
     sub = SubDgla(abelian_dgla(ambient.dgla.underlying),
                   SubSpaceData.from_echelon(ambient.space, span))
     restricted = restrict_to_sub(sub)
-    basis = {k: sub.span.basis_in_degree(k) for k in sorted(span)}
-    basis = {k: bs for k, bs in basis.items() if bs}
-
     target = shifted_quotient(pair)
-    blocks = {}
-    for k, bs in basis.items():
-        tdim = target.space.dim(k)
-        if not tdim:
-            continue
-        cols = []
-        for v in bs:
-            gamma = ambient.to_path({k: list(v)}, k)
-            bar = pair.quotient.projection.apply(gamma.integral_q())
-            cols.append(bar.get(k - 1, [Q(0)] * tdim))
-        blocks[k] = [[cols[j][i] for j in range(len(cols))] for i in range(tdim)]
-    proj = GradedMap(restricted.space, target.space, 0, blocks)
-    return HolimBounded(pair, tbound, ambient, basis, restricted.underlying, proj)
+    columns = {}
+    for k in sorted(span):
+        if target.space.dim(k):
+            columns[k] = [sparse(pair.quotient.projection.apply(
+                ambient.to_path({k: list(v)}, k).integral_q()).get(k - 1, []))
+                for v in sub.span.basis_in_degree(k)]
+    proj = GradedMap(restricted.space, target.space, 0, columns)
+    return HolimBounded(pair, tbound, ambient, sub.span, restricted.underlying, proj)
 
 
 @dataclass
@@ -386,7 +369,8 @@ def holim_cohomology_bounded(pair: HolimPair, tbound: int) -> HolimCohomologyRes
     qc = cohomology(target)
     induced = induced_map_on_cohomology(bounded.projection_map, bounded.complex,
                                         target, hc, qc)
-    proj_ranks = {k: linalg.rank(m) for k, m in induced.items() if linalg.rank(m)}
+    ranks = {k: linalg.rank(cols) for k, cols in induced.items()}
+    proj_ranks = {k: r for k, r in ranks.items() if r}
     return HolimCohomologyResult(tbound, dict(hc.ranks), dict(qc.ranks), proj_ranks)
 
 
@@ -440,18 +424,11 @@ class HolimMorphism:
     def projected_linear_part(self) -> GradedMap:
         """holim_project composed with the arity-one component."""
         target = shifted_quotient(self.pair)
-        blocks = {}
-        for k in self.g.space.degrees:
-            tdim = target.space.dim(k)
-            sdim = self.g.space.dim(k)
-            if not tdim or not sdim:
-                continue
-            cols = []
-            for idx in range(sdim):
-                e = self.arity_one(self.g.space.basis_element(k, idx))
-                cols.append(holim_project(e).get(k, [Q(0)] * tdim))
-            blocks[k] = [[cols[j][r] for j in range(sdim)] for r in range(tdim)]
-        return GradedMap(self.g.space, target.space, 0, blocks)
+        sp = self.g.space
+        return GradedMap(sp, target.space, 0, {
+            k: [sparse(holim_project(self.arity_one(sp.basis_element(k, idx))).get(k, []))
+                for idx in range(sp.dim(k))]
+            for k in sp.degrees if target.space.dim(k)})
 
 
 def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
@@ -537,25 +514,20 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
         raise StructuralError("quasi-abelian witness expects l = 0")
 
     bounded = holim_bounded(pair, tbound)
-    blocks = {}
+    columns = {}
     for k in source.space.degrees:
-        sdim = source.space.dim(k)
-        bs = bounded.basis.get(k, [])
-        if not sdim or not bs:
+        if k not in bounded.span.echelon:
             continue
-        cols = []
-        ambient_cols = linalg.columns_matrix(bs, len(bs[0]))
-        for idx in range(sdim):
+        cols = columns[k] = []
+        for idx in range(source.space.dim(k)):
             e = morphism.arity_one(source.space.basis_element(k, idx))
             coords = bounded.ambient.to_coords(
                 PathElement(pair.h, k, e.path.p, e.path.q))
-            vec = coords.get(k, [Q(0)] * len(bs[0]))
-            sol = linalg.solve(ambient_cols, list(vec))
+            sol = bounded.span.coords(k, coords.get(k, [_ZERO] * bounded.ambient.space.dim(k)))
             if sol is None:
                 raise StructuralError("witness image leaves the bounded subcomplex")
-            cols.append(sol)
-        blocks[k] = [[cols[j][r] for j in range(sdim)] for r in range(len(bs))]
-    wmap = GradedMap(source.space, bounded.complex.space, 0, blocks)
+            cols.append(sparse(sol))
+    wmap = GradedMap(source.space, bounded.complex.space, 0, columns)
 
     hs = cohomology(source.underlying)
     ht = cohomology(bounded.complex)

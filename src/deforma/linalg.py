@@ -1,13 +1,16 @@
-"""Exact rational matrix routines.
+"""Exact rational elimination on sparse rows.
 
-Matrices are lists of rows, entries are ``fractions.Fraction``.  These are
-the elimination kernels (rref, nullspace, solve and what is built on them),
-and they take dense matrices; ``rref`` updates a row only where the pivot
-row is nonzero.  Linear maps themselves are held as sparse columns
-(``graded.GradedMap``), which apply and compose without a dense matrix; a
-map's dense blocks are made only for these kernels and for JSON.
-Everything is deterministic: pivoting is always "leftmost column, first
-usable row", so identical inputs give identical outputs.
+A row is a dict from column index to a nonzero ``fractions.Fraction``; a
+matrix is a list of rows, and a set of vectors is a list of rows read as
+columns.  ``Echelon`` holds a reduced row echelon form and takes rows one
+at a time: a new row is reduced by the rows already there, its leftmost
+nonzero column becomes its pivot, and that column is cleared from the other
+rows, so the form stays fully reduced.  The reduced row echelon form of a
+row space is unique and the pivots are chosen greedily in column order, so
+every result here is, entry by entry, the one of Gauss-Jordan elimination
+with "leftmost column, first usable row" pivoting; the work is in
+proportion to the nonzeros met.  ``sparse`` and ``dense`` convert one
+vector between a row and a coordinate list.
 """
 
 from __future__ import annotations
@@ -17,138 +20,168 @@ from fractions import Fraction
 Q = Fraction
 
 Vector = list[Fraction]
-Matrix = list[list[Fraction]]
+Row = dict          # column index -> nonzero Fraction
+
+_ZERO, _ONE = Q(0), Q(1)
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Q(0)] * cols for _ in range(rows)]
+def sparse(v: Vector) -> Row:
+    return {i: c for i, c in enumerate(v) if c}
 
 
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Q(1)
-    return m
+def dense(row: Row, n: int) -> Vector:
+    v = [_ZERO] * n
+    for i, c in row.items():
+        v[i] = c
+    return v
 
 
-def copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
+def transpose(columns: list[Row], nrows: int) -> list[Row]:
+    """The rows of the matrix with these columns and ``nrows`` rows."""
+    rows: list[Row] = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][j] = x
+    return rows
 
 
-def shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
+def combine(rows: list[Row], coeffs) -> Row:
+    """The sum of c * rows[j] over the pairs (j, c) of ``coeffs``, zeros dropped."""
+    acc: Row = {}
+    for j, c in coeffs:
+        for r, e in rows[j].items():
+            acc[r] = acc[r] + c * e if r in acc else c * e
+    return {r: s for r, s in acc.items() if s}
 
 
-def transpose(a: Matrix) -> Matrix:
-    n, m = shape(a)
-    return [[a[i][j] for i in range(n)] for j in range(m)]
+class Echelon:
+    """A reduced row echelon form, built by inserting rows one at a time.
+
+    ``rows[p]`` is the row with pivot p: 1 at p, 0 at every other pivot and
+    before p.  Rows are replaced on update, never changed in place, and are
+    not to be changed from outside.  ``_holders[j]`` lists the rows with an
+    entry at the non-pivot column j, so a new pivot visits only those.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, Row] = {}
+        self._holders: dict[int, set[int]] = {}
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, row: Row) -> Row:
+        """``row`` less its part along the echelon: zero at every pivot,
+        and empty iff ``row`` is in the span."""
+        hits = [(p, c) for p, c in row.items() if p in self.rows]
+        if not hits:
+            return dict(row)
+        acc = dict(row)
+        for p, c in hits:
+            for j, e in self.rows[p].items():
+                acc[j] = acc[j] - c * e if j in acc else -c * e
+        return {j: x for j, x in acc.items() if x}
+
+    def insert(self, row: Row) -> int | None:
+        """Add ``row`` to the span; its new pivot, or None if it was in it."""
+        r = self.reduce(row)
+        if not r:
+            return None
+        p = min(r)
+        if r[p] != 1:
+            inv = _ONE / r[p]
+            r = {j: x * inv for j, x in r.items()}
+        rows, holders = self.rows, self._holders
+        for q in holders.pop(p, ()):
+            new = dict(rows[q])
+            f = new[p]
+            for j, e in r.items():
+                if j not in new:
+                    new[j] = -f * e
+                    holders.setdefault(j, set()).add(q)
+                    continue
+                x = new[j] - f * e
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+                    if j != p:
+                        holders[j].discard(q)
+            rows[q] = new
+        for j in r:
+            if j != p:
+                holders.setdefault(j, set()).add(p)
+        rows[p] = r
+        return p
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = copy(a)
-    rows, cols = shape(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Q(1) / m[r][c]
-        m[r] = [x * inv if x else x for x in m[r]]
-        support = [(j, y) for j, y in enumerate(m[r]) if y]
-        for i in range(rows):
-            row = m[i]
-            if i != r and row[c]:
-                f = row[c]
-                for j, y in support:
-                    row[j] -= f * y
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+    """The nonzero rows of the reduced row echelon form, in pivot order, and
+    the pivot columns."""
+    e = Echelon(rows)
+    pivots = sorted(e.rows)
+    return [e.rows[p] for p in pivots], pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+def rank(rows: list[Row]) -> int:
+    return len(rref(rows)[1])
 
 
-def kernel(a: Matrix) -> tuple[list[Vector], list[int]]:
-    """Basis of the kernel, one vector per free column, deterministic order,
-    and the free columns: vector i is 1 at free column i and 0 at the other
-    free columns, so the pair is in the echelon form of ``SubSpaceData``."""
-    rows, cols = shape(a)
-    red, pivots = rref(a)
+def kernel(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
+    """Basis of the kernel of the matrix with ``ncols`` columns, one vector
+    per free column, and the free columns: vector i is 1 at free column i
+    and 0 at the other free columns, so the pair is in the echelon form of
+    ``SubSpaceData``."""
+    red, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis: list[Vector] = []
-    free_columns: list[int] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [Q(0)] * cols
-        v[free] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-        free_columns.append(free)
-    return basis, free_columns
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = {f: {f: _ONE} for f in free}
+    for row, p in zip(red, pivots):
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return [basis[f] for f in free], free
 
 
-def nullspace(a: Matrix) -> list[Vector]:
+def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of the kernel, one vector per free column, deterministic order."""
-    return kernel(a)[0]
+    return kernel(rows, ncols)[0]
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None if inconsistent.
-
-    Free variables are set to zero (deterministic particular solution).
-    """
-    rows, cols = shape(a)
-    if rows != len(b):
-        raise ValueError("rhs length mismatch")
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+def solve(rows: list[Row], b: Row) -> Row | None:
+    """One solution x of a x = b, where a is given by its rows and b by its
+    nonzero entries, indexed by row; None if there is none.  Free variables
+    are zero, so x is the deterministic particular solution."""
+    if any(not 0 <= i < len(rows) for i in b):
+        raise ValueError("rhs entry outside the rows of the matrix")
+    aug = 1 + max((max(row) for row in rows if row), default=-1)
+    red, pivots = rref([{**row, aug: b[i]} if i in b else row
+                        for i, row in enumerate(rows)])
+    if pivots and pivots[-1] == aug:
         return None
-    x = [Q(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    return {p: row[aug] for row, p in zip(red, pivots) if aug in row}
 
 
-def column_space_basis(a: Matrix) -> list[Vector]:
-    """Deterministic basis of the column space (the pivot columns of a)."""
-    _, pivots = rref(a)
-    at = transpose(a)
-    return [at[c][:] for c in pivots]
+def in_span(vectors: list[Row], v: Row) -> bool:
+    return not Echelon(vectors).reduce(v)
 
 
-def columns_matrix(vectors: list[Vector], dim: int) -> Matrix:
-    """Stack vectors as columns of a dim x len(vectors) matrix."""
-    m = zeros(dim, len(vectors))
-    for j, v in enumerate(vectors):
-        if len(v) != dim:
-            raise ValueError("vector length mismatch")
-        for i in range(dim):
-            m[i][j] = v[i]
-    return m
+def column_space_basis(columns: list[Row], echelon: Echelon | None = None) -> list[Row]:
+    """The columns independent of those before them, and of the rows of
+    ``echelon``, which takes them in: the pivot columns of the matrix, a
+    deterministic basis of its column space."""
+    e = Echelon() if echelon is None else echelon
+    return [col for col in columns if e.insert(col) is not None]
 
 
-def in_span(vectors: list[Vector], v: Vector) -> bool:
-    if not vectors:
-        return all(not x for x in v)
-    return solve(columns_matrix(vectors, len(v)), v) is not None
-
-
-def extend_to_complement(span: list[Vector], dim: int) -> list[int]:
-    """Indices of standard basis vectors completing ``span`` to all of K^dim.
-
-    These are the pivots among the identity columns of ``[span | I]``: e_i is
-    chosen iff it is independent of ``span`` and the e_j before it, so the
-    result is the greedy choice in index order.
-    """
-    _, pivots = rref(columns_matrix(span + identity(dim), dim))
-    return [p - len(span) for p in pivots if p >= len(span)]
+def extend_to_complement(span: list[Row], dim: int) -> list[int]:
+    """Indices of standard basis vectors completing ``span`` to all of K^dim:
+    e_i is chosen iff it is independent of ``span`` and the e_j before it,
+    the greedy choice in index order."""
+    e = Echelon(span)
+    chosen = []
+    for i in range(dim):
+        if len(e.rows) == dim:
+            break
+        if e.insert({i: _ONE}) is not None:
+            chosen.append(i)
+    return chosen

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 from .artin import NilpotentDgla
-from .dgla import _ZERO, Dgla, SubDgla, _add_into, ad_exp_terms
+from .dgla import Dgla, SubDgla, _add_into, ad_exp_terms
 from .graded import (GVec, StructuralError, cohomology, vec_add, vec_component,
                      vec_degree, vec_is_zero, vec_scale, vec_sub)
 from . import linalg
-from .linalg import Q
+from .linalg import Q, dense
 
 
 def _require_degree(x: GVec, deg: int, what: str):
@@ -110,14 +110,14 @@ def _weight_indices(ng: NilpotentDgla, deg: int, weight: int) -> list[int]:
             if ng.coefficients.weights[t % na] == weight]
 
 
-def _d_slice(ng: NilpotentDgla, deg: int, rows: list[int], cols: list[int]) -> linalg.Matrix:
-    """The dense submatrix of d: degree ``deg`` -> ``deg + 1`` on the given
-    row and column indices, read off the columns of d."""
+def _d_slice(ng: NilpotentDgla, deg: int, rows: list[int], cols: list[int]) -> list[dict]:
+    """The rows of the submatrix of d: degree ``deg`` -> ``deg + 1`` on the
+    given row and column indices, read off the columns of d."""
     dcols = ng.dgla.underlying.differential.columns.get(deg)
-    if dcols is None:
-        return linalg.zeros(len(rows), len(cols))
-    picked = [dcols[c] for c in cols]
-    return [[col.get(r, _ZERO) for col in picked] for r in rows]
+    at = {r: i for i, r in enumerate(rows)}
+    picked = [{at[r]: c for r, c in dcols[j].items() if r in at}
+              for j in cols] if dcols else []
+    return linalg.transpose(picked, len(rows))
 
 
 def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
@@ -149,23 +149,17 @@ def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
         rows = _weight_indices(ng, 1, w)
         cols = _weight_indices(ng, 0, w)
         r_1 = vec_component(r_w, 1, dim1)
-        rhs = [r_1[r] for r in rows]
-        if not cols:
-            sol = [] if not any(rhs) else None
-        else:
-            # d alpha_w = -r_w; [B | -b] and [-B | b] have the same rref
-            sol = linalg.solve(_d_slice(ng, 0, rows, cols), [-c if c else c for c in rhs])
+        # d alpha_w = -r_w
+        sol = linalg.solve(_d_slice(ng, 0, rows, cols),
+                           {i: -r_1[r] for i, r in enumerate(rows) if r_1[r]})
         if sol is None:
             if w == 1 or abelian:
                 return GaugeResult("not_equivalent", None,
                                    f"unsolvable linear stage at weight {w}")
             return GaugeResult("inconclusive", None,
                                f"staged solver failed at weight {w}")
-        beta = [Q(0)] * dim0
-        for c, v in zip(cols, sol):
-            beta[c] = v
-        if any(beta):
-            alpha = vec_add(alpha, {0: beta})
+        if sol:
+            alpha = vec_add(alpha, {0: dense({cols[j]: v for j, v in sol.items()}, dim0)})
     final = gauge_act(ng, alpha, x) if alpha else dict(x)
     if vec_is_zero(vec_sub(y, final)):
         return GaugeResult("equivalent", alpha)
@@ -233,17 +227,12 @@ def mc_correct_step(ng: NilpotentDgla, x: GVec) -> GVec | None:
     rows = _weight_indices(ng, 2, obs.weight)
     cols = _weight_indices(ng, 1, obs.weight)
     r_2 = vec_component(obs.representative, 2, ng.space.dim(2))
-    rhs = [-r_2[r] for r in rows]
-    if not cols:
-        sol = [] if not any(rhs) else None
-    else:
-        sol = linalg.solve(_d_slice(ng, 1, rows, cols), rhs)
+    sol = linalg.solve(_d_slice(ng, 1, rows, cols),
+                       {i: -r_2[r] for i, r in enumerate(rows) if r_2[r]})
     if sol is None:
         raise StructuralError("vanishing obstruction class with unsolvable "
                               "correction; inconsistent cohomology data")
-    xi = [Q(0)] * ng.space.dim(1)
-    for c, v in zip(cols, sol):
-        xi[c] = v
+    xi = dense({cols[j]: v for j, v in sol.items()}, ng.space.dim(1))
     return vec_add(x, {1: xi})
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .artin import ArtinAlgebra, truncated_polynomial_algebra
 from .dgla import CdgaModel, Dgla, FiltrationData, SubDgla, abelian_dgla, sub_dgla_span
 from .endo import EndDgla, end_dgla
-from .graded import Complex, GradedMap, GradedVectorSpace, GVec, StructuralError
-from .linalg import Q, Matrix, Vector
+from .graded import Complex, GradedMap, GradedVectorSpace, GVec, Matrix, StructuralError
+from .linalg import Q, Vector, sparse
 
 SCHEMA_VERSION = 1
 
@@ -354,13 +354,9 @@ class ModelDocument:
                     raise ModelError(f"{ptr}/operators/{col}", str(exc))
                 columns.setdefault(sdeg, []).append(
                     elem.get(shift, [Q(0)] * end.space.dim(shift)))
-            blocks = {}
-            for sdeg, cols in columns.items():
-                rows = end.space.dim(sdeg - 1)
-                if rows:
-                    blocks[sdeg] = [[cols[j][r] for j in range(len(cols))]
-                                    for r in range(rows)]
-            i = GradedMap(source.space, end.space, -1, blocks)
+            i = GradedMap(source.space, end.space, -1,
+                          {sdeg: [sparse(v) for v in cols] for sdeg, cols in columns.items()
+                           if end.space.dim(sdeg - 1)})
             return source, omega, end, i
         return self._get("contraction", name, build)
 

@@ -23,22 +23,16 @@ from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
                    ValidationReport, sub_dgla_span, validate_filtration,
                    validate_morphism, validate_sub_dgla)
 from .endo import EndDgla, end_dgla
-from .graded import (Complex, GradedMap, GradedVectorSpace,
-                     StructuralError,
-                     cohomology, quotient_complex, vec_add, vec_component,
-                     vec_is_zero, vec_scale, vec_sub, zero_map)
-from .linalg import Q, Vector
+from .graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
+                     cohomology, quotient_complex, vec_add, vec_is_zero, vec_scale,
+                     vec_sub, zero_map)
+from .linalg import Q, Row, Vector, combine, dense, sparse
+
+_ZERO = Q(0)
 
 
 # ---------------------------------------------------------------------------
 # End(Omega) and the filtration-preserving sub-dgla
-
-def _annihilator_rows(vectors: list[Vector], dim: int) -> list[Vector]:
-    """Linear functionals (as rows) vanishing exactly on the span."""
-    if not vectors:
-        return [list(r) for r in linalg.identity(dim)]
-    return linalg.nullspace(vectors)
-
 
 def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
                      end: EndDgla | None = None) -> SubDgla:
@@ -51,32 +45,24 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
     span: dict[int, list[Vector]] = {}
     for k in end.space.degrees:
         dim = end.space.dim(k)
-        rows: list[Vector] = []
+        rows: list[Row] = []
         for p in f.levels():
             sub = f.step(p)
-            for deg in sorted(sub.span):
+            for deg in sorted(sub.echelon):
                 tdeg = deg + k
-                tdim = sp.dim(tdeg)
-                target_basis = sub.basis_in_degree(tdeg) if sp.dim(tdeg) else []
-                functionals = _annihilator_rows(target_basis, tdim)
-                if not functionals:
-                    continue
-                for v in sub.basis_in_degree(deg):
+                # the functionals vanishing exactly on F^p in degree deg + k
+                functionals = linalg.nullspace(sub.echelon.get(tdeg, ([], []))[0],
+                                               sp.dim(tdeg))
+                for v in sub.echelon[deg][0]:
                     for func in functionals:
-                        row = [Q(0)] * dim
-                        nonzero = False
-                        for pos, (sd, si, di) in enumerate(end.index[k]):
-                            if sd != deg or not v[si]:
-                                continue
-                            if func[di]:
-                                row[pos] += v[si] * func[di]
-                                nonzero = True
-                        if nonzero:
+                        row = {pos: v[si] * func[di]
+                               for pos, (sd, si, di) in enumerate(end.index[k])
+                               if sd == deg and si in v and di in func}
+                        if row:
                             rows.append(row)
-        kernel = linalg.nullspace(rows) if rows else \
-            [list(r) for r in linalg.identity(dim)]
+        kernel = linalg.nullspace(rows, dim)
         if kernel:
-            span[k] = kernel
+            span[k] = [dense(r, dim) for r in kernel]
     sub = sub_dgla_span(end.dgla, span)
     closure = validate_sub_dgla(sub)
     if not closure.ok:
@@ -189,16 +175,11 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
             if not basis:
                 continue
             # cocycles inside F^p in this degree
-            images = [vec_component(omega.d({deg: v}), deg + 1, omega.space.dim(deg + 1))
-                      for v in basis]
-            mat = linalg.transpose(images)
-            if mat:
-                kernel = linalg.nullspace(mat)
-            else:
-                kernel = [list(r) for r in linalg.identity(len(basis))]
+            images = [sparse(omega.d({deg: v}).get(deg + 1, [])) for v in basis]
+            kernel = linalg.nullspace(
+                linalg.transpose(images, omega.space.dim(deg + 1)), len(basis))
             for coeffs in kernel:
-                cocycle = [sum(coeffs[j] * basis[j][t] for j in range(len(basis)))
-                           for t in range(dim)]
+                cocycle = dense(combine(sub.echelon[deg][0], coeffs.items()), dim)
                 if not any(cocycle):
                     continue
                 coords = hc.project({deg: cocycle}).get(deg)
@@ -230,7 +211,7 @@ class EndSpace:
     flag: FlagData
     levels: list
     layout: list                   # (p, degree, rows, cols) unknown blocks
-    basis: list                    # list of flat coordinate vectors
+    basis: list                    # flat coordinate vectors, as sparse rows
 
     @property
     def dimension(self) -> int:
@@ -240,12 +221,11 @@ class EndSpace:
         """Coordinates of a compatible family in the chosen basis."""
         flat = []
         for (p, deg, rows, cols) in self.layout:
-            block = blocks.get((p, deg)) or linalg.zeros(rows, cols)
+            block = blocks.get((p, deg)) or [[_ZERO] * cols] * rows
             for r in range(rows):
                 flat.extend(block[r])
-        if not self.basis:
-            return [] if not any(flat) else None
-        return linalg.solve(linalg.columns_matrix(self.basis, len(flat)), flat)
+        x = linalg.solve(linalg.transpose(self.basis, len(flat)), sparse(flat))
+        return None if x is None else dense(x, len(self.basis))
 
 
 def end_of_flag_diagram(flag: FlagData) -> EndSpace:
@@ -301,27 +281,25 @@ def end_of_flag_diagram(flag: FlagData) -> EndSpace:
                     deg, [Q(0)] * rows_p)))
             # columns indexed by Q_{p+1} coordinates
             for j, w in enumerate(basis_p1):
-                w_in_p = linalg.solve(
-                    linalg.columns_matrix(basis_p, h_space.dim(deg)), list(w))
+                w_in_p = sub_p.coords(deg, w)
                 if w_in_p is None:
                     raise StructuralError("induced filtration is not decreasing")
                 for r in range(rows_p):
-                    row = [Q(0)] * size
+                    row: Row = {}
                     for c in range(len(basis_p)):
                         if w_in_p[c]:
                             idx = block_index(p, deg, r, c)
                             if idx is not None:
-                                row[idx] += w_in_p[c]
+                                row[idx] = row.get(idx, _ZERO) + w_in_p[c]
                     for rr in range(rows_p1):
                         idx = block_index(p + 1, deg, rr, j)
                         if idx is not None:
-                            row[idx] -= pi_block[rr][r]
-                    if any(row):
+                            row[idx] = row.get(idx, _ZERO) - pi_block[rr][r]
+                    row = {i: x for i, x in row.items() if x}
+                    if row:
                         constraints.append(row)
 
-    basis = linalg.nullspace(constraints) if constraints else \
-        [list(r) for r in linalg.identity(size)]
-    return EndSpace(flag, levels, layout, basis)
+    return EndSpace(flag, levels, layout, linalg.nullspace(constraints, size))
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +344,10 @@ def period_differential(contraction: ContractionCartan,
             cols = hq.complex.space.dim(deg)
             if not cols:
                 continue
-            mat = []
-            for idx in hq.section_indices[deg]:
-                rep = flag.representatives[deg][idx]
-                img = oq.projection.apply({deg: list(rep)})
-                coords = qc.project(img).get(deg, [Q(0)] * rows)
-                mat.append(list(coords))
-            iso = linalg.transpose(mat) if rows else linalg.zeros(0, cols)
+            iso = linalg.transpose(
+                [sparse(qc.project(oq.projection.apply(
+                    {deg: list(flag.representatives[deg][idx])})).get(deg, []))
+                 for idx in hq.section_indices[deg]], rows)
             if rows != cols or linalg.rank(iso) != cols:
                 raise StructuralError(
                     f"degeneration comparison fails to be an isomorphism at "
@@ -391,26 +366,25 @@ def period_differential(contraction: ContractionCartan,
             # representative cocycle for each F^p H basis class
             coord_cols = [pair[0] for pair in pairs]
             block_cols = []
+            coord_rows = linalg.transpose([sparse(c) for c in coord_cols],
+                                          flag.h_space.dim(deg))
+            cocycles = [sparse(pair[1]) for pair in pairs]
             for v in basis:
-                sol = linalg.solve(linalg.columns_matrix(
-                    coord_cols, flag.h_space.dim(deg)), list(v))
+                sol = linalg.solve(coord_rows, sparse(v))
                 if sol is None:
                     raise StructuralError("filtered class without a filtered "
                                           "representative")
-                cocycle = [Q(0)] * omega.space.dim(deg)
-                for coeff, pair in zip(sol, pairs):
-                    for tpos, c in enumerate(pair[1]):
-                        cocycle[tpos] += coeff * c
+                cocycle = dense(combine(cocycles, sol.items()), omega.space.dim(deg))
                 image = op.apply({deg: cocycle})
                 oq = omega_quotients[p]
                 qc = quotient_cohomology[p]
                 cls = qc.project(oq.projection.apply(image)).get(
                     deg, [Q(0)] * qc.rank(deg))
-                back = linalg.solve(deg_iso[(p, deg)], list(cls))
+                back = linalg.solve(deg_iso[(p, deg)], sparse(cls))
                 if back is None:
                     raise StructuralError("degeneration isomorphism failed "
                                           "to invert a period class")
-                block_cols.append(back)
+                block_cols.append(dense(back, cols))
             blocks[(p, deg)] = [[block_cols[c][r] for c in range(cols)]
                                 for r in range(rows)]
         coords = endspace.coordinates_of(blocks)

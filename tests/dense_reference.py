@@ -13,7 +13,9 @@ dense tables it was built from, cell by cell.  ``validate_cdga`` is the
 dense sweep of a cdga's axioms over every ordered pair and triple, the
 oracle for ``dgla.validate_cdga`` in test_artin.py.
 
-``artin_table`` is the dense monomial table that ``ArtinAlgebra`` held
+``check_nilpotency`` is the word walk that ``validate_artin`` did before
+it computed the powers of m, the oracle for its nilpotency witnesses in
+test_artin.py.  ``artin_table`` is the dense monomial table that ``ArtinAlgebra`` held
 before m_A became a sparse cdga, and ``interval_forms`` the dense builder
 of the polynomial forms on [0, 1].  They are the oracle for
 ``truncated_polynomial_algebra`` in test_artin.py and for
@@ -56,14 +58,43 @@ from fractions import Fraction
 from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
                                  canonical_tuples, canonicalize, v_basis, vdeg)
 from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, SubDgla, ValidationReport,
-                          _ZERO as ZERO, _residual_repr,
+                          _ZERO as ZERO, _bracket_into, _residual_repr,
                           ad_exp_terms, tensor_basis, validate_morphism)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
                             vec_is_zero, vec_scale, vec_sub)
-from deforma.linalg import (Matrix, Q, Vector, columns_matrix, identity, shape,
-                            transpose, zeros)
+from deforma.linalg import Q, Vector
+
+Matrix = list[list[Fraction]]
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return [[Q(0)] * cols for _ in range(rows)]
+
+
+def identity(n: int) -> Matrix:
+    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+
+
+def shape(a: Matrix) -> tuple[int, int]:
+    return (len(a), len(a[0]) if a else 0)
+
+
+def transpose(a: Matrix) -> Matrix:
+    n, m = shape(a)
+    return [[a[i][j] for i in range(n)] for j in range(m)]
+
+
+def columns_matrix(vectors: list[Vector], dim: int) -> Matrix:
+    """Stack vectors as columns of a dim x len(vectors) matrix."""
+    m = zeros(dim, len(vectors))
+    for j, v in enumerate(vectors):
+        if len(v) != dim:
+            raise ValueError("vector length mismatch")
+        for i in range(dim):
+            m[i][j] = v[i]
+    return m
 
 
 @dataclass(frozen=True)
@@ -224,6 +255,30 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
             if not vec_is_zero(res):
                 report.fail("leibniz", [sp.label(m, i), sp.label(n, j)],
                             _residual_repr(res))
+    return report
+
+
+def check_nilpotency(a) -> ValidationReport:
+    """The word walk ``validate_artin`` used before it computed the powers
+    of m: every left-nested product of ``a.order`` basis monomials, by
+    word, nonzero ones reported.  Exponential in the order."""
+    report = ValidationReport()
+    rows, n = a.cdga.table, a.dim
+    current = [({i: Q(1)}, (i,)) for i in range(n)]
+    for depth in range(2, a.order + 1):
+        nxt = []
+        for vec, word in current:
+            for t in sorted({b for i in vec for b in rows[i]}):
+                acc: dict = {}
+                _bracket_into(acc, 1, rows, vec, {t: 1})
+                prod = {s: c for s, c in acc.items() if c}
+                if prod:
+                    nxt.append((prod, word + (t,)))
+        current = nxt
+        if depth == a.order:
+            for vec, word in current:
+                report.fail("nilpotency", [a.labels[t] for t in word],
+                            [str(vec.get(s, Q(0))) for s in range(n)])
     return report
 
 

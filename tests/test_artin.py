@@ -70,6 +70,31 @@ def test_validate_artin_reports_nilpotency():
         for word in itertools.product(("e1", "e2"), repeat=3)]
 
 
+def test_validate_artin_order_fifteen():
+    # the powers of m, not the 2^14 words of length 15
+    a = truncated_polynomial_algebra(2, 15)
+    assert a.dim == 119 and validate_artin(a).ok
+
+
+def not_nilpotent_at_declared_order() -> list[ArtinAlgebra]:
+    """m^order != 0 in each: truncated algebras declared one order short,
+    and two hand-made tables."""
+    short = [dataclasses.replace(truncated_polynomial_algebra(k, order), order=order - 1)
+             for k, order in ((1, 4), (2, 4), (2, 5), (3, 4))]
+    return short + [dataclasses.replace(non_commutative_artin(), order=2),
+                    ArtinAlgebra(non_associative_cdga(), order=3, generators=2,
+                                 weights=(1, 2, 1, 3))]
+
+
+def test_nilpotency_witnesses_match_word_walk():
+    for a in not_nilpotent_at_declared_order():
+        got = [f for f in validate_artin(a).failures if f["kind"] == "nilpotency"]
+        assert got and got == dense_reference.check_nilpotency(a).failures
+    for k, order in ((1, 5), (2, 6), (3, 4)):
+        a = truncated_polynomial_algebra(k, order)
+        assert validate_artin(a).ok and dense_reference.check_nilpotency(a).ok
+
+
 def non_commutative_artin() -> ArtinAlgebra:
     # x * y = y but y * x = 0
     space = GradedVectorSpace({0: ("x", "y")})

@@ -96,5 +96,4 @@ def test_induced_map_on_cohomology_identity():
     hc = cohomology(cx)
     blocks = induced_map_on_cohomology(ident, cx, cx)
     for d, r in hc.ranks.items():
-        assert blocks[d] == [[Q(1) if i == j else Q(0) for j in range(r)]
-                             for i in range(r)]
+        assert blocks[d] == [{i: Q(1)} for i in range(r)]     # sparse columns

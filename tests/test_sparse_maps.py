@@ -232,12 +232,15 @@ def test_kernel_is_in_echelon_form():
     for _ in range(50):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         a = [[entry(rng, 0.5) for _ in range(cols)] for _ in range(rows)]
-        basis, free = linalg.kernel(a)
-        assert basis == linalg.nullspace(a) == dense.nullspace(a)
+        rows_ = [linalg.sparse(row) for row in a]
+        kernel, free = linalg.kernel(rows_, cols)
+        basis = [linalg.dense(v, cols) for v in kernel]
+        assert kernel == linalg.nullspace(rows_, cols)
+        assert basis == dense.nullspace(a)
         assert all(v[c] == (1 if i == j else 0)
                    for i, v in enumerate(basis) for j, c in enumerate(free))
         parent = GradedVectorSpace({0: tuple(f"e{i}" for i in range(cols))})
-        seeded = SubSpaceData.from_echelon(parent, {0: (basis, free)})
+        seeded = SubSpaceData.from_echelon(parent, {0: (kernel, free)})
         ordinary = SubSpaceData(parent, {0: basis})
         assert seeded.dim(0) == ordinary.dim(0) == len(basis)
         for _ in range(3):
