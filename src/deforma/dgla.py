@@ -10,9 +10,16 @@ nonzeros: ``end_dgla``, ``restrict_to_sub``, the Chevalley-Eilenberg cdga,
 the Artin coefficients m_A and the interval forms list them, and
 ``tensor_dgla`` composes each row from the rows of its factors the first
 time it is asked for, so no construction allocates a dense table.
-``bracket``, ``pair_bracket`` and ``validate_dgla`` cost in proportion to
-the nonzeros they meet.  A ``CdgaModel`` holds its products the same way,
-with the graded-commutative sign in place of the antisymmetric one.
+``bracket`` and ``pair_bracket`` cost in proportion to the nonzeros they
+meet.  A ``CdgaModel`` holds its products the same way, with the
+graded-commutative sign in place of the antisymmetric one.
+
+``validate_dgla`` and ``validate_cdga`` visit only the basis instances of
+an axiom with a term that can be nonzero, found from the nonzeros (the
+pairs in a row, the double products [[x,y],z] with z in the row of a basis
+vector of [x,y], the rows and d-preimages met by the Leibniz terms), in
+basis order, so their failure lists are those of a sweep over every
+instance.  Inside the sweep, integral constants are Python ints.
 
 Dense tables exist only at the JSON boundary.  The JSON form stores
 ``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
@@ -291,14 +298,23 @@ def abelian_dgla(c: Complex) -> Dgla:
     return Dgla(c, {})
 
 
+def _exact(s: Sparse) -> Sparse:
+    """``s`` with its integral entries read as ints and the rest kept."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in s.items()}
+
+
 def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
     """What an axiom sweep over ``t`` reads, by flat position: the table rows,
     the columns of d, the degrees, and ``fail(kind, positions, acc)``, which
-    adds a failure to ``report`` with its labels and residual."""
-    rows = [t.row(a) for a in range(len(t))]
+    adds a failure to ``report`` with its labels and residual.
+
+    Integral constants are read as Python ints, an exact subring of the
+    rationals that is cheaper to multiply, and the others stay Fractions;
+    ``str`` prints 3 and Fraction(3) alike, so residuals read the same."""
+    rows = [{b: _exact(e) for b, e in t.row(a).items()} for a in range(len(t))]
     d = cx.differential.columns
-    dcols = [{t.offset[deg + 1] + r: c for r, c in d[deg][i].items()} if deg in d else {}
-             for deg, i in t.position]
+    dcols = [_exact({t.offset[deg + 1] + r: c for r, c in d[deg][i].items()})
+             if deg in d else {} for deg, i in t.position]
     labels = [cx.space.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
 
@@ -309,18 +325,23 @@ def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
 
 
 def _check_leibniz(rows, dcols, degree, fail):
-    """Graded Leibniz d(ab) = (da)b + (-1)^{|a|} a(db) on every basis pair,
-    for the bracket or product whose table rows are ``rows``."""
-    empty: Sparse = {}
-    n_basis = len(rows)
-    for a in range(n_basis):
-        row, da = rows[a], dcols[a]
-        if not row and not da:
-            continue
+    """Graded Leibniz d(ab) = (da)b + (-1)^{|a|} a(db) on every basis pair
+    with a term that can be nonzero: b in the row of a, in the row of a
+    basis vector of da, or a d-preimage of a basis vector in a's row."""
+    preimages = [[] for _ in rows]      # b with e_k in db
+    for b, db in enumerate(dcols):
+        for k in db:
+            preimages[k].append(b)
+    for a, (row, da) in enumerate(zip(rows, dcols)):
+        bs = set(row)
+        for k in da:
+            bs.update(rows[k])
+        for k in row:
+            bs.update(preimages[k])
         sign = -1 if degree[a] % 2 else 1
-        for b in range(n_basis):
+        for b in sorted(bs):
             acc = {}
-            for k, c in row.get(b, empty).items():
+            for k, c in row.get(b, {}).items():
                 _add_into(acc, c, dcols[k])
             _bracket_into(acc, -1, rows, da, {b: 1})
             _bracket_into(acc, -sign, rows, {a: 1}, dcols[b])
@@ -331,12 +352,16 @@ def _check_leibniz(rows, dcols, degree, fail):
 def validate_dgla(g: Dgla) -> ValidationReport:
     """Check graded antisymmetry, Leibniz and Jacobi on every basis instance.
 
-    Runs over the sparse table: an instance whose brackets are all absent
-    from it is zero without arithmetic.
+    Only instances with a term that can be nonzero are visited: antisymmetry
+    on the pairs with a bracket in either order, Leibniz as in
+    ``_check_leibniz``, and Jacobi on the triples {x, y, z} with z in the
+    row of a basis vector of a bracket [x, y] present.  The rest are zero
+    without arithmetic.  Integral constants are multiplied as ints (see
+    ``_sweep``).  Failures come in basis order, as a sweep over every
+    instance would list them.
     """
     report = ValidationReport()
     rows, dcols, degree, fail = _sweep(g.table, g.underlying, report)
-    n_basis = len(rows)
     empty: Sparse = {}
 
     # antisymmetry [a,b] = -(-1)^{|a||b|}[b,a] on every pair with an entry in
@@ -370,35 +395,22 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     _check_leibniz(rows, dcols, degree, fail)
 
     # graded Jacobi in the symmetric cyclic form; with antisymmetry in hand,
-    # unordered triples suffice.  For a <= b, a c >= b can only give a
-    # nonzero sum if [a,b], [b,c] or [c,a] is in the table.
-    partners = [[] for _ in range(n_basis)]   # c with [c, a] present
-    for c, row in enumerate(rows):
-        for a in row:
-            partners[a].append(c)
-    for a in range(n_basis):
-        m = degree[a]
-        for b in range(a, n_basis):
-            n = degree[b]
-            ab = rows[a].get(b)
-            if ab:
-                cs = range(b, n_basis)
-            else:
-                cs = sorted({c for c in rows[b] if c >= b}
-                            | {c for c in partners[a] if c >= b})
-            for c in cs:
-                p = degree[c]
-                acc = {}
-                if ab:
-                    _bracket_into(acc, -1 if (m * p) % 2 else 1, rows, ab, {c: 1})
-                bc = rows[b].get(c)
-                if bc:
-                    _bracket_into(acc, -1 if (n * m) % 2 else 1, rows, bc, {a: 1})
-                ca = rows[c].get(a)
-                if ca:
-                    _bracket_into(acc, -1 if (p * n) % 2 else 1, rows, ca, {b: 1})
-                if any(acc.values()):
-                    fail("jacobi", (a, b, c), acc)
+    # unordered triples a <= b <= c suffice.  Each term is a double bracket
+    # [[x,y],z], which is zero unless z is in the row of a basis vector of
+    # [x,y]; so the triples are those {x, y, z} for each [x,y] present.
+    triples = set()
+    for x, row in enumerate(rows):
+        for y, xy in row.items():
+            for k in xy:
+                triples.update(tuple(sorted((x, y, z))) for z in rows[k])
+    for a, b, c in sorted(triples):
+        m, n, p = degree[a], degree[b], degree[c]
+        acc = {}
+        _bracket_into(acc, -1 if (m * p) % 2 else 1, rows, rows[a].get(b, empty), {c: 1})
+        _bracket_into(acc, -1 if (n * m) % 2 else 1, rows, rows[b].get(c, empty), {a: 1})
+        _bracket_into(acc, -1 if (p * n) % 2 else 1, rows, rows[c].get(a, empty), {b: 1})
+        if any(acc.values()):
+            fail("jacobi", (a, b, c), acc)
     return report
 
 
@@ -445,10 +457,13 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
     everything except Leibniz on their top corner, and the endomorphism
     constructions only need the complex structure.
 
-    Runs over the sparse table, as ``validate_dgla`` does: a pair with no
-    product in either order commutes, and a triple with ab = bc = 0
-    associates, without arithmetic.  Failures come in basis order, as a
-    sweep over every instance would list them.
+    Visits only instances with a term that can be nonzero, as
+    ``validate_dgla`` does: commutativity on the pairs with a product in
+    either order; associativity on the (a, b, c) with c in the row of a
+    basis vector of ab, or with a basis vector of bc in the row of a; and
+    Leibniz as in ``_check_leibniz``.  Integral constants are multiplied as
+    ints (see ``_sweep``).  Failures come in basis order, as a sweep over
+    every instance would list them.
     """
     report = ValidationReport()
     rows, dcols, degree, fail = _sweep(omega.table, omega.complex, report)
@@ -470,28 +485,21 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
             if any(acc.values()):
                 fail("commutativity", (a, b), acc)
 
-    # associativity (ab)c = a(bc); for ab = bc = 0 both sides vanish, so c
-    # runs over the c with bc present or with (ab)c possibly nonzero
-    for a, row in enumerate(rows):
-        if not row:
-            continue
-        for b in range(n_basis):
-            ab = row.get(b)
-            if not ab and not rows[b]:
-                continue
-            cs = set(rows[b])
-            if ab:
-                for k in ab:
-                    cs.update(rows[k])
-            for c in sorted(cs):
-                acc = {}
-                if ab:
-                    _bracket_into(acc, 1, rows, ab, {c: 1})
-                bc = rows[b].get(c)
-                if bc:
-                    _bracket_into(acc, -1, rows, {a: 1}, bc)
-                if any(acc.values()):
-                    fail("associativity", (a, b, c), acc)
+    # associativity (ab)c = a(bc) on the triples where a side can be
+    # nonzero: c in the row of a basis vector e_k of ab, or a with e_k in
+    # its row for a basis vector e_k of bc
+    triples = set()
+    for x, row in enumerate(rows):
+        for y, xy in row.items():
+            for k in xy:
+                triples.update((x, y, z) for z in rows[k])
+                triples.update((w, x, y) for w in partners[k])
+    for a, b, c in sorted(triples):
+        acc = {}
+        _bracket_into(acc, 1, rows, rows[a].get(b, empty), {c: 1})
+        _bracket_into(acc, -1, rows, {a: 1}, rows[b].get(c, empty))
+        if any(acc.values()):
+            fail("associativity", (a, b, c), acc)
 
     _check_leibniz(rows, dcols, degree, fail)
     return report
@@ -607,9 +615,9 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         if not vrow or not frow:
             return row
         for w, vw in vrow.items():
-            sign = -1 if adeg[f] * gdeg[w] % 2 else 1
+            odd = adeg[f] * gdeg[w] % 2
             for h, fh in frow.items():
-                row[place[w, h]] = {place[u, e]: sign * c * s
+                row[place[w, h]] = {place[u, e]: -(c * s) if odd else c * s
                                     for u, c in vw.items() for e, s in fh.items()}
         return row
 

@@ -131,9 +131,15 @@ def vec_component(x: GVec, deg: int, dim: int) -> Vector:
 Column = Row  # target basis index -> nonzero coefficient
 
 
-def _is_dense(blocks: dict) -> bool:
-    """Dense blocks are lists of rows; columns are lists of dicts."""
-    return not any(block and isinstance(block[0], dict) for block in blocks.values())
+def _is_dense(f: "GradedMap") -> bool:
+    """Dense blocks are lists of rows; columns are lists of dicts.  When every
+    block is empty, ``[]`` is read as no columns where only that fits (no
+    source basis vector there, some target one), else as a block with no
+    rows."""
+    for block in f.columns.values():
+        if block:
+            return not isinstance(block[0], dict)
+    return not any(f.target.dim(n + f.shift) and not f.source.dim(n) for n in f.columns)
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,9 @@ class GradedMap:
 
     def __post_init__(self):
         given = self.columns
-        if _is_dense(given):
+        if _is_dense(self):
             for n, block in given.items():
-                rows, cols = len(block), len(block[0]) if block else 0
+                rows, cols = len(block), len(block[0]) if block else self.source.dim(n)
                 if cols != self.source.dim(n) or rows != self.target.dim(n + self.shift):
                     raise StructuralError(
                         f"block at degree {n} has shape {rows}x{cols}, expected "

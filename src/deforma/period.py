@@ -45,6 +45,7 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
     span: dict[int, list[Vector]] = {}
     for k in end.space.degrees:
         dim = end.space.dim(k)
+        position = {entry: pos for pos, entry in enumerate(end.index[k])}
         rows: list[Row] = []
         for p in f.levels():
             sub = f.step(p)
@@ -54,12 +55,9 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
                 functionals = linalg.nullspace(sub.echelon.get(tdeg, ([], []))[0],
                                                sp.dim(tdeg))
                 for v in sub.echelon[deg][0]:
-                    for func in functionals:
-                        row = {pos: v[si] * func[di]
-                               for pos, (sd, si, di) in enumerate(end.index[k])
-                               if sd == deg and si in v and di in func}
-                        if row:
-                            rows.append(row)
+                    rows.extend({position[deg, si, di]: c * e
+                                 for si, c in v.items() for di, e in func.items()}
+                                for func in functionals)
         kernel = linalg.nullspace(rows, dim)
         if kernel:
             span[k] = [dense(r, dim) for r in kernel]

@@ -7,11 +7,12 @@ use of the sparse table.  ``g`` is a ``Dgla`` (whose ``brackets`` is the
 dense view computed back from its table) or a ``DenseDgla``, which holds the
 raw dense tables that went into a ``Dgla`` and so checks their conversion
 too.  They are the oracle for ``Dgla.bracket``, ``Dgla.pair_bracket`` and
-``validate_dgla`` in test_sparse_kernel.py, and for ``tensor_nilpotent`` in
-test_artin.py.  ``assert_table_holds_dense`` checks a table against the raw
-dense tables it was built from, cell by cell.  ``validate_cdga`` is the
+``validate_dgla`` in test_sparse_kernel.py and test_axiom_sweeps.py, and
+for ``tensor_nilpotent`` in test_artin.py.  ``assert_table_holds_dense``
+checks a table against the raw dense tables it was built from, cell by
+cell.  ``validate_cdga`` is the
 dense sweep of a cdga's axioms over every ordered pair and triple, the
-oracle for ``dgla.validate_cdga`` in test_artin.py.
+oracle for ``dgla.validate_cdga`` in test_artin.py and test_axiom_sweeps.py.
 
 ``check_nilpotency`` is the word walk that ``validate_artin`` did before
 it computed the powers of m, the oracle for its nilpotency witnesses in

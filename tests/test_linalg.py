@@ -276,7 +276,7 @@ def test_sparse_kernels_match_dense_oracles(matrix, data):
     # CohomologyResult.project on the two-term complex K^cols -> K^rows
     space = GradedVectorSpace({0: parent.labels(0),
                                1: tuple(f"f{i}" for i in range(len(m)))})
-    c = Complex(space, GradedMap(space, space, 1, {0: columns} if cols else {}))
+    c = Complex(space, GradedMap(space, space, 1, {0: columns}))
     hc, ref = cohomology(c), dense.cohomology(c)
     for deg, (rank, reps, cobs) in ref.items():
         data_ = hc.by_degree[deg]

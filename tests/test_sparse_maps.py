@@ -140,6 +140,21 @@ def test_map_shape_errors():
     assert zero_map(sp, sp, 1).blocks == {} and zero_map(sp, sp).apply({0: [Q(1), Q(1)]}) == {}
 
 
+def test_empty_blocks_are_read_by_shape():
+    # [] is no columns of a source without basis vectors there, or a block
+    # with no rows into a target without any; both forms of a 1x0 and of a
+    # 0x1 map give the zero map with the right dense shape
+    none, one = GradedVectorSpace({}), GradedVectorSpace({0: ("a",)})
+    for given in ({0: []}, {0: [[]]}):                  # 1x0: columns, dense
+        f = GradedMap(none, one, 0, given)
+        assert f.is_zero() and f.block(0) == [[]] and f.apply({}) == {}
+    for given in ({0: [{}]}, {0: []}):                  # 0x1: columns, dense
+        f = GradedMap(one, none, 0, given)
+        assert f.is_zero() and f.block(0) == [] and f.apply({0: [Q(1)]}) == {}
+    with pytest.raises(StructuralError, match="block at degree 0 has shape 0x1, expected 1x1"):
+        GradedMap(one, one, 0, {0: []})
+
+
 def test_d_squared_message_on_perturbed_d():
     sp = GradedVectorSpace({0: ("a",), 1: ("b",), 2: ("c",)})
     with pytest.raises(StructuralError, match=r"^d\^2 != 0 starting in degrees \[0\]$"):
