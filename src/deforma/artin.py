@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_into,
                    tensor_dgla, validate_cdga)
@@ -164,21 +165,19 @@ class NilpotentDgla:
                 out[deg] = w
         return out
 
-    def weight_slice(self, x: GVec, weight: int) -> GVec:
-        na = self.coefficients.dim
-        out: GVec = {}
-        for deg, v in x.items():
-            w = [c if self.coefficients.weights[t % na] == weight else Q(0)
-                 for t, c in enumerate(v)]
-            if any(w):
-                out[deg] = w
-        return out
+    @cached_property
+    def weights(self) -> list[int]:
+        """The coefficient weight of every flat position of ``dgla.table``."""
+        na, weights = self.coefficients.dim, self.coefficients.weights
+        return [weights[idx % na] for _, idx in self.dgla.table.position]
 
-    def min_weight(self, x: GVec) -> int | None:
-        na = self.coefficients.dim
-        weights = [self.coefficients.weights[t % na]
-                   for deg, v in x.items() for t, c in enumerate(v) if c]
-        return min(weights) if weights else None
+    @cached_property
+    def by_weight(self) -> dict[tuple[int, int], list[int]]:
+        """The flat positions of each (degree, weight), in increasing order."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for p, (deg, _) in enumerate(self.dgla.table.position):
+            out.setdefault((deg, self.weights[p]), []).append(p)
+        return out
 
 
 def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> NilpotentDgla:

@@ -98,9 +98,10 @@ class FlatBasis:
     def flat(self, x: GVec) -> Sparse:
         out: Sparse = {}
         for deg, v in x.items():
-            base = self.offset.get(deg)
-            if base is None:
-                continue
+            base, dim = self.offset.get(deg), self.dims.get(deg, 0)
+            if len(v) != dim and any(v):
+                raise ValueError(f"shape mismatch: vector of length {len(v)} in "
+                                 f"degree {deg}, expected {dim}")
             for i, c in enumerate(v):
                 if c:
                     out[base + i] = c
@@ -116,6 +117,14 @@ class FlatBasis:
                 if v is None:
                     v = out[deg] = [_ZERO] * self.dims[deg]
                 v[idx] = c
+        return out
+
+    def columns(self, f: GradedMap) -> list[Sparse]:
+        """f(e_a) by flat position a, in flat coordinates, for f: space -> space."""
+        out: list[Sparse] = [{} for _ in self.position]
+        for deg, cols in f.columns.items():
+            src, dst = self.offset[deg], self.offset[deg + f.shift]
+            out[src:src + len(cols)] = [{dst + r: c for r, c in col.items()} for col in cols]
         return out
 
     def table_from_upper(self, upper, symmetric: bool = False) -> "StructureTable":
@@ -228,22 +237,27 @@ class StructureTable(FlatBasis):
 
 
 def _add_into(acc: Sparse, scale, s: Sparse):
+    """acc += scale s, with no multiplication where scale or an entry is +-1."""
+    one, minus = scale == 1, scale == -1
     for k, c in s.items():
-        acc[k] = acc[k] + scale * c if k in acc else scale * c
+        v = c if one else -c if minus else scale if c == 1 else -scale if c == -1 else scale * c
+        acc[k] = acc[k] + v if k in acc else v
 
 
 def _bracket_into(acc: Sparse, scale, rows, x: Sparse, y: Sparse):
-    """acc += scale [x, y], with ``rows[a]`` the table row of e_a."""
+    """acc += scale [x, y], ``rows[a]`` the table row of e_a; 1 is not multiplied."""
     for a, xc in x.items():
         row = rows[a]
         if not row:
             continue
+        if scale != 1:
+            xc = scale * xc
         if len(row) <= len(y):
             hits = [(e, y[b]) for b, e in row.items() if b in y]
         else:
             hits = [(row[b], yc) for b, yc in y.items() if b in row]
         for e, yc in hits:
-            _add_into(acc, scale * xc * yc, e)
+            _add_into(acc, xc if yc == 1 else xc * yc, e)
 
 
 @dataclass(frozen=True)
@@ -269,6 +283,11 @@ class Dgla:
     def brackets(self) -> dict[tuple[int, int], list[list[Vector]]]:
         """``brackets[(m, n)][i][j]`` (m <= n) is [e_i, e_j] in degree m + n."""
         return self.table.dense()
+
+    @cached_property
+    def dcols(self) -> list[Sparse]:
+        """d(e_a) for every flat position a of ``table``, in flat coordinates."""
+        return self.table.columns(self.underlying.differential)
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -312,9 +331,7 @@ def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
     rationals that is cheaper to multiply, and the others stay Fractions;
     ``str`` prints 3 and Fraction(3) alike, so residuals read the same."""
     rows = [{b: _exact(e) for b, e in t.row(a).items()} for a in range(len(t))]
-    d = cx.differential.columns
-    dcols = [_exact({t.offset[deg + 1] + r: c for r, c in d[deg][i].items()})
-             if deg in d else {} for deg, i in t.position]
+    dcols = [_exact(col) for col in t.columns(cx.differential)]
     labels = [cx.space.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
 
@@ -615,9 +632,10 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         if not vrow or not frow:
             return row
         for w, vw in vrow.items():
-            odd = adeg[f] * gdeg[w] % 2
+            if adeg[f] * gdeg[w] % 2:
+                vw = {u: -c for u, c in vw.items()}
             for h, fh in frow.items():
-                row[place[w, h]] = {place[u, e]: -(c * s) if odd else c * s
+                row[place[w, h]] = {place[u, e]: c if s == 1 else c * s
                                     for u, c in vw.items() for e, s in fh.items()}
         return row
 
@@ -639,7 +657,7 @@ def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
         if len(terms) == limit:
             raise RuntimeError("exponential series failed to terminate")
         factorial *= len(terms) + 1
-        terms.append(scale(Q(1, factorial), s))
+        terms.append(scale(Q(1, factorial), s) if factorial > 1 else s)
         s = bracket(alpha, s)
     return terms
 

@@ -1,14 +1,14 @@
 """Graded vector spaces, graded maps, complexes and their cohomology.
 
 All spaces are finitely supported over the rationals.  Elements of a graded
-space are dicts ``degree -> coordinate list``; missing degrees mean zero.
-``vec_add``, ``vec_sub`` and ``vec_scale`` do no arithmetic on a zero
-coordinate.  Graded maps are stored as sparse columns, one dict of nonzero
-coefficients per source basis vector (``GradedMap``), so applying and
-composing them costs in proportion to the nonzeros met.  Cohomology,
-subspaces and quotients read those columns straight into the sparse
-echelons of ``linalg``.  Dense blocks are a view for JSON, or kept as given
-when a map is built from them.
+space are dicts ``degree -> coordinate list`` (``GVec``), missing degrees
+meaning zero: the form elements take across the public API.  The bracket and
+Maurer-Cartan kernels compute on flat sparse coordinates (``dgla.FlatBasis``).
+Graded maps are stored as sparse columns, one dict of nonzero coefficients
+per source basis vector (``GradedMap``), so applying and composing them costs
+in proportion to the nonzeros met.  Cohomology, subspaces and quotients read
+those columns straight into the sparse echelons of ``linalg``.  Dense blocks
+are a view for JSON, or kept as given when a map is built from them.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class GradedVectorSpace:
 
     def total_dim(self) -> int:
         return sum(len(ls) for ls in self.components.values())
-
-    def zero(self) -> GVec:
-        return {}
 
     def basis_element(self, deg: int, idx: int) -> GVec:
         v = [Q(0)] * self.dim(deg)
@@ -119,10 +116,6 @@ def vec_degree(x: GVec) -> int | None:
     """Degree of a homogeneous element, None for 0 or inhomogeneous."""
     degs = [d for d, v in x.items() if any(v)]
     return degs[0] if len(degs) == 1 else None
-
-
-def vec_component(x: GVec, deg: int, dim: int) -> Vector:
-    return list(x.get(deg, [Q(0)] * dim))
 
 
 # ---------------------------------------------------------------------------

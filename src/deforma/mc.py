@@ -5,55 +5,94 @@ a local Artin algebra: the Maurer-Cartan equation, the gauge action of the
 exponential group exp((g (x) m_A)^0), irrelevant (stabilizer) gauges, a staged
 gauge-equivalence solver, order-by-order extension with cohomological
 obstruction classes, and the Baker-Campbell-Hausdorff group law.
+
+Elements cross the public API as ``GVec``s; the kernels compute on flat
+sparse coordinates {flat position: nonzero Fraction} of the host's table,
+converted once on entry (``table.flat``) and once on exit (``table.graded``),
+with d read off ``Dgla.dcols`` and weights off ``NilpotentDgla.weights``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 from .artin import NilpotentDgla
-from .dgla import Dgla, SubDgla, _add_into, ad_exp_terms
-from .graded import (GVec, StructuralError, cohomology, vec_add, vec_component,
-                     vec_degree, vec_is_zero, vec_scale, vec_sub)
+from .dgla import Dgla, Sparse, SubDgla, _add_into, _bracket_into, ad_exp_terms
+from .graded import (_ZERO, GVec, StructuralError, cohomology, vec_add, vec_is_zero,
+                     vec_scale)
 from . import linalg
-from .linalg import Q, dense
+from .linalg import Q
+
+_ONE, _HALF = Q(1), Q(1, 2)
 
 
-def _require_degree(x: GVec, deg: int, what: str):
-    d = vec_degree(x)
-    if d is not None and d != deg:
+def _entry(t, x: GVec, deg: int, what: str) -> Sparse:
+    """x in the flat coordinates of ``t``, checked homogeneous of degree ``deg``."""
+    s = t.flat(x)
+    if any(t.position[k][0] != deg for k in s):
         raise StructuralError(f"{what} must be homogeneous of degree {deg}")
+    return s
+
+
+def _d_bracket(rows, dcols, s: Sparse, sign, x: Sparse, y: Sparse, scale=1) -> Sparse:
+    """sign d(s) + scale [x, y], for sign 1 or -1."""
+    acc: Sparse = {}
+    for a, c in s.items():
+        _add_into(acc, c if sign == 1 else -c, dcols[a])
+    _bracket_into(acc, scale, rows, x, y)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _bracket(t, x: Sparse, y: Sparse) -> Sparse:
+    return _d_bracket(t, (), {}, 1, x, y)
+
+
+def _combine(terms) -> Sparse:
+    """The sum of c s over the pairs (c, s) of flat elements."""
+    acc: Sparse = {}
+    for c, s in terms:
+        _add_into(acc, c, s)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _residue(ng: NilpotentDgla | Dgla, x: GVec):
+    """The table and dx + [x, x]/2 in its flat coordinates."""
+    g = ng.dgla if isinstance(ng, NilpotentDgla) else ng
+    fx = _entry(g.table, x, 1, "Maurer-Cartan candidate")
+    return g.table, _d_bracket(g.table, g.dcols, fx, 1, fx, fx, _HALF)
 
 
 def mc_residue(ng: NilpotentDgla | Dgla, x: GVec) -> GVec:
     """dx + [x, x]/2 for a degree-1 element of g (x) m_A or of any dgla."""
-    _require_degree(x, 1, "Maurer-Cartan candidate")
-    return vec_add(ng.d(x), vec_scale(Q(1, 2), ng.bracket(x, x)))
+    t, r = _residue(ng, x)
+    return t.graded(r)
 
 
 def is_mc(ng: NilpotentDgla, x: GVec) -> bool:
-    return vec_is_zero(mc_residue(ng, x))
+    return not _residue(ng, x)[1]
 
 
-def _gauge_terms(ng: NilpotentDgla, alpha: GVec, x: GVec) -> list[GVec]:
+def _gauge_terms(ng: NilpotentDgla, alpha: Sparse, x: Sparse) -> list[Sparse]:
     """The nonzero terms ad_alpha^n / (n+1)! ([alpha, x] - d alpha), n >= 0.
 
     The series terminates because alpha has positive coefficient weight.
     """
-    _require_degree(alpha, 0, "gauge parameter")
-    _require_degree(x, 1, "gauge argument")
-    return ad_exp_terms(ng.bracket, vec_scale, vec_is_zero, alpha,
-                        vec_sub(ng.bracket(alpha, x), ng.d(alpha)),
+    t = ng.dgla.table
+    return ad_exp_terms(partial(_bracket, t), lambda c, s: {k: c * v for k, v in s.items()},
+                        operator.not_, alpha,
+                        _d_bracket(t, ng.dgla.dcols, alpha, -1, alpha, x),
                         ng.coefficients.order)
 
 
 def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
     """e^alpha * x = x + sum_n ad_alpha^n / (n+1)! ([alpha, x] - d alpha)."""
-    out = dict(x)
-    for term in _gauge_terms(ng, alpha, x):
-        out = vec_add(out, term)
-    return out
+    t = ng.dgla.table
+    fa, fx = _entry(t, alpha, 0, "gauge parameter"), _entry(t, x, 1, "gauge argument")
+    terms = _gauge_terms(ng, fa, fx)
+    return t.graded(_combine([(1, fx)] + [(1, s) for s in terms])) if terms else dict(x)
 
 
 def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
@@ -64,37 +103,22 @@ def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
     With ``sub`` given (a sub-dgla of the base, viewed inside g (x) m_A), h
     ranges over degree -1 elements of sub (x) m_A instead.
     """
-    _require_degree(x, 1, "Maurer-Cartan point")
-    deg = -1
-    if sub is not None:
-        out = []
-        for v in sub.span.basis_in_degree(deg):
-            for mon in range(ng.coefficients.dim):
-                h = ng.tensor_element({deg: list(v)}, mon)
-                g = vec_add(ng.d(h), ng.bracket(x, h))
-                if not vec_is_zero(g):
-                    out.append(g)
-        return out
-    # d e_i is column i of d, and [x, e_i] = sum_a x_a [e_a, e_i] is read
-    # off the table rows of the nonzero coordinates of x
-    t = ng.dgla.table
-    if deg not in t.offset:
-        return []
-    base, dim = t.offset[deg], t.dims[deg]
-    dcols = ng.dgla.underlying.differential.columns.get(deg)
-    target = t.offset.get(deg + 1)
-    rows = [(c, t.row(a)) for a, c in t.flat(x).items()]
-    out = []
-    for i in range(dim):
-        acc = {target + r: c for r, c in dcols[i].items()} if dcols else {}
-        for c, row in rows:
-            entry = row.get(base + i)
-            if entry:
-                _add_into(acc, c, entry)
-        g = t.graded(acc)
-        if g:
-            out.append(g)
-    return out
+    t, na = ng.dgla.table, ng.coefficients.dim
+    fx = _entry(t, x, 1, "Maurer-Cartan point")
+    vs = (sub.span.echelon.get(-1, ([], []))[0] if sub is not None else
+          [{i: 1} for i in range(ng.base.space.dim(-1))])
+    rows, dcols, out = [(c, t.row(a)) for a, c in fx.items()], ng.dgla.dcols, []
+    for v in vs:
+        for mon in range(na):
+            acc: Sparse = {}
+            for j, hc in v.items():     # h = v (x) m; [x, h] reads the rows of x
+                b = t.offset[-1] + j * na + mon
+                _add_into(acc, hc, dcols[b])
+                for c, row in rows:
+                    if b in row:
+                        _add_into(acc, c if hc == 1 else c * hc, row[b])
+            out.append(t.graded(acc))
+    return [g for g in out if g]
 
 
 @dataclass
@@ -104,20 +128,15 @@ class GaugeResult:
     detail: str = ""
 
 
-def _weight_indices(ng: NilpotentDgla, deg: int, weight: int) -> list[int]:
-    na = ng.coefficients.dim
-    return [t for t in range(ng.space.dim(deg))
-            if ng.coefficients.weights[t % na] == weight]
-
-
-def _d_slice(ng: NilpotentDgla, deg: int, rows: list[int], cols: list[int]) -> list[dict]:
-    """The rows of the submatrix of d: degree ``deg`` -> ``deg + 1`` on the
-    given row and column indices, read off the columns of d."""
-    dcols = ng.dgla.underlying.differential.columns.get(deg)
-    at = {r: i for i, r in enumerate(rows)}
-    picked = [{at[r]: c for r, c in dcols[j].items() if r in at}
-              for j in cols] if dcols else []
-    return linalg.transpose(picked, len(rows))
+def _solve_d(ng: NilpotentDgla, deg: int, w: int, r: Sparse) -> Sparse | None:
+    """An xi of degree ``deg`` and weight w with d xi = r at the positions of
+    weight w, from the submatrix of d read off its columns; None if none."""
+    rows, cols = ng.by_weight.get((deg + 1, w), []), ng.by_weight.get((deg, w), [])
+    at = {p: i for i, p in enumerate(rows)}
+    d_w = [{at[p]: c for p, c in ng.dgla.dcols[j].items() if p in at} for j in cols]
+    sol = linalg.solve(linalg.transpose(d_w, len(rows)),
+                       {i: r[p] for i, p in enumerate(rows) if p in r})
+    return None if sol is None else {cols[j]: c for j, c in sol.items()}
 
 
 def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
@@ -129,40 +148,35 @@ def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
     stages are independent).  Otherwise a failed stage is inconclusive,
     because earlier stages admitted unexplored solution families.
     """
-    _require_degree(x, 1, "gauge argument")
-    _require_degree(y, 1, "gauge argument")
-    if not (is_mc(ng, x) and is_mc(ng, y)):
+    t, weights = ng.dgla.table, ng.weights
+    fx, fy = (_entry(t, v, 1, "gauge argument") for v in (x, y))
+    if any(_d_bracket(t, ng.dgla.dcols, f, 1, f, f, _HALF) for f in (fx, fy)):
         raise StructuralError("gauge equivalence is only tested between "
                               "Maurer-Cartan elements")
-    alpha: GVec = {}
+
+    def excess(alpha: Sparse) -> Sparse:             # e^alpha * x - y
+        terms = _gauge_terms(ng, alpha, fx) if alpha else []
+        return _combine([(1, fx), (-1, fy)] + [(1, s) for s in terms])
+
+    alpha: Sparse = {}
     abelian = ng.base.is_abelian()
-    dim0 = ng.space.dim(0)
-    dim1 = ng.space.dim(1)
     for w in range(1, ng.coefficients.order):
-        current = gauge_act(ng, alpha, x) if alpha else dict(x)
-        residual = vec_sub(y, current)
-        if vec_is_zero(residual):
+        r = excess(alpha)
+        if not r:
             break
-        r_w = ng.weight_slice(residual, w)
-        if vec_is_zero(r_w):
+        r_w = {k: c for k, c in r.items() if weights[k] == w}
+        if not r_w:
             continue
-        rows = _weight_indices(ng, 1, w)
-        cols = _weight_indices(ng, 0, w)
-        r_1 = vec_component(r_w, 1, dim1)
-        # d alpha_w = -r_w
-        sol = linalg.solve(_d_slice(ng, 0, rows, cols),
-                           {i: -r_1[r] for i, r in enumerate(rows) if r_1[r]})
-        if sol is None:
+        xi = _solve_d(ng, 0, w, r_w)            # d alpha_w = r_w
+        if xi is None:
             if w == 1 or abelian:
                 return GaugeResult("not_equivalent", None,
                                    f"unsolvable linear stage at weight {w}")
             return GaugeResult("inconclusive", None,
                                f"staged solver failed at weight {w}")
-        if sol:
-            alpha = vec_add(alpha, {0: dense({cols[j]: v for j, v in sol.items()}, dim0)})
-    final = gauge_act(ng, alpha, x) if alpha else dict(x)
-    if vec_is_zero(vec_sub(y, final)):
-        return GaugeResult("equivalent", alpha)
+        alpha.update(xi)
+    if not excess(alpha):
+        return GaugeResult("equivalent", t.graded(alpha))
     return GaugeResult("inconclusive", None, "residual survived all stages")
 
 
@@ -190,50 +204,43 @@ def mc_obstruction(ng: NilpotentDgla, x: GVec) -> ObstructionClass | None:
     degree 2, one class per monomial; x can be corrected at that weight iff
     every class vanishes.
     """
-    r = mc_residue(ng, x)
-    w = ng.min_weight(r)
-    if w is None:
+    t, r = _residue(ng, x)
+    if not r:
         return None
-    r_w = ng.weight_slice(r, w)
-    base = ng.base
-    na = ng.coefficients.dim
+    weights, base, a = ng.weights, ng.base, ng.coefficients
+    w = min(weights[k] for k in r)
+    r_w = {k: c for k, c in r.items() if weights[k] == w}
     h2 = cohomology(base.underlying)
     classes = {}
-    v = vec_component(r_w, 2, ng.space.dim(2))
-    for mon in range(na):
-        if ng.coefficients.weights[mon] != w:
-            continue
-        comp = [v[i * na + mon] for i in range(base.space.dim(2))]
+    for mon in range(a.dim):         # r_w is zero at the other weights
+        comp = [r_w.get(t.offset[2] + i * a.dim + mon, _ZERO)
+                for i in range(base.space.dim(2))]
         if not any(comp):
             continue
-        dv = base.d({2: comp})
-        if not vec_is_zero(dv):
+        if not vec_is_zero(base.d({2: comp})):
             raise StructuralError("obstruction slice is not a cocycle; "
                                   "the input does not solve the equation "
                                   "below its residue weight")
-        classes[ng.coefficients.labels[mon]] = h2.project({2: comp}).get(
+        classes[a.labels[mon]] = h2.project({2: comp}).get(
             2, [Q(0)] * max(h2.rank(2), 1))
-    return ObstructionClass(weight=w, classes=classes, representative=r_w)
+    return ObstructionClass(weight=w, classes=classes, representative=t.graded(r_w))
+
+
+def _correct(ng: NilpotentDgla, x: GVec, obs: ObstructionClass) -> GVec:
+    """x + xi, with xi of the obstruction's weight and d xi = -(its representative)."""
+    t = ng.dgla.table
+    xi = _solve_d(ng, 1, obs.weight, {p: -c for p, c in t.flat(obs.representative).items()})
+    if xi is None:
+        raise StructuralError("vanishing obstruction class with unsolvable "
+                              "correction; inconsistent cohomology data")
+    return t.graded(_combine([(1, t.flat(x)), (1, xi)]))
 
 
 def mc_correct_step(ng: NilpotentDgla, x: GVec) -> GVec | None:
     """One extension step: kill the lowest-weight residue by a same-weight
     correction, or None if the obstruction class is nonzero."""
     obs = mc_obstruction(ng, x)
-    if obs is None:
-        return x
-    if not obs.vanishes:
-        return None
-    rows = _weight_indices(ng, 2, obs.weight)
-    cols = _weight_indices(ng, 1, obs.weight)
-    r_2 = vec_component(obs.representative, 2, ng.space.dim(2))
-    sol = linalg.solve(_d_slice(ng, 1, rows, cols),
-                       {i: -r_2[r] for i, r in enumerate(rows) if r_2[r]})
-    if sol is None:
-        raise StructuralError("vanishing obstruction class with unsolvable "
-                              "correction; inconsistent cohomology data")
-    xi = dense({cols[j]: v for j, v in sol.items()}, ng.space.dim(1))
-    return vec_add(x, {1: xi})
+    return x if obs is None else (_correct(ng, x, obs) if obs.vanishes else None)
 
 
 @dataclass
@@ -251,14 +258,14 @@ def mc_extend(ng: NilpotentDgla, seed: GVec) -> ExtensionResult:
     the nilpotency order.
     """
     x = dict(seed)
-    _require_degree(x, 1, "seed")
+    _entry(ng.dgla.table, x, 1, "seed")
     for _ in range(ng.coefficients.order + 1):
         obs = mc_obstruction(ng, x)
         if obs is None:
             return ExtensionResult("solved", x)
         if not obs.vanishes:
             return ExtensionResult("obstructed", x, obs)
-        x = mc_correct_step(ng, x)
+        x = _correct(ng, x, obs)
     raise RuntimeError("extension failed to terminate")
 
 
@@ -283,7 +290,11 @@ def _compositions(n: int, parts: int):
             yield (k,) + rest
 
 
-def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
+def _gvec_sum(terms) -> GVec:
+    return reduce(vec_add, (vec_scale(c, v) for c, v in terms), {})
+
+
+def bch(bracket, x, y, cutoff: int, combine=_gvec_sum):
     """log(e^x e^y) = Z_1 + ... + Z_cutoff, with Z_n the part of bracket
     length n, by Varadarajan's recursion (Lie Groups, Lie Algebras and Their
     Representations, 1984, section 2.15):
@@ -297,34 +308,29 @@ def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
     with B_2p the Bernoulli numbers.  Each nested bracket is computed once,
     memoised by its suffix (k_j, ..., k_2p).
 
-    ``bracket`` is the Lie bracket; x and y should be degree-0 elements of a
-    nilpotent Lie algebra whose (cutoff+1)-fold brackets vanish — for
-    g (x) m_A take cutoff = order - 1.  The sum is then the whole series.
+    ``bracket`` is the Lie bracket and ``combine`` sums (coefficient, element)
+    pairs, on the caller's elements (GVecs by default).  x and y should be
+    degree-0 elements of a nilpotent Lie algebra whose (cutoff+1)-fold
+    brackets vanish; for g (x) m_A take cutoff = order - 1, and the sum is
+    then the whole series.
     """
-    def lie(a: GVec, b: GVec) -> GVec:
-        return {} if vec_is_zero(a) or vec_is_zero(b) else bracket(a, b)
-
-    z = [{}, vec_add(x, y)]             # z[n] = Z_n
-    diff = vec_sub(x, y)
+    z = [{}, combine([(_ONE, x), (_ONE, y)])]        # z[n] = Z_n
+    diff = combine([(_ONE, x), (-_ONE, y)])
     nested = {(): z[1]}                 # suffix -> [Z_kj, [..., [Z_k2p, x + y]...]]
 
-    def nest(ks: tuple) -> GVec:
+    def nest(ks: tuple):
         if ks not in nested:
-            nested[ks] = lie(z[ks[0]], nest(ks[1:]))
+            nested[ks] = bracket(z[ks[0]], nest(ks[1:]))
         return nested[ks]
 
     bernoulli = _bernoulli(cutoff)
     for n in range(1, cutoff):
-        acc = vec_scale(Q(1, 2), lie(diff, z[n]))
+        terms = [(Q(1, 2 * (n + 1)), bracket(diff, z[n]))]
         for p in range(1, n // 2 + 1):
-            c = bernoulli[2 * p] / math.factorial(2 * p)
-            for ks in _compositions(n, 2 * p):
-                acc = vec_add(acc, vec_scale(c, nest(ks)))
-        z.append(vec_scale(Q(1, n + 1), acc))
-    total: GVec = {}
-    for zn in z[1:cutoff + 1]:
-        total = vec_add(total, zn)
-    return total
+            c = bernoulli[2 * p] / (math.factorial(2 * p) * (n + 1))
+            terms += [(c, nest(ks)) for ks in _compositions(n, 2 * p)]
+        z.append(combine(terms))
+    return combine([(_ONE, zn) for zn in z[1:cutoff + 1]])
 
 
 def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
@@ -335,7 +341,10 @@ def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
     p' = dq + [p, q]; see the regression tests.
     """
     from .holim import PathElement
-    p = [dict(x)] + _gauge_terms(ng, alpha, x)
+    t = ng.dgla.table
+    terms = _gauge_terms(ng, _entry(t, alpha, 0, "gauge parameter"),
+                         _entry(t, x, 1, "gauge argument"))
+    p = [dict(x)] + [t.graded(s) for s in terms]
     q = [vec_scale(Q(-1), alpha)] if not vec_is_zero(alpha) else []
     return PathElement(ng.dgla, 1, p, q)
 
@@ -377,9 +386,10 @@ def pi1_at_zero(h: Dgla, a) -> Pi1Group:
 def pi1_multiply(ng: NilpotentDgla, a: GVec, b: GVec) -> GVec:
     """Group law of exp((g (x) m_A)^0) on logarithms, by the
     Baker-Campbell-Hausdorff series."""
-    _require_degree(a, 0, "group logarithm")
-    _require_degree(b, 0, "group logarithm")
-    return bch(ng.bracket, a, b, ng.coefficients.order - 1)
+    t = ng.dgla.table
+    fa, fb = (_entry(t, v, 0, "group logarithm") for v in (a, b))
+    return t.graded(bch(partial(_bracket, t), fa, fb, ng.coefficients.order - 1,
+                        _combine))
 
 
 def pi1_inverse(a: GVec) -> GVec:

@@ -38,6 +38,14 @@ d e_i from a column of the dense d block and one bracket per e_i.  They are
 the oracle for ``GradedMap``, ``tensor_dgla``'s d and
 ``mc.irrelevant_stabilizer`` in test_sparse_maps.py.
 
+The Maurer-Cartan oracles are the kernels of ``mc`` as they computed on
+dense ``GVec`` coordinate lists, with ``vec_add``/``vec_sub``/``vec_scale``
+and one dense weight slice per stage: ``mc_residue``, ``gauge_act`` (the
+terms of ``ad_exp_terms`` summed by ``vec_add``), ``gauge_equivalent``,
+``mc_obstruction``/``mc_extend`` and ``pi1_multiply`` through the GVec
+Varadarajan recursion ``bch``.  They are the oracle for the flat kernels
+in test_mc_kernels.py.
+
 The linear-algebra oracles do one elimination per vector: an ``rref`` that
 rewrites whole rows, greedy ``in_span`` loops for cohomology
 representatives and complements, and sub-dgla coordinates by ``solve``.
@@ -53,6 +61,7 @@ test_acceptance.py.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,6 +74,7 @@ from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
                             vec_is_zero, vec_scale, vec_sub)
+from deforma import linalg
 from deforma.linalg import Q, Vector
 
 Matrix = list[list[Fraction]]
@@ -419,10 +429,20 @@ def compose(f: GradedMap, g: GradedMap) -> dict[int, Matrix]:
     return blocks
 
 
-def irrelevant_stabilizer(ng, x: GVec) -> list[GVec]:
+def irrelevant_stabilizer(ng, x: GVec, sub: SubDgla | None = None) -> list[GVec]:
     """{d e_i + [x, e_i]} over the degree -1 basis of g (x) m_A, zeros
     dropped: d e_i is column i of the dense d block, and each bracket is
-    made on its own."""
+    made on its own.  With ``sub``, {d h + [x, h]} for h = v (x) m over the
+    degree -1 basis v of ``sub`` and the monomials m, one dense element per h."""
+    if sub is not None:
+        out = []
+        for v in sub.span.basis_in_degree(-1):
+            for mon in range(ng.coefficients.dim):
+                h = ng.tensor_element({-1: list(v)}, mon)
+                g = vec_add(ng.d(h), ng.bracket(x, h))
+                if not vec_is_zero(g):
+                    out.append(g)
+        return out
     out = []
     block = ng.dgla.underlying.differential.block(-1)
     dim0 = ng.space.dim(0)
@@ -1245,3 +1265,176 @@ def gauge_zero_transport(g: Dgla, h: Dgla, i: GradedMap,
     alpha = total_zero(g, h, arity_bound)
     alpha.put(hom_scale(Q(-1), ielem))
     return total_gauge_act(alpha, total_zero(g, h, arity_bound))
+
+
+# ---------------------------------------------------------------------------
+# the Maurer-Cartan kernels on dense GVec coordinate lists
+
+def mc_residue(ng, x: GVec) -> GVec:
+    """dx + [x, x]/2 by ``d`` and ``bracket`` on dense lists."""
+    return vec_add(ng.d(x), vec_scale(Q(1, 2), ng.bracket(x, x)))
+
+
+def gauge_act(ng, alpha: GVec, x: GVec) -> GVec:
+    """x plus the terms of ``ad_exp_terms`` on GVecs, summed by ``vec_add``."""
+    out = dict(x)
+    for term in ad_exp_terms(ng.bracket, vec_scale, vec_is_zero, alpha,
+                             vec_sub(ng.bracket(alpha, x), ng.d(alpha)),
+                             ng.coefficients.order):
+        out = vec_add(out, term)
+    return out
+
+
+def weight_slice(ng, x: GVec, weight: int) -> GVec:
+    na = ng.coefficients.dim
+    out: GVec = {}
+    for deg, v in x.items():
+        w = [c if ng.coefficients.weights[t % na] == weight else Q(0)
+             for t, c in enumerate(v)]
+        if any(w):
+            out[deg] = w
+    return out
+
+
+def min_weight(ng, x: GVec) -> int | None:
+    na = ng.coefficients.dim
+    weights = [ng.coefficients.weights[t % na]
+               for deg, v in x.items() for t, c in enumerate(v) if c]
+    return min(weights) if weights else None
+
+
+def _weight_indices(ng, deg: int, weight: int) -> list[int]:
+    na = ng.coefficients.dim
+    return [t for t in range(ng.space.dim(deg))
+            if ng.coefficients.weights[t % na] == weight]
+
+
+def _d_slice(ng, deg: int, rows: list[int], cols: list[int]) -> list[dict]:
+    dcols = ng.dgla.underlying.differential.columns.get(deg)
+    at = {r: i for i, r in enumerate(rows)}
+    picked = [{at[r]: c for r, c in dcols[j].items() if r in at}
+              for j in cols] if dcols else []
+    return linalg.transpose(picked, len(rows))
+
+
+def gauge_equivalent(ng, x: GVec, y: GVec):
+    """The staged solver on GVecs: a weight slice of the residual, one
+    ``linalg.solve`` per weight, alpha summed by ``vec_add``."""
+    from deforma.mc import GaugeResult
+    if not (vec_is_zero(mc_residue(ng, x)) and vec_is_zero(mc_residue(ng, y))):
+        raise StructuralError("gauge equivalence is only tested between "
+                              "Maurer-Cartan elements")
+    alpha: GVec = {}
+    abelian = ng.base.is_abelian()
+    dim0, dim1 = ng.space.dim(0), ng.space.dim(1)
+    for w in range(1, ng.coefficients.order):
+        current = gauge_act(ng, alpha, x) if alpha else dict(x)
+        residual = vec_sub(y, current)
+        if vec_is_zero(residual):
+            break
+        r_w = weight_slice(ng, residual, w)
+        if vec_is_zero(r_w):
+            continue
+        rows, cols = _weight_indices(ng, 1, w), _weight_indices(ng, 0, w)
+        r_1 = list(r_w.get(1, [Q(0)] * dim1))
+        sol = linalg.solve(_d_slice(ng, 0, rows, cols),
+                           {i: -r_1[r] for i, r in enumerate(rows) if r_1[r]})
+        if sol is None:
+            if w == 1 or abelian:
+                return GaugeResult("not_equivalent", None,
+                                   f"unsolvable linear stage at weight {w}")
+            return GaugeResult("inconclusive", None,
+                               f"staged solver failed at weight {w}")
+        if sol:
+            alpha = vec_add(alpha, {0: linalg.dense({cols[j]: v for j, v in sol.items()}, dim0)})
+    final = gauge_act(ng, alpha, x) if alpha else dict(x)
+    if vec_is_zero(vec_sub(y, final)):
+        return GaugeResult("equivalent", alpha)
+    return GaugeResult("inconclusive", None, "residual survived all stages")
+
+
+def mc_obstruction(ng, x: GVec):
+    """The lowest weight slice of the dense residue, one class per monomial."""
+    from deforma.graded import cohomology
+    from deforma.mc import ObstructionClass
+    r = mc_residue(ng, x)
+    w = min_weight(ng, r)
+    if w is None:
+        return None
+    r_w = weight_slice(ng, r, w)
+    na = ng.coefficients.dim
+    h2 = cohomology(ng.base.underlying)
+    classes = {}
+    v = list(r_w.get(2, [Q(0)] * ng.space.dim(2)))
+    for mon in range(na):
+        if ng.coefficients.weights[mon] != w:
+            continue
+        comp = [v[i * na + mon] for i in range(ng.base.space.dim(2))]
+        if not any(comp):
+            continue
+        if not vec_is_zero(ng.base.d({2: comp})):
+            raise StructuralError("obstruction slice is not a cocycle; "
+                                  "the input does not solve the equation "
+                                  "below its residue weight")
+        classes[ng.coefficients.labels[mon]] = h2.project({2: comp}).get(
+            2, [Q(0)] * max(h2.rank(2), 1))
+    return ObstructionClass(weight=w, classes=classes, representative=r_w)
+
+
+def mc_extend(ng, seed: GVec):
+    """Dense obstruction, then a dense same-weight correction, until solved
+    or obstructed."""
+    from deforma.mc import ExtensionResult
+    x = dict(seed)
+    for _ in range(ng.coefficients.order + 1):
+        obs = mc_obstruction(ng, x)
+        if obs is None:
+            return ExtensionResult("solved", x)
+        if not obs.vanishes:
+            return ExtensionResult("obstructed", x, obs)
+        rows, cols = _weight_indices(ng, 2, obs.weight), _weight_indices(ng, 1, obs.weight)
+        r_2 = list(obs.representative.get(2, [Q(0)] * ng.space.dim(2)))
+        sol = linalg.solve(_d_slice(ng, 1, rows, cols),
+                           {i: -r_2[r] for i, r in enumerate(rows) if r_2[r]})
+        if sol is None:
+            raise StructuralError("vanishing obstruction class with unsolvable "
+                                  "correction; inconsistent cohomology data")
+        x = vec_add(x, {1: linalg.dense({cols[j]: v for j, v in sol.items()},
+                                        ng.space.dim(1))})
+    raise RuntimeError("extension failed to terminate")
+
+
+def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
+    """Varadarajan's recursion on GVecs, as ``mc.bch`` computed it before the
+    recursion was shared with the flat kernel: vec_add, vec_sub and
+    vec_scale, with each nested bracket memoised by its suffix."""
+    from deforma.mc import _bernoulli, _compositions
+
+    def lie(a: GVec, b: GVec) -> GVec:
+        return {} if vec_is_zero(a) or vec_is_zero(b) else bracket(a, b)
+
+    z = [{}, vec_add(x, y)]
+    diff = vec_sub(x, y)
+    nested = {(): z[1]}
+
+    def nest(ks: tuple) -> GVec:
+        if ks not in nested:
+            nested[ks] = lie(z[ks[0]], nest(ks[1:]))
+        return nested[ks]
+
+    bernoulli = _bernoulli(cutoff)
+    for n in range(1, cutoff):
+        acc = vec_scale(Q(1, 2), lie(diff, z[n]))
+        for p in range(1, n // 2 + 1):
+            c = bernoulli[2 * p] / math.factorial(2 * p)
+            for ks in _compositions(n, 2 * p):
+                acc = vec_add(acc, vec_scale(c, nest(ks)))
+        z.append(vec_scale(Q(1, n + 1), acc))
+    total: GVec = {}
+    for zn in z[1:cutoff + 1]:
+        total = vec_add(total, zn)
+    return total
+
+
+def pi1_multiply(ng, a: GVec, b: GVec) -> GVec:
+    return bch(ng.bracket, a, b, ng.coefficients.order - 1)

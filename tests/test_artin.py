@@ -164,13 +164,15 @@ def test_tensor_nilpotent_is_dgla():
 
 def test_tensor_nilpotent_weights_and_slices():
     ng = tensor_nilpotent(F.f7_dgla(), truncated_polynomial_algebra(1, 4))
-    x = ng.tensor_element({1: [Q(1)]}, 0)       # x (x) e
-    y = ng.tensor_element({1: [Q(1)]}, 1)       # x (x) e^2
-    assert ng.min_weight(x) == 1
-    assert ng.min_weight(y) == 2
-    both = {1: [a + b for a, b in zip(x[1], y[1])]}
-    assert ng.weight_slice(both, 1) == x
-    assert ng.weight_slice(both, 2) == y
+    t = ng.dgla.table
+    x = t.flat(ng.tensor_element({1: [Q(1)]}, 0))       # x (x) e
+    y = t.flat(ng.tensor_element({1: [Q(1)]}, 1))       # x (x) e^2
+    assert [ng.weights[k] for k in x] == [1]
+    assert [ng.weights[k] for k in y] == [2]
+    both = {**x, **y}
+    assert {k: c for k, c in both.items() if ng.weights[k] == 1} == x
+    assert {k: c for k, c in both.items() if ng.weights[k] == 2} == y
+    assert ng.by_weight[1, 1] == list(x) and ng.by_weight[1, 2] == list(y)
 
 
 def test_tensor_bracket_multiplies_monomials():

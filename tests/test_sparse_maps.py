@@ -4,8 +4,9 @@
 ``compose`` must equal ``dense_reference.matvec``/``matmul`` on the dense
 blocks, and the dense view must give back the blocks.  ``tensor_dgla``
 writes its d as columns, ``irrelevant_stabilizer`` reads d and the bracket
-table instead of bracketing, and ``vec_add``/``vec_scale``/``vec_sub`` skip
-zero coordinates; each must equal the dense computation exactly.
+table instead of bracketing (over the degree -1 basis, or over v (x) m for
+a sub-dgla), and ``vec_add``/``vec_scale``/``vec_sub`` skip zero
+coordinates; each must equal the dense computation exactly.
 """
 
 import random
@@ -17,7 +18,7 @@ import dense_reference as dense
 from deforma import fixtures as F
 from deforma import linalg
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
-from deforma.dgla import tensor_dgla
+from deforma.dgla import sub_dgla_span, tensor_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
                             SubSpaceData, vec_add, vec_scale, vec_sub, zero_map)
 from deforma.holim import _interval_forms
@@ -208,8 +209,16 @@ def test_irrelevant_stabilizer_matches_dense_loop(name, k, order):
             v[t] = Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
         if any(v):
             xs.append({1: v})
+    # a sub-dgla spanned by one or two random degree -1 vectors of the base
+    # (the stabilizer does not need it to be closed), where there are any
+    dim = ng.base.space.dim(-1)
+    subs = [sub_dgla_span(ng.base, {-1: [[entry(rng, 0.6) for _ in range(dim)]
+                                         for _ in range(rng.randint(1, 2))]})] if dim else []
     for x in xs:
-        assert irrelevant_stabilizer(ng, x) == dense.irrelevant_stabilizer(ng, x)
+        for sub in [None] + subs:
+            got = irrelevant_stabilizer(ng, x, sub)
+            assert got == dense.irrelevant_stabilizer(ng, x, sub)
+            assert all(type(c) is Q for g in got for v in g.values() for c in v)
 
 
 def dense_add(x, y, sign=1):

@@ -160,20 +160,40 @@ def test_tensor_is_abelian_without_making_rows():
     assert tensor_nilpotent(F.f2_dgla(), trivial).dgla.is_abelian()
 
 
-def test_large_tensor_host_builds_and_gauges():
-    # End(F5) (x) K[e1,e2]/m^15: 36 x 119 = 4,284 dimensions; its dense
-    # (0, 0) bracket table alone would hold 2142^3, about 9.8e9, constants.
+def large_host():
+    """End(F5) (x) K[e1,e2]/m^15, 36 x 119 = 4,284 dimensions, and a gauge
+    parameter with nine nonzeros of weight at most 2."""
     end = end_dgla(F.f5_cdga().complex).dgla
     a = truncated_polynomial_algebra(2, 15)
     ng = tensor_nilpotent(end, a)
-    assert a.dim == 119
-    assert {k: ng.space.dim(k) for k in ng.space.degrees} == {-1: 1071, 0: 2142, 1: 1071}
-    assert isinstance(ng.dgla.table, StructureTable)
     rng = random.Random(2024)
     alpha = [Q(0)] * ng.space.dim(0)
     for v in rng.sample(range(end.space.dim(0)), 9):
         alpha[v * a.dim + rng.randrange(5)] = Q(rng.choice([-2, -1, 1, 2, 3]),
                                                 rng.choice([1, 2, 3]))
-    x = gauge_act(ng, {0: alpha}, {})
+    return ng, {0: alpha}
+
+
+def test_large_tensor_host_builds_and_gauges():
+    # its dense (0, 0) bracket table alone would hold 2142^3, about 9.8e9,
+    # constants
+    ng, alpha = large_host()
+    assert ng.coefficients.dim == 119
+    assert {k: ng.space.dim(k) for k in ng.space.degrees} == {-1: 1071, 0: 2142, 1: 1071}
+    assert isinstance(ng.dgla.table, StructureTable)
+    x = gauge_act(ng, alpha, {})
     assert sum(1 for c in x[1] if c) > 100
     assert is_mc(ng, x)
+
+
+def test_gauge_and_residue_compose_only_left_rows():
+    # a bracket [u, v] reads the table rows of the nonzeros of u alone, so
+    # e^alpha * 0 and its residue compose at most the rows of alpha and of
+    # the result, out of 4,284
+    ng, alpha = large_host()
+    t = ng.dgla.table
+    x = gauge_act(ng, alpha, {})
+    assert is_mc(ng, x)
+    made = sum(row is not None for row in t._rows)
+    assert made <= len(set(t.flat(alpha)) | set(t.flat(x)))
+    assert 0 < made < len(t) // 10
