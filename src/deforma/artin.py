@@ -12,7 +12,6 @@ degree-then-lexicographic for reproducibility.  g (x) m_A is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_into,
@@ -32,7 +31,6 @@ def _monomial_label(exponents: tuple[int, ...], k: int) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
 class ArtinAlgebra:
     """Maximal ideal of a local Artin algebra, by monomial basis.
 
@@ -42,10 +40,12 @@ class ArtinAlgebra:
     monomial degree.
     """
 
-    cdga: CdgaModel
-    order: int                      # nilpotency: m^order = 0
-    generators: int
-    weights: tuple[int, ...]
+    def __init__(self, cdga: CdgaModel, order: int, generators: int,
+                 weights: tuple[int, ...]):
+        self.cdga = cdga
+        self.order = order              # nilpotency: m^order = 0
+        self.generators = generators
+        self.weights = weights
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -130,7 +130,6 @@ def _nilpotency_witnesses(a: ArtinAlgebra) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
 class NilpotentDgla:
     """g (x) m_A, itself a dgla on the basis (g basis) x (monomials).
 
@@ -138,9 +137,10 @@ class NilpotentDgla:
     (g basis vector index) major, (monomial index) minor.
     """
 
-    base: Dgla
-    coefficients: ArtinAlgebra
-    dgla: Dgla
+    def __init__(self, base: Dgla, coefficients: ArtinAlgebra, dgla: Dgla):
+        self.base = base
+        self.coefficients = coefficients
+        self.dgla = dgla
 
     @property
     def space(self) -> GradedVectorSpace:

@@ -9,9 +9,10 @@ shipped fixture (F1..F7); the environment variable DEFORMA_FIXTURE_DIR
 overrides the shipped fixture directory.
 
 Each command imports the kernel modules it uses (``mc``, ``convolution``,
-``cartan``, ``holim``, ``period``) when it runs, so a call loads only those:
-``validate`` and ``cohomology`` load none of them, ``mc`` and ``gauge`` only
-``mc``.
+``cartan``, ``holim``, ``period``, ``artin``) when it runs, and a model
+loads ``artin`` or ``endo`` only if it declares what needs them, so a call
+loads only those: ``validate`` and ``cohomology`` load none of the kernels,
+``mc`` and ``gauge`` only ``mc`` and ``artin``.
 
 Exit codes: 0 ok, 1 axiom/check failure, 2 malformed input, 3 inconclusive.
 JSON reports use canonical key order and exact "num/den" rationals, so
@@ -24,9 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
-from .artin import truncated_polynomial_algebra, tensor_nilpotent, validate_artin
 from .dgla import (DglaMorphism, validate_cdga, validate_dgla, validate_filtration,
                    validate_morphism)
 from .graded import StructuralError, cohomology
@@ -45,11 +44,11 @@ class CommandError(ValueError):
     """User-facing input problem (missing name, bad option)."""
 
 
-@dataclass
 class Report:
-    command: str
-    status: str                 # ok | invalid | failed | inconclusive
-    payload: dict = field(default_factory=dict)
+    def __init__(self, command: str, status: str, payload: dict | None = None):
+        self.command = command
+        self.status = status    # ok | invalid | failed | inconclusive
+        self.payload = {} if payload is None else payload
 
     @property
     def exit_code(self) -> int:
@@ -117,11 +116,11 @@ def _positive(value: int | None, default: int, option: str) -> int:
 
 
 def _artin_from_args(doc: ModelDocument, args) -> "ArtinAlgebra":
+    from .artin import truncated_polynomial_algebra
     if args.artin:
-        parts = args.artin.split(",")
         try:
-            k, order = int(parts[0]), int(parts[1])
-        except (IndexError, ValueError):
+            k, order = map(int, args.artin.split(","))
+        except ValueError:
             raise CommandError("--artin expects k,N (generators, truncation order)")
         if k < 1 or order < 2:
             raise CommandError("--artin k,N needs k >= 1 generators and "
@@ -164,6 +163,7 @@ def cmd_validate(doc: ModelDocument, args) -> Report:
             payload[f"filtration:{name}"] = _report_json(rep)
             ok = ok and rep.ok
     for name in doc.names("artin"):
+        from .artin import validate_artin
         rep = validate_artin(doc.artin(name))
         payload[f"artin:{name}"] = _report_json(rep)
         ok = ok and rep.ok
@@ -179,6 +179,7 @@ def cmd_cohomology(doc: ModelDocument, args) -> Report:
 
 
 def cmd_mc(doc: ModelDocument, args) -> Report:
+    from .artin import tensor_nilpotent
     from .mc import mc_extend, mc_residue
     g = _default_dgla(doc, args)
     a = _artin_from_args(doc, args)
@@ -211,6 +212,7 @@ def cmd_mc(doc: ModelDocument, args) -> Report:
 
 
 def cmd_gauge(doc: ModelDocument, args) -> Report:
+    from .artin import tensor_nilpotent
     from .mc import gauge_act, gauge_equivalent, irrelevant_stabilizer, mc_residue
     g = _default_dgla(doc, args)
     a = _artin_from_args(doc, args)

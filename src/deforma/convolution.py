@@ -37,14 +37,12 @@ arity-truncated L-infinity morphisms g ~> h.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, tensor_basis, tensor_dgla,
                    validate_morphism)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, StructuralError,
                      vec_is_zero)
 from .linalg import Q, sparse
-from .mc import mc_residue
 
 VKey = tuple  # (g-degree, basis index) of a suspended basis vector
 
@@ -193,7 +191,6 @@ def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
 # ---------------------------------------------------------------------------
 # elements of the slice as maps on canonical monomials
 
-@dataclass(frozen=True)
 class Convolution:
     """The slice ``hom_dgla_slice(g, h, N)`` with the word of each basis
     position.
@@ -205,12 +202,14 @@ class Convolution:
     the arity.
     """
 
-    g: Dgla
-    h: Dgla
-    arity_bound: int
-    dgla: Dgla
-    index: dict          # degree -> tuple of (h key, word)
-    positions: dict      # (h key, word) -> (degree, position)
+    def __init__(self, g: Dgla, h: Dgla, arity_bound: int, dgla: Dgla, index: dict,
+                 positions: dict):
+        self.g = g
+        self.h = h
+        self.arity_bound = arity_bound
+        self.dgla = dgla
+        self.index = index            # degree -> tuple of (h key, word)
+        self.positions = positions    # (h key, word) -> (degree, position)
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -294,6 +293,7 @@ def linf_residual(conv: Convolution, x: GVec) -> dict[int, dict[tuple, GVec]]:
 
     There are none iff F is an L-infinity morphism up to arity N.
     """
+    from .mc import mc_residue
     if any(deg != 1 for deg, v in x.items() if any(v)):
         raise StructuralError("a Taylor family lies in degree 1")
     wide = convolution(conv.g, conv.h, conv.arity_bound + 1)

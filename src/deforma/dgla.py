@@ -39,9 +39,8 @@ the period map reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
@@ -49,12 +48,12 @@ from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
 from .linalg import Q, Vector, sparse
 
 
-@dataclass
 class ValidationReport:
     """List of failed axiom instances; empty report means valid."""
 
-    failures: list[dict] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    def __init__(self, failures: list[dict] | None = None, notes: dict | None = None):
+        self.failures = [] if failures is None else failures
+        self.notes = {} if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -260,7 +259,6 @@ def _bracket_into(acc: Sparse, scale, rows, x: Sparse, y: Sparse):
             _add_into(acc, xc if yc == 1 else xc * yc, e)
 
 
-@dataclass(frozen=True)
 class Dgla:
     """Complex plus bracket structure constants.
 
@@ -271,13 +269,11 @@ class Dgla:
     emitting JSON.
     """
 
-    underlying: Complex
-    table: StructureTable
-
-    def __post_init__(self):
-        if isinstance(self.table, dict):
-            object.__setattr__(self, "table",
-                               StructureTable.from_dense(self.space, self.table))
+    def __init__(self, underlying: Complex, table: StructureTable):
+        self.underlying = underlying
+        self.table = table
+        if isinstance(table, dict):
+            self.table = StructureTable.from_dense(self.space, table)
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], list[list[Vector]]]:
@@ -431,7 +427,6 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
 class CdgaModel:
     """Complex plus graded-commutative product structure constants.
 
@@ -440,13 +435,11 @@ class CdgaModel:
     form computed back from the table.
     """
 
-    complex: Complex
-    table: StructureTable
-
-    def __post_init__(self):
-        if isinstance(self.table, dict):
-            object.__setattr__(self, "table", StructureTable.from_dense(
-                self.space, self.table, symmetric=True))
+    def __init__(self, complex: Complex, table: StructureTable):
+        self.complex = complex
+        self.table = table
+        if isinstance(table, dict):
+            self.table = StructureTable.from_dense(self.space, table, symmetric=True)
 
     @cached_property
     def products(self) -> dict[tuple[int, int], list[list[Vector]]]:
@@ -525,13 +518,13 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # decreasing filtrations
 
-@dataclass(frozen=True)
 class FiltrationData:
     """Decreasing filtration: steps[p] spans F^p degree-wise; outside the
     given range F^p is everything (below) or zero (above)."""
 
-    space: GradedVectorSpace
-    steps: dict   # p -> {degree -> list of spanning vectors}
+    def __init__(self, space: GradedVectorSpace, steps: dict):
+        self.space = space
+        self.steps = steps   # p -> {degree -> list of spanning vectors}
 
     def levels(self) -> list[int]:
         return sorted(self.steps)
@@ -662,13 +655,11 @@ def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
     return terms
 
 
-@dataclass(frozen=True)
 class DglaMorphism:
-    source: Dgla
-    target: Dgla
-    map: GradedMap
-
-    def __post_init__(self):
+    def __init__(self, source: Dgla, target: Dgla, map: GradedMap):
+        self.source = source
+        self.target = target
+        self.map = map
         if self.map.shift != 0:
             raise StructuralError("dgla morphism must have shift 0")
 
@@ -701,12 +692,10 @@ def identity_morphism(g: Dgla) -> DglaMorphism:
     return DglaMorphism(g, g, identity_map(g.space))
 
 
-@dataclass(frozen=True)
 class SubDgla:
-    parent: Dgla
-    span: SubSpaceData
-
-    def __post_init__(self):
+    def __init__(self, parent: Dgla, span: SubSpaceData):
+        self.parent = parent
+        self.span = span
         if self.span.parent.components != self.parent.space.components:
             raise StructuralError("sub-dgla span declared on a different space")
 

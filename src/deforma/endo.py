@@ -7,15 +7,12 @@ commutator of compositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dgla import Dgla, FlatBasis
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      StructuralError)
 from .linalg import Q
 
 
-@dataclass(frozen=True)
 class EndDgla:
     """End(C) as an explicit Dgla, with converters to and from graded maps.
 
@@ -23,9 +20,10 @@ class EndDgla:
     target basis vector in degree + k) pair, labelled "src>dst".
     """
 
-    complex: Complex
-    dgla: Dgla
-    index: dict  # end degree -> tuple of (src_deg, src_idx, dst_idx)
+    def __init__(self, complex: Complex, dgla: Dgla, index: dict):
+        self.complex = complex
+        self.dgla = dgla
+        self.index = index  # end degree -> tuple of (src_deg, src_idx, dst_idx)
 
     @property
     def space(self) -> GradedVectorSpace:

@@ -13,7 +13,6 @@ are a view for JSON, or kept as given when a map is built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -34,13 +33,11 @@ class StructuralError(ValueError):
 # ---------------------------------------------------------------------------
 # spaces
 
-@dataclass(frozen=True)
 class GradedVectorSpace:
     """Finitely supported degree-indexed vector space with labelled bases."""
 
-    components: dict[int, tuple[str, ...]]
-
-    def __post_init__(self):
+    def __init__(self, components: dict[int, tuple[str, ...]]):
+        self.components = components
         for deg, labels in self.components.items():
             if len(set(labels)) != len(labels):
                 raise StructuralError(f"duplicate basis labels in degree {deg}")
@@ -135,7 +132,6 @@ def _is_dense(f: "GradedMap") -> bool:
     return not any(f.target.dim(n + f.shift) and not f.source.dim(n) for n in f.columns)
 
 
-@dataclass(frozen=True)
 class GradedMap:
     """Degree-homogeneous linear map V -> W of degree ``shift``, held as
     sparse columns: ``columns[n][j]`` is the image of basis vector j of V_n,
@@ -150,13 +146,12 @@ class GradedMap:
     to the nonzeros they meet.
     """
 
-    source: GradedVectorSpace
-    target: GradedVectorSpace
-    shift: int
-    columns: dict[int, list[Column]]
-
-    def __post_init__(self):
-        given = self.columns
+    def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, shift: int,
+                 columns: dict[int, list[Column]]):
+        self.source = source
+        self.target = target
+        self.shift = shift
+        self.columns = given = columns
         if _is_dense(self):
             for n, block in given.items():
                 rows, cols = len(block), len(block[0]) if block else self.source.dim(n)
@@ -181,8 +176,7 @@ class GradedMap:
                         f"columns at degree {n}: expected {self.source.dim(n)} columns "
                         f"of nonzero entries in rows 0..{rows - 1}, got {len(cols)}")
             columns = given
-        object.__setattr__(self, "columns",
-                           {n: cols for n, cols in sorted(columns.items()) if any(cols)})
+        self.columns = {n: cols for n, cols in sorted(columns.items()) if any(cols)}
 
     @cached_property
     def blocks(self) -> dict[int, Matrix]:
@@ -262,12 +256,10 @@ def identity_map(space: GradedVectorSpace) -> GradedMap:
 # ---------------------------------------------------------------------------
 # complexes
 
-@dataclass(frozen=True)
 class Complex:
-    space: GradedVectorSpace
-    differential: GradedMap
-
-    def __post_init__(self):
+    def __init__(self, space: GradedVectorSpace, differential: GradedMap):
+        self.space = space
+        self.differential = differential
         d = self.differential
         if d.shift != 1:
             raise StructuralError("differential must have shift +1")
@@ -302,14 +294,12 @@ def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> GradedMap:
 # ---------------------------------------------------------------------------
 # subspaces and quotients
 
-@dataclass(frozen=True)
 class SubSpaceData:
     """Per-degree spanning vectors of a subspace of ``parent``."""
 
-    parent: GradedVectorSpace
-    span: dict[int, list[Vector]]
-
-    def __post_init__(self):
+    def __init__(self, parent: GradedVectorSpace, span: dict[int, list[Vector]]):
+        self.parent = parent
+        self.span = span
         for deg, vecs in self.span.items():
             for v in vecs:
                 if len(v) != self.parent.dim(deg):
@@ -366,13 +356,14 @@ class SubSpaceData:
                    for deg, v in x.items() if any(v))
 
 
-@dataclass(frozen=True)
 class QuotientComplex:
     """Quotient of a complex by a d-closed subspace, with the projection."""
 
-    complex: Complex
-    projection: GradedMap          # parent space -> quotient space
-    section_indices: dict[int, list[int]]  # chosen parent basis indices per degree
+    def __init__(self, complex: Complex, projection: GradedMap,
+                 section_indices: dict[int, list[int]]):
+        self.complex = complex
+        self.projection = projection            # parent space -> quotient space
+        self.section_indices = section_indices  # chosen parent basis indices per degree
 
 
 def _complement_projection(basis: list[Row], comp: list[int], dim: int) -> list[Column]:
@@ -423,17 +414,17 @@ def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
 # ---------------------------------------------------------------------------
 # cohomology
 
-@dataclass(frozen=True)
 class DegreeCohomology:
-    rank: int
-    representatives: list[Vector]   # cocycle coordinate vectors in C^n
-    coboundaries: list[Row]         # basis of im(d_{n-1}), as sparse vectors
+    def __init__(self, rank: int, representatives: list[Vector], coboundaries: list[Row]):
+        self.rank = rank
+        self.representatives = representatives  # cocycle coordinate vectors in C^n
+        self.coboundaries = coboundaries        # basis of im(d_{n-1}), as sparse vectors
 
 
-@dataclass(frozen=True)
 class CohomologyResult:
-    complex: Complex
-    by_degree: dict[int, DegreeCohomology] = field(repr=False)
+    def __init__(self, complex: Complex, by_degree: dict[int, DegreeCohomology]):
+        self.complex = complex
+        self.by_degree = by_degree
 
     def rank(self, deg: int) -> int:
         data = self.by_degree.get(deg)

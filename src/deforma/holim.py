@@ -11,12 +11,9 @@ the polynomial forms on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cartan import cartan_check, lie_from_cartan
-from .convolution import Convolution, convolution
 from .dgla import (CdgaModel, Dgla, FlatBasis, SubDgla, ValidationReport,
                    _residual_repr, abelian_dgla, ad_exp_terms, restrict_to_sub,
                    sub_quotient, tensor_basis, tensor_dgla)
@@ -33,17 +30,16 @@ _ZERO, _ONE = Q(0), Q(1)
 # ---------------------------------------------------------------------------
 # polynomial paths in h (x) K[t, dt]
 
-@dataclass
 class PathElement:
     """p(t) + q(t) dt of total degree ``degree``: the coefficient lists hold
     p_m (degree ``degree``) and q_m (degree ``degree - 1``)."""
 
-    host: Dgla
-    degree: int
-    p: list = field(default_factory=list)   # p[m]: GVec, coefficient of t^m
-    q: list = field(default_factory=list)   # q[m]: GVec, coefficient of t^m dt
-
-    def __post_init__(self):
+    def __init__(self, host: Dgla, degree: int, p: list | None = None,
+                 q: list | None = None):
+        self.host = host
+        self.degree = degree
+        self.p = [] if p is None else p   # p[m]: GVec, coefficient of t^m
+        self.q = [] if q is None else q   # q[m]: GVec, coefficient of t^m dt
         for coeff in self.p:
             d = vec_degree(coeff)
             if d is not None and d != self.degree:
@@ -149,13 +145,13 @@ def path_bracket(g1: PathElement, g2: PathElement) -> PathElement:
 # ---------------------------------------------------------------------------
 # the homotopy-limit pair and its elements
 
-@dataclass(frozen=True)
 class HolimPair:
     """A dgla h with a closed sub-dgla n and the quotient complex h/n."""
 
-    h: Dgla
-    n: SubDgla
-    quotient: QuotientComplex
+    def __init__(self, h: Dgla, n: SubDgla, quotient: QuotientComplex):
+        self.h = h
+        self.n = n
+        self.quotient = quotient
 
 
 def holim_pair(h: Dgla, n: SubDgla) -> HolimPair:
@@ -170,11 +166,11 @@ def shifted_quotient(pair: HolimPair) -> Complex:
     return shift_complex(pair.quotient.complex, -1)
 
 
-@dataclass
 class HolimElement:
-    pair: HolimPair
-    x: GVec
-    path: PathElement
+    def __init__(self, pair: HolimPair, x: GVec, path: PathElement):
+        self.pair = pair
+        self.x = x
+        self.path = path
 
     @property
     def degree(self) -> int:
@@ -219,7 +215,6 @@ def holim_project(e: HolimElement) -> GVec:
 # ---------------------------------------------------------------------------
 # the path dgla h (x) K[t, dt] truncated in t-degree, as an explicit Dgla
 
-@dataclass(frozen=True)
 class PathDgla:
     """h (x) Omega(Delta^1) truncated at t-degree ``tmax``: the
     ``tensor_dgla`` of the host with the forms t^m (degree 0) and t^m dt
@@ -236,11 +231,12 @@ class PathDgla:
     constructions below guarantee this by choosing tmax large enough).
     """
 
-    host: Dgla
-    tmax: int
-    dgla: Dgla
-    index: dict          # degree -> tuple of entries
-    positions: dict      # degree -> {entry: position}
+    def __init__(self, host: Dgla, tmax: int, dgla: Dgla, index: dict, positions: dict):
+        self.host = host
+        self.tmax = tmax
+        self.dgla = dgla
+        self.index = index            # degree -> tuple of entries
+        self.positions = positions    # degree -> {entry: position}
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -297,14 +293,15 @@ def path_dgla(host: Dgla, tmax: int) -> PathDgla:
 # ---------------------------------------------------------------------------
 # bounded-t-degree holim complex and its cohomology
 
-@dataclass
 class HolimBounded:
-    pair: HolimPair
-    tbound: int
-    ambient: PathDgla
-    span: SubSpaceData             # the subcomplex, in ambient coordinates
-    complex: Complex               # on its own basis
-    projection_map: GradedMap      # complex.space -> shifted quotient space
+    def __init__(self, pair: HolimPair, tbound: int, ambient: PathDgla, span: SubSpaceData,
+                 complex: Complex, projection_map: GradedMap):
+        self.pair = pair
+        self.tbound = tbound
+        self.ambient = ambient
+        self.span = span                      # the subcomplex, in ambient coordinates
+        self.complex = complex                # on its own basis
+        self.projection_map = projection_map  # complex.space -> shifted quotient space
 
 
 def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
@@ -347,12 +344,13 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
     return HolimBounded(pair, tbound, ambient, sub.span, restricted.underlying, proj)
 
 
-@dataclass
 class HolimCohomologyResult:
-    tbound: int
-    ranks: dict
-    quotient_ranks: dict
-    projection_ranks: dict
+    def __init__(self, tbound: int, ranks: dict, quotient_ranks: dict,
+                 projection_ranks: dict):
+        self.tbound = tbound
+        self.ranks = ranks
+        self.quotient_ranks = quotient_ranks
+        self.projection_ranks = projection_ranks
 
     @property
     def agree(self) -> bool:
@@ -389,7 +387,6 @@ def induced_quotient_map(pair: HolimPair, g: Dgla, i: GradedMap) -> GradedMap:
         for k, cols in pi.columns.items()})
 
 
-@dataclass
 class HolimMorphism:
     """The arity-truncated morphism (l, e^i) from g into holim(n => h).
 
@@ -402,14 +399,16 @@ class HolimMorphism:
     for a genuine Cartan homotopy.
     """
 
-    g: Dgla
-    pair: HolimPair
-    i: GradedMap
-    l: GradedMap
-    conv: Convolution
-    flow: list
-    total: PathElement
-    residual: PathElement
+    def __init__(self, g: Dgla, pair: HolimPair, i: GradedMap, l: GradedMap,
+                 conv: Convolution, flow: list, total: PathElement, residual: PathElement):
+        self.g = g
+        self.pair = pair
+        self.i = i
+        self.l = l
+        self.conv = conv
+        self.flow = flow
+        self.total = total
+        self.residual = residual
 
     def arity_one(self, a: GVec) -> HolimElement:
         """The first Taylor coefficient a -> (l_a, gamma_a)."""
@@ -436,6 +435,8 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
     """Build (l, e^i): g -> holim(n => h) from a Cartan homotopy i whose
     associated morphism l lands in n.  Rejects inputs failing either
     hypothesis; records the Maurer-Cartan residual slices of the result."""
+    from .cartan import cartan_check, lie_from_cartan
+    from .convolution import convolution
     report = cartan_check(g, pair.h, i)
     if not report.ok:
         raise StructuralError(f"not a Cartan homotopy: {report.failures[:3]}")
@@ -467,14 +468,15 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
 # ---------------------------------------------------------------------------
 # quasi-abelianity witness
 
-@dataclass
 class QuasiAbelianWitness:
-    pair: HolimPair
-    section: GradedMap
-    morphism: HolimMorphism
-    induced: dict            # degree -> matrix of H(witness map) at the bound
-    source_ranks: dict
-    holim_ranks: dict
+    def __init__(self, pair: HolimPair, section: GradedMap, morphism: HolimMorphism,
+                 induced: dict, source_ranks: dict, holim_ranks: dict):
+        self.pair = pair
+        self.section = section
+        self.morphism = morphism
+        self.induced = induced      # degree -> matrix of H(witness map) at the bound
+        self.source_ranks = source_ranks
+        self.holim_ranks = holim_ranks
 
     @property
     def is_isomorphism(self) -> bool:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import partial, reduce
 
 from .artin import NilpotentDgla
@@ -121,11 +120,11 @@ def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
     return [g for g in out if g]
 
 
-@dataclass
 class GaugeResult:
-    status: str                 # "equivalent" | "not_equivalent" | "inconclusive"
-    alpha: GVec | None = None
-    detail: str = ""
+    def __init__(self, status: str, alpha: GVec | None = None, detail: str = ""):
+        self.status = status    # "equivalent" | "not_equivalent" | "inconclusive"
+        self.alpha = alpha
+        self.detail = detail
 
 
 def _solve_d(ng: NilpotentDgla, deg: int, w: int, r: Sparse) -> Sparse | None:
@@ -180,7 +179,6 @@ def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
     return GaugeResult("inconclusive", None, "residual survived all stages")
 
 
-@dataclass
 class ObstructionClass:
     """Weight-w obstruction of a partial Maurer-Cartan solution.
 
@@ -188,9 +186,11 @@ class ObstructionClass:
     corresponding degree-2 cohomology class of the base dgla.
     """
 
-    weight: int
-    classes: dict = field(default_factory=dict)
-    representative: GVec = field(default_factory=dict)
+    def __init__(self, weight: int, classes: dict | None = None,
+                 representative: GVec | None = None):
+        self.weight = weight
+        self.classes = {} if classes is None else classes
+        self.representative = {} if representative is None else representative
 
     @property
     def vanishes(self) -> bool:
@@ -243,11 +243,12 @@ def mc_correct_step(ng: NilpotentDgla, x: GVec) -> GVec | None:
     return x if obs is None else (_correct(ng, x, obs) if obs.vanishes else None)
 
 
-@dataclass
 class ExtensionResult:
-    status: str                 # "solved" | "obstructed"
-    element: GVec | None = None
-    obstruction: ObstructionClass | None = None
+    def __init__(self, status: str, element: GVec | None = None,
+                 obstruction: ObstructionClass | None = None):
+        self.status = status    # "solved" | "obstructed"
+        self.element = element
+        self.obstruction = obstruction
 
 
 def mc_extend(ng: NilpotentDgla, seed: GVec) -> ExtensionResult:
@@ -349,13 +350,13 @@ def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
     return PathElement(ng.dgla, 1, p, q)
 
 
-@dataclass
 class Pi1Group:
     """exp(h^0 (x) m_A), presented by its Lie algebra with the BCH law."""
 
-    nilpotent: NilpotentDgla
-    dimension: int
-    stabilizer_trivial: bool
+    def __init__(self, nilpotent: NilpotentDgla, dimension: int, stabilizer_trivial: bool):
+        self.nilpotent = nilpotent
+        self.dimension = dimension
+        self.stabilizer_trivial = stabilizer_trivial
 
     def identity(self) -> GVec:
         return {}

@@ -9,12 +9,9 @@ JSON-pointer-style location of the first offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .artin import ArtinAlgebra, truncated_polynomial_algebra
 from .dgla import CdgaModel, Dgla, FiltrationData, SubDgla, abelian_dgla, sub_dgla_span
-from .endo import EndDgla, end_dgla
 from .graded import Complex, GradedMap, GradedVectorSpace, GVec, Matrix, StructuralError
 from .linalg import Q, Vector, sparse
 
@@ -92,13 +89,13 @@ def _ref(sec: dict, name, ptr: str, kind: str):
     return name
 
 
-@dataclass
 class ModelDocument:
     """Parsed, cross-checked model with lazily built runtime objects."""
 
-    raw: dict
-    path: str = ""
-    _cache: dict = field(default_factory=dict)
+    def __init__(self, raw: dict, path: str = "", _cache: dict | None = None):
+        self.raw = raw
+        self.path = path
+        self._cache = {} if _cache is None else _cache
 
     # -- raw sections -------------------------------------------------------
     def section(self, name: str) -> dict:
@@ -196,6 +193,7 @@ class ModelDocument:
         ends = self.section("end_dglas")
         _ref(ends, name, "/end_dglas", "end_dgla")
         def build():
+            from .endo import end_dgla
             entry = ends[name]
             cx = self.complex(_ref(self.section("complexes"), entry.get("complex"),
                                    f"/end_dglas/{name}/complex", "complex"))
@@ -287,6 +285,7 @@ class ModelDocument:
         spec = self.section("artin")
         _ref(spec, name, "/artin", "artin algebra")
         def build():
+            from .artin import truncated_polynomial_algebra
             entry = spec[name]
             ptr = f"/artin/{name}"
             k, order = entry.get("generators"), entry.get("order")
@@ -325,6 +324,7 @@ class ModelDocument:
         spec = self.section("contractions")
         _ref(spec, name, "/contractions", "contraction")
         def build():
+            from .endo import end_dgla
             entry = spec[name]
             ptr = f"/contractions/{name}"
             source = self.dgla(_ref(self.section("dglas"), entry.get("source"),
@@ -388,6 +388,10 @@ def parse_model(path: str) -> ModelDocument:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ModelError("/", f"no such file: {path}")
+    except OSError as exc:
+        raise ModelError("/", f"cannot read the model file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ModelError("/", f"cannot decode the model file: {exc}")
     except json.JSONDecodeError as exc:
         raise ModelError("/", f"malformed JSON: {exc}")
     return parse_model_dict(raw, path)

@@ -15,8 +15,6 @@ H^1(End/End^{>=0}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .cartan import cartan_check, lie_from_cartan
 from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
@@ -72,14 +70,15 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
 # ---------------------------------------------------------------------------
 # contractions as Cartan homotopies
 
-@dataclass
 class ContractionCartan:
-    source: Dgla                 # the derivation dgla T
-    omega: CdgaModel
-    end: EndDgla
-    i: GradedMap                 # T.space -> End space, shift -1
-    l: GradedMap                 # Lie derivative, shift 0
-    report: ValidationReport
+    def __init__(self, source: Dgla, omega: CdgaModel, end: EndDgla, i: GradedMap,
+                 l: GradedMap, report: ValidationReport):
+        self.source = source         # the derivation dgla T
+        self.omega = omega
+        self.end = end
+        self.i = i                   # T.space -> End space, shift -1
+        self.l = l                   # Lie derivative, shift 0
+        self.report = report
 
 
 def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
@@ -142,16 +141,17 @@ def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
 # ---------------------------------------------------------------------------
 # the flag side: induced filtration on cohomology and the end of the diagram
 
-@dataclass
 class FlagData:
     """Cohomology H of Omega with its induced filtration and, per level p,
     the quotient coordinate systems for H/F^p H."""
 
-    h_space: GradedVectorSpace
-    representatives: dict          # degree -> list of cocycle vectors in Omega
-    f_h: FiltrationData            # induced filtration, in H coordinates
-    f_reps: dict                   # p -> {degree -> list of (class coords, cocycle)}
-    quotients: dict                # p -> QuotientComplex of (H, d=0) by F^p H
+    def __init__(self, h_space: GradedVectorSpace, representatives: dict,
+                 f_h: FiltrationData, f_reps: dict, quotients: dict):
+        self.h_space = h_space
+        self.representatives = representatives  # degree -> list of cocycle vectors in Omega
+        self.f_h = f_h              # induced filtration, in H coordinates
+        self.f_reps = f_reps        # p -> {degree -> list of (class coords, cocycle)}
+        self.quotients = quotients  # p -> QuotientComplex of (H, d=0) by F^p H
 
 
 def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
@@ -196,7 +196,6 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
     return FlagData(h_space, reps, f_h, f_reps, quotients)
 
 
-@dataclass
 class EndSpace:
     """integral_p Hom^0(F^p H, H/F^p H): compatible families (phi_p).
 
@@ -206,10 +205,11 @@ class EndSpace:
     equations phi_p restricted to F^{p+1} = phi_{p+1} followed by the
     projection H/F^{p+1} -> H/F^p."""
 
-    flag: FlagData
-    levels: list
-    layout: list                   # (p, degree, rows, cols) unknown blocks
-    basis: list                    # flat coordinate vectors, as sparse rows
+    def __init__(self, flag: FlagData, levels: list, layout: list, basis: list):
+        self.flag = flag
+        self.levels = levels
+        self.layout = layout        # (p, degree, rows, cols) unknown blocks
+        self.basis = basis          # flat coordinate vectors, as sparse rows
 
     @property
     def dimension(self) -> int:
@@ -303,14 +303,15 @@ def end_of_flag_diagram(flag: FlagData) -> EndSpace:
 # ---------------------------------------------------------------------------
 # the period differential
 
-@dataclass
 class PeriodDifferential:
-    contraction: ContractionCartan
-    flag: FlagData
-    endspace: EndSpace
-    source_rank: int
-    matrix: list                   # EndSpace coordinates per H^1(g) basis class
-    families: list                 # raw (p, degree) -> block dicts, one per class
+    def __init__(self, contraction: ContractionCartan, flag: FlagData, endspace: EndSpace,
+                 source_rank: int, matrix: list, families: list):
+        self.contraction = contraction
+        self.flag = flag
+        self.endspace = endspace
+        self.source_rank = source_rank
+        self.matrix = matrix        # EndSpace coordinates per H^1(g) basis class
+        self.families = families    # raw (p, degree) -> block dicts, one per class
 
 
 def period_differential(contraction: ContractionCartan,
@@ -398,9 +399,9 @@ def period_differential(contraction: ContractionCartan,
 # ---------------------------------------------------------------------------
 # obstruction image (ambient cohomology annihilating obstructions)
 
-@dataclass
 class ObstructionImage:
-    classes: dict                  # monomial label -> coordinates in H^1(End/End^{>=0})
+    def __init__(self, classes: dict):
+        self.classes = classes      # monomial label -> coordinates in H^1(End/End^{>=0})
 
     @property
     def vanishes(self) -> bool:

@@ -1,6 +1,5 @@
 """Truncated polynomial Artin algebras and nilpotent tensor dglas."""
 
-import dataclasses
 import itertools
 from fractions import Fraction as Q
 
@@ -58,14 +57,19 @@ def nilpotency_failure(witness, hot, n):
             "residual": ["1" if s == hot else "0" for s in range(n)]}
 
 
+def with_order(a: ArtinAlgebra, order: int) -> ArtinAlgebra:
+    """``a`` with its declared nilpotency order replaced by ``order``."""
+    return ArtinAlgebra(a.cdga, order, a.generators, a.weights)
+
+
 def test_validate_artin_reports_nilpotency():
     # m^3 != 0 in K[e]/e^4 and K[e1,e2]/m^4: every nonzero threefold product
     # of basis monomials, by word, with its dense residual
     a = truncated_polynomial_algebra(1, 4)
-    assert validate_artin(dataclasses.replace(a, order=3)).failures == [
+    assert validate_artin(with_order(a, 3)).failures == [
         nilpotency_failure(["e", "e", "e"], 2, 3)]
     a = truncated_polynomial_algebra(2, 4)     # e1^3, e1^2 e2, e1 e2^2, e2^3 at 5..8
-    assert validate_artin(dataclasses.replace(a, order=3)).failures == [
+    assert validate_artin(with_order(a, 3)).failures == [
         nilpotency_failure(list(word), 5 + word.count("e2"), 9)
         for word in itertools.product(("e1", "e2"), repeat=3)]
 
@@ -79,9 +83,9 @@ def test_validate_artin_order_fifteen():
 def not_nilpotent_at_declared_order() -> list[ArtinAlgebra]:
     """m^order != 0 in each: truncated algebras declared one order short,
     and two hand-made tables."""
-    short = [dataclasses.replace(truncated_polynomial_algebra(k, order), order=order - 1)
+    short = [with_order(truncated_polynomial_algebra(k, order), order - 1)
              for k, order in ((1, 4), (2, 4), (2, 5), (3, 4))]
-    return short + [dataclasses.replace(non_commutative_artin(), order=2),
+    return short + [with_order(non_commutative_artin(), 2),
                     ArtinAlgebra(non_associative_cdga(), order=3, generators=2,
                                  weights=(1, 2, 1, 3))]
 

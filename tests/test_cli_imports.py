@@ -1,8 +1,10 @@
 """What each CLI command imports, and every command branch run in-process.
 
 Commands import their kernel modules (``mc``, ``convolution``, ``cartan``,
-``holim``, ``period``) inside the function, so a fresh process pays only
-for what it runs.  The first half pins those import sets; the second runs
+``holim``, ``period``, and ``artin`` and ``endo`` where a model or command
+needs them) inside the function, so a fresh process pays only for what it
+runs.  The first half pins those import sets, and checks that no command
+loads ``dataclasses``, ``typing`` or what they pull in; the second runs
 every recorded invocation and the branches the record leaves out through
 ``cli.main``, since a name a command forgot to import fails only there.
 """
@@ -21,23 +23,26 @@ from deforma import cli
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CLI_EXPECTED = os.path.join(ROOT, "bench", "cli_expected.json")
 KERNELS = {"holim", "period", "cartan", "convolution", "mc"}
+# the record machinery deforma's plain classes avoid, and what it imports
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
-# the modules a fresh process has loaded after running ``argv`` (or after
-# only importing deforma.cli when argv is None), as JSON on stdout
+# the modules a fresh process has loaded after running ``argv`` (after only
+# importing deforma.cli when argv is None, after nothing when it is "bare"),
+# as JSON on stdout
 _PROBE = """
 import io, json, sys
 argv = json.loads(sys.argv[1])
-from deforma import cli
-if argv is not None:
+if argv != "bare":
+    from deforma import cli
+if argv not in (None, "bare"):
     out, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
     cli.main(argv)
     sys.stdout = out
-print(json.dumps(sorted(m[len("deforma."):] for m in sys.modules
-                        if m.startswith("deforma."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(argv):
+def all_modules(argv):
     env = dict(os.environ)
     env.pop("DEFORMA_FIXTURE_DIR", None)
     src = os.path.join(ROOT, "src")
@@ -46,6 +51,17 @@ def loaded_modules(argv):
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
                           capture_output=True, env=env, check=True)
     return set(json.loads(proc.stdout))
+
+
+def loaded_modules(argv):
+    """The deforma modules, without the package prefix."""
+    return {m[len("deforma."):] for m in all_modules(argv) if m.startswith("deforma.")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What the probe's interpreter loads without deforma (site hooks included)."""
+    return all_modules("bare")
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +73,11 @@ def test_import_cli_loads_no_kernel():
 
 @pytest.mark.parametrize("command", ["cohomology", "validate"])
 def test_model_commands_load_no_kernel(command):
-    mods = loaded_modules([command, "--model", "F5"])
-    assert not mods & KERNELS
-    assert mods == {"artin", "cli", "dgla", "endo", "graded", "linalg", "models"}
+    # F5 declares an end dgla, so parsing it builds End(C); F1 needs neither
+    # endo nor artin
+    plain = {"cli", "dgla", "graded", "linalg", "models"}
+    assert loaded_modules([command, "--model", "F1"]) == plain
+    assert loaded_modules([command, "--model", "F5"]) == plain | {"endo"}
 
 
 def test_gauge_loads_mc_only():
@@ -70,7 +88,25 @@ def test_gauge_loads_mc_only():
 def test_period_does_not_load_holim():
     mods = loaded_modules(["period", "--model", "F5"])
     assert "period" in mods
-    assert "holim" not in mods
+    assert not mods & {"holim", "mc", "artin"}
+
+
+def test_holim_ranks_load_no_convolution():
+    # only the quasi-abelian witness builds a Cartan homotopy
+    mods = loaded_modules(["holim", "--model", "F2"])
+    assert "holim" in mods
+    assert not mods & {"cartan", "convolution", "mc", "artin", "endo"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "F1"], ["cohomology", "--model", "F1"],
+    ["mc", "--model", "F7"], ["gauge", "--model", "F7"],
+    ["linf-check", "--model", "F1"], ["cartan-check", "--model", "F6"],
+    ["transport", "--model", "F6"], ["holim", "--model", "F2"],
+    ["period", "--model", "F6"],
+], ids=lambda argv: argv[0])
+def test_command_loads_no_record_machinery(argv, bare_modules):
+    assert not (all_modules(argv) - bare_modules) & HEAVY
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +142,8 @@ def test_recorded_invocation(entry, capsysbinary, monkeypatch):
     (["holim", "--model", "F2", "--cohomology"], 0, "ok"),
     (["transport", "--model", "F5", "--arity", "2"], 0, "ok"),
     (["mc", "--model", "F7", "--artin", "1,4"], 1, "failed"),
+    # --artin is exactly k,N: a third part is an error, not ignored
+    (["mc", "--model", "F7", "--artin", "1,4,9"], 2, "invalid"),
 ])
 def test_unrecorded_branch(argv, code, status, capsysbinary, monkeypatch):
     monkeypatch.delenv("DEFORMA_FIXTURE_DIR", raising=False)

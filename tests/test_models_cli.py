@@ -133,6 +133,20 @@ def test_cli_malformed_model_reports_pointer(tmp_path):
     assert doc["payload"]["location"] == "/bogus"
 
 
+@pytest.mark.parametrize("kind", ["directory", "invalid UTF-8"])
+def test_cli_unreadable_model_is_bad_input(tmp_path, kind):
+    path = tmp_path
+    if kind == "invalid UTF-8":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"a": "\xc3("}')
+    proc = run_cli("validate", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "invalid"
+    assert doc["payload"]["location"] == "/"
+
+
 def test_cli_mc_obstruction_reported():
     proc = run_cli("mc", "--model", "F7", "--extend")
     assert proc.returncode == 0
