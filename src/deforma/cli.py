@@ -313,6 +313,11 @@ def cmd_holim(doc: ModelDocument, args) -> Report:
     g = _default_dgla(doc, args)
     sub_name = _named(doc, args.sub, "sub", "sub-dgla")
     n = doc.sub_dgla(sub_name)
+    if n.parent is not g:
+        raise ModelError(f"/subdglas/{sub_name}/dgla",
+                         f"sub-dgla {sub_name!r} is declared on dgla "
+                         f"{doc.section('subdglas')[sub_name]['dgla']!r}, not on "
+                         f"{args.dgla or doc.default('dgla')!r}")
     pair = holim_pair(g, n)
     if args.witness or (args.section and not args.cohomology):
         section = doc.map(_named(doc, args.section, "section", "section"))

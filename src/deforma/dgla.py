@@ -45,7 +45,7 @@ from functools import cached_property
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
                      quotient_complex, vec_is_zero, vec_sub)
-from .linalg import Q, Vector, sparse
+from .linalg import Q, Vector, dense
 
 
 class ValidationReport:
@@ -520,45 +520,49 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
 
 class FiltrationData:
     """Decreasing filtration: steps[p] spans F^p degree-wise; outside the
-    given range F^p is everything (below) or zero (above)."""
+    given range F^p is everything (below) or zero (above).  ``step(p)`` is
+    built the first time it is asked for and kept, one per level, one for
+    everything below and one for everything above."""
 
     def __init__(self, space: GradedVectorSpace, steps: dict):
         self.space = space
         self.steps = steps   # p -> {degree -> list of spanning vectors}
+        self._subspaces: dict[int, SubSpaceData] = {}
 
     def levels(self) -> list[int]:
         return sorted(self.steps)
 
     def step(self, p: int) -> SubSpaceData:
-        if not self.steps:
-            return SubSpaceData(self.space, {})
-        lo, hi = min(self.steps), max(self.steps)
-        if p < lo:
-            return SubSpaceData.from_echelon(self.space, {
-                deg: ([{i: Q(1)} for i in range(self.space.dim(deg))],
-                      list(range(self.space.dim(deg))))
-                for deg in self.space.degrees})
-        if p > hi:
-            return SubSpaceData(self.space, {})
-        return SubSpaceData(self.space, self.steps.get(p, {}))
+        levels = self.levels()
+        if levels:
+            p = min(max(p, levels[0] - 1), levels[-1] + 1)
+        if p not in self._subspaces:
+            if levels and p < levels[0]:
+                sub = SubSpaceData.from_echelon(self.space, {
+                    deg: ([{i: Q(1)} for i in range(self.space.dim(deg))],
+                          list(range(self.space.dim(deg))))
+                    for deg in self.space.degrees})
+            else:
+                sub = SubSpaceData(self.space, self.steps.get(p, {}))
+            self._subspaces[p] = sub
+        return self._subspaces[p]
 
 
 def validate_filtration(c: Complex, f: FiltrationData) -> ValidationReport:
     report = ValidationReport()
     if f.space.components != c.space.components:
         raise StructuralError("filtration declared on a different space")
-    levels = f.levels()
-    for p in levels:
+    for p in f.levels():
         sub = f.step(p)
         prev = f.step(p - 1)
-        for deg in sorted(sub.span):
-            for idx, v in enumerate(sub.basis_in_degree(deg)):
-                if not prev.contains({deg: v}):
+        for deg, (rows, _) in sorted(sub.echelon.items()):
+            for idx, row in enumerate(rows):
+                if prev.coords(deg, row) is None:
                     report.fail("decreasing", [f"F^{p} degree {deg} vector {idx}"])
-                img = c.d({deg: v})
-                if not vec_is_zero(img) and not sub.contains(img):
+                img = c.differential.apply_row(deg, row)
+                if sub.coords(deg + 1, img) is None:
                     report.fail("d_stability", [f"F^{p} degree {deg} vector {idx}"],
-                                _residual_repr(img))
+                                _residual_repr({deg + 1: dense(img, c.space.dim(deg + 1))}))
     return report
 
 
@@ -710,26 +714,40 @@ def sub_dgla_span(parent: Dgla, span: dict[int, list[Vector]]) -> SubDgla:
     return SubDgla(parent, SubSpaceData(parent.space, span))
 
 
+def _sub_brackets(n: SubDgla, upper: bool):
+    """The brackets of the basis rows of ``n``, none if the parent is
+    abelian: (m, i, p, j, b) for row i of degree m and row j of degree p
+    (m <= p if ``upper``), b their bracket as a sparse row of the parent's
+    degree m + p."""
+    if n.parent.is_abelian():
+        return
+    t, degs = n.parent.table, sorted(n.span.echelon)
+    flat = {deg: [{t.offset[deg] + k: c for k, c in row.items()}
+                  for row in n.span.rows(deg)] for deg in degs}
+    for m in degs:
+        for i, x in enumerate(flat[m]):
+            for p in degs[degs.index(m):] if upper else degs:
+                base = t.offset.get(m + p)
+                for j, y in enumerate(flat[p]):
+                    acc = {}
+                    _bracket_into(acc, 1, t, x, y)
+                    yield m, i, p, j, {k - base: c for k, c in acc.items() if c}
+
+
 def validate_sub_dgla(n: SubDgla) -> ValidationReport:
     """Closure under d and bracket."""
     report = ValidationReport()
-    h = n.parent
-    degs = sorted(n.span.span)
-    for deg in degs:
-        for idx, v in enumerate(n.span.basis_in_degree(deg)):
-            img = h.d({deg: v})
-            if not n.contains(img):
+    h, sub = n.parent, n.span
+    for deg, (rows, _) in sorted(sub.echelon.items()):
+        for idx, row in enumerate(rows):
+            img = h.underlying.differential.apply_row(deg, row)
+            if sub.coords(deg + 1, img) is None:
                 report.fail("d_closure", [f"degree {deg} span vector {idx}"],
-                            _residual_repr(img))
-    for m in degs:
-        for i, v in enumerate(n.span.basis_in_degree(m)):
-            for p in degs:
-                for j, w in enumerate(n.span.basis_in_degree(p)):
-                    b = h.bracket({m: v}, {p: w})
-                    if not n.contains(b):
-                        report.fail("bracket_closure",
-                                    [f"degree {m} vector {i}", f"degree {p} vector {j}"],
-                                    _residual_repr(b))
+                            _residual_repr({deg + 1: dense(img, h.space.dim(deg + 1))}))
+    for m, i, p, j, b in _sub_brackets(n, upper=False):
+        if sub.coords(m + p, b) is None:
+            report.fail("bracket_closure", [f"degree {m} vector {i}", f"degree {p} vector {j}"],
+                        _residual_repr({m + p: dense(b, h.space.dim(m + p))}))
     return report
 
 
@@ -747,46 +765,33 @@ def sub_quotient(h: Dgla, n: SubDgla) -> tuple[ValidationReport, QuotientComplex
 def inclusion_as_morphism(n: SubDgla) -> DglaMorphism:
     """The sub-dgla on its own basis, included into the parent."""
     sub = restrict_to_sub(n)
-    columns = {deg: n.span.echelon[deg][0] for deg in sub.space.degrees}
+    columns = {deg: n.span.rows(deg) for deg in sub.space.degrees}
     return DglaMorphism(sub, n.parent,
                         GradedMap(sub.space, n.parent.space, 0, columns))
 
 
 def restrict_to_sub(n: SubDgla) -> Dgla:
-    """The dgla structure induced on a (closed) sub-dgla, on its own basis."""
-    h = n.parent
-    bases = {deg: n.span.basis_in_degree(deg) for deg in sorted(n.span.span)}
-    bases = {deg: bs for deg, bs in bases.items() if bs}
-    components = {deg: tuple(f"s{deg}_{i}" for i in range(len(bs)))
-                  for deg, bs in bases.items()}
-    space = GradedVectorSpace(components)
+    """The dgla structure induced on a (closed) sub-dgla, on its own basis:
+    the echelon rows of ``n.span``, whose images under d and the bracket
+    are taken on the rows and read back in coordinates by ``coords``."""
+    h, sub = n.parent, n.span
+    degs = sorted(sub.echelon)
+    space = GradedVectorSpace({deg: tuple(f"s{deg}_{i}" for i in range(sub.dim(deg)))
+                               for deg in degs})
 
-    def to_sub_coords(x: GVec) -> GVec:
-        out: GVec = {}
-        for deg, v in x.items():
-            if not any(v):
-                continue
-            sol = n.span.coords(deg, v)
-            if sol is None:
-                raise StructuralError(f"element leaves the subspace in degree {deg}")
-            out[deg] = sol
-        return out
+    def coords(deg: int, row: Sparse) -> Sparse:
+        c = sub.coords(deg, row)
+        if c is None:
+            raise StructuralError(f"element leaves the subspace in degree {deg}")
+        return c
 
-    d_columns = {deg: [sparse(to_sub_coords(h.d({deg: v})).get(deg + 1, []))
-                       for v in bs]
-                 for deg, bs in bases.items() if space.dim(deg + 1)}
+    d = h.underlying.differential
+    d_columns = {deg: [coords(deg + 1, d.apply_row(deg, row)) for row in sub.rows(deg)]
+                 for deg in degs if space.dim(deg + 1)}
     cx = Complex(space, GradedMap(space, space, 1, d_columns))
 
-    # brackets of an abelian parent vanish, so there is nothing to compute
-    degs = [] if h.is_abelian() else sorted(bases)
     flat = FlatBasis(space)
-    upper = []      # ((a, b), [e_a, e_b]) for |a| <= |b|
-    for m in degs:
-        for p in degs:
-            if m > p:
-                continue
-            for i, v in enumerate(bases[m]):
-                for j, w in enumerate(bases[p]):
-                    b = to_sub_coords(h.bracket({m: v}, {p: w}))
-                    upper.append(((flat.offset[m] + i, flat.offset[p] + j), flat.flat(b)))
+    upper = [((flat.offset[m] + i, flat.offset[p] + j),
+              {flat.offset[m + p] + k: c for k, c in coords(m + p, b).items()})
+             for m, i, p, j, b in _sub_brackets(n, upper=True)]
     return Dgla(cx, flat.table_from_upper(upper))

@@ -212,6 +212,11 @@ class GradedMap:
                     w[r] = c
         return out
 
+    def apply_row(self, deg: int, row: Row) -> Row:
+        """The image of a sparse row of degree ``deg``, a sparse row."""
+        cols = self.columns.get(deg)
+        return combine(cols, row.items()) if cols else {}
+
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
         columns = {}
@@ -295,7 +300,10 @@ def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> GradedMap:
 # subspaces and quotients
 
 class SubSpaceData:
-    """Per-degree spanning vectors of a subspace of ``parent``."""
+    """A subspace of ``parent``: per degree, ``echelon[deg]`` is the reduced
+    echelon basis of the span as sparse rows, row i 1 at pivot i and 0 at
+    the other pivots, and the pivots.  ``span`` is the dense spanning set
+    given (JSON input), or else the rows densified when first asked for."""
 
     def __init__(self, parent: GradedVectorSpace, span: dict[int, list[Vector]]):
         self.parent = parent
@@ -304,56 +312,47 @@ class SubSpaceData:
             for v in vecs:
                 if len(v) != self.parent.dim(deg):
                     raise StructuralError(f"span vector length mismatch in degree {deg}")
-
-    @classmethod
-    def from_echelon(cls, parent: GradedVectorSpace,
-                     echelon: dict[int, tuple[list[Row], list[int]]]) -> "SubSpaceData":
-        """The span of sparse vectors already in echelon form: per degree,
-        vectors and columns with vector i 1 at column i and 0 at the other
-        columns (as ``linalg.kernel`` gives them).  They are the basis as
-        they are, with no elimination."""
-        sub = cls(parent, {deg: [dense(r, parent.dim(deg)) for r in rows]
-                           for deg, (rows, _) in echelon.items()})
-        sub.__dict__["echelon"] = {deg: e for deg, e in echelon.items() if e[0]}
-        return sub
-
-    @cached_property
-    def echelon(self) -> dict[int, tuple[list[Row], list[int]]]:
-        """Per degree: the reduced echelon basis of the span, as sparse rows,
-        and its pivot columns (basis vector i is 1 at pivot i and 0 at the
-        other pivots)."""
-        out = {}
+        self.echelon: dict[int, tuple[list[Row], list[int]]] = {}
         for deg, vecs in self.span.items():
             e = Echelon(sparse(v) for v in vecs)
             if e.rows:
                 pivots = sorted(e.rows)
-                out[deg] = ([e.rows[p] for p in pivots], pivots)
-        return out
+                self.echelon[deg] = ([e.rows[p] for p in pivots], pivots)
+
+    @classmethod
+    def from_echelon(cls, parent: GradedVectorSpace,
+                     echelon: dict[int, tuple[list[Row], list[int]]]) -> "SubSpaceData":
+        """The span of sparse rows already in echelon form: per degree, rows
+        and columns with row i 1 at column i and 0 at the other columns (as
+        ``linalg.kernel`` gives them).  They are the basis as they are,
+        with no elimination."""
+        sub = cls.__new__(cls)
+        sub.parent = parent
+        sub.echelon = {deg: e for deg, e in echelon.items() if e[0]}
+        return sub
 
     @cached_property
-    def _bases(self) -> dict[int, list[Vector]]:
+    def span(self) -> dict[int, list[Vector]]:
         return {deg: [dense(r, self.parent.dim(deg)) for r in rows]
                 for deg, (rows, _) in self.echelon.items()}
 
-    def basis_in_degree(self, deg: int) -> list[Vector]:
-        """Deterministic independent basis of the span in one degree."""
-        return self._bases.get(deg, [])
+    def rows(self, deg: int) -> list[Row]:
+        """The echelon basis of degree ``deg``."""
+        return self.echelon.get(deg, ((), ()))[0]
 
     def dim(self, deg: int) -> int:
-        return len(self.echelon.get(deg, ((), ()))[0])
+        return len(self.rows(deg))
 
-    def coords(self, deg: int, v: Vector) -> Vector | None:
-        """Coordinates of v in ``basis_in_degree(deg)``, or None if v is not
-        in the span.  They are read off the pivot columns, then checked by
-        rebuilding v from them."""
-        basis, pivots = self.echelon.get(deg, ([], []))
-        c = [v[p] for p in pivots]
-        rebuilt = combine(basis, [(i, x) for i, x in enumerate(c) if x])
-        return c if rebuilt == sparse(v) else None
+    def coords(self, deg: int, row: Row) -> Row | None:
+        """The coordinates of a sparse row of degree ``deg`` in ``rows(deg)``,
+        a sparse row, or None if it is not in the span.  They are read off
+        the pivot columns, then checked by rebuilding ``row`` from them."""
+        basis, pivots = self.echelon.get(deg, ((), ()))
+        c = {i: row[p] for i, p in enumerate(pivots) if p in row}
+        return c if combine(basis, c.items()) == row else None
 
     def contains(self, x: GVec) -> bool:
-        return all(self.coords(deg, v) is not None
-                   for deg, v in x.items() if any(v))
+        return all(self.coords(deg, sparse(v)) is not None for deg, v in x.items())
 
 
 class QuotientComplex:
@@ -384,10 +383,9 @@ def _complement_projection(basis: list[Row], comp: list[int], dim: int) -> list[
 
 def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
     """Quotient by a d-closed subspace; rejects if the subspace is not d-closed."""
-    for deg in sorted(sub.span):
-        for v in sub.basis_in_degree(deg):
-            img = c.d({deg: v})
-            if not vec_is_zero(img) and not sub.contains(img):
+    for deg, (rows, _) in sorted(sub.echelon.items()):
+        for row in rows:
+            if sub.coords(deg + 1, c.differential.apply_row(deg, row)) is None:
                 raise StructuralError(f"subspace not closed under d in degree {deg}")
 
     components: dict[int, tuple[str, ...]] = {}
@@ -395,7 +393,7 @@ def quotient_complex(c: Complex, sub: SubSpaceData) -> QuotientComplex:
     proj_columns: dict[int, list[Column]] = {}
     for deg in c.space.degrees:
         dim = c.space.dim(deg)
-        basis = sub.echelon.get(deg, ([], []))[0]
+        basis = sub.rows(deg)
         comp = section_indices[deg] = extend_to_complement(basis, dim)
         if comp:
             components[deg] = tuple(f"[{c.space.label(deg, i)}]" for i in comp)

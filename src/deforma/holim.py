@@ -24,7 +24,7 @@ from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      vec_scale, vec_sub)
 from .linalg import Q, sparse
 
-_ZERO, _ONE = Q(0), Q(1)
+_ONE = Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,8 @@ class HolimPair:
 
 
 def holim_pair(h: Dgla, n: SubDgla) -> HolimPair:
+    if n.parent is not h:
+        raise StructuralError("n is a sub-dgla of another dgla, not of h")
     report, quotient = sub_quotient(h, n)
     if not report.ok:
         raise StructuralError(f"n is not a closed sub-dgla: {report.failures[:3]}")
@@ -333,14 +335,17 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
     sub = SubDgla(abelian_dgla(ambient.dgla.underlying),
                   SubSpaceData.from_echelon(ambient.space, span))
     restricted = restrict_to_sub(sub)
-    target = shifted_quotient(pair)
+    # the projection integrates the q-part, e_j (x) t^m dt giving e_j / (m+1),
+    # and reduces it mod n
     columns = {}
-    for k in sorted(span):
-        if target.space.dim(k):
-            columns[k] = [sparse(pair.quotient.projection.apply(
-                ambient.to_path({k: list(v)}, k).integral_q()).get(k - 1, []))
-                for v in sub.span.basis_in_degree(k)]
-    proj = GradedMap(restricted.space, target.space, 0, columns)
+    for k, (rows, _) in sorted(span.items()):
+        if k - 1 in proj_columns:
+            q = {posn: (j, m + 1) for posn, (kind, m, j) in enumerate(ambient.index[k])
+                 if kind == 'q'}
+            columns[k] = [linalg.combine(proj_columns[k - 1], [
+                (q[posn][0], c / q[posn][1]) for posn, c in row.items() if posn in q])
+                for row in rows]
+    proj = GradedMap(restricted.space, shifted_quotient(pair).space, 0, columns)
     return HolimBounded(pair, tbound, ambient, sub.span, restricted.underlying, proj)
 
 
@@ -525,10 +530,10 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
             e = morphism.arity_one(source.space.basis_element(k, idx))
             coords = bounded.ambient.to_coords(
                 PathElement(pair.h, k, e.path.p, e.path.q))
-            sol = bounded.span.coords(k, coords.get(k, [_ZERO] * bounded.ambient.space.dim(k)))
+            sol = bounded.span.coords(k, sparse(coords.get(k, [])))
             if sol is None:
                 raise StructuralError("witness image leaves the bounded subcomplex")
-            cols.append(sparse(sol))
+            cols.append(sol)
     wmap = GradedMap(source.space, bounded.complex.space, 0, columns)
 
     hs = cohomology(source.underlying)

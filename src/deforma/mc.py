@@ -104,7 +104,7 @@ def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
     """
     t, na = ng.dgla.table, ng.coefficients.dim
     fx = _entry(t, x, 1, "Maurer-Cartan point")
-    vs = (sub.span.echelon.get(-1, ([], []))[0] if sub is not None else
+    vs = (sub.span.rows(-1) if sub is not None else
           [{i: 1} for i in range(ng.base.space.dim(-1))])
     rows, dcols, out = [(c, t.row(a)) for a, c in fx.items()], ng.dgla.dcols, []
     for v in vs:

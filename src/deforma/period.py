@@ -50,9 +50,8 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
             for deg in sorted(sub.echelon):
                 tdeg = deg + k
                 # the functionals vanishing exactly on F^p in degree deg + k
-                functionals = linalg.nullspace(sub.echelon.get(tdeg, ([], []))[0],
-                                               sp.dim(tdeg))
-                for v in sub.echelon[deg][0]:
+                functionals = linalg.nullspace(sub.rows(tdeg), sp.dim(tdeg))
+                for v in sub.rows(deg):
                     rows.extend({position[deg, si, di]: c * e
                                  for si, c in v.items() for di, e in func.items()}
                                 for func in functionals)
@@ -127,9 +126,9 @@ def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
             op = end.element_to_map(l.apply(t.space.basis_element(m, ia)))
             for p in f.levels():
                 sub = f.step(p)
-                for deg in sorted(sub.span):
-                    for v in sub.basis_in_degree(deg):
-                        if not sub.contains(op.apply({deg: list(v)})):
+                for deg, (rows, _) in sorted(sub.echelon.items()):
+                    for v in rows:
+                        if sub.coords(deg + op.shift, op.apply_row(deg, v)) is None:
                             preserves = False
                             report.fail("filtration_preservation",
                                         [t.space.label(m, ia), f"F^{p}",
@@ -169,15 +168,15 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
         pairs: dict[int, list] = {}
         for deg in h_space.degrees:
             dim = omega.space.dim(deg)
-            basis = sub.basis_in_degree(deg)
+            basis = sub.rows(deg)
             if not basis:
                 continue
             # cocycles inside F^p in this degree
-            images = [sparse(omega.d({deg: v}).get(deg + 1, [])) for v in basis]
+            images = [omega.complex.differential.apply_row(deg, v) for v in basis]
             kernel = linalg.nullspace(
                 linalg.transpose(images, omega.space.dim(deg + 1)), len(basis))
             for coeffs in kernel:
-                cocycle = dense(combine(sub.echelon[deg][0], coeffs.items()), dim)
+                cocycle = dense(combine(basis, coeffs.items()), dim)
                 if not any(cocycle):
                     continue
                 coords = hc.project({deg: cocycle}).get(deg)
@@ -266,8 +265,7 @@ def end_of_flag_diagram(flag: FlagData) -> EndSpace:
         q_p1 = flag.quotients[p + 1]
         # matrix of the projection H/F^{p+1} -> H/F^p per degree
         for deg in h_space.degrees:
-            basis_p = sub_p.basis_in_degree(deg)
-            basis_p1 = sub_p1.basis_in_degree(deg)
+            basis_p1 = sub_p1.rows(deg)
             rows_p = q_p.complex.space.dim(deg)
             rows_p1 = q_p1.complex.space.dim(deg)
             if not basis_p1 or not rows_p:
@@ -284,11 +282,10 @@ def end_of_flag_diagram(flag: FlagData) -> EndSpace:
                     raise StructuralError("induced filtration is not decreasing")
                 for r in range(rows_p):
                     row: Row = {}
-                    for c in range(len(basis_p)):
-                        if w_in_p[c]:
-                            idx = block_index(p, deg, r, c)
-                            if idx is not None:
-                                row[idx] = row.get(idx, _ZERO) + w_in_p[c]
+                    for c, x in w_in_p.items():
+                        idx = block_index(p, deg, r, c)
+                        if idx is not None:
+                            row[idx] = row.get(idx, _ZERO) + x
                     for rr in range(rows_p1):
                         idx = block_index(p + 1, deg, rr, j)
                         if idx is not None:
@@ -360,8 +357,7 @@ def period_differential(contraction: ContractionCartan,
         blocks: dict = {}
         for (p, deg, rows, cols) in endspace.layout:
             pairs = flag.f_reps.get(p, {}).get(deg, [])
-            sub = flag.f_h.step(p)
-            basis = sub.basis_in_degree(deg)
+            basis = flag.f_h.step(p).rows(deg)
             # representative cocycle for each F^p H basis class
             coord_cols = [pair[0] for pair in pairs]
             block_cols = []
@@ -369,7 +365,7 @@ def period_differential(contraction: ContractionCartan,
                                           flag.h_space.dim(deg))
             cocycles = [sparse(pair[1]) for pair in pairs]
             for v in basis:
-                sol = linalg.solve(coord_rows, sparse(v))
+                sol = linalg.solve(coord_rows, v)
                 if sol is None:
                     raise StructuralError("filtered class without a filtered "
                                           "representative")

@@ -436,7 +436,7 @@ def irrelevant_stabilizer(ng, x: GVec, sub: SubDgla | None = None) -> list[GVec]
     degree -1 basis v of ``sub`` and the monomials m, one dense element per h."""
     if sub is not None:
         out = []
-        for v in sub.span.basis_in_degree(-1):
+        for v in echelon_vectors(sub.span, -1):
             for mon in range(ng.coefficients.dim):
                 h = ng.tensor_element({-1: list(v)}, mon)
                 g = vec_add(ng.d(h), ng.bracket(x, h))
@@ -668,6 +668,11 @@ def echelon_basis(vectors: list[Vector]) -> list[Vector]:
     return red[:len(pivots)]
 
 
+def echelon_vectors(span: SubSpaceData, deg: int) -> list[Vector]:
+    """The echelon basis rows of ``span`` in one degree, densified."""
+    return [linalg.dense(r, span.parent.dim(deg)) for r in span.echelon.get(deg, ((), ()))[0]]
+
+
 def sub_basis(span: SubSpaceData, deg: int) -> list[Vector]:
     """The basis of ``span`` in one degree: the echelon basis of its vectors,
     or, for a span given in echelon form (``SubSpaceData.from_echelon``),
@@ -676,9 +681,9 @@ def sub_basis(span: SubSpaceData, deg: int) -> list[Vector]:
     are independent."""
     vectors = span.span.get(deg, [])
     basis = echelon_basis(vectors)
-    if span.basis_in_degree(deg) == basis:
+    if echelon_vectors(span, deg) == basis:
         return basis
-    assert span.basis_in_degree(deg) == vectors
+    assert echelon_vectors(span, deg) == vectors
     columns = span.echelon[deg][1]
     assert len(columns) == len(vectors)
     assert all(v[c] == (1 if i == j else 0)

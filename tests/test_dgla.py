@@ -73,6 +73,24 @@ def test_non_closed_span_rejected():
     assert not validate_sub_dgla(sub).ok
 
 
+def test_sub_dgla_failures_name_basis_rows_and_residuals():
+    # the witnesses count echelon basis rows (1 at their pivots), and the
+    # residuals are d or the bracket of those rows
+    g = F.f2_dgla()
+    sub = sub_dgla_span(g, {0: [[Q(0), Q(1), Q(0), Q(0)], [Q(0), Q(0), Q(2), Q(0)]]})
+    assert validate_sub_dgla(sub).failures == [
+        {"kind": "bracket_closure", "witness": ["degree 0 vector 0", "degree 0 vector 1"],
+         "residual": {"0": ["1", "0", "0", "-1"]}},
+        {"kind": "bracket_closure", "witness": ["degree 0 vector 1", "degree 0 vector 0"],
+         "residual": {"0": ["-1", "0", "0", "1"]}}]
+    h = F.f3_end().dgla
+    sub = sub_dgla_span(h, {-1: [[Q(2)]], 0: [[Q(1), Q(0)]]})
+    assert validate_sub_dgla(sub).failures == [
+        {"kind": "d_closure", "witness": ["degree -1 span vector 0"],
+         "residual": {"0": ["1", "1"]}},
+        {"kind": "d_closure", "witness": ["degree 0 span vector 0"], "residual": {"1": ["1"]}}]
+
+
 def test_restrict_to_sub_matches_parent():
     g = F.f2_dgla()
     borel = F.f2_borel(g)

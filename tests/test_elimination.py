@@ -11,14 +11,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
 from deforma import fixtures as F, holim, linalg
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
-from deforma.dgla import SubDgla, restrict_to_sub, sub_dgla_span
+from deforma.dgla import FiltrationData, SubDgla, restrict_to_sub, sub_dgla_span
 from deforma.endo import end_dgla
-from deforma.graded import (StructuralError, SubSpaceData, cohomology,
-                            quotient_complex)
+from deforma.graded import (GradedVectorSpace, StructuralError, SubSpaceData,
+                            cohomology, quotient_complex)
 
 ARTIN = {"K[e]/e^3": (1, 3), "K[e]/e^5": (1, 5), "K[e1,e2]/m^3": (2, 3)}
 
@@ -163,9 +164,9 @@ def test_seeded_sparse_matrices_match_reference():
 
 def test_coords_reads_pivots_and_rejects_vectors_just_outside():
     sub = SubSpaceData(F.f5_cdga().complex.space, {0: [[Q(2), Q(0), Q(2)]]})
-    assert sub.coords(0, [Q(3), Q(0), Q(3)]) == [Q(3)]
+    assert sub.coords(0, {0: Q(3), 2: Q(3)}) == {0: Q(3)}
     # agrees with the span vector on the pivot column, not elsewhere
-    assert sub.coords(0, [Q(3), Q(0), Q(3) + Q(1, 1000)]) is None
+    assert sub.coords(0, {0: Q(3), 2: Q(3) + Q(1, 1000)}) is None
     assert not sub.contains({0: [Q(3), Q(0), Q(3) + Q(1, 1000)]})
     assert not sub.contains({0: [Q(0), Q(1), Q(0)]})
 
@@ -173,9 +174,72 @@ def test_coords_reads_pivots_and_rejects_vectors_just_outside():
 def test_coords_accepts_zero():
     sub = SubSpaceData(F.f5_cdga().complex.space, {0: [[Q(1), Q(1), Q(0)]]})
     zero = [Q(0)] * 3
-    assert sub.coords(0, zero) == [Q(0)]
-    assert sub.coords(1, zero) == []          # a degree with no span
+    assert sub.coords(0, {}) == {}
+    assert sub.coords(1, {}) == {}            # a degree with no span
     assert sub.contains({0: zero, 1: zero})
+
+
+entries = st.sampled_from([Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_sparse_coords_match_dense_oracle(data):
+    """``coords`` and ``contains`` on spans built from dense vectors (with a
+    dependent and a zero vector among them) and from kernel rows in echelon
+    form, against ``solve`` on the dense basis: vectors in the span, zero,
+    vectors that agree with a span vector on the pivots but are off by
+    1/1000 elsewhere, and arbitrary vectors."""
+    dim = data.draw(st.integers(1, 6))
+    vector = st.lists(entries, min_size=dim, max_size=dim)
+    vectors = data.draw(st.lists(vector, max_size=4))
+    coeffs = data.draw(st.lists(entries, min_size=len(vectors), max_size=len(vectors)))
+    vectors.append([sum((c * v[t] for c, v in zip(coeffs, vectors)), Q(0))
+                    for t in range(dim)])
+    vectors.append([Q(0)] * dim)
+    data.draw(st.randoms()).shuffle(vectors)
+    parent = GradedVectorSpace({0: tuple(f"e{t}" for t in range(dim)), 1: ("f",)})
+    subs = (SubSpaceData(parent, {0: vectors}),
+            SubSpaceData.from_echelon(parent, {0: linalg.kernel(
+                [linalg.sparse(v) for v in vectors], dim)}))
+    for sub in subs:
+        basis = dense.sub_basis(sub, 0)
+        pivots = sub.echelon[0][1] if basis else []
+        combos = data.draw(st.lists(st.lists(entries, min_size=len(basis),
+                                             max_size=len(basis)), min_size=1, max_size=3))
+        inside = [[sum((c * b[t] for c, b in zip(cs, basis)), Q(0)) for t in range(dim)]
+                  for cs in combos]
+        off = [t for t in range(dim) if t not in pivots]
+        outside = [[x + Q(1, 1000) * (t == off[0]) for t, x in enumerate(v)]
+                   for v in inside] if off else []
+        tests = inside + outside + [[Q(0)] * dim] + data.draw(st.lists(vector, max_size=2))
+        for w in tests:
+            want = (dense.solve(dense.columns_matrix(basis, dim), w) if basis
+                    else [] if not any(w) else None)
+            got = sub.coords(0, linalg.sparse(w))
+            assert got == (None if want is None else linalg.sparse(want))
+            assert sub.contains({0: w, 1: [Q(0)]}) == (want is not None)
+            assert all(type(c) is Q for c in (got or {}).values())
+        for w in inside:
+            assert sub.coords(0, linalg.sparse(w)) is not None
+        for w in outside:
+            assert sub.coords(0, linalg.sparse(w)) is None
+        assert sub.coords(1, {}) == {} and sub.coords(1, {0: Q(1)}) is None
+
+
+def test_filtration_steps_are_built_once():
+    f = F.f6_filtration()
+    lo, hi = f.levels()[0], f.levels()[-1]
+    for p in range(lo - 3, hi + 4):
+        assert f.step(p) is f.step(p)
+    # one subspace for all of F^p below the levels, one for all above
+    assert f.step(lo - 3) is f.step(lo - 1)
+    assert f.step(hi + 3) is f.step(hi + 1)
+    space = f.space
+    assert all(f.step(lo - 1).dim(d) == space.dim(d) for d in space.degrees)
+    assert all(f.step(hi + 1).dim(d) == 0 for d in space.degrees)
+    empty = FiltrationData(space, {})
+    assert all(empty.step(p).dim(d) == 0 for p in (-1, 0, 1) for d in space.degrees)
 
 
 def test_restrict_to_unclosed_span_raises():

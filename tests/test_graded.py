@@ -75,6 +75,14 @@ def test_quotient_complex_f3():
     assert all(qc.complex.space.dim(d) == 0 for d in qc.complex.space.degrees)
 
 
+def test_quotient_complex_rejects_a_subspace_not_closed_under_d():
+    cx = two_term(2)                # d a = 2 b
+    with pytest.raises(StructuralError, match="not closed under d in degree 0"):
+        quotient_complex(cx, SubSpaceData(cx.space, {0: [[Q(3)]]}))
+    qc = quotient_complex(cx, SubSpaceData(cx.space, {0: [[Q(3)]], 1: [[Q(-1)]]}))
+    assert all(qc.complex.space.dim(d) == 0 for d in (0, 1))
+
+
 def test_quotient_complex_borel():
     g = F.f2_dgla()
     sub = SubSpaceData(g.space, {0: [[Q(1), Q(0), Q(0), Q(0)],

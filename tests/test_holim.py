@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from deforma import fixtures as F
-from deforma.dgla import sub_dgla_span
+from deforma.dgla import abelian_dgla, sub_dgla_span, validate_sub_dgla
 from deforma.endo import end_dgla
 from deforma.graded import GradedMap, StructuralError, is_chain_map, vec_eq
 from deforma.holim import (PathElement, constant_path,
@@ -16,6 +16,7 @@ from deforma.holim import (PathElement, constant_path,
                            map_into_holim, path_add, path_bracket, path_d,
                            path_dgla, path_scale, quasi_abelian_witness,
                            shifted_quotient)
+from deforma.linalg import dense, sparse
 
 rng = random.Random(73)
 
@@ -240,3 +241,50 @@ def test_holim_project_on_linear_images():
                                               if v})
         want = {deg: bar[deg - 1]} if bar.get(deg - 1) else {}
         assert vec_eq(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the projection of the bounded complex, against the path route
+
+def path_route_projection(bounded):
+    """The projection columns the long way: each kernel row densified, read
+    as a PathElement, its dt-part integrated and reduced mod n."""
+    pair, ambient = bounded.pair, bounded.ambient
+    target = shifted_quotient(pair).space
+    columns = {}
+    for k, (rows, _) in bounded.span.echelon.items():
+        if target.dim(k):
+            columns[k] = [sparse(pair.quotient.projection.apply(ambient.to_path(
+                {k: dense(v, ambient.space.dim(k))}, k).integral_q()).get(k - 1, []))
+                for v in rows]
+    return GradedMap(bounded.complex.space, target, 0, columns).columns
+
+
+PROJECTION_CASES = ["F2/borel", "F1/0", "F2/F2", "F7/End(F3)"]
+
+
+@pytest.mark.parametrize("case", PROJECTION_CASES)
+def test_bounded_projection_matches_path_route(case):
+    pair = ([p for p, _ in pairs()] + [f7_cartan_setup()[3]])[PROJECTION_CASES.index(case)]
+    nonzero = 0
+    for tbound in range(1, 9):
+        bounded = holim_bounded(pair, tbound)
+        got = bounded.projection_map
+        assert got.columns == path_route_projection(bounded)
+        assert all(type(c) is Q for cols in got.columns.values()
+                   for col in cols for c in col.values())
+        nonzero += sum(len(col) for cols in got.columns.values() for col in cols)
+    assert nonzero or case == "F2/F2"     # h/n = 0 for F2/F2
+
+
+def test_holim_pair_rejects_a_sub_dgla_of_another_dgla():
+    # span{e12, e21} is closed in the abelian dgla on gl_2's complex, not in
+    # gl_2: [e12, e21] = e11 - e22
+    g = F.f2_dgla()
+    n = sub_dgla_span(abelian_dgla(g.underlying),
+                      {0: [[Q(0), Q(1), Q(0), Q(0)], [Q(0), Q(0), Q(1), Q(0)]]})
+    assert validate_sub_dgla(n).ok
+    assert not validate_sub_dgla(sub_dgla_span(g, n.span.span)).ok
+    with pytest.raises(StructuralError, match="another dgla"):
+        holim_pair(g, n)
+    assert holim_cohomology_bounded(holim_pair(n.parent, n), 2).agree

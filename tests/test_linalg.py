@@ -271,7 +271,8 @@ def test_sparse_kernels_match_dense_oracles(matrix, data):
     for w in (v, [a + (j == 0) for j, a in enumerate(v)]):
         want = (dense.solve(dense.columns_matrix(echelon, cols), w) if echelon
                 else ([] if not any(w) else None))
-        assert sub.coords(0, w) == want
+        got = sub.coords(0, linalg.sparse(w))
+        assert got == (None if want is None else linalg.sparse(want))
 
     # CohomologyResult.project on the two-term complex K^cols -> K^rows
     space = GradedVectorSpace({0: parent.labels(0),

@@ -147,6 +147,28 @@ def test_cli_unreadable_model_is_bad_input(tmp_path, kind):
     assert doc["payload"]["location"] == "/"
 
 
+def test_cli_holim_rejects_a_sub_dgla_of_another_dgla(tmp_path):
+    # n_ab = span{e12, e21} is closed in an abelian dgla on gl_2's complex,
+    # not in gl_2 itself: [e12, e21] = e11 - e22
+    raw = load_raw("F2")
+    raw["dglas"]["ab"] = {"complex": "g"}
+    raw["subdglas"]["n_ab"] = {"dgla": "ab", "span": {"0": [
+        ["0/1", "1/1", "0/1", "0/1"], ["0/1", "0/1", "1/1", "0/1"]]}}
+    path = tmp_path / "two_hosts.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("holim", "--model", str(path), "--sub", "n_ab")
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "invalid"
+    assert doc["payload"]["location"] == "/subdglas/n_ab/dgla"
+    assert "'ab'" in doc["payload"]["error"] and "'g'" in doc["payload"]["error"]
+    # on its own dgla the same sub-dgla is accepted
+    proc = run_cli("holim", "--model", str(path), "--sub", "n_ab", "--dgla", "ab")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["payload"]["ranks"] == {"1": 2}
+
+
 def test_cli_mc_obstruction_reported():
     proc = run_cli("mc", "--model", "F7", "--extend")
     assert proc.returncode == 0

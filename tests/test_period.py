@@ -37,6 +37,11 @@ def test_filtration_validation():
     bad = FiltrationData(omega5.space, {1: {0: [[Q(0), Q(1), Q(0)]]}})
     report = validate_filtration(omega5.complex, bad)
     assert any(f["kind"] == "d_stability" for f in report.failures)
+    # F^2 = span{x dx} is not inside F^1 = span{dx}
+    bad = FiltrationData(omega5.space, {1: {1: [[Q(1), Q(0), Q(0)]]},
+                                        2: {1: [[Q(0), Q(2), Q(0)]]}})
+    assert validate_filtration(omega5.complex, bad).failures == [
+        {"kind": "decreasing", "witness": ["F^2 degree 1 vector 0"]}]
 
 
 def test_filtered_subdgla_f4():
@@ -69,6 +74,20 @@ def test_contraction_families_are_cartan():
         assert result.report.notes["lie_is_closed"]
         if filt is not None:
             assert result.report.notes["lie_preserves_filtration"]
+
+
+def test_contraction_reports_a_filtration_its_lie_derivatives_leave():
+    omega = F.f5_cdga()
+    end = end_dgla(omega.complex)
+    # F^1 = span{1, dx}: the Lie derivative along x^2 d/dx takes dx to 2x dx
+    filt = FiltrationData(omega.space, {1: {0: [[Q(1), Q(0), Q(0)]],
+                                            1: [[Q(2), Q(0), Q(0)]]}})
+    assert validate_filtration(omega.complex, filt).ok
+    report = contraction_cartan(omega, F.f5_derivations(), F.f5_contraction(end),
+                                f=filt, end=end).report
+    assert not report.notes["lie_preserves_filtration"]
+    assert report.failures == [{"kind": "filtration_preservation",
+                                "witness": ["x^2*ddx", "F^1", "degree 1"]}]
 
 
 def test_contraction_rejects_non_derivation():

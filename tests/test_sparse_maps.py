@@ -270,8 +270,9 @@ def test_kernel_is_in_echelon_form():
         for _ in range(3):
             coeffs = [entry(rng, 0.7) for _ in basis]
             v = [sum((c * b[t] for c, b in zip(coeffs, basis)), Q(0)) for t in range(cols)]
-            assert seeded.coords(0, v) == coeffs
+            assert seeded.coords(0, linalg.sparse(v)) == linalg.sparse(coeffs)
             assert ordinary.contains({0: v})
             w = v[:]
             w[rng.randrange(cols)] += 1
+            w = linalg.sparse(w)
             assert (seeded.coords(0, w) is None) == (ordinary.coords(0, w) is None)
