@@ -16,9 +16,9 @@ from functools import cached_property
 
 from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_into,
                    tensor_dgla, validate_cdga)
-from .graded import (Complex, GradedVectorSpace, GVec, StructuralError,
-                     zero_map)
-from .linalg import Echelon, Q
+from .graded import (CohomologyResult, Complex, GradedVectorSpace, GVec,
+                     StructuralError, cohomology, zero_map)
+from .linalg import ColumnSolver, Echelon, Q
 
 
 def _monomial_label(exponents: tuple[int, ...], k: int) -> str:
@@ -141,6 +141,7 @@ class NilpotentDgla:
         self.base = base
         self.coefficients = coefficients
         self.dgla = dgla
+        self._d_solvers: dict[int, ColumnSolver] = {}
 
     @property
     def space(self) -> GradedVectorSpace:
@@ -178,6 +179,21 @@ class NilpotentDgla:
         for p, (deg, _) in enumerate(self.dgla.table.position):
             out.setdefault((deg, self.weights[p]), []).append(p)
         return out
+
+    def d_solver(self, deg: int) -> ColumnSolver:
+        """The base d: g^deg -> g^(deg+1), reduced once and kept.  On
+        g (x) m_A, d(v (x) m) = dv (x) m, so it solves every monomial's
+        slice of d in degree ``deg``."""
+        solver = self._d_solvers.get(deg)
+        if solver is None:
+            columns = self.base.underlying.differential.columns.get(deg, [])
+            solver = self._d_solvers[deg] = ColumnSolver(columns, self.base.space.dim(deg + 1))
+        return solver
+
+    @cached_property
+    def base_cohomology(self) -> CohomologyResult:
+        """H(g), which the obstruction classes are read in."""
+        return cohomology(self.base.underlying)
 
 
 def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> NilpotentDgla:

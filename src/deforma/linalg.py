@@ -9,12 +9,15 @@ rows, so the form stays fully reduced.  The reduced row echelon form of a
 row space is unique and the pivots are chosen greedily in column order, so
 every result here is, entry by entry, the one of Gauss-Jordan elimination
 with "leftmost column, first usable row" pivoting; the work is in
-proportion to the nonzeros met.  ``sparse`` and ``dense`` convert one
-vector between a row and a coordinate list.
+proportion to the nonzeros met.  ``ColumnSolver`` reduces the columns of
+a matrix once and then gives ``solve``'s solution for many right-hand sides,
+in integer numerators.  ``sparse`` and ``dense`` convert one vector between
+a row and a coordinate list.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q = Fraction
@@ -159,6 +162,48 @@ def solve(rows: list[Row], b: Row) -> Row | None:
     if pivots and pivots[-1] == aug:
         return None
     return {p: row[aug] for row, p in zip(red, pivots) if aug in row}
+
+
+class ColumnSolver:
+    """``solve`` against one reduction of the columns of a matrix, for many
+    right-hand sides with integer entries.
+
+    The columns independent of those before them are the pivot columns of
+    ``solve``'s elimination, and its solution is the one that is zero at
+    every other column, so it is unique and linear in b.  The columns are
+    reduced once, each tagged with its index, and the image of each e_i is
+    kept scaled to integers by one common denominator ``den``: its tag part
+    (the solution) and what is left of e_i outside the column space.
+    """
+
+    def __init__(self, columns: list[Row], nrows: int):
+        e = Echelon()
+        for j, col in enumerate(columns):
+            r = e.reduce({**col, nrows + j: _ONE})
+            if min(r) < nrows:          # independent of the columns before it
+                e.insert(r)
+        images = [e.reduce({i: _ONE}) for i in range(nrows)]
+        den = self.den = math.lcm(*[c.denominator for img in images for c in img.values()])
+        self._parts = [({j - nrows: -c.numerator * (den // c.denominator)
+                         for j, c in img.items() if j >= nrows},
+                        {j: c.numerator * (den // c.denominator)
+                         for j, c in img.items() if j < nrows})
+                       for img in images]
+
+    def solve_numerators(self, b: dict[int, int]) -> dict[int, int] | None:
+        """``den`` times ``solve``'s x for the integer rows ``b`` (row index ->
+        nonzero int), or None if b is not in the column space."""
+        x: dict[int, int] = {}
+        left: dict[int, int] = {}
+        for i, bi in b.items():
+            sol, miss = self._parts[i]
+            for j, c in sol.items():
+                x[j] = x[j] + bi * c if j in x else bi * c
+            for j, c in miss.items():
+                left[j] = left[j] + bi * c if j in left else bi * c
+        if any(left.values()):
+            return None
+        return {j: v for j, v in x.items() if v}
 
 
 def in_span(vectors: list[Row], v: Row) -> bool:

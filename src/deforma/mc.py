@@ -6,26 +6,34 @@ exponential group exp((g (x) m_A)^0), irrelevant (stabilizer) gauges, a staged
 gauge-equivalence solver, order-by-order extension with cohomological
 obstruction classes, and the Baker-Campbell-Hausdorff group law.
 
-Elements cross the public API as ``GVec``s; the kernels compute on flat
-sparse coordinates {flat position: nonzero Fraction} of the host's table,
-converted once on entry (``table.flat``) and once on exit (``table.graded``),
-with d read off ``Dgla.dcols`` and weights off ``NilpotentDgla.weights``.
+Elements cross the public API as ``GVec``s.  The kernels compute on one
+form, (D, N): integer numerators N = {flat position of the host's table:
+nonzero int} over one positive common denominator D, with D and N coprime.
+An element is converted once on entry (``table.flat``, then ``_num``) and
+once on exit (``_graded``); brackets and d read the table rows and
+``Dgla.dcols`` as they are, taking each integral constant's numerator, so
+no row is copied and the exponential series, the residue, the BCH
+recursion and the staged solvers run on Python ints.  On g (x) m_A the
+differential is d(v (x) m) = dv (x) m, so a weight stage d xi = r is solved
+one monomial at a time against one reduction of the base d per degree
+(``NilpotentDgla.d_solver``).  ``irrelevant_stabilizer`` stays on the
+``Fraction`` rows.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial, reduce
 
 from .artin import NilpotentDgla
-from .dgla import Dgla, Sparse, SubDgla, _add_into, _bracket_into, ad_exp_terms
-from .graded import (_ZERO, GVec, StructuralError, cohomology, vec_add, vec_is_zero,
+from .dgla import Dgla, Sparse, SubDgla, _add_into, ad_exp_terms
+from .graded import (_ZERO, GVec, StructuralError, vec_add, vec_is_zero,
                      vec_scale)
-from . import linalg
 from .linalg import Q
 
-_ONE, _HALF = Q(1), Q(1, 2)
+_ONE = Q(1)
+
+Num = tuple[int, dict]      # (D, N): the element N[k] / D
 
 
 def _entry(t, x: GVec, deg: int, what: str) -> Sparse:
@@ -36,52 +44,122 @@ def _entry(t, x: GVec, deg: int, what: str) -> Sparse:
     return s
 
 
-def _d_bracket(rows, dcols, s: Sparse, sign, x: Sparse, y: Sparse, scale=1) -> Sparse:
-    """sign d(s) + scale [x, y], for sign 1 or -1."""
-    acc: Sparse = {}
-    for a, c in s.items():
-        _add_into(acc, c if sign == 1 else -c, dcols[a])
-    _bracket_into(acc, scale, rows, x, y)
-    return {k: c for k, c in acc.items() if c}
+def _num(s: Sparse) -> Num:
+    """s in the (D, N) form, D the least common denominator of its entries."""
+    d = math.lcm(*[c.denominator for c in s.values()])
+    return d, {k: c.numerator * (d // c.denominator) for k, c in s.items()}
 
 
-def _bracket(t, x: Sparse, y: Sparse) -> Sparse:
-    return _d_bracket(t, (), {}, 1, x, y)
+def _graded(t, x: Num) -> GVec:
+    d, n = x
+    return t.graded({k: Q(v, d) for k, v in n.items()})
 
 
-def _combine(terms) -> Sparse:
-    """The sum of c s over the pairs (c, s) of flat elements."""
-    acc: Sparse = {}
-    for c, s in terms:
-        _add_into(acc, c, s)
-    return {k: c for k, c in acc.items() if c}
+def _reduced(d: int, acc: dict) -> Num:
+    """acc / d in the (D, N) form: the zero entries of acc are dropped and
+    d and acc divided by their gcd, in place."""
+    for k in [k for k, v in acc.items() if not v]:
+        del acc[k]
+    g = d
+    for v in acc.values():
+        if g == 1:
+            return d, acc
+        g = math.gcd(g, v)
+    if g != 1:
+        for k in acc:
+            acc[k] //= g
+    return d // g, acc
 
 
-def _residue(ng: NilpotentDgla | Dgla, x: GVec):
-    """The table and dx + [x, x]/2 in its flat coordinates."""
-    g = ng.dgla if isinstance(ng, NilpotentDgla) else ng
-    fx = _entry(g.table, x, 1, "Maurer-Cartan candidate")
-    return g.table, _d_bracket(g.table, g.dcols, fx, 1, fx, fx, _HALF)
+def _add_scaled(acc: dict, rest: list, f: int, s: Sparse):
+    """acc += f s for an int f and a row s of constants; the terms of the
+    constants that are not integers go to ``rest`` as (k, numerator,
+    denominator)."""
+    for k, c in s.items():
+        n, q = c.as_integer_ratio()
+        if q == 1:
+            v = f * n
+            acc[k] = acc[k] + v if k in acc else v
+        else:
+            rest.append((k, f * n, q))
+
+
+def _d_bracket(rows, dcols, s: Num, sign: int, x: Num, y: Num, half: bool = False) -> Num:
+    """sign d(s) + [x, y], or sign d(s) + [x, y]/2 with ``half``, for sign
+    1 or -1 and ``rows[a]`` the table row of e_a."""
+    (ds, ns), (dx, nx), (dy, ny) = s, x, y
+    dxy = dx * dy * (2 if half else 1)
+    den = math.lcm(dxy, ds)
+    acc, rest = {}, []
+    f = sign * (den // ds)
+    for a, c in ns.items():
+        _add_scaled(acc, rest, f * c, dcols[a])
+    f = den // dxy
+    for a, xc in nx.items():
+        row = rows[a]
+        if not row:
+            continue
+        if len(row) <= len(ny):
+            hits = [(e, ny[b]) for b, e in row.items() if b in ny]
+        else:
+            hits = [(row[b], yc) for b, yc in ny.items() if b in row]
+        xc *= f
+        for e, yc in hits:
+            _add_scaled(acc, rest, xc * yc, e)
+    if rest:                                        # constants that are not integers
+        m = math.lcm(*[q for _, _, q in rest])
+        for k in acc:
+            acc[k] *= m
+        for k, v, q in rest:
+            v *= m // q
+            acc[k] = acc[k] + v if k in acc else v
+        den *= m
+    return _reduced(den, acc)
+
+
+def _bracket(rows, x: Num, y: Num) -> Num:
+    return _d_bracket(rows, (), (1, {}), 1, x, y)
+
+
+def _combine(terms) -> Num:
+    """The sum of c s over the pairs (c, s) of a rational c and an element s."""
+    parts = [(c.numerator, d * c.denominator, n) for c, (d, n) in terms if n and c]
+    den = math.lcm(*[q for _, q, _ in parts])
+    acc: dict = {}
+    for c, q, n in parts:
+        f = c * (den // q)
+        for k, v in n.items():
+            acc[k] = acc[k] + f * v if k in acc else f * v
+    return _reduced(den, acc)
+
+
+def _candidate(g: Dgla, x: GVec) -> Num:
+    return _num(_entry(g.table, x, 1, "Maurer-Cartan candidate"))
+
+
+def _residue(g: Dgla, x: Num) -> Num:
+    """dx + [x, x]/2."""
+    return _d_bracket(g.table, g.dcols, x, 1, x, x, half=True)
 
 
 def mc_residue(ng: NilpotentDgla | Dgla, x: GVec) -> GVec:
     """dx + [x, x]/2 for a degree-1 element of g (x) m_A or of any dgla."""
-    t, r = _residue(ng, x)
-    return t.graded(r)
+    g = ng.dgla if isinstance(ng, NilpotentDgla) else ng
+    return _graded(g.table, _residue(g, _candidate(g, x)))
 
 
 def is_mc(ng: NilpotentDgla, x: GVec) -> bool:
-    return not _residue(ng, x)[1]
+    return not _residue(ng.dgla, _candidate(ng.dgla, x))[1]
 
 
-def _gauge_terms(ng: NilpotentDgla, alpha: Sparse, x: Sparse) -> list[Sparse]:
+def _gauge_terms(ng: NilpotentDgla, alpha: Num, x: Num) -> list[Num]:
     """The nonzero terms ad_alpha^n / (n+1)! ([alpha, x] - d alpha), n >= 0.
 
     The series terminates because alpha has positive coefficient weight.
     """
     t = ng.dgla.table
-    return ad_exp_terms(partial(_bracket, t), lambda c, s: {k: c * v for k, v in s.items()},
-                        operator.not_, alpha,
+    return ad_exp_terms(partial(_bracket, t), lambda c, e: _combine([(c, e)]),
+                        lambda e: not e[1], alpha,
                         _d_bracket(t, ng.dgla.dcols, alpha, -1, alpha, x),
                         ng.coefficients.order)
 
@@ -89,9 +167,10 @@ def _gauge_terms(ng: NilpotentDgla, alpha: Sparse, x: Sparse) -> list[Sparse]:
 def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
     """e^alpha * x = x + sum_n ad_alpha^n / (n+1)! ([alpha, x] - d alpha)."""
     t = ng.dgla.table
-    fa, fx = _entry(t, alpha, 0, "gauge parameter"), _entry(t, x, 1, "gauge argument")
+    fa = _num(_entry(t, alpha, 0, "gauge parameter"))
+    fx = _num(_entry(t, x, 1, "gauge argument"))
     terms = _gauge_terms(ng, fa, fx)
-    return t.graded(_combine([(1, fx)] + [(1, s) for s in terms])) if terms else dict(x)
+    return _graded(t, _combine([(1, fx)] + [(1, s) for s in terms])) if terms else dict(x)
 
 
 def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
@@ -127,15 +206,29 @@ class GaugeResult:
         self.detail = detail
 
 
-def _solve_d(ng: NilpotentDgla, deg: int, w: int, r: Sparse) -> Sparse | None:
-    """An xi of degree ``deg`` and weight w with d xi = r at the positions of
-    weight w, from the submatrix of d read off its columns; None if none."""
-    rows, cols = ng.by_weight.get((deg + 1, w), []), ng.by_weight.get((deg, w), [])
-    at = {p: i for i, p in enumerate(rows)}
-    d_w = [{at[p]: c for p, c in ng.dgla.dcols[j].items() if p in at} for j in cols]
-    sol = linalg.solve(linalg.transpose(d_w, len(rows)),
-                       {i: r[p] for i, p in enumerate(rows) if p in r})
-    return None if sol is None else {cols[j]: c for j, c in sol.items()}
+def _solve_d(ng: NilpotentDgla, deg: int, w: int, r: Num) -> Num | None:
+    """The xi of degree ``deg`` and weight w with d xi = r at the positions of
+    weight w, zero wherever ``linalg.solve`` on that slice of d sets a free
+    variable; None if there is none.
+
+    d maps v (x) m to dv (x) m, so the slice is the base d once per monomial
+    m of weight w, and each monomial's part of r is solved on its own
+    against ``ng.d_solver(deg)``."""
+    solver, na, t = ng.d_solver(deg), ng.coefficients.dim, ng.dgla.table
+    d, n = r
+    parts: dict[int, dict[int, int]] = {}
+    for p in ng.by_weight.get((deg + 1, w), ()):
+        if p in n:
+            i, mon = divmod(p - t.offset[deg + 1], na)
+            parts.setdefault(mon, {})[i] = n[p]
+    xi = {}
+    for mon, b in parts.items():
+        sol = solver.solve_numerators(b)
+        if sol is None:
+            return None
+        for j, v in sol.items():
+            xi[t.offset[deg] + j * na + mon] = v
+    return _reduced(d * solver.den, xi)
 
 
 def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
@@ -147,35 +240,32 @@ def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
     stages are independent).  Otherwise a failed stage is inconclusive,
     because earlier stages admitted unexplored solution families.
     """
-    t, weights = ng.dgla.table, ng.weights
-    fx, fy = (_entry(t, v, 1, "gauge argument") for v in (x, y))
-    if any(_d_bracket(t, ng.dgla.dcols, f, 1, f, f, _HALF) for f in (fx, fy)):
+    t = ng.dgla.table
+    fx, fy = (_num(_entry(t, v, 1, "gauge argument")) for v in (x, y))
+    if any(_residue(ng.dgla, f)[1] for f in (fx, fy)):
         raise StructuralError("gauge equivalence is only tested between "
                               "Maurer-Cartan elements")
 
-    def excess(alpha: Sparse) -> Sparse:             # e^alpha * x - y
-        terms = _gauge_terms(ng, alpha, fx) if alpha else []
+    def excess(alpha: Num) -> Num:                  # e^alpha * x - y
+        terms = _gauge_terms(ng, alpha, fx) if alpha[1] else []
         return _combine([(1, fx), (-1, fy)] + [(1, s) for s in terms])
 
-    alpha: Sparse = {}
+    alpha: Num = (1, {})
     abelian = ng.base.is_abelian()
     for w in range(1, ng.coefficients.order):
         r = excess(alpha)
-        if not r:
+        if not r[1]:
             break
-        r_w = {k: c for k, c in r.items() if weights[k] == w}
-        if not r_w:
-            continue
-        xi = _solve_d(ng, 0, w, r_w)            # d alpha_w = r_w
+        xi = _solve_d(ng, 0, w, r)              # d alpha_w = r at weight w
         if xi is None:
             if w == 1 or abelian:
                 return GaugeResult("not_equivalent", None,
                                    f"unsolvable linear stage at weight {w}")
             return GaugeResult("inconclusive", None,
                                f"staged solver failed at weight {w}")
-        alpha.update(xi)
-    if not excess(alpha):
-        return GaugeResult("equivalent", t.graded(alpha))
+        alpha = _combine([(1, alpha), (1, xi)])
+    if not excess(alpha)[1]:
+        return GaugeResult("equivalent", _graded(t, alpha))
     return GaugeResult("inconclusive", None, "residual survived all stages")
 
 
@@ -197,20 +287,14 @@ class ObstructionClass:
         return all(not any(v) for v in self.classes.values())
 
 
-def mc_obstruction(ng: NilpotentDgla, x: GVec) -> ObstructionClass | None:
-    """Lowest-weight obstruction to x being Maurer-Cartan; None if it is.
-
-    The lowest-weight slice of the residue is a cocycle of the base dgla in
-    degree 2, one class per monomial; x can be corrected at that weight iff
-    every class vanishes.
-    """
-    t, r = _residue(ng, x)
-    if not r:
+def _obstruction(ng: NilpotentDgla, r: Num) -> ObstructionClass | None:
+    """The obstruction of the residue r; None if r is zero."""
+    if not r[1]:
         return None
-    weights, base, a = ng.weights, ng.base, ng.coefficients
-    w = min(weights[k] for k in r)
-    r_w = {k: c for k, c in r.items() if weights[k] == w}
-    h2 = cohomology(base.underlying)
+    t, weights, base, a = ng.dgla.table, ng.weights, ng.base, ng.coefficients
+    w = min(weights[k] for k in r[1])
+    r_w = {k: Q(v, r[0]) for k, v in r[1].items() if weights[k] == w}
+    h2 = ng.base_cohomology
     classes = {}
     for mon in range(a.dim):         # r_w is zero at the other weights
         comp = [r_w.get(t.offset[2] + i * a.dim + mon, _ZERO)
@@ -226,21 +310,34 @@ def mc_obstruction(ng: NilpotentDgla, x: GVec) -> ObstructionClass | None:
     return ObstructionClass(weight=w, classes=classes, representative=t.graded(r_w))
 
 
-def _correct(ng: NilpotentDgla, x: GVec, obs: ObstructionClass) -> GVec:
-    """x + xi, with xi of the obstruction's weight and d xi = -(its representative)."""
-    t = ng.dgla.table
-    xi = _solve_d(ng, 1, obs.weight, {p: -c for p, c in t.flat(obs.representative).items()})
+def mc_obstruction(ng: NilpotentDgla, x: GVec) -> ObstructionClass | None:
+    """Lowest-weight obstruction to x being Maurer-Cartan; None if it is.
+
+    The lowest-weight slice of the residue is a cocycle of the base dgla in
+    degree 2, one class per monomial; x can be corrected at that weight iff
+    every class vanishes.
+    """
+    return _obstruction(ng, _residue(ng.dgla, _candidate(ng.dgla, x)))
+
+
+def _correct(ng: NilpotentDgla, x: Num, r: Num, w: int) -> Num:
+    """x - xi, with xi of weight w and d xi the weight-w slice of the residue r."""
+    xi = _solve_d(ng, 1, w, r)
     if xi is None:
         raise StructuralError("vanishing obstruction class with unsolvable "
                               "correction; inconsistent cohomology data")
-    return t.graded(_combine([(1, t.flat(x)), (1, xi)]))
+    return _combine([(1, x), (-1, xi)])
 
 
 def mc_correct_step(ng: NilpotentDgla, x: GVec) -> GVec | None:
     """One extension step: kill the lowest-weight residue by a same-weight
     correction, or None if the obstruction class is nonzero."""
-    obs = mc_obstruction(ng, x)
-    return x if obs is None else (_correct(ng, x, obs) if obs.vanishes else None)
+    fx = _candidate(ng.dgla, x)
+    r = _residue(ng.dgla, fx)
+    obs = _obstruction(ng, r)
+    if obs is None:
+        return x
+    return _graded(ng.dgla.table, _correct(ng, fx, r, obs.weight)) if obs.vanishes else None
 
 
 class ExtensionResult:
@@ -258,15 +355,15 @@ def mc_extend(ng: NilpotentDgla, seed: GVec) -> ExtensionResult:
     weight w does not disturb lower weights, so the loop terminates within
     the nilpotency order.
     """
-    x = dict(seed)
-    _entry(ng.dgla.table, x, 1, "seed")
+    t = ng.dgla.table
+    x, fx = dict(seed), _num(_entry(t, seed, 1, "seed"))    # x is None once corrected
     for _ in range(ng.coefficients.order + 1):
-        obs = mc_obstruction(ng, x)
-        if obs is None:
-            return ExtensionResult("solved", x)
-        if not obs.vanishes:
-            return ExtensionResult("obstructed", x, obs)
-        x = _correct(ng, x, obs)
+        r = _residue(ng.dgla, fx)
+        obs = _obstruction(ng, r)
+        if obs is None or not obs.vanishes:
+            return ExtensionResult("solved" if obs is None else "obstructed",
+                                   _graded(t, fx) if x is None else x, obs)
+        fx, x = _correct(ng, fx, r, obs.weight), None
     raise RuntimeError("extension failed to terminate")
 
 
@@ -343,9 +440,9 @@ def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
     """
     from .holim import PathElement
     t = ng.dgla.table
-    terms = _gauge_terms(ng, _entry(t, alpha, 0, "gauge parameter"),
-                         _entry(t, x, 1, "gauge argument"))
-    p = [dict(x)] + [t.graded(s) for s in terms]
+    terms = _gauge_terms(ng, _num(_entry(t, alpha, 0, "gauge parameter")),
+                         _num(_entry(t, x, 1, "gauge argument")))
+    p = [dict(x)] + [_graded(t, s) for s in terms]
     q = [vec_scale(Q(-1), alpha)] if not vec_is_zero(alpha) else []
     return PathElement(ng.dgla, 1, p, q)
 
@@ -388,9 +485,9 @@ def pi1_multiply(ng: NilpotentDgla, a: GVec, b: GVec) -> GVec:
     """Group law of exp((g (x) m_A)^0) on logarithms, by the
     Baker-Campbell-Hausdorff series."""
     t = ng.dgla.table
-    fa, fb = (_entry(t, v, 0, "group logarithm") for v in (a, b))
-    return t.graded(bch(partial(_bracket, t), fa, fb, ng.coefficients.order - 1,
-                        _combine))
+    fa, fb = (_num(_entry(t, v, 0, "group logarithm")) for v in (a, b))
+    return _graded(t, bch(partial(_bracket, t), fa, fb, ng.coefficients.order - 1,
+                          _combine))
 
 
 def pi1_inverse(a: GVec) -> GVec:

@@ -36,15 +36,18 @@ blocks, as ``apply`` and ``compose``, and ``differential_columns``, d read
 off those blocks.  ``irrelevant_stabilizer`` is the former loop that made
 d e_i from a column of the dense d block and one bracket per e_i.  They are
 the oracle for ``GradedMap``, ``tensor_dgla``'s d and
-``mc.irrelevant_stabilizer`` in test_sparse_maps.py.
+``mc.irrelevant_stabilizer`` in test_sparse_maps.py and test_mc_kernels.py.
 
 The Maurer-Cartan oracles are the kernels of ``mc`` as they computed on
 dense ``GVec`` coordinate lists, with ``vec_add``/``vec_sub``/``vec_scale``
 and one dense weight slice per stage: ``mc_residue``, ``gauge_act`` (the
 terms of ``ad_exp_terms`` summed by ``vec_add``), ``gauge_equivalent``,
 ``mc_obstruction``/``mc_extend`` and ``pi1_multiply`` through the GVec
-Varadarajan recursion ``bch``.  They are the oracle for the flat kernels
-in test_mc_kernels.py.
+Varadarajan recursion ``bch``; ``gauge_terms`` is the series that
+``gauge_path``'s p-coefficients follow.  ``solve_d`` is the weight-stage
+solve that assembled a slice of d and called ``linalg.solve`` on it, the
+oracle for the per-monomial solve against one reduction of the base d.
+They are the oracle for the (D, N) kernels in test_mc_kernels.py.
 
 The linear-algebra oracles do one elimination per vector: an ``rref`` that
 rewrites whole rows, greedy ``in_span`` loops for cohomology
@@ -1280,14 +1283,33 @@ def mc_residue(ng, x: GVec) -> GVec:
     return vec_add(ng.d(x), vec_scale(Q(1, 2), ng.bracket(x, x)))
 
 
+def gauge_terms(ng, alpha: GVec, x: GVec) -> list[GVec]:
+    """The terms of ``ad_exp_terms`` on GVecs: the t-coefficients of
+    e^{t alpha} * x past the constant one."""
+    return ad_exp_terms(ng.bracket, vec_scale, vec_is_zero, alpha,
+                        vec_sub(ng.bracket(alpha, x), ng.d(alpha)),
+                        ng.coefficients.order)
+
+
 def gauge_act(ng, alpha: GVec, x: GVec) -> GVec:
-    """x plus the terms of ``ad_exp_terms`` on GVecs, summed by ``vec_add``."""
+    """x plus the terms of ``gauge_terms``, summed by ``vec_add``."""
     out = dict(x)
-    for term in ad_exp_terms(ng.bracket, vec_scale, vec_is_zero, alpha,
-                             vec_sub(ng.bracket(alpha, x), ng.d(alpha)),
-                             ng.coefficients.order):
+    for term in gauge_terms(ng, alpha, x):
         out = vec_add(out, term)
     return out
+
+
+def solve_d(ng, deg: int, w: int, r: dict) -> dict | None:
+    """The stage solve as ``mc`` did it before it solved per monomial: the
+    weight-w slice of d from degree ``deg``, assembled from its columns, and
+    one ``linalg.solve`` against the flat rhs r read at the positions of
+    that slice; the solution by flat position, or None."""
+    rows, cols = ng.by_weight.get((deg + 1, w), []), ng.by_weight.get((deg, w), [])
+    at = {p: i for i, p in enumerate(rows)}
+    d_w = [{at[p]: c for p, c in ng.dgla.dcols[j].items() if p in at} for j in cols]
+    sol = linalg.solve(linalg.transpose(d_w, len(rows)),
+                       {i: r[p] for i, p in enumerate(rows) if p in r})
+    return None if sol is None else {cols[j]: c for j, c in sol.items()}
 
 
 def weight_slice(ng, x: GVec, weight: int) -> GVec:

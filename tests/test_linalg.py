@@ -4,6 +4,7 @@ The kernels take sparse rows; ``sparse_rows`` turns a dense matrix into them and
 ``dense_rref`` turns an echelon back into the dense matrix, zero rows last.
 """
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -219,6 +220,10 @@ def sparse_matrix(draw):
     return m, cols
 
 
+def lcm_of(v):
+    return math.lcm(*[c.denominator for c in v])
+
+
 def columns_of(m, cols):
     return [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(cols)]
 
@@ -257,6 +262,11 @@ def test_sparse_kernels_match_dense_oracles(matrix, data):
         got = linalg.solve(rows_, linalg.sparse(b))
         want = dense.solve(padded, b if m else [Q(0)])
         assert (None if got is None else linalg.dense(got, cols)) == want
+        # against one reduction of the columns, on b's integer numerators
+        solver, scale = linalg.ColumnSolver(columns_of(m, cols), len(m)), lcm_of(b)
+        got = solver.solve_numerators({i: int(c * scale) for i, c in enumerate(b) if c})
+        assert (None if got is None else linalg.dense(
+            {j: Q(v, solver.den * scale) for j, v in got.items()}, cols)) == want
 
     columns = columns_of(m, cols)
     assert linalg.column_space_basis(columns) == [columns[p] for p in ref_pivots]

@@ -16,8 +16,8 @@ from fractions import Fraction as Q
 import pytest
 
 import dense_reference as dense
-from deforma import fixtures as F
-from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
+from deforma import fixtures as F, linalg
+from deforma.artin import NilpotentDgla, tensor_nilpotent, truncated_polynomial_algebra
 from deforma.convolution import hom_dgla_slice
 from deforma.dgla import (CdgaModel, Dgla, StructureTable, tensor_dgla,
                           validate_dgla)
@@ -25,7 +25,7 @@ from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedVectorSpace, StructuralError,
                             zero_map)
 from deforma.holim import _interval_forms, path_dgla
-from deforma.mc import gauge_act, is_mc
+from deforma.mc import gauge_act, gauge_equivalent, is_mc
 from deforma.models import parse_model
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -197,3 +197,38 @@ def test_gauge_and_residue_compose_only_left_rows():
     made = sum(row is not None for row in t._rows)
     assert made <= len(set(t.flat(alpha)) | set(t.flat(x)))
     assert 0 < made < len(t) // 10
+
+
+def test_gauge_equivalence_reduces_the_base_d_once(monkeypatch):
+    # the gauge from e^alpha * 0 back to 0 solves each weight stage per
+    # monomial against one reduction of the base d, with no linalg.solve,
+    # and runs its series on integer numerators: a third of the 265,639
+    # Fraction constructions of the slice-by-slice elimination on Fractions
+    ng, alpha = large_host()
+    x = gauge_act(ng, alpha, {})
+    solves, degrees, reductions, made = [], [], [], [0]
+    solve, d_solver, init = linalg.solve, NilpotentDgla.d_solver, linalg.ColumnSolver.__init__
+    monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(NilpotentDgla, "d_solver",
+                        lambda self, deg: degrees.append(deg) or d_solver(self, deg))
+    monkeypatch.setattr(linalg.ColumnSolver, "__init__",
+                        lambda self, *args: reductions.append(args) or init(self, *args))
+    new = Q.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    setattr(Q, "__new__", staticmethod(counting))
+    try:
+        first = gauge_equivalent(ng, x, {})
+    finally:
+        setattr(Q, "__new__", new)
+    assert first.status == "equivalent"
+    assert not solves
+    assert 0 < len(reductions) <= len(set(degrees))
+    assert made[0] <= 265_639 // 3
+    reductions.clear()
+    again = gauge_equivalent(ng, x, {})
+    assert (again.status, again.alpha) == (first.status, first.alpha)
+    assert not reductions and not solves
