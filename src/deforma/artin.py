@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_into,
+from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_basis_into,
                    tensor_dgla, validate_cdga)
 from .graded import (CohomologyResult, Complex, GradedVectorSpace, GVec,
                      StructuralError, cohomology, zero_map)
@@ -69,7 +69,7 @@ def truncated_polynomial_algebra(k: int, order: int) -> ArtinAlgebra:
     index = {m: i for i, m in enumerate(monomials)}
     space = GradedVectorSpace({0: tuple(_monomial_label(m, k) for m in monomials)})
     # e_a * e_b = e_{a+b} below the truncation, both orders of every pair
-    upper = [((index[a], index[b]), {index[tuple(x + y for x, y in zip(a, b))]: Q(1)})
+    upper = [((index[a], index[b]), {index[tuple(x + y for x, y in zip(a, b))]: 1})
              for a in monomials for b in monomials if sum(a) + sum(b) < order]
     table = FlatBasis(space).table_from_upper(upper, symmetric=True)
     return ArtinAlgebra(
@@ -91,7 +91,7 @@ def _products(rows, vec: dict) -> list[tuple[dict, int]]:
     out = []
     for t in sorted({b for i in vec for b in rows[i]}):
         acc: dict = {}
-        _bracket_into(acc, 1, rows, vec, {t: 1})
+        _bracket_basis_into(acc, 1, rows, vec, t)
         prod = {s: c for s, c in acc.items() if c}
         if prod:
             out.append((prod, t))
@@ -102,9 +102,11 @@ def _check_nilpotency(a: ArtinAlgebra) -> ValidationReport:
     """m^order = 0, where m^j is spanned by the products of m^(j-1) with m.
     A basis of each power is found from the one before, so the check is
     polynomial in the dimension and the order.  Only when m^order is not
-    zero are the words of length ``order`` walked, for the witnesses."""
+    zero are the words of length ``order`` walked, for the witnesses.  The
+    vectors start as ints, like the integral constants of the table, so a
+    table of ints is multiplied in ints throughout."""
     rows, n = a.cdga.table, a.dim
-    power = [{i: Q(1)} for i in range(n)]
+    power = [{i: 1} for i in range(n)]
     for _ in range(2, a.order + 1):
         e = Echelon()
         for vec in power:
@@ -120,7 +122,7 @@ def _nilpotency_witnesses(a: ArtinAlgebra) -> ValidationReport:
     """Every word of ``order`` basis monomials with a nonzero product."""
     report = ValidationReport()
     rows, n = a.cdga.table, a.dim
-    current = [({i: Q(1)}, (i,)) for i in range(n)] if a.order >= 2 else []
+    current = [({i: 1}, (i,)) for i in range(n)] if a.order >= 2 else []
     for _ in range(2, a.order + 1):
         current = [(prod, word + (t,)) for vec, word in current
                    for prod, t in _products(rows, vec)]

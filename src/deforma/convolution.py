@@ -178,7 +178,7 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
         for b, (n, _) in place.items():
             prod = _word_product(a, b, g, arity_bound) if m <= n else None
             if prod and prod[1]:
-                upper.append(((position[a], position[b]), {position[prod[0]]: Q(prod[1])}))
+                upper.append(((position[a], position[b]), {position[prod[0]]: prod[1]}))
     return CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)),
                      flat.table_from_upper(upper, symmetric=True))
 

@@ -14,12 +14,23 @@ time it is asked for, so no construction allocates a dense table.
 meet.  A ``CdgaModel`` holds its products the same way, with the
 graded-commutative sign in place of the antisymmetric one.
 
+A table stores each integral constant as a Python ``int``, an exact subring
+of the rationals that is cheaper to multiply, and every other constant as a
+``Fraction``; ``table_from_upper``, which every table but the lazy tensor
+table goes through, converts them, and ``tensor_dgla`` multiplies int rows
+into int rows.  ``Fraction`` comes back at the public boundary:
+``FlatBasis.graded`` (so ``bracket``, ``pair_bracket``, ``product``,
+``multiply`` and every residual) and the dense views return ``Fraction``s
+only.
+
 ``validate_dgla`` and ``validate_cdga`` visit only the basis instances of
 an axiom with a term that can be nonzero, found from the nonzeros (the
 pairs in a row, the double products [[x,y],z] with z in the row of a basis
 vector of [x,y], the rows and d-preimages met by the Leibniz terms), in
 basis order, so their failure lists are those of a sweep over every
-instance.  Inside the sweep, integral constants are Python ints.
+instance.  The sweeps read the table rows as stored, and each double
+product with a basis-vector argument is summed in place
+(``_bracket_basis_into``, ``_basis_bracket_into``).
 
 Dense tables exist only at the JSON boundary.  The JSON form stores
 ``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
@@ -107,7 +118,8 @@ class FlatBasis:
         return out
 
     def graded(self, s: Sparse) -> GVec:
-        """The element with flat coordinates ``s``; zero degrees dropped."""
+        """The element with flat coordinates ``s``, every coefficient a
+        ``Fraction``; zero degrees dropped."""
         out: GVec = {}
         for k, c in s.items():
             if c:
@@ -115,7 +127,7 @@ class FlatBasis:
                 v = out.get(deg)
                 if v is None:
                     v = out[deg] = [_ZERO] * self.dims[deg]
-                v[idx] = c
+                v[idx] = Q(c) if type(c) is int else c
         return out
 
     def columns(self, f: GradedMap) -> list[Sparse]:
@@ -128,19 +140,24 @@ class FlatBasis:
 
     def table_from_upper(self, upper, symmetric: bool = False) -> "StructureTable":
         """The table of ``upper``, pairs ((a, b), e_a * e_b) with |a| <= |b|
-        (equal degrees in both orders).  A mixed-degree pair is mirrored with
-        e_b * e_a = -(-1)^{|a||b|} e_a * e_b, or with (-1)^{|a||b|} for a
-        graded-commutative product (``symmetric``)."""
+        (equal degrees in both orders), constants given as ints or
+        ``Fraction``s and stored as ints where integral.  A mixed-degree pair
+        is mirrored with e_b * e_a = -(-1)^{|a||b|} e_a * e_b, or with
+        (-1)^{|a||b|} for a graded-commutative product (``symmetric``)."""
         rows: list[Row] = [{} for _ in self.position]
+        integral = True
         for (a, b), s in upper:
             if not s:
                 continue
+            if any(type(c) is not int for c in s.values()):
+                s = _exact(s)
+                integral = integral and all(type(c) is int for c in s.values())
             rows[a][b] = s
             m, n = self.position[a][0], self.position[b][0]
             if m != n:
                 rows[b][a] = s if (m * n % 2 == 1) != symmetric else {
                     k: -c for k, c in s.items()}
-        return StructureTable(self.space, rows.__getitem__)
+        return StructureTable(self.space, rows.__getitem__, integral=integral)
 
 
 class StructureTable(FlatBasis):
@@ -151,14 +168,17 @@ class StructureTable(FlatBasis):
     made by ``row_of(a)`` the first time it is asked for and kept, so a few
     brackets on a large host touch only the rows of their left arguments.
     ``is_zero``, when given, decides whether every row is empty without
-    making them.
+    making them.  Integral constants are ints and the others ``Fraction``s
+    (module docstring); ``integral``, when true, says that every constant
+    is an int.
     """
 
     def __init__(self, space: GradedVectorSpace, row_of: Callable[[int], Row],
-                 is_zero: Callable[[], bool] | None = None):
+                 is_zero: Callable[[], bool] | None = None, integral: bool = False):
         super().__init__(space)
         self._row_of = row_of
         self._is_zero = is_zero
+        self.integral = integral
         self._rows: list[Row | None] = [None] * len(self.position)
 
     @staticmethod
@@ -217,7 +237,8 @@ class StructureTable(FlatBasis):
 
     def dense(self) -> dict[tuple[int, int], list[list[Vector]]]:
         """The dense tables of the JSON form: ``[(m, n)][i][j]`` for the
-        degree pairs m <= n with a nonzero entry, in ascending order."""
+        degree pairs m <= n with a nonzero entry, in ascending order, every
+        constant a ``Fraction``."""
         tables: dict[tuple[int, int], list[list[Vector]]] = {}
         for a, (m, i) in enumerate(self.position):
             for b, entry in self.row(a).items():
@@ -231,7 +252,7 @@ class StructureTable(FlatBasis):
                                             for _ in range(self.dims[m])]
                 cell, base = table[i][j], self.offset[m + n]
                 for k, c in entry.items():
-                    cell[k - base] = c
+                    cell[k - base] = Q(c) if type(c) is int else c
         return dict(sorted(tables.items()))
 
 
@@ -257,6 +278,33 @@ def _bracket_into(acc: Sparse, scale, rows, x: Sparse, y: Sparse):
             hits = [(row[b], yc) for b, yc in y.items() if b in row]
         for e, yc in hits:
             _add_into(acc, xc if yc == 1 else xc * yc, e)
+
+
+def _bracket_basis_into(acc: Sparse, sign: int, rows, u: Sparse, w: int):
+    """acc += sign [u, e_w] = sign sum_k u_k rows[k][w], for sign 1 or -1.
+
+    The double products of the axiom sweeps, on the stored constants: with
+    int constants and an int u, every term is an int product."""
+    for k, uk in u.items():
+        e = rows[k].get(w)
+        if e:
+            c = uk if sign == 1 else -uk
+            for j, v in e.items():
+                v *= c
+                acc[j] = acc[j] + v if j in acc else v
+
+
+def _basis_bracket_into(acc: Sparse, sign: int, rows, a: int, u: Sparse):
+    """acc += sign [e_a, u] = sign sum_k u_k rows[a][k], for sign 1 or -1:
+    the mirror of ``_bracket_basis_into``."""
+    row = rows[a]
+    for k, uk in u.items():
+        e = row.get(k)
+        if e:
+            c = uk if sign == 1 else -uk
+            for j, v in e.items():
+                v *= c
+                acc[j] = acc[j] + v if j in acc else v
 
 
 class Dgla:
@@ -314,19 +362,20 @@ def abelian_dgla(c: Complex) -> Dgla:
 
 
 def _exact(s: Sparse) -> Sparse:
-    """``s`` with its integral entries read as ints and the rest kept."""
+    """``s`` with its integral entries as ints and the rest kept."""
     return {k: c.numerator if c.denominator == 1 else c for k, c in s.items()}
 
 
 def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
-    """What an axiom sweep over ``t`` reads, by flat position: the table rows,
-    the columns of d, the degrees, and ``fail(kind, positions, acc)``, which
-    adds a failure to ``report`` with its labels and residual.
+    """What an axiom sweep over ``t`` reads, by flat position: the table rows
+    as stored, the columns of d, the degrees, and ``fail(kind, positions,
+    acc)``, which adds a failure to ``report`` with its labels and residual.
 
-    Integral constants are read as Python ints, an exact subring of the
-    rationals that is cheaper to multiply, and the others stay Fractions;
-    ``str`` prints 3 and Fraction(3) alike, so residuals read the same."""
-    rows = [{b: _exact(e) for b, e in t.row(a).items()} for a in range(len(t))]
+    The rows hold integral constants as ints; the columns of d, made here,
+    read their integral entries as ints too, and the other entries stay
+    ``Fraction``s.  Residuals go out through ``graded``, so they print as
+    the ``Fraction``s they equal."""
+    rows = [t.row(a) for a in range(len(t))]
     dcols = [_exact(col) for col in t.columns(cx.differential)]
     labels = [cx.space.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
@@ -356,8 +405,8 @@ def _check_leibniz(rows, dcols, degree, fail):
             acc = {}
             for k, c in row.get(b, {}).items():
                 _add_into(acc, c, dcols[k])
-            _bracket_into(acc, -1, rows, da, {b: 1})
-            _bracket_into(acc, -sign, rows, {a: 1}, dcols[b])
+            _bracket_basis_into(acc, -1, rows, da, b)
+            _basis_bracket_into(acc, -sign, rows, a, dcols[b])
             if any(acc.values()):
                 fail("leibniz", (a, b), acc)
 
@@ -370,7 +419,8 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     ``_check_leibniz``, and Jacobi on the triples {x, y, z} with z in the
     row of a basis vector of a bracket [x, y] present.  The rest are zero
     without arithmetic.  Integral constants are multiplied as ints (see
-    ``_sweep``).  Failures come in basis order, as a sweep over every
+    ``_sweep``), and each double bracket with a basis-vector argument is
+    summed in place.  Failures come in basis order, as a sweep over every
     instance would list them.
     """
     report = ValidationReport()
@@ -414,14 +464,17 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     triples = set()
     for x, row in enumerate(rows):
         for y, xy in row.items():
+            lo, hi = (x, y) if x <= y else (y, x)
             for k in xy:
-                triples.update(tuple(sorted((x, y, z))) for z in rows[k])
+                for z in rows[k]:           # (x, y, z) sorted
+                    triples.add((z, lo, hi) if z <= lo else (lo, z, hi) if z <= hi
+                                else (lo, hi, z))
     for a, b, c in sorted(triples):
         m, n, p = degree[a], degree[b], degree[c]
         acc = {}
-        _bracket_into(acc, -1 if (m * p) % 2 else 1, rows, rows[a].get(b, empty), {c: 1})
-        _bracket_into(acc, -1 if (n * m) % 2 else 1, rows, rows[b].get(c, empty), {a: 1})
-        _bracket_into(acc, -1 if (p * n) % 2 else 1, rows, rows[c].get(a, empty), {b: 1})
+        _bracket_basis_into(acc, -1 if (m * p) % 2 else 1, rows, rows[a].get(b, empty), c)
+        _bracket_basis_into(acc, -1 if (n * m) % 2 else 1, rows, rows[b].get(c, empty), a)
+        _bracket_basis_into(acc, -1 if (p * n) % 2 else 1, rows, rows[c].get(a, empty), b)
         if any(acc.values()):
             fail("jacobi", (a, b, c), acc)
     return report
@@ -472,8 +525,9 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
     either order; associativity on the (a, b, c) with c in the row of a
     basis vector of ab, or with a basis vector of bc in the row of a; and
     Leibniz as in ``_check_leibniz``.  Integral constants are multiplied as
-    ints (see ``_sweep``).  Failures come in basis order, as a sweep over
-    every instance would list them.
+    ints (see ``_sweep``), and each double product with a basis-vector
+    argument is summed in place.  Failures come in basis order, as a sweep
+    over every instance would list them.
     """
     report = ValidationReport()
     rows, dcols, degree, fail = _sweep(omega.table, omega.complex, report)
@@ -506,8 +560,8 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
                 triples.update((w, x, y) for w in partners[k])
     for a, b, c in sorted(triples):
         acc = {}
-        _bracket_into(acc, 1, rows, rows[a].get(b, empty), {c: 1})
-        _bracket_into(acc, -1, rows, {a: 1}, rows[b].get(c, empty))
+        _bracket_basis_into(acc, 1, rows, rows[a].get(b, empty), c)
+        _basis_bracket_into(acc, -1, rows, a, rows[b].get(c, empty))
         if any(acc.values()):
             fail("associativity", (a, b, c), acc)
 
@@ -589,7 +643,9 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
     differentials, with no dense block.  The bracket
     table is lazy: the row of v (x) f is composed from the rows of v in
     ``g.table`` and of f in ``a.table`` when it is first asked for, over
-    both orders at once, so no dense table is made.
+    both orders at once, so no dense table is made.  Two int constants
+    multiply to an int, so integral factor tables give integral rows with
+    no conversion.
     """
     gt, at = g.table, a.table
     basis = tensor_basis(g.space, a.space)
@@ -621,8 +677,12 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
             for h, c in ad[q][j].items():
                 column[flat.position[place[v, at.offset[q + 1] + h]][1]] = sign * c
 
+    integral = gt.integral and at.integral
+
     def row_of(t: int) -> Row:
-        # [v (x) f, w (x) h] = (-1)^{|f||w|} [v, w] (x) fh, over every w (x) h
+        # [v (x) f, w (x) h] = (-1)^{|f||w|} [v, w] (x) fh, over every w (x) h;
+        # with a Fraction factor, a product that comes out integral is
+        # stored as an int
         v, f = factors[t]
         vrow, frow = gt.row(v), at.row(f)
         row: Row = {}
@@ -632,11 +692,12 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
             if adeg[f] * gdeg[w] % 2:
                 vw = {u: -c for u, c in vw.items()}
             for h, fh in frow.items():
-                row[place[w, h]] = {place[u, e]: c if s == 1 else c * s
-                                    for u, c in vw.items() for e, s in fh.items()}
+                entry = {place[u, e]: c if s == 1 else c * s
+                         for u, c in vw.items() for e, s in fh.items()}
+                row[place[w, h]] = entry if integral else _exact(entry)
         return row
 
-    table = StructureTable(space, row_of, lambda: gt.is_zero() or at.is_zero())
+    table = StructureTable(space, row_of, lambda: gt.is_zero() or at.is_zero(), integral)
     return Dgla(Complex(space, GradedMap(space, space, 1, d_columns)), table)
 
 

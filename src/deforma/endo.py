@@ -10,7 +10,6 @@ from __future__ import annotations
 from .dgla import Dgla, FlatBasis
 from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
                      StructuralError)
-from .linalg import Q
 
 
 class EndDgla:
@@ -137,6 +136,6 @@ def end_dgla(c: Complex) -> EndDgla:
             if degree[b] >= m:
                 entry, k = entries.setdefault(b, {}), composite(b, a)
                 entry[k] = entry.get(k, 0) + (1 if m * degree[b] % 2 else -1)
-        upper.extend(((a, b), {k: Q(c) for k, c in e.items() if c})
+        upper.extend(((a, b), {k: c for k, c in e.items() if c})
                      for b, e in entries.items())
     return EndDgla(complex=c, dgla=Dgla(cx, flat.table_from_upper(upper)), index=index)

@@ -276,7 +276,7 @@ def _interval_forms(tmax: int) -> CdgaModel:
                                1: tuple(f"t{m}*dt" for m in range(n))})
     # t^a t^b = t^{a+b} and t^a (t^b dt) = t^{a+b} dt; t^m sits at flat
     # position m and t^m dt at n + m
-    upper = [((a, shift + b), {shift + a + b: Q(1)})
+    upper = [((a, shift + b), {shift + a + b: 1})
              for shift in (0, n) for a in range(n) for b in range(n - a)]
     d = {0: [{m - 1: Q(m)} if m else {} for m in range(n)]}    # d t^m = m t^{m-1} dt
     return CdgaModel(Complex(space, GradedMap(space, space, 1, d)),

@@ -10,14 +10,15 @@ Elements cross the public API as ``GVec``s.  The kernels compute on one
 form, (D, N): integer numerators N = {flat position of the host's table:
 nonzero int} over one positive common denominator D, with D and N coprime.
 An element is converted once on entry (``table.flat``, then ``_num``) and
-once on exit (``_graded``); brackets and d read the table rows and
-``Dgla.dcols`` as they are, taking each integral constant's numerator, so
-no row is copied and the exponential series, the residue, the BCH
-recursion and the staged solvers run on Python ints.  On g (x) m_A the
+once on exit (``_graded``, where ``Fraction`` comes back); brackets and d
+read the table rows, which hold integral constants as ints, and
+``Dgla.dcols`` as they are, taking the numerator of each integral
+``Fraction`` of d, so no row is copied and the exponential series, the
+residue, the BCH recursion and the staged solvers run on Python ints.  On g (x) m_A the
 differential is d(v (x) m) = dv (x) m, so a weight stage d xi = r is solved
 one monomial at a time against one reduction of the base d per degree
-(``NilpotentDgla.d_solver``).  ``irrelevant_stabilizer`` stays on the
-``Fraction`` rows.
+(``NilpotentDgla.d_solver``).  ``irrelevant_stabilizer`` multiplies the
+``Fraction`` coordinates of x into the stored rows.
 """
 
 from __future__ import annotations
@@ -72,16 +73,17 @@ def _reduced(d: int, acc: dict) -> Num:
 
 
 def _add_scaled(acc: dict, rest: list, f: int, s: Sparse):
-    """acc += f s for an int f and a row s of constants; the terms of the
-    constants that are not integers go to ``rest`` as (k, numerator,
-    denominator)."""
+    """acc += f s for an int f and a row s of constants, ints or
+    ``Fraction``s; the terms of the constants that are not integers go to
+    ``rest`` as (k, numerator, denominator)."""
     for k, c in s.items():
-        n, q = c.as_integer_ratio()
-        if q == 1:
-            v = f * n
-            acc[k] = acc[k] + v if k in acc else v
-        else:
-            rest.append((k, f * n, q))
+        if type(c) is not int:
+            c, q = c.as_integer_ratio()
+            if q != 1:
+                rest.append((k, f * c, q))
+                continue
+        v = f * c
+        acc[k] = acc[k] + v if k in acc else v
 
 
 def _d_bracket(rows, dcols, s: Num, sign: int, x: Num, y: Num, half: bool = False) -> Num:
@@ -404,7 +406,8 @@ def bch(bracket, x, y, cutoff: int, combine=_gvec_sum):
               [Z_k1, [... [Z_k2p, x + y] ...]]
 
     with B_2p the Bernoulli numbers.  Each nested bracket is computed once,
-    memoised by its suffix (k_j, ..., k_2p).
+    memoised by its suffix (k_j, ..., k_2p) and made after the shorter
+    suffixes it contains.
 
     ``bracket`` is the Lie bracket and ``combine`` sums (coefficient, element)
     pairs, on the caller's elements (GVecs by default).  x and y should be
@@ -415,18 +418,16 @@ def bch(bracket, x, y, cutoff: int, combine=_gvec_sum):
     z = [{}, combine([(_ONE, x), (_ONE, y)])]        # z[n] = Z_n
     diff = combine([(_ONE, x), (-_ONE, y)])
     nested = {(): z[1]}                 # suffix -> [Z_kj, [..., [Z_k2p, x + y]...]]
-
-    def nest(ks: tuple):
-        if ks not in nested:
-            nested[ks] = bracket(z[ks[0]], nest(ks[1:]))
-        return nested[ks]
-
     bernoulli = _bernoulli(cutoff)
     for n in range(1, cutoff):
         terms = [(Q(1, 2 * (n + 1)), bracket(diff, z[n]))]
         for p in range(1, n // 2 + 1):
             c = bernoulli[2 * p] / (math.factorial(2 * p) * (n + 1))
-            terms += [(c, nest(ks)) for ks in _compositions(n, 2 * p)]
+            for ks in _compositions(n, 2 * p):
+                for i in range(len(ks) - 1, -1, -1):     # suffixes, shortest first
+                    if ks[i:] not in nested:
+                        nested[ks[i:]] = bracket(z[ks[i]], nested[ks[i + 1:]])
+                terms.append((c, nested[ks]))
         z.append(combine(terms))
     return combine([(_ONE, zn) for zn in z[1:cutoff + 1]])
 

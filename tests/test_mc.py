@@ -1,6 +1,7 @@
 """Maurer-Cartan theory over Artin coefficients: gauge action, equivalence,
 obstructions, the fundamental-group construction and BCH."""
 
+import gc
 import random
 from fractions import Fraction as Q
 
@@ -284,6 +285,23 @@ def test_pi1_multiply_associative_at_order_seven():
         a, b, c = (dense(ng, 0, local) for _ in range(3))
         assert vec_eq(pi1_multiply(ng, pi1_multiply(ng, a, b), c),
                       pi1_multiply(ng, a, pi1_multiply(ng, b, c)))
+
+
+def test_pi1_multiply_leaves_no_reference_cycle():
+    # the BCH memo is filled in a loop, with no closure that calls itself,
+    # so a product leaves nothing behind for the cyclic collector; the
+    # collector is held off during the call so that it cannot run early
+    ng = tensor_nilpotent(F.f2_dgla(), truncated_polynomial_algebra(1, 5))
+    local = random.Random(5)
+    a, b = dense(ng, 0, local), dense(ng, 0, local)
+    gc.collect()
+    gc.disable()
+    try:
+        product = pi1_multiply(ng, a, b)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert product and freed == 0
 
 
 # ---------------------------------------------------------------------------
