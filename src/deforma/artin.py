@@ -5,20 +5,18 @@ Only classical (ungraded) Artin algebras are implemented.  m_A is held as a
 sparse table lists only the nonzero monomial products; it is validated by
 ``dgla.validate_cdga`` plus a nilpotency check.  Monomial bases are ordered
 degree-then-lexicographic for reproducibility.  g (x) m_A is
-``dgla.tensor_dgla`` of g with that cdga, so its basis in each degree is
-(g basis) major, (monomials) minor, labelled "v@m".
+``dgla.tensor_dgla`` of g with that cdga, weighted by monomial degree, and
+its basis vectors are labelled "v@m".
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
-from .dgla import (CdgaModel, Dgla, FlatBasis, ValidationReport, _bracket_basis_into,
-                   tensor_dgla, validate_cdga)
-from .graded import (CohomologyResult, Complex, GradedVectorSpace, GVec,
-                     StructuralError, cohomology, zero_map)
-from .linalg import ColumnSolver, Echelon, Q
+from .dgla import (CdgaModel, Dgla, FlatBasis, TensorDgla, ValidationReport,
+                   _bracket_basis_into, tensor_dgla, validate_cdga)
+from .graded import Complex, GradedVectorSpace, StructuralError, zero_map
+from .linalg import Echelon, Q
 
 
 def _monomial_label(exponents: tuple[int, ...], k: int) -> str:
@@ -132,76 +130,10 @@ def _nilpotency_witnesses(a: ArtinAlgebra) -> ValidationReport:
     return report
 
 
-class NilpotentDgla:
-    """g (x) m_A, itself a dgla on the basis (g basis) x (monomials).
-
-    Basis labels are "v@m"; the coordinate layout per degree is
-    (g basis vector index) major, (monomial index) minor.
-    """
-
-    def __init__(self, base: Dgla, coefficients: ArtinAlgebra, dgla: Dgla):
-        self.base = base
-        self.coefficients = coefficients
-        self.dgla = dgla
-        self._d_solvers: dict[int, ColumnSolver] = {}
-
-    @property
-    def space(self) -> GradedVectorSpace:
-        return self.dgla.space
-
-    def d(self, x: GVec) -> GVec:
-        return self.dgla.d(x)
-
-    def bracket(self, x: GVec, y: GVec) -> GVec:
-        return self.dgla.bracket(x, y)
-
-    def tensor_element(self, x: GVec, monomial: int) -> GVec:
-        """x (x) (basis monomial)."""
-        na = self.coefficients.dim
-        out: GVec = {}
-        for deg, v in x.items():
-            w = [Q(0)] * (len(v) * na)
-            for i, c in enumerate(v):
-                if c:
-                    w[i * na + monomial] = c
-            if any(w):
-                out[deg] = w
-        return out
-
-    @cached_property
-    def weights(self) -> list[int]:
-        """The coefficient weight of every flat position of ``dgla.table``."""
-        na, weights = self.coefficients.dim, self.coefficients.weights
-        return [weights[idx % na] for _, idx in self.dgla.table.position]
-
-    @cached_property
-    def by_weight(self) -> dict[tuple[int, int], list[int]]:
-        """The flat positions of each (degree, weight), in increasing order."""
-        out: dict[tuple[int, int], list[int]] = {}
-        for p, (deg, _) in enumerate(self.dgla.table.position):
-            out.setdefault((deg, self.weights[p]), []).append(p)
-        return out
-
-    def d_solver(self, deg: int) -> ColumnSolver:
-        """The base d: g^deg -> g^(deg+1), reduced once and kept.  On
-        g (x) m_A, d(v (x) m) = dv (x) m, so it solves every monomial's
-        slice of d in degree ``deg``."""
-        solver = self._d_solvers.get(deg)
-        if solver is None:
-            columns = self.base.underlying.differential.columns.get(deg, [])
-            solver = self._d_solvers[deg] = ColumnSolver(columns, self.base.space.dim(deg + 1))
-        return solver
-
-    @cached_property
-    def base_cohomology(self) -> CohomologyResult:
-        """H(g), which the obstruction classes are read in."""
-        return cohomology(self.base.underlying)
-
-
-def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> NilpotentDgla:
+def tensor_nilpotent(g: Dgla, a: ArtinAlgebra) -> TensorDgla:
     """g (x) m_A, the ``tensor_dgla`` of g with m_A read as a cdga
-    concentrated in degree 0 with d = 0:
+    concentrated in degree 0 with d = 0, weighted by monomial degree:
 
         d(v (x) m) = dv (x) m,   [v (x) m, w (x) m'] = [v, w] (x) mm'.
     """
-    return NilpotentDgla(base=g, coefficients=a, dgla=tensor_dgla(g, a.cdga))
+    return tensor_dgla(g, a.cdga, a.weights)

@@ -20,23 +20,23 @@ parts are built from i alone.
 from __future__ import annotations
 
 
-from .convolution import Convolution, convolution
-from .dgla import Dgla, DglaMorphism, ValidationReport, _residual_repr, ad_exp_terms
+from .convolution import convolution, from_linear, linear_part, taylor
+from .dgla import Dgla, DglaMorphism, TensorDgla, ValidationReport, _residual_repr, ad_exp_terms
 from .graded import GradedMap, GVec, StructuralError, vec_add, vec_is_zero, vec_scale, vec_sub
 from .linalg import Q
 
 
-def _cartan_element(conv: Convolution, i: GradedMap) -> GVec:
+def _cartan_element(g: Dgla, conv: TensorDgla, i: GradedMap) -> GVec:
     if i.shift != -1:
         raise StructuralError("a Cartan homotopy must have degree -1")
-    return conv.from_linear(i)
+    return from_linear(g, conv, i)
 
 
 def lie_from_cartan(g: Dgla, h: Dgla, i: GradedMap) -> GradedMap:
     """l_a = d_h i_a + i_{d_g a}; a chain map always, a dgla morphism when i
     satisfies the Cartan conditions."""
     conv = convolution(g, h, 1)
-    return conv.linear_part(conv.dgla.d(_cartan_element(conv, i)), 0)
+    return linear_part(g, conv, conv.d(_cartan_element(g, conv, i)), 0)
 
 
 def cartan_check(g: Dgla, h: Dgla, i: GradedMap) -> ValidationReport:
@@ -45,15 +45,14 @@ def cartan_check(g: Dgla, h: Dgla, i: GradedMap) -> ValidationReport:
     hold as well."""
     report = ValidationReport()
     conv = convolution(g, h, 2)
-    ielem = _cartan_element(conv, i)
-    di = conv.dgla.d(ielem)
-    lmap = conv.linear_part(di, 0)
+    ielem = _cartan_element(g, conv, i)
+    di = conv.d(ielem)
+    lmap = linear_part(g, conv, di, 0)
 
-    condition_a = vec_sub(di, vec_scale(Q(1, 2), conv.dgla.bracket(ielem, di)))
-    for word, val in sorted(conv.values(condition_a).items()):
-        if len(word) == 2:
-            report.fail("condition_A", [g.space.label(*key) for key in word],
-                        _residual_repr(val))
+    condition_a = vec_sub(di, vec_scale(Q(1, 2), conv.bracket(ielem, di)))
+    for word, val in sorted(taylor(g, conv, condition_a).get(2, {}).items()):
+        report.fail("condition_A", [g.space.label(*key) for key in word],
+                    _residual_repr(val))
 
     sp = g.space
     basis = sp.basis()
@@ -91,17 +90,16 @@ def lie_morphism_from_cartan(g: Dgla, h: Dgla, i: GradedMap) -> DglaMorphism:
     return DglaMorphism(g, h, lie_from_cartan(g, h, i))
 
 
-def gauge_zero_transport(conv: Convolution, i: GradedMap) -> GVec:
-    """e^{-i} * 0 in the convolution dgla ``conv``.
+def gauge_zero_transport(g: Dgla, conv: TensorDgla, i: GradedMap) -> GVec:
+    """e^{-i} * 0 in the convolution dgla ``conv`` of g.
 
     Always a Maurer-Cartan element (it is a gauge transform of zero); its
     arity-one part is l, and for a Cartan homotopy its arity-two part
     vanishes.  The series terminates because the bracket raises arity.
     """
-    d = conv.dgla
-    alpha = vec_scale(Q(-1), _cartan_element(conv, i))
+    alpha = vec_scale(Q(-1), _cartan_element(g, conv, i))
     out: GVec = {}
-    for term in ad_exp_terms(d.bracket, vec_scale, vec_is_zero, alpha,
-                             vec_scale(Q(-1), d.d(alpha)), conv.arity_bound + 2):
+    for term in ad_exp_terms(conv.bracket, vec_scale, vec_is_zero, alpha,
+                             vec_scale(Q(-1), conv.d(alpha)), max(conv.weight) + 2):
         out = vec_add(out, term)
     return out

@@ -252,7 +252,7 @@ def cmd_gauge(doc: ModelDocument, args) -> Report:
 
 
 def cmd_linf_check(doc: ModelDocument, args) -> Report:
-    from .convolution import convolution, linf_residual, taylor_from_linear
+    from .convolution import DEFAULT_ARITY, convolution, linf_residual, taylor_from_linear
     g = _default_dgla(doc, args)
     target_name = args.target or doc.default("target") or _named(doc, args.dgla, "dgla", "dgla")
     h = doc.dgla(target_name) if (target_name in doc.section("dglas")
@@ -260,8 +260,8 @@ def cmd_linf_check(doc: ModelDocument, args) -> Report:
     map_name = _named(doc, args.map, "section", "map")
     f = doc.map(map_name)
     conv = convolution(g, h)
-    residuals = linf_residual(conv, taylor_from_linear(conv, f))
-    payload = {"arity_bound": conv.arity_bound,
+    residuals = linf_residual(g, conv, taylor_from_linear(g, conv, f))
+    payload = {"arity_bound": DEFAULT_ARITY,
                "residual_arities": {str(n): True for n in residuals}}
     ok = not residuals
     return Report("linf-check", "ok" if ok else "failed", payload)
@@ -286,14 +286,14 @@ def cmd_cartan_check(doc: ModelDocument, args) -> Report:
 
 def cmd_transport(doc: ModelDocument, args) -> Report:
     from .cartan import gauge_zero_transport
-    from .convolution import DEFAULT_ARITY, convolution
+    from .convolution import DEFAULT_ARITY, convolution, linear_part, taylor
     arity = _positive(args.arity, DEFAULT_ARITY, "arity")
     t, omega, end, i = _contraction(doc, args)
     conv = convolution(t, end.dgla, arity)
-    total = gauge_zero_transport(conv, i)
-    l = conv.linear_part(total, 0)
+    total = gauge_zero_transport(t, conv, i)
+    l = linear_part(t, conv, total, 0)
     rep = validate_morphism(DglaMorphism(t, end.dgla, l))
-    nonzero = sorted(conv.taylor(total))
+    nonzero = sorted(taylor(t, conv, total))
     strict = nonzero in ([], [1])
     payload = {
         "arity_bound": arity,

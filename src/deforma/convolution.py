@@ -3,9 +3,10 @@
 For a finite-dimensional dgla g, the graded-symmetric multilinear maps on
 the suspension g[1] with values in a dgla h, truncated at arity N, form the
 dgla h (x) CE_{<=N}(g), where CE_{<=N}(g) is the Chevalley-Eilenberg cdga
-of g cut off at word length N.  It is built by ``tensor_dgla``, so its
-differential and bracket are the ones of every other tensor dgla; the sign
-conventions of the convolution dgla live only in the CE cdga below.
+of g cut off at word length N.  ``convolution`` builds it by
+``tensor_dgla``, weighted by word length, so its differential and bracket
+are the ones of every other tensor dgla; the sign conventions of the
+convolution dgla live only in the CE cdga below.
 
 CE_{<=N}(g), in g[1]-degrees |s a| = |a| - 1 (``vdeg``):
   * generators:   one xi_a of degree 1 - |a| per basis vector a of g;
@@ -31,17 +32,19 @@ sign and no factorial.  So the arity of a coordinate is the length of its
 word, and for an element i of degree s + 1 concentrated in arity one (a map
 i: g -> h of shift s), the arity-one part of D i is a -> d_h i_a
 - (-1)^s i_{d_g a}.  Maurer-Cartan elements are exactly the
-arity-truncated L-infinity morphisms g ~> h.
+arity-truncated L-infinity morphisms g ~> h.  ``taylor``, ``linear_part``
+and ``from_linear`` read an element through the record's ``split`` and
+``join``, with ``ce_words`` naming the word at each CE position; they take
+the source g with the convolution dgla.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, tensor_basis, tensor_dgla,
+from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, TensorDgla, tensor_dgla,
                    validate_morphism)
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, StructuralError,
-                     vec_is_zero)
+from .graded import Complex, GradedMap, GradedVectorSpace, GVec, StructuralError
 from .linalg import Q, sparse
 
 VKey = tuple  # (g-degree, basis index) of a suspended basis vector
@@ -102,13 +105,10 @@ def _unshuffle_sign(positions: tuple, degrees: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # the Chevalley-Eilenberg cdga
 
-def _ce_words(g: Dgla, arity_bound: int) -> dict[int, list[tuple]]:
-    """The words of CE_{<=N}(g) by degree, shortest first."""
-    out: dict[int, list[tuple]] = {}
-    for q in range(1, arity_bound + 1):
-        for word in canonical_tuples(g, q):
-            out.setdefault(-sum(vdeg(k) for k in word), []).append(word)
-    return dict(sorted(out.items()))
+def ce_words(g: Dgla, arity_bound: int) -> list[tuple]:
+    """The words of CE_{<=N}(g) in its flat order: by degree, shortest first."""
+    words = [w for q in range(1, arity_bound + 1) for w in canonical_tuples(g, q)]
+    return sorted(words, key=lambda w: -sum(vdeg(k) for k in w))
 
 
 def _word_product(a: tuple, b: tuple, g: Dgla, arity_bound: int):
@@ -127,7 +127,9 @@ def _word_product(a: tuple, b: tuple, g: Dgla, arity_bound: int):
 
 def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
     """CE_{<=N}(g) on the words of length 1..N (module docstring)."""
-    words = _ce_words(g, arity_bound)
+    words: dict[int, list[tuple]] = {}
+    for w in ce_words(g, arity_bound):
+        words.setdefault(-sum(vdeg(k) for k in w), []).append(w)
     space = GradedVectorSpace({
         k: tuple("^".join(g.label(*key) for key in w) for w in ws)
         for k, ws in words.items()})
@@ -183,118 +185,85 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
                      flat.table_from_upper(upper, symmetric=True))
 
 
+def convolution(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> TensorDgla:
+    """The convolution dgla h (x) CE_{<=N}(g), each word weighted by its
+    length, the arity."""
+    return tensor_dgla(h, chevalley_eilenberg(g, arity_bound),
+                       tuple(len(w) for w in ce_words(g, arity_bound)))
+
+
 def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
     """The convolution dgla truncated at arity N, h (x) CE_{<=N}(g)."""
-    return tensor_dgla(h, chevalley_eilenberg(g, arity_bound))
+    return convolution(g, h, arity_bound).dgla
 
 
 # ---------------------------------------------------------------------------
-# elements of the slice as maps on canonical monomials
+# elements of ``convolution(g, h, N)`` as maps on canonical monomials
 
-class Convolution:
-    """The slice ``hom_dgla_slice(g, h, N)`` with the word of each basis
-    position.
-
-    ``index[k]`` lists the basis of degree k as (h key, word) pairs in the
-    ``tensor_basis`` order; ``positions`` maps each pair to (k, position).
-    An element x is a map on canonical monomials: ``values(x)`` gives its
-    value in h on each word, and ``taylor(x)`` groups those by word length,
-    the arity.
-    """
-
-    def __init__(self, g: Dgla, h: Dgla, arity_bound: int, dgla: Dgla, index: dict,
-                 positions: dict):
-        self.g = g
-        self.h = h
-        self.arity_bound = arity_bound
-        self.dgla = dgla
-        self.index = index            # degree -> tuple of (h key, word)
-        self.positions = positions    # (h key, word) -> (degree, position)
-
-    @property
-    def space(self) -> GradedVectorSpace:
-        return self.dgla.space
-
-    def values(self, x: GVec) -> dict[tuple, GVec]:
-        out: dict[tuple, GVec] = {}
-        for deg, v in x.items():
-            for pos, c in enumerate(v):
-                if c:
-                    (hd, hi), word = self.index[deg][pos]
-                    val = out.setdefault(word, {})
-                    val.setdefault(hd, [Q(0)] * self.h.space.dim(hd))[hi] += c
-        return {w: val for w, val in out.items() if not vec_is_zero(val)}
-
-    def from_values(self, values: dict[tuple, GVec]) -> GVec:
-        out: GVec = {}
-        for word, val in values.items():
-            for hd, v in val.items():
-                for hi, c in enumerate(v):
-                    if c:
-                        deg, pos = self.positions[(hd, hi), word]
-                        out.setdefault(deg, [Q(0)] * self.space.dim(deg))[pos] += c
-        return {d: v for d, v in out.items() if any(v)}
-
-    def taylor(self, x: GVec) -> dict[int, dict[tuple, GVec]]:
-        """The nonzero arity components of x, as values by word length."""
-        out: dict[int, dict] = {}
-        for word, val in self.values(x).items():
-            out.setdefault(len(word), {})[word] = val
-        return dict(sorted(out.items()))
-
-    def from_linear(self, f: GradedMap) -> GVec:
-        """The arity-one element a -> f(a)."""
-        return self.from_values({(key,): f.apply(self.g.space.basis_element(*key))
-                                 for key in v_basis(self.g)})
-
-    def linear_part(self, x: GVec, shift: int) -> GradedMap:
-        """The arity-one part of x as a map g -> h of the given shift."""
-        values = self.values(x)
-        src, tgt = self.g.space, self.h.space
-        return GradedMap(src, tgt, shift, {
-            deg: [sparse(values.get(((deg, idx),), {}).get(deg + shift, []))
-                  for idx in range(src.dim(deg))]
-            for deg in src.degrees if tgt.dim(deg + shift)})
+def _words(g: Dgla, conv: TensorDgla) -> list[tuple]:
+    """``ce_words`` of the CE factor of ``conv``, which must be built on g."""
+    words = ce_words(g, max(conv.weight, default=0))
+    if len(words) != len(conv.weight):
+        raise StructuralError("not a convolution dgla of the given source")
+    return words
 
 
-def convolution(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Convolution:
-    ce = chevalley_eilenberg(g, arity_bound)
-    words = _ce_words(g, arity_bound)
-    index = {k: tuple((hkey, words[q][j]) for hkey, (q, j) in pairs)
-             for k, pairs in tensor_basis(h.space, ce.space).items()}
-    positions = {entry: (k, pos) for k, entries in index.items()
-                 for pos, entry in enumerate(entries)}
-    return Convolution(g, h, arity_bound, tensor_dgla(h, ce), index, positions)
+def taylor(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, GVec]]:
+    """The nonzero arity components of x, each its values in h by word."""
+    words, ht = _words(g, conv), conv.g.table
+    out: dict[int, dict] = {}
+    for j, s in conv.split(conv.dgla.table.flat(x)).items():
+        out.setdefault(conv.weight[j], {})[words[j]] = ht.graded(s)
+    return dict(sorted(out.items()))
+
+
+def from_linear(g: Dgla, conv: TensorDgla, f: GradedMap) -> GVec:
+    """The arity-one element a -> f(a)."""
+    at = {w: j for j, w in enumerate(_words(g, conv))}
+    ht = conv.g.table
+    return conv.dgla.table.graded(conv.join({
+        at[(key,)]: ht.flat(f.apply(g.space.basis_element(*key))) for key in v_basis(g)}))
+
+
+def linear_part(g: Dgla, conv: TensorDgla, x: GVec, shift: int) -> GradedMap:
+    """The arity-one part of x as a map g -> h of the given shift."""
+    values, src, tgt = taylor(g, conv, x).get(1, {}), g.space, conv.g.space
+    return GradedMap(src, tgt, shift, {
+        deg: [sparse(values.get(((deg, idx),), {}).get(deg + shift, []))
+              for idx in range(src.dim(deg))]
+        for deg in src.degrees if tgt.dim(deg + shift)})
 
 
 # ---------------------------------------------------------------------------
 # L-infinity morphisms as Maurer-Cartan elements
 
-def taylor_from_linear(conv: Convolution, f: GradedMap) -> GVec:
+def taylor_from_linear(g: Dgla, conv: TensorDgla, f: GradedMap) -> GVec:
     """The Taylor family with F_1 = f and no higher coefficients.
 
     No validity requirement on f; use strict_embed for validated morphisms.
     """
     if f.shift != 0:
         raise StructuralError("arity-one Taylor coefficient must have shift 0")
-    return conv.from_linear(f)
+    return from_linear(g, conv, f)
 
 
-def strict_embed(conv: Convolution, phi: DglaMorphism) -> GVec:
+def strict_embed(conv: TensorDgla, phi: DglaMorphism) -> GVec:
     report = validate_morphism(phi)
     if not report.ok:
         raise StructuralError(f"not a dgla morphism: {report.failures[:3]}")
-    return taylor_from_linear(conv, phi.map)
+    return taylor_from_linear(phi.source, conv, phi.map)
 
 
-def linf_residual(conv: Convolution, x: GVec) -> dict[int, dict[tuple, GVec]]:
-    """The nonzero arity slices of D(F) + [F,F]/2 (``Convolution.taylor``)
-    for a Taylor family F in ``conv``, computed up to arity N + 1.
+def linf_residual(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, GVec]]:
+    """The nonzero arity slices of D(F) + [F,F]/2 (``taylor``) for a Taylor
+    family F in ``conv``, computed up to arity N + 1.
 
     There are none iff F is an L-infinity morphism up to arity N.
     """
     from .mc import mc_residue
     if any(deg != 1 for deg, v in x.items() if any(v)):
         raise StructuralError("a Taylor family lies in degree 1")
-    wide = convolution(conv.g, conv.h, conv.arity_bound + 1)
-    return wide.taylor(mc_residue(wide.dgla, wide.from_values(conv.values(x))))
+    words, n = _words(g, conv), max(conv.weight, default=0) + 1
+    wide, at = convolution(g, conv.g, n), {w: j for j, w in enumerate(ce_words(g, n))}
+    y = wide.join({at[words[j]]: s for j, s in conv.split(conv.dgla.table.flat(x)).items()})
+    return taylor(g, wide, mc_residue(wide.dgla, wide.dgla.table.graded(y)))

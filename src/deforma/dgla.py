@@ -39,9 +39,10 @@ redundancy-consistency failure mode).  ``Dgla`` and ``CdgaModel`` accept
 that form as input, with its shape checks, and give it back as the derived
 ``brackets``/``products`` views for emitting JSON.
 
-``tensor_dgla(g, A)`` is the one construction of a dgla tensored with a
-finite cdga.  The nilpotent coefficient dglas g (x) m_A (``artin``), the
-path objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
+``tensor_dgla(g, C, weight)`` is the one construction of a dgla tensored
+with a finite cdga, and its ``TensorDgla`` the one reader of the tensor
+layout.  The nilpotent coefficient dglas g (x) m_A (``artin``), the path
+objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
 h (x) CE_{<=N}(g) (``convolution``) are all built by it.  ``validate_cdga``
 is the one check of a cdga's axioms, m_A's included; ``FiltrationData`` and
 ``validate_filtration`` are the decreasing filtrations of a complex that
@@ -53,10 +54,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cached_property
 
-from .graded import (_ZERO, Complex, GradedMap, GradedVectorSpace, GVec,
-                     SubSpaceData, StructuralError, QuotientComplex, is_chain_map,
-                     quotient_complex, vec_is_zero, vec_sub)
-from .linalg import Q, Vector, dense
+from .graded import (_ZERO, CohomologyResult, Complex, GradedMap, GradedVectorSpace,
+                     GVec, SubSpaceData, StructuralError, QuotientComplex, cohomology,
+                     is_chain_map, quotient_complex, vec_is_zero, vec_sub)
+from .linalg import ColumnSolver, Q, Vector, dense
 
 
 class ValidationReport:
@@ -632,20 +633,93 @@ def tensor_basis(g: GradedVectorSpace, a: GradedVectorSpace) -> dict[int, list]:
     return out
 
 
-def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
+class TensorDgla:
+    """g (x) C from ``tensor_dgla``.  ``factors[t]`` is the pair (g flat
+    position, C flat position) of flat position t of ``dgla.table``, and
+    ``weight[j]`` the weight of C's basis vector f_j: the monomial degree
+    on m_A, the t-degree on the interval forms (t and dt each of weight
+    1), the word length on CE.  ``d_solver`` and ``base_cohomology``
+    describe g and are made once per host."""
+
+    def __init__(self, g: Dgla, c: CdgaModel, dgla: Dgla, factors: list[tuple[int, int]],
+                 weight: tuple[int, ...]):
+        self.g = g
+        self.c = c
+        self.dgla = dgla
+        self.factors = factors
+        self.weight = weight
+        self._d_solvers: dict[int, ColumnSolver] = {}
+
+    @property
+    def space(self) -> GradedVectorSpace:
+        return self.dgla.space
+
+    def d(self, x: GVec) -> GVec:
+        return self.dgla.d(x)
+
+    def bracket(self, x: GVec, y: GVec) -> GVec:
+        return self.dgla.bracket(x, y)
+
+    def split(self, x: Sparse) -> dict[int, Sparse]:
+        """{j: s_j}, each s_j a flat element of g, with x = sum_j s_j (x) f_j."""
+        out: dict[int, Sparse] = {}
+        for t, c in x.items():
+            v, j = self.factors[t]
+            out.setdefault(j, {})[v] = c
+        return out
+
+    def join(self, parts: dict[int, Sparse]) -> Sparse:
+        """sum_j s_j (x) f_j for ``parts`` {j: s_j}, the inverse of ``split``."""
+        place = self.place
+        return {place[v, j]: c for j, s in parts.items() for v, c in s.items()}
+
+    @cached_property
+    def place(self) -> dict[tuple[int, int], int]:
+        """The flat position of each factor pair, the inverse of ``factors``."""
+        return {vf: t for t, vf in enumerate(self.factors)}
+
+    def tensor_element(self, x: GVec, j: int) -> GVec:
+        """x (x) f_j for an element x of g and C's basis vector f_j."""
+        return self.dgla.table.graded(self.join({j: self.g.table.flat(x)}))
+
+    @cached_property
+    def weights(self) -> list[int]:
+        """The weight of every flat position: that of its C factor."""
+        return [self.weight[j] for _, j in self.factors]
+
+    @cached_property
+    def by_weight(self) -> dict[tuple[int, int], list[int]]:
+        """The flat positions of each (degree, weight), in increasing order."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for p, (deg, _) in enumerate(self.dgla.table.position):
+            out.setdefault((deg, self.weights[p]), []).append(p)
+        return out
+
+    def d_solver(self, deg: int) -> ColumnSolver:
+        """The d of g from degree ``deg``, reduced once: where C has d = 0,
+        d(v (x) f) = dv (x) f, so it solves the slice of d at every f."""
+        if deg not in self._d_solvers:
+            columns = self.g.underlying.differential.columns.get(deg, [])
+            self._d_solvers[deg] = ColumnSolver(columns, self.g.space.dim(deg + 1))
+        return self._d_solvers[deg]
+
+    @cached_property
+    def base_cohomology(self) -> CohomologyResult:
+        """H(g), which the obstruction classes are read in."""
+        return cohomology(self.g.underlying)
+
+
+def tensor_dgla(g: Dgla, a: CdgaModel, weight: tuple[int, ...]) -> TensorDgla:
     """g (x) A for a dgla g and a finite cdga A, on the basis ``tensor_basis``
-    with labels "v@a":
+    with labels "v@a", and ``weight`` on A's basis:
 
         d(v (x) a) = dv (x) a + (-1)^{|v|} v (x) da,
         [v (x) a, w (x) b] = (-1)^{|a||w|} [v, w] (x) ab.
 
-    d is written column by column from the columns of the two
-    differentials, with no dense block.  The bracket
-    table is lazy: the row of v (x) f is composed from the rows of v in
+    d is written column by column from the flat columns of the two
+    differentials.  The row of v (x) f is composed from the rows of v in
     ``g.table`` and of f in ``a.table`` when it is first asked for, over
-    both orders at once, so no dense table is made.  Two int constants
-    multiply to an int, so integral factor tables give integral rows with
-    no conversion.
+    both orders at once; integral factor tables give integral rows.
     """
     gt, at = g.table, a.table
     basis = tensor_basis(g.space, a.space)
@@ -653,29 +727,26 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         k: tuple(f"{g.label(*v)}@{a.space.label(*f)}" for v, f in pairs)
         for k, pairs in basis.items()})
     flat = FlatBasis(space)
-    place = {}      # (g flat position, A flat position) -> tensor flat position
+    factors: list = [None] * len(flat)
     for k, pairs in basis.items():
         for idx, ((p, i), (q, j)) in enumerate(pairs):
-            place[gt.offset[p] + i, at.offset[q] + j] = flat.offset[k] + idx
-    factors = {t: vf for vf, t in place.items()}
+            factors[flat.offset[k] + idx] = gt.offset[p] + i, at.offset[q] + j
+    place = {vf: t for t, vf in enumerate(factors)}
     gdeg = [deg for deg, _ in gt.position]
     adeg = [deg for deg, _ in at.position]
 
     # d(v (x) f) = dv (x) f + (-1)^{|v|} v (x) df, column by column; the two
     # parts lie in different A-degrees, so their entries never meet
-    gd, ad = g.underlying.differential.columns, a.complex.differential.columns
+    gcols, acols = g.dcols, at.columns(a.complex.differential)
     d_columns = {k: [{} for _ in pairs] for k, pairs in basis.items()}
-    for (v, f), t in place.items():
+    for t, (v, f) in enumerate(factors):
         k, col = flat.position[t]
-        (p, i), (q, j) = gt.position[v], at.position[f]
         column = d_columns[k][col]
-        if p in gd:
-            for u, c in gd[p][i].items():
-                column[flat.position[place[gt.offset[p + 1] + u, f]][1]] = c
-        if q in ad:
-            sign = -1 if p % 2 else 1
-            for h, c in ad[q][j].items():
-                column[flat.position[place[v, at.offset[q + 1] + h]][1]] = sign * c
+        for u, c in gcols[v].items():
+            column[flat.position[place[u, f]][1]] = c
+        sign = -1 if gdeg[v] % 2 else 1
+        for h, c in acols[f].items():
+            column[flat.position[place[v, h]][1]] = sign * c
 
     integral = gt.integral and at.integral
 
@@ -698,7 +769,8 @@ def tensor_dgla(g: Dgla, a: CdgaModel) -> Dgla:
         return row
 
     table = StructureTable(space, row_of, lambda: gt.is_zero() or at.is_zero(), integral)
-    return Dgla(Complex(space, GradedMap(space, space, 1, d_columns)), table)
+    return TensorDgla(g, a, Dgla(Complex(space, GradedMap(space, space, 1, d_columns)), table),
+                      factors, weight)
 
 
 def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:

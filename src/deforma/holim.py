@@ -5,8 +5,10 @@ gamma = p(t) + q(t) dt a polynomial path in h (x) K[t, dt] satisfying
 p(0) = x and p(1) = 0.  This complex is quasi-isomorphic to (h/n)[-1]; the
 quasi-isomorphism integrates the dt-component and reduces mod n.  Cohomology
 computations bound the polynomial t-degree by D and report stabilization.
-The explicit path dgla (``path_dgla``) is ``dgla.tensor_dgla`` of h with
-the polynomial forms on [0, 1].
+The explicit path dgla (``path_dgla``) is the ``dgla.TensorDgla`` of h with
+the polynomial forms on [0, 1], weighted by t-degree; ``holim_bounded``
+reads its coordinates through that record's ``place``, ``split`` and
+``by_weight``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .dgla import (CdgaModel, Dgla, FlatBasis, SubDgla, ValidationReport,
-                   _residual_repr, abelian_dgla, ad_exp_terms, restrict_to_sub,
-                   sub_quotient, tensor_basis, tensor_dgla)
+from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla,
+                   ValidationReport, _residual_repr, abelian_dgla, ad_exp_terms,
+                   restrict_to_sub, sub_quotient, tensor_dgla)
 from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError, SubSpaceData,
                      cohomology, induced_map_on_cohomology, is_chain_map,
@@ -217,57 +219,6 @@ def holim_project(e: HolimElement) -> GVec:
 # ---------------------------------------------------------------------------
 # the path dgla h (x) K[t, dt] truncated in t-degree, as an explicit Dgla
 
-class PathDgla:
-    """h (x) Omega(Delta^1) truncated at t-degree ``tmax``: the
-    ``tensor_dgla`` of the host with the forms t^m (degree 0) and t^m dt
-    (degree 1), m <= tmax, where d t^m = m t^{m-1} dt.
-
-    ``index[k]`` lists the basis of total degree k in the tensor order:
-    first ('p', m, j) for e_j (x) t^m with e_j of host degree k, then
-    ('q', m, j) for e_j (x) t^m dt with e_j of degree k - 1; in each part
-    the host index j is major and m minor.  The labels are "v@t<m>" and
-    "v@t<m>*dt".  ``positions[k]`` inverts ``index[k]``.
-
-    Brackets whose t-degree exceeds ``tmax`` are silently projected away, so
-    only use elements whose products stay within the bound (the holim
-    constructions below guarantee this by choosing tmax large enough).
-    """
-
-    def __init__(self, host: Dgla, tmax: int, dgla: Dgla, index: dict, positions: dict):
-        self.host = host
-        self.tmax = tmax
-        self.dgla = dgla
-        self.index = index            # degree -> tuple of entries
-        self.positions = positions    # degree -> {entry: position}
-
-    @property
-    def space(self) -> GradedVectorSpace:
-        return self.dgla.space
-
-    def to_coords(self, gamma: PathElement) -> GVec:
-        k = gamma.degree
-        v = [Q(0)] * self.space.dim(k)
-        pos = self.positions.get(k, {})
-        for kind, coeffs, hdeg in (('p', gamma.p, k), ('q', gamma.q, k - 1)):
-            for m, coeff in enumerate(coeffs):
-                if m > self.tmax:
-                    raise StructuralError("path exceeds the t-degree bound")
-                for j, c in enumerate(coeff.get(hdeg, [])):
-                    if c:
-                        v[pos[(kind, m, j)]] += c
-        return {k: v} if any(v) else {}
-
-    def to_path(self, x: GVec, degree: int) -> PathElement:
-        parts = {kind: [{} for _ in range(self.tmax + 1)] for kind in 'pq'}
-        for posn, c in enumerate(x.get(degree, [])):
-            if c:
-                kind, m, j = self.index[degree][posn]
-                hdeg = degree if kind == 'p' else degree - 1
-                vec = parts[kind][m].setdefault(hdeg, [Q(0)] * self.host.space.dim(hdeg))
-                vec[j] += c
-        return PathElement(self.host, degree, parts['p'], parts['q'])
-
-
 def _interval_forms(tmax: int) -> CdgaModel:
     """Polynomial forms on [0, 1] up to t-degree tmax; products past tmax
     are dropped (so Leibniz fails on that corner)."""
@@ -283,20 +234,34 @@ def _interval_forms(tmax: int) -> CdgaModel:
                      FlatBasis(space).table_from_upper(upper, symmetric=True))
 
 
-def path_dgla(host: Dgla, tmax: int) -> PathDgla:
-    forms = _interval_forms(tmax)
-    index = {k: tuple(('q' if q else 'p', m, j) for (_, j), (q, m) in pairs)
-             for k, pairs in tensor_basis(host.space, forms.space).items()}
-    positions = {k: {e: i for i, e in enumerate(entries)}
-                 for k, entries in index.items()}
-    return PathDgla(host, tmax, tensor_dgla(host, forms), index, positions)
+def path_dgla(host: Dgla, tmax: int) -> TensorDgla:
+    """h (x) Omega(Delta^1) truncated at t-degree ``tmax``: the
+    ``tensor_dgla`` of the host with the forms t^m (degree 0, C position m)
+    and t^m dt (degree 1, C position tmax + 1 + m), m <= tmax, where
+    d t^m = m t^{m-1} dt, weighted by t-degree with t and dt each of
+    weight 1.  The labels are "v@t<m>" and "v@t<m>*dt".
+
+    Brackets whose t-degree exceeds ``tmax`` are silently projected away, so
+    only use elements whose products stay within the bound (the holim
+    constructions below guarantee this by choosing tmax large enough).
+    """
+    n = tmax + 1
+    return tensor_dgla(host, _interval_forms(tmax), tuple(range(n)) + tuple(range(1, n + 1)))
+
+
+def _path_coords(ambient: TensorDgla, gamma: PathElement) -> Sparse:
+    """sum_m p_m t^m + q_m t^m dt in the flat coordinates of ``ambient``."""
+    n, flat = ambient.c.space.dim(0), ambient.g.table.flat
+    if len(gamma.p) > n or len(gamma.q) > n:
+        raise StructuralError("path exceeds the t-degree bound")
+    return ambient.join({m: flat(c) for m, c in [*enumerate(gamma.p), *enumerate(gamma.q, n)]})
 
 
 # ---------------------------------------------------------------------------
 # bounded-t-degree holim complex and its cohomology
 
 class HolimBounded:
-    def __init__(self, pair: HolimPair, tbound: int, ambient: PathDgla, span: SubSpaceData,
+    def __init__(self, pair: HolimPair, tbound: int, ambient: TensorDgla, span: SubSpaceData,
                  complex: Complex, projection_map: GradedMap):
         self.pair = pair
         self.tbound = tbound
@@ -311,22 +276,21 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
     if tbound < 1:
         raise StructuralError("t-degree bound must be at least 1")
     ambient = path_dgla(pair.h, tbound)
-    hsp = pair.h.space
+    t, ht, place = ambient.dgla.table, pair.h.table, ambient.place
     proj_columns = pair.quotient.projection.columns
     span: dict[int, tuple] = {}
-    for k, entries in ambient.index.items():
-        where = ambient.positions[k]
-        # q-coefficients of t-degree D vanish
-        rows = [{posn: _ONE} for posn, (kind, m, _) in enumerate(entries)
-                if kind == 'q' and m >= tbound]
-        # p(1) = 0
-        rows += [{where[('p', m, j)]: _ONE for m in range(tbound + 1)}
-                 for j in range(hsp.dim(k))]
+    for k in ambient.space.degrees:
+        base, hbase = t.offset[k], ht.offset.get(k)
+        # q-coefficients of t-degree D, of weight D + 1, vanish
+        rows = [{p - base: _ONE} for p in ambient.by_weight.get((k, tbound + 1), ())]
+        # p(1) = 0: e_j (x) t^m over m, t^m at C position m
+        rows += [{place[hbase + j, m] - base: _ONE for m in range(tbound + 1)}
+                 for j in range(pair.h.space.dim(k))]
         # p(0) in n: quotient projection of the constant coefficient vanishes
         qdim = pair.quotient.complex.space.dim(k)
-        rows += [{where[('p', 0, j)]: c for j, c in row.items()}
+        rows += [{place[hbase + j, 0] - base: c for j, c in row.items()}
                  for row in linalg.transpose(proj_columns.get(k, []), qdim)]
-        kernel = linalg.kernel(rows, len(entries))
+        kernel = linalg.kernel(rows, ambient.space.dim(k))
         if kernel[0]:
             span[k] = kernel
 
@@ -336,14 +300,15 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
                   SubSpaceData.from_echelon(ambient.space, span))
     restricted = restrict_to_sub(sub)
     # the projection integrates the q-part, e_j (x) t^m dt giving e_j / (m+1),
-    # and reduces it mod n
+    # where m + 1 is the weight of t^m dt, and reduces it mod n
     columns = {}
     for k, (rows, _) in sorted(span.items()):
         if k - 1 in proj_columns:
-            q = {posn: (j, m + 1) for posn, (kind, m, j) in enumerate(ambient.index[k])
-                 if kind == 'q'}
+            base = t.offset[k]
             columns[k] = [linalg.combine(proj_columns[k - 1], [
-                (q[posn][0], c / q[posn][1]) for posn, c in row.items() if posn in q])
+                (ht.position[v][1], c / ambient.weight[f])
+                for f, s in ambient.split({base + p: c for p, c in row.items()}).items()
+                if f > tbound for v, c in s.items()])
                 for row in rows]
     proj = GradedMap(restricted.space, shifted_quotient(pair).space, 0, columns)
     return HolimBounded(pair, tbound, ambient, sub.span, restricted.underlying, proj)
@@ -405,7 +370,7 @@ class HolimMorphism:
     """
 
     def __init__(self, g: Dgla, pair: HolimPair, i: GradedMap, l: GradedMap,
-                 conv: Convolution, flow: list, total: PathElement, residual: PathElement):
+                 conv: TensorDgla, flow: list, total: PathElement, residual: PathElement):
         self.g = g
         self.pair = pair
         self.i = i
@@ -417,10 +382,11 @@ class HolimMorphism:
 
     def arity_one(self, a: GVec) -> HolimElement:
         """The first Taylor coefficient a -> (l_a, gamma_a)."""
+        from .convolution import linear_part
         deg = vec_degree(a)
         if deg is None:
             raise StructuralError("need a homogeneous nonzero argument")
-        p = [self.conv.linear_part(c, 0).apply(a) for c in self.flow]
+        p = [linear_part(self.g, self.conv, c, 0).apply(a) for c in self.flow]
         q0 = vec_scale(Q(-1) if deg % 2 else Q(1), self.i.apply(a))
         return HolimElement(self.pair, self.l.apply(a),
                             PathElement(self.pair.h, deg, p, [q0]))
@@ -441,7 +407,7 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
     associated morphism l lands in n.  Rejects inputs failing either
     hypothesis; records the Maurer-Cartan residual slices of the result."""
     from .cartan import cartan_check, lie_from_cartan
-    from .convolution import convolution
+    from .convolution import convolution, from_linear
     report = cartan_check(g, pair.h, i)
     if not report.ok:
         raise StructuralError(f"not a Cartan homotopy: {report.failures[:3]}")
@@ -454,7 +420,7 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
 
     conv = convolution(g, pair.h, arity_bound)
     d = conv.dgla
-    ielem, lelem = conv.from_linear(i), conv.from_linear(l)
+    ielem, lelem = from_linear(g, conv, i), from_linear(g, conv, l)
     flow = [lelem] + ad_exp_terms(d.bracket, vec_scale, vec_is_zero, ielem,
                                   vec_sub(d.bracket(ielem, lelem), d.d(ielem)),
                                   arity_bound + 1)
@@ -526,11 +492,11 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
         if k not in bounded.span.echelon:
             continue
         cols = columns[k] = []
+        base = bounded.ambient.dgla.table.offset[k]
         for idx in range(source.space.dim(k)):
             e = morphism.arity_one(source.space.basis_element(k, idx))
-            coords = bounded.ambient.to_coords(
-                PathElement(pair.h, k, e.path.p, e.path.q))
-            sol = bounded.span.coords(k, sparse(coords.get(k, [])))
+            coords = _path_coords(bounded.ambient, e.path)
+            sol = bounded.span.coords(k, {p - base: c for p, c in coords.items()})
             if sol is None:
                 raise StructuralError("witness image leaves the bounded subcomplex")
             cols.append(sol)

@@ -14,11 +14,13 @@ once on exit (``_graded``, where ``Fraction`` comes back); brackets and d
 read the table rows, which hold integral constants as ints, and
 ``Dgla.dcols`` as they are, taking the numerator of each integral
 ``Fraction`` of d, so no row is copied and the exponential series, the
-residue, the BCH recursion and the staged solvers run on Python ints.  On g (x) m_A the
-differential is d(v (x) m) = dv (x) m, so a weight stage d xi = r is solved
-one monomial at a time against one reduction of the base d per degree
-(``NilpotentDgla.d_solver``).  ``irrelevant_stabilizer`` multiplies the
-``Fraction`` coordinates of x into the stored rows.
+residue, the BCH recursion and the staged solvers run on Python ints.  The
+host is the ``TensorDgla`` that ``artin.tensor_nilpotent`` builds, and the
+monomial parts of an element are read by its ``split`` and ``join``.  On
+g (x) m_A the differential is d(v (x) m) = dv (x) m, so a weight stage
+d xi = r is solved one monomial at a time against one reduction of the
+base d per degree (``TensorDgla.d_solver``).  ``irrelevant_stabilizer``
+multiplies the ``Fraction`` coordinates of x into the stored rows.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 
-from .artin import NilpotentDgla
-from .dgla import Dgla, Sparse, SubDgla, _add_into, ad_exp_terms
-from .graded import (_ZERO, GVec, StructuralError, vec_add, vec_is_zero,
-                     vec_scale)
+from .dgla import Dgla, Sparse, SubDgla, TensorDgla, _add_into, ad_exp_terms
+from .graded import GVec, StructuralError, vec_add, vec_is_zero, vec_scale
 from .linalg import Q
 
 _ONE = Q(1)
@@ -135,6 +135,11 @@ def _combine(terms) -> Num:
     return _reduced(den, acc)
 
 
+def _order(ng: TensorDgla) -> int:
+    """The nilpotency order of m_A, one past its top monomial weight."""
+    return max(ng.weight) + 1
+
+
 def _candidate(g: Dgla, x: GVec) -> Num:
     return _num(_entry(g.table, x, 1, "Maurer-Cartan candidate"))
 
@@ -144,17 +149,17 @@ def _residue(g: Dgla, x: Num) -> Num:
     return _d_bracket(g.table, g.dcols, x, 1, x, x, half=True)
 
 
-def mc_residue(ng: NilpotentDgla | Dgla, x: GVec) -> GVec:
+def mc_residue(ng: TensorDgla | Dgla, x: GVec) -> GVec:
     """dx + [x, x]/2 for a degree-1 element of g (x) m_A or of any dgla."""
-    g = ng.dgla if isinstance(ng, NilpotentDgla) else ng
+    g = ng.dgla if isinstance(ng, TensorDgla) else ng
     return _graded(g.table, _residue(g, _candidate(g, x)))
 
 
-def is_mc(ng: NilpotentDgla, x: GVec) -> bool:
+def is_mc(ng: TensorDgla, x: GVec) -> bool:
     return not _residue(ng.dgla, _candidate(ng.dgla, x))[1]
 
 
-def _gauge_terms(ng: NilpotentDgla, alpha: Num, x: Num) -> list[Num]:
+def _gauge_terms(ng: TensorDgla, alpha: Num, x: Num) -> list[Num]:
     """The nonzero terms ad_alpha^n / (n+1)! ([alpha, x] - d alpha), n >= 0.
 
     The series terminates because alpha has positive coefficient weight.
@@ -163,10 +168,10 @@ def _gauge_terms(ng: NilpotentDgla, alpha: Num, x: Num) -> list[Num]:
     return ad_exp_terms(partial(_bracket, t), lambda c, e: _combine([(c, e)]),
                         lambda e: not e[1], alpha,
                         _d_bracket(t, ng.dgla.dcols, alpha, -1, alpha, x),
-                        ng.coefficients.order)
+                        _order(ng))
 
 
-def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
+def gauge_act(ng: TensorDgla, alpha: GVec, x: GVec) -> GVec:
     """e^alpha * x = x + sum_n ad_alpha^n / (n+1)! ([alpha, x] - d alpha)."""
     t = ng.dgla.table
     fa = _num(_entry(t, alpha, 0, "gauge parameter"))
@@ -175,7 +180,7 @@ def gauge_act(ng: NilpotentDgla, alpha: GVec, x: GVec) -> GVec:
     return _graded(t, _combine([(1, fx)] + [(1, s) for s in terms])) if terms else dict(x)
 
 
-def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
+def irrelevant_stabilizer(ng: TensorDgla, x: GVec,
                           sub: SubDgla | None = None) -> list[GVec]:
     """Spanning set of the irrelevant stabilizer directions at x:
     {d h + [x, h] : h of degree -1}.
@@ -183,16 +188,18 @@ def irrelevant_stabilizer(ng: NilpotentDgla, x: GVec,
     With ``sub`` given (a sub-dgla of the base, viewed inside g (x) m_A), h
     ranges over degree -1 elements of sub (x) m_A instead.
     """
-    t, na = ng.dgla.table, ng.coefficients.dim
+    if sub is not None and sub.parent is not ng.g:
+        raise StructuralError("sub is a sub-dgla of another dgla, not of the base")
+    t, base = ng.dgla.table, ng.g.table.offset.get(-1)
     fx = _entry(t, x, 1, "Maurer-Cartan point")
     vs = (sub.span.rows(-1) if sub is not None else
-          [{i: 1} for i in range(ng.base.space.dim(-1))])
+          [{i: 1} for i in range(ng.g.space.dim(-1))])
     rows, dcols, out = [(c, t.row(a)) for a, c in fx.items()], ng.dgla.dcols, []
     for v in vs:
-        for mon in range(na):
+        for mon in range(len(ng.weight)):
             acc: Sparse = {}
             for j, hc in v.items():     # h = v (x) m; [x, h] reads the rows of x
-                b = t.offset[-1] + j * na + mon
+                b = ng.place[base + j, mon]
                 _add_into(acc, hc, dcols[b])
                 for c, row in rows:
                     if b in row:
@@ -208,7 +215,7 @@ class GaugeResult:
         self.detail = detail
 
 
-def _solve_d(ng: NilpotentDgla, deg: int, w: int, r: Num) -> Num | None:
+def _solve_d(ng: TensorDgla, deg: int, w: int, r: Num) -> Num | None:
     """The xi of degree ``deg`` and weight w with d xi = r at the positions of
     weight w, zero wherever ``linalg.solve`` on that slice of d sets a free
     variable; None if there is none.
@@ -216,24 +223,19 @@ def _solve_d(ng: NilpotentDgla, deg: int, w: int, r: Num) -> Num | None:
     d maps v (x) m to dv (x) m, so the slice is the base d once per monomial
     m of weight w, and each monomial's part of r is solved on its own
     against ``ng.d_solver(deg)``."""
-    solver, na, t = ng.d_solver(deg), ng.coefficients.dim, ng.dgla.table
+    solver, gt = ng.d_solver(deg), ng.g.table
     d, n = r
-    parts: dict[int, dict[int, int]] = {}
-    for p in ng.by_weight.get((deg + 1, w), ()):
-        if p in n:
-            i, mon = divmod(p - t.offset[deg + 1], na)
-            parts.setdefault(mon, {})[i] = n[p]
+    parts = ng.split({p: n[p] for p in ng.by_weight.get((deg + 1, w), ()) if p in n})
     xi = {}
     for mon, b in parts.items():
-        sol = solver.solve_numerators(b)
+        sol = solver.solve_numerators({gt.position[v][1]: c for v, c in b.items()})
         if sol is None:
             return None
-        for j, v in sol.items():
-            xi[t.offset[deg] + j * na + mon] = v
-    return _reduced(d * solver.den, xi)
+        xi[mon] = {gt.offset[deg] + j: c for j, c in sol.items()}
+    return _reduced(d * solver.den, ng.join(xi))
 
 
-def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
+def gauge_equivalent(ng: TensorDgla, x: GVec, y: GVec) -> GaugeResult:
     """Search for alpha with e^alpha * x = y, staged by coefficient weight.
 
     At each weight w the equation linearizes to d(alpha_w) = -(residual at
@@ -253,8 +255,8 @@ def gauge_equivalent(ng: NilpotentDgla, x: GVec, y: GVec) -> GaugeResult:
         return _combine([(1, fx), (-1, fy)] + [(1, s) for s in terms])
 
     alpha: Num = (1, {})
-    abelian = ng.base.is_abelian()
-    for w in range(1, ng.coefficients.order):
+    abelian = ng.g.is_abelian()
+    for w in range(1, _order(ng)):
         r = excess(alpha)
         if not r[1]:
             break
@@ -289,30 +291,26 @@ class ObstructionClass:
         return all(not any(v) for v in self.classes.values())
 
 
-def _obstruction(ng: NilpotentDgla, r: Num) -> ObstructionClass | None:
+def _obstruction(ng: TensorDgla, r: Num) -> ObstructionClass | None:
     """The obstruction of the residue r; None if r is zero."""
     if not r[1]:
         return None
-    t, weights, base, a = ng.dgla.table, ng.weights, ng.base, ng.coefficients
+    weights, labels = ng.weights, ng.c.space.labels(0)
     w = min(weights[k] for k in r[1])
     r_w = {k: Q(v, r[0]) for k, v in r[1].items() if weights[k] == w}
     h2 = ng.base_cohomology
     classes = {}
-    for mon in range(a.dim):         # r_w is zero at the other weights
-        comp = [r_w.get(t.offset[2] + i * a.dim + mon, _ZERO)
-                for i in range(base.space.dim(2))]
-        if not any(comp):
-            continue
-        if not vec_is_zero(base.d({2: comp})):
+    for mon, s in sorted(ng.split(r_w).items()):    # the monomials of weight w
+        comp = ng.g.table.graded(s)
+        if not vec_is_zero(ng.g.d(comp)):
             raise StructuralError("obstruction slice is not a cocycle; "
                                   "the input does not solve the equation "
                                   "below its residue weight")
-        classes[a.labels[mon]] = h2.project({2: comp}).get(
-            2, [Q(0)] * max(h2.rank(2), 1))
-    return ObstructionClass(weight=w, classes=classes, representative=t.graded(r_w))
+        classes[labels[mon]] = h2.project(comp).get(2, [Q(0)] * max(h2.rank(2), 1))
+    return ObstructionClass(weight=w, classes=classes, representative=ng.dgla.table.graded(r_w))
 
 
-def mc_obstruction(ng: NilpotentDgla, x: GVec) -> ObstructionClass | None:
+def mc_obstruction(ng: TensorDgla, x: GVec) -> ObstructionClass | None:
     """Lowest-weight obstruction to x being Maurer-Cartan; None if it is.
 
     The lowest-weight slice of the residue is a cocycle of the base dgla in
@@ -322,7 +320,7 @@ def mc_obstruction(ng: NilpotentDgla, x: GVec) -> ObstructionClass | None:
     return _obstruction(ng, _residue(ng.dgla, _candidate(ng.dgla, x)))
 
 
-def _correct(ng: NilpotentDgla, x: Num, r: Num, w: int) -> Num:
+def _correct(ng: TensorDgla, x: Num, r: Num, w: int) -> Num:
     """x - xi, with xi of weight w and d xi the weight-w slice of the residue r."""
     xi = _solve_d(ng, 1, w, r)
     if xi is None:
@@ -331,7 +329,7 @@ def _correct(ng: NilpotentDgla, x: Num, r: Num, w: int) -> Num:
     return _combine([(1, x), (-1, xi)])
 
 
-def mc_correct_step(ng: NilpotentDgla, x: GVec) -> GVec | None:
+def mc_correct_step(ng: TensorDgla, x: GVec) -> GVec | None:
     """One extension step: kill the lowest-weight residue by a same-weight
     correction, or None if the obstruction class is nonzero."""
     fx = _candidate(ng.dgla, x)
@@ -350,7 +348,7 @@ class ExtensionResult:
         self.obstruction = obstruction
 
 
-def mc_extend(ng: NilpotentDgla, seed: GVec) -> ExtensionResult:
+def mc_extend(ng: TensorDgla, seed: GVec) -> ExtensionResult:
     """Extend a seed to a full Maurer-Cartan element weight by weight.
 
     Stops at the first nonvanishing obstruction class.  The correction at
@@ -359,7 +357,7 @@ def mc_extend(ng: NilpotentDgla, seed: GVec) -> ExtensionResult:
     """
     t = ng.dgla.table
     x, fx = dict(seed), _num(_entry(t, seed, 1, "seed"))    # x is None once corrected
-    for _ in range(ng.coefficients.order + 1):
+    for _ in range(_order(ng) + 1):
         r = _residue(ng.dgla, fx)
         obs = _obstruction(ng, r)
         if obs is None or not obs.vanishes:
@@ -432,7 +430,7 @@ def bch(bracket, x, y, cutoff: int, combine=_gvec_sum):
     return combine([(_ONE, zn) for zn in z[1:cutoff + 1]])
 
 
-def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
+def gauge_path(ng: TensorDgla, alpha: GVec, x: GVec):
     """The homotopy p(t) + q(t) dt from x to e^alpha * x inside
     (g (x) m_A) (x) K[t, dt]: p(t) = e^{t alpha} * x and q = -alpha.
 
@@ -451,7 +449,7 @@ def gauge_path(ng: NilpotentDgla, alpha: GVec, x: GVec):
 class Pi1Group:
     """exp(h^0 (x) m_A), presented by its Lie algebra with the BCH law."""
 
-    def __init__(self, nilpotent: NilpotentDgla, dimension: int, stabilizer_trivial: bool):
+    def __init__(self, nilpotent: TensorDgla, dimension: int, stabilizer_trivial: bool):
         self.nilpotent = nilpotent
         self.dimension = dimension
         self.stabilizer_trivial = stabilizer_trivial
@@ -482,12 +480,12 @@ def pi1_at_zero(h: Dgla, a) -> Pi1Group:
                     stabilizer_trivial=not stab)
 
 
-def pi1_multiply(ng: NilpotentDgla, a: GVec, b: GVec) -> GVec:
+def pi1_multiply(ng: TensorDgla, a: GVec, b: GVec) -> GVec:
     """Group law of exp((g (x) m_A)^0) on logarithms, by the
     Baker-Campbell-Hausdorff series."""
     t = ng.dgla.table
     fa, fb = (_num(_entry(t, v, 0, "group logarithm")) for v in (a, b))
-    return _graded(t, bch(partial(_bracket, t), fa, fb, ng.coefficients.order - 1,
+    return _graded(t, bch(partial(_bracket, t), fa, fb, _order(ng) - 1,
                           _combine))
 
 

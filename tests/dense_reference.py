@@ -440,7 +440,7 @@ def irrelevant_stabilizer(ng, x: GVec, sub: SubDgla | None = None) -> list[GVec]
     if sub is not None:
         out = []
         for v in echelon_vectors(sub.span, -1):
-            for mon in range(ng.coefficients.dim):
+            for mon in range(len(ng.weight)):
                 h = ng.tensor_element({-1: list(v)}, mon)
                 g = vec_add(ng.d(h), ng.bracket(x, h))
                 if not vec_is_zero(g):
@@ -1278,6 +1278,12 @@ def gauge_zero_transport(g: Dgla, h: Dgla, i: GradedMap,
 # ---------------------------------------------------------------------------
 # the Maurer-Cartan kernels on dense GVec coordinate lists
 
+def nilpotency_order(ng) -> int:
+    """The nilpotency order of m_A in g (x) m_A: one past its top monomial
+    weight."""
+    return max(ng.weight) + 1
+
+
 def mc_residue(ng, x: GVec) -> GVec:
     """dx + [x, x]/2 by ``d`` and ``bracket`` on dense lists."""
     return vec_add(ng.d(x), vec_scale(Q(1, 2), ng.bracket(x, x)))
@@ -1288,7 +1294,7 @@ def gauge_terms(ng, alpha: GVec, x: GVec) -> list[GVec]:
     e^{t alpha} * x past the constant one."""
     return ad_exp_terms(ng.bracket, vec_scale, vec_is_zero, alpha,
                         vec_sub(ng.bracket(alpha, x), ng.d(alpha)),
-                        ng.coefficients.order)
+                        nilpotency_order(ng))
 
 
 def gauge_act(ng, alpha: GVec, x: GVec) -> GVec:
@@ -1313,10 +1319,10 @@ def solve_d(ng, deg: int, w: int, r: dict) -> dict | None:
 
 
 def weight_slice(ng, x: GVec, weight: int) -> GVec:
-    na = ng.coefficients.dim
+    na = len(ng.weight)
     out: GVec = {}
     for deg, v in x.items():
-        w = [c if ng.coefficients.weights[t % na] == weight else Q(0)
+        w = [c if ng.weight[t % na] == weight else Q(0)
              for t, c in enumerate(v)]
         if any(w):
             out[deg] = w
@@ -1324,16 +1330,16 @@ def weight_slice(ng, x: GVec, weight: int) -> GVec:
 
 
 def min_weight(ng, x: GVec) -> int | None:
-    na = ng.coefficients.dim
-    weights = [ng.coefficients.weights[t % na]
+    na = len(ng.weight)
+    weights = [ng.weight[t % na]
                for deg, v in x.items() for t, c in enumerate(v) if c]
     return min(weights) if weights else None
 
 
 def _weight_indices(ng, deg: int, weight: int) -> list[int]:
-    na = ng.coefficients.dim
+    na = len(ng.weight)
     return [t for t in range(ng.space.dim(deg))
-            if ng.coefficients.weights[t % na] == weight]
+            if ng.weight[t % na] == weight]
 
 
 def _d_slice(ng, deg: int, rows: list[int], cols: list[int]) -> list[dict]:
@@ -1352,9 +1358,9 @@ def gauge_equivalent(ng, x: GVec, y: GVec):
         raise StructuralError("gauge equivalence is only tested between "
                               "Maurer-Cartan elements")
     alpha: GVec = {}
-    abelian = ng.base.is_abelian()
+    abelian = ng.g.is_abelian()
     dim0, dim1 = ng.space.dim(0), ng.space.dim(1)
-    for w in range(1, ng.coefficients.order):
+    for w in range(1, nilpotency_order(ng)):
         current = gauge_act(ng, alpha, x) if alpha else dict(x)
         residual = vec_sub(y, current)
         if vec_is_zero(residual):
@@ -1389,21 +1395,21 @@ def mc_obstruction(ng, x: GVec):
     if w is None:
         return None
     r_w = weight_slice(ng, r, w)
-    na = ng.coefficients.dim
-    h2 = cohomology(ng.base.underlying)
+    na = len(ng.weight)
+    h2 = cohomology(ng.g.underlying)
     classes = {}
     v = list(r_w.get(2, [Q(0)] * ng.space.dim(2)))
     for mon in range(na):
-        if ng.coefficients.weights[mon] != w:
+        if ng.weight[mon] != w:
             continue
-        comp = [v[i * na + mon] for i in range(ng.base.space.dim(2))]
+        comp = [v[i * na + mon] for i in range(ng.g.space.dim(2))]
         if not any(comp):
             continue
-        if not vec_is_zero(ng.base.d({2: comp})):
+        if not vec_is_zero(ng.g.d({2: comp})):
             raise StructuralError("obstruction slice is not a cocycle; "
                                   "the input does not solve the equation "
                                   "below its residue weight")
-        classes[ng.coefficients.labels[mon]] = h2.project({2: comp}).get(
+        classes[ng.c.space.labels(0)[mon]] = h2.project({2: comp}).get(
             2, [Q(0)] * max(h2.rank(2), 1))
     return ObstructionClass(weight=w, classes=classes, representative=r_w)
 
@@ -1413,7 +1419,7 @@ def mc_extend(ng, seed: GVec):
     or obstructed."""
     from deforma.mc import ExtensionResult
     x = dict(seed)
-    for _ in range(ng.coefficients.order + 1):
+    for _ in range(nilpotency_order(ng) + 1):
         obs = mc_obstruction(ng, x)
         if obs is None:
             return ExtensionResult("solved", x)
@@ -1464,4 +1470,4 @@ def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
 
 
 def pi1_multiply(ng, a: GVec, b: GVec) -> GVec:
-    return bch(ng.bracket, a, b, ng.coefficients.order - 1)
+    return bch(ng.bracket, a, b, nilpotency_order(ng) - 1)

@@ -21,7 +21,7 @@ from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.cartan import (cartan_check, gauge_zero_transport,
                             lie_morphism_from_cartan)
 from deforma.convolution import (convolution, hom_dgla_slice, linf_residual,
-                                 strict_embed, taylor_from_linear)
+                                 strict_embed, taylor, taylor_from_linear)
 from deforma.dgla import sub_dgla_span, validate_dgla
 from deforma.endo import end_dgla
 from deforma.graded import GradedMap, StructuralError, vec_eq, vec_is_zero, vec_sub
@@ -108,7 +108,7 @@ def test_criterion_03():
         seen_nonzero = False
         for _ in range(25):
             fam = _random_linf(conv, rng)
-            left = not linf_residual(conv, fam)
+            left = not linf_residual(g, conv, fam)
             right = vec_is_zero(mc_residue(conv.dgla, fam))
             assert left == right
             seen_nonzero = seen_nonzero or not left
@@ -119,12 +119,12 @@ def test_criterion_03():
     g2 = F.f2_dgla()
     conv2 = convolution(g2, g2)
     emb = strict_embed(conv2, identity_morphism(g2))
-    assert linf_residual(conv2, emb) == {}
+    assert linf_residual(g2, conv2, emb) == {}
     # for a linear family the whole residual is the arity-2 bracket defect
     for _ in range(10):
         blk = [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         f = GradedMap(g2.space, g2.space, 0, {0: blk})
-        res = linf_residual(conv2, taylor_from_linear(conv2, f))
+        res = linf_residual(g2, conv2, taylor_from_linear(g2, conv2, f))
         assert set(res) <= {2}
         r2 = res.get(2, {})
         for i in range(4):
@@ -145,10 +145,10 @@ def test_criterion_04():
         end = end_dgla(omega_f().complex)
         t, h, i = t_f(), end.dgla, i_f(end)
         conv = convolution(t, h)
-        fam = gauge_zero_transport(conv, i)
+        fam = gauge_zero_transport(t, conv, i)
         emb = strict_embed(conv, lie_morphism_from_cartan(t, h, i))
-        assert set(conv.taylor(fam)) == set(conv.taylor(emb))
-        assert conv.taylor(fam) == conv.taylor(emb)
+        assert set(taylor(t, conv, fam)) == set(taylor(t, conv, emb))
+        assert taylor(t, conv, fam) == taylor(t, conv, emb)
         assert vec_eq(fam, emb)
     # within gl_2 every degree -1 map is forced zero (vacuous host)
     g2 = F.f2_dgla()
@@ -166,7 +166,7 @@ def test_criterion_04():
         formula = dense.hom_add(dense.hom_d01(ielem),
                                 dense.hom_scale(Q(-1, 2),
                                                 dense.hom_bracket(ielem, dense.hom_d10(ielem))))
-        got = conv.taylor(gauge_zero_transport(conv, i)).get(2, {})
+        got = taylor(g2, conv, gauge_zero_transport(g2, conv, i)).get(2, {})
         assert got == formula.prune().values
         if not cartan_check(g2, h, i).ok:
             seen_noncartan += 1

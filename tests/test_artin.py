@@ -168,12 +168,15 @@ def test_tensor_nilpotent_is_dgla():
 
 def test_tensor_nilpotent_weights_and_slices():
     ng = tensor_nilpotent(F.f7_dgla(), truncated_polynomial_algebra(1, 4))
-    t = ng.dgla.table
-    x = t.flat(ng.tensor_element({1: [Q(1)]}, 0))       # x (x) e
-    y = t.flat(ng.tensor_element({1: [Q(1)]}, 1))       # x (x) e^2
+    t, x1 = ng.dgla.table, ng.g.table.flat({1: [Q(1)]})
+    x = ng.join({0: x1})        # x (x) e
+    y = ng.join({1: x1})        # x (x) e^2
+    assert t.graded(x) == ng.tensor_element({1: [Q(1)]}, 0)
+    assert t.graded(y) == ng.tensor_element({1: [Q(1)]}, 1)
     assert [ng.weights[k] for k in x] == [1]
     assert [ng.weights[k] for k in y] == [2]
     both = {**x, **y}
+    assert ng.split(both) == {0: x1, 1: x1}
     assert {k: c for k, c in both.items() if ng.weights[k] == 1} == x
     assert {k: c for k, c in both.items() if ng.weights[k] == 2} == y
     assert ng.by_weight[1, 1] == list(x) and ng.by_weight[1, 2] == list(y)
@@ -182,14 +185,15 @@ def test_tensor_nilpotent_weights_and_slices():
 def test_tensor_bracket_multiplies_monomials():
     # [x (x) e, x (x) e] = [x,x] (x) e^2 = y (x) e^2
     ng = tensor_nilpotent(F.f7_dgla(), truncated_polynomial_algebra(1, 3))
-    x = ng.tensor_element({1: [Q(1)]}, 0)
-    b = ng.bracket(x, x)
-    assert b == ng.tensor_element({2: [Q(1)]}, 1)
+    t, gt = ng.dgla.table, ng.g.table
+    x = ng.join({0: gt.flat({1: [Q(1)]})})
+    b = ng.bracket(t.graded(x), t.graded(x))
+    assert ng.split(t.flat(b)) == {1: gt.flat({2: [Q(1)]})}
 
 
 def test_tensor_bracket_truncates():
     ng = tensor_nilpotent(F.f7_dgla(), truncated_polynomial_algebra(1, 2))
-    x = ng.tensor_element({1: [Q(1)]}, 0)
+    x = ng.dgla.table.graded(ng.join({0: ng.g.table.flat({1: [Q(1)]})}))
     assert ng.bracket(x, x) == {}
 
 

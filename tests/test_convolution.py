@@ -15,10 +15,10 @@ import pytest
 import dense_reference as dense
 from deforma import fixtures as F
 from deforma.cartan import gauge_zero_transport
-from deforma.convolution import (canonical_tuples, canonicalize,
-                                 chevalley_eilenberg, convolution,
-                                 hom_dgla_slice, linf_residual, strict_embed,
-                                 taylor_from_linear)
+from deforma.convolution import (canonical_tuples, canonicalize, ce_words,
+                                 chevalley_eilenberg, convolution, from_linear,
+                                 hom_dgla_slice, linear_part, linf_residual,
+                                 strict_embed, taylor, taylor_from_linear)
 from deforma.dgla import (DglaMorphism, identity_morphism, validate_cdga,
                           validate_dgla)
 from deforma.endo import end_dgla
@@ -36,12 +36,12 @@ def test_frozen_signs_on_square_zero_host():
     [id, id] is 2 there."""
     g = F.f7_dgla()
     conv = convolution(g, g, 2)
-    f = conv.from_linear(identity_map(g.space))
+    f = from_linear(g, conv, identity_map(g.space))
     d = conv.dgla.d(f)
-    assert conv.taylor(d) == {2: {((1, 0), (1, 0)): {2: [Q(-1)]}}}
-    assert 1 not in conv.taylor(d)       # d = 0 on both sides
+    assert taylor(g, conv, d) == {2: {((1, 0), (1, 0)): {2: [Q(-1)]}}}
+    assert 1 not in taylor(g, conv, d)       # d = 0 on both sides
     br = conv.dgla.bracket(f, f)
-    assert conv.taylor(br) == {2: {((1, 0), (1, 0)): {2: [Q(2)]}}}
+    assert taylor(g, conv, br) == {2: {((1, 0), (1, 0)): {2: [Q(2)]}}}
     # identity is a dgla morphism: MC residual d(f) + 1/2 [f,f] vanishes
     assert vec_is_zero(mc_residue(conv.dgla, f))
 
@@ -52,9 +52,11 @@ def test_frozen_cartan_signs():
     h = F.f3_end().dgla
     conv = convolution(g, h, 2)
     i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
-    ie = conv.from_linear(i)
+    ie = from_linear(g, conv, i)
     assert set(ie) == {0}                # bidegree (-1, 1): total degree 0
-    assert conv.values(ie) == {((1, 0),): {0: [Q(1), Q(1)]}}
+    # one value, at the word x: e00 + e11 in h's flat coordinates
+    at = ce_words(g, 2).index(((1, 0),))
+    assert conv.split(conv.dgla.table.flat(ie)) == {at: h.table.flat({0: [Q(1), Q(1)]})}
     assert vec_is_zero(conv.dgla.d(ie))
 
 
@@ -106,7 +108,7 @@ def test_antisymmetry_of_values_under_transposition():
     ce = chevalley_eilenberg(g, 2)
     rng = random.Random(5)
     e = _random_element(conv, rng)
-    values = conv.taylor(e)[2]
+    values = taylor(g, conv, e)[2]
     assert values
     for (a, b), forward in values.items():
         # degree-0 inputs have odd shifted degree: swapping them flips sign
@@ -143,16 +145,17 @@ def _pair(source, target):
     return F.fixture_dgla(source), F.fixture_dgla(target)
 
 
-def _oracle_positions(conv, oracle):
+def _oracle_positions(g, conv, oracle):
     """Slice (degree, position) -> oracle position, matched by label:
     e_k (x) xi^[A] is the oracle's "(A)->e_k", with no sign."""
-    perm = {}
-    for k in conv.space.degrees:
-        labels = {lbl: pos for pos, lbl in enumerate(oracle.space.labels(k))}
-        assert len(labels) == conv.space.dim(k)
-        for pos, (hkey, word) in enumerate(conv.index[k]):
-            glabels = "^".join(conv.g.label(*key) for key in word)
-            perm[k, pos] = labels[f"({glabels})->{conv.h.label(*hkey)}"]
+    perm, h, words = {}, conv.g, ce_words(g, max(conv.weight))
+    labels = {k: {lbl: pos for pos, lbl in enumerate(oracle.space.labels(k))}
+              for k in conv.space.degrees}
+    assert all(len(labels[k]) == conv.space.dim(k) for k in labels)
+    for t, (v, j) in enumerate(conv.factors):
+        k, pos = conv.dgla.table.position[t]
+        glabels = "^".join(g.label(*key) for key in words[j])
+        perm[k, pos] = labels[k][f"({glabels})->{h.label(*h.table.position[v])}"]
     return perm
 
 
@@ -171,7 +174,7 @@ def test_slice_matches_oracle(source, target, arity):
     new = hom_dgla_slice(g, h, arity)
     assert new.space.components == conv.space.components
     assert new.brackets == conv.dgla.brackets
-    perm = _oracle_positions(conv, oracle)
+    perm = _oracle_positions(g, conv, oracle)
     for k in new.space.degrees:
         block, ref = new.underlying.differential.block(k), oracle.underlying.differential.block(k)
         for r in range(new.space.dim(k + 1)):
@@ -205,7 +208,7 @@ def test_transport_and_residual_match_oracle(source, target, arity):
     rng = random.Random(arity * 101 + len(source + target))
     for _ in range(3):
         i = _random_map(g, h, -1, rng)
-        got = conv.taylor(gauge_zero_transport(conv, i))
+        got = taylor(g, conv, gauge_zero_transport(g, conv, i))
         want = dense.extract_taylor(dense.gauge_zero_transport(g, h, i, arity))
         assert set(got) == {n for n, c in want.coefficients.items() if not c.is_zero()}
         for n, values in got.items():
@@ -213,7 +216,7 @@ def test_transport_and_residual_match_oracle(source, target, arity):
             assert set(values) == set(ref)
             assert all(vec_eq(values[w], ref[w]) for w in values)
         f = _random_map(g, h, 0, rng)
-        got = linf_residual(conv, taylor_from_linear(conv, f))
+        got = linf_residual(g, conv, taylor_from_linear(g, conv, f))
         want = dense.linf_residual(dense.taylor_from_linear(g, h, f, arity))
         assert set(got) == {n for n, c in want.items() if not c.is_zero()}
         for n, values in got.items():
@@ -238,7 +241,7 @@ def test_mc_iff_linf(name):
     seen_nonzero = False
     for _ in range(25):
         fam = _random_linf(conv, rng)
-        left = not linf_residual(conv, fam)
+        left = not linf_residual(g, conv, fam)
         right = vec_is_zero(mc_residue(conv.dgla, fam))
         assert left == right
         seen_nonzero = seen_nonzero or not left
@@ -251,7 +254,7 @@ def test_strict_embed_zero_residual():
     g = F.f2_dgla()
     conv = convolution(g, g)
     emb = strict_embed(conv, identity_morphism(g))
-    assert linf_residual(conv, emb) == {}
+    assert linf_residual(g, conv, emb) == {}
 
 
 def test_strict_embed_rejects_non_morphism():
@@ -272,7 +275,7 @@ def test_bracket_defect_is_the_arity_two_residual():
     for _ in range(10):
         blk = [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         f = GradedMap(g.space, g.space, 0, {0: blk})
-        res = linf_residual(conv, taylor_from_linear(conv, f))
+        res = linf_residual(g, conv, taylor_from_linear(g, conv, f))
         assert set(res) <= {2}
         r2 = res.get(2, {})
         for i in range(4):
@@ -289,13 +292,17 @@ def test_extract_taylor_roundtrip():
     g = F.f2_dgla()
     conv = convolution(g, g, 3)
     rng = random.Random(29)
+    words, t = ce_words(g, 3), conv.dgla.table
     for _ in range(10):
         fam = _random_linf(conv, rng)
-        coefficients = conv.taylor(fam)
+        coefficients = taylor(g, conv, fam)
         assert all(len(w) == n for n, vals in coefficients.items() for w in vals)
         merged = {w: v for vals in coefficients.values() for w, v in vals.items()}
-        assert merged == conv.values(fam)
-        assert vec_eq(conv.from_values(merged), fam)
+        parts = conv.split(t.flat(fam))
+        assert merged == {words[j]: g.table.graded(s) for j, s in parts.items()}
+        at = {w: j for j, w in enumerate(words)}
+        assert vec_eq(t.graded(conv.join({at[w]: g.table.flat(v)
+                                          for w, v in merged.items()})), fam)
 
 
 def test_extract_taylor_rejects_wrong_degree():
@@ -303,15 +310,29 @@ def test_extract_taylor_rejects_wrong_degree():
     conv = convolution(g, g, 3)
     # y (x) xi_x, the map x -> y of bidegree (1,1), has total degree 2, not
     # the Maurer-Cartan degree 1
-    stray = conv.from_values({((1, 0),): {2: [Q(1)]}})
+    at = ce_words(g, 3).index(((1, 0),))
+    stray = conv.dgla.table.graded(conv.join({at: g.table.flat({2: [Q(1)]})}))
     assert set(stray) == {2}
     with pytest.raises(StructuralError):
-        linf_residual(conv, stray)
+        linf_residual(g, conv, stray)
+
+
+def test_element_helpers_reject_another_source():
+    # the words of CE(F7) are not those of CE(F2), so reading an element of
+    # Hom(F2, F2) as one of Hom(F7, F2) is refused
+    g = F.f2_dgla()
+    conv = convolution(g, g, 2)
+    x = from_linear(g, conv, identity_map(g.space))
+    for call in (lambda: taylor(F.f7_dgla(), conv, x),
+                 lambda: linear_part(F.f7_dgla(), conv, x, 0),
+                 lambda: linf_residual(F.f7_dgla(), conv, x)):
+        with pytest.raises(StructuralError, match="of the given source"):
+            call()
 
 
 def test_linear_roundtrip():
     g = F.f2_dgla()
     conv = convolution(g, g, 2)
     f = identity_map(g.space)
-    back = conv.linear_part(conv.from_linear(f), 0)
+    back = linear_part(g, conv, from_linear(g, conv, f), 0)
     assert all(back.block(d) == f.block(d) for d in g.space.degrees)

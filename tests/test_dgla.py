@@ -124,7 +124,8 @@ def test_tensor_with_odd_coefficients_is_dgla(name):
     # (-1)^{|a||w|} of the tensor bracket is exercised
     omega = F.f6_cdga()
     assert validate_cdga(omega).ok
-    assert validate_dgla(tensor_dgla(F.fixture_dgla(name), omega)).ok
+    weight = (0,) * len(omega.table)
+    assert validate_dgla(tensor_dgla(F.fixture_dgla(name), omega, weight).dgla).ok
 
 
 def test_exponential_series_terminates_or_raises():

@@ -6,10 +6,11 @@ from fractions import Fraction as Q
 import pytest
 
 from deforma import fixtures as F
+from deforma.convolution import from_linear
 from deforma.dgla import abelian_dgla, sub_dgla_span, validate_sub_dgla
 from deforma.endo import end_dgla
 from deforma.graded import GradedMap, StructuralError, is_chain_map, vec_eq
-from deforma.holim import (PathElement, constant_path,
+from deforma.holim import (PathElement, _path_coords, constant_path,
                            holim_bounded, holim_cohomology_bounded, holim_d,
                            holim_element, holim_pair, holim_project,
                            holim_validate, induced_quotient_map,
@@ -29,6 +30,20 @@ def random_path(host, degree, tmax=2, rng=rng):
     return PathElement(host, degree,
                        [rv(degree) for _ in range(tmax + 1)],
                        [rv(degree - 1) for _ in range(tmax + 1)])
+
+
+def to_coords(paths, gamma):
+    """gamma in the path dgla ``paths``, written by ``join``."""
+    return paths.dgla.table.graded(_path_coords(paths, gamma))
+
+
+def to_path(paths, x, degree):
+    """The inverse of ``to_coords``, by ``split``: t^m is the form at C
+    position m, t^m dt the one at tmax + 1 + m."""
+    n, ht = paths.c.space.dim(0), paths.g.table
+    parts = paths.split(paths.dgla.table.flat(x))
+    return PathElement(paths.g, degree, [ht.graded(parts.get(m, {})) for m in range(n)],
+                       [ht.graded(parts.get(n + m, {})) for m in range(n)])
 
 
 def pairs():
@@ -68,8 +83,10 @@ def test_path_dgla_coordinates_roundtrip():
     for deg in (0, 1):
         for _ in range(6):
             gamma = random_path(host, deg, tmax=3)
-            back = paths.to_path(paths.to_coords(gamma), deg)
+            back = to_path(paths, to_coords(paths, gamma), deg)
             assert path_add(gamma, path_scale(Q(-1), back)).is_zero()
+    with pytest.raises(StructuralError, match="t-degree bound"):
+        to_coords(paths, PathElement(host, 0, [{0: [Q(1)] * 4}] * 5))
 
 
 def test_path_dgla_bracket_matches_pathwise():
@@ -78,8 +95,8 @@ def test_path_dgla_bracket_matches_pathwise():
     for _ in range(6):
         a = random_path(host, 0)
         b = random_path(host, 0)
-        via_coords = paths.dgla.bracket(paths.to_coords(a), paths.to_coords(b))
-        direct = paths.to_coords(path_bracket(a, b))
+        via_coords = paths.dgla.bracket(to_coords(paths, a), to_coords(paths, b))
+        direct = to_coords(paths, path_bracket(a, b))
         assert vec_eq(via_coords, direct)
     # F3 has a nonzero d, and degree-1 paths carry the Koszul signs
     host, own = F.f3_dgla(), random.Random(74)
@@ -88,10 +105,10 @@ def test_path_dgla_bracket_matches_pathwise():
         for _ in range(3):
             a = random_path(host, da, rng=own)
             b = random_path(host, db, rng=own)
-            ca, cb = paths.to_coords(a), paths.to_coords(b)
+            ca, cb = to_coords(paths, a), to_coords(paths, b)
             assert vec_eq(paths.dgla.bracket(ca, cb),
-                          paths.to_coords(path_bracket(a, b)))
-            assert vec_eq(paths.dgla.d(ca), paths.to_coords(path_d(a)))
+                          to_coords(paths, path_bracket(a, b)))
+            assert vec_eq(paths.dgla.d(ca), to_coords(paths, path_d(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def test_map_into_holim_residual_vanishes_with_nonzero_l():
     assert sum(1 for c in morphism.flow if c) == 3
     assert morphism.residual.is_zero()
     flipped = PathElement(morphism.conv.dgla, 1, list(morphism.flow),
-                          [morphism.conv.from_linear(i)])
+                          [from_linear(morphism.g, morphism.conv, i)])
     residual = path_add(path_d(flipped),
                         path_scale(Q(1, 2), path_bracket(flipped, flipped)))
     assert not residual.is_zero()
@@ -254,8 +271,8 @@ def path_route_projection(bounded):
     columns = {}
     for k, (rows, _) in bounded.span.echelon.items():
         if target.dim(k):
-            columns[k] = [sparse(pair.quotient.projection.apply(ambient.to_path(
-                {k: dense(v, ambient.space.dim(k))}, k).integral_q()).get(k - 1, []))
+            columns[k] = [sparse(pair.quotient.projection.apply(to_path(
+                ambient, {k: dense(v, ambient.space.dim(k))}, k).integral_q()).get(k - 1, []))
                 for v in rows]
     return GradedMap(bounded.complex.space, target, 0, columns).columns
 

@@ -10,7 +10,7 @@ import pytest
 from bch_reference import bch as dynkin_bch
 from deforma import fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
-from deforma.dgla import Dgla
+from deforma.dgla import Dgla, sub_dgla_span
 from deforma.graded import (Complex, GradedVectorSpace, StructuralError, vec_add, vec_eq,
                             vec_is_zero, zero_map)
 from deforma.holim import path_add, path_bracket, path_d, path_scale
@@ -342,6 +342,22 @@ def test_f3_irrelevant_stabilizer_nonzero():
 def test_gl2_irrelevant_stabilizer_zero():
     ng = tensor_nilpotent(F.f2_dgla(), truncated_polynomial_algebra(1, 2))
     assert irrelevant_stabilizer(ng, {}) == []
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_irrelevant_stabilizer_rejects_a_sub_dgla_of_another_dgla(index):
+    # a sub-dgla of F4 spanning one degree -1 basis vector, on F3 (x) K[e]/e^3:
+    # read as positions of the host, e_1 gave two degree-1 directions taken
+    # from degree-0 positions and e_3 none at all
+    ng = tensor_nilpotent(F.f3_dgla(), truncated_polynomial_algebra(1, 3))
+    g4 = F.fixture_dgla("F4")
+    dim = g4.space.dim(-1)
+    sub = sub_dgla_span(g4, {-1: [[Q(int(j == index)) for j in range(dim)]]})
+    with pytest.raises(StructuralError, match="another dgla"):
+        irrelevant_stabilizer(ng, {}, sub)
+    # the same span on the host's own base is accepted
+    own = sub_dgla_span(ng.g, {-1: [[Q(1)]]})
+    assert irrelevant_stabilizer(ng, {}, own) == irrelevant_stabilizer(ng, {})
 
 
 @pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5"])

@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from deforma import artin, cli, convolution, dgla, endo, graded, holim, mc, models, period
+from deforma import artin, cli, dgla, endo, graded, holim, mc, models, period
 from deforma.graded import GradedMap, GradedVectorSpace, StructuralError, identity_map
 
 V = GradedVectorSpace({0: ("a", "b"), 1: ("c",)})
@@ -47,14 +47,12 @@ RECORDS = [
     (dgla.FiltrationData, lambda: [V, {0: {}}]),
     (dgla.DglaMorphism, lambda: [object(), object(), identity_map(V)]),
     (dgla.SubDgla, lambda: [host(), graded.SubSpaceData(V, {})]),
+    (dgla.TensorDgla, None),
     (artin.ArtinAlgebra, None),
-    (artin.NilpotentDgla, None),
-    (convolution.Convolution, None),
     (endo.EndDgla, None),
     (holim.PathElement, lambda: [host(), 1, [{1: [Q(2)]}], [{0: [Q(1), Q(0)]}]]),
     (holim.HolimPair, None),
     (holim.HolimElement, None),
-    (holim.PathDgla, None),
     (holim.HolimBounded, None),
     (holim.HolimCohomologyResult, None),
     (holim.HolimMorphism, None),

@@ -191,7 +191,7 @@ def test_tensor_differential_columns_match_dense_tables(name):
     cdgas = [truncated_polynomial_algebra(k, order).cdga
              for k, order in ((1, 3), (1, 5), (2, 3))] + [_interval_forms(2)]
     for a in cdgas:
-        d = tensor_dgla(g, a).underlying.differential
+        d = tensor_dgla(g, a, (0,) * len(a.table)).dgla.underlying.differential
         ref = dense.tensor_tables(g, a)[0].differential
         assert d.columns == columns_of(ref.blocks)
         assert d.blocks == ref.blocks
@@ -211,8 +211,8 @@ def test_irrelevant_stabilizer_matches_dense_loop(name, k, order):
             xs.append({1: v})
     # a sub-dgla spanned by one or two random degree -1 vectors of the base
     # (the stabilizer does not need it to be closed), where there are any
-    dim = ng.base.space.dim(-1)
-    subs = [sub_dgla_span(ng.base, {-1: [[entry(rng, 0.6) for _ in range(dim)]
+    dim = ng.g.space.dim(-1)
+    subs = [sub_dgla_span(ng.g, {-1: [[entry(rng, 0.6) for _ in range(dim)]
                                          for _ in range(rng.randint(1, 2))]})] if dim else []
     for x in xs:
         for sub in [None] + subs:

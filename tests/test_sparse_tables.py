@@ -17,9 +17,9 @@ import pytest
 
 import dense_reference as dense
 from deforma import fixtures as F, linalg
-from deforma.artin import NilpotentDgla, tensor_nilpotent, truncated_polynomial_algebra
+from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.convolution import hom_dgla_slice
-from deforma.dgla import (CdgaModel, Dgla, StructureTable, tensor_dgla,
+from deforma.dgla import (CdgaModel, Dgla, StructureTable, TensorDgla, tensor_dgla,
                           validate_dgla)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedVectorSpace, StructuralError,
@@ -127,7 +127,7 @@ def test_validate_dgla_sees_mixed_degree_asymmetry():
     a = CdgaModel(Complex(space, zero_map(space, space, 1)),
                   {(0, 0): [[unit, e], [zero, zero]]})
     g = end_dgla(F.f3_complex()).dgla
-    ng = tensor_dgla(g, a)
+    ng = tensor_dgla(g, a, (0, 0)).dgla
     degree = {lbl: k for k in ng.space.degrees for lbl in ng.space.labels(k)}
     pairs = [f["witness"] for f in validate_dgla(ng).failures
              if f["kind"] == "antisymmetry"]
@@ -178,7 +178,7 @@ def test_large_tensor_host_builds_and_gauges():
     # its dense (0, 0) bracket table alone would hold 2142^3, about 9.8e9,
     # constants
     ng, alpha = large_host()
-    assert ng.coefficients.dim == 119
+    assert len(ng.weight) == 119
     assert {k: ng.space.dim(k) for k in ng.space.degrees} == {-1: 1071, 0: 2142, 1: 1071}
     assert isinstance(ng.dgla.table, StructureTable)
     x = gauge_act(ng, alpha, {})
@@ -207,9 +207,9 @@ def test_gauge_equivalence_reduces_the_base_d_once(monkeypatch):
     ng, alpha = large_host()
     x = gauge_act(ng, alpha, {})
     solves, degrees, reductions, made = [], [], [], [0]
-    solve, d_solver, init = linalg.solve, NilpotentDgla.d_solver, linalg.ColumnSolver.__init__
+    solve, d_solver, init = linalg.solve, TensorDgla.d_solver, linalg.ColumnSolver.__init__
     monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args) or solve(*args))
-    monkeypatch.setattr(NilpotentDgla, "d_solver",
+    monkeypatch.setattr(TensorDgla, "d_solver",
                         lambda self, deg: degrees.append(deg) or d_solver(self, deg))
     monkeypatch.setattr(linalg.ColumnSolver, "__init__",
                         lambda self, *args: reductions.append(args) or init(self, *args))

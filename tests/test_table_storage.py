@@ -57,7 +57,7 @@ def structures():
         # is integral, though neither factor table is
         "(F2 / 3) (x) (3 m_A)": lambda: tensor_dgla(
             scaled_dgla(F.f2_dgla(), Q(1, 3)),
-            scaled_cdga(truncated_polynomial_algebra(1, 3).cdga, Q(3))),
+            scaled_cdga(truncated_polynomial_algebra(1, 3).cdga, Q(3)), (1, 2)).dgla,
     })
     out.update(hom_slices())
     return out
