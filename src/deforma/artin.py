@@ -101,8 +101,9 @@ def _check_nilpotency(a: ArtinAlgebra) -> ValidationReport:
     A basis of each power is found from the one before, so the check is
     polynomial in the dimension and the order.  Only when m^order is not
     zero are the words of length ``order`` walked, for the witnesses.  The
-    vectors start as ints, like the integral constants of the table, so a
-    table of ints is multiplied in ints throughout."""
+    vectors start as ints, like the integral constants of the table, and each
+    power is read as the echelon's primitive integer rows, so a table of ints
+    is multiplied in ints throughout."""
     rows, n = a.cdga.table, a.dim
     power = [{i: 1} for i in range(n)]
     for _ in range(2, a.order + 1):
@@ -110,7 +111,7 @@ def _check_nilpotency(a: ArtinAlgebra) -> ValidationReport:
         for vec in power:
             for prod, _t in _products(rows, vec):
                 e.insert(prod)
-        power = list(e.rows.values())
+        power = list(e.ints.values())
         if not power:
             return ValidationReport()
     return _nilpotency_witnesses(a)

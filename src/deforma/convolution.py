@@ -256,14 +256,20 @@ def strict_embed(conv: TensorDgla, phi: DglaMorphism) -> GVec:
 
 def linf_residual(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, GVec]]:
     """The nonzero arity slices of D(F) + [F,F]/2 (``taylor``) for a Taylor
-    family F in ``conv``, computed up to arity N + 1.
+    family F in ``conv``, computed up to arity N + 1 in the convolution dgla
+    of arity N + 1, built once per ``conv`` and g and kept in ``conv.wider``.
 
     There are none iff F is an L-infinity morphism up to arity N.
     """
     from .mc import mc_residue
     if any(deg != 1 for deg, v in x.items() if any(v)):
         raise StructuralError("a Taylor family lies in degree 1")
-    words, n = _words(g, conv), max(conv.weight, default=0) + 1
-    wide, at = convolution(g, conv.g, n), {w: j for j, w in enumerate(ce_words(g, n))}
+    words = _words(g, conv)
+    found = conv.wider.get(g)
+    if found is None:
+        n = max(conv.weight, default=0) + 1
+        found = conv.wider[g] = (convolution(g, conv.g, n),
+                                 {w: j for j, w in enumerate(ce_words(g, n))})
+    wide, at = found
     y = wide.join({at[words[j]]: s for j, s in conv.split(conv.dgla.table.flat(x)).items()})
     return taylor(g, wide, mc_residue(wide.dgla, wide.dgla.table.graded(y)))

@@ -639,7 +639,10 @@ class TensorDgla:
     ``weight[j]`` the weight of C's basis vector f_j: the monomial degree
     on m_A, the t-degree on the interval forms (t and dt each of weight
     1), the word length on CE.  ``d_solver`` and ``base_cohomology``
-    describe g and are made once per host."""
+    describe g and are made once per host.  On a convolution dgla,
+    ``wider`` holds for each source g the convolution dgla of one arity more
+    and the position of each CE word in it, made by the first
+    ``convolution.linf_residual``."""
 
     def __init__(self, g: Dgla, c: CdgaModel, dgla: Dgla, factors: list[tuple[int, int]],
                  weight: tuple[int, ...]):
@@ -649,6 +652,7 @@ class TensorDgla:
         self.factors = factors
         self.weight = weight
         self._d_solvers: dict[int, ColumnSolver] = {}
+        self.wider: dict[Dgla, tuple] = {}
 
     @property
     def space(self) -> GradedVectorSpace:

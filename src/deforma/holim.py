@@ -19,7 +19,7 @@ from . import linalg
 from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla,
                    ValidationReport, _residual_repr, abelian_dgla, ad_exp_terms,
                    restrict_to_sub, sub_quotient, tensor_dgla)
-from .graded import (Complex, GradedMap, GradedVectorSpace, GVec,
+from .graded import (CohomologyResult, Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError, SubSpaceData,
                      cohomology, induced_map_on_cohomology, is_chain_map,
                      shift_complex, vec_add, vec_degree, vec_is_zero,
@@ -148,12 +148,16 @@ def path_bracket(g1: PathElement, g2: PathElement) -> PathElement:
 # the homotopy-limit pair and its elements
 
 class HolimPair:
-    """A dgla h with a closed sub-dgla n and the quotient complex h/n."""
+    """A dgla h with a closed sub-dgla n, the quotient complex h/n, and
+    (h/n)[-1] with its cohomology, made once per pair by ``holim_pair``."""
 
-    def __init__(self, h: Dgla, n: SubDgla, quotient: QuotientComplex):
+    def __init__(self, h: Dgla, n: SubDgla, quotient: QuotientComplex,
+                 shifted: Complex, shifted_cohomology: CohomologyResult):
         self.h = h
         self.n = n
         self.quotient = quotient
+        self.shifted = shifted
+        self.shifted_cohomology = shifted_cohomology
 
 
 def holim_pair(h: Dgla, n: SubDgla) -> HolimPair:
@@ -162,12 +166,14 @@ def holim_pair(h: Dgla, n: SubDgla) -> HolimPair:
     report, quotient = sub_quotient(h, n)
     if not report.ok:
         raise StructuralError(f"n is not a closed sub-dgla: {report.failures[:3]}")
-    return HolimPair(h, n, quotient)
+    shifted = shift_complex(quotient.complex, -1)
+    return HolimPair(h, n, quotient, shifted, cohomology(shifted))
 
 
 def shifted_quotient(pair: HolimPair) -> Complex:
-    """(h/n)[-1], the target of the projection quasi-isomorphism."""
-    return shift_complex(pair.quotient.complex, -1)
+    """(h/n)[-1], the target of the projection quasi-isomorphism, built
+    once per pair."""
+    return pair.shifted
 
 
 class HolimElement:
@@ -332,11 +338,9 @@ def holim_cohomology_bounded(pair: HolimPair, tbound: int) -> HolimCohomologyRes
     """Cohomology ranks of the bounded holim complex, compared degree-wise
     with H^{k-1}(h/n), plus the ranks of the projection on cohomology."""
     bounded = holim_bounded(pair, tbound)
-    target = shifted_quotient(pair)
-    hc = cohomology(bounded.complex)
-    qc = cohomology(target)
+    hc, qc = cohomology(bounded.complex), pair.shifted_cohomology
     induced = induced_map_on_cohomology(bounded.projection_map, bounded.complex,
-                                        target, hc, qc)
+                                        pair.shifted, hc, qc)
     ranks = {k: linalg.rank(cols) for k, cols in induced.items()}
     proj_ranks = {k: r for k, r in ranks.items() if r}
     return HolimCohomologyResult(tbound, dict(hc.ranks), dict(qc.ranks), proj_ranks)

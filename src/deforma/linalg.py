@@ -1,15 +1,17 @@
 """Exact rational elimination on sparse rows.
 
-A row is a dict from column index to a nonzero ``fractions.Fraction``; a
-matrix is a list of rows, and a set of vectors is a list of rows read as
-columns.  ``Echelon`` holds a reduced row echelon form and takes rows one
-at a time: a new row is reduced by the rows already there, its leftmost
-nonzero column becomes its pivot, and that column is cleared from the other
-rows, so the form stays fully reduced.  The reduced row echelon form of a
-row space is unique and the pivots are chosen greedily in column order, so
-every result here is, entry by entry, the one of Gauss-Jordan elimination
-with "leftmost column, first usable row" pivoting; the work is in
-proportion to the nonzeros met.  ``ColumnSolver`` reduces the columns of
+A row given or handed out is a dict from column index to a nonzero
+``fractions.Fraction`` (or ``int``); a matrix is a list of rows, and a set of
+vectors is a list of rows read as columns.  ``Echelon`` holds a reduced row
+echelon form and takes rows one at a time: a new row is reduced by the rows
+already there, its leftmost nonzero column becomes its pivot, and that
+column is cleared from the other rows, so the form stays fully reduced.
+Inside, each row is a primitive integer row, and ``Fraction``s are made only
+for the rows and reduced vectors a caller reads.  The reduced row echelon
+form of a row space is unique and the pivots are chosen greedily in column
+order, so every result here is, entry by entry, the one of Gauss-Jordan
+elimination with "leftmost column, first usable row" pivoting; the work is
+in proportion to the nonzeros met.  ``ColumnSolver`` reduces the columns of
 a matrix once and then gives ``solve``'s solution for many right-hand sides,
 in integer numerators.  ``sparse`` and ``dense`` convert one vector between
 a row and a coordinate list.
@@ -18,12 +20,13 @@ a row and a coordinate list.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 Q = Fraction
 
 Vector = list[Fraction]
-Row = dict          # column index -> nonzero Fraction
+Row = dict          # column index -> nonzero Fraction (or int)
 
 _ZERO, _ONE = Q(0), Q(1)
 
@@ -57,63 +60,135 @@ def combine(rows: list[Row], coeffs) -> Row:
     return {r: s for r, s in acc.items() if s}
 
 
+class _Rows(Mapping):
+    """The rows of an ``Echelon`` as ``Fraction`` rows, by pivot: the
+    primitive row over its pivot entry, so 1 at the pivot.  A row is built
+    when first read and dropped when its integer row changes."""
+
+    def __init__(self, ints: dict[int, dict[int, int]]):
+        self._ints, self._built = ints, {}
+
+    def __getitem__(self, p: int) -> Row:
+        row = self._built.get(p)
+        if row is None:
+            r = self._ints[p]
+            lead = r[p]
+            row = self._built[p] = {j: Q(x, lead) for j, x in r.items()}
+        return row
+
+    def __contains__(self, p) -> bool:
+        return p in self._ints
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+
+def _integral(row: Row) -> tuple[dict[int, int], int]:
+    """``row`` as integers over one positive common denominator."""
+    out = {}
+    for j, x in row.items():
+        if x.denominator != 1:
+            den = math.lcm(*[x.denominator for x in row.values()])
+            return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
+        out[j] = x.numerator
+    return out, 1
+
+
 class Echelon:
     """A reduced row echelon form, built by inserting rows one at a time.
 
-    ``rows[p]`` is the row with pivot p: 1 at p, 0 at every other pivot and
-    before p.  Rows are replaced on update, never changed in place, and are
-    not to be changed from outside.  ``_holders[j]`` lists the rows with an
-    entry at the non-pivot column j, so a new pivot visits only those.
+    ``ints[p]`` is the row with pivot p, stored primitive: integers with no
+    common factor, positive at p, 0 at every other pivot and before p.  It
+    is changed in place on insert, and is not to be changed from outside.
+    ``rows[p]`` is the same row in ``Fraction``s, 1 at p, built when read.
+    Rows given are brought to integers over one common denominator, and
+    elimination runs fraction-free on integers (as in Bareiss, Math. Comp.
+    1968), each changed row divided by the gcd of its entries, so the only
+    ``Fraction``s made are the rows and reduced vectors read.
+    ``_holders[j]`` lists the rows with an entry at the non-pivot column j,
+    so a new pivot visits only those.
     """
 
     def __init__(self, rows=()):
-        self.rows: dict[int, Row] = {}
+        self.ints: dict[int, dict[int, int]] = {}
+        self.rows = _Rows(self.ints)
         self._holders: dict[int, set[int]] = {}
         for row in rows:
             self.insert(row)
 
+    def _reduce(self, row: Row) -> tuple[dict[int, int], int]:
+        """``row`` less its part along the echelon, as integers over a
+        positive denominator: zero at every pivot, and empty iff ``row`` is
+        in the span.  ``row`` is scaled once, so that each pivot row is
+        taken an integral number of times."""
+        acc, den = _integral(row)
+        ints = self.ints
+        hits = [(p, c) for p, c in acc.items() if p in ints]
+        if not hits:
+            return acc, den
+        m = 1
+        for p, c in hits:
+            lead = ints[p][p]
+            m = math.lcm(m, lead // math.gcd(lead, c))
+        if m != 1:
+            acc = {j: m * x for j, x in acc.items()}
+            den *= m
+        for p, c in hits:
+            r = ints[p]
+            f = c * m // r[p]
+            for j, e in r.items():
+                acc[j] = acc[j] - f * e if j in acc else -f * e
+        return {j: x for j, x in acc.items() if x}, den
+
     def reduce(self, row: Row) -> Row:
         """``row`` less its part along the echelon: zero at every pivot,
         and empty iff ``row`` is in the span."""
-        hits = [(p, c) for p, c in row.items() if p in self.rows]
-        if not hits:
-            return dict(row)
-        acc = dict(row)
-        for p, c in hits:
-            for j, e in self.rows[p].items():
-                acc[j] = acc[j] - c * e if j in acc else -c * e
-        return {j: x for j, x in acc.items() if x}
+        r, den = self._reduce(row)
+        return {j: Q(x, den) for j, x in r.items()}
 
     def insert(self, row: Row) -> int | None:
         """Add ``row`` to the span; its new pivot, or None if it was in it."""
-        r = self.reduce(row)
+        return self._insert(self._reduce(row)[0])
+
+    def _insert(self, r: dict[int, int]) -> int | None:
+        """``insert`` for a row ``_reduce`` has reduced."""
         if not r:
             return None
         p = min(r)
-        if r[p] != 1:
-            inv = _ONE / r[p]
-            r = {j: x * inv for j, x in r.items()}
-        rows, holders = self.rows, self._holders
+        g = math.gcd(*r.values())
+        if r[p] < 0:
+            g = -g
+        if g != 1:
+            r = {j: x // g for j, x in r.items()}
+        lead, ints, holders = r[p], self.ints, self._holders
         for q in holders.pop(p, ()):
-            new = dict(rows[q])
-            f = new[p]
+            row = ints[q]
+            g = math.gcd(lead, row[p])
+            a, f = lead // g, row[p] // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
             for j, e in r.items():
-                if j not in new:
-                    new[j] = -f * e
+                if j not in row:
+                    row[j] = -f * e
                     holders.setdefault(j, set()).add(q)
                     continue
-                x = new[j] - f * e
+                x = row[j] - f * e
                 if x:
-                    new[j] = x
+                    row[j] = x
                 else:
-                    del new[j]
+                    del row[j]
                     if j != p:
                         holders[j].discard(q)
-            rows[q] = new
+            g = math.gcd(*row.values())
+            ints[q] = {j: x // g for j, x in row.items()} if g != 1 else row
+            self.rows._built.pop(q, None)
         for j in r:
             if j != p:
                 holders.setdefault(j, set()).add(p)
-        rows[p] = r
+        ints[p] = r
         return p
 
 
@@ -121,12 +196,12 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """The nonzero rows of the reduced row echelon form, in pivot order, and
     the pivot columns."""
     e = Echelon(rows)
-    pivots = sorted(e.rows)
+    pivots = sorted(e.ints)
     return [e.rows[p] for p in pivots], pivots
 
 
 def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[1])
+    return len(Echelon(rows).ints)
 
 
 def kernel(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
@@ -179,16 +254,16 @@ class ColumnSolver:
     def __init__(self, columns: list[Row], nrows: int):
         e = Echelon()
         for j, col in enumerate(columns):
-            r = e.reduce({**col, nrows + j: _ONE})
+            r = e._reduce({**col, nrows + j: 1})[0]
             if min(r) < nrows:          # independent of the columns before it
-                e.insert(r)
-        images = [e.reduce({i: _ONE}) for i in range(nrows)]
-        den = self.den = math.lcm(*[c.denominator for img in images for c in img.values()])
-        self._parts = [({j - nrows: -c.numerator * (den // c.denominator)
-                         for j, c in img.items() if j >= nrows},
-                        {j: c.numerator * (den // c.denominator)
-                         for j, c in img.items() if j < nrows})
-                       for img in images]
+                e._insert(r)
+        # e_i meets at most the row with pivot i, which is primitive, so
+        # each image is in lowest terms over its denominator
+        images = [e._reduce({i: 1}) for i in range(nrows)]
+        den = self.den = math.lcm(*[d for _, d in images])
+        self._parts = [({j - nrows: -x * (den // d) for j, x in img.items() if j >= nrows},
+                        {j: x * (den // d) for j, x in img.items() if j < nrows})
+                       for img, d in images]
 
     def solve_numerators(self, b: dict[int, int]) -> dict[int, int] | None:
         """``den`` times ``solve``'s x for the integer rows ``b`` (row index ->
@@ -207,7 +282,7 @@ class ColumnSolver:
 
 
 def in_span(vectors: list[Row], v: Row) -> bool:
-    return not Echelon(vectors).reduce(v)
+    return not Echelon(vectors)._reduce(v)[0]
 
 
 def column_space_basis(columns: list[Row], echelon: Echelon | None = None) -> list[Row]:
@@ -225,8 +300,8 @@ def extend_to_complement(span: list[Row], dim: int) -> list[int]:
     e = Echelon(span)
     chosen = []
     for i in range(dim):
-        if len(e.rows) == dim:
+        if len(e.ints) == dim:
             break
-        if e.insert({i: _ONE}) is not None:
+        if e.insert({i: 1}) is not None:
             chosen.append(i)
     return chosen

@@ -409,10 +409,10 @@ def obstruction_image(g: Dgla, i: GradedMap, end: EndDgla,
     """Map an obstruction class through H^2 of the induced map
     g -> (End/End^{>=0})[-1]; under the ambient-annihilation principle the
     image vanishes whenever the flag side is unobstructed."""
-    from .holim import holim_pair, induced_quotient_map, shifted_quotient
+    from .holim import holim_pair, induced_quotient_map
     pair = holim_pair(end.dgla, end_nonneg)
     psi = induced_quotient_map(pair, g, i)
-    hq = cohomology(shifted_quotient(pair))
+    hq = pair.shifted_cohomology
     hg = cohomology(g.underlying)
 
     classes = {}

@@ -250,6 +250,29 @@ def test_mc_iff_linf(name):
         assert seen_nonzero
 
 
+def test_linf_residual_builds_the_wider_convolution_once(monkeypatch):
+    # the 25 calls of test_mc_iff_linf on F2: one arity-4 build for the record,
+    # and each residual equal to the one on a fresh record
+    import deforma.convolution as module
+    g = F.f2_dgla()
+    conv = convolution(g, g, 3)
+    rng = random.Random(17)
+    families = [_random_linf(conv, rng) for _ in range(25)]
+    builds = []
+
+    def spy(g_, h, arity_bound=4):
+        builds.append(arity_bound)
+        return convolution(g_, h, arity_bound)
+
+    monkeypatch.setattr(module, "convolution", spy)
+    got = [linf_residual(g, conv, fam) for fam in families]
+    assert builds == [4]
+    monkeypatch.undo()
+    for fam, residual in zip(families, got):
+        assert residual == linf_residual(g, convolution(g, g, 3), fam)
+    assert any(got)
+
+
 def test_strict_embed_zero_residual():
     g = F.f2_dgla()
     conv = convolution(g, g)

@@ -18,8 +18,8 @@ from deforma import fixtures as F, holim, linalg
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.dgla import FiltrationData, SubDgla, restrict_to_sub, sub_dgla_span
 from deforma.endo import end_dgla
-from deforma.graded import (GradedVectorSpace, StructuralError, SubSpaceData,
-                            cohomology, quotient_complex)
+from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
+                            SubSpaceData, cohomology, quotient_complex)
 
 ARTIN = {"K[e]/e^3": (1, 3), "K[e]/e^5": (1, 5), "K[e1,e2]/m^3": (2, 3)}
 
@@ -157,6 +157,52 @@ def test_seeded_sparse_matrices_match_reference():
         assert all(type(x) is Q and x for row in red for x in row.values())
         assert (linalg.extend_to_complement([linalg.sparse(row) for row in m], dim)
                 == dense.extend_to_complement(m, dim))
+
+
+def mixed_matrix(rng):
+    """Entries 0, int, integral Fraction and Fraction up to 10^6, rows
+    negated at random (negative pivots), a dependent and a zero row."""
+    def entry():
+        u, c = rng.random(), rng.randint(-10**6, 10**6)
+        if u < 0.45:
+            return 0
+        if u < 0.6:
+            return c
+        if u < 0.75:
+            return Q(c)
+        if u < 0.9:
+            return Q(c, rng.randint(1, 10**6))
+        return Q(rng.randint(-9, 9), rng.randint(1, 9))
+
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    m += [[a - 3 * b for a, b in zip(m[0], m[-1])], [0] * cols]
+    m = [[-x for x in row] if rng.random() < 0.5 else row for row in m]
+    rng.shuffle(m)
+    return m
+
+
+def test_seeded_mixed_matrices_match_reference():
+    rng = random.Random(20092)
+    for _ in range(150):
+        m = mixed_matrix(rng)
+        dim, ref = len(m[0]), [[Q(x) for x in row] for row in m]
+        rows = [linalg.sparse(row) for row in m]
+        full, ref_pivots = dense.rref(ref)
+        e = linalg.Echelon(rows)
+        assert sorted(e.rows) == ref_pivots
+        assert [linalg.dense(e.rows[p], dim) for p in ref_pivots] == full[:len(ref_pivots)]
+        assert linalg.rref(rows) == ([e.rows[p] for p in ref_pivots], ref_pivots)
+        assert all(type(x) is Q for p in ref_pivots for x in e.rows[p].values())
+        assert [linalg.dense(v, dim) for v in linalg.nullspace(rows, dim)] == dense.nullspace(ref)
+        assert linalg.extend_to_complement(rows, dim) == dense.extend_to_complement(ref, dim)
+        sub = SubSpaceData(GradedVectorSpace({0: tuple(f"e{j}" for j in range(dim))}), {0: m})
+        assert dense.echelon_vectors(sub, 0) == dense.echelon_basis(ref)
+        # the complex K^dim -> K^rows with the matrix as d
+        space = GradedVectorSpace({0: sub.parent.labels(0),
+                                   1: tuple(f"f{i}" for i in range(len(m)))})
+        d = [{i: row[j] for i, row in enumerate(ref) if row[j]} for j in range(dim)]
+        assert_cohomology_matches(Complex(space, GradedMap(space, space, 1, {0: d})))
 
 
 # ---------------------------------------------------------------------------

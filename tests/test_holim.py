@@ -9,7 +9,7 @@ from deforma import fixtures as F
 from deforma.convolution import from_linear
 from deforma.dgla import abelian_dgla, sub_dgla_span, validate_sub_dgla
 from deforma.endo import end_dgla
-from deforma.graded import GradedMap, StructuralError, is_chain_map, vec_eq
+from deforma.graded import GradedMap, StructuralError, cohomology, is_chain_map, vec_eq
 from deforma.holim import (PathElement, _path_coords, constant_path,
                            holim_bounded, holim_cohomology_bounded, holim_d,
                            holim_element, holim_pair, holim_project,
@@ -155,6 +155,26 @@ def test_holim_ranks_match_shifted_quotient(tbound):
         assert result.ranks == expected
         assert result.quotient_ranks == expected
         assert result.agree
+
+
+def test_target_cohomology_is_computed_once_per_pair(monkeypatch):
+    import deforma.holim as module
+    computed = []
+
+    def spy(c):
+        computed.append(c)
+        return cohomology(c)
+
+    monkeypatch.setattr(module, "cohomology", spy)
+    g2 = F.f2_dgla()
+    pair = holim_pair(g2, F.f2_borel(g2))
+    results = [holim_cohomology_bounded(pair, tbound) for tbound in range(1, 9)]
+    target = shifted_quotient(pair)
+    assert target is pair.shifted and shifted_quotient(pair) is target
+    assert [c for c in computed if c is target] == [target]
+    assert len(computed) == 9                    # one per bound, one for the target
+    assert cohomology(target).ranks == {1: 1}
+    assert all(r.quotient_ranks == {1: 1} and r.agree for r in results)
 
 
 def test_bounded_projection_is_chain_map():

@@ -300,3 +300,165 @@ def test_sparse_kernels_match_dense_oracles(matrix, data):
         z = [sum((a * y[t] for a, y in zip(coeffs, zs)), Q(0))
              for t in range(space.dim(deg))]
         assert hc.project({deg: z}).get(deg) == project_oracle(ref, deg, space.dim(deg), z)
+
+
+# ---------------------------------------------------------------------------
+# Echelon on mixed rows: int, integral and non-integral Fraction entries,
+# negative pivots, zero and dependent rows, coefficients up to 10^6
+
+big = st.integers(-10**6, 10**6)
+mixed_entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3), big,
+    big.map(Q),                                               # integral Fraction
+    st.tuples(big, st.integers(1, 10**6)).map(lambda nd: Q(*nd)),
+    st.tuples(st.integers(-9, 9), st.integers(2, 9)).map(lambda nd: Q(*nd)))
+
+
+@st.composite
+def mixed_matrix(draw):
+    """Rows of mixed entries, some negated so a pivot is negative, with a
+    dependent row (an integer combination of two others) and a zero row
+    among them."""
+    cols = draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols),
+                      min_size=1, max_size=5))
+    if len(m) >= 2:
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        m.append([a * x + b * y for x, y in zip(m[0], m[1])])
+    m.append([0] * cols)
+    m = [[-x for x in row] if draw(st.booleans()) else row for row in m]
+    draw(st.randoms()).shuffle(m)
+    return m, cols
+
+
+def as_fractions(m):
+    return [[Q(x) for x in row] for row in m]
+
+
+def all_fractions(rows):
+    return all(type(x) is Q and x for row in rows for x in row.values())
+
+
+def least_image_denominator(columns, nrows):
+    """What ``ColumnSolver.den`` must be: the least common denominator of
+    the images of the e_i under ``Echelon.reduce`` by the columns, each
+    tagged by its index, that are independent of those before them."""
+    e = linalg.Echelon()
+    for j, col in enumerate(columns):
+        r = e.reduce({**col, nrows + j: 1})
+        if min(r) < nrows:
+            e.insert(r)
+    return math.lcm(*[c.denominator for i in range(nrows) for c in e.reduce({i: 1}).values()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrix(), st.data())
+def test_echelon_on_mixed_rows_matches_dense_oracle(matrix, data):
+    m, cols = matrix
+    rows_, ref = sparse_rows(m), as_fractions(m)
+    full, ref_pivots = dense.rref(ref)
+    e = linalg.Echelon(rows_)
+    assert sorted(e.rows) == sorted(e.ints) == ref_pivots
+    for p, row in zip(ref_pivots, full):
+        assert linalg.dense(e.rows[p], cols) == row
+        lead = e.ints[p][p]
+        assert lead > 0 and math.gcd(*e.ints[p].values()) == 1
+        assert e.ints[p] == {j: x * lead for j, x in e.rows[p].items()}
+    red, pivots = linalg.rref(rows_)
+    assert pivots == ref_pivots and [linalg.dense(r, cols) for r in red] == full[:len(pivots)]
+    assert all_fractions(red) and all_fractions(e.rows.values())
+    assert linalg.rank(rows_) == len(ref_pivots)
+
+    basis, free = linalg.kernel(rows_, cols)
+    assert [linalg.dense(v, cols) for v in basis] == dense.nullspace(ref)
+    assert all_fractions(basis)
+
+    # reduce: v less sum over the pivots p of v_p times rref row p
+    v = data.draw(st.lists(mixed_entries, min_size=cols, max_size=cols))
+    want = [Q(x) for x in v]
+    for p, row in zip(ref_pivots, full):
+        want = [w - Q(v[p]) * r for w, r in zip(want, row)]
+    got = e.reduce(linalg.sparse(v))
+    assert linalg.dense(got, cols) == want and all_fractions([got])
+    assert linalg.in_span(rows_, linalg.sparse(v)) == (not any(want))
+
+    solver = linalg.ColumnSolver(columns_of(m, cols), len(m))
+    assert solver.den == least_image_denominator(columns_of(m, cols), len(m))
+    x = data.draw(st.lists(mixed_entries, min_size=cols, max_size=cols))
+    for b in (dense.matvec(ref, as_fractions([x])[0]),
+              data.draw(st.lists(mixed_entries, min_size=len(m), max_size=len(m)))):
+        b = [Q(c) for c in b]
+        got, want = linalg.solve(rows_, linalg.sparse(b)), dense.solve(ref, b)
+        assert (None if got is None else linalg.dense(got, cols)) == want
+        assert got is None or all_fractions([got])
+        scale = lcm_of(b)
+        num = solver.solve_numerators({i: int(c * scale) for i, c in enumerate(b) if c})
+        assert (None if num is None else linalg.dense(
+            {j: Q(c, solver.den * scale) for j, c in num.items()}, cols)) == want
+        assert num is None or all(type(c) is int for c in num.values())
+
+    columns = columns_of(m, cols)
+    assert linalg.column_space_basis(columns) == [columns[p] for p in ref_pivots]
+    assert linalg.extend_to_complement(rows_, cols) == dense.extend_to_complement(ref, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_matrix())
+def test_echelon_on_mixed_rows_matches_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    m, cols = matrix
+    ref = sympy.Matrix([[sympy.Rational(Q(x).numerator, Q(x).denominator) for x in row]
+                        for row in m])
+    red, pivots = ref.rref()
+    assert dense_rref(m) == (to_fractions(red), list(pivots))
+    assert linalg.rank(sparse_rows(m)) == ref.rank()
+    assert nullspace(m) == [[row[0] for row in to_fractions(v)] for v in ref.nullspace()]
+
+
+def test_echelon_hand_oracle_with_negative_pivots():
+    # [[-2, 4, 1], [0, -3, 6], [-2, 1, 7]]: the third row is the sum of the
+    # first two, so the echelon has two rows, (1, 0, -9/2) and (0, 1, -2)
+    e = linalg.Echelon([{0: -2, 1: 4, 2: 1}, {1: -3, 2: 6}, {0: -2, 1: 1, 2: 7}])
+    assert e.ints == {0: {0: 2, 2: -9}, 1: {1: 1, 2: -2}}
+    assert dict(e.rows) == {0: {0: Q(1), 2: Q(-9, 2)}, 1: {1: Q(1), 2: Q(-2)}}
+    assert e.reduce({0: Q(1, 3), 2: -1}) == {2: Q(1, 2)}
+    assert e.reduce({0: -2, 1: 4, 2: 1}) == {}
+    assert e.insert({2: Q(-7, 5)}) == 2
+    assert dict(e.rows) == {0: {0: Q(1)}, 1: {1: Q(1)}, 2: {2: Q(1)}}
+    assert all_fractions(e.rows.values())
+
+
+def test_rows_view_is_built_when_read_and_dropped_on_change():
+    e = linalg.Echelon([{0: 1, 1: 2}])
+    first = e.rows[0]
+    assert e.rows[0] is first                  # built once
+    e.insert({1: 3})                            # clears column 1 from row 0
+    assert e.rows[0] == {0: Q(1)} and e.rows[0] is not first
+    assert first == {0: Q(1), 1: Q(2)}          # a row handed out is not changed
+
+
+def test_pivot_and_count_readers_make_no_fraction(monkeypatch):
+    made = []
+    new = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(19)
+    rows_ = [{j: rng.randint(-10**6, 10**6) for j in range(6) if rng.random() < 0.6}
+             for _ in range(5)]
+    rows_.append({j: 2 * x for j, x in rows_[0].items()})
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting))
+    rank = linalg.rank(rows_)
+    basis = linalg.column_space_basis(rows_)
+    chosen = linalg.extend_to_complement(rows_, 6)
+    spans = [linalg.in_span(rows_, {j: 1}) for j in range(6)]
+    assert made == []
+    monkeypatch.undo()
+    ref = as_fractions([linalg.dense(r, 6) for r in rows_])
+    pivots = dense.rref(ref)[1]
+    assert rank == len(pivots) and rank < 6
+    assert basis == [rows_[p] for p in dense.rref(dense.transpose(ref))[1]]
+    assert chosen == dense.extend_to_complement(ref, 6)
+    assert spans == [dense.in_span(ref, [Q(int(i == j)) for i in range(6)]) for j in range(6)]
