@@ -5,10 +5,11 @@ gamma = p(t) + q(t) dt a polynomial path in h (x) K[t, dt] satisfying
 p(0) = x and p(1) = 0.  This complex is quasi-isomorphic to (h/n)[-1]; the
 quasi-isomorphism integrates the dt-component and reduces mod n.  Cohomology
 computations bound the polynomial t-degree by D and report stabilization.
-The explicit path dgla (``path_dgla``) is the ``dgla.TensorDgla`` of h with
-the polynomial forms on [0, 1], weighted by t-degree; ``holim_bounded``
-reads its coordinates through that record's ``place``, ``split`` and
-``by_weight``.
+``holim_bounded`` writes that bounded complex down in closed form, on a
+basis read off h's d, the echelon rows of n and the quotient projection,
+with no elimination.  The explicit path dgla (``path_dgla``) is the
+``dgla.TensorDgla`` of h with the polynomial forms on [0, 1], weighted by
+t-degree; it is the ambient space in which the tests check that basis.
 """
 
 from __future__ import annotations
@@ -16,17 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla,
+from .dgla import (CdgaModel, Dgla, FlatBasis, SubDgla, TensorDgla,
                    ValidationReport, _residual_repr, abelian_dgla, ad_exp_terms,
-                   restrict_to_sub, sub_quotient, tensor_dgla)
+                   sub_quotient, tensor_dgla)
 from .graded import (CohomologyResult, Complex, GradedMap, GradedVectorSpace, GVec,
-                     QuotientComplex, StructuralError, SubSpaceData,
+                     QuotientComplex, StructuralError,
                      cohomology, induced_map_on_cohomology, is_chain_map,
                      shift_complex, vec_add, vec_degree, vec_is_zero,
                      vec_scale, vec_sub)
-from .linalg import Q, sparse
-
-_ONE = Q(1)
+from .linalg import Q, Row, combine, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +211,19 @@ def holim_d(e: HolimElement) -> HolimElement:
 
 
 def holim_project(e: HolimElement) -> GVec:
-    """(x, p + q dt) -> (integral of q) mod n, as an element of (h/n)[-1].
+    """(x, p + q dt) of degree k -> (-1)^k (integral of q) mod n, as an
+    element of (h/n)[-1].
 
-    The result is keyed by its degree in the shifted complex (= e.degree);
-    with this convention the projection is an exact chain map.
+    The result is keyed by its degree in the shifted complex (= k).  The
+    integral of d(p + q dt) is d of the integral of q plus (-1)^k (p(1) -
+    p(0)), and p(1) = 0, p(0) = x is in n; the sign (-1)^k turns d into the
+    -d of (h/n)[-1], so the projection is an exact chain map.
     """
     bar = e.pair.quotient.projection.apply(e.path.integral_q())
     coords = bar.get(e.degree - 1)
-    return {e.degree: coords} if coords and any(coords) else {}
+    if not coords or not any(coords):
+        return {}
+    return {e.degree: [-c for c in coords] if e.degree % 2 else coords}
 
 
 # ---------------------------------------------------------------------------
@@ -248,76 +252,119 @@ def path_dgla(host: Dgla, tmax: int) -> TensorDgla:
     weight 1.  The labels are "v@t<m>" and "v@t<m>*dt".
 
     Brackets whose t-degree exceeds ``tmax`` are silently projected away, so
-    only use elements whose products stay within the bound (the holim
-    constructions below guarantee this by choosing tmax large enough).
+    only use elements whose products stay within the bound, choosing tmax
+    large enough for them.
     """
     n = tmax + 1
     return tensor_dgla(host, _interval_forms(tmax), tuple(range(n)) + tuple(range(1, n + 1)))
 
 
-def _path_coords(ambient: TensorDgla, gamma: PathElement) -> Sparse:
-    """sum_m p_m t^m + q_m t^m dt in the flat coordinates of ``ambient``."""
-    n, flat = ambient.c.space.dim(0), ambient.g.table.flat
-    if len(gamma.p) > n or len(gamma.q) > n:
-        raise StructuralError("path exceeds the t-degree bound")
-    return ambient.join({m: flat(c) for m, c in [*enumerate(gamma.p), *enumerate(gamma.q, n)]})
-
-
 # ---------------------------------------------------------------------------
 # bounded-t-degree holim complex and its cohomology
 
+def _offsets(pair: HolimPair, tbound: int, k: int) -> tuple[int, int]:
+    """Where B and C start in the degree-k basis of ``holim_bounded``."""
+    b = pair.n.span.dim(k)
+    return b, b + (tbound - 1) * pair.h.space.dim(k)
+
+
 class HolimBounded:
-    def __init__(self, pair: HolimPair, tbound: int, ambient: TensorDgla, span: SubSpaceData,
-                 complex: Complex, projection_map: GradedMap):
+    """The bounded holim complex of ``holim_bounded`` on its basis A, B, C,
+    and its projection to (h/n)[-1]."""
+
+    def __init__(self, pair: HolimPair, tbound: int, complex: Complex,
+                 projection_map: GradedMap):
         self.pair = pair
         self.tbound = tbound
-        self.ambient = ambient
-        self.span = span                      # the subcomplex, in ambient coordinates
-        self.complex = complex                # on its own basis
+        self.complex = complex
         self.projection_map = projection_map  # complex.space -> shifted quotient space
+
+    def coords(self, gamma: PathElement) -> Row | None:
+        """The coordinates of the path ``gamma`` of degree k in the degree-k
+        basis, or None if it is not in the bounded subcomplex: if p(1) != 0,
+        if p(0) is not in n, or if p or q passes the t-degree bound.  A is
+        read off the n-coordinates of p_0, B_{j,m} off p_m and C_{j,m} off
+        q_m."""
+        k, tbound, hspace = gamma.degree, self.tbound, self.pair.h.space
+        if len(gamma.p) > tbound + 1 or len(gamma.q) > tbound:
+            return None
+        p = [sparse(c.get(k, ())) for c in gamma.p] or [{}]
+        if combine(p, [(m, 1) for m in range(len(p))]):
+            return None
+        out = self.pair.n.span.coords(k, p[0])
+        if out is None:
+            return None
+        b, c = _offsets(self.pair, tbound, k)
+        for m, row in enumerate(p[1:tbound], 1):
+            base = b + (m - 1) * hspace.dim(k)
+            out.update((base + j, x) for j, x in row.items())
+        for m, coeff in enumerate(gamma.q):
+            base = c + m * hspace.dim(k - 1)
+            out.update((base + j, x) for j, x in sparse(coeff.get(k - 1, ())).items())
+        return out
 
 
 def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
-    """Subcomplex {p(0) in n, p(1) = 0, deg_t p <= D, deg_t q <= D - 1}."""
+    """The subcomplex {p(0) in n, p(1) = 0, deg_t p <= D, deg_t q <= D - 1}
+    of the path object, written down with no elimination.  In degree k its
+    basis is, in this order (B and C by m, then by j):
+      A_i = r_i (x) (1 - t^D), r_i the echelon rows of n^k,
+      B_{j,m} = e_j (x) (t^m - t^D), e_j in h^k, 1 <= m <= D - 1,
+      C_{j,m} = e_j (x) t^m dt, e_j in h^{k-1}, 0 <= m <= D - 1.
+    With s = (-1)^k, d(p + q dt) = dp + (s p' + dq) dt gives
+      d A_i = sum_l c_l A'_l - sD sum_j r_i[j] C'_{j,D-1}, c = coords of d r_i in n,
+      d B_{j,m} = sum_l (de_j)_l B'_{l,m} + sm C'_{j,m-1} - sD C'_{j,D-1},
+      d C_{j,m} = sum_l (de_j)_l C'_{l,m}.
+    The projection is ``holim_project``: C_{j,m} goes to s pi(e_j)/(m + 1),
+    the integral of t^m over [0, 1] being 1/(m + 1), and A and B go to 0."""
     if tbound < 1:
         raise StructuralError("t-degree bound must be at least 1")
-    ambient = path_dgla(pair.h, tbound)
-    t, ht, place = ambient.dgla.table, pair.h.table, ambient.place
-    proj_columns = pair.quotient.projection.columns
-    span: dict[int, tuple] = {}
-    for k in ambient.space.degrees:
-        base, hbase = t.offset[k], ht.offset.get(k)
-        # q-coefficients of t-degree D, of weight D + 1, vanish
-        rows = [{p - base: _ONE} for p in ambient.by_weight.get((k, tbound + 1), ())]
-        # p(1) = 0: e_j (x) t^m over m, t^m at C position m
-        rows += [{place[hbase + j, m] - base: _ONE for m in range(tbound + 1)}
-                 for j in range(pair.h.space.dim(k))]
-        # p(0) in n: quotient projection of the constant coefficient vanishes
-        qdim = pair.quotient.complex.space.dim(k)
-        rows += [{place[hbase + j, 0] - base: c for j, c in row.items()}
-                 for row in linalg.transpose(proj_columns.get(k, []), qdim)]
-        kernel = linalg.kernel(rows, ambient.space.dim(k))
-        if kernel[0]:
-            span[k] = kernel
+    h, sub, hspace = pair.h, pair.n.span, pair.h.space
+    d, proj = h.underlying.differential, pair.quotient.projection.columns
+    components = {}
+    for k in sorted(set(hspace.degrees) | {k + 1 for k in hspace.degrees}):
+        ph, qh = hspace.labels(k), hspace.labels(k - 1)
+        names = (*(f"n{k}_{i}@(1-t{tbound})" for i in range(sub.dim(k))),
+                 *(f"{v}@(t{m}-t{tbound})" for m in range(1, tbound) for v in ph),
+                 *(f"{v}@t{m}*dt" for m in range(tbound) for v in qh))
+        if names:
+            components[k] = names
+    space = GradedVectorSpace(components)
 
-    # the kernel vectors are in echelon form already (1 at their free
-    # column, 0 at the other free columns), so they need no second rref
-    sub = SubDgla(abelian_dgla(ambient.dgla.underlying),
-                  SubSpaceData.from_echelon(ambient.space, span))
-    restricted = restrict_to_sub(sub)
-    # the projection integrates the q-part, e_j (x) t^m dt giving e_j / (m+1),
-    # where m + 1 is the weight of t^m dt, and reduces it mod n
-    columns = {}
-    for k, (rows, _) in sorted(span.items()):
-        if k - 1 in proj_columns:
-            base = t.offset[k]
-            columns[k] = [linalg.combine(proj_columns[k - 1], [
-                (ht.position[v][1], c / ambient.weight[f])
-                for f, s in ambient.split({base + p: c for p, c in row.items()}).items()
-                if f > tbound for v, c in s.items()])
-                for row in rows]
-    proj = GradedMap(restricted.space, shifted_quotient(pair).space, 0, columns)
-    return HolimBounded(pair, tbound, ambient, sub.span, restricted.underlying, proj)
+    d_columns, p_columns = {}, {}
+    for k in space.degrees:
+        hp, hq, s = hspace.dim(k), hspace.dim(k - 1), -1 if k % 2 else 1
+        if space.dim(k + 1):
+            b1, c1 = _offsets(pair, tbound, k + 1)
+            top = c1 + (tbound - 1) * hp            # C'_{0,D-1}
+            cols = []
+            for row in sub.rows(k):
+                col = sub.coords(k + 1, d.apply_row(k, row))
+                if col is None:
+                    raise StructuralError(f"n is not closed under d in degree {k}")
+                col.update((top + j, -s * tbound * x) for j, x in row.items())
+                cols.append(col)
+            dp, dq = d.columns.get(k), d.columns.get(k - 1)
+            for m in range(1, tbound):
+                base = b1 + (m - 1) * hspace.dim(k + 1)
+                for j in range(hp):
+                    col = {base + l: x for l, x in dp[j].items()} if dp else {}
+                    col[c1 + (m - 1) * hp + j] = s * m
+                    col[top + j] = -s * tbound
+                    cols.append(col)
+            for m in range(tbound):
+                base = c1 + m * hp
+                cols += [{base + l: x for l, x in dq[j].items()} if dq else {}
+                         for j in range(hq)]
+            d_columns[k] = cols
+        pk = proj.get(k - 1)
+        if pk:
+            p_columns[k] = [{} for _ in range(_offsets(pair, tbound, k)[1])] + [
+                {r: x / w for r, x in pk[j].items()} if w != 1 else pk[j]
+                for w in range(s, s * (tbound + 1), s) for j in range(hq)]
+    complex = Complex(space, GradedMap(space, space, 1, d_columns))
+    projection = GradedMap(space, shifted_quotient(pair).space, 0, p_columns)
+    return HolimBounded(pair, tbound, complex, projection)
 
 
 class HolimCohomologyResult:
@@ -350,15 +397,14 @@ def holim_cohomology_bounded(pair: HolimPair, tbound: int) -> HolimCohomologyRes
 # the morphism (l, e^i) into holim
 
 def induced_quotient_map(pair: HolimPair, g: Dgla, i: GradedMap) -> GradedMap:
-    """a -> (-1)^{|a|} (i_a mod n), the chain map g -> (h/n)[-1] induced by a
-    Cartan homotopy whose l lands in n."""
+    """a -> i_a mod n, the chain map g -> (h/n)[-1] induced by a Cartan
+    homotopy whose l lands in n: d i + i d = l, so i d = -d i mod n, and -d
+    is the differential of (h/n)[-1]."""
     if i.shift != -1:
         raise StructuralError("the inducing map must have degree -1")
     target = shifted_quotient(pair)
-    pi = pair.quotient.projection.compose(i)
-    return GradedMap(g.space, target.space, 0, {
-        k: [{r: -c for r, c in col.items()} for col in cols] if k % 2 else cols
-        for k, cols in pi.columns.items()})
+    return GradedMap(g.space, target.space, 0,
+                     pair.quotient.projection.compose(i).columns)
 
 
 class HolimMorphism:
@@ -493,14 +539,12 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
     bounded = holim_bounded(pair, tbound)
     columns = {}
     for k in source.space.degrees:
-        if k not in bounded.span.echelon:
+        if not bounded.complex.space.dim(k):
             continue
         cols = columns[k] = []
-        base = bounded.ambient.dgla.table.offset[k]
         for idx in range(source.space.dim(k)):
             e = morphism.arity_one(source.space.basis_element(k, idx))
-            coords = _path_coords(bounded.ambient, e.path)
-            sol = bounded.span.coords(k, {p - base: c for p, c in coords.items()})
+            sol = bounded.coords(e.path)
             if sol is None:
                 raise StructuralError("witness image leaves the bounded subcomplex")
             cols.append(sol)

@@ -55,6 +55,16 @@ representatives and complements, and sub-dgla coordinates by ``solve``.
 They are the oracle for ``linalg.rref``, ``cohomology``,
 ``quotient_complex`` and ``restrict_to_sub`` in test_elimination.py.
 
+The holim oracles work inside ``holim.path_dgla(h, D)``.
+``holim_constraints`` are the rows of the three conditions that cut the
+bounded holim complex out of it, ``holim_rows`` is the basis A, B, C that
+``holim.holim_bounded`` uses, written in the path dgla's coordinates from
+its definition, and ``holim_by_kernel`` is the route ``holim_bounded``
+took before it wrote that complex down: the kernel of the constraint
+rows, d restricted to it, and the projection read off the dt-coordinates.
+They are the oracle for ``holim_bounded`` and its path reader in
+test_elimination.py and test_holim.py.
+
 The convolution oracle is the hand-written Hom calculus that
 ``convolution.hom_dgla_slice`` replaced: bigraded elements stored on
 canonical input tuples, with their own Koszul signs, bracket, d and gauge
@@ -779,6 +789,96 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
             if any(any(cell) for row in table for cell in row):
                 brackets[(m, p)] = table
     return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), brackets)
+
+
+# ---------------------------------------------------------------------------
+# the bounded holim complex inside the path dgla
+
+def holim_constraints(pair, ambient, k: int) -> dict[str, list[dict]]:
+    """The three conditions that cut the bounded holim complex out of
+    degree k of ``ambient`` = path_dgla(h, D), as sparse rows on that
+    degree's coordinates: q_D = 0, p(1) = 0 and p(0) in n."""
+    t, ht, place = ambient.dgla.table, pair.h.table, ambient.place
+    tbound = ambient.c.space.dim(0) - 1
+    base, hbase = t.offset[k], ht.offset.get(k)
+    qdim = pair.quotient.complex.space.dim(k)
+    proj = pair.quotient.projection.columns.get(k, [])
+    return {
+        # the q-coefficients of t-degree D, of weight D + 1
+        "q_D = 0": [{p - base: Q(1)} for p in ambient.by_weight.get((k, tbound + 1), ())],
+        # the sum of the e_j (x) t^m over m, t^m at C position m
+        "p(1) = 0": [{place[hbase + j, m] - base: Q(1) for m in range(tbound + 1)}
+                     for j in range(pair.h.space.dim(k))],
+        # the quotient projection of the constant coefficient
+        "p(0) in n": [{place[hbase + j, 0] - base: c for j, c in row.items()}
+                      for row in linalg.transpose(proj, qdim)]}
+
+
+def holim_rows(pair, tbound: int):
+    """``path_dgla(h, D)`` and, per degree k, the basis A, B, C of the
+    bounded holim complex as sparse rows on degree k of it, with one column
+    per row where it is 1 and the other rows 0 (the echelon form of
+    ``SubSpaceData.from_echelon``): A_i = r_i (x) (1 - t^D) at r_i's pivot
+    (x) 1, B_{j,m} = e_j (x) (t^m - t^D) at e_j (x) t^m and
+    C_{j,m} = e_j (x) t^m dt at itself.  Written from the definitions, not
+    from ``holim.holim_bounded``."""
+    from deforma.holim import path_dgla
+    ambient = path_dgla(pair.h, tbound)
+    t, ht, place, h = ambient.dgla.table, pair.h.table, ambient.place, pair.h
+    dt = tbound + 1                                 # C position of t^0 dt
+    rows = {}
+    for k in ambient.space.degrees:
+        base = t.offset[k]
+
+        def at(deg: int, j: int, f: int) -> int:
+            """The position of e_j (x) f, e_j in h^deg, in degree k."""
+            return place[ht.offset[deg] + j, f] - base
+
+        a_rows, a_cols = [], []
+        for r, pivot in zip(*pair.n.span.echelon.get(k, ((), ()))):
+            a_rows.append({**{at(k, j, 0): c for j, c in r.items()},
+                           **{at(k, j, tbound): -c for j, c in r.items()}})
+            a_cols.append(at(k, pivot, 0))
+        b = [(m, j) for m in range(1, tbound) for j in range(h.space.dim(k))]
+        c = [(m, j) for m in range(tbound) for j in range(h.space.dim(k - 1))]
+        rows[k] = (a_rows + [{at(k, j, m): Q(1), at(k, j, tbound): Q(-1)} for m, j in b]
+                   + [{at(k - 1, j, dt + m): Q(1)} for m, j in c],
+                   a_cols + [at(k, j, m) for m, j in b] + [at(k - 1, j, dt + m) for m, j in c])
+    return ambient, {k: e for k, e in rows.items() if e[0]}
+
+
+def holim_by_kernel(pair, tbound: int) -> tuple[Complex, GradedMap]:
+    """The bounded holim complex and its projection to (h/n)[-1] the way
+    ``holim.holim_bounded`` built them before it wrote them down: the
+    kernel of ``holim_constraints`` by ``linalg.kernel``, d restricted to
+    it by ``dgla.restrict_to_sub``, and each kernel vector's dt-coordinates
+    integrated (t^m dt to 1/(m + 1)), reduced mod n and, in degree k, times
+    (-1)^k."""
+    from deforma.dgla import abelian_dgla, restrict_to_sub as restrict
+    from deforma.holim import path_dgla
+    ambient = path_dgla(pair.h, tbound)
+    span = {}
+    for k in ambient.space.degrees:
+        rows = [r for part in holim_constraints(pair, ambient, k).values() for r in part]
+        span[k] = linalg.kernel(rows, ambient.space.dim(k))
+    sub = SubSpaceData.from_echelon(ambient.space, span)
+    restricted = restrict(SubDgla(abelian_dgla(ambient.dgla.underlying), sub))
+    t, ht, proj = ambient.dgla.table, pair.h.table, pair.quotient.projection.columns
+    columns = {}
+    for k, (rows, _) in sub.echelon.items():
+        if k - 1 in proj:
+            columns[k], sign = [], -1 if k % 2 else 1
+            for row in rows:
+                integral = {}
+                for f, part in ambient.split({t.offset[k] + p: c
+                                              for p, c in row.items()}).items():
+                    if f > tbound:                  # t^(f - D - 1) dt
+                        for v, c in part.items():
+                            j = ht.position[v][1]
+                            integral[j] = integral.get(j, 0) + sign * c / (f - tbound)
+                columns[k].append(linalg.combine(proj[k - 1], integral.items()))
+    shifted = pair.shifted.space
+    return restricted.underlying, GradedMap(restricted.space, shifted, 0, columns)
 
 
 # ---------------------------------------------------------------------------

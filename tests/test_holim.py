@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deforma import fixtures as F
+import dense_reference
+from deforma import dgla, fixtures as F, holim, linalg
 from deforma.convolution import from_linear
 from deforma.dgla import abelian_dgla, sub_dgla_span, validate_sub_dgla
 from deforma.endo import end_dgla
-from deforma.graded import GradedMap, StructuralError, cohomology, is_chain_map, vec_eq
-from deforma.holim import (PathElement, _path_coords, constant_path,
+from deforma.graded import (GradedMap, StructuralError, cohomology,
+                            induced_map_on_cohomology, is_chain_map, vec_eq)
+from deforma.holim import (HolimMorphism, PathElement, constant_path,
                            holim_bounded, holim_cohomology_bounded, holim_d,
                            holim_element, holim_pair, holim_project,
                            holim_validate, induced_quotient_map,
@@ -33,8 +36,12 @@ def random_path(host, degree, tmax=2, rng=rng):
 
 
 def to_coords(paths, gamma):
-    """gamma in the path dgla ``paths``, written by ``join``."""
-    return paths.dgla.table.graded(_path_coords(paths, gamma))
+    """gamma in the path dgla ``paths``, written by ``join``: p_m at C
+    position m, q_m at tmax + 1 + m."""
+    n, flat = paths.c.space.dim(0), paths.g.table.flat
+    assert len(gamma.p) <= n and len(gamma.q) <= n
+    return paths.dgla.table.graded(paths.join(
+        {m: flat(c) for m, c in [*enumerate(gamma.p), *enumerate(gamma.q, n)]}))
 
 
 def to_path(paths, x, degree):
@@ -85,8 +92,6 @@ def test_path_dgla_coordinates_roundtrip():
             gamma = random_path(host, deg, tmax=3)
             back = to_path(paths, to_coords(paths, gamma), deg)
             assert path_add(gamma, path_scale(Q(-1), back)).is_zero()
-    with pytest.raises(StructuralError, match="t-degree bound"):
-        to_coords(paths, PathElement(host, 0, [{0: [Q(1)] * 4}] * 5))
 
 
 def test_path_dgla_bracket_matches_pathwise():
@@ -177,12 +182,28 @@ def test_target_cohomology_is_computed_once_per_pair(monkeypatch):
     assert all(r.quotient_ranks == {1: 1} and r.agree for r in results)
 
 
+def abelian_pairs():
+    """F3 and F5 (nonzero d) as abelian dglas over their cocycles and over
+    0, so that h/n has a nonzero d."""
+    for name in ("F3", "F5"):
+        h = abelian_dgla(F.fixture_dgla(name).underlying)
+        cocycles = {k: [dense(v, h.space.dim(k)) for v in linalg.nullspace(
+            linalg.transpose(h.underlying.differential.columns.get(k, []),
+                             h.space.dim(k + 1)), h.space.dim(k))]
+                    for k in h.space.degrees}
+        yield holim_pair(h, sub_dgla_span(h, cocycles))
+        yield holim_pair(h, sub_dgla_span(h, {}))
+
+
 def test_bounded_projection_is_chain_map():
-    for pair, _ in pairs():
-        bounded = holim_bounded(pair, 2)
-        res = is_chain_map(bounded.projection_map, bounded.complex,
-                           shifted_quotient(pair))
-        assert res.is_zero()
+    cases = [p for p, _ in pairs()] + list(abelian_pairs())
+    assert any(p.quotient.complex.differential.columns for p in cases)
+    for pair in cases:
+        for tbound in (1, 2, 3):
+            bounded = holim_bounded(pair, tbound)
+            res = is_chain_map(bounded.projection_map, bounded.complex,
+                               shifted_quotient(pair))
+            assert res.is_zero()
 
 
 def test_quasi_abelian_witness_gl2_borel():
@@ -192,6 +213,109 @@ def test_quasi_abelian_witness_gl2_borel():
     assert witness.is_isomorphism
     assert witness.source_ranks == {1: 1}
     assert witness.holim_ranks == {1: 1}
+
+
+def test_holim_cohomology_builds_no_path_dgla(monkeypatch):
+    """The bounded complex is written down: ``holim_bounded`` builds no path
+    dgla, eliminates no kernel and restricts no d to a subspace.  The only
+    kernels ``holim_cohomology_bounded`` takes are the cocycles of
+    ``cohomology``, one per degree of the bounded complex."""
+    cases = list(pairs())
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: (calls.append(name),
+                                                          original(*args))[1])
+
+    counted(holim, "path_dgla")
+    counted(linalg, "kernel")
+    counted(dgla, "restrict_to_sub")
+    for pair, expected in cases:
+        for tbound in range(1, 9):
+            degrees = holim_bounded(pair, tbound).complex.space.degrees
+            assert calls == []
+            assert holim_cohomology_bounded(pair, tbound).ranks == expected
+            assert calls == ["kernel"] * len(degrees)
+            calls.clear()
+
+
+E11, E21 = [Q(1), Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(1), Q(0)]
+
+
+def test_bounded_coords_reject_paths_outside():
+    """The path reader takes a path to its coordinates in A, B, C, and
+    gives None where a holim condition or the t-degree bound fails."""
+    g2 = F.f2_dgla()
+    bounded = holim_bounded(holim_pair(g2, F.f2_borel(g2)), 2)
+
+    def path(degree, p, q=()):
+        return PathElement(g2, degree, [{0: v} if v else {} for v in p],
+                           [{0: v} if v else {} for v in q])
+
+    minus = [-x for x in E11]
+    # A_0 = e11 (x) (1 - t^2), B_{e11,1} = e11 (x) (t - t^2), C_{e11,1} = e11 (x) t dt
+    assert bounded.coords(path(0, [E11, None, minus])) == {0: 1}
+    assert bounded.coords(path(0, [None, E11, minus])) == {3: 1}
+    assert bounded.coords(path(1, [], [None, E11])) == {4: 1}
+    assert bounded.coords(path(0, [E11])) is None                      # p(1) != 0
+    assert bounded.coords(path(0, [E21, [-x for x in E21]])) is None    # p(0) not in n
+    assert bounded.coords(path(1, [], [None, None, E11])) is None       # q_2 != 0
+    assert bounded.coords(path(0, [E11, None, None, minus])) is None    # past t^2
+
+
+def test_quasi_abelian_witness_rejects_a_path_outside(monkeypatch):
+    g2 = F.f2_dgla()
+    pair = holim_pair(g2, F.f2_borel(g2))
+    arity_one = HolimMorphism.arity_one
+
+    def with_q_at_the_bound(self, a):
+        e = arity_one(self, a)
+        e.path = PathElement(g2, e.degree, e.path.p, [*e.path.q, {}, {0: E11}])
+        return e
+
+    monkeypatch.setattr(HolimMorphism, "arity_one", with_q_at_the_bound)
+    with pytest.raises(StructuralError, match="leaves the bounded subcomplex"):
+        quasi_abelian_witness(pair, F.f2_lower_left_section(), 2)
+
+
+@st.composite
+def holim_cases(draw):
+    """F2 with its Borel sub-dgla, or a fixture complex taken as an abelian
+    dgla with a random d-closed subspace n: a few random vectors and their
+    images under d.  With a t-degree bound 1..6."""
+    tbound = draw(st.integers(1, 6))
+    name = draw(st.sampled_from(["borel", *F.FIXTURE_NAMES]))
+    if name == "borel":
+        g2 = F.f2_dgla()
+        return holim_pair(g2, F.f2_borel(g2)), tbound
+    h = abelian_dgla(F.fixture_dgla(name).underlying)
+    span = {}
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.sampled_from(h.space.degrees))
+        v = [Q(x) for x in draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                                         min_size=h.space.dim(k), max_size=h.space.dim(k)))]
+        span.setdefault(k, []).append(v)
+        for deg, w in h.d({k: v}).items():
+            span.setdefault(deg, []).append(w)
+    return holim_pair(h, sub_dgla_span(h, span)), tbound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(holim_cases())
+def test_bounded_ranks_match_kernel_route(case):
+    """Ranks, quotient ranks and projection ranks against the kernel of
+    the holim conditions in the path dgla, with d restricted to it."""
+    pair, tbound = case
+    got = holim_cohomology_bounded(pair, tbound)
+    cx, projection = dense_reference.holim_by_kernel(pair, tbound)
+    hc, qc = cohomology(cx), cohomology(shifted_quotient(pair))
+    induced = induced_map_on_cohomology(projection, cx, pair.shifted, hc, qc)
+    ranks = {k: linalg.rank(cols) for k, cols in induced.items()}
+    assert got.ranks == hc.ranks
+    assert got.quotient_ranks == qc.ranks
+    assert got.projection_ranks == {k: r for k, r in ranks.items() if r}
+    assert got.agree
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +379,27 @@ def test_induced_quotient_map_is_chain_map():
     assert res.is_zero()
 
 
+def test_induced_quotient_map_is_chain_map_where_d_is_nonzero():
+    """On an abelian dgla g every degree -1 map i: g -> g is a Cartan
+    homotopy, with l = d i + i d, and im l is a sub-dgla; F3's d makes
+    i d and d i nonzero mod im l."""
+    g = abelian_dgla(F.f3_dgla().underlying)
+    sp, d, own = g.space, g.underlying.differential, random.Random(75)
+    moved = 0
+    for _ in range(8):
+        i = GradedMap(sp, sp, -1, {k: [{r: Q(c) for r in range(sp.dim(k - 1))
+                                        if (c := own.choice([0, 1, -1]))}
+                                       for _ in range(sp.dim(k))]
+                                   for k in sp.degrees if sp.dim(k - 1)})
+        l = d.compose(i).add(i.compose(d))
+        pair = holim_pair(g, sub_dgla_span(g, {
+            k: [dense(col, sp.dim(k)) for col in cols] for k, cols in l.columns.items()}))
+        induced = induced_quotient_map(pair, g, i)
+        moved += not pair.quotient.projection.compose(i.compose(d)).is_zero()
+        assert is_chain_map(induced, g.underlying, shifted_quotient(pair)).is_zero()
+    assert moved
+
+
 def test_projection_matches_induced_quotient_map():
     g, h, i, pair = f7_cartan_setup()
     morphism = map_into_holim(g, i, pair)
@@ -265,17 +410,15 @@ def test_projection_matches_induced_quotient_map():
 
 
 def test_holim_project_on_linear_images():
-    # project(a -> (l_a, gamma_a)) equals (-1)^{|a|} i_a mod n by construction
+    # gamma_a has q = (-1)^{|a|} i_a and project multiplies by (-1)^{|a|}, so
+    # project(a -> (l_a, gamma_a)) equals i_a mod n
     g, h, i, pair = f7_cartan_setup()
     morphism = map_into_holim(g, i, pair)
     for (deg, idx) in g.space.basis():
         a = g.space.basis_element(deg, idx)
         e = morphism.arity_one(a)
         got = holim_project(e)
-        sign = Q(-1) if deg % 2 else Q(1)
-        bar = pair.quotient.projection.apply({k - 1: [sign * c for c in v]
-                                              for k, v in [(deg, i.apply(a).get(deg - 1, []))]
-                                              if v})
+        bar = pair.quotient.projection.apply(i.apply(a))
         want = {deg: bar[deg - 1]} if bar.get(deg - 1) else {}
         assert vec_eq(got, want)
 
@@ -284,16 +427,18 @@ def test_holim_project_on_linear_images():
 # the projection of the bounded complex, against the path route
 
 def path_route_projection(bounded):
-    """The projection columns the long way: each kernel row densified, read
-    as a PathElement, its dt-part integrated and reduced mod n."""
-    pair, ambient = bounded.pair, bounded.ambient
+    """The projection columns the long way: each basis row of
+    ``dense_reference.holim_rows`` densified, read as a PathElement, its
+    dt-part integrated and reduced mod n, times (-1)^k in degree k."""
+    pair = bounded.pair
+    ambient, rows = dense_reference.holim_rows(pair, bounded.tbound)
     target = shifted_quotient(pair).space
     columns = {}
-    for k, (rows, _) in bounded.span.echelon.items():
+    for k, (vectors, _) in rows.items():
         if target.dim(k):
-            columns[k] = [sparse(pair.quotient.projection.apply(to_path(
-                ambient, {k: dense(v, ambient.space.dim(k))}, k).integral_q()).get(k - 1, []))
-                for v in rows]
+            columns[k] = [{r: -c if k % 2 else c for r, c in sparse(pair.quotient.projection.apply(
+                to_path(ambient, {k: dense(v, ambient.space.dim(k))}, k).integral_q()
+            ).get(k - 1, [])).items()} for v in vectors]
     return GradedMap(bounded.complex.space, target, 0, columns).columns
 
 
