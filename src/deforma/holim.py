@@ -1,150 +1,35 @@
 """Homotopy limit of the two-arrow diagram n => h (inclusion and zero).
 
-The model is the path object: pairs (x, gamma) with x in the sub-dgla n and
-gamma = p(t) + q(t) dt a polynomial path in h (x) K[t, dt] satisfying
-p(0) = x and p(1) = 0.  This complex is quasi-isomorphic to (h/n)[-1]; the
-quasi-isomorphism integrates the dt-component and reduces mod n.  Cohomology
-computations bound the polynomial t-degree by D and report stabilization.
-``holim_bounded`` writes that bounded complex down in closed form, on a
-basis read off h's d, the echelon rows of n and the quotient projection,
-with no elimination.  The explicit path dgla (``path_dgla``) is the
-``dgla.TensorDgla`` of h with the polynomial forms on [0, 1], weighted by
-t-degree; it is the ambient space in which the tests check that basis.
+The model is the path object.  A path is an element gamma = p(t) + q(t) dt
+of the path dgla ``path_dgla(h, T)``, h (x) Omega(Delta^1) with the forms cut
+at weight T (t and dt each of weight 1), and the holim is cut out by p(0) in
+the sub-dgla n and p(1) = 0.  Its parts at t^m and t^m dt are read by
+``TensorDgla.split``; ``at_zero``, ``at_one`` and ``integral_dt`` are the
+linear readers p(0), p(1) and the integral of q over [0, 1].  This complex is
+quasi-isomorphic to (h/n)[-1]; the quasi-isomorphism integrates the
+dt-component and reduces mod n.  Cohomology computations bound the
+polynomial t-degree by D and report stabilization.  ``holim_bounded`` writes
+that bounded complex down in closed form, on a basis read off h's d, the
+echelon rows of n and the quotient projection, with no elimination; the
+tests check that basis inside the path dgla.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
-from .dgla import (CdgaModel, Dgla, FlatBasis, SubDgla, TensorDgla,
-                   ValidationReport, _residual_repr, abelian_dgla, ad_exp_terms,
-                   sub_quotient, tensor_dgla)
+from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla,
+                   _add_into, abelian_dgla, ad_exp_terms, sub_quotient, tensor_dgla)
 from .graded import (CohomologyResult, Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError,
                      cohomology, induced_map_on_cohomology, is_chain_map,
-                     shift_complex, vec_add, vec_degree, vec_is_zero,
-                     vec_scale, vec_sub)
-from .linalg import Q, Row, combine, sparse
+                     shift_complex, vec_add, vec_degree, vec_is_zero, vec_scale, vec_sub)
+from .linalg import Q, Row, sparse
 
 
 # ---------------------------------------------------------------------------
-# polynomial paths in h (x) K[t, dt]
-
-class PathElement:
-    """p(t) + q(t) dt of total degree ``degree``: the coefficient lists hold
-    p_m (degree ``degree``) and q_m (degree ``degree - 1``)."""
-
-    def __init__(self, host: Dgla, degree: int, p: list | None = None,
-                 q: list | None = None):
-        self.host = host
-        self.degree = degree
-        self.p = [] if p is None else p   # p[m]: GVec, coefficient of t^m
-        self.q = [] if q is None else q   # q[m]: GVec, coefficient of t^m dt
-        for coeff in self.p:
-            d = vec_degree(coeff)
-            if d is not None and d != self.degree:
-                raise StructuralError("p-coefficient of wrong degree")
-        for coeff in self.q:
-            d = vec_degree(coeff)
-            if d is not None and d != self.degree - 1:
-                raise StructuralError("q-coefficient of wrong degree")
-        while self.p and vec_is_zero(self.p[-1]):
-            self.p.pop()
-        while self.q and vec_is_zero(self.q[-1]):
-            self.q.pop()
-
-    def is_zero(self) -> bool:
-        return not self.p and not self.q
-
-    def eval_p(self, t: Fraction) -> GVec:
-        out: GVec = {}
-        power = Q(1)
-        for coeff in self.p:
-            out = vec_add(out, vec_scale(power, coeff))
-            power *= t
-        return out
-
-    def integral_q(self) -> GVec:
-        """Integral of the dt-component over [0, 1]."""
-        out: GVec = {}
-        for m, coeff in enumerate(self.q):
-            out = vec_add(out, vec_scale(Q(1, m + 1), coeff))
-        return out
-
-
-def constant_path(host: Dgla, x: GVec) -> PathElement:
-    deg = vec_degree(x)
-    if deg is None:
-        raise StructuralError("constant path needs a homogeneous nonzero element")
-    return PathElement(host, deg, [dict(x)], [])
-
-
-def path_add(a: PathElement, b: PathElement) -> PathElement:
-    if a.degree != b.degree:
-        raise StructuralError("degree mismatch in path addition")
-    p = [vec_add(x, y) for x, y in _zip_pad(a.p, b.p)]
-    q = [vec_add(x, y) for x, y in _zip_pad(a.q, b.q)]
-    return PathElement(a.host, a.degree, p, q)
-
-
-def path_scale(c: Fraction, a: PathElement) -> PathElement:
-    return PathElement(a.host, a.degree,
-                       [vec_scale(c, x) for x in a.p],
-                       [vec_scale(c, x) for x in a.q])
-
-
-def _zip_pad(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return [(a[m] if m < len(a) else {}, b[m] if m < len(b) else {})
-            for m in range(n)]
-
-
-def path_d(gamma: PathElement) -> PathElement:
-    """d(p + q dt) = d_h p + ((-1)^k p' + d_h q) dt for degree k."""
-    h = gamma.host
-    k = gamma.degree
-    sign = Q(-1) if k % 2 else Q(1)
-    p = [h.d(c) for c in gamma.p]
-    q = []
-    for m in range(max(len(gamma.p) - 1, len(gamma.q))):
-        term: GVec = {}
-        if m + 1 < len(gamma.p):
-            term = vec_scale(sign * Q(m + 1), gamma.p[m + 1])
-        if m < len(gamma.q):
-            term = vec_add(term, h.d(gamma.q[m]))
-        q.append(term)
-    return PathElement(h, k + 1, p, q)
-
-
-def path_bracket(g1: PathElement, g2: PathElement) -> PathElement:
-    """Pointwise-in-t bracket with dt^2 = 0:
-    [p1 + q1 dt, p2 + q2 dt] = [p1, p2] + ([p1, q2] + (-1)^{k2} [q1, p2]) dt."""
-    if g1.host is not g2.host and g1.host.space.components != g2.host.space.components:
-        raise StructuralError("path bracket requires the same host dgla")
-    h = g1.host
-    p: list[GVec] = []
-    q: list[GVec] = []
-
-    def put(coeffs: list, m: int, val: GVec):
-        while len(coeffs) <= m:
-            coeffs.append({})
-        coeffs[m] = vec_add(coeffs[m], val)
-
-    for m1, c1 in enumerate(g1.p):
-        for m2, c2 in enumerate(g2.p):
-            put(p, m1 + m2, h.bracket(c1, c2))
-        for m2, c2 in enumerate(g2.q):
-            put(q, m1 + m2, h.bracket(c1, c2))
-    sign = Q(-1) if g2.degree % 2 else Q(1)
-    for m1, c1 in enumerate(g1.q):
-        for m2, c2 in enumerate(g2.p):
-            put(q, m1 + m2, vec_scale(sign, h.bracket(c1, c2)))
-    return PathElement(h, g1.degree + g2.degree, p, q)
-
-
-# ---------------------------------------------------------------------------
-# the homotopy-limit pair and its elements
+# the homotopy-limit pair
 
 class HolimPair:
     """A dgla h with a closed sub-dgla n, the quotient complex h/n, and
@@ -169,94 +54,75 @@ def holim_pair(h: Dgla, n: SubDgla) -> HolimPair:
     return HolimPair(h, n, quotient, shifted, cohomology(shifted))
 
 
-def shifted_quotient(pair: HolimPair) -> Complex:
-    """(h/n)[-1], the target of the projection quasi-isomorphism, built
-    once per pair."""
-    return pair.shifted
-
-
-class HolimElement:
-    def __init__(self, pair: HolimPair, x: GVec, path: PathElement):
-        self.pair = pair
-        self.x = x
-        self.path = path
-
-    @property
-    def degree(self) -> int:
-        return self.path.degree
-
-
-def holim_element(pair: HolimPair, x: GVec, path: PathElement) -> HolimElement:
-    return HolimElement(pair, x, path)
-
-
-def holim_validate(e: HolimElement) -> ValidationReport:
-    report = ValidationReport()
-    xdeg = vec_degree(e.x)
-    if xdeg is not None and xdeg != e.degree:
-        report.fail("degree", [f"x degree {xdeg}", f"path degree {e.degree}"])
-    if not e.pair.n.contains(e.x):
-        report.fail("membership", ["x outside the sub-dgla"], _residual_repr(e.x))
-    at0 = vec_sub(e.path.eval_p(Q(0)), e.x)
-    if not vec_is_zero(at0):
-        report.fail("endpoint_zero", ["p(0) != x"], _residual_repr(at0))
-    at1 = e.path.eval_p(Q(1))
-    if not vec_is_zero(at1):
-        report.fail("endpoint_one", ["p(1) != 0"], _residual_repr(at1))
-    return report
-
-
-def holim_d(e: HolimElement) -> HolimElement:
-    return HolimElement(e.pair, e.pair.h.d(e.x), path_d(e.path))
-
-
-def holim_project(e: HolimElement) -> GVec:
-    """(x, p + q dt) of degree k -> (-1)^k (integral of q) mod n, as an
-    element of (h/n)[-1].
-
-    The result is keyed by its degree in the shifted complex (= k).  The
-    integral of d(p + q dt) is d of the integral of q plus (-1)^k (p(1) -
-    p(0)), and p(1) = 0, p(0) = x is in n; the sign (-1)^k turns d into the
-    -d of (h/n)[-1], so the projection is an exact chain map.
-    """
-    bar = e.pair.quotient.projection.apply(e.path.integral_q())
-    coords = bar.get(e.degree - 1)
-    if not coords or not any(coords):
-        return {}
-    return {e.degree: [-c for c in coords] if e.degree % 2 else coords}
-
-
 # ---------------------------------------------------------------------------
-# the path dgla h (x) K[t, dt] truncated in t-degree, as an explicit Dgla
+# the path dgla h (x) Omega(Delta^1) cut at a weight, and its linear readers
 
 def _interval_forms(tmax: int) -> CdgaModel:
-    """Polynomial forms on [0, 1] up to t-degree tmax; products past tmax
-    are dropped (so Leibniz fails on that corner)."""
-    n = tmax + 1
-    space = GradedVectorSpace({0: tuple(f"t{m}" for m in range(n)),
-                               1: tuple(f"t{m}*dt" for m in range(n))})
-    # t^a t^b = t^{a+b} and t^a (t^b dt) = t^{a+b} dt; t^m sits at flat
-    # position m and t^m dt at n + m
+    """Polynomial forms on [0, 1] cut at weight tmax, t and dt each of weight
+    1: t^m for m <= tmax and t^m dt for m <= tmax - 1, with d t^m =
+    m t^{m-1} dt.  The forms of weight above tmax span a dg ideal, so the
+    cut is a cdga with integral constants."""
+    dt = tmax + 1
+    space = GradedVectorSpace({0: tuple(f"t{m}" for m in range(dt)),
+                               1: tuple(f"t{m}*dt" for m in range(tmax))})
+    # t^a t^b = t^{a+b} and t^a (t^b dt) = t^{a+b} dt up to weight tmax; t^m
+    # sits at flat position m and t^m dt at tmax + 1 + m
     upper = [((a, shift + b), {shift + a + b: 1})
-             for shift in (0, n) for a in range(n) for b in range(n - a)]
-    d = {0: [{m - 1: Q(m)} if m else {} for m in range(n)]}    # d t^m = m t^{m-1} dt
+             for shift, top in ((0, dt), (dt, tmax)) for a in range(top) for b in range(top - a)]
+    d = {0: [{m - 1: m} if m else {} for m in range(dt)]}
     return CdgaModel(Complex(space, GradedMap(space, space, 1, d)),
                      FlatBasis(space).table_from_upper(upper, symmetric=True))
 
 
 def path_dgla(host: Dgla, tmax: int) -> TensorDgla:
-    """h (x) Omega(Delta^1) truncated at t-degree ``tmax``: the
-    ``tensor_dgla`` of the host with the forms t^m (degree 0, C position m)
-    and t^m dt (degree 1, C position tmax + 1 + m), m <= tmax, where
-    d t^m = m t^{m-1} dt, weighted by t-degree with t and dt each of
-    weight 1.  The labels are "v@t<m>" and "v@t<m>*dt".
+    """h (x) Omega(Delta^1) cut at weight ``tmax``: the ``tensor_dgla`` of the
+    host with ``_interval_forms(tmax)``, t^m at C position m and t^m dt at C
+    position tmax + 1 + m, of weights m and m + 1.  A product of paths
+    is the product in h (x) K[t, dt] whenever its weight stays within
+    ``tmax``.  The labels are "v@t<m>" and "v@t<m>*dt"."""
+    return tensor_dgla(host, _interval_forms(tmax),
+                       tuple(range(tmax + 1)) + tuple(range(1, tmax + 1)))
 
-    Brackets whose t-degree exceeds ``tmax`` are silently projected away, so
-    only use elements whose products stay within the bound, choosing tmax
-    large enough for them.
-    """
-    n = tmax + 1
-    return tensor_dgla(host, _interval_forms(tmax), tuple(range(n)) + tuple(range(1, n + 1)))
+
+def _tmax(paths: TensorDgla) -> int:
+    """The weight cut T of ``paths`` = path_dgla(h, T): its number of dt-forms."""
+    return paths.c.space.dim(1)
+
+
+def _read(paths: TensorDgla, gamma: GVec, values: dict) -> GVec:
+    """sum_j values[j] s_j for gamma = sum_j s_j (x) f_j in ``paths``: the
+    linear functional ``values`` on the forms, applied to the forms factor."""
+    acc: Sparse = {}
+    for j, s in paths.split(paths.dgla.table.flat(gamma)).items():
+        if j in values:
+            _add_into(acc, values[j], s)
+    return paths.g.table.graded(acc)
+
+
+def at_zero(paths: TensorDgla, gamma: GVec) -> GVec:
+    """p(0) for the path gamma = p + q dt of ``paths``."""
+    return _read(paths, gamma, {0: 1})
+
+
+def at_one(paths: TensorDgla, gamma: GVec) -> GVec:
+    """p(1) for the path gamma = p + q dt of ``paths``."""
+    return _read(paths, gamma, dict.fromkeys(range(_tmax(paths) + 1), 1))
+
+
+def integral_dt(paths: TensorDgla, gamma: GVec) -> GVec:
+    """The integral of q over [0, 1] for the path gamma = p + q dt of
+    ``paths``: t^m dt integrates to 1/(m + 1)."""
+    tmax = _tmax(paths)
+    return _read(paths, gamma, {tmax + 1 + m: Q(1, m + 1) for m in range(tmax)})
+
+
+def join_path(paths: TensorDgla, p: dict[int, Sparse], q: dict[int, Sparse]) -> GVec:
+    """sum_m p[m] (x) t^m + q[m] (x) t^m dt in ``paths``, for flat elements
+    p[m] and q[m] of the host."""
+    dt = _tmax(paths) + 1
+    if any(m >= dt for m in p) or any(m >= dt - 1 for m in q):
+        raise StructuralError("path coefficient past the weight cut")
+    return paths.dgla.table.graded(paths.join({**p, **{dt + m: s for m, s in q.items()}}))
 
 
 # ---------------------------------------------------------------------------
@@ -279,28 +145,36 @@ class HolimBounded:
         self.complex = complex
         self.projection_map = projection_map  # complex.space -> shifted quotient space
 
-    def coords(self, gamma: PathElement) -> Row | None:
-        """The coordinates of the path ``gamma`` of degree k in the degree-k
-        basis, or None if it is not in the bounded subcomplex: if p(1) != 0,
-        if p(0) is not in n, or if p or q passes the t-degree bound.  A is
-        read off the n-coordinates of p_0, B_{j,m} off p_m and C_{j,m} off
-        q_m."""
-        k, tbound, hspace = gamma.degree, self.tbound, self.pair.h.space
-        if len(gamma.p) > tbound + 1 or len(gamma.q) > tbound:
+    def coords(self, paths: TensorDgla, gamma: GVec) -> Row | None:
+        """The coordinates of the path ``gamma`` of degree k, an element of
+        ``paths`` = path_dgla(h, T), in the degree-k basis, or None if it is
+        not in the bounded subcomplex: if p(1) != 0, if p(0) is not in n, or
+        if p or q passes the t-degree bound.  A is read off the
+        n-coordinates of p(0), and B_{j,m} and C_{j,m} off the parts of
+        gamma at t^m and t^m dt."""
+        if vec_is_zero(gamma):
+            return {}
+        k, tmax, tbound, ht = vec_degree(gamma), _tmax(paths), self.tbound, paths.g.table
+        if not vec_is_zero(at_one(paths, gamma)):
             return None
-        p = [sparse(c.get(k, ())) for c in gamma.p] or [{}]
-        if combine(p, [(m, 1) for m in range(len(p))]):
-            return None
-        out = self.pair.n.span.coords(k, p[0])
+        out = self.pair.n.span.coords(k, sparse(at_zero(paths, gamma).get(k, ())))
         if out is None:
             return None
         b, c = _offsets(self.pair, tbound, k)
-        for m, row in enumerate(p[1:tbound], 1):
-            base = b + (m - 1) * hspace.dim(k)
-            out.update((base + j, x) for j, x in row.items())
-        for m, coeff in enumerate(gamma.q):
-            base = c + m * hspace.dim(k - 1)
-            out.update((base + j, x) for j, x in sparse(coeff.get(k - 1, ())).items())
+        hdim = self.pair.h.space.dim
+        for j, part in paths.split(paths.dgla.table.flat(gamma)).items():
+            if j <= tmax:                           # p_j: B_{-,j} for 0 < j < D
+                if j > tbound:
+                    return None
+                if not 0 < j < tbound:
+                    continue
+                base = b + (j - 1) * hdim(k) - ht.offset[k]
+            else:                                   # q_m: C_{-,m} for m < D
+                m = j - tmax - 1
+                if m >= tbound:
+                    return None
+                base = c + m * hdim(k - 1) - ht.offset[k - 1]
+            out.update((base + v, x) for v, x in part.items())
         return out
 
 
@@ -315,7 +189,8 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
       d A_i = sum_l c_l A'_l - sD sum_j r_i[j] C'_{j,D-1}, c = coords of d r_i in n,
       d B_{j,m} = sum_l (de_j)_l B'_{l,m} + sm C'_{j,m-1} - sD C'_{j,D-1},
       d C_{j,m} = sum_l (de_j)_l C'_{l,m}.
-    The projection is ``holim_project``: C_{j,m} goes to s pi(e_j)/(m + 1),
+    The projection is the holim projection, (x, p + q dt) -> s pi(integral
+    of q), an exact chain map to (h/n)[-1]: C_{j,m} goes to s pi(e_j)/(m + 1),
     the integral of t^m over [0, 1] being 1/(m + 1), and A and B go to 0."""
     if tbound < 1:
         raise StructuralError("t-degree bound must be at least 1")
@@ -363,7 +238,7 @@ def holim_bounded(pair: HolimPair, tbound: int) -> HolimBounded:
                 {r: x / w for r, x in pk[j].items()} if w != 1 else pk[j]
                 for w in range(s, s * (tbound + 1), s) for j in range(hq)]
     complex = Complex(space, GradedMap(space, space, 1, d_columns))
-    projection = GradedMap(space, shifted_quotient(pair).space, 0, p_columns)
+    projection = GradedMap(space, pair.shifted.space, 0, p_columns)
     return HolimBounded(pair, tbound, complex, projection)
 
 
@@ -402,8 +277,7 @@ def induced_quotient_map(pair: HolimPair, g: Dgla, i: GradedMap) -> GradedMap:
     is the differential of (h/n)[-1]."""
     if i.shift != -1:
         raise StructuralError("the inducing map must have degree -1")
-    target = shifted_quotient(pair)
-    return GradedMap(g.space, target.space, 0,
+    return GradedMap(g.space, pair.shifted.space, 0,
                      pair.quotient.projection.compose(i).columns)
 
 
@@ -415,47 +289,63 @@ class HolimMorphism:
     in arity one with values (-1)^{|a|} i_a.  Hom(g, h (x) Omega) is
     (h (x) CE) (x) Omega after the Koszul swap of CE and the forms, which
     turns that dt-component into -i dt.  So ``total`` = Phi(t) - i dt is a
-    path in ``conv``, and ``residual`` is its Maurer-Cartan residual, zero
-    for a genuine Cartan homotopy.
+    path of ``paths`` = path_dgla(conv, T), and ``residual`` is its
+    Maurer-Cartan residual there, zero for a genuine Cartan homotopy.  T is
+    the arity bound: flow[m] has arity at least m and conv vanishes above
+    the bound, so no product that the weight cut drops is nonzero.
     """
 
     def __init__(self, g: Dgla, pair: HolimPair, i: GradedMap, l: GradedMap,
-                 conv: TensorDgla, flow: list, total: PathElement, residual: PathElement):
+                 conv: TensorDgla, flow: list, paths: TensorDgla, total: GVec,
+                 residual: GVec):
         self.g = g
         self.pair = pair
         self.i = i
         self.l = l
         self.conv = conv
         self.flow = flow
+        self.paths = paths
         self.total = total
         self.residual = residual
 
-    def arity_one(self, a: GVec) -> HolimElement:
-        """The first Taylor coefficient a -> (l_a, gamma_a)."""
+    @cached_property
+    def h_paths(self) -> TensorDgla:
+        """path_dgla(h, T), where ``arity_one`` lands."""
+        return path_dgla(self.pair.h, _tmax(self.paths))
+
+    def arity_one(self, a: GVec) -> GVec:
+        """The first Taylor coefficient a -> gamma_a, the path of ``h_paths``
+        with t^m part the arity-one part of flow[m] at a and dt part
+        (-1)^{|a|} i_a; gamma_a(0) = l_a."""
         from .convolution import linear_part
         deg = vec_degree(a)
         if deg is None:
             raise StructuralError("need a homogeneous nonzero argument")
-        p = [linear_part(self.g, self.conv, c, 0).apply(a) for c in self.flow]
-        q0 = vec_scale(Q(-1) if deg % 2 else Q(1), self.i.apply(a))
-        return HolimElement(self.pair, self.l.apply(a),
-                            PathElement(self.pair.h, deg, p, [q0]))
+        flat = self.pair.h.table.flat
+        q = flat(self.i.apply(a))
+        return join_path(self.h_paths,
+                         {m: flat(linear_part(self.g, self.conv, c, 0).apply(a))
+                          for m, c in enumerate(self.flow)},
+                         {0: {v: -c for v, c in q.items()} if deg % 2 else q})
 
     def projected_linear_part(self) -> GradedMap:
-        """holim_project composed with the arity-one component."""
-        target = shifted_quotient(self.pair)
-        sp = self.g.space
-        return GradedMap(sp, target.space, 0, {
-            k: [sparse(holim_project(self.arity_one(sp.basis_element(k, idx))).get(k, []))
-                for idx in range(sp.dim(k))]
-            for k in sp.degrees if target.space.dim(k)})
+        """The holim projection (-1)^k pi(integral of q) composed with the
+        arity-one component."""
+        target, sp, proj = self.pair.shifted.space, self.g.space, self.pair.quotient.projection
+        columns = {k: [] for k in sp.degrees if target.dim(k)}
+        for k, cols in columns.items():
+            for idx in range(sp.dim(k)):
+                gamma = self.arity_one(sp.basis_element(k, idx))
+                bar = proj.apply(integral_dt(self.h_paths, gamma)).get(k - 1, ())
+                cols.append({r: -x if k % 2 else x for r, x in sparse(bar).items()})
+        return GradedMap(sp, target, 0, columns)
 
 
 def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
                    arity_bound: int = 4) -> HolimMorphism:
     """Build (l, e^i): g -> holim(n => h) from a Cartan homotopy i whose
     associated morphism l lands in n.  Rejects inputs failing either
-    hypothesis; records the Maurer-Cartan residual slices of the result."""
+    hypothesis; records the Maurer-Cartan residual of the result."""
     from .cartan import cartan_check, lie_from_cartan
     from .convolution import convolution, from_linear
     report = cartan_check(g, pair.h, i)
@@ -474,16 +364,17 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
     flow = [lelem] + ad_exp_terms(d.bracket, vec_scale, vec_is_zero, ielem,
                                   vec_sub(d.bracket(ielem, lelem), d.d(ielem)),
                                   arity_bound + 1)
-    at_one: GVec = {}
-    for c in flow:
-        at_one = vec_add(at_one, c)
-    if not vec_is_zero(at_one):
+    paths, flat = path_dgla(d, arity_bound), d.table.flat
+    total = join_path(paths, {m: flat(c) for m, c in enumerate(flow)},
+                      {0: {v: -c for v, c in flat(ielem).items()}})
+    if not vec_is_zero(at_one(paths, total)):
         raise StructuralError("flow endpoint Phi(1) is nonzero; "
                               "the Cartan identities do not close the series")
-
-    total = PathElement(d, 1, list(flow), [vec_scale(Q(-1), ielem)])
-    residual = path_add(path_d(total), path_scale(Q(1, 2), path_bracket(total, total)))
-    return HolimMorphism(g, pair, i, l, conv, flow, total, residual)
+    # d total + [total, total]/2 by the path dgla's own d and bracket;
+    # mc.mc_residue computes the same, but importing mc costs a fresh
+    # process more than this witness does
+    residual = vec_add(paths.d(total), vec_scale(Q(1, 2), paths.bracket(total, total)))
+    return HolimMorphism(g, pair, i, l, conv, flow, paths, total, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +419,7 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
     if not res.is_zero():
         raise StructuralError("the section is not a chain map")
 
-    source = abelian_dgla(shifted_quotient(pair))
+    source = abelian_dgla(pair.shifted)
     s_shift = GradedMap(source.space, pair.h.space, -1,
                         {qdeg + 1: cols for qdeg, cols in section.columns.items()})
 
@@ -543,8 +434,8 @@ def quasi_abelian_witness(pair: HolimPair, section: GradedMap,
             continue
         cols = columns[k] = []
         for idx in range(source.space.dim(k)):
-            e = morphism.arity_one(source.space.basis_element(k, idx))
-            sol = bounded.coords(e.path)
+            sol = bounded.coords(morphism.h_paths,
+                                 morphism.arity_one(source.space.basis_element(k, idx)))
             if sol is None:
                 raise StructuralError("witness image leaves the bounded subcomplex")
             cols.append(sol)

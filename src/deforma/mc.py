@@ -430,20 +430,24 @@ def bch(bracket, x, y, cutoff: int, combine=_gvec_sum):
     return combine([(_ONE, zn) for zn in z[1:cutoff + 1]])
 
 
-def gauge_path(ng: TensorDgla, alpha: GVec, x: GVec):
-    """The homotopy p(t) + q(t) dt from x to e^alpha * x inside
-    (g (x) m_A) (x) K[t, dt]: p(t) = e^{t alpha} * x and q = -alpha.
+def gauge_path(ng: TensorDgla, alpha: GVec, x: GVec) -> GVec:
+    """The homotopy p(t) + q(t) dt from x to e^alpha * x, an element of
+    path_dgla(g (x) m_A, N) for the nilpotency order N of m_A:
+    p(t) = e^{t alpha} * x and q = -alpha.  The t^m coefficients of p and q
+    have m_A-weight at least max(m, 1), so every product that the weight cut
+    N drops is zero.
 
     The dt-component sign is frozen by the component equation
     p' = dq + [p, q]; see the regression tests.
     """
-    from .holim import PathElement
-    t = ng.dgla.table
-    terms = _gauge_terms(ng, _num(_entry(t, alpha, 0, "gauge parameter")),
-                         _num(_entry(t, x, 1, "gauge argument")))
-    p = [dict(x)] + [_graded(t, s) for s in terms]
-    q = [vec_scale(Q(-1), alpha)] if not vec_is_zero(alpha) else []
-    return PathElement(ng.dgla, 1, p, q)
+    from .holim import join_path, path_dgla
+    t, order = ng.dgla.table, _order(ng)
+    fa, fx = _entry(t, alpha, 0, "gauge parameter"), _entry(t, x, 1, "gauge argument")
+    terms = _gauge_terms(ng, _num(fa), _num(fx))
+    return join_path(path_dgla(ng.dgla, order),
+                     {0: fx, **{m: {k: Q(v, d) for k, v in n.items()}
+                                for m, (d, n) in enumerate(terms, 1)}},
+                     {0: {k: -c for k, c in fa.items()}})
 
 
 class Pi1Group:

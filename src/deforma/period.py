@@ -379,7 +379,7 @@ def period_differential(contraction: ContractionCartan,
                 if back is None:
                     raise StructuralError("degeneration isomorphism failed "
                                           "to invert a period class")
-                block_cols.append(dense(back, cols))
+                block_cols.append(dense(back, rows))
             blocks[(p, deg)] = [[block_cols[c][r] for c in range(cols)]
                                 for r in range(rows)]
         coords = endspace.coordinates_of(blocks)

@@ -55,8 +55,17 @@ representatives and complements, and sub-dgla coordinates by ``solve``.
 They are the oracle for ``linalg.rref``, ``cohomology``,
 ``quotient_complex`` and ``restrict_to_sub`` in test_elimination.py.
 
+The path oracle is the pointwise calculus of paths that ``holim`` kept
+before paths became elements of ``holim.path_dgla``: ``PathElement`` holds
+p(t) + q(t) dt as coefficient lists with no cut, and ``path_d``,
+``path_bracket``, ``eval_p`` and ``integral_q`` act on those lists.
+``to_coords`` and ``to_path`` carry a path into and out of the path dgla.
+They are the oracle for ``path_dgla``'s d and bracket and for the readers
+``holim.at_zero``, ``at_one`` and ``integral_dt`` in test_holim.py and
+test_mc.py.
+
 The holim oracles work inside ``holim.path_dgla(h, D)``.
-``holim_constraints`` are the rows of the three conditions that cut the
+``holim_constraints`` are the rows of the two conditions that cut the
 bounded holim complex out of it, ``holim_rows`` is the basis A, B, C that
 ``holim.holim_bounded`` uses, written in the path dgla's coordinates from
 its definition, and ``holim_by_kernel`` is the route ``holim_bounded``
@@ -484,17 +493,22 @@ def differential_columns(t, d: GradedMap) -> list[dict]:
 
 
 def interval_forms(tmax: int) -> CdgaModel:
-    """Polynomial forms on [0, 1] up to t-degree tmax from dense tables:
-    one dense vector per product t^a * t^b and t^a * t^b dt, and
-    d t^m = m t^{m-1} dt as a dense block."""
+    """Polynomial forms on [0, 1] cut at weight tmax, t and dt each of weight
+    1, from dense tables: t^m for m <= tmax and t^m dt for m <= tmax - 1,
+    one dense vector per product t^a * t^b and t^a * t^b dt, zero past the
+    cut, and d t^m = m t^{m-1} dt as a dense block."""
     n = tmax + 1
     space = GradedVectorSpace({0: tuple(f"t{m}" for m in range(n)),
-                               1: tuple(f"t{m}*dt" for m in range(n))})
-    times = [[[Q(1) if r == a + b else Q(0) for r in range(n)] for b in range(n)]
-             for a in range(n)]
-    d = [[Q(m) if r == m - 1 else Q(0) for m in range(n)] for r in range(n)]
+                               1: tuple(f"t{m}*dt" for m in range(tmax))})
+
+    def times(dim: int) -> list:
+        """t^a times the ``dim`` forms t^b (or t^b dt) of one degree."""
+        return [[[Q(1) if r == a + b else Q(0) for r in range(dim)] for b in range(dim)]
+                for a in range(n)]
+
+    d = [[Q(m) if r == m - 1 else Q(0) for m in range(n)] for r in range(tmax)]
     return CdgaModel(Complex(space, GradedMap(space, space, 1, {0: d})),
-                     {(0, 0): times, (0, 1): times})
+                     {(0, 0): times(n), (0, 1): times(tmax)})
 
 
 def tensor_tables(g, a) -> tuple[Complex, dict]:
@@ -644,8 +658,9 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    cols = len(a[0]) if a else 0
+def nullspace(a: Matrix, cols: int) -> list[Vector]:
+    """The kernel of a matrix with ``cols`` columns: with no rows, the
+    whole space."""
     red, pivots = rref(a)
     basis = []
     for free in (c for c in range(cols) if c not in pivots):
@@ -724,7 +739,7 @@ def cohomology(c: Complex) -> dict[int, tuple[int, list[Vector], list[Vector]]]:
     out = {}
     for deg in c.space.degrees:
         dim = c.space.dim(deg)
-        cocycles = (nullspace(c.differential.block(deg)) if c.space.dim(deg + 1)
+        cocycles = (nullspace(c.differential.block(deg), dim) if c.space.dim(deg + 1)
                     else identity(dim))
         cobs = []
         if c.space.dim(deg - 1):
@@ -795,17 +810,16 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
 # the bounded holim complex inside the path dgla
 
 def holim_constraints(pair, ambient, k: int) -> dict[str, list[dict]]:
-    """The three conditions that cut the bounded holim complex out of
-    degree k of ``ambient`` = path_dgla(h, D), as sparse rows on that
-    degree's coordinates: q_D = 0, p(1) = 0 and p(0) in n."""
+    """The two conditions that cut the bounded holim complex out of degree
+    k of ``ambient`` = path_dgla(h, D), as sparse rows on that degree's
+    coordinates: p(1) = 0 and p(0) in n.  The third, deg_t q <= D - 1,
+    holds in the ambient, whose forms stop at weight D."""
     t, ht, place = ambient.dgla.table, pair.h.table, ambient.place
     tbound = ambient.c.space.dim(0) - 1
     base, hbase = t.offset[k], ht.offset.get(k)
     qdim = pair.quotient.complex.space.dim(k)
     proj = pair.quotient.projection.columns.get(k, [])
     return {
-        # the q-coefficients of t-degree D, of weight D + 1
-        "q_D = 0": [{p - base: Q(1)} for p in ambient.by_weight.get((k, tbound + 1), ())],
         # the sum of the e_j (x) t^m over m, t^m at C position m
         "p(1) = 0": [{place[hbase + j, m] - base: Q(1) for m in range(tbound + 1)}
                      for j in range(pair.h.space.dim(k))],
@@ -879,6 +893,114 @@ def holim_by_kernel(pair, tbound: int) -> tuple[Complex, GradedMap]:
                 columns[k].append(linalg.combine(proj[k - 1], integral.items()))
     shifted = pair.shifted.space
     return restricted.underlying, GradedMap(restricted.space, shifted, 0, columns)
+
+
+# ---------------------------------------------------------------------------
+# paths as coefficient lists: the pointwise calculus on h (x) K[t, dt]
+
+class PathElement:
+    """p(t) + q(t) dt of total degree ``degree`` in h (x) K[t, dt], with no
+    cut: ``p[m]`` (of degree ``degree``) and ``q[m]`` (of degree
+    ``degree - 1``) are the coefficients of t^m and t^m dt.  Trailing zero
+    coefficients are dropped."""
+
+    def __init__(self, host, degree: int, p: list | None = None, q: list | None = None):
+        self.host = host
+        self.degree = degree
+        self.p = [] if p is None else p
+        self.q = [] if q is None else q
+        while self.p and vec_is_zero(self.p[-1]):
+            self.p.pop()
+        while self.q and vec_is_zero(self.q[-1]):
+            self.q.pop()
+
+    def is_zero(self) -> bool:
+        return not self.p and not self.q
+
+    def eval_p(self, t: Fraction) -> GVec:
+        out: GVec = {}
+        for m, coeff in enumerate(self.p):
+            out = vec_add(out, vec_scale(Q(t) ** m, coeff))
+        return out
+
+    def integral_q(self) -> GVec:
+        """The integral of the dt-component over [0, 1]."""
+        out: GVec = {}
+        for m, coeff in enumerate(self.q):
+            out = vec_add(out, vec_scale(Q(1, m + 1), coeff))
+        return out
+
+
+def _zip_pad(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    return [(a[m] if m < len(a) else {}, b[m] if m < len(b) else {}) for m in range(n)]
+
+
+def path_add(a: PathElement, b: PathElement) -> PathElement:
+    return PathElement(a.host, a.degree, [vec_add(x, y) for x, y in _zip_pad(a.p, b.p)],
+                       [vec_add(x, y) for x, y in _zip_pad(a.q, b.q)])
+
+
+def path_scale(c: Fraction, a: PathElement) -> PathElement:
+    return PathElement(a.host, a.degree, [vec_scale(c, x) for x in a.p],
+                       [vec_scale(c, x) for x in a.q])
+
+
+def path_d(gamma: PathElement) -> PathElement:
+    """d(p + q dt) = d_h p + ((-1)^k p' + d_h q) dt for degree k."""
+    h, k = gamma.host, gamma.degree
+    sign = Q(-1) if k % 2 else Q(1)
+    q = []
+    for m in range(max(len(gamma.p) - 1, len(gamma.q))):
+        term = vec_scale(sign * (m + 1), gamma.p[m + 1]) if m + 1 < len(gamma.p) else {}
+        q.append(vec_add(term, h.d(gamma.q[m])) if m < len(gamma.q) else term)
+    return PathElement(h, k + 1, [h.d(c) for c in gamma.p], q)
+
+
+def path_bracket(g1: PathElement, g2: PathElement) -> PathElement:
+    """Pointwise in t, with dt^2 = 0:
+    [p1 + q1 dt, p2 + q2 dt] = [p1, p2] + ([p1, q2] + (-1)^{k2} [q1, p2]) dt."""
+    h = g1.host
+    p: list[GVec] = []
+    q: list[GVec] = []
+
+    def put(coeffs: list, m: int, val: GVec):
+        while len(coeffs) <= m:
+            coeffs.append({})
+        coeffs[m] = vec_add(coeffs[m], val)
+
+    sign = Q(-1) if g2.degree % 2 else Q(1)
+    for m1, c1 in enumerate(g1.p):
+        for m2, c2 in enumerate(g2.p):
+            put(p, m1 + m2, h.bracket(c1, c2))
+        for m2, c2 in enumerate(g2.q):
+            put(q, m1 + m2, h.bracket(c1, c2))
+    for m1, c1 in enumerate(g1.q):
+        for m2, c2 in enumerate(g2.p):
+            put(q, m1 + m2, vec_scale(sign, h.bracket(c1, c2)))
+    return PathElement(h, g1.degree + g2.degree, p, q)
+
+
+def path_residual(gamma: PathElement) -> PathElement:
+    """d gamma + [gamma, gamma]/2."""
+    return path_add(path_d(gamma), path_scale(Q(1, 2), path_bracket(gamma, gamma)))
+
+
+def to_coords(paths, gamma: PathElement) -> GVec:
+    """gamma as an element of the path dgla ``paths`` = path_dgla(h, T),
+    written by ``join``: p_m at C position m, q_m at T + 1 + m."""
+    dt, flat = paths.c.space.dim(0), paths.g.table.flat
+    assert len(gamma.p) <= dt and len(gamma.q) < dt
+    return paths.dgla.table.graded(paths.join(
+        {m: flat(c) for m, c in [*enumerate(gamma.p), *enumerate(gamma.q, dt)]}))
+
+
+def to_path(paths, x: GVec, degree: int) -> PathElement:
+    """The inverse of ``to_coords``, by ``split``."""
+    dt, ht = paths.c.space.dim(0), paths.g.table
+    parts = paths.split(paths.dgla.table.flat(x))
+    return PathElement(paths.g, degree, [ht.graded(parts.get(m, {})) for m in range(dt)],
+                       [ht.graded(parts.get(dt + m, {})) for m in range(dt - 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from deforma.artin import (ArtinAlgebra, tensor_nilpotent,
                            truncated_polynomial_algebra, validate_artin)
 from deforma.dgla import CdgaModel, validate_cdga, validate_dgla
 from deforma.graded import Complex, GradedMap, GradedVectorSpace, zero_map
+from deforma.holim import _interval_forms
 
 
 def test_dual_numbers_table():
@@ -144,6 +145,8 @@ def test_validate_cdga_matches_dense_sweep():
               odd_square_cdga(), non_commutative_artin().cdga]
     models += [truncated_polynomial_algebra(k, order).cdga
                for k in (1, 2, 3) for order in range(2, 7)]
+    # the interval forms cut at weight T: a dg ideal, so no failure
+    models += [_interval_forms(tmax) for tmax in (1, 2, 3, 5)]
     broken = 0
     for cdga in models:
         expected = dense_reference.validate_cdga(cdga)

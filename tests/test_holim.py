@@ -7,50 +7,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference
+from dense_reference import PathElement, path_bracket, path_d, path_residual, to_coords, to_path
 from deforma import dgla, fixtures as F, holim, linalg
 from deforma.convolution import from_linear
-from deforma.dgla import abelian_dgla, sub_dgla_span, validate_sub_dgla
+from deforma.dgla import abelian_dgla, sub_dgla_span, validate_dgla, validate_sub_dgla
 from deforma.endo import end_dgla
 from deforma.graded import (GradedMap, StructuralError, cohomology,
-                            induced_map_on_cohomology, is_chain_map, vec_eq)
-from deforma.holim import (HolimMorphism, PathElement, constant_path,
-                           holim_bounded, holim_cohomology_bounded, holim_d,
-                           holim_element, holim_pair, holim_project,
-                           holim_validate, induced_quotient_map,
-                           map_into_holim, path_add, path_bracket, path_d,
-                           path_dgla, path_scale, quasi_abelian_witness,
-                           shifted_quotient)
+                            induced_map_on_cohomology, is_chain_map, vec_add, vec_eq,
+                            vec_is_zero, vec_scale)
+from deforma.holim import (HolimMorphism, at_one, at_zero, holim_bounded,
+                           holim_cohomology_bounded, holim_pair, induced_quotient_map,
+                           integral_dt, map_into_holim, path_dgla, quasi_abelian_witness)
 from deforma.linalg import dense, sparse
+from deforma.mc import mc_residue
 
 rng = random.Random(73)
 
 
 def random_path(host, degree, tmax=2, rng=rng):
+    """A path of the pointwise oracle with p of t-degree <= tmax and q of
+    t-degree <= tmax - 1, so that it lies in path_dgla(host, tmax)."""
     def rv(d):
         dim = host.space.dim(d)
         v = [Q(rng.randint(-2, 2)) for _ in range(dim)]
         return {d: v} if any(v) else {}
     return PathElement(host, degree,
                        [rv(degree) for _ in range(tmax + 1)],
-                       [rv(degree - 1) for _ in range(tmax + 1)])
+                       [rv(degree - 1) for _ in range(tmax)])
 
 
-def to_coords(paths, gamma):
-    """gamma in the path dgla ``paths``, written by ``join``: p_m at C
-    position m, q_m at tmax + 1 + m."""
-    n, flat = paths.c.space.dim(0), paths.g.table.flat
-    assert len(gamma.p) <= n and len(gamma.q) <= n
-    return paths.dgla.table.graded(paths.join(
-        {m: flat(c) for m, c in [*enumerate(gamma.p), *enumerate(gamma.q, n)]}))
-
-
-def to_path(paths, x, degree):
-    """The inverse of ``to_coords``, by ``split``: t^m is the form at C
-    position m, t^m dt the one at tmax + 1 + m."""
-    n, ht = paths.c.space.dim(0), paths.g.table
-    parts = paths.split(paths.dgla.table.flat(x))
-    return PathElement(paths.g, degree, [ht.graded(parts.get(m, {})) for m in range(n)],
-                       [ht.graded(parts.get(n + m, {})) for m in range(n)])
+def random_element(paths, degree, rng=rng):
+    """A random element of degree ``degree`` of the path dgla ``paths``, on
+    every form up to its weight cut."""
+    v = [Q(rng.randint(-2, 2)) for _ in range(paths.space.dim(degree))]
+    return {degree: v} if any(v) else {}
 
 
 def pairs():
@@ -65,23 +55,35 @@ def pairs():
 # ---------------------------------------------------------------------------
 # the path dgla
 
+@pytest.mark.parametrize("tmax", [1, 2, 3])
+@pytest.mark.parametrize("name", F.FIXTURE_NAMES)
+def test_path_dgla_is_a_dgla(name, tmax):
+    """The weight cut is a dg ideal, so h (x) Omega(Delta^1) cut at any
+    weight keeps every axiom."""
+    assert validate_dgla(path_dgla(F.fixture_dgla(name), tmax).dgla).failures == []
+
+
 def test_path_d_squares_to_zero():
     host = F.f3_end().dgla
+    paths = path_dgla(host, 2)
     for deg in (-1, 0, 1):
         for _ in range(6):
-            gamma = random_path(host, deg)
-            assert path_d(path_d(gamma)).is_zero()
+            gamma = random_element(paths, deg)
+            assert vec_is_zero(paths.d(paths.d(gamma)))
+            assert vec_eq(paths.d(gamma), to_coords(paths, path_d(to_path(paths, gamma, deg))))
 
 
 def test_path_leibniz():
-    host = F.f2_dgla()
+    """Leibniz on elements of every weight, the cut ones included: the
+    products past the weight cut are dropped on both sides."""
+    paths = path_dgla(F.f2_dgla(), 2)
     for _ in range(6):
-        a = random_path(host, 0)
-        b = random_path(host, 0)
-        lhs = path_d(path_bracket(a, b))
-        rhs = path_add(path_bracket(path_d(a), b),
-                       path_bracket(a, path_d(b)))   # |a| = 0: no sign
-        assert path_add(lhs, path_scale(Q(-1), rhs)).is_zero()
+        a = random_element(paths, 0)
+        b = random_element(paths, 0)
+        lhs = paths.d(paths.bracket(a, b))
+        rhs = vec_add(paths.bracket(paths.d(a), b),
+                      paths.bracket(a, paths.d(b)))   # |a| = 0: no sign
+        assert vec_eq(lhs, rhs)
 
 
 def test_path_dgla_coordinates_roundtrip():
@@ -91,7 +93,7 @@ def test_path_dgla_coordinates_roundtrip():
         for _ in range(6):
             gamma = random_path(host, deg, tmax=3)
             back = to_path(paths, to_coords(paths, gamma), deg)
-            assert path_add(gamma, path_scale(Q(-1), back)).is_zero()
+            assert (back.p, back.q) == (gamma.p, gamma.q)
 
 
 def test_path_dgla_bracket_matches_pathwise():
@@ -117,37 +119,40 @@ def test_path_dgla_bracket_matches_pathwise():
 
 
 # ---------------------------------------------------------------------------
-# elements and validation
+# the holim conditions on paths
+
+E11, E12, E21 = ([Q(int(i == j)) for i in range(4)] for j in (0, 1, 2))
+
 
 def test_holim_validate_catches_endpoint_failures():
+    """p(0) in n and p(1) = 0, read by ``at_zero`` and ``at_one`` on paths
+    of path_dgla(h, 1), against the pointwise ``eval_p``."""
     g2 = F.f2_dgla()
     pair = holim_pair(g2, F.f2_borel(g2))
-    e12 = {0: [Q(0), Q(1), Q(0), Q(0)]}
-    e21 = {0: [Q(0), Q(0), Q(1), Q(0)]}
-    # (x, p) with p constant equal to x: p(1) != 0
-    bad1 = holim_element(pair, e12, constant_path(g2, e12))
-    rep1 = holim_validate(bad1)
-    assert {f["kind"] for f in rep1.failures} == {"endpoint_one"}
-    # x outside the sub-dgla
-    line = PathElement(g2, 0, [dict(e21), {0: [Q(0), Q(0), Q(-1), Q(0)]}], [])
-    bad2 = holim_element(pair, e21, line)
-    assert {f["kind"] for f in holim_validate(bad2).failures} == {"membership"}
-    # good element: x in n, p(t) = (1 - t) x
-    good = holim_element(pair, e12,
-                         PathElement(g2, 0, [dict(e12),
-                                             {0: [Q(0), Q(-1), Q(0), Q(0)]}], []))
-    assert holim_validate(good).ok
+    paths = path_dgla(g2, 1)
+
+    def ends(p):
+        path = PathElement(g2, 0, [{0: v} for v in p])
+        gamma = to_coords(paths, path)
+        start, end = at_zero(paths, gamma), at_one(paths, gamma)
+        assert vec_eq(start, path.eval_p(0)) and vec_eq(end, path.eval_p(1))
+        return pair.n.contains(start), vec_is_zero(end)
+
+    assert ends([E12]) == (True, False)                           # p constant: p(1) != 0
+    assert ends([E21, [-x for x in E21]]) == (False, True)        # p(0) outside n
+    assert ends([E12, [-x for x in E12]]) == (True, True)         # (1 - t) e12
 
 
 def test_holim_d_preserves_validity():
     g2 = F.f2_dgla()
     pair = holim_pair(g2, F.f2_borel(g2))
-    e12 = {0: [Q(0), Q(1), Q(0), Q(0)]}
-    good = holim_element(pair, e12,
-                         PathElement(g2, 0, [dict(e12),
-                                             {0: [Q(0), Q(-1), Q(0), Q(0)]}], []))
-    de = holim_d(good)
-    assert holim_validate(de).ok
+    paths, bounded = path_dgla(g2, 2), holim_bounded(pair, 2)
+    good = to_coords(paths, PathElement(g2, 0, [{0: E12}, {0: [-x for x in E12]}]))
+    assert bounded.coords(paths, good) is not None
+    de = paths.d(good)                                # -e12 dt
+    assert not vec_is_zero(de)
+    assert vec_is_zero(at_zero(paths, de)) and vec_is_zero(at_one(paths, de))
+    assert bounded.coords(paths, de) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,7 @@ def test_target_cohomology_is_computed_once_per_pair(monkeypatch):
     g2 = F.f2_dgla()
     pair = holim_pair(g2, F.f2_borel(g2))
     results = [holim_cohomology_bounded(pair, tbound) for tbound in range(1, 9)]
-    target = shifted_quotient(pair)
-    assert target is pair.shifted and shifted_quotient(pair) is target
+    target = pair.shifted
     assert [c for c in computed if c is target] == [target]
     assert len(computed) == 9                    # one per bound, one for the target
     assert cohomology(target).ranks == {1: 1}
@@ -201,8 +205,7 @@ def test_bounded_projection_is_chain_map():
     for pair in cases:
         for tbound in (1, 2, 3):
             bounded = holim_bounded(pair, tbound)
-            res = is_chain_map(bounded.projection_map, bounded.complex,
-                               shifted_quotient(pair))
+            res = is_chain_map(bounded.projection_map, bounded.complex, pair.shifted)
             assert res.is_zero()
 
 
@@ -240,28 +243,28 @@ def test_holim_cohomology_builds_no_path_dgla(monkeypatch):
             calls.clear()
 
 
-E11, E21 = [Q(1), Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(1), Q(0)]
-
-
 def test_bounded_coords_reject_paths_outside():
-    """The path reader takes a path to its coordinates in A, B, C, and
-    gives None where a holim condition or the t-degree bound fails."""
+    """The path reader takes a path of path_dgla(h, 3) to its coordinates
+    in A, B, C of the complex bounded at t-degree 2, and gives None where a
+    holim condition or the t-degree bound fails."""
     g2 = F.f2_dgla()
     bounded = holim_bounded(holim_pair(g2, F.f2_borel(g2)), 2)
+    paths = path_dgla(g2, 3)
 
-    def path(degree, p, q=()):
-        return PathElement(g2, degree, [{0: v} if v else {} for v in p],
-                           [{0: v} if v else {} for v in q])
+    def coords(degree, p, q=()):
+        return bounded.coords(paths, to_coords(paths, PathElement(
+            g2, degree, [{0: v} if v else {} for v in p], [{0: v} if v else {} for v in q])))
 
     minus = [-x for x in E11]
     # A_0 = e11 (x) (1 - t^2), B_{e11,1} = e11 (x) (t - t^2), C_{e11,1} = e11 (x) t dt
-    assert bounded.coords(path(0, [E11, None, minus])) == {0: 1}
-    assert bounded.coords(path(0, [None, E11, minus])) == {3: 1}
-    assert bounded.coords(path(1, [], [None, E11])) == {4: 1}
-    assert bounded.coords(path(0, [E11])) is None                      # p(1) != 0
-    assert bounded.coords(path(0, [E21, [-x for x in E21]])) is None    # p(0) not in n
-    assert bounded.coords(path(1, [], [None, None, E11])) is None       # q_2 != 0
-    assert bounded.coords(path(0, [E11, None, None, minus])) is None    # past t^2
+    assert coords(0, [E11, None, minus]) == {0: 1}
+    assert coords(0, [None, E11, minus]) == {3: 1}
+    assert coords(1, [], [None, E11]) == {4: 1}
+    assert coords(0, []) == {}
+    assert coords(0, [E11]) is None                         # p(1) != 0
+    assert coords(0, [E21, [-x for x in E21]]) is None      # p(0) not in n
+    assert coords(1, [], [None, None, E11]) is None         # q_2 != 0
+    assert coords(0, [E11, None, None, minus]) is None      # past t^2
 
 
 def test_quasi_abelian_witness_rejects_a_path_outside(monkeypatch):
@@ -270,13 +273,14 @@ def test_quasi_abelian_witness_rejects_a_path_outside(monkeypatch):
     arity_one = HolimMorphism.arity_one
 
     def with_q_at_the_bound(self, a):
-        e = arity_one(self, a)
-        e.path = PathElement(g2, e.degree, e.path.p, [*e.path.q, {}, {0: E11}])
-        return e
+        # e11 (x) t dt: a q of t-degree 1, at the bound of the complex of
+        # t-degree 1
+        return vec_add(arity_one(self, a), self.h_paths.tensor_element({0: E11}, 4))
 
+    assert quasi_abelian_witness(pair, F.f2_lower_left_section(), 1).is_isomorphism
     monkeypatch.setattr(HolimMorphism, "arity_one", with_q_at_the_bound)
     with pytest.raises(StructuralError, match="leaves the bounded subcomplex"):
-        quasi_abelian_witness(pair, F.f2_lower_left_section(), 2)
+        quasi_abelian_witness(pair, F.f2_lower_left_section(), 1)
 
 
 @st.composite
@@ -309,7 +313,7 @@ def test_bounded_ranks_match_kernel_route(case):
     pair, tbound = case
     got = holim_cohomology_bounded(pair, tbound)
     cx, projection = dense_reference.holim_by_kernel(pair, tbound)
-    hc, qc = cohomology(cx), cohomology(shifted_quotient(pair))
+    hc, qc = cohomology(cx), cohomology(pair.shifted)
     induced = induced_map_on_cohomology(projection, cx, pair.shifted, hc, qc)
     ranks = {k: linalg.rank(cols) for k, cols in induced.items()}
     assert got.ranks == hc.ranks
@@ -331,38 +335,76 @@ def f7_cartan_setup():
     return g, h, i, holim_pair(h, n)
 
 
+def f5_cartan_setup():
+    """The F5 contraction into End(F5), over all of End(F5): l != 0."""
+    end = end_dgla(F.f5_cdga().complex)
+    h = end.dgla
+    everything = {d: [[Q(int(r == c)) for c in range(h.space.dim(d))]
+                      for r in range(h.space.dim(d))] for d in h.space.degrees}
+    return F.f5_derivations(), h, F.f5_contraction(end), holim_pair(h, sub_dgla_span(h, everything))
+
+
 def test_map_into_holim_residual_vanishes():
     g, h, i, pair = f7_cartan_setup()
     morphism = map_into_holim(g, i, pair)
-    assert morphism.residual.is_zero()
+    assert vec_is_zero(morphism.residual)
+    assert path_residual(to_path(morphism.paths, morphism.total, 1)).is_zero()
 
 
 def test_map_into_holim_residual_vanishes_with_nonzero_l():
     """The F5 contraction has l != 0, so the flow e^{t i} * l is nontrivial
     and the dt-component's sign matters: -i dt closes the residual, +i dt
     does not."""
-    end = end_dgla(F.f5_cdga().complex)
-    h = end.dgla
-    everything = {d: [[Q(int(r == c)) for c in range(h.space.dim(d))]
-                      for r in range(h.space.dim(d))] for d in h.space.degrees}
-    pair = holim_pair(h, sub_dgla_span(h, everything))
-    i = F.f5_contraction(end)
-    morphism = map_into_holim(F.f5_derivations(), i, pair, 3)
+    g, h, i, pair = f5_cartan_setup()
+    morphism = map_into_holim(g, i, pair, 3)
     assert sum(1 for c in morphism.flow if c) == 3
-    assert morphism.residual.is_zero()
-    flipped = PathElement(morphism.conv.dgla, 1, list(morphism.flow),
-                          [from_linear(morphism.g, morphism.conv, i)])
-    residual = path_add(path_d(flipped),
-                        path_scale(Q(1, 2), path_bracket(flipped, flipped)))
-    assert not residual.is_zero()
+    assert vec_is_zero(morphism.residual)
+    paths = morphism.paths
+    assert path_residual(to_path(paths, morphism.total, 1)).is_zero()
+    ielem = from_linear(morphism.g, morphism.conv, i)
+    dt = paths.c.space.dim(0)                        # C position of t^0 dt
+    flipped = vec_add(morphism.total, paths.tensor_element(vec_scale(Q(2), ielem), dt))
+    assert not vec_is_zero(mc_residue(paths, flipped))
+
+
+def widened(paths, wider, gamma):
+    """A path of path_dgla(h, T) as a path of path_dgla(h, T + 1): t^m keeps
+    C position m, t^m dt moves from T + 1 + m to T + 2 + m."""
+    tmax = paths.c.space.dim(1)
+    return wider.dgla.table.graded(wider.join({
+        j + (j > tmax): s for j, s in paths.split(paths.dgla.table.flat(gamma)).items()}))
+
+
+@pytest.mark.parametrize("setup,arity", [(f7_cartan_setup, 4), (f5_cartan_setup, 3)],
+                         ids=["F7", "F5"])
+def test_map_into_holim_residual_has_no_part_past_the_cut(setup, arity):
+    """Recomputed one weight higher, the residual of the total path, and of
+    the path with the dt sign flipped, has no part of weight T + 1: the
+    weight cut T = arity bound drops no nonzero product."""
+    g, h, i, pair = setup()
+    morphism = map_into_holim(g, i, pair, arity)
+    paths = morphism.paths
+    tmax = paths.c.space.dim(1)
+    assert tmax == arity
+    wider = path_dgla(morphism.conv.dgla, tmax + 1)
+    flip = paths.tensor_element(vec_scale(Q(2), from_linear(g, morphism.conv, i)), tmax + 1)
+    for total in (morphism.total, vec_add(morphism.total, flip)):
+        residual = mc_residue(wider, widened(paths, wider, total))
+        assert all(wider.weights[t] <= tmax for t in wider.dgla.table.flat(residual))
+        assert vec_eq(residual, widened(paths, wider, mc_residue(paths, total)))
 
 
 def test_map_into_holim_arity_one_validates():
+    """gamma_a starts at l_a, in n, and ends at 0."""
     g, h, i, pair = f7_cartan_setup()
     morphism = map_into_holim(g, i, pair)
+    paths = morphism.h_paths
     for (deg, idx) in g.space.basis():
-        e = morphism.arity_one(g.space.basis_element(deg, idx))
-        assert holim_validate(e).ok
+        a = g.space.basis_element(deg, idx)
+        gamma = morphism.arity_one(a)
+        assert vec_eq(at_zero(paths, gamma), morphism.l.apply(a))
+        assert pair.n.contains(at_zero(paths, gamma))
+        assert vec_is_zero(at_one(paths, gamma))
 
 
 def test_map_into_holim_rejects_non_cartan():
@@ -375,7 +417,7 @@ def test_map_into_holim_rejects_non_cartan():
 def test_induced_quotient_map_is_chain_map():
     g, h, i, pair = f7_cartan_setup()
     induced = induced_quotient_map(pair, g, i)
-    res = is_chain_map(induced, g.underlying, shifted_quotient(pair))
+    res = is_chain_map(induced, g.underlying, pair.shifted)
     assert res.is_zero()
 
 
@@ -396,7 +438,7 @@ def test_induced_quotient_map_is_chain_map_where_d_is_nonzero():
             k: [dense(col, sp.dim(k)) for col in cols] for k, cols in l.columns.items()}))
         induced = induced_quotient_map(pair, g, i)
         moved += not pair.quotient.projection.compose(i.compose(d)).is_zero()
-        assert is_chain_map(induced, g.underlying, shifted_quotient(pair)).is_zero()
+        assert is_chain_map(induced, g.underlying, pair.shifted).is_zero()
     assert moved
 
 
@@ -410,17 +452,18 @@ def test_projection_matches_induced_quotient_map():
 
 
 def test_holim_project_on_linear_images():
-    # gamma_a has q = (-1)^{|a|} i_a and project multiplies by (-1)^{|a|}, so
-    # project(a -> (l_a, gamma_a)) equals i_a mod n
+    # gamma_a has q = (-1)^{|a|} i_a and the holim projection multiplies the
+    # integral of q by (-1)^{|a|}, so it takes gamma_a to i_a mod n
     g, h, i, pair = f7_cartan_setup()
     morphism = map_into_holim(g, i, pair)
+    paths = morphism.h_paths
     for (deg, idx) in g.space.basis():
         a = g.space.basis_element(deg, idx)
-        e = morphism.arity_one(a)
-        got = holim_project(e)
-        bar = pair.quotient.projection.apply(i.apply(a))
-        want = {deg: bar[deg - 1]} if bar.get(deg - 1) else {}
-        assert vec_eq(got, want)
+        gamma = morphism.arity_one(a)
+        integral = integral_dt(paths, gamma)
+        assert vec_eq(integral, to_path(paths, gamma, deg).integral_q())
+        got = pair.quotient.projection.apply(vec_scale(Q(-1) ** deg, integral))
+        assert vec_eq(got, pair.quotient.projection.apply(i.apply(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +475,7 @@ def path_route_projection(bounded):
     dt-part integrated and reduced mod n, times (-1)^k in degree k."""
     pair = bounded.pair
     ambient, rows = dense_reference.holim_rows(pair, bounded.tbound)
-    target = shifted_quotient(pair).space
+    target = pair.shifted.space
     columns = {}
     for k, (vectors, _) in rows.items():
         if target.dim(k):

@@ -253,7 +253,7 @@ def test_sparse_kernels_match_dense_oracles(matrix, data):
     assert all(x and type(x) is Q for row in red for x in row.values())
 
     basis, free = linalg.kernel(rows_, cols)
-    assert [linalg.dense(v, cols) for v in basis] == dense.nullspace(padded)
+    assert [linalg.dense(v, cols) for v in basis] == dense.nullspace(padded, cols)
     assert free == [c for c in range(cols) if c not in pivots]
 
     x = data.draw(st.lists(sparse_rationals, min_size=cols, max_size=cols))
@@ -370,7 +370,7 @@ def test_echelon_on_mixed_rows_matches_dense_oracle(matrix, data):
     assert linalg.rank(rows_) == len(ref_pivots)
 
     basis, free = linalg.kernel(rows_, cols)
-    assert [linalg.dense(v, cols) for v in basis] == dense.nullspace(ref)
+    assert [linalg.dense(v, cols) for v in basis] == dense.nullspace(ref, cols)
     assert all_fractions(basis)
 
     # reduce: v less sum over the pivots p of v_p times rref row p

@@ -8,14 +8,15 @@ from fractions import Fraction as Q
 import pytest
 
 from bch_reference import bch as dynkin_bch
+from dense_reference import path_residual, to_path
 from deforma import fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.dgla import Dgla, sub_dgla_span
 from deforma.graded import (Complex, GradedVectorSpace, StructuralError, vec_add, vec_eq,
                             vec_is_zero, zero_map)
-from deforma.holim import path_add, path_bracket, path_d, path_scale
+from deforma.holim import at_one, at_zero, path_dgla
 from deforma.mc import (bch, gauge_act, gauge_equivalent, gauge_path,
-                        irrelevant_stabilizer, is_mc, mc_extend,
+                        irrelevant_stabilizer, is_mc, mc_extend, mc_residue,
                         mc_correct_step, mc_obstruction,
                         pi1_at_zero, pi1_inverse, pi1_multiply)
 
@@ -383,8 +384,8 @@ def test_gauge_path_is_mc_in_the_path_dgla():
         alpha = sparse(ng, 0)
         x = gauge_act(ng, sparse(ng, 0), {})
         gamma = gauge_path(ng, alpha, x)
-        residual = path_add(path_d(gamma),
-                            path_scale(Q(1, 2), path_bracket(gamma, gamma)))
-        assert residual.is_zero()
-        assert vec_eq(gamma.eval_p(Q(0)), x)
-        assert vec_eq(gamma.eval_p(Q(1)), gauge_act(ng, alpha, x))
+        paths = path_dgla(ng.dgla, max(ng.weight) + 1)
+        assert vec_is_zero(mc_residue(paths, gamma))
+        assert path_residual(to_path(paths, gamma, 1)).is_zero()
+        assert vec_eq(at_zero(paths, gamma), x)
+        assert vec_eq(at_one(paths, gamma), gauge_act(ng, alpha, x))

@@ -24,6 +24,7 @@ from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.dgla import Dgla, abelian_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, vec_is_zero,
                             vec_scale)
+from deforma.holim import path_dgla
 from deforma.mc import (gauge_act, gauge_equivalent, gauge_path, irrelevant_stabilizer,
                         mc_extend, mc_residue, pi1_multiply)
 
@@ -116,7 +117,9 @@ def test_flat_kernels_match_dense_oracles(case, seed, nonzeros):
     # on a Maurer-Cartan element and on an arbitrary degree-1 element
     for u in (x, element(ng, rng, 1, nonzeros)):
         assert_same(gauge_act(ng, alpha, u), dense.gauge_act(ng, alpha, u))
-        path, want = gauge_path(ng, alpha, u), [u] + dense.gauge_terms(ng, alpha, u)
+        gamma, want = gauge_path(ng, alpha, u), [u] + dense.gauge_terms(ng, alpha, u)
+        assert_clean(gamma)
+        path = dense.to_path(path_dgla(ng.dgla, dense.nilpotency_order(ng)), gamma, 1)
         while want and vec_is_zero(want[-1]):
             want.pop()
         assert path.p == want

@@ -1,16 +1,20 @@
 """Filtered cohomology flags, the end of the flag diagram, and the period
 differential computed from a contraction family."""
 
+import functools
+import itertools
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
 import pytest
 
 from deforma import fixtures as F
-from deforma.dgla import (FiltrationData, validate_cdga, validate_filtration,
-                          validate_sub_dgla)
+from deforma.dgla import (CdgaModel, FiltrationData, abelian_dgla, validate_cdga,
+                          validate_filtration, validate_sub_dgla)
 from deforma.endo import end_dgla
-from deforma.graded import GradedMap, StructuralError
+from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
+                            cohomology, vec_add, vec_scale, zero_map)
+from deforma.linalg import combine, sparse
 from deforma.period import (contraction_cartan, end_of_flag_diagram,
                             filtered_subdgla, flag_data, obstruction_image,
                             period_differential)
@@ -141,6 +145,128 @@ def test_period_rejects_failing_degeneration():
     assert validate_filtration(omega.complex, filt).ok
     with pytest.raises(StructuralError):
         period_differential(contraction, filt)
+
+
+# ---------------------------------------------------------------------------
+# the complex 2-torus: flag blocks that are not square
+
+HOLOMORPHIC = (0, 1)            # xi_1, xi_2; xibar_1, xibar_2 are generators 2, 3
+
+
+def exterior_monomials(n: int) -> dict[int, list[tuple]]:
+    """The monomials of Lambda on n generators by degree, as sorted tuples."""
+    return {k: list(itertools.combinations(range(n), k)) for k in range(n + 1)}
+
+
+def wedge_sign(s: tuple, t: tuple) -> int:
+    """e_s ^ e_t = sign e_{s u t} for disjoint s and t: (-1)^(inversions)."""
+    return -1 if sum(a > b for a in s for b in t) % 2 else 1
+
+
+def torus2():
+    """The Hodge model of the complex 2-torus, built from its definition:
+    Omega = Lambda(xi_1, xi_2, xibar_1, xibar_2) with d = 0, F^p the forms
+    of holomorphic degree >= p, KS = Lambda(xibar) (x) span{del_1, del_2}
+    abelian with d = 0, and the contraction xibar_J (x) del_i ->
+    xibar_J ^ iota_{del_i}."""
+    mono = exterior_monomials(4)
+    names = "xi1 xi2 xb1 xb2".split()
+    space = GradedVectorSpace({k: tuple("*".join(names[g] for g in m) or "1" for m in ms)
+                               for k, ms in mono.items()})
+    index = {m: i for ms in mono.values() for i, m in enumerate(ms)}
+    products = {}
+    for a in mono:
+        for b in mono:
+            if a <= b and a + b <= 4:
+                products[a, b] = [[[Q(0)] * len(mono[a + b]) for _ in mono[b]] for _ in mono[a]]
+                for i, s in enumerate(mono[a]):
+                    for j, t in enumerate(mono[b]):
+                        if not set(s) & set(t):
+                            products[a, b][i][j][index[tuple(sorted(s + t))]] = Q(wedge_sign(s, t))
+    omega = CdgaModel(Complex(space, zero_map(space, space, 1)), products)
+    filt = FiltrationData(space, {p: {k: [[Q(int(i == index[m])) for i in range(len(ms))]
+                                          for m in ms if len(set(m) & set(HOLOMORPHIC)) >= p]
+                                      for k, ms in mono.items()
+                                      if any(len(set(m) & set(HOLOMORPHIC)) >= p for m in ms)}
+                                  for p in (1, 2)})
+    # KS basis: xibar_J (x) del_i, J a subset of {xibar_1, xibar_2}, i-major
+    anti = exterior_monomials(2)
+    ks_basis = {k: [(i, tuple(2 + j for j in js)) for i in HOLOMORPHIC for js in anti[k]]
+                for k in anti}
+    ks_space = GradedVectorSpace({k: tuple("*".join([names[g] for g in jj] + [f"d{i + 1}"])
+                                           for i, jj in b) for k, b in ks_basis.items()})
+    ks = abelian_dgla(Complex(ks_space, zero_map(ks_space, ks_space, 1)))
+    end = end_dgla(omega.complex)
+
+    def contraction(i: int, jj: tuple) -> GradedMap:
+        """e_S -> xibar_J ^ iota_{del_i} e_S, of degree |J| - 1."""
+        columns = {}
+        for k, ms in mono.items():
+            cols = []
+            for s in ms:
+                col = {}
+                if i in s:
+                    rest = tuple(x for x in s if x != i)
+                    if not set(jj) & set(rest):
+                        sign = (-1) ** s.index(i) * wedge_sign(jj, rest)
+                        col[index[tuple(sorted(jj + rest))]] = Q(sign)
+                cols.append(col)
+            if any(cols):
+                columns[k] = cols
+        return GradedMap(space, space, len(jj) - 1, columns)
+
+    i_map = GradedMap(ks_space, end.space, -1, {
+        k: [sparse(end.map_to_element(contraction(i, jj)).get(k - 1, ())) for i, jj in b]
+        for k, b in ks_basis.items()})
+    return omega, filt, ks, end, i_map, mono, index, ks_basis
+
+
+def linear_part_of_flow(omega, mono, phi: dict, s: tuple):
+    """The part linear in phi of e^{i_phi} e_s = wedge over the generators
+    g of s of (g + sum_j phi[g, j] xibar_j) for holomorphic g, g otherwise:
+    one holomorphic factor replaced at a time, multiplied out in Omega."""
+    unit = lambda g: {1: [Q(int(x == (g,))) for x in mono[1]]}
+    out = {}
+    for pos, g in enumerate(s):
+        if g not in HOLOMORPHIC:
+            continue
+        moved = {1: [phi.get((g, m[0]), Q(0)) for m in mono[1]]}
+        factors = [moved if q == pos else unit(x) for q, x in enumerate(s)]
+        out = vec_add(out, functools.reduce(omega.multiply, factors))
+    return out
+
+
+def test_period_differential_of_the_2_torus():
+    """The first-order blocks of the period map of the 2-torus, including
+    phi_2: F^2 H^2 -> H^2/F^2 of shape 5 x 1, against the closed form
+    e^{i_phi} xi_S = wedge_{s in S} (xi_s + sum_j phi_sj xibar_j)."""
+    omega, filt, ks, end, i_map, mono, index, ks_basis = torus2()
+    assert validate_cdga(omega).ok
+    assert validate_filtration(omega.complex, filt).ok
+    contraction = contraction_cartan(omega, ks, i_map, f=filt, end=end)
+    assert contraction.report.ok and all(contraction.report.notes.values())
+    period = period_differential(contraction, filt)
+    assert period.source_rank == 4
+    flag, hc = period.flag, cohomology(omega.complex)
+    layout = {(p, k): (rows, cols) for p, k, rows, cols in period.endspace.layout}
+    assert layout[2, 2] == (5, 1)                 # more rows than columns
+    reps = cohomology(ks.underlying).representatives(1)
+    for rep, family in zip(reps, period.families):
+        phi = {(i, jj[0]): c for c, (i, jj) in zip(rep, ks_basis[1])}
+        assert set(family) == set(layout)
+        for (p, k), (rows, cols) in layout.items():
+            want = [[Q(0)] * cols for _ in range(rows)]
+            for c, v in enumerate(flag.f_h.step(p).rows(k)):
+                cocycle = combine([sparse(r) for r in flag.representatives[k]], v.items())
+                image = {}
+                for u, x in cocycle.items():
+                    image = vec_add(image, vec_scale(x, linear_part_of_flow(
+                        omega, mono, phi, mono[k][u])))
+                cls = flag.quotients[p].projection.apply(hc.project(image)).get(k, [])
+                for r, x in enumerate(cls):
+                    want[r][c] = x
+            assert family[p, k] == want, (p, k)
+            assert sorted(x for row in want for x in row if x) in ([Q(1)], [Q(-1)]), (p, k)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,7 @@ RECORDS = [
     (dgla.TensorDgla, None),
     (artin.ArtinAlgebra, None),
     (endo.EndDgla, None),
-    (holim.PathElement, lambda: [host(), 1, [{1: [Q(2)]}], [{0: [Q(1), Q(0)]}]]),
     (holim.HolimPair, None),
-    (holim.HolimElement, None),
     (holim.HolimBounded, None),
     (holim.HolimCohomologyResult, None),
     (holim.HolimMorphism, None),
@@ -87,13 +85,12 @@ DEFAULTS = [
     (lambda: dgla.ValidationReport(), {"failures": [], "notes": {}}),
     (lambda: cli.Report("validate", "ok"), {"payload": {}}),
     (lambda: mc.ObstructionClass(2), {"classes": {}, "representative": {}}),
-    (lambda: holim.PathElement(host(), 0), {"p": [], "q": []}),
     (lambda: models.ModelDocument({}), {"_cache": {}}),
 ]
 
 
 @pytest.mark.parametrize("make,defaults", DEFAULTS, ids=[
-    "ValidationReport", "Report", "ObstructionClass", "PathElement", "ModelDocument"])
+    "ValidationReport", "Report", "ObstructionClass", "ModelDocument"])
 def test_default_containers_are_not_shared(make, defaults):
     first, second = make(), make()
     for name, empty in defaults.items():
@@ -124,18 +121,7 @@ def test_default_containers_are_not_shared(make, defaults):
      "dgla morphism must have shift 0"),
     (lambda: dgla.SubDgla(host(), graded.SubSpaceData(GradedVectorSpace({}), {})),
      "sub-dgla span declared on a different space"),
-    (lambda: holim.PathElement(host(), 0, [{1: [Q(1)]}]),
-     "p-coefficient of wrong degree"),
-    (lambda: holim.PathElement(host(), 0, [], [{0: [Q(1), Q(0)]}]),
-     "q-coefficient of wrong degree"),
 ])
 def test_construction_checks_raise(build, message):
     with pytest.raises(StructuralError, match=message):
         build()
-
-
-def test_path_element_trims_the_lists_it_is_given():
-    p, q = [{0: [Q(1), Q(0)]}, {0: [Q(0), Q(0)]}], [{}]
-    path = holim.PathElement(host(), 0, p, q)
-    assert path.p is p and p == [{0: [Q(1), Q(0)]}]
-    assert path.q is q and q == []

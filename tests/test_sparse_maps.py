@@ -260,7 +260,7 @@ def test_kernel_is_in_echelon_form():
         kernel, free = linalg.kernel(rows_, cols)
         basis = [linalg.dense(v, cols) for v in kernel]
         assert kernel == linalg.nullspace(rows_, cols)
-        assert basis == dense.nullspace(a)
+        assert basis == dense.nullspace(a, cols)
         assert all(v[c] == (1 if i == j else 0)
                    for i, v in enumerate(basis) for j, c in enumerate(free))
         parent = GradedVectorSpace({0: tuple(f"e{i}" for i in range(cols))})
