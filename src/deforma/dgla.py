@@ -387,10 +387,11 @@ def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
     return rows, dcols, degree, fail
 
 
-def _check_leibniz(rows, dcols, degree, fail):
-    """Graded Leibniz d(ab) = (da)b + (-1)^{|a|} a(db) on every basis pair
-    with a term that can be nonzero: b in the row of a, in the row of a
-    basis vector of da, or a d-preimage of a basis vector in a's row."""
+def _check_leibniz(rows, dcols, degree, s, fail):
+    """Graded Leibniz d(ab) = (da)b + (-1)^{s|a|} a(db), d of degree s with
+    columns ``dcols`` (s = 1: the differential), in basis order on every pair
+    with a term that can be nonzero: b in the row of a, in the row of a basis
+    vector of da, or a d-preimage of a basis vector in a's row."""
     preimages = [[] for _ in rows]      # b with e_k in db
     for b, db in enumerate(dcols):
         for k in db:
@@ -401,7 +402,7 @@ def _check_leibniz(rows, dcols, degree, fail):
             bs.update(rows[k])
         for k in row:
             bs.update(preimages[k])
-        sign = -1 if degree[a] % 2 else 1
+        sign = -1 if s * degree[a] % 2 else 1
         for b in sorted(bs):
             acc = {}
             for k, c in row.get(b, {}).items():
@@ -456,7 +457,7 @@ def validate_dgla(g: Dgla) -> ValidationReport:
         fail("antisymmetry", (lo, hi), acc)
 
     # graded Leibniz: d[a,b] = [da,b] + (-1)^{|a|}[a,db]
-    _check_leibniz(rows, dcols, degree, fail)
+    _check_leibniz(rows, dcols, degree, 1, fail)
 
     # graded Jacobi in the symmetric cyclic form; with antisymmetry in hand,
     # unordered triples a <= b <= c suffice.  Each term is a double bracket
@@ -566,7 +567,7 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
         if any(acc.values()):
             fail("associativity", (a, b, c), acc)
 
-    _check_leibniz(rows, dcols, degree, fail)
+    _check_leibniz(rows, dcols, degree, 1, fail)
     return report
 
 

@@ -291,8 +291,8 @@ class HolimMorphism:
     turns that dt-component into -i dt.  So ``total`` = Phi(t) - i dt is a
     path of ``paths`` = path_dgla(conv, T), and ``residual`` is its
     Maurer-Cartan residual there, zero for a genuine Cartan homotopy.  T is
-    the arity bound: flow[m] has arity at least m and conv vanishes above
-    the bound, so no product that the weight cut drops is nonzero.
+    conv's arity max(2, arity_bound): flow[m] has arity at least m and conv
+    vanishes above T, so no product that the weight cut drops is nonzero.
     """
 
     def __init__(self, g: Dgla, pair: HolimPair, i: GradedMap, l: GradedMap,
@@ -345,26 +345,28 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
                    arity_bound: int = 4) -> HolimMorphism:
     """Build (l, e^i): g -> holim(n => h) from a Cartan homotopy i whose
     associated morphism l lands in n.  Rejects inputs failing either
-    hypothesis; records the Maurer-Cartan residual of the result."""
+    hypothesis; records the Maurer-Cartan residual.  The check, l and the
+    flow share one convolution dgla, of arity max(2, arity_bound)."""
     from .cartan import cartan_check, lie_from_cartan
     from .convolution import convolution, from_linear
-    report = cartan_check(g, pair.h, i)
+    tmax = max(2, arity_bound)
+    conv = convolution(g, pair.h, tmax)
+    report = cartan_check(g, conv, i)
     if not report.ok:
         raise StructuralError(f"not a Cartan homotopy: {report.failures[:3]}")
-    l = lie_from_cartan(g, pair.h, i)
+    l = lie_from_cartan(g, conv, i)
     for (deg, idx) in g.space.basis():
         img = l.apply(g.space.basis_element(deg, idx))
         if not pair.n.contains(img):
             raise StructuralError(
                 f"l({g.space.label(deg, idx)}) is not in the sub-dgla")
 
-    conv = convolution(g, pair.h, arity_bound)
     d = conv.dgla
     ielem, lelem = from_linear(g, conv, i), from_linear(g, conv, l)
     flow = [lelem] + ad_exp_terms(d.bracket, vec_scale, vec_is_zero, ielem,
                                   vec_sub(d.bracket(ielem, lelem), d.d(ielem)),
-                                  arity_bound + 1)
-    paths, flat = path_dgla(d, arity_bound), d.table.flat
+                                  tmax + 1)
+    paths, flat = path_dgla(d, tmax), d.table.flat
     total = join_path(paths, {m: flat(c) for m, c in enumerate(flow)},
                       {0: {v: -c for v, c in flat(ielem).items()}})
     if not vec_is_zero(at_one(paths, total)):

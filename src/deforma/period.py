@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from . import linalg
 from .cartan import cartan_check, lie_from_cartan
+from .convolution import convolution
 from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
-                   ValidationReport, sub_dgla_span, validate_filtration,
+                   ValidationReport, _check_leibniz, _exact, sub_dgla_span, validate_filtration,
                    validate_morphism, validate_sub_dgla)
 from .endo import EndDgla, end_dgla
 from .graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
-                     cohomology, quotient_complex, vec_add, vec_is_zero, vec_scale,
-                     vec_sub, zero_map)
+                     cohomology, quotient_complex, vec_is_zero, zero_map)
 from .linalg import Q, Row, Vector, combine, dense, sparse
 
 _ZERO = Q(0)
@@ -83,45 +83,38 @@ class ContractionCartan:
 def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
                        f: FiltrationData | None = None,
                        end: EndDgla | None = None) -> ContractionCartan:
-    """Verify that a -> i_a is a family of odd derivations forming a Cartan
-    homotopy into End(Omega); reports the derived identities
+    """Verify that a -> i_a is a family of derivations of degree |a| - 1
+    (``_check_leibniz`` on its flat columns, raising at the first failing
+    pair) forming a Cartan homotopy into End(Omega), checked and l read in
+    one convolution(T, End, 2); reports the derived identities
     l_{[a,b]} = [l_a, l_b] and [d, l_a] = 0, and filtration preservation of l
     when a filtration is supplied."""
     end = end or end_dgla(omega.complex)
     if i.shift != -1:
         raise StructuralError("contraction assignment must have degree -1")
-    sp = omega.space
-    report = ValidationReport()
-
+    table = omega.table
+    products, degree = [table.row(p) for p in range(len(table))], [k for k, _ in table.position]
     for (m, ia) in t.space.basis():
         op = end.element_to_map(i.apply(t.space.basis_element(m, ia)))
-        for (du, iu) in sp.basis():
-            u = sp.basis_element(du, iu)
-            opu = op.apply(u)
-            for (dv, iv) in sp.basis():
-                v = sp.basis_element(dv, iv)
-                lhs = op.apply(omega.pair_product(du, iu, dv, iv))
-                sign = Q(-1) if ((m - 1) * du) % 2 else Q(1)
-                rhs = vec_add(omega.multiply(opu, v),
-                              vec_scale(sign, omega.multiply(u, op.apply(v))))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    raise StructuralError(
-                        f"i({t.space.label(m, ia)}) is not a derivation at "
-                        f"({sp.label(du, iu)}, {sp.label(dv, iv)})")
+        failed = []
+        _check_leibniz(products, [_exact(col) for col in table.columns(op)], degree, m - 1,
+                       lambda kind, pair, acc: failed.append(pair))
+        if failed:
+            u, v = (omega.space.label(*table.position[p]) for p in failed[0])
+            raise StructuralError(
+                f"i({t.space.label(m, ia)}) is not a derivation at ({u}, {v})")
 
-    report.merge(cartan_check(t, end.dgla, i))
-    l = lie_from_cartan(t, end.dgla, i)
+    conv = convolution(t, end.dgla, 2)
+    report = cartan_check(t, conv, i)
+    l = lie_from_cartan(t, conv, i)
 
-    lmor = DglaMorphism(t, end.dgla, l)
-    morph_report = validate_morphism(lmor)
-    report.notes["lie_bracket_compatible"] = morph_report.ok
-    flat = all(vec_is_zero(end.dgla.d(l.apply(t.space.basis_element(m, ia))))
-               for (m, ia) in t.space.basis())
-    report.notes["lie_is_closed"] = flat
+    report.notes["lie_bracket_compatible"] = validate_morphism(DglaMorphism(t, end.dgla, l)).ok
+    report.notes["lie_is_closed"] = all(
+        vec_is_zero(end.dgla.d(l.apply(t.space.basis_element(m, ia))))
+        for (m, ia) in t.space.basis())
 
     if f is not None:
-        preserves = True
+        before = len(report.failures)
         for (m, ia) in t.space.basis():
             op = end.element_to_map(l.apply(t.space.basis_element(m, ia)))
             for p in f.levels():
@@ -129,11 +122,10 @@ def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
                 for deg, (rows, _) in sorted(sub.echelon.items()):
                     for v in rows:
                         if sub.coords(deg + op.shift, op.apply_row(deg, v)) is None:
-                            preserves = False
                             report.fail("filtration_preservation",
                                         [t.space.label(m, ia), f"F^{p}",
                                          f"degree {deg}"])
-        report.notes["lie_preserves_filtration"] = preserves
+        report.notes["lie_preserves_filtration"] = len(report.failures) == before
     return ContractionCartan(t, omega, end, i, l, report)
 
 

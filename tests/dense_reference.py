@@ -13,6 +13,9 @@ checks a table against the raw dense tables it was built from, cell by
 cell.  ``validate_cdga`` is the
 dense sweep of a cdga's axioms over every ordered pair and triple, the
 oracle for ``dgla.validate_cdga`` in test_artin.py and test_axiom_sweeps.py.
+``derivation_failures`` is the dense Leibniz loop for an operator of any
+degree, the oracle for the sweep that ``period.contraction_cartan`` runs on
+each i_a, in test_period.py.
 
 ``check_nilpotency`` is the word walk that ``validate_artin`` did before
 it computed the powers of m, the oracle for its nilpotency witnesses in
@@ -290,6 +293,27 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
                             _residual_repr(res))
     return report
 
+
+def derivation_failures(omega: CdgaModel, op: GradedMap) -> list[tuple]:
+    """The basis pairs ((du, iu), (dv, iv)), in basis order, at which
+    op(uv) = op(u) v + (-1)^{s|u|} u op(v) fails for the operator op of
+    degree s = op.shift: the dense loop over every pair that
+    ``period.contraction_cartan`` ran on each i_a before it called the
+    Leibniz sweep, listing each failure where it raised at the first."""
+    sp = omega.space
+    out = []
+    for (du, iu) in sp.basis():
+        u = sp.basis_element(du, iu)
+        opu = op.apply(u)
+        for (dv, iv) in sp.basis():
+            v = sp.basis_element(dv, iv)
+            lhs = op.apply(omega.pair_product(du, iu, dv, iv))
+            sign = Q(-1) if (op.shift * du) % 2 else Q(1)
+            rhs = vec_add(omega.multiply(opu, v),
+                          vec_scale(sign, omega.multiply(u, op.apply(v))))
+            if not vec_is_zero(vec_sub(lhs, rhs)):
+                out.append(((du, iu), (dv, iv)))
+    return out
 
 def check_nilpotency(a) -> ValidationReport:
     """The word walk ``validate_artin`` used before it computed the powers

@@ -7,10 +7,9 @@ import pytest
 
 import dense_reference as dense
 from deforma import fixtures as F
-from deforma.cartan import (cartan_check, gauge_zero_transport, lie_from_cartan,
-                            lie_morphism_from_cartan)
+from deforma.cartan import cartan_check, gauge_zero_transport, lie_from_cartan
 from deforma.convolution import convolution, linear_part, strict_embed, taylor
-from deforma.dgla import validate_morphism
+from deforma.dgla import DglaMorphism, validate_morphism
 from deforma.endo import end_dgla
 from deforma.graded import GradedMap, StructuralError, vec_eq
 
@@ -28,7 +27,7 @@ def contraction_cases():
 
 def test_contractions_are_cartan():
     for t, h, i in contraction_cases():
-        rep = cartan_check(t, h, i)
+        rep = cartan_check(t, convolution(t, h, 2), i)
         assert rep.ok
         assert rep.notes["stronger_bracket_identity"]
         assert rep.notes["stronger_square_zero"]
@@ -39,7 +38,7 @@ def test_f5_lie_derivative_oracle():
     omega = F.f5_cdga()
     end = end_dgla(omega.complex)
     t = F.f5_derivations()
-    l = lie_from_cartan(t, end.dgla, F.f5_contraction(end))
+    l = lie_from_cartan(t, convolution(t, end.dgla, 2), F.f5_contraction(end))
     # v1 = x d/dx: x -> x, x^2 -> 2x^2, dx -> dx, x dx -> 2x dx;
     # x^2 dx -> 0 because i(x^2 dx) = x^3 is cut off by the truncation
     op1 = end.element_to_map(l.apply({0: [Q(1), Q(0)]}))
@@ -58,13 +57,14 @@ def test_f6_lie_is_zero():
     omega = F.f6_cdga()
     end = end_dgla(omega.complex)
     t = F.f6_dgla()
-    l = lie_from_cartan(t, end.dgla, F.f6_contraction(end))
+    l = lie_from_cartan(t, convolution(t, end.dgla, 2), F.f6_contraction(end))
     assert l.is_zero()
 
 
 def test_lie_is_a_morphism():
     for t, h, i in contraction_cases():
-        assert validate_morphism(lie_morphism_from_cartan(t, h, i)).ok
+        l = lie_from_cartan(t, convolution(t, h, 2), i)
+        assert validate_morphism(DglaMorphism(t, h, l)).ok
 
 
 def test_cartan_violation_reported():
@@ -72,7 +72,7 @@ def test_cartan_violation_reported():
     h = F.f3_end().dgla
     # i_x = e00 alone is not Cartan (condition B fails)
     i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(0)]]})
-    rep = cartan_check(g, h, i)
+    rep = cartan_check(g, convolution(g, h, 2), i)
     assert not rep.ok
     assert {f["kind"] for f in rep.failures} == {"condition_A", "condition_B"}
 
@@ -81,7 +81,7 @@ def test_transport_is_strict_for_cartan():
     for t, h, i in contraction_cases():
         conv = convolution(t, h)
         fam = gauge_zero_transport(t, conv, i)
-        emb = strict_embed(conv, lie_morphism_from_cartan(t, h, i))
+        emb = strict_embed(conv, DglaMorphism(t, h, lie_from_cartan(t, conv, i)))
         assert set(taylor(t, conv, fam)) == set(taylor(t, conv, emb))
         assert taylor(t, conv, fam) == taylor(t, conv, emb)
         assert vec_eq(fam, emb)
@@ -99,7 +99,7 @@ def test_transport_linear_part_always_d10():
         expected = dense.hom_d10(dense.hom_element_from_linear(g, h, i))
         got = taylor(g, conv, total).get(1, {})
         assert got == expected.prune().values
-        assert linear_part(g, conv, total, 0).blocks == lie_from_cartan(g, h, i).blocks
+        assert linear_part(g, conv, total, 0).blocks == lie_from_cartan(g, conv, i).blocks
 
 
 def test_arity_two_component_formula():
@@ -119,7 +119,7 @@ def test_arity_two_component_formula():
         total = gauge_zero_transport(g, conv, i)
         got = taylor(g, conv, total).get(2, {})
         assert got == formula.prune().values
-        seen_noncartan = seen_noncartan or not cartan_check(g, h, i).ok
+        seen_noncartan = seen_noncartan or not cartan_check(g, conv, i).ok
     assert seen_noncartan
 
 
@@ -128,11 +128,24 @@ def test_degree_zero_hosts_force_zero_homotopies():
     g = F.f2_dgla()
     assert g.space.dim(-1) == 0
     i = GradedMap(g.space, g.space, -1, {})
-    assert cartan_check(g, g, i).ok
-    assert lie_from_cartan(g, g, i).is_zero()
+    conv = convolution(g, g, 2)
+    assert cartan_check(g, conv, i).ok
+    assert lie_from_cartan(g, conv, i).is_zero()
 
 
 def test_wrong_shift_rejected():
     g = F.f2_dgla()
     with pytest.raises(StructuralError):
-        cartan_check(g, g, GradedMap(g.space, g.space, 0, {}))
+        cartan_check(g, convolution(g, g, 2), GradedMap(g.space, g.space, 0, {}))
+
+
+def test_check_needs_arity_two():
+    """Condition (A) reads words of length two, so the check refuses an
+    arity-one convolution dgla; l reads the same in either."""
+    g, h = F.f7_dgla(), F.f3_end().dgla
+    i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
+    with pytest.raises(StructuralError, match="arity at least 2"):
+        cartan_check(g, convolution(g, h, 1), i)
+    assert cartan_check(g, convolution(g, h, 2), i).ok
+    assert (lie_from_cartan(g, convolution(g, h, 1), i).blocks
+            == lie_from_cartan(g, convolution(g, h, 2), i).blocks)

@@ -375,23 +375,55 @@ def widened(paths, wider, gamma):
         j + (j > tmax): s for j, s in paths.split(paths.dgla.table.flat(gamma)).items()}))
 
 
-@pytest.mark.parametrize("setup,arity", [(f7_cartan_setup, 4), (f5_cartan_setup, 3)],
-                         ids=["F7", "F5"])
+@pytest.mark.parametrize("setup,arity", [(f7_cartan_setup, 4), (f5_cartan_setup, 3),
+                                         (f7_cartan_setup, 1), (f5_cartan_setup, 1),
+                                         (f7_cartan_setup, 2), (f5_cartan_setup, 2)],
+                         ids=["F7", "F5", "F7-1", "F5-1", "F7-2", "F5-2"])
 def test_map_into_holim_residual_has_no_part_past_the_cut(setup, arity):
     """Recomputed one weight higher, the residual of the total path, and of
     the path with the dt sign flipped, has no part of weight T + 1: the
-    weight cut T = arity bound drops no nonzero product."""
+    weight cut T = max(2, arity bound), the arity of the one convolution
+    dgla, drops no nonzero product.  The residual itself is zero, and the
+    arity-one path is gamma_a = (1 - t) l_a + (-1)^{|a|} i_a dt at every
+    bound, as it was when a bound of 1 cut the paths at T = 1."""
     g, h, i, pair = setup()
     morphism = map_into_holim(g, i, pair, arity)
+    assert vec_is_zero(morphism.residual)
+    flat = h.table.flat
+    for (deg, idx) in g.space.basis():
+        a = g.space.basis_element(deg, idx)
+        la, ia = flat(morphism.l.apply(a)), flat(i.apply(a))
+        want = holim.join_path(morphism.h_paths, {0: la, 1: {v: -c for v, c in la.items()}},
+                               {0: {v: (-1) ** deg * c for v, c in ia.items()}})
+        assert vec_eq(morphism.arity_one(a), want)
     paths = morphism.paths
     tmax = paths.c.space.dim(1)
-    assert tmax == arity
+    assert tmax == max(2, arity)
     wider = path_dgla(morphism.conv.dgla, tmax + 1)
     flip = paths.tensor_element(vec_scale(Q(2), from_linear(g, morphism.conv, i)), tmax + 1)
     for total in (morphism.total, vec_add(morphism.total, flip)):
         residual = mc_residue(wider, widened(paths, wider, total))
         assert all(wider.weights[t] <= tmax for t in wider.dgla.table.flat(residual))
         assert vec_eq(residual, widened(paths, wider, mc_residue(paths, total)))
+
+
+@pytest.mark.parametrize("setup,arity,built", [
+    (f7_cartan_setup, 4, 4), (f5_cartan_setup, 3, 3), (f5_cartan_setup, 1, 2)],
+    ids=["F7", "F5", "F5-1"])
+def test_map_into_holim_builds_one_convolution(monkeypatch, setup, arity, built):
+    """The Cartan check, l, i's element and the flow share one convolution
+    dgla, of arity max(2, bound): one Chevalley-Eilenberg cdga is built."""
+    import deforma.convolution as module
+    builds, build = [], module.chevalley_eilenberg
+
+    def spy(g, arity_bound):
+        builds.append(arity_bound)
+        return build(g, arity_bound)
+
+    monkeypatch.setattr(module, "chevalley_eilenberg", spy)
+    g, h, i, pair = setup()
+    map_into_holim(g, i, pair, arity)
+    assert builds == [built]
 
 
 def test_map_into_holim_arity_one_validates():

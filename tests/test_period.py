@@ -3,14 +3,16 @@ differential computed from a contraction family."""
 
 import functools
 import itertools
+import random
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
 import pytest
 
+import dense_reference as dense
 from deforma import fixtures as F
-from deforma.dgla import (CdgaModel, FiltrationData, abelian_dgla, validate_cdga,
-                          validate_filtration, validate_sub_dgla)
+from deforma.dgla import (CdgaModel, FiltrationData, _check_leibniz, _exact, abelian_dgla,
+                          validate_cdga, validate_filtration, validate_sub_dgla)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
                             cohomology, vec_add, vec_scale, zero_map)
@@ -102,8 +104,91 @@ def test_contraction_rejects_non_derivation():
     op = GradedMap(omega.space, omega.space, -1, {1: [[Q(1), Q(0)]]})
     col = end.map_to_element(op).get(-1, [])
     i = GradedMap(t.space, end.space, -1, {0: [[c] for c in col]})
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError,
+                       match=r"^i\(del\) is not a derivation at \(xi, xibar\)$"):
         contraction_cartan(omega, t, i, end=end)
+
+
+def combination(space, shift, terms):
+    """sum c op over ``terms`` (c, op), an operator of degree ``shift``."""
+    cols = {}
+    for c, op in terms:
+        for deg, cs in op.columns.items():
+            out = cols.setdefault(deg, [{} for _ in cs])
+            for j, col in enumerate(cs):
+                for r, x in col.items():
+                    out[j][r] = out[j].get(r, 0) + c * x
+    return GradedMap(space, space, shift, {
+        deg: [{r: x for r, x in col.items() if x} for col in cs] for deg, cs in cols.items()})
+
+
+def first_leibniz_failure(omega, op, s):
+    """The first failing pair, as (degree, index) keys, of the Leibniz sweep
+    that contraction_cartan runs on the flat columns of each i_a."""
+    table, failed = omega.table, []
+    _check_leibniz([table.row(p) for p in range(len(table))],
+                   [_exact(col) for col in table.columns(op)],
+                   [deg for deg, _ in table.position], s,
+                   lambda kind, pair, acc: failed.append(pair))
+    return tuple(table.position[p] for p in failed[0]) if failed else None
+
+
+@pytest.mark.parametrize("cdga,source,contraction", [
+    (F.f4_cdga, F.f4_derivations, F.f4_contraction),
+    (F.f5_cdga, F.f5_derivations, F.f5_contraction),
+    (F.f6_cdga, F.f6_dgla, F.f6_contraction)], ids=["F4", "F5", "F6"])
+def test_leibniz_sweep_matches_the_dense_loop(cdga, source, contraction):
+    """The Leibniz sweep that contraction_cartan runs on each i_a against
+    the dense loop over every pair, on seeded operators of degree -1 and 0:
+    combinations of the fixture's i_a and l_a of that degree, the same with
+    one entry moved, and a few random entries.  The verdict and the first
+    failing pair agree."""
+    omega = cdga()
+    end = end_dgla(omega.complex)
+    t, i = source(), contraction(end)
+    l = contraction_cartan(omega, t, i, end=end).l
+    sp, rng = omega.space, random.Random(61)
+    pool = {-1: [], 0: []}
+    for key in t.space.basis():
+        for f in (i, l):
+            op = end.element_to_map(f.apply(t.space.basis_element(*key)))
+            if not op.is_zero() and op.shift in pool:
+                pool[op.shift].append(op)
+    verdicts = set()
+    for _ in range(40):
+        s = rng.choice((-1, 0))
+        kind = rng.choice(("combination", "moved", "random"))
+        terms = [(Q(rng.randint(-2, 2)), op) for op in pool[s]] if kind != "random" else []
+        for _ in range(1 if kind == "moved" else 3 if kind == "random" else 0):
+            deg = rng.choice([k for k in sp.degrees if sp.dim(k + s)])
+            cols = [{} for _ in range(sp.dim(deg))]
+            cols[rng.randrange(sp.dim(deg))] = {rng.randrange(sp.dim(deg + s)):
+                                                Q(rng.choice((1, -1, 2)))}
+            terms.append((Q(1), GradedMap(sp, sp, s, {deg: cols})))
+        op = combination(sp, s, terms)
+        failures = dense.derivation_failures(omega, op)
+        want = failures[0] if failures else None
+        assert first_leibniz_failure(omega, op, s) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_contraction_builds_one_convolution(monkeypatch):
+    """contraction_cartan checks i and reads l in one convolution dgla of
+    arity 2: one Chevalley-Eilenberg cdga is built."""
+    import deforma.convolution as module
+    builds, build = [], module.chevalley_eilenberg
+
+    def spy(g, arity_bound):
+        builds.append(arity_bound)
+        return build(g, arity_bound)
+
+    monkeypatch.setattr(module, "chevalley_eilenberg", spy)
+    for omega, t, i_f, filt in contraction_cases():
+        end = end_dgla(omega.complex)
+        builds.clear()
+        assert contraction_cartan(omega, t, i_f(end), f=filt, end=end).report.ok
+        assert builds == [2]
 
 
 # ---------------------------------------------------------------------------

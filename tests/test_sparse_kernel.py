@@ -17,7 +17,7 @@ import dense_reference as dense
 from deforma import endo, fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.cartan import lie_from_cartan
-from deforma.convolution import hom_dgla_slice
+from deforma.convolution import convolution, hom_dgla_slice
 from deforma.dgla import (Dgla, DglaMorphism, identity_morphism,
                           inclusion_as_morphism, sub_dgla_span, validate_dgla,
                           validate_morphism, validate_sub_dgla)
@@ -122,7 +122,8 @@ def morphism_cases():
     end = endo.end_dgla(F.f5_cdga().complex)
     t = F.f5_derivations()
     cases.append(DglaMorphism(t, end.dgla,
-                              lie_from_cartan(t, end.dgla, F.f5_contraction(end))))
+                              lie_from_cartan(t, convolution(t, end.dgla, 2),
+                                              F.f5_contraction(end))))
     return cases
 
 
