@@ -25,33 +25,30 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .convolution import from_linear, linear_part, taylor
-from .dgla import (Dgla, Sparse, TensorDgla, ValidationReport, _bracket_into, _exact,
-                   _residual_repr, ad_exp_terms)
+from .convolution import ce_words, from_linear, linear_part, taylor
+from .dgla import Dgla, TensorDgla, ValidationReport, _exact, _residual_repr, ad_exp_terms
 from .graded import GradedMap, GVec, StructuralError, vec_add, vec_is_zero, vec_scale, vec_sub
 from .linalg import Q, combine
 
 
-def _bracket(rows, x: Sparse, y: Sparse) -> Sparse:
-    """[x, y] on the flat rows ``rows``, zero coefficients dropped."""
-    acc: Sparse = {}
-    _bracket_into(acc, 1, rows, x, y)
-    return {k: c for k, c in acc.items() if c}
+def _require_degree_minus_one(i: GradedMap) -> None:
+    if i.shift != -1:
+        raise StructuralError("a Cartan homotopy must have degree -1")
 
 
 def lie_from_cartan(g: Dgla, conv: TensorDgla, i: GradedMap) -> GradedMap:
-    """The arity-one part of D i, l_a = d_h i_a + i_{d_g a} for i of degree -1:
-    a chain map always, a dgla morphism when i satisfies the Cartan conditions."""
-    return linear_part(g, conv, conv.d(from_linear(g, conv, i)), i.shift + 1)
+    """The arity-one part of D i, l_a = d_h i_a + i_{d_g a}: a chain map
+    always, a dgla morphism when i satisfies the Cartan conditions."""
+    _require_degree_minus_one(i)
+    return linear_part(g, conv, conv.d(from_linear(g, conv, i)), 0)
 
 
 def cartan_check(g: Dgla, conv: TensorDgla, i: GradedMap) -> ValidationReport:
     """Check conditions (A) and (B) in ``conv`` = convolution(g, h, N),
     N >= 2; the report's notes record whether the stronger pointwise
     identities i_{[a,b]} = [i_a, l_b] and [i_a, i_b] = 0 hold as well."""
-    if i.shift != -1:
-        raise StructuralError("a Cartan homotopy must have degree -1")
-    if max(conv.weight, default=0) < 2:
+    _require_degree_minus_one(i)
+    if len(conv.weight) < len(ce_words(g, 2)):
         raise StructuralError("condition (A) reads words of length two: "
                               "the convolution needs arity at least 2")
     report = ValidationReport()
@@ -66,18 +63,18 @@ def cartan_check(g: Dgla, conv: TensorDgla, i: GradedMap) -> ValidationReport:
     irows, lrows = ([_exact(ht.flat(f.apply(sp.basis_element(*key)))) for key in basis]
                     for f in (i, linear_part(g, conv, di, 0)))
     pairs = list(itertools.product(range(len(basis)), repeat=2))
-    inner = {(b, c): _bracket(ht, irows[b], lrows[c]) for b, c in pairs}     # [i_b, l_c]
+    inner = {(b, c): ht.flat_product(irows[b], lrows[c]) for b, c in pairs}     # [i_b, l_c]
     for a, ia in enumerate(irows):
         for b, c in pairs:
-            res = _bracket(ht, ia, inner[b, c])
+            res = ht.flat_product(ia, inner[b, c])
             if res:
                 report.fail("condition_B", [sp.label(*basis[x]) for x in (a, b, c)],
                             _residual_repr(ht.graded(res)))
     report.notes["stronger_bracket_identity"] = all(
-        combine(irows, g.table.row(a).get(b, {}).items()) == _bracket(ht, irows[a], lrows[b])
+        combine(irows, g.table.row(a).get(b, {}).items()) == ht.flat_product(irows[a], lrows[b])
         for a, b in pairs)
     report.notes["stronger_square_zero"] = not any(
-        _bracket(ht, irows[a], irows[b]) for a, b in pairs)
+        ht.flat_product(irows[a], irows[b]) for a, b in pairs)
     return report
 
 
@@ -88,8 +85,8 @@ def gauge_zero_transport(g: Dgla, conv: TensorDgla, i: GradedMap) -> GVec:
     arity-one part is l, and for a Cartan homotopy its arity-two part
     vanishes.  The series terminates because the bracket raises arity.
     """
-    if i.shift != -1:
-        raise StructuralError("a Cartan homotopy must have degree -1")
+    _require_degree_minus_one(i)
     alpha = vec_scale(Q(-1), from_linear(g, conv, i))
     return reduce(vec_add, ad_exp_terms(conv.bracket, vec_scale, vec_is_zero, alpha,
-                                        vec_scale(Q(-1), conv.d(alpha)), max(conv.weight) + 2), {})
+                                        vec_scale(Q(-1), conv.d(alpha)),
+                                        max(conv.weight, default=0) + 2), {})

@@ -232,9 +232,13 @@ class StructureTable(FlatBasis):
         return self.graded(entry) if entry else {}
 
     def product(self, x: GVec, y: GVec) -> GVec:
+        return self.graded(self.flat_product(self.flat(x), self.flat(y)))
+
+    def flat_product(self, x: Sparse, y: Sparse) -> Sparse:
+        """x * y on flat coordinates, zero coefficients dropped."""
         acc: Sparse = {}
-        _bracket_into(acc, 1, self, self.flat(x), self.flat(y))
-        return self.graded(acc)
+        _bracket_into(acc, 1, self, x, y)
+        return {k: c for k, c in acc.items() if c}
 
     def dense(self) -> dict[tuple[int, int], list[list[Vector]]]:
         """The dense tables of the JSON form: ``[(m, n)][i][j]`` for the
@@ -367,7 +371,7 @@ def _exact(s: Sparse) -> Sparse:
     return {k: c.numerator if c.denominator == 1 else c for k, c in s.items()}
 
 
-def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
+def _sweep(t: StructureTable, d: GradedMap, report: ValidationReport):
     """What an axiom sweep over ``t`` reads, by flat position: the table rows
     as stored, the columns of d, the degrees, and ``fail(kind, positions,
     acc)``, which adds a failure to ``report`` with its labels and residual.
@@ -377,8 +381,8 @@ def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
     ``Fraction``s.  Residuals go out through ``graded``, so they print as
     the ``Fraction``s they equal."""
     rows = [t.row(a) for a in range(len(t))]
-    dcols = [_exact(col) for col in t.columns(cx.differential)]
-    labels = [cx.space.label(deg, idx) for deg, idx in t.position]
+    dcols = [_exact(col) for col in t.columns(d)]
+    labels = [d.source.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
 
     def fail(kind, positions, acc):
@@ -387,7 +391,7 @@ def _sweep(t: StructureTable, cx: Complex, report: ValidationReport):
     return rows, dcols, degree, fail
 
 
-def _check_leibniz(rows, dcols, degree, s, fail):
+def _check_leibniz(rows, dcols, degree, fail, s):
     """Graded Leibniz d(ab) = (da)b + (-1)^{s|a|} a(db), d of degree s with
     columns ``dcols`` (s = 1: the differential), in basis order on every pair
     with a term that can be nonzero: b in the row of a, in the row of a basis
@@ -426,7 +430,7 @@ def validate_dgla(g: Dgla) -> ValidationReport:
     instance would list them.
     """
     report = ValidationReport()
-    rows, dcols, degree, fail = _sweep(g.table, g.underlying, report)
+    rows, dcols, degree, fail = _sweep(g.table, g.underlying.differential, report)
     empty: Sparse = {}
 
     # antisymmetry [a,b] = -(-1)^{|a||b|}[b,a] on every pair with an entry in
@@ -457,7 +461,7 @@ def validate_dgla(g: Dgla) -> ValidationReport:
         fail("antisymmetry", (lo, hi), acc)
 
     # graded Leibniz: d[a,b] = [da,b] + (-1)^{|a|}[a,db]
-    _check_leibniz(rows, dcols, degree, 1, fail)
+    _check_leibniz(rows, dcols, degree, fail, 1)
 
     # graded Jacobi in the symmetric cyclic form; with antisymmetry in hand,
     # unordered triples a <= b <= c suffice.  Each term is a double bracket
@@ -532,7 +536,7 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
     over every instance would list them.
     """
     report = ValidationReport()
-    rows, dcols, degree, fail = _sweep(omega.table, omega.complex, report)
+    rows, dcols, degree, fail = _sweep(omega.table, omega.complex.differential, report)
     n_basis = len(rows)
     empty: Sparse = {}
 
@@ -567,7 +571,7 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
         if any(acc.values()):
             fail("associativity", (a, b, c), acc)
 
-    _check_leibniz(rows, dcols, degree, 1, fail)
+    _check_leibniz(rows, dcols, degree, fail, 1)
     return report
 
 
@@ -867,9 +871,7 @@ def _sub_brackets(n: SubDgla, upper: bool):
             for p in degs[degs.index(m):] if upper else degs:
                 base = t.offset.get(m + p)
                 for j, y in enumerate(flat[p]):
-                    acc = {}
-                    _bracket_into(acc, 1, t, x, y)
-                    yield m, i, p, j, {k - base: c for k, c in acc.items() if c}
+                    yield m, i, p, j, {k - base: c for k, c in t.flat_product(x, y).items()}
 
 
 def validate_sub_dgla(n: SubDgla) -> ValidationReport:

@@ -19,8 +19,8 @@ from . import linalg
 from .cartan import cartan_check, lie_from_cartan
 from .convolution import convolution
 from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
-                   ValidationReport, _check_leibniz, _exact, sub_dgla_span, validate_filtration,
-                   validate_morphism, validate_sub_dgla)
+                   ValidationReport, _check_leibniz, _sweep, sub_dgla_span,
+                   validate_filtration, validate_morphism, validate_sub_dgla)
 from .endo import EndDgla, end_dgla
 from .graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
                      cohomology, quotient_complex, vec_is_zero, zero_map)
@@ -80,29 +80,32 @@ class ContractionCartan:
         self.report = report
 
 
+def _first_non_derivation(omega: CdgaModel, op: GradedMap) -> list | None:
+    """The labels of the first basis pair of the Leibniz sweep at which op,
+    of degree s = op.shift, is not a derivation of Omega; None if none."""
+    report = ValidationReport()
+    _check_leibniz(*_sweep(omega.table, op, report), op.shift)
+    return report.failures[0]["witness"] if report.failures else None
+
+
 def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
                        f: FiltrationData | None = None,
                        end: EndDgla | None = None) -> ContractionCartan:
     """Verify that a -> i_a is a family of derivations of degree |a| - 1
-    (``_check_leibniz`` on its flat columns, raising at the first failing
-    pair) forming a Cartan homotopy into End(Omega), checked and l read in
-    one convolution(T, End, 2); reports the derived identities
+    (``_first_non_derivation``, the Leibniz sweep, raising at the first
+    failing pair) forming a Cartan homotopy into End(Omega), checked and l
+    read in one convolution(T, End, 2); reports the derived identities
     l_{[a,b]} = [l_a, l_b] and [d, l_a] = 0, and filtration preservation of l
     when a filtration is supplied."""
     end = end or end_dgla(omega.complex)
     if i.shift != -1:
         raise StructuralError("contraction assignment must have degree -1")
-    table = omega.table
-    products, degree = [table.row(p) for p in range(len(table))], [k for k, _ in table.position]
     for (m, ia) in t.space.basis():
-        op = end.element_to_map(i.apply(t.space.basis_element(m, ia)))
-        failed = []
-        _check_leibniz(products, [_exact(col) for col in table.columns(op)], degree, m - 1,
-                       lambda kind, pair, acc: failed.append(pair))
+        failed = _first_non_derivation(
+            omega, end.element_to_map(i.apply(t.space.basis_element(m, ia))))
         if failed:
-            u, v = (omega.space.label(*table.position[p]) for p in failed[0])
             raise StructuralError(
-                f"i({t.space.label(m, ia)}) is not a derivation at ({u}, {v})")
+                f"i({t.space.label(m, ia)}) is not a derivation at ({', '.join(failed)})")
 
     conv = convolution(t, end.dgla, 2)
     report = cartan_check(t, conv, i)

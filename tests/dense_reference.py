@@ -14,8 +14,8 @@ cell.  ``validate_cdga`` is the
 dense sweep of a cdga's axioms over every ordered pair and triple, the
 oracle for ``dgla.validate_cdga`` in test_artin.py and test_axiom_sweeps.py.
 ``derivation_failures`` is the dense Leibniz loop for an operator of any
-degree, the oracle for the sweep that ``period.contraction_cartan`` runs on
-each i_a, in test_period.py.
+degree, the oracle for ``period._first_non_derivation``, the sweep that
+``period.contraction_cartan`` runs on each i_a, in test_period.py.
 
 ``check_nilpotency`` is the word walk that ``validate_artin`` did before
 it computed the powers of m, the oracle for its nilpotency witnesses in

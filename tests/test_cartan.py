@@ -9,9 +9,11 @@ import dense_reference as dense
 from deforma import fixtures as F
 from deforma.cartan import cartan_check, gauge_zero_transport, lie_from_cartan
 from deforma.convolution import convolution, linear_part, strict_embed, taylor
-from deforma.dgla import DglaMorphism, validate_morphism
+from deforma.dgla import DglaMorphism, abelian_dgla, validate_morphism
 from deforma.endo import end_dgla
-from deforma.graded import GradedMap, StructuralError, vec_eq
+from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError, vec_eq,
+                            zero_map)
+from deforma.period import contraction_cartan
 
 rng = random.Random(59)
 
@@ -135,8 +137,10 @@ def test_degree_zero_hosts_force_zero_homotopies():
 
 def test_wrong_shift_rejected():
     g = F.f2_dgla()
-    with pytest.raises(StructuralError):
-        cartan_check(g, convolution(g, g, 2), GradedMap(g.space, g.space, 0, {}))
+    conv = convolution(g, g, 2)
+    for check in (cartan_check, lie_from_cartan, gauge_zero_transport):
+        with pytest.raises(StructuralError, match="must have degree -1"):
+            check(g, conv, GradedMap(g.space, g.space, 0, {}))
 
 
 def test_check_needs_arity_two():
@@ -149,3 +153,28 @@ def test_check_needs_arity_two():
     assert cartan_check(g, convolution(g, h, 2), i).ok
     assert (lie_from_cartan(g, convolution(g, h, 1), i).blocks
             == lie_from_cartan(g, convolution(g, h, 2), i).blocks)
+
+
+def test_check_without_length_two_words():
+    """span{d1} acting on F4: one generator of degree 0, odd in g[1], whose
+    length-two word vanishes.  convolution(g, h, 2) then has words of length
+    one only, condition (A) reads no words, and the check passes.  A
+    zero-dimensional source has no words at all."""
+    space = GradedVectorSpace({0: ("d1",)})
+    g = abelian_dgla(Complex(space, zero_map(space, space, 1)))
+    omega = F.f4_cdga()
+    end = end_dgla(omega.complex)
+    i = GradedMap(g.space, end.space, -1,
+                  {0: [row[:1] for row in F.f4_contraction(end).blocks[0]]})
+    conv = convolution(g, end.dgla, 2)
+    assert conv.weight == (1,)
+    rep = cartan_check(g, conv, i)
+    assert rep.ok and rep.notes["stronger_bracket_identity"]
+    assert contraction_cartan(omega, g, i, end=end).report.ok
+
+    zero = GradedVectorSpace({})
+    g = abelian_dgla(Complex(zero, zero_map(zero, zero, 1)))
+    i = GradedMap(zero, end.space, -1, {})
+    conv = convolution(g, end.dgla, 2)
+    assert conv.weight == () and cartan_check(g, conv, i).ok
+    assert lie_from_cartan(g, conv, i).is_zero() and gauge_zero_transport(g, conv, i) == {}

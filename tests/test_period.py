@@ -11,13 +11,13 @@ import pytest
 
 import dense_reference as dense
 from deforma import fixtures as F
-from deforma.dgla import (CdgaModel, FiltrationData, _check_leibniz, _exact, abelian_dgla,
-                          validate_cdga, validate_filtration, validate_sub_dgla)
+from deforma.dgla import (CdgaModel, FiltrationData, abelian_dgla, validate_cdga,
+                          validate_filtration, validate_sub_dgla)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
                             cohomology, vec_add, vec_scale, zero_map)
 from deforma.linalg import combine, sparse
-from deforma.period import (contraction_cartan, end_of_flag_diagram,
+from deforma.period import (_first_non_derivation, contraction_cartan, end_of_flag_diagram,
                             filtered_subdgla, flag_data, obstruction_image,
                             period_differential)
 
@@ -122,27 +122,16 @@ def combination(space, shift, terms):
         deg: [{r: x for r, x in col.items() if x} for col in cs] for deg, cs in cols.items()})
 
 
-def first_leibniz_failure(omega, op, s):
-    """The first failing pair, as (degree, index) keys, of the Leibniz sweep
-    that contraction_cartan runs on the flat columns of each i_a."""
-    table, failed = omega.table, []
-    _check_leibniz([table.row(p) for p in range(len(table))],
-                   [_exact(col) for col in table.columns(op)],
-                   [deg for deg, _ in table.position], s,
-                   lambda kind, pair, acc: failed.append(pair))
-    return tuple(table.position[p] for p in failed[0]) if failed else None
-
-
 @pytest.mark.parametrize("cdga,source,contraction", [
     (F.f4_cdga, F.f4_derivations, F.f4_contraction),
     (F.f5_cdga, F.f5_derivations, F.f5_contraction),
     (F.f6_cdga, F.f6_dgla, F.f6_contraction)], ids=["F4", "F5", "F6"])
 def test_leibniz_sweep_matches_the_dense_loop(cdga, source, contraction):
-    """The Leibniz sweep that contraction_cartan runs on each i_a against
-    the dense loop over every pair, on seeded operators of degree -1 and 0:
-    combinations of the fixture's i_a and l_a of that degree, the same with
-    one entry moved, and a few random entries.  The verdict and the first
-    failing pair agree."""
+    """``_first_non_derivation``, the Leibniz sweep that contraction_cartan
+    runs on each i_a, against the dense loop over every pair, on seeded
+    operators of degree -1 and 0: combinations of the fixture's i_a and l_a
+    of that degree, the same with one entry moved, and a few random entries.
+    The verdict and the first failing pair, by label, agree."""
     omega = cdga()
     end = end_dgla(omega.complex)
     t, i = source(), contraction(end)
@@ -167,8 +156,8 @@ def test_leibniz_sweep_matches_the_dense_loop(cdga, source, contraction):
             terms.append((Q(1), GradedMap(sp, sp, s, {deg: cols})))
         op = combination(sp, s, terms)
         failures = dense.derivation_failures(omega, op)
-        want = failures[0] if failures else None
-        assert first_leibniz_failure(omega, op, s) == want
+        want = [sp.label(*key) for key in failures[0]] if failures else None
+        assert _first_non_derivation(omega, op) == want
         verdicts.add(want is None)
     assert verdicts == {True, False}
 
