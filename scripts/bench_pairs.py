@@ -9,11 +9,13 @@ directory under ``$TMPDIR``; the change is the working tree at the
 repository root as it stands.  For every seed and workload it runs
 ``bench/run.py --trace 0`` once on each side, for the ``run_seconds`` of
 ``BENCHMARK.json``, alternating which side goes first, and keeps the JSON
-result line.  The output file holds, per workload
+result line and the ``# failed: <task>: <error>`` notes printed before it.
+The output file holds, per workload
 and per end-to-end metric of ``BENCHMARK.json``: the median and quartiles
 of each side, the ratio of the medians, and in how many pairs the change
 was better.  It also keeps every run's ``correct``, ``attempted`` and
-``failed``.  The benchmark harness itself is only run, never changed.
+``failed``, and its failure notes, so that a one-off failure names its
+task.  The benchmark harness itself is only run, never changed.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ def extract(rev: str, into: str) -> str:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one run, with its failure notes under
+    ``failures``: one "<task>: <error>" per distinct failed task."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds),
                           "--trace", "0"],
@@ -57,7 +61,9 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if out.returncode or not lines:
         raise RuntimeError(f"bench/run.py failed in {tree} ({workload}, seed {seed}):\n"
                            f"{out.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    notes = [line.strip()[len("# failed: "):] for line in lines[:-1]
+             if line.strip().startswith("# failed: ")]
+    return {**json.loads(lines[-1]), "failures": notes}
 
 
 def summary(values: list[float]) -> dict:
@@ -118,7 +124,8 @@ def main(argv=None) -> int:
                     for side in ("base", "change")), file=sys.stderr)
             result["workloads"][workload] = {
                 "pairs": len(pairs),
-                "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
+                "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed",
+                                                     "failures")}
                                 for r in (pair[i] for pair in pairs)]
                          for i, side in enumerate(("base", "change"))},
                 "metrics": compare(pairs, metrics)}

@@ -443,35 +443,40 @@ class CohomologyResult:
         representative j tagged by a 1 at column dim + j."""
         return {}
 
+    def project_row(self, deg: int, row: Row) -> Row:
+        """The cohomology coordinates of a cocycle of degree ``deg``, given
+        and returned as sparse rows: the row is reduced by the coboundaries
+        and then by the representatives, whose tags read off the class.
+
+        Raises if the row is not a cocycle of the underlying complex."""
+        dim = self.complex.space.dim(deg)
+        if any(not 0 <= j < dim for j in row):
+            raise ValueError(f"shape mismatch: row entry outside degree {deg} "
+                             f"of dimension {dim}")
+        found = self._class_echelons.get(deg)
+        if found is None:
+            data = self.by_degree.get(deg) or DegreeCohomology(0, [], [])
+            cobs, reps = Echelon(data.coboundaries), Echelon()
+            for j, rep in enumerate(data.representatives):
+                reps.insert({**cobs.reduce(sparse(rep)), dim + j: _ONE})
+            found = self._class_echelons[deg] = (cobs, reps)
+        cobs, reps = found
+        # row = b + sum x_j rep_j: the tags of the residual are -x
+        residual = reps.reduce(cobs.reduce(row))
+        if any(j < dim for j in residual):
+            raise ValueError(f"element is not a cocycle in degree {deg}")
+        return {j - dim: -x for j, x in residual.items()}
+
     def project(self, x: GVec) -> dict[int, Vector]:
-        """Cohomology coordinates of a cocycle, per degree.
+        """Cohomology coordinates of a cocycle, per degree: ``project_row``
+        on each degree of a ``GVec``.
 
         Raises if x is not a cocycle of the underlying complex.
         """
-        if not vec_is_zero(self.complex.d(x)):
-            raise ValueError("cannot project a non-cocycle to cohomology")
-        out: dict[int, Vector] = {}
-        for deg, v in x.items():
-            if not any(v):
-                continue
-            dim = self.complex.space.dim(deg)
-            found = self._class_echelons.get(deg)
-            if found is None:
-                data = self.by_degree.get(deg) or DegreeCohomology(0, [], [])
-                cobs, reps = Echelon(data.coboundaries), Echelon()
-                for j, rep in enumerate(data.representatives):
-                    reps.insert({**cobs.reduce(sparse(rep)), dim + j: _ONE})
-                found = self._class_echelons[deg] = (cobs, reps)
-            cobs, reps = found
-            # v = b + sum x_j rep_j: the tags of the residual are -x
-            residual = reps.reduce(cobs.reduce(sparse(v)))
-            if any(j < dim for j in residual):
-                raise ValueError(f"element is not a cocycle in degree {deg}")
-            coords = [-residual[dim + j] if dim + j in residual else _ZERO
-                      for j in range(len(reps.rows))]
-            if any(coords):
-                out[deg] = coords
-        return out
+        if any(len(v) != self.complex.space.dim(deg) for deg, v in x.items() if any(v)):
+            raise ValueError("shape mismatch: a vector's length is not its degree's dimension")
+        coords = {deg: self.project_row(deg, sparse(v)) for deg, v in x.items()}
+        return {deg: dense(c, self.rank(deg)) for deg, c in coords.items() if c}
 
     def euler_characteristic(self) -> Fraction:
         return sum(((-1) ** (deg % 2)) * c.rank for deg, c in self.by_degree.items())
@@ -511,6 +516,6 @@ def induced_map_on_cohomology(f: GradedMap, source: Complex, target: Complex,
             f"not a chain map; residual nonzero in degrees {list(residual.columns)}")
     hs = source_cohomology or cohomology(source)
     ht = target_cohomology or cohomology(target)
-    return {deg: [sparse(ht.project(f.apply({deg: rep})).get(deg + f.shift, []))
+    return {deg: [ht.project_row(deg + f.shift, f.apply_row(deg, sparse(rep)))
                   for rep in data.representatives]
             for deg, data in hs.by_degree.items() if data.rank}

@@ -151,10 +151,12 @@ class HolimBounded:
         not in the bounded subcomplex: if p(1) != 0, if p(0) is not in n, or
         if p or q passes the t-degree bound.  A is read off the
         n-coordinates of p(0), and B_{j,m} and C_{j,m} off the parts of
-        gamma at t^m and t^m dt."""
+        gamma at t^m and t^m dt.  Raises if gamma is not homogeneous."""
         if vec_is_zero(gamma):
             return {}
         k, tmax, tbound, ht = vec_degree(gamma), _tmax(paths), self.tbound, paths.g.table
+        if k is None:
+            raise StructuralError("need a homogeneous path")
         if not vec_is_zero(at_one(paths, gamma)):
             return None
         out = self.pair.n.span.coords(k, sparse(at_zero(paths, gamma).get(k, ())))

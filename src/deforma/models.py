@@ -37,7 +37,7 @@ def _rational(raw, ptr: str) -> Fraction:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ModelError(ptr, f"not a rational: {raw!r}")
-    if isinstance(raw, int):
+    if type(raw) is int:            # a JSON boolean is no number
         return Fraction(raw)
     raise ModelError(ptr, f"rationals must be strings like \"3/4\", got {type(raw).__name__}")
 
@@ -108,19 +108,24 @@ class ModelDocument:
         return self.section("defaults").get(key)
 
     # -- runtime builders ---------------------------------------------------
+    def _lookup(self, section: str, name, kind: str) -> tuple[dict, str]:
+        """The entry ``name`` of a section, which must be an object, and its
+        pointer."""
+        spec = self.section(section)
+        _ref(spec, name, f"/{section}", kind)
+        ptr = f"/{section}/{name}"
+        if not isinstance(spec[name], dict):
+            raise ModelError(ptr, "expected an object")
+        return spec[name], ptr
+
     def _get(self, kind: str, name: str, builder):
         if (kind, name) not in self._cache:
             self._cache[(kind, name)] = builder()
         return self._cache[(kind, name)]
 
     def space(self, name: str) -> GradedVectorSpace:
-        spec = self.section("spaces")
-        _ref(spec, name, "/spaces", "space")
+        entry, ptr = self._lookup("spaces", name, "space")
         def build():
-            entry = spec[name]
-            ptr = f"/spaces/{name}"
-            if not isinstance(entry, dict):
-                raise ModelError(ptr, "expected an object of degree -> label list")
             components = {}
             for key, labels in entry.items():
                 deg = _degree(key, f"{ptr}/{key}")
@@ -132,11 +137,8 @@ class ModelDocument:
         return self._get("space", name, build)
 
     def complex(self, name: str) -> Complex:
-        spec = self.section("complexes")
-        _ref(spec, name, "/complexes", "complex")
+        entry, ptr = self._lookup("complexes", name, "complex")
         def build():
-            entry = spec[name]
-            ptr = f"/complexes/{name}"
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             blocks = {}
@@ -151,14 +153,10 @@ class ModelDocument:
         return self._get("complex", name, build)
 
     def dgla(self, name: str) -> Dgla:
-        dglas = self.section("dglas")
-        ends = self.section("end_dglas")
-        if name in ends:
+        if name in self.section("end_dglas"):
             return self.end_dgla(name).dgla
-        _ref(dglas, name, "/dglas", "dgla")
+        entry, ptr = self._lookup("dglas", name, "dgla")
         def build():
-            entry = dglas[name]
-            ptr = f"/dglas/{name}"
             cx = self.complex(_ref(self.section("complexes"), entry.get("complex"),
                                    f"{ptr}/complex", "complex"))
             if entry.get("abelian"):
@@ -190,22 +188,17 @@ class ModelDocument:
         return self._get("dgla", name, build)
 
     def end_dgla(self, name: str) -> EndDgla:
-        ends = self.section("end_dglas")
-        _ref(ends, name, "/end_dglas", "end_dgla")
+        entry, ptr = self._lookup("end_dglas", name, "end_dgla")
         def build():
             from .endo import end_dgla
-            entry = ends[name]
             cx = self.complex(_ref(self.section("complexes"), entry.get("complex"),
-                                   f"/end_dglas/{name}/complex", "complex"))
+                                   f"{ptr}/complex", "complex"))
             return end_dgla(cx)
         return self._get("end", name, build)
 
     def cdga(self, name: str) -> CdgaModel:
-        spec = self.section("cdgas")
-        _ref(spec, name, "/cdgas", "cdga")
+        entry, ptr = self._lookup("cdgas", name, "cdga")
         def build():
-            entry = spec[name]
-            ptr = f"/cdgas/{name}"
             cx = self.complex(_ref(self.section("complexes"), entry.get("complex"),
                                    f"{ptr}/complex", "complex"))
             sp = cx.space
@@ -232,11 +225,8 @@ class ModelDocument:
         return self._get("cdga", name, build)
 
     def filtration(self, name: str) -> FiltrationData:
-        spec = self.section("filtrations")
-        _ref(spec, name, "/filtrations", "filtration")
+        entry, ptr = self._lookup("filtrations", name, "filtration")
         def build():
-            entry = spec[name]
-            ptr = f"/filtrations/{name}"
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             steps = {}
@@ -256,11 +246,8 @@ class ModelDocument:
         return self._get("filtration", name, build)
 
     def sub_dgla(self, name: str) -> SubDgla:
-        spec = self.section("subdglas")
-        _ref(spec, name, "/subdglas", "subdgla")
+        entry, ptr = self._lookup("subdglas", name, "subdgla")
         def build():
-            entry = spec[name]
-            ptr = f"/subdglas/{name}"
             host = entry.get("dgla")
             if not isinstance(host, str) or (host not in self.section("dglas")
                                              and host not in self.section("end_dglas")):
@@ -282,30 +269,24 @@ class ModelDocument:
         return self._get("sub", name, build)
 
     def artin(self, name: str) -> ArtinAlgebra:
-        spec = self.section("artin")
-        _ref(spec, name, "/artin", "artin algebra")
+        entry, ptr = self._lookup("artin", name, "artin algebra")
         def build():
             from .artin import truncated_polynomial_algebra
-            entry = spec[name]
-            ptr = f"/artin/{name}"
             k, order = entry.get("generators"), entry.get("order")
-            if not isinstance(k, int) or not isinstance(order, int) or k < 1 or order < 2:
+            if type(k) is not int or type(order) is not int or k < 1 or order < 2:
                 raise ModelError(ptr, "expected integer fields generators >= 1, order >= 2")
             return truncated_polynomial_algebra(k, order)
         return self._get("artin", name, build)
 
     def map(self, name: str) -> GradedMap:
-        spec = self.section("maps")
-        _ref(spec, name, "/maps", "map")
+        entry, ptr = self._lookup("maps", name, "map")
         def build():
-            entry = spec[name]
-            ptr = f"/maps/{name}"
             src = self.space(_ref(self.section("spaces"), entry.get("source"),
                                   f"{ptr}/source", "space"))
             dst = self.space(_ref(self.section("spaces"), entry.get("target"),
                                   f"{ptr}/target", "space"))
             shift = entry.get("shift", 0)
-            if not isinstance(shift, int):
+            if type(shift) is not int:
                 raise ModelError(f"{ptr}/shift", "expected an integer")
             blocks = {}
             for key, raw in (entry.get("blocks") or {}).items():
@@ -321,12 +302,9 @@ class ModelDocument:
         Declared as one degree -1 operator block dict per source basis vector,
         listed in (degree, index) order.
         """
-        spec = self.section("contractions")
-        _ref(spec, name, "/contractions", "contraction")
+        entry, ptr = self._lookup("contractions", name, "contraction")
         def build():
             from .endo import end_dgla
-            entry = spec[name]
-            ptr = f"/contractions/{name}"
             source = self.dgla(_ref(self.section("dglas"), entry.get("source"),
                                     f"{ptr}/source", "dgla"))
             omega = self.cdga(_ref(self.section("cdgas"), entry.get("cdga"),
@@ -361,11 +339,8 @@ class ModelDocument:
         return self._get("contraction", name, build)
 
     def element(self, name: str) -> tuple[GradedVectorSpace, GVec]:
-        spec = self.section("elements")
-        _ref(spec, name, "/elements", "element")
+        entry, ptr = self._lookup("elements", name, "element")
         def build():
-            entry = spec[name]
-            ptr = f"/elements/{name}"
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             values: GVec = {}

@@ -11,6 +11,13 @@ the sub-dgla End^{>=0}; a family of contractions i_a gives a Cartan homotopy
 into End(Omega); the induced map on cohomology lands in the end of the flag
 diagram integral_p Hom^0(F^p H, H/F^p H), and obstruction classes map into
 H^1(End/End^{>=0}).
+
+The flag side runs on sparse rows.  Each step F^p H^k is one echelon of
+the classes of the cocycles of F^p Omega^k, each class tagged with its
+cocycle, so every basis class of F^p H^k comes with the cocycle that i_a
+acts on.  Classes are read with ``CohomologyResult.project_row``, and a
+family's coordinates in the end of the diagram are read off the free
+columns of the kernel that spans it.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
 from .endo import EndDgla, end_dgla
 from .graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
                      cohomology, quotient_complex, vec_is_zero, zero_map)
-from .linalg import Q, Row, Vector, combine, dense, sparse
+from .linalg import Echelon, Q, Row, Vector, combine, dense, sparse
 
-_ZERO = Q(0)
+_ZERO, _ONE = Q(0), Q(1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +144,25 @@ def contraction_cartan(omega: CdgaModel, t: Dgla, i: GradedMap,
 
 class FlagData:
     """Cohomology H of Omega with its induced filtration and, per level p,
-    the quotient coordinate systems for H/F^p H."""
+    the quotient coordinate systems for H/F^p H.  ``cocycles[p][k]`` holds
+    one cocycle of F^p Omega^k per echelon row of F^p H^k, in the order of
+    ``f_h.step(p).rows(k)``, each with that row as its class."""
 
     def __init__(self, h_space: GradedVectorSpace, representatives: dict,
-                 f_h: FiltrationData, f_reps: dict, quotients: dict):
+                 f_h: FiltrationData, cocycles: dict, quotients: dict):
         self.h_space = h_space
         self.representatives = representatives  # degree -> list of cocycle vectors in Omega
         self.f_h = f_h              # induced filtration, in H coordinates
-        self.f_reps = f_reps        # p -> {degree -> list of (class coords, cocycle)}
+        self.cocycles = cocycles    # p -> {degree -> list of sparse cocycles}
         self.quotients = quotients  # p -> QuotientComplex of (H, d=0) by F^p H
 
 
 def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
+    """Per level p and degree k, one echelon of the classes of the cocycles
+    z of F^p Omega^k, each tagged with z at the columns from dim H^k on.
+    A class goes in only if it is independent of those before it, so the
+    tags stay cocycles of the classes they sit beside: the H-parts of the
+    rows are the echelon rows of F^p H^k, and the tags their cocycles."""
     hc = cohomology(omega.complex)
     components = {deg: tuple(f"H{deg}_{i}" for i in range(data.rank))
                   for deg, data in hc.by_degree.items() if data.rank}
@@ -156,38 +170,32 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
     reps = {deg: hc.representatives(deg) for deg in components}
 
     steps: dict[int, dict] = {}
-    f_reps: dict[int, dict] = {}
+    cocycles: dict[int, dict] = {}
     for p in f.levels():
         sub = f.step(p)
-        span: dict[int, list[Vector]] = {}
-        pairs: dict[int, list] = {}
         for deg in h_space.degrees:
-            dim = omega.space.dim(deg)
-            basis = sub.rows(deg)
+            basis, h = sub.rows(deg), h_space.dim(deg)
             if not basis:
                 continue
-            # cocycles inside F^p in this degree
             images = [omega.complex.differential.apply_row(deg, v) for v in basis]
-            kernel = linalg.nullspace(
-                linalg.transpose(images, omega.space.dim(deg + 1)), len(basis))
-            for coeffs in kernel:
-                cocycle = dense(combine(basis, coeffs.items()), dim)
-                if not any(cocycle):
-                    continue
-                coords = hc.project({deg: cocycle}).get(deg)
-                if coords and any(coords):
-                    span.setdefault(deg, []).append(coords)
-                    pairs.setdefault(deg, []).append((coords, cocycle))
-        if span:
-            steps[p] = span
-            f_reps[p] = pairs
+            e = Echelon()
+            for coeffs in linalg.nullspace(
+                    linalg.transpose(images, omega.space.dim(deg + 1)), len(basis)):
+                z = combine(basis, coeffs.items())
+                r = e.reduce({**hc.project_row(deg, z), **{h + j: x for j, x in z.items()}})
+                if r and min(r) < h:
+                    e.insert(r)
+            rows = [e.rows[q] for q in sorted(e.rows)]
+            if rows:
+                steps.setdefault(p, {})[deg] = [
+                    dense({j: x for j, x in r.items() if j < h}, h) for r in rows]
+                cocycles.setdefault(p, {})[deg] = [
+                    {j - h: x for j, x in r.items() if j >= h} for r in rows]
     f_h = FiltrationData(h_space, steps)
 
     h_complex = Complex(h_space, zero_map(h_space, h_space, 1))
-    quotients = {}
-    for p in f.levels():
-        quotients[p] = quotient_complex(h_complex, f_h.step(p))
-    return FlagData(h_space, reps, f_h, f_reps, quotients)
+    quotients = {p: quotient_complex(h_complex, f_h.step(p)) for p in f.levels()}
+    return FlagData(h_space, reps, f_h, cocycles, quotients)
 
 
 class EndSpace:
@@ -195,41 +203,44 @@ class EndSpace:
 
     ``levels`` lists the p with 0 != F^p != H; a family assigns to each such
     p and degree k a matrix from the F^p H^k basis to H^k/F^p H^k
-    coordinates.  ``basis`` spans the solution space of the compatibility
+    coordinates, laid out flat, block by block in ``layout`` order and row
+    by row.  ``basis`` and ``free`` are the kernel of the compatibility
     equations phi_p restricted to F^{p+1} = phi_{p+1} followed by the
-    projection H/F^{p+1} -> H/F^p."""
+    projection H/F^{p+1} -> H/F^p, as ``linalg.kernel`` gives it: basis
+    vector i is 1 at the flat entry free[i] and 0 at the other free ones."""
 
-    def __init__(self, flag: FlagData, levels: list, layout: list, basis: list):
+    def __init__(self, flag: FlagData, levels: list, layout: list, basis: list,
+                 free: list):
         self.flag = flag
         self.levels = levels
         self.layout = layout        # (p, degree, rows, cols) unknown blocks
         self.basis = basis          # flat coordinate vectors, as sparse rows
+        self.free = free            # the flat entry each basis vector is 1 at
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def coordinates_of(self, blocks: dict) -> Vector | None:
-        """Coordinates of a compatible family in the chosen basis."""
-        flat = []
+        """Coordinates of a compatible family in the chosen basis: its
+        entries at the free columns, checked by rebuilding the family from
+        them; None if it is not compatible."""
+        flat: Row = {}
+        base = 0
         for (p, deg, rows, cols) in self.layout:
-            block = blocks.get((p, deg)) or [[_ZERO] * cols] * rows
-            for r in range(rows):
-                flat.extend(block[r])
-        x = linalg.solve(linalg.transpose(self.basis, len(flat)), sparse(flat))
-        return None if x is None else dense(x, len(self.basis))
+            for r, line in enumerate(blocks.get((p, deg), ())):
+                flat.update((base + r * cols + c, x) for c, x in enumerate(line) if x)
+            base += rows * cols
+        x = [flat.get(j, _ZERO) for j in self.free]
+        return x if combine(self.basis, enumerate(x)) == flat else None
 
 
 def end_of_flag_diagram(flag: FlagData) -> EndSpace:
     f_h = flag.f_h
     h_space = flag.h_space
-    levels = []
-    for p in f_h.levels():
-        sub = f_h.step(p)
-        sub_total = sum(sub.dim(d) for d in h_space.degrees)
-        if sub_total and any(h_space.dim(d) > sub.dim(d)
-                             for d in h_space.degrees):
-            levels.append(p)
+    # every level of f_h has F^p H != 0: flag_data keeps no empty step
+    levels = [p for p in f_h.levels()
+              if any(h_space.dim(d) > f_h.step(p).dim(d) for d in h_space.degrees)]
 
     layout = []
     offsets = {}
@@ -244,13 +255,7 @@ def end_of_flag_diagram(flag: FlagData) -> EndSpace:
                 offsets[(p, deg)] = size
                 size += rows * cols
 
-    def block_index(p, deg, r, c):
-        for (pp, dd, rows, cols) in layout:
-            if pp == p and dd == deg:
-                return offsets[(p, deg)] + r * cols + c
-        return None
-
-    constraints: list[Vector] = []
+    constraints: list[Row] = []
     for p in levels:
         if (p + 1) not in levels:
             continue
@@ -258,38 +263,30 @@ def end_of_flag_diagram(flag: FlagData) -> EndSpace:
         sub_p1 = f_h.step(p + 1)
         q_p = flag.quotients[p]
         q_p1 = flag.quotients[p + 1]
-        # matrix of the projection H/F^{p+1} -> H/F^p per degree
         for deg in h_space.degrees:
             basis_p1 = sub_p1.rows(deg)
             rows_p = q_p.complex.space.dim(deg)
-            rows_p1 = q_p1.complex.space.dim(deg)
             if not basis_p1 or not rows_p:
                 continue
-            pi_block = []
-            for idx in q_p1.section_indices[deg]:
-                e = h_space.basis_element(deg, idx)
-                pi_block.append(list(q_p.projection.apply(e).get(
-                    deg, [Q(0)] * rows_p)))
-            # columns indexed by Q_{p+1} coordinates
+            # the projection H/F^{p+1} -> H/F^p: one sparse column per
+            # Q_{p+1} coordinate, read off the unit rows of the section
+            pi = [q_p.projection.apply_row(deg, {idx: _ONE})
+                  for idx in q_p1.section_indices[deg]]
+            # where the blocks (p, deg) and (p + 1, deg) start; the second
+            # is read only when pi has a column, and then it is laid out
+            cols_p, cols_p1 = sub_p.dim(deg), len(basis_p1)
+            base_p, base_p1 = offsets.get((p, deg)), offsets.get((p + 1, deg))
             for j, w in enumerate(basis_p1):
                 w_in_p = sub_p.coords(deg, w)
                 if w_in_p is None:
                     raise StructuralError("induced filtration is not decreasing")
                 for r in range(rows_p):
-                    row: Row = {}
-                    for c, x in w_in_p.items():
-                        idx = block_index(p, deg, r, c)
-                        if idx is not None:
-                            row[idx] = row.get(idx, _ZERO) + x
-                    for rr in range(rows_p1):
-                        idx = block_index(p + 1, deg, rr, j)
-                        if idx is not None:
-                            row[idx] = row.get(idx, _ZERO) - pi_block[rr][r]
-                    row = {i: x for i, x in row.items() if x}
-                    if row:
-                        constraints.append(row)
+                    row = {base_p + r * cols_p + c: x for c, x in w_in_p.items()}
+                    row.update((base_p1 + rr * cols_p1 + j, -col[r])
+                               for rr, col in enumerate(pi) if r in col)
+                    constraints.append(row)
 
-    return EndSpace(flag, levels, layout, linalg.nullspace(constraints, size))
+    return EndSpace(flag, levels, layout, *linalg.kernel(constraints, size))
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +308,28 @@ def period_differential(contraction: ContractionCartan,
     """H^1(i) followed by the action on filtered cohomology classes.
 
     For each class [a] in H^1 of the derivation dgla, each level p and each
-    class [w] in F^p H: phi_p([w]) = class of i_a(w) in H(Omega/F^p),
-    carried back to H/F^p H through the degeneration isomorphism
-    H/F^p H -> H(Omega/F^p) (an error if that map fails to be one)."""
+    basis class [w] of F^p H, with its cocycle w from ``flag.cocycles``:
+    phi_p([w]) = class of i_a(w) in H(Omega/F^p), carried back to H/F^p H
+    through the degeneration isomorphism H/F^p H -> H(Omega/F^p) (an error
+    if that map fails to be one)."""
     omega = contraction.omega
     flag = flag_data(omega, f)
     endspace = end_of_flag_diagram(flag)
-    t = contraction.source
-    hg = cohomology(t.underlying)
+    hg = cohomology(contraction.source.underlying)
+
+    omega_quotients: dict = {}
+
+    def read(p: int, deg: int, z: Row) -> Row:
+        """The class in H^deg(Omega/F^p) of a cocycle z of Omega^deg."""
+        oq, qc = omega_quotients[p]
+        return qc.project_row(deg, oq.projection.apply_row(deg, z))
 
     # degeneration isomorphisms per level, degree: H^k/F^p H^k -> H^k(Omega/F^p)
     deg_iso: dict = {}
-    quotient_cohomology: dict = {}
-    omega_quotients: dict = {}
     for p in endspace.levels:
         oq = quotient_complex(omega.complex, f.step(p))
-        omega_quotients[p] = oq
         qc = cohomology(oq.complex)
-        quotient_cohomology[p] = qc
+        omega_quotients[p] = oq, qc
         hq = flag.quotients[p]
         for deg in flag.h_space.degrees:
             rows = qc.rank(deg)
@@ -336,8 +337,7 @@ def period_differential(contraction: ContractionCartan,
             if not cols:
                 continue
             iso = linalg.transpose(
-                [sparse(qc.project(oq.projection.apply(
-                    {deg: list(flag.representatives[deg][idx])})).get(deg, []))
+                [read(p, deg, sparse(flag.representatives[deg][idx]))
                  for idx in hq.section_indices[deg]], rows)
             if rows != cols or linalg.rank(iso) != cols:
                 raise StructuralError(
@@ -351,31 +351,10 @@ def period_differential(contraction: ContractionCartan,
         op = contraction.end.element_to_map(contraction.i.apply({1: list(rep)}))
         blocks: dict = {}
         for (p, deg, rows, cols) in endspace.layout:
-            pairs = flag.f_reps.get(p, {}).get(deg, [])
-            basis = flag.f_h.step(p).rows(deg)
-            # representative cocycle for each F^p H basis class
-            coord_cols = [pair[0] for pair in pairs]
-            block_cols = []
-            coord_rows = linalg.transpose([sparse(c) for c in coord_cols],
-                                          flag.h_space.dim(deg))
-            cocycles = [sparse(pair[1]) for pair in pairs]
-            for v in basis:
-                sol = linalg.solve(coord_rows, v)
-                if sol is None:
-                    raise StructuralError("filtered class without a filtered "
-                                          "representative")
-                cocycle = dense(combine(cocycles, sol.items()), omega.space.dim(deg))
-                image = op.apply({deg: cocycle})
-                oq = omega_quotients[p]
-                qc = quotient_cohomology[p]
-                cls = qc.project(oq.projection.apply(image)).get(
-                    deg, [Q(0)] * qc.rank(deg))
-                back = linalg.solve(deg_iso[(p, deg)], sparse(cls))
-                if back is None:
-                    raise StructuralError("degeneration isomorphism failed "
-                                          "to invert a period class")
-                block_cols.append(dense(back, rows))
-            blocks[(p, deg)] = [[block_cols[c][r] for c in range(cols)]
+            # deg_iso is square and invertible, so every class has a preimage
+            block_cols = [linalg.solve(deg_iso[(p, deg)], read(p, deg, op.apply_row(deg, z)))
+                          for z in flag.cocycles[p][deg]]
+            blocks[(p, deg)] = [[col.get(r, _ZERO) for col in block_cols]
                                 for r in range(rows)]
         coords = endspace.coordinates_of(blocks)
         if coords is None:
@@ -410,13 +389,9 @@ def obstruction_image(g: Dgla, i: GradedMap, end: EndDgla,
     hq = pair.shifted_cohomology
     hg = cohomology(g.underlying)
 
+    reps = [sparse(r) for r in hg.representatives(2)]
     classes = {}
     for label, coords in obstruction.classes.items():
-        rep = [Q(0)] * g.space.dim(2)
-        for coeff, r in zip(coords, hg.representatives(2)):
-            for tpos, c in enumerate(r):
-                rep[tpos] += coeff * c
-        img = psi.apply({2: rep})
-        cls = hq.project(img).get(2, [Q(0)] * max(hq.rank(2), 1))
-        classes[label] = cls
+        image = psi.apply_row(2, combine(reps, enumerate(coords)))
+        classes[label] = dense(hq.project_row(2, image), max(hq.rank(2), 1))
     return ObstructionImage(classes)

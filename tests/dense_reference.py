@@ -83,6 +83,16 @@ canonical input tuples, with their own Koszul signs, bracket, d and gauge
 action.  Its slice, transports and L-infinity residuals are the oracle for
 h (x) CE_{<=N}(g) in test_convolution.py, test_cartan.py and
 test_acceptance.py.
+
+The period oracle is the flag side of ``period`` as it computed on dense
+coordinates: ``flag_data`` keeps every cocycle of F^p Omega^k with its
+class (``f_reps``), ``flag_cocycles`` combines them by ``solve`` into the
+cocycle of each echelon row of F^p H^k, ``end_of_flag_diagram`` finds
+each unknown of the compatibility equations by a scan of the layout,
+``coordinates_of`` solves against the end basis written as columns, and
+``period_differential`` reads each class through dense ``apply`` and
+``project``.  They are the oracle for ``period.flag_data``,
+``end_of_flag_diagram`` and ``period_differential`` in test_period.py.
 """
 
 import itertools
@@ -92,14 +102,14 @@ from fractions import Fraction
 
 from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
                                  canonical_tuples, canonicalize, v_basis, vdeg)
-from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, SubDgla, ValidationReport,
-                          _ZERO as ZERO, _bracket_into, _residual_repr,
-                          ad_exp_terms, tensor_basis, validate_morphism)
+from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
+                          ValidationReport, _ZERO as ZERO, _bracket_into,
+                          _residual_repr, ad_exp_terms, tensor_basis, validate_morphism)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
                             vec_is_zero, vec_scale, vec_sub)
-from deforma import linalg
+from deforma import graded, linalg
 from deforma.linalg import Q, Vector
 
 Matrix = list[list[Fraction]]
@@ -1717,3 +1727,206 @@ def bch(bracket, x: GVec, y: GVec, cutoff: int) -> GVec:
 
 def pi1_multiply(ng, a: GVec, b: GVec) -> GVec:
     return bch(ng.bracket, a, b, nilpotency_order(ng) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the flag side and the period differential, on dense coordinates
+
+@dataclass
+class DenseFlag:
+    h_space: GradedVectorSpace
+    representatives: dict       # degree -> list of cocycle vectors in Omega
+    f_h: object                 # the induced filtration, a FiltrationData
+    f_reps: dict                # p -> {degree -> list of (class coords, cocycle)}
+    quotients: dict             # p -> QuotientComplex of (H, d=0) by F^p H
+
+
+@dataclass
+class DenseEnd:
+    flag: DenseFlag
+    levels: list
+    layout: list                # (p, degree, rows, cols) unknown blocks
+    basis: list                 # flat coordinate vectors, as sparse rows
+
+
+def flag_data(omega: CdgaModel, f) -> DenseFlag:
+    """The induced filtration on H, each F^p H^k spanned by the classes of
+    the cocycles of F^p Omega^k, every one kept with its class."""
+    hc = graded.cohomology(omega.complex)
+    components = {deg: tuple(f"H{deg}_{i}" for i in range(data.rank))
+                  for deg, data in hc.by_degree.items() if data.rank}
+    h_space = GradedVectorSpace(components)
+    reps = {deg: hc.representatives(deg) for deg in components}
+    steps: dict = {}
+    f_reps: dict = {}
+    for p in f.levels():
+        sub = f.step(p)
+        span: dict = {}
+        pairs: dict = {}
+        for deg in h_space.degrees:
+            dim = omega.space.dim(deg)
+            basis = sub.rows(deg)
+            if not basis:
+                continue
+            images = [omega.complex.differential.apply_row(deg, v) for v in basis]
+            kernel = linalg.nullspace(
+                linalg.transpose(images, omega.space.dim(deg + 1)), len(basis))
+            for coeffs in kernel:
+                cocycle = linalg.dense(linalg.combine(basis, coeffs.items()), dim)
+                if not any(cocycle):
+                    continue
+                coords = hc.project({deg: cocycle}).get(deg)
+                if coords and any(coords):
+                    span.setdefault(deg, []).append(coords)
+                    pairs.setdefault(deg, []).append((coords, cocycle))
+        if span:
+            steps[p] = span
+            f_reps[p] = pairs
+    f_h = FiltrationData(h_space, steps)
+    h_complex = Complex(h_space, graded.zero_map(h_space, h_space, 1))
+    quotients = {p: graded.quotient_complex(h_complex, f_h.step(p)) for p in f.levels()}
+    return DenseFlag(h_space, reps, f_h, f_reps, quotients)
+
+
+def flag_cocycles(flag: DenseFlag, p: int, deg: int) -> list:
+    """The cocycle of each echelon row v of F^p H^deg, as a sparse row: the
+    cocycles of ``f_reps`` combined by ``solve`` of v against their
+    classes."""
+    pairs = flag.f_reps.get(p, {}).get(deg, [])
+    coord_rows = linalg.transpose([linalg.sparse(c) for c, _ in pairs],
+                                  flag.h_space.dim(deg))
+    cocycles = [linalg.sparse(z) for _, z in pairs]
+    out = []
+    for v in flag.f_h.step(p).rows(deg):
+        sol = linalg.solve(coord_rows, v)
+        if sol is None:
+            raise StructuralError("filtered class without a filtered representative")
+        out.append(linalg.combine(cocycles, sol.items()))
+    return out
+
+
+def end_of_flag_diagram(flag: DenseFlag) -> DenseEnd:
+    """The compatibility equations of the families (phi_p), one unknown per
+    block entry found by a linear scan of the layout, and their kernel."""
+    f_h, h_space = flag.f_h, flag.h_space
+    levels = []
+    for p in f_h.levels():
+        sub = f_h.step(p)
+        if sum(sub.dim(d) for d in h_space.degrees) and any(
+                h_space.dim(d) > sub.dim(d) for d in h_space.degrees):
+            levels.append(p)
+    layout, offsets, size = [], {}, 0
+    for p in levels:
+        sub = f_h.step(p)
+        for deg in h_space.degrees:
+            cols = sub.dim(deg)
+            rows = flag.quotients[p].complex.space.dim(deg)
+            if rows and cols:
+                layout.append((p, deg, rows, cols))
+                offsets[(p, deg)] = size
+                size += rows * cols
+
+    def block_index(p, deg, r, c):
+        for (pp, dd, rows, cols) in layout:
+            if pp == p and dd == deg:
+                return offsets[(p, deg)] + r * cols + c
+        return None
+
+    constraints = []
+    for p in levels:
+        if (p + 1) not in levels:
+            continue
+        sub_p, sub_p1 = f_h.step(p), f_h.step(p + 1)
+        q_p, q_p1 = flag.quotients[p], flag.quotients[p + 1]
+        for deg in h_space.degrees:
+            basis_p1 = sub_p1.rows(deg)
+            rows_p = q_p.complex.space.dim(deg)
+            rows_p1 = q_p1.complex.space.dim(deg)
+            if not basis_p1 or not rows_p:
+                continue
+            pi_block = [list(q_p.projection.apply(h_space.basis_element(deg, idx)).get(
+                deg, [Q(0)] * rows_p)) for idx in q_p1.section_indices[deg]]
+            for j, w in enumerate(basis_p1):
+                w_in_p = sub_p.coords(deg, w)
+                if w_in_p is None:
+                    raise StructuralError("induced filtration is not decreasing")
+                for r in range(rows_p):
+                    row = {}
+                    for c, x in w_in_p.items():
+                        idx = block_index(p, deg, r, c)
+                        if idx is not None:
+                            row[idx] = row.get(idx, ZERO) + x
+                    for rr in range(rows_p1):
+                        idx = block_index(p + 1, deg, rr, j)
+                        if idx is not None:
+                            row[idx] = row.get(idx, ZERO) - pi_block[rr][r]
+                    row = {i: x for i, x in row.items() if x}
+                    if row:
+                        constraints.append(row)
+    return DenseEnd(flag, levels, layout, linalg.nullspace(constraints, size))
+
+
+def coordinates_of(endspace: DenseEnd, blocks: dict) -> Vector | None:
+    """A family's coordinates in the end basis, by ``solve`` against the
+    basis written as columns."""
+    flat = []
+    for (p, deg, rows, cols) in endspace.layout:
+        block = blocks.get((p, deg)) or [[ZERO] * cols] * rows
+        for r in range(rows):
+            flat.extend(block[r])
+    x = linalg.solve(linalg.transpose(endspace.basis, len(flat)), linalg.sparse(flat))
+    return None if x is None else linalg.dense(x, len(endspace.basis))
+
+
+def period_differential(contraction, f):
+    """The period differential on dense coordinates: per basis class of
+    F^p H^k, its cocycle by ``solve`` against the classes of ``f_reps``,
+    then i_a of it, read in H(Omega/F^p) and carried back to H/F^p H.
+    Returns the flag, the end space, the matrix and the families."""
+    omega = contraction.omega
+    flag = flag_data(omega, f)
+    endspace = end_of_flag_diagram(flag)
+    hg = graded.cohomology(contraction.source.underlying)
+    deg_iso, quotient_cohomology, omega_quotients = {}, {}, {}
+    for p in endspace.levels:
+        oq = omega_quotients[p] = graded.quotient_complex(omega.complex, f.step(p))
+        qc = quotient_cohomology[p] = graded.cohomology(oq.complex)
+        hq = flag.quotients[p]
+        for deg in flag.h_space.degrees:
+            rows, cols = qc.rank(deg), hq.complex.space.dim(deg)
+            if not cols:
+                continue
+            iso = linalg.transpose(
+                [linalg.sparse(qc.project(oq.projection.apply(
+                    {deg: list(flag.representatives[deg][idx])})).get(deg, []))
+                 for idx in hq.section_indices[deg]], rows)
+            if rows != cols or linalg.rank(iso) != cols:
+                raise StructuralError(
+                    f"degeneration comparison fails to be an isomorphism at "
+                    f"level {p}, degree {deg}")
+            deg_iso[(p, deg)] = iso
+    matrix, families = [], []
+    for rep in hg.representatives(1):
+        op = contraction.end.element_to_map(contraction.i.apply({1: list(rep)}))
+        blocks = {}
+        for (p, deg, rows, cols) in endspace.layout:
+            block_cols = []
+            for z in flag_cocycles(flag, p, deg):
+                image = op.apply({deg: linalg.dense(z, omega.space.dim(deg))})
+                qc = quotient_cohomology[p]
+                cls = qc.project(omega_quotients[p].projection.apply(image)).get(
+                    deg, [Q(0)] * qc.rank(deg))
+                back = linalg.solve(deg_iso[(p, deg)], linalg.sparse(cls))
+                if back is None:
+                    raise StructuralError("degeneration isomorphism failed "
+                                          "to invert a period class")
+                block_cols.append(linalg.dense(back, rows))
+            blocks[(p, deg)] = [[block_cols[c][r] for c in range(cols)]
+                                for r in range(rows)]
+        coords = coordinates_of(endspace, blocks)
+        if coords is None:
+            raise StructuralError("period image violates the end "
+                                  "compatibility equations")
+        matrix.append(coords)
+        families.append(blocks)
+    return flag, endspace, matrix, families

@@ -50,11 +50,31 @@ def cycle_subs(c):
 
 
 def assert_cohomology_matches(c):
+    """The representatives and coboundaries against the oracle, and per
+    degree ``project_row`` against ``project`` on seeded cocycles (sums of
+    representatives and coboundaries) and on a non-cocycle, where both
+    raise; both refuse an entry past the degree's dimension."""
     got = cohomology(c)
+    rng = random.Random(len(c.space.degrees))
     for deg, (rank, reps, cobs) in dense.cohomology(c).items():
         data = got.by_degree[deg]
         coboundaries = [linalg.dense(b, c.space.dim(deg)) for b in data.coboundaries]
         assert (data.rank, data.representatives, coboundaries) == (rank, reps, cobs)
+        for _ in range(3):
+            z = linalg.combine([linalg.sparse(r) for r in reps] + data.coboundaries,
+                               [(j, Q(rng.randint(-2, 2))) for j in range(rank + len(cobs))])
+            want = got.project({deg: linalg.dense(z, c.space.dim(deg))}).get(deg, [])
+            assert got.project_row(deg, z) == linalg.sparse(want)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            got.project_row(deg, {c.space.dim(deg): Q(1)})
+        with pytest.raises(ValueError, match="shape mismatch"):
+            got.project({deg: [Q(1)] * (c.space.dim(deg) + 1)})
+        moved = [j for j, col in enumerate(c.differential.columns.get(deg, [])) if col]
+        if moved:
+            with pytest.raises(ValueError, match="not a cocycle"):
+                got.project_row(deg, {moved[0]: Q(1)})
+            with pytest.raises(ValueError, match="not a cocycle"):
+                got.project(c.space.basis_element(deg, moved[0]))
 
 
 def assert_quotient_matches(c, sub: SubSpaceData):

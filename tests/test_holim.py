@@ -267,6 +267,20 @@ def test_bounded_coords_reject_paths_outside():
     assert coords(0, [E11, None, None, minus]) is None      # past t^2
 
 
+def test_bounded_coords_refuse_an_inhomogeneous_path():
+    """p = e11 (x) (1 - t) in degree 0 with q = e11, whose q dt lies in
+    degree 1: the path has no degree, so the reader raises, as
+    ``HolimMorphism.arity_one`` does on an inhomogeneous argument."""
+    g2 = F.f2_dgla()
+    bounded = holim_bounded(holim_pair(g2, F.f2_borel(g2)), 2)
+    paths = path_dgla(g2, 2)
+    gamma = to_coords(paths, PathElement(g2, 0, [{0: E11}, {0: [-x for x in E11]}],
+                                         [{0: E11}]))
+    assert len(gamma) == 2
+    with pytest.raises(StructuralError, match="need a homogeneous path"):
+        bounded.coords(paths, gamma)
+
+
 def test_quasi_abelian_witness_rejects_a_path_outside(monkeypatch):
     g2 = F.f2_dgla()
     pair = holim_pair(g2, F.f2_borel(g2))

@@ -63,12 +63,43 @@ def test_unknown_section_rejected():
 
 
 def test_bad_rational_located():
-    raw = load_raw("F7")
-    raw["elements"]["seed"]["values"]["1"][0] = "one half"
-    with pytest.raises(ModelError) as exc:
-        parse_model_dict(raw)
-    assert "seed" in exc.value.pointer
-    assert "rational" in exc.value.message
+    """A string that is no rational, and a JSON boolean where a number or an
+    integer goes (``bool`` is a subclass of ``int`` in Python)."""
+    seed = ("elements", "seed", "values", "1", 0)
+    cases = [("F7", seed, "one half", "/elements/seed/values/1/0", "rational"),
+             ("F7", seed, True, "/elements/seed/values/1/0", "rational"),
+             ("F2", ("maps", "s", "shift"), True, "/maps/s/shift", "integer"),
+             ("F7", ("artin", "A2", "generators"), True, "/artin/A2", "integer")]
+    for name, path, value, pointer, word in cases:
+        raw = load_raw(name)
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ModelError) as exc:
+            parse_model_dict(raw)
+        assert exc.value.pointer == pointer
+        assert word in exc.value.message
+
+
+def test_non_object_entries_located():
+    """Every entry of every section of every shipped fixture, replaced by a
+    list, is refused with its own pointer."""
+    seen = set()
+    for fname in FIXTURE_FILES:
+        for section, entries in load_raw(fname[:-5]).items():
+            if section in ("schema", "defaults"):
+                continue
+            for name in entries:
+                raw = load_raw(fname[:-5])
+                raw[section][name] = []
+                with pytest.raises(ModelError) as exc:
+                    parse_model_dict(raw)
+                assert (exc.value.pointer, exc.value.message) == (
+                    f"/{section}/{name}", "expected an object")
+                seen.add(section)
+    assert seen == {"spaces", "complexes", "dglas", "end_dglas", "cdgas", "filtrations",
+                    "subdglas", "artin", "maps", "contractions", "elements"}
 
 
 def test_wrong_table_shape_located():
@@ -131,6 +162,16 @@ def test_cli_malformed_model_reports_pointer(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["status"] == "invalid"
     assert doc["payload"]["location"] == "/bogus"
+
+
+def test_cli_non_object_entry_is_bad_input(tmp_path):
+    raw = load_raw("F1")
+    raw["complexes"]["g"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    proc = run_cli("validate", "--model", str(bad))
+    assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["payload"]["location"] == "/complexes/g"
 
 
 @pytest.mark.parametrize("kind", ["directory", "invalid UTF-8"])

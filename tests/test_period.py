@@ -217,8 +217,11 @@ def test_period_rejects_failing_degeneration():
     filt = FiltrationData(omega.space, {1: {1: [
         [Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)]]}})
     assert validate_filtration(omega.complex, filt).ok
-    with pytest.raises(StructuralError):
-        period_differential(contraction, filt)
+    # the same error, word for word, as the dense oracle
+    for compute in (period_differential, dense.period_differential):
+        with pytest.raises(StructuralError, match="^degeneration comparison fails to be "
+                                                  "an isomorphism at level 1, degree 0$"):
+            compute(contraction, filt)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +344,95 @@ def test_period_differential_of_the_2_torus():
                     want[r][c] = x
             assert family[p, k] == want, (p, k)
             assert sorted(x for row in want for x in row if x) in ([Q(1)], [Q(-1)]), (p, k)
+
+
+# ---------------------------------------------------------------------------
+# the sparse flag side against the dense oracle
+
+def sub_filtrations(filt, count, rng):
+    """Seeded decreasing sub-filtrations G^2 inside G^1 of a filtration with
+    levels 1 and 2: per degree, G^2 is spanned by a random number of random
+    combinations of the rows of F^2, and G^1 by as many of F^1 and G^2."""
+    for _ in range(count):
+        steps = {}
+        for p in (2, 1):
+            level = {}
+            for k, vecs in filt.steps[p].items():
+                span = [[sum(Q(rng.randint(-2, 2)) * v[i] for v in vecs)
+                         for i in range(len(vecs[0]))]
+                        for _ in range(rng.randint(0, len(vecs)))]
+                span += steps.get(2, {}).get(k, [])     # empty while p is 2
+                if span:
+                    level[k] = span
+            if level:
+                steps[p] = level
+        yield FiltrationData(filt.space, steps)
+
+
+def oracle_cases():
+    for cdga, source, contraction, filt in (
+            (F.f4_cdga, F.f4_derivations, F.f4_contraction, F.f4_degree_filtration),
+            (F.f6_cdga, F.f6_dgla, F.f6_contraction, F.f6_filtration)):
+        omega = cdga()
+        end = end_dgla(omega.complex)
+        yield contraction_cartan(omega, source(), contraction(end), end=end), filt()
+    omega, filt, ks, end, i_map, *_ = torus2()
+    torus = contraction_cartan(omega, ks, i_map, end=end)
+    yield torus, filt
+    for sub in sub_filtrations(filt, 24, random.Random(23)):
+        assert validate_filtration(omega.complex, sub).ok
+        yield torus, sub
+
+
+def assert_flag_matches(omega, filt):
+    """flag_data against the oracle: the levels and rows of the induced
+    filtration, and per row the cocycle that the oracle combines by
+    ``solve``, which has the row as its class and lies in F^p."""
+    flag, want = flag_data(omega, filt), dense.flag_data(omega, filt)
+    hc = cohomology(omega.complex)
+    assert flag.f_h.levels() == want.f_h.levels()
+    for p in want.f_h.levels():
+        for k in want.h_space.degrees:
+            rows = list(flag.f_h.step(p).rows(k))
+            cocycles = flag.cocycles[p].get(k, [])
+            assert rows == list(want.f_h.step(p).rows(k))
+            assert cocycles == dense.flag_cocycles(want, p, k)
+            assert [hc.project_row(k, z) for z in cocycles] == rows
+            assert all(filt.step(p).coords(k, z) is not None for z in cocycles)
+
+
+def test_flag_data_matches_the_dense_oracle():
+    """Cdgas with exact forms inside the filtration, so that cocycles whose
+    classes depend on those before them meet the echelon: F5 with all
+    one-forms as F^1 (dx and x dx are exact), F5 with F^1 spanned by
+    dx + x^2 dx and x dx + x^2 dx (two cocycles of one nonzero class), and
+    F4 with its degree filtration."""
+    omega5 = F.f5_cdga()
+    one_class = FiltrationData(omega5.space, {1: {1: [[Q(1), Q(0), Q(1)],
+                                                      [Q(0), Q(1), Q(1)]]}})
+    for omega, filt in ((omega5, F.f5_form_filtration()), (omega5, one_class),
+                        (F.f4_cdga(), F.f4_degree_filtration())):
+        assert validate_filtration(omega.complex, filt).ok
+        assert_flag_matches(omega, filt)
+
+
+def test_period_differential_matches_the_dense_oracle():
+    """flag_data, end_of_flag_diagram and period_differential against the
+    dense code they replaced, on F4, F6, the 2-torus and 24 seeded
+    sub-filtrations of its Hodge filtration: levels, layout, the rows of
+    the induced filtration and their cocycles, the end basis, the families
+    and the matrix agree."""
+    layouts = set()
+    for contraction, filt in oracle_cases():
+        assert_flag_matches(contraction.omega, filt)
+        _, endspace, matrix, families = dense.period_differential(contraction, filt)
+        period = period_differential(contraction, filt)
+        assert (period.endspace.levels, period.endspace.layout) == (
+            endspace.levels, endspace.layout)
+        assert period.endspace.basis == endspace.basis
+        assert (period.families, period.matrix) == (families, matrix)
+        layouts.add(tuple(endspace.layout))
+    assert len(layouts) > 20
 
 
 # ---------------------------------------------------------------------------
