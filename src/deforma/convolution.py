@@ -13,18 +13,20 @@ CE_{<=N}(g), in g[1]-degrees |s a| = |a| - 1 (``vdeg``):
   * basis:        xi^[A] for A in ``canonical_tuples(g, q)``, q = 1..N, of
     degree sum(1 - |a_i|): the basis dual to the canonical monomials
     s a_1 ... s a_q, so an even xi has divided powers;
-  * product:      xi^[A] xi^[B] = (-1)^{|xi^[A]||xi^[B]|} sum_P eps(P) xi^[C]
-    with C = sorted(A + B), P running over the position sets with
-    C|_P = A and C|_{P^c} = B, and eps(P) the Koszul sign of the unshuffle
-    (P, P^c) in g[1]-degrees; it is zero if C repeats an odd key or is
-    longer than N;
+  * product:      xi^[A] xi^[B] = (-1)^{|xi^[A]||xi^[B]|} eps(A, B)
+    prod_k C(m_C(k), m_A(k)) xi^[C] with C = sorted(A + B), m_W(k) the
+    multiplicity of k in W, and eps(A, B) the Koszul sign of the odd keys
+    of B passing the odd keys of A; it is zero if C repeats an odd key or
+    is longer than N, and only the pairs with len A + len B <= N are met;
   * differential: d xi_c = (-1)^{|xi_c|} (sum_a (d_g a)_c xi_a
     - sum_{(a, b)} (-1)^{|a|} [a, b]_c xi^[ab]), (a, b) over
-    ``canonical_tuples(g, 2)``, extended as a derivation.  Writing
-    xi_{a_1} ... xi_{a_q} = kappa_A xi^[A] (a Koszul sign times the
-    factorials of the multiplicities), d xi^[A] is kappa_A^{-1} times the
-    Leibniz expansion of d(xi_{a_1} ... xi_{a_q}).  Longer words span a dg
+    ``canonical_tuples(g, 2)``, extended as a derivation: for a longer word
+    w = (k,) + r, xi_k xi^[r] = c_w xi^[w] with c_w = +-m_w(k), so
+    d xi^[w] = (d xi_k xi^[r] + (-1)^{|xi_k|} xi_k d xi^[r]) / c_w, shortest
+    words first, each product read off the table.  Longer words span a dg
     ideal, so dropping words longer than N is exact.
+
+Every constant is an int where it is integral and a ``Fraction`` otherwise.
 
 The basis vector e_k (x) xi^[A] of the slice is the map sending the
 canonical monomial A to e_k and every other canonical monomial to 0, with no
@@ -41,6 +43,7 @@ the source g with the convolution dgla.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, TensorDgla, tensor_dgla,
                    validate_morphism)
@@ -60,26 +63,6 @@ def vdeg(key: VKey) -> int:
     return key[0] - 1
 
 
-def canonicalize(keys: tuple, g: Dgla) -> tuple[tuple, int] | None:
-    """Sort a tuple of VKeys with the Koszul sign; None if it vanishes.
-
-    A tuple vanishes when a key of odd g[1]-degree repeats.
-    """
-    keys = list(keys)
-    sign = 1
-    for i in range(1, len(keys)):
-        j = i
-        while j > 0 and keys[j - 1] > keys[j]:
-            if (vdeg(keys[j - 1]) % 2) and (vdeg(keys[j]) % 2):
-                sign = -sign
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-            j -= 1
-    for a, b in zip(keys, keys[1:]):
-        if a == b and vdeg(a) % 2:
-            return None
-    return tuple(keys), sign
-
-
 def canonical_tuples(g: Dgla, q: int) -> list[tuple]:
     out = []
     for combo in itertools.combinations_with_replacement(v_basis(g), q):
@@ -87,19 +70,6 @@ def canonical_tuples(g: Dgla, q: int) -> list[tuple]:
             continue
         out.append(combo)
     return out
-
-
-def _unshuffle_sign(positions: tuple, degrees: list[int]) -> int:
-    """Koszul sign of the permutation (selected block, complement block)."""
-    sign = 1
-    selected = set(positions)
-    for i in range(len(degrees)):
-        if i in selected:
-            continue
-        for j in positions:
-            if j > i and (degrees[i] % 2) and (degrees[j] % 2):
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -111,85 +81,75 @@ def ce_words(g: Dgla, arity_bound: int) -> list[tuple]:
     return sorted(words, key=lambda w: -sum(vdeg(k) for k in w))
 
 
-def _word_product(a: tuple, b: tuple, g: Dgla, arity_bound: int):
-    """xi^[a] xi^[b] as (word, coefficient), or None; () is the unit."""
-    c = tuple(sorted(a + b))
-    if len(c) > arity_bound or canonicalize(c, g) is None:
-        return None
-    degs = [vdeg(k) for k in c]
-    coeff = sum(_unshuffle_sign(p, degs)
-                for p in itertools.combinations(range(len(c)), len(a))
-                if tuple(c[i] for i in p) == a)
-    if sum(vdeg(k) for k in a) * sum(vdeg(k) for k in b) % 2:
-        coeff = -coeff
-    return c, coeff
-
-
 def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
-    """CE_{<=N}(g) on the words of length 1..N (module docstring)."""
+    """CE_{<=N}(g) on the words of length 1..N (module docstring), its
+    constants ints where integral."""
     words: dict[int, list[tuple]] = {}
     for w in ce_words(g, arity_bound):
         words.setdefault(-sum(vdeg(k) for k in w), []).append(w)
     space = GradedVectorSpace({
         k: tuple("^".join(g.label(*key) for key in w) for w in ws)
         for k, ws in words.items()})
-    place = {w: (k, i) for k, ws in words.items() for i, w in enumerate(ws)}
-
-    def times(x: dict, y: dict) -> dict:
-        out: dict = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                prod = _word_product(a, b, g, arity_bound)
-                if prod:
-                    out[prod[0]] = out.get(prod[0], 0) + prod[1] * ca * cb
-        return {w: c for w, c in out.items() if c}
-
-    # d xi_c: the coefficient of xi_a is (-1)^{|xi_c|} (d_g a)_c, and that of
-    # xi^[ab] is -(-1)^{|xi_c| + |a|} [a, b]_c
-    sources = [((a,), g.d(g.space.basis_element(*a)), 1) for a in v_basis(g)]
-    if arity_bound >= 2:
-        sources += [((a, b), g.pair_bracket(*a, *b), 1 if a[0] % 2 else -1)
-                    for a, b in canonical_tuples(g, 2)]
-    dgen: dict[VKey, dict] = {key: {} for key in v_basis(g)}
-    for word, image, sign in sources:
-        for deg, v in image.items():
-            for t, c in enumerate(v):
-                if c:
-                    dgen[deg, t][word] = -sign * c if vdeg((deg, t)) % 2 else sign * c
-
-    d_columns: dict[int, list] = {}
-    for w, (k, col) in place.items():
-        kappa = {(): 1}
-        for key in w:
-            kappa = times(kappa, {(key,): 1})
-        image: dict = {}
-        for i, key in enumerate(w):
-            term = {(): Q(-1) if sum(vdeg(k) for k in w[:i]) % 2 else Q(1)}
-            for j, other in enumerate(w):
-                term = times(term, dgen[key] if i == j else {(other,): 1})
-            for u, c in term.items():
-                image[u] = image.get(u, 0) + c
-        column = {place[u][1]: c / kappa[w] for u, c in image.items() if c}
-        if column:
-            d_columns.setdefault(k, [{} for _ in range(space.dim(k))])[col] = column
-
     flat = FlatBasis(space)
-    position = {w: flat.offset[k] + i for w, (k, i) in place.items()}
-    upper = []      # ((a, b), xi^[a] xi^[b]) for |a| <= |b|, nonzero only
-    for a, (m, _) in place.items():
-        for b, (n, _) in place.items():
-            prod = _word_product(a, b, g, arity_bound) if m <= n else None
-            if prod and prod[1]:
-                upper.append(((position[a], position[b]), {position[prod[0]]: prod[1]}))
-    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)),
-                     flat.table_from_upper(upper, symmetric=True))
+    order = [w for ws in words.values() for w in ws]        # by flat position
+    at = {w: t for t, w in enumerate(order)}
+    odd = [{k for k in w if vdeg(k) % 2} for w in order]
+    parity = [sum(vdeg(k) for k in w) % 2 for w in order]
+
+    upper = []      # ((a, b), xi^[a] xi^[b]) for |a| <= |b| and len a + len b <= N
+    fits = [[u for u, w in enumerate(order) if len(w) <= n] for n in range(arity_bound)]
+    for t, a in enumerate(order):
+        first = flat.offset[flat.position[t][0]]
+        for u in fits[arity_bound - len(a)]:
+            if u >= first and not odd[t] & odd[u]:
+                c = tuple(sorted(a + order[u]))
+                coeff = math.prod(math.comb(c.count(k), a.count(k)) for k in set(a))
+                flips = parity[t] * parity[u] + sum(y < x for x in odd[t] for y in odd[u])
+                upper.append(((t, u), {at[c]: -coeff if flips % 2 else coeff}))
+    table = flat.table_from_upper(upper, symmetric=True)
+
+    # d xi_c = (-1)^{|xi_c|} (sum_a (d_g a)_c xi_a - sum_{a <= b} (-1)^{|a|} [a, b]_c
+    # xi^[ab]), (a, b) over the words of length two
+    gt = g.table
+    gen = [at[(key,)] for key in gt.position]
+    dcol: list[dict] = [{} for _ in order]
+    for p, a in enumerate(gt.position):
+        images = [(gen[p], 1, g.dcols[p])]
+        images += [(at[a, gt.position[q]], 1 if a[0] % 2 else -1, s)
+                   for q, s in gt.row(p).items() if q >= p and (a, gt.position[q]) in at]
+        for word, sign, image in images:
+            for r, c in image.items():
+                c = c.numerator if c.denominator == 1 else c
+                dcol[gen[r]][word] = -sign * c if parity[gen[r]] else sign * c
+    # w = (k,) + r, shortest first: xi_k xi^[r] = c_w xi^[w], so d xi^[w] =
+    # (d xi_k xi^[r] + (-1)^{|xi_k|} xi_k d xi^[r]) / c_w, read off the table
+    for t in sorted(range(len(order)), key=lambda t: len(order[t]))[len(gen):]:
+        k, r = at[order[t][:1]], at[order[t][1:]]
+        sign, acc = -1 if parity[k] else 1, {}
+        for x, y, c in ([(u, r, c) for u, c in dcol[k].items()]
+                        + [(k, u, sign * c) for u, c in dcol[r].items()]):
+            for v, e in table.row(x).get(y, {}).items():
+                acc[v] = acc.get(v, 0) + c * e
+        cw = table.row(k)[r][t]
+        for v, c in acc.items():
+            if c:
+                c = c // cw if type(c) is int and not c % cw else Q(c, cw)
+                dcol[t][v] = c.numerator if c.denominator == 1 else c
+
+    d_columns = {k: [{} for _ in range(space.dim(k))] for k in space.degrees}
+    for t, column in enumerate(dcol):
+        k, i = flat.position[t]
+        d_columns[k][i] = {flat.position[v][1]: c for v, c in column.items()}
+    ce = CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)), table)
+    ce._words = order       # read by ``convolution`` for the weights
+    return ce
 
 
 def convolution(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> TensorDgla:
     """The convolution dgla h (x) CE_{<=N}(g), each word weighted by its
     length, the arity."""
-    return tensor_dgla(h, chevalley_eilenberg(g, arity_bound),
-                       tuple(len(w) for w in ce_words(g, arity_bound)))
+    ce = chevalley_eilenberg(g, arity_bound)
+    return tensor_dgla(h, ce, tuple(len(w) for w in ce._words))
 
 
 def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:

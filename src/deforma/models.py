@@ -1,6 +1,7 @@
 """JSON model documents: parsing, validation and emission.
 
-One document format feeds every command.  Degrees are string keys, matrices
+One document format feeds every command.  Degrees are string keys of the
+form -?[0-9]+ ("m,n" for a pair), one key per degree in a table; matrices
 are row-major nested lists, and every rational is a "num/den" string, so a
 document survives serialization without losing exactness.  Errors carry a
 JSON-pointer-style location of the first offending field.
@@ -63,17 +64,31 @@ def _matrix(raw, ptr: str, rows: int, cols: int) -> Matrix:
 
 
 def _degree(key: str, ptr: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
+    """The degree a key names, in the schema's form -?[0-9]+ only."""
+    digits = key[1:] if key.startswith("-") else key
+    if not (digits.isascii() and digits.isdigit()):
         raise ModelError(ptr, f"degree keys must be integer strings, got {key!r}")
+    return int(key)
 
 
 def _degree_pair(key: str, ptr: str) -> tuple[int, int]:
     parts = key.split(",")
     if len(parts) != 2:
         raise ModelError(ptr, f"expected \"m,n\" degree-pair key, got {key!r}")
-    return _degree(parts[0].strip(), ptr), _degree(parts[1].strip(), ptr)
+    return _degree(parts[0].rstrip(" "), ptr), _degree(parts[1].lstrip(" "), ptr)
+
+
+def _by_degree(table: dict, ptr: str, parse=_degree):
+    """(degree, pointer, value) for each key of a table keyed by degrees
+    (``parse``), refusing a key that names a degree met before."""
+    seen: dict = {}
+    for key, raw in table.items():
+        kptr = f"{ptr}/{key}"
+        deg = parse(key, kptr)
+        if deg in seen:
+            raise ModelError(kptr, f"degree key {key!r} names the same degree as {seen[deg]!r}")
+        seen[deg] = key
+        yield deg, kptr, raw
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -127,11 +142,10 @@ class ModelDocument:
         entry, ptr = self._lookup("spaces", name, "space")
         def build():
             components = {}
-            for key, labels in entry.items():
-                deg = _degree(key, f"{ptr}/{key}")
+            for deg, kptr, labels in _by_degree(entry, ptr):
                 if (not isinstance(labels, list)
                         or any(not isinstance(l, str) for l in labels)):
-                    raise ModelError(f"{ptr}/{key}", "expected a list of labels")
+                    raise ModelError(kptr, "expected a list of labels")
                 components[deg] = tuple(labels)
             return GradedVectorSpace(components)
         return self._get("space", name, build)
@@ -142,10 +156,9 @@ class ModelDocument:
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             blocks = {}
-            for key, raw in (entry.get("differential") or {}).items():
-                deg = _degree(key, f"{ptr}/differential/{key}")
-                blocks[deg] = _matrix(raw, f"{ptr}/differential/{key}",
-                                      sp.dim(deg + 1), sp.dim(deg))
+            for deg, kptr, raw in _by_degree(entry.get("differential") or {},
+                                             f"{ptr}/differential"):
+                blocks[deg] = _matrix(raw, kptr, sp.dim(deg + 1), sp.dim(deg))
             try:
                 return Complex(sp, GradedMap(sp, sp, 1, blocks))
             except StructuralError as exc:
@@ -163,9 +176,8 @@ class ModelDocument:
                 return abelian_dgla(cx)
             sp = cx.space
             brackets = {}
-            for key, raw in (entry.get("brackets") or {}).items():
-                bptr = f"{ptr}/brackets/{key}"
-                m, n = _degree_pair(key, bptr)
+            for (m, n), bptr, raw in _by_degree(entry.get("brackets") or {},
+                                                f"{ptr}/brackets", _degree_pair):
                 if m > n:
                     raise ModelError(bptr, "bracket tables are stored for m <= n only")
                 table = []
@@ -203,9 +215,8 @@ class ModelDocument:
                                    f"{ptr}/complex", "complex"))
             sp = cx.space
             products = {}
-            for key, raw in (entry.get("products") or {}).items():
-                pptr = f"{ptr}/products/{key}"
-                m, n = _degree_pair(key, pptr)
+            for (m, n), pptr, raw in _by_degree(entry.get("products") or {},
+                                                f"{ptr}/products", _degree_pair):
                 if m > n:
                     raise ModelError(pptr, "product tables are stored for m <= n only")
                 if not isinstance(raw, list) or len(raw) != sp.dim(m):
@@ -230,17 +241,13 @@ class ModelDocument:
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             steps = {}
-            for key, degs in (entry.get("steps") or {}).items():
-                p = _degree(key, f"{ptr}/steps/{key}")
+            for p, sptr, degs in _by_degree(entry.get("steps") or {}, f"{ptr}/steps"):
                 level = {}
-                for dkey, vecs in (degs or {}).items():
-                    deg = _degree(dkey, f"{ptr}/steps/{key}/{dkey}")
-                    level[deg] = [_vector(v, f"{ptr}/steps/{key}/{dkey}/{i}")
-                                  for i, v in enumerate(vecs)]
+                for deg, dptr, vecs in _by_degree(degs or {}, sptr):
+                    level[deg] = [_vector(v, f"{dptr}/{i}") for i, v in enumerate(vecs)]
                     for i, v in enumerate(level[deg]):
                         if len(v) != sp.dim(deg):
-                            raise ModelError(f"{ptr}/steps/{key}/{dkey}/{i}",
-                                             f"expected length {sp.dim(deg)}")
+                            raise ModelError(f"{dptr}/{i}", f"expected length {sp.dim(deg)}")
                 steps[p] = level
             return FiltrationData(sp, steps)
         return self._get("filtration", name, build)
@@ -254,14 +261,11 @@ class ModelDocument:
                 raise ModelError(f"{ptr}/dgla", f"dangling reference: no dgla named {host!r}")
             g = self.dgla(host)
             span = {}
-            for key, vecs in (entry.get("span") or {}).items():
-                deg = _degree(key, f"{ptr}/span/{key}")
-                span[deg] = [_vector(v, f"{ptr}/span/{key}/{i}")
-                             for i, v in enumerate(vecs)]
+            for deg, kptr, vecs in _by_degree(entry.get("span") or {}, f"{ptr}/span"):
+                span[deg] = [_vector(v, f"{kptr}/{i}") for i, v in enumerate(vecs)]
                 for i, v in enumerate(span[deg]):
                     if len(v) != g.space.dim(deg):
-                        raise ModelError(f"{ptr}/span/{key}/{i}",
-                                         f"expected length {g.space.dim(deg)}")
+                        raise ModelError(f"{kptr}/{i}", f"expected length {g.space.dim(deg)}")
             try:
                 return sub_dgla_span(g, span)
             except StructuralError as exc:
@@ -289,10 +293,8 @@ class ModelDocument:
             if type(shift) is not int:
                 raise ModelError(f"{ptr}/shift", "expected an integer")
             blocks = {}
-            for key, raw in (entry.get("blocks") or {}).items():
-                deg = _degree(key, f"{ptr}/blocks/{key}")
-                blocks[deg] = _matrix(raw, f"{ptr}/blocks/{key}",
-                                      dst.dim(deg + shift), src.dim(deg))
+            for deg, kptr, raw in _by_degree(entry.get("blocks") or {}, f"{ptr}/blocks"):
+                blocks[deg] = _matrix(raw, kptr, dst.dim(deg + shift), src.dim(deg))
             return GradedMap(src, dst, shift, blocks)
         return self._get("map", name, build)
 
@@ -321,10 +323,8 @@ class ModelDocument:
             for col, ((sdeg, _), op) in enumerate(zip(basis, ops)):
                 shift = sdeg - 1
                 blocks = {}
-                for key, raw in (op or {}).items():
-                    deg = _degree(key, f"{ptr}/operators/{col}/{key}")
-                    blocks[deg] = _matrix(raw, f"{ptr}/operators/{col}/{key}",
-                                          sp.dim(deg + shift), sp.dim(deg))
+                for deg, kptr, raw in _by_degree(op or {}, f"{ptr}/operators/{col}"):
+                    blocks[deg] = _matrix(raw, kptr, sp.dim(deg + shift), sp.dim(deg))
                 gm = GradedMap(sp, sp, shift, blocks)
                 try:
                     elem = end.map_to_element(gm)
@@ -344,12 +344,10 @@ class ModelDocument:
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             values: GVec = {}
-            for key, raw in (entry.get("values") or {}).items():
-                deg = _degree(key, f"{ptr}/values/{key}")
-                v = _vector(raw, f"{ptr}/values/{key}")
+            for deg, kptr, raw in _by_degree(entry.get("values") or {}, f"{ptr}/values"):
+                v = _vector(raw, kptr)
                 if len(v) != sp.dim(deg):
-                    raise ModelError(f"{ptr}/values/{key}",
-                                     f"expected length {sp.dim(deg)}")
+                    raise ModelError(kptr, f"expected length {sp.dim(deg)}")
                 if any(v):
                     values[deg] = v
             return sp, values

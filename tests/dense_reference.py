@@ -77,6 +77,15 @@ rows, d restricted to it, and the projection read off the dt-coordinates.
 They are the oracle for ``holim_bounded`` and its path reader in
 test_elimination.py and test_holim.py.
 
+The Chevalley-Eilenberg oracle is the builder that
+``convolution.chevalley_eilenberg`` replaced, a generic symbolic algebra on
+``Fraction``s: ``word_product`` sums the unshuffle signs
+(``unshuffle_sign``) over the position sets of sorted(A + B) for every pair
+of words, and d of a word is the Leibniz expansion of the product of its
+generators, divided by the coefficient of that product.  It is the oracle
+for ``chevalley_eilenberg`` in test_convolution.py; ``canonicalize`` sorts
+a tuple of keys with its Koszul sign, for it and for the Hom calculus.
+
 The convolution oracle is the hand-written Hom calculus that
 ``convolution.hom_dgla_slice`` replaced: bigraded elements stored on
 canonical input tuples, with their own Koszul signs, bracket, d and gauge
@@ -100,9 +109,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from deforma.convolution import (DEFAULT_ARITY, VKey, _unshuffle_sign,
-                                 canonical_tuples, canonicalize, v_basis, vdeg)
-from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
+from deforma.convolution import (DEFAULT_ARITY, VKey, canonical_tuples, ce_words,
+                                 v_basis, vdeg)
+from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, FlatBasis, SubDgla,
                           ValidationReport, _ZERO as ZERO, _bracket_into,
                           _residual_repr, ad_exp_terms, tensor_basis, validate_morphism)
 from deforma.endo import end_dgla
@@ -1038,6 +1047,121 @@ def to_path(paths, x: GVec, degree: int) -> PathElement:
 
 
 # ---------------------------------------------------------------------------
+# the Chevalley-Eilenberg cdga as a generic symbolic algebra
+
+def canonicalize(keys: tuple, g: Dgla) -> tuple[tuple, int] | None:
+    """Sort a tuple of VKeys with the Koszul sign; None if it vanishes.
+
+    A tuple vanishes when a key of odd g[1]-degree repeats.
+    """
+    keys = list(keys)
+    sign = 1
+    for i in range(1, len(keys)):
+        j = i
+        while j > 0 and keys[j - 1] > keys[j]:
+            if (vdeg(keys[j - 1]) % 2) and (vdeg(keys[j]) % 2):
+                sign = -sign
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
+            j -= 1
+    for a, b in zip(keys, keys[1:]):
+        if a == b and vdeg(a) % 2:
+            return None
+    return tuple(keys), sign
+
+
+def unshuffle_sign(positions: tuple, degrees: list[int]) -> int:
+    """Koszul sign of the permutation (selected block, complement block)."""
+    sign = 1
+    selected = set(positions)
+    for i in range(len(degrees)):
+        if i in selected:
+            continue
+        for j in positions:
+            if j > i and (degrees[i] % 2) and (degrees[j] % 2):
+                sign = -sign
+    return sign
+
+
+def word_product(a: tuple, b: tuple, g: Dgla, arity_bound: int):
+    """xi^[a] xi^[b] as (word, coefficient), or None; () is the unit.  The
+    coefficient sums the unshuffle signs over every position set of
+    sorted(a + b) that reads a."""
+    c = tuple(sorted(a + b))
+    if len(c) > arity_bound or canonicalize(c, g) is None:
+        return None
+    degs = [vdeg(k) for k in c]
+    coeff = sum(unshuffle_sign(p, degs)
+                for p in itertools.combinations(range(len(c)), len(a))
+                if tuple(c[i] for i in p) == a)
+    if sum(vdeg(k) for k in a) * sum(vdeg(k) for k in b) % 2:
+        coeff = -coeff
+    return c, coeff
+
+
+def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
+    """CE_{<=N}(g) as ``convolution.chevalley_eilenberg`` built it before the
+    closed forms: ``word_product`` on every pair of words, on ``Fraction``s,
+    and d xi^[A] as kappa_A^{-1} times the Leibniz expansion of
+    d(xi_{a_1} ... xi_{a_q}), where xi_{a_1} ... xi_{a_q} = kappa_A xi^[A]."""
+    words: dict[int, list[tuple]] = {}
+    for w in ce_words(g, arity_bound):
+        words.setdefault(-sum(vdeg(k) for k in w), []).append(w)
+    space = GradedVectorSpace({
+        k: tuple("^".join(g.label(*key) for key in w) for w in ws)
+        for k, ws in words.items()})
+    place = {w: (k, i) for k, ws in words.items() for i, w in enumerate(ws)}
+
+    def times(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                prod = word_product(a, b, g, arity_bound)
+                if prod:
+                    out[prod[0]] = out.get(prod[0], 0) + prod[1] * ca * cb
+        return {w: c for w, c in out.items() if c}
+
+    # d xi_c: the coefficient of xi_a is (-1)^{|xi_c|} (d_g a)_c, and that of
+    # xi^[ab] is -(-1)^{|xi_c| + |a|} [a, b]_c
+    sources = [((a,), g.d(g.space.basis_element(*a)), 1) for a in v_basis(g)]
+    if arity_bound >= 2:
+        sources += [((a, b), g.pair_bracket(*a, *b), 1 if a[0] % 2 else -1)
+                    for a, b in canonical_tuples(g, 2)]
+    dgen: dict[VKey, dict] = {key: {} for key in v_basis(g)}
+    for word, image, sign in sources:
+        for deg, v in image.items():
+            for t, c in enumerate(v):
+                if c:
+                    dgen[deg, t][word] = -sign * c if vdeg((deg, t)) % 2 else sign * c
+
+    d_columns: dict[int, list] = {}
+    for w, (k, col) in place.items():
+        kappa = {(): 1}
+        for key in w:
+            kappa = times(kappa, {(key,): 1})
+        image: dict = {}
+        for i, key in enumerate(w):
+            term = {(): Q(-1) if sum(vdeg(k) for k in w[:i]) % 2 else Q(1)}
+            for j, other in enumerate(w):
+                term = times(term, dgen[key] if i == j else {(other,): 1})
+            for u, c in term.items():
+                image[u] = image.get(u, 0) + c
+        column = {place[u][1]: c / kappa[w] for u, c in image.items() if c}
+        if column:
+            d_columns.setdefault(k, [{} for _ in range(space.dim(k))])[col] = column
+
+    flat = FlatBasis(space)
+    position = {w: flat.offset[k] + i for w, (k, i) in place.items()}
+    upper = []      # ((a, b), xi^[a] xi^[b]) for |a| <= |b|, nonzero only
+    for a, (m, _) in place.items():
+        for b, (n, _) in place.items():
+            prod = word_product(a, b, g, arity_bound) if m <= n else None
+            if prod and prod[1]:
+                upper.append(((position[a], position[b]), {position[prod[0]]: prod[1]}))
+    return CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)),
+                     flat.table_from_upper(upper, symmetric=True))
+
+
+# ---------------------------------------------------------------------------
 # the hand-written convolution calculus
 
 @dataclass
@@ -1134,7 +1258,7 @@ def hom_bracket(f: BigradedHomElement, g_elem: BigradedHomElement) -> BigradedHo
         for positions in itertools.combinations(range(q), f.q):
             first = tuple(keys[i] for i in positions)
             rest = tuple(keys[i] for i in range(q) if i not in positions)
-            sign = _unshuffle_sign(positions, degs)
+            sign = unshuffle_sign(positions, degs)
             if gdeg2 and sum(degs[i] for i in positions) % 2:
                 sign = -sign
             fv = f.evaluate(first)

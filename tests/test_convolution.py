@@ -7,23 +7,26 @@ entry-by-entry comparison with the hand-written Hom calculus in
 ``dense_reference`` keep it from drifting.
 """
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import dense_reference as dense
 from deforma import fixtures as F
 from deforma.cartan import gauge_zero_transport
-from deforma.convolution import (canonical_tuples, canonicalize, ce_words,
-                                 chevalley_eilenberg, convolution, from_linear,
-                                 hom_dgla_slice, linear_part, linf_residual,
-                                 strict_embed, taylor, taylor_from_linear)
-from deforma.dgla import (DglaMorphism, identity_morphism, validate_cdga,
+from deforma.convolution import (canonical_tuples, ce_words, chevalley_eilenberg,
+                                 convolution, from_linear, hom_dgla_slice,
+                                 linear_part, linf_residual, strict_embed, taylor,
+                                 taylor_from_linear, v_basis)
+from deforma.dgla import (DglaMorphism, abelian_dgla, identity_morphism, validate_cdga,
                           validate_dgla)
 from deforma.endo import end_dgla
-from deforma.graded import (GradedMap, StructuralError, identity_map, vec_eq,
-                            vec_is_zero, vec_scale, vec_sub)
+from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
+                            identity_map, vec_eq, vec_is_zero, vec_scale, vec_sub,
+                            zero_map)
 from deforma.mc import mc_residue
 
 
@@ -63,7 +66,7 @@ def test_frozen_cartan_signs():
 def test_odd_repeat_tuples_vanish():
     # a degree-0 basis vector has odd shifted degree: (v, v) is not a tuple
     g = F.f2_dgla()
-    assert canonicalize(((0, 1), (0, 1)), g) is None
+    assert dense.canonicalize(((0, 1), (0, 1)), g) is None
     keys2 = canonical_tuples(g, 2)
     assert all(len(set(k)) == 2 for k in keys2)
 
@@ -112,7 +115,7 @@ def test_antisymmetry_of_values_under_transposition():
     assert values
     for (a, b), forward in values.items():
         # degree-0 inputs have odd shifted degree: swapping them flips sign
-        keys, sign = canonicalize((b, a), g)
+        keys, sign = dense.canonicalize((b, a), g)
         assert keys == (a, b) and sign == -1
         backward = vec_scale(Q(sign), forward)
         assert vec_is_zero(vec_sub(forward, vec_scale(Q(-1), backward)))
@@ -127,6 +130,67 @@ def test_chevalley_eilenberg_is_a_cdga(name):
     g = F.fixture_dgla(name)
     for n in (1, 2, 3):
         assert validate_cdga(chevalley_eilenberg(g, n)).ok, (name, n)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form CE cdga against the generic symbolic builder
+
+def abelian_host(dims: dict[int, int]):
+    """The abelian dgla with d = 0 on a graded space of these dimensions."""
+    space = GradedVectorSpace({k: tuple(f"v{k}_{i}" for i in range(n))
+                               for k, n in dims.items()})
+    return abelian_dgla(Complex(space, zero_map(space, space, 1)))
+
+
+def torus_ks(n: int):
+    """The Kodaira-Spencer dgla of the complex n-torus as a graded space,
+    Lambda^k(xibar) (x) span{del_i} in degree k; abelian with d = 0 (the
+    ``ks`` of test_period.torus2 for n = 2)."""
+    return abelian_host({k: n * math.comb(n, k) for k in range(n + 1)})
+
+
+CE_HOSTS = ([(name, n) for name in ("F1", "F2", "F3", "F6", "F7", "Der F5")
+             for n in (1, 2, 3, 4)] + [(name, n) for name in ("F4", "F5") for n in (1, 2)]
+            + [("torus 2", n) for n in (1, 2, 3)] + [("torus 3", 2)])
+
+
+@pytest.mark.parametrize("name,arity", CE_HOSTS)
+def test_chevalley_eilenberg_matches_the_symbolic_builder(name, arity):
+    """Same basis and labels, the same d columns and table rows as the
+    builder that multiplied words by unshuffle sums; every constant an int
+    where it is integral."""
+    g = (F.f5_derivations() if name == "Der F5" else torus_ks(int(name[-1]))
+         if name.startswith("torus") else F.fixture_dgla(name))
+    new, old = chevalley_eilenberg(g, arity), dense.chevalley_eilenberg(g, arity)
+    assert new.space.components == old.space.components
+    assert new.complex.differential.columns == old.complex.differential.columns
+    assert [new.table.row(a) for a in range(len(new.table))] == [
+        old.table.row(a) for a in range(len(old.table))]
+    constants = [c for cols in new.complex.differential.columns.values() for col in cols
+                 for c in col.values()]
+    constants += [c for a in range(len(new.table)) for s in new.table.row(a).values()
+                  for c in s.values()]
+    assert all((type(c) is int) == (Q(c).denominator == 1) for c in constants)
+
+
+MIXED = abelian_host({0: 2, 1: 2, 2: 1})      # g[1]-degrees -1, 0 and 1
+MIXED_ARITY = 5
+MIXED_CE = chevalley_eilenberg(MIXED, MIXED_ARITY)
+MIXED_AT = {w: t for t, w in enumerate(ce_words(MIXED, MIXED_ARITY))}
+_keys = st.lists(st.sampled_from(v_basis(MIXED)), min_size=1, max_size=MIXED_ARITY - 1)
+
+
+@given(_keys, _keys)
+@settings(max_examples=200, deadline=None)
+def test_word_product_is_the_unshuffle_sum(a, b):
+    """xi^[A] xi^[B] in the table is the signed sum over the position sets
+    of sorted(A + B) that read A, on words of even and odd keys with
+    repeated even keys."""
+    a, b = tuple(sorted(a)), tuple(sorted(b[:MIXED_ARITY - len(a)]))
+    assume(a in MIXED_AT and b in MIXED_AT)
+    want = dense.word_product(a, b, MIXED, MIXED_ARITY)
+    got = MIXED_CE.table.row(MIXED_AT[a]).get(MIXED_AT[b])
+    assert got == (want and {MIXED_AT[want[0]]: want[1]})
 
 
 # ---------------------------------------------------------------------------

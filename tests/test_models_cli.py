@@ -102,6 +102,79 @@ def test_non_object_entries_located():
                     "subdglas", "artin", "maps", "contractions", "elements"}
 
 
+def _degree_tables(raw):
+    """(kind, path) of every table keyed by degrees, or by "m,n" degree
+    pairs, in a model document."""
+    fields = {"complexes": "differential", "dglas": "brackets", "cdgas": "products",
+              "filtrations": "steps", "subdglas": "span", "maps": "blocks",
+              "elements": "values"}
+    for name in raw.get("spaces", {}):
+        yield "spaces", ("spaces", name)
+    for section, field in fields.items():
+        for name, entry in raw.get(section, {}).items():
+            if field not in entry:
+                continue
+            yield section, (section, name, field)
+            if section == "filtrations":
+                for p in entry["steps"]:
+                    yield "filtration levels", (section, name, field, p)
+    for name, entry in raw.get("contractions", {}).items():
+        for i in range(len(entry["operators"])):
+            yield "contractions", ("contractions", name, "operators", i)
+
+
+def _node(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def test_degree_keys_follow_the_schema():
+    """A degree key is -?[0-9]+ and a pair key m,n with spaces around the
+    comma at most: no sign "+", no padding, no underscore, no other digits."""
+    cases = [("F7", ("elements", "seed", "values"), "1", key)
+             for key in ("+1", " 1", "1 ", "1_0", "\u0661", "", "-")]
+    cases += [("F7", ("dglas", "g", "brackets"), "1,1", key)
+              for key in (" 1,1", "1,1 ", "1,+1", "1,1,1", "1;1")]
+    for name, path, old, new in cases:
+        raw = load_raw(name)
+        table = _node(raw, path)
+        table[new] = table.pop(old)
+        with pytest.raises(ModelError) as exc:
+            parse_model_dict(raw)
+        assert exc.value.pointer == "/" + "/".join(path + (new,)), new
+        assert "degree" in exc.value.message
+    raw = load_raw("F7")
+    brackets = raw["dglas"]["g"]["brackets"]
+    brackets["1 ,  1"] = brackets.pop("1,1")
+    raw["elements"]["seed"]["values"]["-0"] = []
+    assert parse_model_dict(raw).dgla("g").brackets == parse_model_dict(load_raw("F7")).dgla(
+        "g").brackets
+
+
+def test_repeated_degree_keys_refused():
+    """A second key naming a degree already met ("01" after "1", "1, 0"
+    after "1,0") is refused at its own pointer, in every kind of table."""
+    seen = set()
+    for fname in FIXTURE_FILES:
+        for kind, path in _degree_tables(load_raw(fname[:-5])):
+            raw = load_raw(fname[:-5])
+            table = _node(raw, path)
+            if not table:
+                continue
+            key = next(iter(table))
+            alias = (key.replace(",", ", ") if "," in key else
+                     "-0" + key[1:] if key.startswith("-") else "0" + key)
+            table[alias] = table[key]
+            with pytest.raises(ModelError) as exc:
+                parse_model_dict(raw)
+            assert exc.value.pointer == "/" + "/".join(map(str, path + (alias,)))
+            assert "same degree as" in exc.value.message
+            seen.add(kind)
+    assert seen == {"spaces", "complexes", "dglas", "cdgas", "filtrations",
+                    "filtration levels", "subdglas", "maps", "contractions", "elements"}
+
+
 def test_wrong_table_shape_located():
     raw = load_raw("F7")
     raw["dglas"]["g"]["brackets"]["1,1"] = [[["1/1"], ["2/1"]]]
@@ -172,6 +245,16 @@ def test_cli_non_object_entry_is_bad_input(tmp_path):
     proc = run_cli("validate", "--model", str(bad))
     assert proc.returncode == 2 and b"Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["payload"]["location"] == "/complexes/g"
+
+
+def test_cli_repeated_degree_key_is_bad_input(tmp_path):
+    raw = load_raw("F7")
+    raw["elements"]["seed"]["values"]["01"] = raw["elements"]["seed"]["values"]["1"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    proc = run_cli("validate", "--model", str(bad))
+    assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["payload"]["location"] == "/elements/seed/values/01"
 
 
 @pytest.mark.parametrize("kind", ["directory", "invalid UTF-8"])
