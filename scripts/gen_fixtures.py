@@ -57,7 +57,7 @@ def cdga_json(omega: CdgaModel, complex_name: str) -> dict:
 def filtration_json(f: FiltrationData, space_name: str) -> dict:
     steps = {}
     for p in f.levels():
-        level = f.steps[p]
+        level = f.step(p).span
         steps[str(p)] = {str(d): [vector_json(v) for v in vs]
                          for d, vs in sorted(level.items())}
     return {"space": space_name, "steps": steps}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .convolution import ce_words, from_linear, linear_part, taylor
+from .convolution import from_linear, linear_part, taylor
 from .dgla import Dgla, TensorDgla, ValidationReport, _exact, _residual_repr, ad_exp_terms
 from .graded import GradedMap, GVec, StructuralError, vec_add, vec_is_zero, vec_scale, vec_sub
 from .linalg import Q, combine
@@ -48,7 +48,7 @@ def cartan_check(g: Dgla, conv: TensorDgla, i: GradedMap) -> ValidationReport:
     N >= 2; the report's notes record whether the stronger pointwise
     identities i_{[a,b]} = [i_a, l_b] and [i_a, i_b] = 0 hold as well."""
     _require_degree_minus_one(i)
-    if len(conv.weight) < len(ce_words(g, 2)):
+    if conv.arity < 2:
         raise StructuralError("condition (A) reads words of length two: "
                               "the convolution needs arity at least 2")
     report = ValidationReport()

@@ -26,8 +26,8 @@ import json
 import os
 import sys
 
-from .dgla import (DglaMorphism, validate_cdga, validate_dgla, validate_filtration,
-                   validate_morphism)
+from .dgla import (DglaMorphism, ValidationReport, validate_cdga, validate_dgla,
+                   validate_filtration, validate_morphism)
 from .graded import StructuralError, cohomology
 from .models import ModelDocument, ModelError, gvec_json, matrix_json, parse_model, vector_json
 
@@ -155,11 +155,15 @@ def cmd_validate(doc: ModelDocument, args) -> Report:
         # the shipped truncated models may fail Leibniz on their top corner;
         # that is reported but only dgla axioms gate the status
         payload[f"cdga:{name}"]["gating"] = False
+    complexes = doc.section("complexes")
     for name in doc.names("filtrations"):
-        entry = doc.section("filtrations")[name]
-        cx = doc.complex(entry["space"]) if entry["space"] in doc.section("complexes") else None
-        if cx is not None:
-            rep = validate_filtration(cx, doc.filtration(name))
+        # against every complex on the filtration's space, in name order
+        space = doc.section("filtrations")[name]["space"]
+        on_space = [c for c in doc.names("complexes") if complexes[c]["space"] == space]
+        if on_space:
+            rep = ValidationReport()
+            for c in on_space:
+                rep.merge(validate_filtration(doc.complex(c), doc.filtration(name)))
             payload[f"filtration:{name}"] = _report_json(rep)
             ok = ok and rep.ok
     for name in doc.names("artin"):

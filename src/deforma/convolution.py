@@ -36,8 +36,8 @@ i: g -> h of shift s), the arity-one part of D i is a -> d_h i_a
 - (-1)^s i_{d_g a}.  Maurer-Cartan elements are exactly the
 arity-truncated L-infinity morphisms g ~> h.  ``taylor``, ``linear_part``
 and ``from_linear`` read an element through the record's ``split`` and
-``join``, with ``ce_words`` naming the word at each CE position; they take
-the source g with the convolution dgla.
+``join``, with the record's ``words`` naming the word at each CE position;
+they take the source g with the convolution dgla.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
         k, i = flat.position[t]
         d_columns[k][i] = {flat.position[v][1]: c for v, c in column.items()}
     ce = CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)), table)
-    ce._words = order       # read by ``convolution`` for the weights
+    ce._words = order       # kept on its record by ``convolution``
     return ce
 
 
@@ -149,7 +149,9 @@ def convolution(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> TensorDgl
     """The convolution dgla h (x) CE_{<=N}(g), each word weighted by its
     length, the arity."""
     ce = chevalley_eilenberg(g, arity_bound)
-    return tensor_dgla(h, ce, tuple(len(w) for w in ce._words))
+    conv = tensor_dgla(h, ce, tuple(len(w) for w in ce._words))
+    conv.words, conv.arity = ce._words, arity_bound
+    return conv
 
 
 def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
@@ -161,11 +163,10 @@ def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
 # elements of ``convolution(g, h, N)`` as maps on canonical monomials
 
 def _words(g: Dgla, conv: TensorDgla) -> list[tuple]:
-    """``ce_words`` of the CE factor of ``conv``, which must be built on g."""
-    words = ce_words(g, max(conv.weight, default=0))
-    if len(words) != len(conv.weight):
+    """The CE words of ``conv``, whose one-letter words must be g's basis."""
+    if sorted(w for w in conv.words if len(w) == 1) != [(key,) for key in v_basis(g)]:
         raise StructuralError("not a convolution dgla of the given source")
-    return words
+    return conv.words
 
 
 def taylor(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, GVec]]:
@@ -227,9 +228,8 @@ def linf_residual(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, G
     words = _words(g, conv)
     found = conv.wider.get(g)
     if found is None:
-        n = max(conv.weight, default=0) + 1
-        found = conv.wider[g] = (convolution(g, conv.g, n),
-                                 {w: j for j, w in enumerate(ce_words(g, n))})
+        wide = convolution(g, conv.g, conv.arity + 1)
+        found = conv.wider[g] = (wide, {w: j for j, w in enumerate(wide.words)})
     wide, at = found
     y = wide.join({at[words[j]]: s for j, s in conv.split(conv.dgla.table.flat(x)).items()})
     return taylor(g, wide, mc_residue(wide.dgla, wide.dgla.table.graded(y)))

@@ -35,18 +35,18 @@ product with a basis-vector argument is summed in place
 Dense tables exist only at the JSON boundary.  The JSON form stores
 ``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
 following from graded antisymmetry (which removes a
-redundancy-consistency failure mode).  ``Dgla`` and ``CdgaModel`` accept
-that form as input, with its shape checks, and give it back as the derived
-``brackets``/``products`` views for emitting JSON.
+redundancy-consistency failure mode).  ``Dgla`` and ``CdgaModel`` take
+that form, a dict, in the place of a table, with its shape checks, and
+give it back as the ``brackets``/``products`` views for emitting JSON.
 
 ``tensor_dgla(g, C, weight)`` is the one construction of a dgla tensored
 with a finite cdga, and its ``TensorDgla`` the one reader of the tensor
 layout.  The nilpotent coefficient dglas g (x) m_A (``artin``), the path
 objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
 h (x) CE_{<=N}(g) (``convolution``) are all built by it.  ``validate_cdga``
-is the one check of a cdga's axioms, m_A's included; ``FiltrationData`` and
-``validate_filtration`` are the decreasing filtrations of a complex that
-the period map reads.
+is the one check of a cdga's axioms, m_A's included; ``FiltrationData``,
+one ``SubSpaceData`` per level, and ``validate_filtration`` are the
+decreasing filtrations of a complex that the period map reads.
 """
 
 from __future__ import annotations
@@ -579,15 +579,14 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
 # decreasing filtrations
 
 class FiltrationData:
-    """Decreasing filtration: steps[p] spans F^p degree-wise; outside the
-    given range F^p is everything (below) or zero (above).  ``step(p)`` is
-    built the first time it is asked for and kept, one per level, one for
-    everything below and one for everything above."""
+    """Decreasing filtration: ``steps[p]`` is F^p, a ``SubSpaceData`` of
+    ``space``; outside the given range F^p is everything (below) or zero
+    (above), each built the first time it is asked for and kept."""
 
-    def __init__(self, space: GradedVectorSpace, steps: dict):
+    def __init__(self, space: GradedVectorSpace, steps: dict[int, SubSpaceData]):
         self.space = space
-        self.steps = steps   # p -> {degree -> list of spanning vectors}
-        self._subspaces: dict[int, SubSpaceData] = {}
+        self.steps = steps
+        self._subspaces = dict(steps)
 
     def levels(self) -> list[int]:
         return sorted(self.steps)
@@ -597,14 +596,11 @@ class FiltrationData:
         if levels:
             p = min(max(p, levels[0] - 1), levels[-1] + 1)
         if p not in self._subspaces:
-            if levels and p < levels[0]:
-                sub = SubSpaceData.from_echelon(self.space, {
-                    deg: ([{i: Q(1)} for i in range(self.space.dim(deg))],
-                          list(range(self.space.dim(deg))))
-                    for deg in self.space.degrees})
-            else:
-                sub = SubSpaceData(self.space, self.steps.get(p, {}))
-            self._subspaces[p] = sub
+            below = levels and p < levels[0]        # everything, else nothing
+            self._subspaces[p] = SubSpaceData.from_echelon(self.space, {
+                deg: ([{i: Q(1)} for i in range(self.space.dim(deg))],
+                      list(range(self.space.dim(deg))))
+                for deg in self.space.degrees if below})
         return self._subspaces[p]
 
 
@@ -645,9 +641,10 @@ class TensorDgla:
     on m_A, the t-degree on the interval forms (t and dt each of weight
     1), the word length on CE.  ``d_solver`` and ``base_cohomology``
     describe g and are made once per host.  On a convolution dgla,
-    ``wider`` holds for each source g the convolution dgla of one arity more
-    and the position of each CE word in it, made by the first
-    ``convolution.linf_residual``."""
+    ``words`` lists the CE word at each position of C and ``arity`` is the
+    N it was built at, both set once by ``convolution``; ``wider`` holds for
+    each source g the convolution dgla of arity N + 1 and the position of
+    each CE word in it, made by the first ``convolution.linf_residual``."""
 
     def __init__(self, g: Dgla, c: CdgaModel, dgla: Dgla, factors: list[tuple[int, int]],
                  weight: tuple[int, ...]):
@@ -657,6 +654,7 @@ class TensorDgla:
         self.factors = factors
         self.weight = weight
         self._d_solvers: dict[int, ColumnSolver] = {}
+        self.words, self.arity = (), 0
         self.wider: dict[Dgla, tuple] = {}
 
     @property

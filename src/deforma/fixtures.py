@@ -20,7 +20,7 @@ from __future__ import annotations
 from .artin import ArtinAlgebra, truncated_polynomial_algebra
 from .dgla import CdgaModel, Dgla, FiltrationData, SubDgla, abelian_dgla, sub_dgla_span
 from .endo import EndDgla, end_dgla
-from .graded import Complex, GradedMap, GradedVectorSpace, zero_map
+from .graded import Complex, GradedMap, GradedVectorSpace, SubSpaceData, zero_map
 from .linalg import Q, Vector
 
 
@@ -71,7 +71,7 @@ def f2_lower_left_section() -> GradedMap:
     """Section of gl_2 -> gl_2/borel sending the class of e21 to e21."""
     g = f2_dgla()
     quotient_space = GradedVectorSpace({0: ("[e21]",)})
-    return GradedMap(quotient_space, g.space, 0, {0: [[Q(0)], [Q(0)], [Q(1)], [Q(0)]]})
+    return GradedMap.from_blocks(quotient_space, g.space, 0, {0: [[Q(0)], [Q(0)], [Q(1)], [Q(0)]]})
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def f2_lower_left_section() -> GradedMap:
 
 def f3_complex() -> Complex:
     space = GradedVectorSpace({0: ("c0",), 1: ("c1",)})
-    return Complex(space, GradedMap(space, space, 1, {0: [[Q(1)]]}))
+    return Complex(space, GradedMap.from_blocks(space, space, 1, {0: [[Q(1)]]}))
 
 
 def f3_end() -> EndDgla:
@@ -129,20 +129,18 @@ def f4_contraction(end: EndDgla | None = None) -> GradedMap:
         else:
             b2[0][0] = Q(-1)
         blocks[2] = b2
-        op = GradedMap(omega.space, omega.space, -1, blocks)
+        op = GradedMap.from_blocks(omega.space, omega.space, -1, blocks)
         cols.append(end.map_to_element(op).get(-1, [Q(0)] * end.space.dim(-1)))
     block = [[cols[j][r] for j in range(2)] for r in range(end.space.dim(-1))]
-    return GradedMap(t.space, end.space, -1, {0: block})
+    return GradedMap.from_blocks(t.space, end.space, -1, {0: block})
 
 
 def f4_degree_filtration() -> FiltrationData:
     """Filtration of the F4 forms by total degree."""
     omega = f4_cdga()
-    steps = {
-        1: {1: [_unit(2, 0), _unit(2, 1)], 2: [[Q(1)]]},
-        2: {2: [[Q(1)]]},
-    }
-    return FiltrationData(omega.space, steps)
+    sp = omega.space
+    return FiltrationData(sp, {1: SubSpaceData(sp, {1: [_unit(2, 0), _unit(2, 1)], 2: [[Q(1)]]}),
+                               2: SubSpaceData(sp, {2: [[Q(1)]]})})
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,7 @@ def f5_cdga() -> CdgaModel:
     """
     space = GradedVectorSpace({0: ("1", "x", "x^2"), 1: ("dx", "x*dx", "x^2*dx")})
     d_block = [[Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(2)], [Q(0), Q(0), Q(0)]]
-    cx = Complex(space, GradedMap(space, space, 1, {0: d_block}))
+    cx = Complex(space, GradedMap.from_blocks(space, space, 1, {0: d_block}))
 
     def poly_mult(a: int, b: int, dim: int) -> Vector:
         v = [Q(0)] * dim
@@ -191,16 +189,16 @@ def f5_contraction(end: EndDgla | None = None) -> GradedMap:
         for k in range(3):
             if k + power < 3:
                 block[k + power][k] = Q(1)
-        op = GradedMap(omega.space, omega.space, -1, {1: block})
+        op = GradedMap.from_blocks(omega.space, omega.space, -1, {1: block})
         cols.append(end.map_to_element(op).get(-1, [Q(0)] * end.space.dim(-1)))
     block = [[cols[j][r] for j in range(2)] for r in range(end.space.dim(-1))]
-    return GradedMap(t.space, end.space, -1, {0: block})
+    return GradedMap.from_blocks(t.space, end.space, -1, {0: block})
 
 
 def f5_form_filtration() -> FiltrationData:
     omega = f5_cdga()
-    steps = {1: {1: [_unit(3, 0), _unit(3, 1), _unit(3, 2)]}}
-    return FiltrationData(omega.space, steps)
+    sp = omega.space
+    return FiltrationData(sp, {1: SubSpaceData(sp, {1: [_unit(3, 0), _unit(3, 1), _unit(3, 2)]})})
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +219,8 @@ def f6_cdga() -> CdgaModel:
 def f6_filtration() -> FiltrationData:
     """F^p = forms of xi-degree at least p."""
     omega = f6_cdga()
-    steps = {1: {1: [_unit(2, 0)], 2: [[Q(1)]]}}
-    return FiltrationData(omega.space, steps)
+    sp = omega.space
+    return FiltrationData(sp, {1: SubSpaceData(sp, {1: [_unit(2, 0)], 2: [[Q(1)]]})})
 
 
 def f6_dgla() -> Dgla:
@@ -237,15 +235,15 @@ def f6_contraction(end: EndDgla | None = None) -> GradedMap:
     end = end or end_dgla(omega.complex)
     g = f6_dgla()
     # iota_del: xi -> 1, xibar -> 0, xi*xibar -> xibar (End degree -1)
-    iota = GradedMap(omega.space, omega.space, -1,
-                     {1: [[Q(1), Q(0)]], 2: [[Q(0)], [Q(1)]]})
+    iota = GradedMap.from_blocks(omega.space, omega.space, -1,
+                                 {1: [[Q(1), Q(0)]], 2: [[Q(0)], [Q(1)]]})
     # xibar wedge iota_del: xi -> xibar, everything else -> 0 (End degree 0)
-    wedge = GradedMap(omega.space, omega.space, 0,
-                      {1: [[Q(0), Q(0)], [Q(1), Q(0)]]})
+    wedge = GradedMap.from_blocks(omega.space, omega.space, 0,
+                                  {1: [[Q(0), Q(0)], [Q(1), Q(0)]]})
     col0 = end.map_to_element(iota).get(-1, [Q(0)] * end.space.dim(-1))
     col1 = end.map_to_element(wedge).get(0, [Q(0)] * end.space.dim(0))
-    return GradedMap(g.space, end.space, -1,
-                     {0: [[c] for c in col0], 1: [[c] for c in col1]})
+    return GradedMap.from_blocks(g.space, end.space, -1,
+                                 {0: [[c] for c in col0], 1: [[c] for c in col1]})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Graded maps are stored as sparse columns, one dict of nonzero coefficients
 per source basis vector (``GradedMap``), so applying and composing them costs
 in proportion to the nonzeros met.  Cohomology, subspaces and quotients read
 those columns straight into the sparse echelons of ``linalg``.  Dense blocks
-are a view for JSON, or kept as given when a map is built from them.
+enter through ``GradedMap.from_blocks`` alone and come back as a view for
+JSON; a filtration step or a span given densely is eliminated once, into a
+``SubSpaceData``.
 """
 
 from __future__ import annotations
@@ -121,17 +123,6 @@ def vec_degree(x: GVec) -> int | None:
 Column = Row  # target basis index -> nonzero coefficient
 
 
-def _is_dense(f: "GradedMap") -> bool:
-    """Dense blocks are lists of rows; columns are lists of dicts.  When every
-    block is empty, ``[]`` is read as no columns where only that fits (no
-    source basis vector there, some target one), else as a block with no
-    rows."""
-    for block in f.columns.values():
-        if block:
-            return not isinstance(block[0], dict)
-    return not any(f.target.dim(n + f.shift) and not f.source.dim(n) for n in f.columns)
-
-
 class GradedMap:
     """Degree-homogeneous linear map V -> W of degree ``shift``, held as
     sparse columns: ``columns[n][j]`` is the image of basis vector j of V_n,
@@ -139,11 +130,10 @@ class GradedMap:
     where the map is zero are absent.
 
     Dense blocks, ``blocks[n]`` a list of rows mapping V_n -> W_{n+shift},
-    are accepted in the place of ``columns`` and converted, with their shape
-    checks.  ``blocks`` and ``block(n)`` are the dense view, for JSON: the
-    dense input itself, or built from the columns when first asked for.
-    ``apply`` and ``compose`` read only the columns and cost in proportion
-    to the nonzeros they meet.
+    come in through ``from_blocks``, which checks their shapes.  ``blocks``
+    and ``block(n)`` are the dense view, for JSON, built from the columns
+    when first asked for.  ``apply`` and ``compose`` read only the columns
+    and cost in proportion to the nonzeros they meet.
     """
 
     def __init__(self, source: GradedVectorSpace, target: GradedVectorSpace, shift: int,
@@ -151,32 +141,31 @@ class GradedMap:
         self.source = source
         self.target = target
         self.shift = shift
-        self.columns = given = columns
-        if _is_dense(self):
-            for n, block in given.items():
-                rows, cols = len(block), len(block[0]) if block else self.source.dim(n)
-                if cols != self.source.dim(n) or rows != self.target.dim(n + self.shift):
-                    raise StructuralError(
-                        f"block at degree {n} has shape {rows}x{cols}, expected "
-                        f"{self.target.dim(n + self.shift)}x{self.source.dim(n)}")
-            self.__dict__["blocks"] = given
-            columns = {}
-            for n, block in given.items():
-                cols = columns[n] = [{} for _ in range(self.source.dim(n))]
-                for r, row in enumerate(block):
-                    for j, c in enumerate(row):
-                        if c:
-                            cols[j][r] = c
-        else:
-            for n, cols in given.items():
-                rows = self.target.dim(n + self.shift)
-                if len(cols) != self.source.dim(n) or not all(
-                        c and 0 <= r < rows for col in cols for r, c in col.items()):
-                    raise StructuralError(
-                        f"columns at degree {n}: expected {self.source.dim(n)} columns "
-                        f"of nonzero entries in rows 0..{rows - 1}, got {len(cols)}")
-            columns = given
+        for n, cols in columns.items():
+            rows = target.dim(n + shift)
+            if len(cols) != source.dim(n) or not all(
+                    isinstance(col, dict) and all(c and 0 <= r < rows for r, c in col.items())
+                    for col in cols):
+                raise StructuralError(
+                    f"columns at degree {n}: expected {source.dim(n)} columns "
+                    f"of nonzero entries in rows 0..{rows - 1}, got {len(cols)}")
         self.columns = {n: cols for n, cols in sorted(columns.items()) if any(cols)}
+
+    @classmethod
+    def from_blocks(cls, source: GradedVectorSpace, target: GradedVectorSpace, shift: int,
+                    blocks: dict[int, Matrix]) -> "GradedMap":
+        """The map with dense blocks ``blocks[n]``, V_n -> W_{n+shift}, each
+        checked to have that shape."""
+        columns = {}
+        for n, block in blocks.items():
+            rows, cols = len(block), len(block[0]) if block else source.dim(n)
+            if cols != source.dim(n) or rows != target.dim(n + shift):
+                raise StructuralError(
+                    f"block at degree {n} has shape {rows}x{cols}, expected "
+                    f"{target.dim(n + shift)}x{source.dim(n)}")
+            columns[n] = [{r: row[j] for r, row in enumerate(block) if row[j]}
+                          for j in range(cols)]
+        return cls(source, target, shift, columns)
 
     @cached_property
     def blocks(self) -> dict[int, Matrix]:

@@ -13,7 +13,8 @@ import json
 from fractions import Fraction
 
 from .dgla import CdgaModel, Dgla, FiltrationData, SubDgla, abelian_dgla, sub_dgla_span
-from .graded import Complex, GradedMap, GradedVectorSpace, GVec, Matrix, StructuralError
+from .graded import (Complex, GradedMap, GradedVectorSpace, GVec, Matrix, StructuralError,
+                     SubSpaceData)
 from .linalg import Q, Vector, sparse
 
 SCHEMA_VERSION = 1
@@ -63,6 +64,16 @@ def _matrix(raw, ptr: str, rows: int, cols: int) -> Matrix:
     return out
 
 
+def _vectors(raw, ptr: str, deg: int, length: int) -> list[Vector]:
+    """The rational vectors of a list, all parsed first, then each checked
+    to be a degree-``deg`` vector of ``length`` entries."""
+    vecs = [_vector(v, f"{ptr}/{i}") for i, v in enumerate(raw)]
+    for i, v in enumerate(vecs):
+        if len(v) != length:
+            raise ModelError(f"{ptr}/{i}", f"expected a degree-{deg} vector of length {length}")
+    return vecs
+
+
 def _degree(key: str, ptr: str) -> int:
     """The degree a key names, in the schema's form -?[0-9]+ only."""
     digits = key[1:] if key.startswith("-") else key
@@ -89,6 +100,31 @@ def _by_degree(table: dict, ptr: str, parse=_degree):
             raise ModelError(kptr, f"degree key {key!r} names the same degree as {seen[deg]!r}")
         seen[deg] = key
         yield deg, kptr, raw
+
+
+def _graded_map(raw, ptr: str, src: GradedVectorSpace, dst: GradedVectorSpace,
+                shift: int) -> GradedMap:
+    """A map from its dense blocks, one matrix per source degree."""
+    return GradedMap.from_blocks(src, dst, shift, {
+        deg: _matrix(block, kptr, dst.dim(deg + shift), src.dim(deg))
+        for deg, kptr, block in _by_degree(raw or {}, ptr)})
+
+
+def _tables(raw, ptr: str, sp: GradedVectorSpace, kind: str) -> dict:
+    """Bracket or product tables, ``[(m, n)][i][j]`` the vector of basis
+    vectors i of degree m and j of degree n, stored for m <= n only."""
+    tables = {}
+    for (m, n), tptr, rows in _by_degree(raw or {}, ptr, _degree_pair):
+        if m > n:
+            raise ModelError(tptr, f"{kind} tables are stored for m <= n only")
+        if not isinstance(rows, list) or len(rows) != sp.dim(m):
+            raise ModelError(tptr, f"expected {sp.dim(m)} rows of tables")
+        table = tables[(m, n)] = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != sp.dim(n):
+                raise ModelError(f"{tptr}/{i}", f"expected {sp.dim(n)} entries")
+            table.append(_vectors(row, f"{tptr}/{i}", m + n, sp.dim(m + n)))
+    return tables
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -155,12 +191,9 @@ class ModelDocument:
         def build():
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
-            blocks = {}
-            for deg, kptr, raw in _by_degree(entry.get("differential") or {},
-                                             f"{ptr}/differential"):
-                blocks[deg] = _matrix(raw, kptr, sp.dim(deg + 1), sp.dim(deg))
+            d = _graded_map(entry.get("differential"), f"{ptr}/differential", sp, sp, 1)
             try:
-                return Complex(sp, GradedMap(sp, sp, 1, blocks))
+                return Complex(sp, d)
             except StructuralError as exc:
                 raise ModelError(ptr, str(exc))
         return self._get("complex", name, build)
@@ -174,25 +207,7 @@ class ModelDocument:
                                    f"{ptr}/complex", "complex"))
             if entry.get("abelian"):
                 return abelian_dgla(cx)
-            sp = cx.space
-            brackets = {}
-            for (m, n), bptr, raw in _by_degree(entry.get("brackets") or {},
-                                                f"{ptr}/brackets", _degree_pair):
-                if m > n:
-                    raise ModelError(bptr, "bracket tables are stored for m <= n only")
-                table = []
-                if not isinstance(raw, list) or len(raw) != sp.dim(m):
-                    raise ModelError(bptr, f"expected {sp.dim(m)} rows of tables")
-                for i, row in enumerate(raw):
-                    if not isinstance(row, list) or len(row) != sp.dim(n):
-                        raise ModelError(f"{bptr}/{i}", f"expected {sp.dim(n)} entries")
-                    table.append([_vector(v, f"{bptr}/{i}/{j}") for j, v in enumerate(row)])
-                    for j, v in enumerate(table[-1]):
-                        if len(v) != sp.dim(m + n):
-                            raise ModelError(f"{bptr}/{i}/{j}",
-                                             f"expected a degree-{m + n} vector "
-                                             f"of length {sp.dim(m + n)}")
-                brackets[(m, n)] = table
+            brackets = _tables(entry.get("brackets"), f"{ptr}/brackets", cx.space, "bracket")
             try:
                 return Dgla(cx, brackets)
             except StructuralError as exc:
@@ -213,25 +228,7 @@ class ModelDocument:
         def build():
             cx = self.complex(_ref(self.section("complexes"), entry.get("complex"),
                                    f"{ptr}/complex", "complex"))
-            sp = cx.space
-            products = {}
-            for (m, n), pptr, raw in _by_degree(entry.get("products") or {},
-                                                f"{ptr}/products", _degree_pair):
-                if m > n:
-                    raise ModelError(pptr, "product tables are stored for m <= n only")
-                if not isinstance(raw, list) or len(raw) != sp.dim(m):
-                    raise ModelError(pptr, f"expected {sp.dim(m)} rows")
-                table = []
-                for i, row in enumerate(raw):
-                    if not isinstance(row, list) or len(row) != sp.dim(n):
-                        raise ModelError(f"{pptr}/{i}", f"expected {sp.dim(n)} entries")
-                    vs = [_vector(v, f"{pptr}/{i}/{j}") for j, v in enumerate(row)]
-                    for j, v in enumerate(vs):
-                        if len(v) != sp.dim(m + n):
-                            raise ModelError(f"{pptr}/{i}/{j}",
-                                             f"expected length {sp.dim(m + n)}")
-                    table.append(vs)
-                products[(m, n)] = table
+            products = _tables(entry.get("products"), f"{ptr}/products", cx.space, "product")
             return CdgaModel(cx, products)
         return self._get("cdga", name, build)
 
@@ -240,16 +237,10 @@ class ModelDocument:
         def build():
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
-            steps = {}
-            for p, sptr, degs in _by_degree(entry.get("steps") or {}, f"{ptr}/steps"):
-                level = {}
-                for deg, dptr, vecs in _by_degree(degs or {}, sptr):
-                    level[deg] = [_vector(v, f"{dptr}/{i}") for i, v in enumerate(vecs)]
-                    for i, v in enumerate(level[deg]):
-                        if len(v) != sp.dim(deg):
-                            raise ModelError(f"{dptr}/{i}", f"expected length {sp.dim(deg)}")
-                steps[p] = level
-            return FiltrationData(sp, steps)
+            return FiltrationData(sp, {
+                p: SubSpaceData(sp, {deg: _vectors(vecs, dptr, deg, sp.dim(deg))
+                                     for deg, dptr, vecs in _by_degree(degs or {}, sptr)})
+                for p, sptr, degs in _by_degree(entry.get("steps") or {}, f"{ptr}/steps")})
         return self._get("filtration", name, build)
 
     def sub_dgla(self, name: str) -> SubDgla:
@@ -260,12 +251,8 @@ class ModelDocument:
                                              and host not in self.section("end_dglas")):
                 raise ModelError(f"{ptr}/dgla", f"dangling reference: no dgla named {host!r}")
             g = self.dgla(host)
-            span = {}
-            for deg, kptr, vecs in _by_degree(entry.get("span") or {}, f"{ptr}/span"):
-                span[deg] = [_vector(v, f"{kptr}/{i}") for i, v in enumerate(vecs)]
-                for i, v in enumerate(span[deg]):
-                    if len(v) != g.space.dim(deg):
-                        raise ModelError(f"{kptr}/{i}", f"expected length {g.space.dim(deg)}")
+            span = {deg: _vectors(vecs, kptr, deg, g.space.dim(deg))
+                    for deg, kptr, vecs in _by_degree(entry.get("span") or {}, f"{ptr}/span")}
             try:
                 return sub_dgla_span(g, span)
             except StructuralError as exc:
@@ -292,10 +279,7 @@ class ModelDocument:
             shift = entry.get("shift", 0)
             if type(shift) is not int:
                 raise ModelError(f"{ptr}/shift", "expected an integer")
-            blocks = {}
-            for deg, kptr, raw in _by_degree(entry.get("blocks") or {}, f"{ptr}/blocks"):
-                blocks[deg] = _matrix(raw, kptr, dst.dim(deg + shift), src.dim(deg))
-            return GradedMap(src, dst, shift, blocks)
+            return _graded_map(entry.get("blocks"), f"{ptr}/blocks", src, dst, shift)
         return self._get("map", name, build)
 
     def contraction(self, name: str) -> tuple[Dgla, CdgaModel, EndDgla, GradedMap]:
@@ -322,10 +306,7 @@ class ModelDocument:
             columns: dict[int, list[Vector]] = {}
             for col, ((sdeg, _), op) in enumerate(zip(basis, ops)):
                 shift = sdeg - 1
-                blocks = {}
-                for deg, kptr, raw in _by_degree(op or {}, f"{ptr}/operators/{col}"):
-                    blocks[deg] = _matrix(raw, kptr, sp.dim(deg + shift), sp.dim(deg))
-                gm = GradedMap(sp, sp, shift, blocks)
+                gm = _graded_map(op, f"{ptr}/operators/{col}", sp, sp, shift)
                 try:
                     elem = end.map_to_element(gm)
                 except StructuralError as exc:

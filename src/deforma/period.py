@@ -15,7 +15,10 @@ H^1(End/End^{>=0}).
 The flag side runs on sparse rows.  Each step F^p H^k is one echelon of
 the classes of the cocycles of F^p Omega^k, each class tagged with its
 cocycle, so every basis class of F^p H^k comes with the cocycle that i_a
-acts on.  Classes are read with ``CohomologyResult.project_row``, and a
+acts on; the induced filtration holds those echelons as they are
+(``SubSpaceData.from_echelon``), as End^{>=0} holds the reduced echelon of
+the kernel of its equations, so no step is densified or eliminated twice.
+Classes are read with ``CohomologyResult.project_row``, and a
 family's coordinates in the end of the diagram are read off the free
 columns of the kernel that spans it.
 """
@@ -26,10 +29,10 @@ from . import linalg
 from .cartan import cartan_check, lie_from_cartan
 from .convolution import convolution
 from .dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, SubDgla,
-                   ValidationReport, _check_leibniz, _sweep, sub_dgla_span,
-                   validate_filtration, validate_morphism, validate_sub_dgla)
+                   ValidationReport, _check_leibniz, _sweep, validate_filtration,
+                   validate_morphism, validate_sub_dgla)
 from .endo import EndDgla, end_dgla
-from .graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
+from .graded import (Complex, GradedMap, GradedVectorSpace, StructuralError, SubSpaceData,
                      cohomology, quotient_complex, vec_is_zero, zero_map)
 from .linalg import Echelon, Q, Row, Vector, combine, dense, sparse
 
@@ -47,9 +50,8 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
     if not report.ok:
         raise StructuralError(f"invalid filtration: {report.failures[:3]}")
     sp = omega.space
-    span: dict[int, list[Vector]] = {}
+    echelon = {}
     for k in end.space.degrees:
-        dim = end.space.dim(k)
         position = {entry: pos for pos, entry in enumerate(end.index[k])}
         rows: list[Row] = []
         for p in f.levels():
@@ -62,10 +64,8 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
                     rows.extend({position[deg, si, di]: c * e
                                  for si, c in v.items() for di, e in func.items()}
                                 for func in functionals)
-        kernel = linalg.nullspace(rows, dim)
-        if kernel:
-            span[k] = [dense(r, dim) for r in kernel]
-    sub = sub_dgla_span(end.dgla, span)
+        echelon[k] = linalg.rref(linalg.nullspace(rows, end.space.dim(k)))
+    sub = SubDgla(end.dgla, SubSpaceData.from_echelon(end.space, echelon))
     closure = validate_sub_dgla(sub)
     if not closure.ok:
         raise StructuralError(
@@ -169,7 +169,7 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
     h_space = GradedVectorSpace(components)
     reps = {deg: hc.representatives(deg) for deg in components}
 
-    steps: dict[int, dict] = {}
+    steps: dict[int, dict] = {}     # p -> {degree -> (rows, pivots) of F^p H}
     cocycles: dict[int, dict] = {}
     for p in f.levels():
         sub = f.step(p)
@@ -185,13 +185,15 @@ def flag_data(omega: CdgaModel, f: FiltrationData) -> FlagData:
                 r = e.reduce({**hc.project_row(deg, z), **{h + j: x for j, x in z.items()}})
                 if r and min(r) < h:
                     e.insert(r)
-            rows = [e.rows[q] for q in sorted(e.rows)]
-            if rows:
-                steps.setdefault(p, {})[deg] = [
-                    dense({j: x for j, x in r.items() if j < h}, h) for r in rows]
+            pivots = sorted(e.rows)
+            if pivots:
+                rows = [e.rows[q] for q in pivots]
+                steps.setdefault(p, {})[deg] = (
+                    [{j: x for j, x in r.items() if j < h} for r in rows], pivots)
                 cocycles.setdefault(p, {})[deg] = [
                     {j - h: x for j, x in r.items() if j >= h} for r in rows]
-    f_h = FiltrationData(h_space, steps)
+    f_h = FiltrationData(h_space, {p: SubSpaceData.from_echelon(h_space, level)
+                                   for p, level in steps.items()})
 
     h_complex = Complex(h_space, zero_map(h_space, h_space, 1))
     quotients = {p: quotient_complex(h_complex, f_h.step(p)) for p in f.levels()}

@@ -102,6 +102,9 @@ each unknown of the compatibility equations by a scan of the layout,
 ``period_differential`` reads each class through dense ``apply`` and
 ``project``.  They are the oracle for ``period.flag_data``,
 ``end_of_flag_diagram`` and ``period_differential`` in test_period.py.
+``filtered_subdgla`` is End^{>=0} by the dense route ``period`` took
+before it held the kernel as an echelon: the kernel densified and spanned
+again by ``sub_dgla_span``.
 """
 
 import itertools
@@ -113,7 +116,8 @@ from deforma.convolution import (DEFAULT_ARITY, VKey, canonical_tuples, ce_words
                                  v_basis, vdeg)
 from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, FlatBasis, SubDgla,
                           ValidationReport, _ZERO as ZERO, _bracket_into,
-                          _residual_repr, ad_exp_terms, tensor_basis, validate_morphism)
+                          _residual_repr, ad_exp_terms, sub_dgla_span, tensor_basis,
+                          validate_morphism)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
@@ -412,7 +416,7 @@ def tensor_nilpotent(g, a) -> Dgla:
                         big[r * na + t][c * na + t] = val
         if nonzero:
             d_blocks[deg] = big
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
+    cx = Complex(space, GradedMap.from_blocks(space, space, 1, d_blocks))
 
     brackets = {}
     for (m, n), table in g.brackets.items():
@@ -550,7 +554,7 @@ def interval_forms(tmax: int) -> CdgaModel:
                 for a in range(n)]
 
     d = [[Q(m) if r == m - 1 else Q(0) for m in range(n)] for r in range(tmax)]
-    return CdgaModel(Complex(space, GradedMap(space, space, 1, {0: d})),
+    return CdgaModel(Complex(space, GradedMap.from_blocks(space, space, 1, {0: d})),
                      {(0, 0): times(n), (0, 1): times(tmax)})
 
 
@@ -602,7 +606,7 @@ def tensor_tables(g, a) -> tuple[Complex, dict]:
                     for u, c in vw.items():
                         for e, s in fh.items():
                             cell[place[u, e][1]] = sign * c * s
-    return Complex(space, GradedMap(space, space, 1, d_blocks)), brackets
+    return Complex(space, GradedMap.from_blocks(space, space, 1, d_blocks)), brackets
 
 
 def end_tables(c: Complex) -> tuple[Complex, dict]:
@@ -655,7 +659,7 @@ def end_tables(c: Complex) -> tuple[Complex, dict]:
                       for j in range(len(index[n]))] for i in range(len(index[m]))]
             if any(any(v) for row in table for v in row):
                 brackets[(m, n)] = table
-    return Complex(space, GradedMap(space, space, 1, d_blocks)), brackets
+    return Complex(space, GradedMap.from_blocks(space, space, 1, d_blocks)), brackets
 
 
 def assert_same_tables(g: Dgla, cx: Complex, brackets: dict):
@@ -846,7 +850,7 @@ def restrict_to_sub(n: SubDgla) -> Dgla:
                      for v in bases[m]]
             if any(any(cell) for row in table for cell in row):
                 brackets[(m, p)] = table
-    return Dgla(Complex(space, GradedMap(space, space, 1, d_blocks)), brackets)
+    return Dgla(Complex(space, GradedMap.from_blocks(space, space, 1, d_blocks)), brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -1548,7 +1552,7 @@ def linear_from_hom_element(f: BigradedHomElement) -> GradedMap:
         if tgt.dim(deg + f.p):
             blocks[deg] = [[cols[j][i] for j in range(len(cols))]
                            for i in range(tgt.dim(deg + f.p))]
-    return GradedMap(src, tgt, f.p, blocks)
+    return GradedMap.from_blocks(src, tgt, f.p, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -1619,7 +1623,7 @@ def hom_dgla_slice(g: Dgla, h: Dgla, arity_bound: int = DEFAULT_ARITY) -> Dgla:
             img = to_coords(total_d(basis_total(entry)))
             cols.append(list(img.get(deg + 1, [Q(0)] * tdim)))
         d_blocks[deg] = [[cols[j][i] for j in range(len(cols))] for i in range(tdim)]
-    cx = Complex(space, GradedMap(space, space, 1, d_blocks))
+    cx = Complex(space, GradedMap.from_blocks(space, space, 1, d_blocks))
 
     brackets = {}
     for m in degs:
@@ -1873,6 +1877,31 @@ class DenseEnd:
     basis: list                 # flat coordinate vectors, as sparse rows
 
 
+def filtered_subdgla(omega: CdgaModel, f) -> SubDgla:
+    """End^{>=0}: per End degree k, the kernel of the rows that ask phi to
+    take each basis row of F^p into F^p, densified and spanned again."""
+    end = end_dgla(omega.complex)
+    sp = omega.space
+    span: dict = {}
+    for k in end.space.degrees:
+        dim = end.space.dim(k)
+        position = {entry: pos for pos, entry in enumerate(end.index[k])}
+        rows = []
+        for p in f.levels():
+            sub = f.step(p)
+            for deg in sorted(sub.echelon):
+                tdeg = deg + k
+                functionals = linalg.nullspace(sub.rows(tdeg), sp.dim(tdeg))
+                for v in sub.rows(deg):
+                    rows.extend({position[deg, si, di]: c * e
+                                 for si, c in v.items() for di, e in func.items()}
+                                for func in functionals)
+        kernel = linalg.nullspace(rows, dim)
+        if kernel:
+            span[k] = [linalg.dense(r, dim) for r in kernel]
+    return sub_dgla_span(end.dgla, span)
+
+
 def flag_data(omega: CdgaModel, f) -> DenseFlag:
     """The induced filtration on H, each F^p H^k spanned by the classes of
     the cocycles of F^p Omega^k, every one kept with its class."""
@@ -1906,7 +1935,8 @@ def flag_data(omega: CdgaModel, f) -> DenseFlag:
         if span:
             steps[p] = span
             f_reps[p] = pairs
-    f_h = FiltrationData(h_space, steps)
+    f_h = FiltrationData(h_space, {p: graded.SubSpaceData(h_space, span)
+                                   for p, span in steps.items()})
     h_complex = Complex(h_space, graded.zero_map(h_space, h_space, 1))
     quotients = {p: graded.quotient_complex(h_complex, f_h.step(p)) for p in f.levels()}
     return DenseFlag(h_space, reps, f_h, f_reps, quotients)

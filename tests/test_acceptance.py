@@ -122,7 +122,7 @@ def test_criterion_03():
     # for a linear family the whole residual is the arity-2 bracket defect
     for _ in range(10):
         blk = [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
-        f = GradedMap(g2.space, g2.space, 0, {0: blk})
+        f = GradedMap.from_blocks(g2.space, g2.space, 0, {0: blk})
         res = linf_residual(g2, conv2, taylor_from_linear(g2, conv2, f))
         assert set(res) <= {2}
         r2 = res.get(2, {})
@@ -159,8 +159,8 @@ def test_criterion_04():
     rng = random.Random(4)
     seen_noncartan = 0
     for _ in range(20):
-        i = GradedMap(g2.space, h.space, -1,
-                      {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
+        i = GradedMap.from_blocks(g2.space, h.space, -1,
+                                  {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
         ielem = dense.hom_element_from_linear(g2, h, i)
         formula = dense.hom_add(dense.hom_d01(ielem),
                                 dense.hom_scale(Q(-1, 2),

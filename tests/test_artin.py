@@ -129,7 +129,7 @@ def non_associative_cdga() -> CdgaModel:
 def odd_square_cdga() -> CdgaModel:
     # an odd generator with a nonzero square, and d(u) = xi not a derivation
     space = GradedVectorSpace({0: ("1", "u"), 1: ("xi",), 2: ("w",)})
-    d = GradedMap(space, space, 1, {0: [[Q(0), Q(1)]]})
+    d = GradedMap.from_blocks(space, space, 1, {0: [[Q(0), Q(1)]]})
     one0, one1 = [Q(1), Q(0)], [Q(1)]
     return CdgaModel(Complex(space, d), {
         (0, 0): [[one0, [Q(0), Q(1)]], [[Q(0), Q(1)], [Q(0), Q(0)]]],

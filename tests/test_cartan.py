@@ -73,7 +73,7 @@ def test_cartan_violation_reported():
     g = F.f7_dgla()
     h = F.f3_end().dgla
     # i_x = e00 alone is not Cartan (condition B fails)
-    i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(0)]]})
+    i = GradedMap.from_blocks(g.space, h.space, -1, {1: [[Q(1)], [Q(0)]]})
     rep = cartan_check(g, convolution(g, h, 2), i)
     assert not rep.ok
     assert {f["kind"] for f in rep.failures} == {"condition_A", "condition_B"}
@@ -95,8 +95,8 @@ def test_transport_linear_part_always_d10():
     h = F.f3_end().dgla
     conv = convolution(g, h)
     for _ in range(20):
-        i = GradedMap(g.space, h.space, -1,
-                      {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
+        i = GradedMap.from_blocks(g.space, h.space, -1,
+                                  {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
         total = gauge_zero_transport(g, conv, i)
         expected = dense.hom_d10(dense.hom_element_from_linear(g, h, i))
         got = taylor(g, conv, total).get(1, {})
@@ -112,8 +112,8 @@ def test_arity_two_component_formula():
     conv = convolution(g, h)
     seen_noncartan = False
     for _ in range(25):
-        i = GradedMap(g.space, h.space, -1,
-                      {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
+        i = GradedMap.from_blocks(g.space, h.space, -1,
+                                  {0: [[Q(rng.randint(-3, 3)) for _ in range(4)]]})
         ielem = dense.hom_element_from_linear(g, h, i)
         lelem = dense.hom_d10(ielem)
         formula = dense.hom_add(dense.hom_d01(ielem),
@@ -147,7 +147,7 @@ def test_check_needs_arity_two():
     """Condition (A) reads words of length two, so the check refuses an
     arity-one convolution dgla; l reads the same in either."""
     g, h = F.f7_dgla(), F.f3_end().dgla
-    i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
+    i = GradedMap.from_blocks(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
     with pytest.raises(StructuralError, match="arity at least 2"):
         cartan_check(g, convolution(g, h, 1), i)
     assert cartan_check(g, convolution(g, h, 2), i).ok
@@ -164,8 +164,8 @@ def test_check_without_length_two_words():
     g = abelian_dgla(Complex(space, zero_map(space, space, 1)))
     omega = F.f4_cdga()
     end = end_dgla(omega.complex)
-    i = GradedMap(g.space, end.space, -1,
-                  {0: [row[:1] for row in F.f4_contraction(end).blocks[0]]})
+    i = GradedMap.from_blocks(g.space, end.space, -1,
+                              {0: [row[:1] for row in F.f4_contraction(end).blocks[0]]})
     conv = convolution(g, end.dgla, 2)
     assert conv.weight == (1,)
     rep = cartan_check(g, conv, i)

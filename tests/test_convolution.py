@@ -54,7 +54,7 @@ def test_frozen_cartan_signs():
     g = F.f7_dgla()
     h = F.f3_end().dgla
     conv = convolution(g, h, 2)
-    i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
+    i = GradedMap.from_blocks(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
     ie = from_linear(g, conv, i)
     assert set(ie) == {0}                # bidegree (-1, 1): total degree 0
     # one value, at the word x: e00 + e11 in h's flat coordinates
@@ -262,7 +262,7 @@ def _random_map(g, h, shift, rng):
         rows, cols = h.space.dim(k + shift), g.space.dim(k)
         if rows:
             blocks[k] = [[Q(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
-    return GradedMap(g.space, h.space, shift, blocks)
+    return GradedMap.from_blocks(g.space, h.space, shift, blocks)
 
 
 @pytest.mark.parametrize("source,target,arity", ORACLE_PAIRS)
@@ -346,7 +346,7 @@ def test_strict_embed_zero_residual():
 
 def test_strict_embed_rejects_non_morphism():
     g = F.f2_dgla()
-    t = GradedMap(g.space, g.space, 0, {0: [
+    t = GradedMap.from_blocks(g.space, g.space, 0, {0: [
         [Q(1), Q(0), Q(0), Q(0)],
         [Q(0), Q(0), Q(1), Q(0)],
         [Q(0), Q(1), Q(0), Q(0)],
@@ -361,7 +361,7 @@ def test_bracket_defect_is_the_arity_two_residual():
     rng = random.Random(23)
     for _ in range(10):
         blk = [[Q(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
-        f = GradedMap(g.space, g.space, 0, {0: blk})
+        f = GradedMap.from_blocks(g.space, g.space, 0, {0: blk})
         res = linf_residual(g, conv, taylor_from_linear(g, conv, f))
         assert set(res) <= {2}
         r2 = res.get(2, {})
@@ -415,6 +415,30 @@ def test_element_helpers_reject_another_source():
                  lambda: linf_residual(F.f7_dgla(), conv, x)):
         with pytest.raises(StructuralError, match="of the given source"):
             call()
+    # CE(F1) has fewer words than CE(F7); F1's one basis vector is one of F7's
+    conv = convolution(F.f7_dgla(), F.f3_end().dgla, 2)
+    for call in (lambda: taylor(F.f1_dgla(), conv, {}),
+                 lambda: from_linear(F.f1_dgla(), conv, zero_map(F.f1_dgla().space,
+                                                                 conv.g.space, -1))):
+        with pytest.raises(StructuralError, match="not a convolution dgla of the given source"):
+            call()
+
+
+def test_readers_use_the_words_of_the_build(monkeypatch):
+    """The record keeps the CE words and the arity it was built at, so
+    taylor, from_linear and linear_part list no words, and linf_residual
+    lists only those of its one wider build."""
+    import deforma.convolution as module
+    g = F.f2_dgla()
+    conv = convolution(g, g, 2)
+    assert (conv.words, conv.arity) == (ce_words(g, 2), 2)
+    listed, real = [], module.ce_words
+    monkeypatch.setattr(module, "ce_words", lambda g_, n: listed.append(n) or real(g_, n))
+    x = from_linear(g, conv, identity_map(g.space))
+    assert taylor(g, conv, x) and not linear_part(g, conv, x, 0).is_zero()
+    assert linf_residual(g, conv, x) == linf_residual(g, conv, x) == {}
+    assert listed == [3]
+    assert conv.wider[g][0].arity == 3
 
 
 def test_linear_roundtrip():

@@ -105,7 +105,7 @@ def test_morphism_validation():
     borel = F.f2_borel(g)
     assert validate_morphism(inclusion_as_morphism(borel)).ok
     # transpose is an anti-automorphism, not an automorphism: must fail
-    t = GradedMap(g.space, g.space, 0, {0: [
+    t = GradedMap.from_blocks(g.space, g.space, 0, {0: [
         [Q(1), Q(0), Q(0), Q(0)],
         [Q(0), Q(0), Q(1), Q(0)],
         [Q(0), Q(1), Q(0), Q(0)],

@@ -321,6 +321,15 @@ def test_filtration_steps_are_built_once():
     assert all(empty.step(p).dim(d) == 0 for p in (-1, 0, 1) for d in space.degrees)
 
 
+def test_filtration_keeps_the_steps_it_is_given():
+    space = F.f6_cdga().space
+    steps = {1: SubSpaceData(space, {1: [[Q(1), Q(0)]], 2: [[Q(1)]]}),
+             2: SubSpaceData(space, {2: [[Q(1)]]})}
+    f = FiltrationData(space, steps)
+    assert f.levels() == [1, 2]
+    assert all(f.step(p) is steps[p] for p in steps)
+
+
 def test_restrict_to_unclosed_span_raises():
     g = F.f2_dgla()
     # span{e12, e21} is not closed: [e12, e21] = e11 - e22

@@ -12,13 +12,13 @@ from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralErr
 
 def two_term(scalar):
     space = GradedVectorSpace({0: ("a",), 1: ("b",)})
-    return Complex(space, GradedMap(space, space, 1, {0: [[Q(scalar)]]}))
+    return Complex(space, GradedMap.from_blocks(space, space, 1, {0: [[Q(scalar)]]}))
 
 
 def test_d_squared_enforced():
     space = GradedVectorSpace({0: ("a",), 1: ("b",), 2: ("c",)})
     with pytest.raises(StructuralError):
-        Complex(space, GradedMap(space, space, 1, {0: [[Q(1)]], 1: [[Q(1)]]}))
+        Complex(space, GradedMap.from_blocks(space, space, 1, {0: [[Q(1)]], 1: [[Q(1)]]}))
 
 
 def test_cohomology_acyclic_two_term():
@@ -64,7 +64,7 @@ def test_shift_convention():
 def test_is_chain_map_sign():
     cx = two_term(1)
     # the identity viewed as a degree-0 map is a chain map
-    f = GradedMap(cx.space, cx.space, 0, {0: [[Q(1)]], 1: [[Q(1)]]})
+    f = GradedMap.from_blocks(cx.space, cx.space, 0, {0: [[Q(1)]], 1: [[Q(1)]]})
     assert is_chain_map(f, cx, cx).is_zero()
 
 
@@ -98,9 +98,9 @@ def test_quotient_complex_borel():
 
 def test_induced_map_on_cohomology_identity():
     cx = F.f6_cdga().complex
-    ident = GradedMap(cx.space, cx.space, 0,
-                      {d: [[Q(1) if i == j else Q(0) for j in range(cx.space.dim(d))]
-                           for i in range(cx.space.dim(d))] for d in cx.space.degrees})
+    ident = GradedMap.from_blocks(cx.space, cx.space, 0, {
+        d: [[Q(1) if i == j else Q(0) for j in range(cx.space.dim(d))]
+            for i in range(cx.space.dim(d))] for d in cx.space.degrees})
     hc = cohomology(cx)
     blocks = induced_map_on_cohomology(ident, cx, cx)
     for d, r in hc.ranks.items():

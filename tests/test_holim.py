@@ -343,7 +343,7 @@ def f7_cartan_setup():
     g = F.f7_dgla()
     end = F.f3_end()
     h = end.dgla
-    i = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
+    i = GradedMap.from_blocks(g.space, h.space, -1, {1: [[Q(1)], [Q(1)]]})
     # n = span{e00 + e11, f}: closed (d(e00+e11) = 0, [e00+e11, f] = 0)
     n = sub_dgla_span(h, {0: [[Q(1), Q(1)]], 1: [[Q(1)]]})
     return g, h, i, holim_pair(h, n)
@@ -455,7 +455,7 @@ def test_map_into_holim_arity_one_validates():
 
 def test_map_into_holim_rejects_non_cartan():
     g, h, _, pair = f7_cartan_setup()
-    bad = GradedMap(g.space, h.space, -1, {1: [[Q(1)], [Q(0)]]})
+    bad = GradedMap.from_blocks(g.space, h.space, -1, {1: [[Q(1)], [Q(0)]]})
     with pytest.raises(StructuralError):
         map_into_holim(g, bad, pair)
 

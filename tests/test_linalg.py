@@ -100,8 +100,9 @@ def test_matvec_matches_dense_reference():
         a[rng.randrange(rows)] = [Q(0)] * cols          # a zero row
         one_hot = [Q(0)] * cols
         one_hot[rng.randrange(cols)] = Q(rng.randint(1, 5), rng.randint(1, 3))
-        f = GradedMap(GradedVectorSpace({0: tuple(f"s{j}" for j in range(cols))}),
-                      GradedVectorSpace({0: tuple(f"t{i}" for i in range(rows))}), 0, {0: a})
+        f = GradedMap.from_blocks(
+            GradedVectorSpace({0: tuple(f"s{j}" for j in range(cols))}),
+            GradedVectorSpace({0: tuple(f"t{i}" for i in range(rows))}), 0, {0: a})
         for v in ([entry(0.5) for _ in range(cols)], [Q(0)] * cols, one_hot):
             got = f.apply({0: v}).get(0, [Q(0)] * rows)
             assert got == dense_matvec(a, v) == dense.matvec(a, v)

@@ -182,6 +182,51 @@ def test_wrong_table_shape_located():
         parse_model_dict(raw)
 
 
+TABLES = [("F2", "/dglas/g/brackets", "0,0", "1,0"),
+          ("F6", "/cdgas/omega/products", "1,1", "1,0")]
+
+
+def _break(rows, fault):
+    """The table rows with one fault (two for "two"), and the pointer of
+    the first, after the table's own."""
+    rows = json.loads(json.dumps(rows))
+    if fault == "rows":
+        return rows + [rows[0]], ""
+    if fault == "row":
+        rows[0] = "x"
+        return rows, "/0"
+    if fault == "entries":
+        rows[0] = rows[0] + [rows[0][0]]
+        return rows, "/0"
+    if fault == "rational":
+        rows[0][0][0] = "one"
+        return rows, "/0/0/0"
+    if fault == "length":
+        rows[0][0] = rows[0][0] + ["0/1"]
+        return rows, "/0/0"
+    rows[0][0] = rows[0][0] + ["0/1"]       # "two": every entry of a row
+    rows[0][1][0] = "one"                   # is read before any length
+    return rows, "/0/1/0"
+
+
+@pytest.mark.parametrize("fault", ["rows", "row", "entries", "rational", "length", "two"])
+@pytest.mark.parametrize("model,section,key,lower", TABLES, ids=["brackets", "products"])
+def test_malformed_tables_located(model, section, key, lower, fault):
+    raw = load_raw(model)
+    tables = raw
+    for part in section.split("/")[1:]:
+        tables = tables[part]
+    tables[key], tail = _break(tables[key], fault)
+    with pytest.raises(ModelError) as exc:
+        parse_model_dict(raw)
+    assert exc.value.pointer == f"{section}/{key}{tail}"
+    del tables[key]
+    tables[lower] = []
+    with pytest.raises(ModelError, match="stored for m <= n only") as exc:
+        parse_model_dict(raw)
+    assert exc.value.pointer == f"{section}/{lower}"
+
+
 def test_dangling_reference_located():
     raw = load_raw("F1")
     raw["complexes"]["g"]["space"] = "missing"
@@ -314,6 +359,31 @@ def test_cli_axiom_failure_exit_code(tmp_path):
     assert doc["status"] == "failed"
     assert any(f["kind"] == "antisymmetry"
                for f in doc["payload"]["dgla:g"]["failures"])
+
+
+def test_cli_validates_a_filtration_against_each_complex_on_its_space(tmp_path):
+    # F^2 = everything in degree 1 is not inside F^1 = span{xi}; the check
+    # runs whatever the complex on the filtration's space is named, and
+    # once per complex on it, in name order, into the one entry
+    def failures(raw):
+        raw["filtrations"]["F"]["steps"]["2"] = {"1": [["1/1", "0/1"], ["0/1", "1/1"]]}
+        path = tmp_path / "filtered.json"
+        path.write_text(json.dumps(raw))
+        proc = run_cli("validate", "--model", str(path))
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "failed"
+        return doc["payload"]["filtration:F"]["failures"]
+
+    same = failures(load_raw("F6"))
+    assert same == [{"kind": "decreasing", "witness": ["F^2 degree 1 vector 1"]}]
+    renamed = load_raw("F6")
+    renamed["complexes"]["cx"] = renamed["complexes"].pop("omega")
+    renamed["cdgas"]["omega"]["complex"] = "cx"
+    assert failures(renamed) == same
+    doubled = load_raw("F6")
+    doubled["complexes"]["a"] = doubled["complexes"]["omega"]
+    assert failures(doubled) == same * 2
 
 
 def test_cli_inconclusive_exit_code(tmp_path):

@@ -15,11 +15,17 @@ from deforma.dgla import (CdgaModel, FiltrationData, abelian_dgla, validate_cdga
                           validate_filtration, validate_sub_dgla)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, StructuralError,
-                            cohomology, vec_add, vec_scale, zero_map)
+                            SubSpaceData, cohomology, vec_add, vec_scale, zero_map)
 from deforma.linalg import combine, sparse
 from deforma.period import (_first_non_derivation, contraction_cartan, end_of_flag_diagram,
                             filtered_subdgla, flag_data, obstruction_image,
                             period_differential)
+
+
+def filtration(space, steps) -> FiltrationData:
+    """The filtration with dense spanning vectors ``steps[p][degree]``,
+    each level eliminated once."""
+    return FiltrationData(space, {p: SubSpaceData(space, level) for p, level in steps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +46,12 @@ def test_filtration_validation():
     omega5 = F.f5_cdga()
     assert validate_filtration(omega5.complex, F.f5_form_filtration()).ok
     # span{x} in degree 0 is not d-stable: d(x) = dx falls outside
-    bad = FiltrationData(omega5.space, {1: {0: [[Q(0), Q(1), Q(0)]]}})
+    bad = filtration(omega5.space, {1: {0: [[Q(0), Q(1), Q(0)]]}})
     report = validate_filtration(omega5.complex, bad)
     assert any(f["kind"] == "d_stability" for f in report.failures)
     # F^2 = span{x dx} is not inside F^1 = span{dx}
-    bad = FiltrationData(omega5.space, {1: {1: [[Q(1), Q(0), Q(0)]]},
-                                        2: {1: [[Q(0), Q(2), Q(0)]]}})
+    bad = filtration(omega5.space, {1: {1: [[Q(1), Q(0), Q(0)]]},
+                                    2: {1: [[Q(0), Q(2), Q(0)]]}})
     assert validate_filtration(omega5.complex, bad).failures == [
         {"kind": "decreasing", "witness": ["F^2 degree 1 vector 0"]}]
 
@@ -86,8 +92,8 @@ def test_contraction_reports_a_filtration_its_lie_derivatives_leave():
     omega = F.f5_cdga()
     end = end_dgla(omega.complex)
     # F^1 = span{1, dx}: the Lie derivative along x^2 d/dx takes dx to 2x dx
-    filt = FiltrationData(omega.space, {1: {0: [[Q(1), Q(0), Q(0)]],
-                                            1: [[Q(2), Q(0), Q(0)]]}})
+    filt = filtration(omega.space, {1: {0: [[Q(1), Q(0), Q(0)]],
+                                        1: [[Q(2), Q(0), Q(0)]]}})
     assert validate_filtration(omega.complex, filt).ok
     report = contraction_cartan(omega, F.f5_derivations(), F.f5_contraction(end),
                                 f=filt, end=end).report
@@ -101,9 +107,9 @@ def test_contraction_rejects_non_derivation():
     end = end_dgla(omega.complex)
     t = F.f6_dgla()
     # xi -> 1 alone (without the xi*xibar -> xibar leg) is not a derivation
-    op = GradedMap(omega.space, omega.space, -1, {1: [[Q(1), Q(0)]]})
+    op = GradedMap.from_blocks(omega.space, omega.space, -1, {1: [[Q(1), Q(0)]]})
     col = end.map_to_element(op).get(-1, [])
-    i = GradedMap(t.space, end.space, -1, {0: [[c] for c in col]})
+    i = GradedMap.from_blocks(t.space, end.space, -1, {0: [[c] for c in col]})
     with pytest.raises(StructuralError,
                        match=r"^i\(del\) is not a derivation at \(xi, xibar\)$"):
         contraction_cartan(omega, t, i, end=end)
@@ -214,7 +220,7 @@ def test_period_rejects_failing_degeneration():
                                      F.f5_contraction(end), end=end)
     # F^1 = all one-forms: H^0(Omega/F^1) has rank 3 but H^0/F^1 H^0 rank 1,
     # so the degeneration comparison cannot be an isomorphism
-    filt = FiltrationData(omega.space, {1: {1: [
+    filt = filtration(omega.space, {1: {1: [
         [Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)]]}})
     assert validate_filtration(omega.complex, filt).ok
     # the same error, word for word, as the dense oracle
@@ -261,11 +267,11 @@ def torus2():
                         if not set(s) & set(t):
                             products[a, b][i][j][index[tuple(sorted(s + t))]] = Q(wedge_sign(s, t))
     omega = CdgaModel(Complex(space, zero_map(space, space, 1)), products)
-    filt = FiltrationData(space, {p: {k: [[Q(int(i == index[m])) for i in range(len(ms))]
-                                          for m in ms if len(set(m) & set(HOLOMORPHIC)) >= p]
-                                      for k, ms in mono.items()
-                                      if any(len(set(m) & set(HOLOMORPHIC)) >= p for m in ms)}
-                                  for p in (1, 2)})
+    filt = filtration(space, {p: {k: [[Q(int(i == index[m])) for i in range(len(ms))]
+                                      for m in ms if len(set(m) & set(HOLOMORPHIC)) >= p]
+                                  for k, ms in mono.items()
+                                  if any(len(set(m) & set(HOLOMORPHIC)) >= p for m in ms)}
+                              for p in (1, 2)})
     # KS basis: xibar_J (x) del_i, J a subset of {xibar_1, xibar_2}, i-major
     anti = exterior_monomials(2)
     ks_basis = {k: [(i, tuple(2 + j for j in js)) for i in HOLOMORPHIC for js in anti[k]]
@@ -357,7 +363,7 @@ def sub_filtrations(filt, count, rng):
         steps = {}
         for p in (2, 1):
             level = {}
-            for k, vecs in filt.steps[p].items():
+            for k, vecs in filt.step(p).span.items():
                 span = [[sum(Q(rng.randint(-2, 2)) * v[i] for v in vecs)
                          for i in range(len(vecs[0]))]
                         for _ in range(rng.randint(0, len(vecs)))]
@@ -366,7 +372,7 @@ def sub_filtrations(filt, count, rng):
                     level[k] = span
             if level:
                 steps[p] = level
-        yield FiltrationData(filt.space, steps)
+        yield filtration(filt.space, steps)
 
 
 def oracle_cases():
@@ -408,12 +414,26 @@ def test_flag_data_matches_the_dense_oracle():
     dx + x^2 dx and x dx + x^2 dx (two cocycles of one nonzero class), and
     F4 with its degree filtration."""
     omega5 = F.f5_cdga()
-    one_class = FiltrationData(omega5.space, {1: {1: [[Q(1), Q(0), Q(1)],
-                                                      [Q(0), Q(1), Q(1)]]}})
+    one_class = filtration(omega5.space, {1: {1: [[Q(1), Q(0), Q(1)],
+                                                  [Q(0), Q(1), Q(1)]]}})
     for omega, filt in ((omega5, F.f5_form_filtration()), (omega5, one_class),
                         (F.f4_cdga(), F.f4_degree_filtration())):
         assert validate_filtration(omega.complex, filt).ok
         assert_flag_matches(omega, filt)
+
+
+def test_flag_steps_are_the_echelons_of_their_dense_rows():
+    """Each step of the induced filtration is held as the echelon flag_data
+    built it in; eliminating its rows, densified, gives that echelon again,
+    on F4, F5, F6 and the 2-torus."""
+    for omega, filt in ((F.f4_cdga(), F.f4_degree_filtration()),
+                        (F.f5_cdga(), F.f5_form_filtration()),
+                        (F.f6_cdga(), F.f6_filtration()), torus2()[:2]):
+        f_h = flag_data(omega, filt).f_h
+        assert f_h.levels()
+        for p in f_h.levels():
+            step = f_h.step(p)
+            assert step.echelon == SubSpaceData(step.parent, step.span).echelon, p
 
 
 def test_period_differential_matches_the_dense_oracle():
@@ -440,7 +460,17 @@ def test_period_differential_matches_the_dense_oracle():
 
 def f6_xi_line_filtration():
     omega = F.f6_cdga()
-    return FiltrationData(omega.space, {1: {1: [[Q(1), Q(0)]]}})
+    return filtration(omega.space, {1: {1: [[Q(1), Q(0)]]}})
+
+
+def test_filtered_subdgla_matches_the_dense_span():
+    """End^{>=0}, held as the reduced echelon of its kernel, has the
+    echelons of the dense route that spans the kernel again, on F4 and on
+    the F6 xi-line filtration."""
+    for omega, filt in ((F.f4_cdga(), F.f4_degree_filtration()),
+                        (F.f6_cdga(), f6_xi_line_filtration())):
+        sub, want = filtered_subdgla(omega, filt), dense.filtered_subdgla(omega, filt)
+        assert sub.span.echelon == want.span.echelon
 
 
 def test_obstruction_image_nonzero():
@@ -449,9 +479,9 @@ def test_obstruction_image_nonzero():
     end = end_dgla(omega.complex)
     n = filtered_subdgla(omega, f6_xi_line_filtration(), end=end)
     # i_y = (xi -> xi*xibar) does not preserve the line <xi>: nonzero image
-    op = GradedMap(omega.space, omega.space, 1, {1: [[Q(1), Q(0)]]})
+    op = GradedMap.from_blocks(omega.space, omega.space, 1, {1: [[Q(1), Q(0)]]})
     col = end.map_to_element(op).get(1, [])
-    i = GradedMap(g.space, end.space, -1, {2: [[c] for c in col]})
+    i = GradedMap.from_blocks(g.space, end.space, -1, {2: [[c] for c in col]})
     ob = SimpleNamespace(classes={"e^2": [Q(1, 2)]})
     image = obstruction_image(g, i, end, n, ob)
     assert not image.vanishes
@@ -464,8 +494,8 @@ def test_obstruction_image_vanishes():
     end = end_dgla(omega.complex)
     n = filtered_subdgla(omega, f6_xi_line_filtration(), end=end)
     # i_y = (xibar -> xi*xibar) preserves the line, hence lands in the sub
-    op = GradedMap(omega.space, omega.space, 1, {1: [[Q(0), Q(1)]]})
+    op = GradedMap.from_blocks(omega.space, omega.space, 1, {1: [[Q(0), Q(1)]]})
     col = end.map_to_element(op).get(1, [])
-    i = GradedMap(g.space, end.space, -1, {2: [[c] for c in col]})
+    i = GradedMap.from_blocks(g.space, end.space, -1, {2: [[c] for c in col]})
     ob = SimpleNamespace(classes={"e^2": [Q(1, 2)]})
     assert obstruction_image(g, i, end, n, ob).vanishes

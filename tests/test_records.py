@@ -44,7 +44,7 @@ RECORDS = [
     (dgla.ValidationReport, lambda: [[{"kind": "x"}], {"note": 1}]),
     (dgla.Dgla, lambda: [cx(), object()]),
     (dgla.CdgaModel, lambda: [cx(), object()]),
-    (dgla.FiltrationData, lambda: [V, {0: {}}]),
+    (dgla.FiltrationData, lambda: [V, {0: graded.SubSpaceData(V, {})}]),
     (dgla.DglaMorphism, lambda: [object(), object(), identity_map(V)]),
     (dgla.SubDgla, lambda: [host(), graded.SubSpaceData(V, {})]),
     (dgla.TensorDgla, None),
@@ -101,8 +101,12 @@ def test_default_containers_are_not_shared(make, defaults):
 @pytest.mark.parametrize("build,message", [
     (lambda: GradedVectorSpace({0: ("a", "a")}),
      "duplicate basis labels in degree 0"),
-    (lambda: GradedMap(V, V, 1, {0: [[Q(1)]]}),
+    (lambda: GradedMap.from_blocks(V, V, 1, {0: [[Q(1)]]}),
      "block at degree 0 has shape 1x1, expected 1x2"),
+    (lambda: GradedMap(V, V, 1, {0: [[Q(1)]]}),      # dense blocks are not columns
+     "columns at degree 0: expected 2 columns of nonzero entries in rows 0..0, got 1"),
+    (lambda: GradedMap(V, V, 1, {0: [[Q(1)], [Q(0)]]}),
+     "columns at degree 0: expected 2 columns of nonzero entries in rows 0..0, got 2"),
     (lambda: GradedMap(V, V, 1, {0: [{1: Q(1)}, {}]}),
      "columns at degree 0: expected 2 columns"),
     (lambda: graded.Complex(V, identity_map(V)),

@@ -118,7 +118,7 @@ def morphism_cases():
     g = F.f2_dgla()
     cases.append(inclusion_as_morphism(F.f2_borel(g)))
     transpose = [[Q(int(r == c)) for c in (0, 2, 1, 3)] for r in range(4)]
-    cases.append(DglaMorphism(g, g, GradedMap(g.space, g.space, 0, {0: transpose})))
+    cases.append(DglaMorphism(g, g, GradedMap.from_blocks(g.space, g.space, 0, {0: transpose})))
     end = endo.end_dgla(F.f5_cdga().complex)
     t = F.f5_derivations()
     cases.append(DglaMorphism(t, end.dgla,

@@ -81,7 +81,7 @@ def random_map_pair(rng, source, target, shift):
     columns = {deg: [{r: row[j] for r, row in enumerate(block) if row[j]}
                      for j in range(source.dim(deg))]
                for deg, block in blocks.items() if source.dim(deg)}
-    return (GradedMap(source, target, shift, blocks), blocks,
+    return (GradedMap.from_blocks(source, target, shift, blocks), blocks,
             GradedMap(source, target, shift, columns))
 
 
@@ -94,11 +94,10 @@ def test_apply_and_compose_match_dense_products():
         f, f_blocks, f_cols = random_map_pair(rng, v, w, s1)
         g, g_blocks, g_cols = random_map_pair(rng, u, v, s2)
 
-        # dense input is kept as the view; columns give the same map
-        assert f.blocks is f_blocks
+        # dense input becomes columns, and the view is built back from them
         assert f.columns == f_cols.columns == columns_of(f_blocks)
-        assert f_cols.blocks == {deg: b for deg, b in f_blocks.items()
-                                 if deg in f.columns}
+        assert f.blocks == f_cols.blocks == {deg: b for deg, b in f_blocks.items()
+                                             if deg in f.columns}
         assert all(f_cols.block(deg) == f.block(deg) for deg in v.degrees)
         assert f.is_zero() == (not columns_of(f_blocks))
 
@@ -120,46 +119,52 @@ def test_apply_and_compose_match_dense_products():
 def test_map_shape_errors():
     sp = GradedVectorSpace({0: ("a", "b"), 1: ("c",)})
     one = GradedVectorSpace({0: ("a",), 1: ("c",)})
-    f = GradedMap(sp, sp, 1, {0: [[Q(1), Q(2)]]})
+    f = GradedMap.from_blocks(sp, sp, 1, {0: [[Q(1), Q(2)]]})
     with pytest.raises(ValueError, match="shape mismatch"):
         f.apply({0: [Q(1)]})
     assert f.apply({0: [Q(0)]}) == {}                 # a zero vector is not read
-    g = GradedMap(one, one, 0, {0: [[Q(1)]]})
+    g = GradedMap.from_blocks(one, one, 0, {0: [[Q(1)]]})
     with pytest.raises(ValueError, match="shape mismatch"):
         f.compose(g)                                  # V_0 has 2 dims, one's has 1
     with pytest.raises(StructuralError, match="block at degree 0 has shape 1x1"):
-        GradedMap(sp, sp, 1, {0: [[Q(1)]]})
+        GradedMap.from_blocks(sp, sp, 1, {0: [[Q(1)]]})
     with pytest.raises(StructuralError, match="block at degree 0 has shape 2x2"):
-        GradedMap(sp, sp, 1, {0: [[Q(1), Q(0)], [Q(0), Q(1)]]})
+        GradedMap.from_blocks(sp, sp, 1, {0: [[Q(1), Q(0)], [Q(0), Q(1)]]})
     with pytest.raises(StructuralError, match="columns at degree 0"):
         GradedMap(sp, sp, 1, {0: [{0: Q(1)}]})                   # one column of two
     with pytest.raises(StructuralError, match="columns at degree 0"):
         GradedMap(sp, sp, 1, {0: [{1: Q(1)}, {}]})               # row out of range
     with pytest.raises(StructuralError, match="columns at degree 0"):
         GradedMap(sp, sp, 1, {0: [{0: Q(0)}, {}]})               # a stored zero
+    with pytest.raises(StructuralError, match="columns at degree 0"):
+        GradedMap(sp, sp, 1, {0: [[Q(1), Q(2)]]})                # a dense block
     assert GradedMap(sp, sp, 1, {0: [{}, {}]}).is_zero()
     assert zero_map(sp, sp, 1).blocks == {} and zero_map(sp, sp).apply({0: [Q(1), Q(1)]}) == {}
 
 
 def test_empty_blocks_are_read_by_shape():
-    # [] is no columns of a source without basis vectors there, or a block
-    # with no rows into a target without any; both forms of a 1x0 and of a
-    # 0x1 map give the zero map with the right dense shape
+    # [] is no columns to GradedMap and a block with no rows to from_blocks;
+    # both forms of a 1x0 and of a 0x1 map give the zero map with the right
+    # dense shape
     none, one = GradedVectorSpace({}), GradedVectorSpace({0: ("a",)})
-    for given in ({0: []}, {0: [[]]}):                  # 1x0: columns, dense
-        f = GradedMap(none, one, 0, given)
+    for f in (GradedMap(none, one, 0, {0: []}),                  # 1x0: columns, dense
+              GradedMap.from_blocks(none, one, 0, {0: [[]]})):
         assert f.is_zero() and f.block(0) == [[]] and f.apply({}) == {}
-    for given in ({0: [{}]}, {0: []}):                  # 0x1: columns, dense
-        f = GradedMap(one, none, 0, given)
+    for f in (GradedMap(one, none, 0, {0: [{}]}),                # 0x1: columns, dense
+              GradedMap.from_blocks(one, none, 0, {0: []})):
         assert f.is_zero() and f.block(0) == [] and f.apply({0: [Q(1)]}) == {}
+    with pytest.raises(StructuralError, match="block at degree 0 has shape 0x0, expected 1x0"):
+        GradedMap.from_blocks(none, one, 0, {0: []})
     with pytest.raises(StructuralError, match="block at degree 0 has shape 0x1, expected 1x1"):
+        GradedMap.from_blocks(one, one, 0, {0: []})
+    with pytest.raises(StructuralError, match="columns at degree 0: expected 1 columns"):
         GradedMap(one, one, 0, {0: []})
 
 
 def test_d_squared_message_on_perturbed_d():
     sp = GradedVectorSpace({0: ("a",), 1: ("b",), 2: ("c",)})
     with pytest.raises(StructuralError, match=r"^d\^2 != 0 starting in degrees \[0\]$"):
-        Complex(sp, GradedMap(sp, sp, 1, {0: [[Q(1)]], 1: [[Q(1)]]}))
+        Complex(sp, GradedMap.from_blocks(sp, sp, 1, {0: [[Q(1)]], 1: [[Q(1)]]}))
     # perturb one nonzero entry of a tensor differential: d^2 fails exactly in
     # the degrees where the dense product of the perturbed blocks is nonzero
     rng = random.Random(3)
@@ -173,7 +178,7 @@ def test_d_squared_message_on_perturbed_d():
             r, c = rng.choice([(r, c) for r, row in enumerate(blocks[deg])
                                for c, x in enumerate(row) if x])
             blocks[deg][r][c] += Q(rng.choice((-1, 1)), rng.randint(1, 3))
-            d = GradedMap(cx.space, cx.space, 1, blocks)
+            d = GradedMap.from_blocks(cx.space, cx.space, 1, blocks)
             bad = sorted(dense.compose(d, d))
             if not bad:
                 assert Complex(cx.space, d).differential is d
