@@ -12,8 +12,9 @@ repository root as it stands.  For every seed and workload it runs
 result line and the ``# failed: <task>: <error>`` notes printed before it.
 The output file holds, per workload
 and per end-to-end metric of ``BENCHMARK.json``: the median and quartiles
-of each side, the ratio of the medians, and in how many pairs the change
-was better.  It also keeps every run's ``correct``, ``attempted`` and
+of each side, the ratio of the medians, in how many pairs the change was
+better, and two verdicts, ``claim_rule_met`` and ``worse_than_bound``
+(``compare``).  It also keeps every run's ``correct``, ``attempted`` and
 ``failed``, and its failure notes, so that a one-off failure names its
 task.  The benchmark harness itself is only run, never changed.
 """
@@ -75,6 +76,12 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """Per metric, the two sides summarised and judged.  ``claim_rule_met``:
+    the change is better in at least nine tenths of the pairs (ties count
+    for neither side), and its median is better than the base median by
+    more than the base quartile spread.  ``worse_than_bound``: the change
+    median is worse than the base median by more than the metric's
+    relative ``bound`` (None when the metric has no bound)."""
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -82,10 +89,16 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         sb, sc = summary(base), summary(change)
+        iqr = sb["q3"] - sb["q1"]
+        gain = (sb["median"] - sc["median"]) * (1 if lower else -1)
+        bound = spec.get("bound")
         out[name] = {"unit": spec["unit"], "better": spec["better"],
                      "base": sb, "change": sc,
                      "ratio": sc["median"] / sb["median"] if sb["median"] else None,
-                     "change_better_pairs": wins, "base_iqr": sb["q3"] - sb["q1"],
+                     "change_better_pairs": wins, "base_iqr": iqr,
+                     "claim_rule_met": 10 * wins >= 9 * len(pairs) and gain > iqr,
+                     "worse_than_bound": None if bound is None
+                     else -gain > bound * abs(sb["median"]),
                      "values": {"base": base, "change": change}}
     return out
 

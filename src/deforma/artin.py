@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from .dgla import (CdgaModel, Dgla, FlatBasis, TensorDgla, ValidationReport,
-                   _bracket_basis_into, tensor_dgla, validate_cdga)
+                   _flat_sums, _sum_flat, tensor_dgla,
+                   validate_cdga)
 from .graded import Complex, GradedVectorSpace, StructuralError, zero_map
 from .linalg import Echelon, Q
 
@@ -85,15 +86,14 @@ def validate_artin(a: ArtinAlgebra) -> ValidationReport:
 
 
 def _products(rows, vec: dict) -> list[tuple[dict, int]]:
-    """The nonzero products vec * e_t with their t, in increasing t."""
-    out = []
-    for t in sorted({b for i in vec for b in rows[i]}):
-        acc: dict = {}
-        _bracket_basis_into(acc, 1, rows, vec, t)
-        prod = {s: c for s, c in acc.items() if c}
-        if prod:
-            out.append((prod, t))
-    return out
+    """The nonzero products vec * e_t with their t, in increasing t, from
+    one pass over the rows of vec's basis vectors."""
+    sums: dict = {}
+    n = len(rows)
+    for i, c in vec.items():
+        for t, e in rows[i].items():
+            _sum_flat(sums, t * n, c, e)
+    return [({s: c for s, c in prod.items() if c}, t) for t, prod in _flat_sums(sums, n)]
 
 
 def _check_nilpotency(a: ArtinAlgebra) -> ValidationReport:

@@ -28,7 +28,7 @@ import sys
 
 from .dgla import (DglaMorphism, ValidationReport, validate_cdga, validate_dgla,
                    validate_filtration, validate_morphism)
-from .graded import StructuralError, cohomology
+from .graded import Complex, StructuralError, cohomology, zero_map
 from .models import ModelDocument, ModelError, gvec_json, matrix_json, parse_model, vector_json
 
 EXIT_OK = 0
@@ -157,15 +157,17 @@ def cmd_validate(doc: ModelDocument, args) -> Report:
         payload[f"cdga:{name}"]["gating"] = False
     complexes = doc.section("complexes")
     for name in doc.names("filtrations"):
-        # against every complex on the filtration's space, in name order
-        space = doc.section("filtrations")[name]["space"]
-        on_space = [c for c in doc.names("complexes") if complexes[c]["space"] == space]
-        if on_space:
-            rep = ValidationReport()
-            for c in on_space:
-                rep.merge(validate_filtration(doc.complex(c), doc.filtration(name)))
-            payload[f"filtration:{name}"] = _report_json(rep)
-            ok = ok and rep.ok
+        # against every complex on the filtration's space, in name order; on
+        # a space with none, against d = 0, so that it is still checked for
+        # being decreasing
+        space, filt = doc.section("filtrations")[name]["space"], doc.filtration(name)
+        on_space = [doc.complex(c) for c in doc.names("complexes")
+                    if complexes[c]["space"] == space]
+        rep = ValidationReport()
+        for cx in on_space or [Complex(filt.space, zero_map(filt.space, filt.space, 1))]:
+            rep.merge(validate_filtration(cx, filt))
+        payload[f"filtration:{name}"] = _report_json(rep)
+        ok = ok and rep.ok
     for name in doc.names("artin"):
         from .artin import validate_artin
         rep = validate_artin(doc.artin(name))

@@ -23,14 +23,11 @@ into int rows.  ``Fraction`` comes back at the public boundary:
 ``multiply`` and every residual) and the dense views return ``Fraction``s
 only.
 
-``validate_dgla`` and ``validate_cdga`` visit only the basis instances of
-an axiom with a term that can be nonzero, found from the nonzeros (the
-pairs in a row, the double products [[x,y],z] with z in the row of a basis
-vector of [x,y], the rows and d-preimages met by the Leibniz terms), in
-basis order, so their failure lists are those of a sweep over every
-instance.  The sweeps read the table rows as stored, and each double
-product with a basis-vector argument is summed in place
-(``_bracket_basis_into``, ``_basis_bracket_into``).
+``validate_dgla`` and ``validate_cdga`` make one pass per axiom over the
+nonzero terms, read from the table rows as stored, and add each term into
+the sum of its basis instance when the pass meets it (``_sum_flat``); the
+nonzero sums are reported in basis order, so their failure lists are those
+of a sweep over every instance.
 
 Dense tables exist only at the JSON boundary.  The JSON form stores
 ``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
@@ -285,31 +282,29 @@ def _bracket_into(acc: Sparse, scale, rows, x: Sparse, y: Sparse):
             _add_into(acc, xc if yc == 1 else xc * yc, e)
 
 
-def _bracket_basis_into(acc: Sparse, sign: int, rows, u: Sparse, w: int):
-    """acc += sign [u, e_w] = sign sum_k u_k rows[k][w], for sign 1 or -1.
-
-    The double products of the axiom sweeps, on the stored constants: with
-    int constants and an int u, every term is an int product."""
-    for k, uk in u.items():
-        e = rows[k].get(w)
-        if e:
-            c = uk if sign == 1 else -uk
-            for j, v in e.items():
-                v *= c
-                acc[j] = acc[j] + v if j in acc else v
+def _sum_flat(sums: dict, base: int, c, e: Sparse):
+    """sums[base + j] += c e_j over the entries of e: many instances' sums in
+    one dict, entry j of instance i at i n + j (n the dimension, base = i n);
+    int constants and an int c stay ints."""
+    for j, v in e.items():
+        v *= c
+        j += base
+        sums[j] = sums[j] + v if j in sums else v
 
 
-def _basis_bracket_into(acc: Sparse, sign: int, rows, a: int, u: Sparse):
-    """acc += sign [e_a, u] = sign sum_k u_k rows[a][k], for sign 1 or -1:
-    the mirror of ``_bracket_basis_into``."""
-    row = rows[a]
-    for k, uk in u.items():
-        e = row.get(k)
-        if e:
-            c = uk if sign == 1 else -uk
-            for j, v in e.items():
-                v *= c
-                acc[j] = acc[j] + v if j in acc else v
+def _flat_sums(sums: dict, n: int):
+    """The instances of ``_sum_flat`` with a nonzero sum, (i, sparse sum),
+    in increasing i, each sum made as it is reached."""
+    inst, acc = None, {}
+    for key in sorted(sums):
+        i, j = divmod(key, n)
+        if i != inst:
+            if any(acc.values()):
+                yield inst, acc
+            inst, acc = i, {}
+        acc[j] = sums[key]
+    if any(acc.values()):
+        yield inst, acc
 
 
 class Dgla:
@@ -382,52 +377,53 @@ def _sweep(t: StructureTable, d: GradedMap, report: ValidationReport):
     the ``Fraction``s they equal."""
     rows = [t.row(a) for a in range(len(t))]
     dcols = [_exact(col) for col in t.columns(d)]
-    labels = [d.source.label(deg, idx) for deg, idx in t.position]
     degree = [deg for deg, _ in t.position]
 
     def fail(kind, positions, acc):
-        report.fail(kind, [labels[p] for p in positions],
+        report.fail(kind, [d.source.label(*t.position[p]) for p in positions],
                     _residual_repr(t.graded(acc)))
     return rows, dcols, degree, fail
 
 
 def _check_leibniz(rows, dcols, degree, fail, s):
     """Graded Leibniz d(ab) = (da)b + (-1)^{s|a|} a(db), d of degree s with
-    columns ``dcols`` (s = 1: the differential), in basis order on every pair
-    with a term that can be nonzero: b in the row of a, in the row of a basis
-    vector of da, or a d-preimage of a basis vector in a's row."""
-    preimages = [[] for _ in rows]      # b with e_k in db
+    columns ``dcols`` (s = 1: the differential), in basis order.  For each a
+    one pass sums the nonzero terms into the residual of their b: d(ab) from
+    the b in a's row, -(da)b from the rows of the basis vectors of da, and
+    -(-1)^{s|a|} a(db) from the d-preimages b, with their coefficients, of
+    the basis vectors in a's row."""
+    preimages = [[] for _ in rows]      # (b, coefficient of e_k in db)
     for b, db in enumerate(dcols):
-        for k in db:
-            preimages[k].append(b)
+        for k, c in db.items():
+            preimages[k].append((b, c))
+    n = len(rows)
     for a, (row, da) in enumerate(zip(rows, dcols)):
-        bs = set(row)
-        for k in da:
-            bs.update(rows[k])
-        for k in row:
-            bs.update(preimages[k])
-        sign = -1 if s * degree[a] % 2 else 1
-        for b in sorted(bs):
-            acc = {}
-            for k, c in row.get(b, {}).items():
-                _add_into(acc, c, dcols[k])
-            _bracket_basis_into(acc, -1, rows, da, b)
-            _basis_bracket_into(acc, -sign, rows, a, dcols[b])
-            if any(acc.values()):
-                fail("leibniz", (a, b), acc)
+        sums: dict = {}
+        for b, ab in row.items():
+            for k, c in ab.items():
+                if dcols[k]:
+                    _sum_flat(sums, b * n, c, dcols[k])
+        for k, c in da.items():
+            c = -c
+            for b, e in rows[k].items():
+                _sum_flat(sums, b * n, c, e)
+        sign = 1 if s * degree[a] % 2 else -1       # -(-1)^{s|a|}
+        for k, e in row.items():
+            for b, c in preimages[k]:
+                _sum_flat(sums, b * n, c if sign == 1 else -c, e)
+        for b, acc in _flat_sums(sums, n):
+            fail("leibniz", (a, b), acc)
 
 
 def validate_dgla(g: Dgla) -> ValidationReport:
     """Check graded antisymmetry, Leibniz and Jacobi on every basis instance.
 
-    Only instances with a term that can be nonzero are visited: antisymmetry
-    on the pairs with a bracket in either order, Leibniz as in
-    ``_check_leibniz``, and Jacobi on the triples {x, y, z} with z in the
-    row of a basis vector of a bracket [x, y] present.  The rest are zero
-    without arithmetic.  Integral constants are multiplied as ints (see
-    ``_sweep``), and each double bracket with a basis-vector argument is
-    summed in place.  Failures come in basis order, as a sweep over every
-    instance would list them.
+    Antisymmetry compares the pairs with a bracket in either order; Leibniz
+    is ``_check_leibniz``; Jacobi sums each double bracket term
+    [x,y]_k [e_k, e_z] into its triple in one pass over the stored brackets.
+    Instances with no nonzero term are zero without arithmetic.  Integral
+    constants are multiplied as ints (see ``_sweep``).  Failures come in
+    basis order, as a sweep over every instance would list them.
     """
     report = ValidationReport()
     rows, dcols, degree, fail = _sweep(g.table, g.underlying.differential, report)
@@ -435,54 +431,61 @@ def validate_dgla(g: Dgla) -> ValidationReport:
 
     # antisymmetry [a,b] = -(-1)^{|a||b|}[b,a] on every pair with an entry in
     # either order (so [a,a] = 0 for even |a|), visited from the row of the
-    # lower of the two in (degree, position) order, or from the higher one's
-    # row when the lower row lacks the pair; witnesses in that order
-    key = [(deg, a) for a, deg in enumerate(degree)]
+    # lower of the two in position order, which is (degree, position) order,
+    # or from the higher one's row when the lower row lacks it; in that order
     found = []
     for a, row in enumerate(rows):
-        for b in row:
-            if key[b] < key[a]:
+        for b, e in row.items():
+            if b < a:
                 if a in rows[b]:
                     continue
-                lo, hi = b, a
+                lo, hi, ab, ba = b, a, empty, e
             else:
-                lo, hi = a, b
-            ab, ba = rows[lo].get(hi, empty), rows[hi].get(lo, empty)
+                lo, hi, ab, ba = a, b, e, rows[b].get(a, empty)
             sign = 1 if (degree[a] * degree[b]) % 2 else -1  # -(-1)^{|a||b|}
-            if ab == ba if sign == 1 else (
-                    len(ab) == len(ba) and all(ba.get(k) == -c for k, c in ab.items())):
+            if ba == (ab if sign == 1 else {k: -c for k, c in ab.items()}):
                 continue
             acc: Sparse = {}
             _add_into(acc, 1, ab)
             _add_into(acc, -sign, ba)
             if any(acc.values()):
-                found.append(((degree[lo], degree[hi], lo, hi), acc))
-    for (_, _, lo, hi), acc in sorted(found, key=lambda f: f[0]):
-        fail("antisymmetry", (lo, hi), acc)
+                found.append(((lo, hi), acc))
+    for pair, acc in sorted(found, key=lambda f: f[0]):
+        fail("antisymmetry", pair, acc)
 
     # graded Leibniz: d[a,b] = [da,b] + (-1)^{|a|}[a,db]
     _check_leibniz(rows, dcols, degree, fail, 1)
 
-    # graded Jacobi in the symmetric cyclic form; with antisymmetry in hand,
-    # unordered triples a <= b <= c suffice.  Each term is a double bracket
-    # [[x,y],z], which is zero unless z is in the row of a basis vector of
-    # [x,y]; so the triples are those {x, y, z} for each [x,y] present.
-    triples = set()
+    # graded Jacobi in the symmetric cyclic form on triples a <= b <= c (with
+    # antisymmetry in hand), the sum over the rotations (x, y, z) of (a, b, c)
+    # of (-1)^{|x||z|}[[x,y],z].  A term [x,y]_k [e_k, e_z] is met once, at
+    # entry k of the stored [x,y] and z in the row of e_k, and kept when
+    # (x, y, z) is a rotation: z outside (x, y) for x < y, inside [y, x] for
+    # x > y, any z for a tie; x = y = z stands for all three rotations.
+    n = len(rows)
+    sums: dict = {}                 # triple (a, b, c) as (a n + b) n + c
+    odd = [deg % 2 for deg in degree]
     for x, row in enumerate(rows):
         for y, xy in row.items():
-            lo, hi = (x, y) if x <= y else (y, x)
-            for k in xy:
-                for z in rows[k]:           # (x, y, z) sorted
-                    triples.add((z, lo, hi) if z <= lo else (lo, z, hi) if z <= hi
-                                else (lo, hi, z))
-    for a, b, c in sorted(triples):
-        m, n, p = degree[a], degree[b], degree[c]
-        acc = {}
-        _bracket_basis_into(acc, -1 if (m * p) % 2 else 1, rows, rows[a].get(b, empty), c)
-        _bracket_basis_into(acc, -1 if (n * m) % 2 else 1, rows, rows[b].get(c, empty), a)
-        _bracket_basis_into(acc, -1 if (p * n) % 2 else 1, rows, rows[c].get(a, empty), b)
-        if any(acc.values()):
-            fail("jacobi", (a, b, c), acc)
+            for k, c in xy.items():
+                for z, e in rows[k].items():
+                    w = c
+                    if x < y:
+                        if x < z < y:
+                            continue
+                        t = (z * n + x) * n + y if z <= x else (x * n + y) * n + z
+                    elif x > y:
+                        if z < y or z > x:
+                            continue
+                        t = (y * n + z) * n + x
+                    else:
+                        t = (z * n + x) * n + x if z <= x else (x * n + x) * n + z
+                        if z == x:
+                            w = 3 * c
+                    _sum_flat(sums, t * n, -w if odd[x] and odd[z] else w, e)
+    for t, acc in _flat_sums(sums, n):
+        ab, c = divmod(t, n)
+        fail("jacobi", (*divmod(ab, n), c), acc)
     return report
 
 
@@ -526,23 +529,21 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
     everything except Leibniz on their top corner, and the endomorphism
     constructions only need the complex structure.
 
-    Visits only instances with a term that can be nonzero, as
-    ``validate_dgla`` does: commutativity on the pairs with a product in
-    either order; associativity on the (a, b, c) with c in the row of a
-    basis vector of ab, or with a basis vector of bc in the row of a; and
-    Leibniz as in ``_check_leibniz``.  Integral constants are multiplied as
-    ints (see ``_sweep``), and each double product with a basis-vector
-    argument is summed in place.  Failures come in basis order, as a sweep
-    over every instance would list them.
+    As in ``validate_dgla``: commutativity compares the pairs with a
+    product in either order; associativity sums (ab)c with + and a(bc) with
+    - into one dict of triples, in one pass over the stored products; and
+    Leibniz is ``_check_leibniz``.  Integral constants are multiplied as
+    ints (see ``_sweep``).  Failures come in basis order, as a sweep over
+    every instance would list them.
     """
     report = ValidationReport()
     rows, dcols, degree, fail = _sweep(omega.table, omega.complex.differential, report)
-    n_basis = len(rows)
+    n = len(rows)
     empty: Sparse = {}
 
     # graded commutativity ab = (-1)^{|a||b|} ba, on the pairs with a
     # product in either order
-    partners = [set() for _ in range(n_basis)]   # b with e_b * e_a present
+    partners = [set() for _ in range(n)]   # b with e_b * e_a present
     for b, row in enumerate(rows):
         for a in row:
             partners[a].add(b)
@@ -555,21 +556,20 @@ def validate_cdga(omega: CdgaModel) -> ValidationReport:
             if any(acc.values()):
                 fail("commutativity", (a, b), acc)
 
-    # associativity (ab)c = a(bc) on the triples where a side can be
-    # nonzero: c in the row of a basis vector e_k of ab, or a with e_k in
-    # its row for a basis vector e_k of bc
-    triples = set()
+    # associativity (ab)c - a(bc) = 0, one pass over the stored products xy:
+    # each entry k adds (xy)_k e_k e_z to the triple (x, y, z) for z in the
+    # row of e_k, and -(xy)_k e_w e_k to (w, x, y) for w with e_k in its row
+    sums: dict = {}                 # triple (a, b, c) as (a n + b) n + c
     for x, row in enumerate(rows):
         for y, xy in row.items():
-            for k in xy:
-                triples.update((x, y, z) for z in rows[k])
-                triples.update((w, x, y) for w in partners[k])
-    for a, b, c in sorted(triples):
-        acc = {}
-        _bracket_basis_into(acc, 1, rows, rows[a].get(b, empty), c)
-        _basis_bracket_into(acc, -1, rows, a, rows[b].get(c, empty))
-        if any(acc.values()):
-            fail("associativity", (a, b, c), acc)
+            for k, c in xy.items():
+                for z, e in rows[k].items():
+                    _sum_flat(sums, ((x * n + y) * n + z) * n, c, e)
+                for w in partners[k]:
+                    _sum_flat(sums, ((w * n + x) * n + y) * n, -c, rows[w][k])
+    for t, acc in _flat_sums(sums, n):
+        ab, c = divmod(t, n)
+        fail("associativity", (*divmod(ab, n), c), acc)
 
     _check_leibniz(rows, dcols, degree, fail, 1)
     return report

@@ -1,7 +1,8 @@
 """JSON model documents: parsing, validation and emission.
 
 One document format feeds every command.  Degrees are string keys of the
-form -?[0-9]+ ("m,n" for a pair), one key per degree in a table; matrices
+form -?[0-9]+ ("m,n" for a pair), one key per degree in a table, which is
+an object; matrices
 are row-major nested lists, and every rational is a "num/den" string, so a
 document survives serialization without losing exactness.  Errors carry a
 JSON-pointer-style location of the first offending field.
@@ -91,7 +92,10 @@ def _degree_pair(key: str, ptr: str) -> tuple[int, int]:
 
 def _by_degree(table: dict, ptr: str, parse=_degree):
     """(degree, pointer, value) for each key of a table keyed by degrees
-    (``parse``), refusing a key that names a degree met before."""
+    (``parse``), refusing a table that is not an object and a key that
+    names a degree met before."""
+    if not isinstance(table, dict):
+        raise ModelError(ptr, "expected an object")
     seen: dict = {}
     for key, raw in table.items():
         kptr = f"{ptr}/{key}"
@@ -107,14 +111,14 @@ def _graded_map(raw, ptr: str, src: GradedVectorSpace, dst: GradedVectorSpace,
     """A map from its dense blocks, one matrix per source degree."""
     return GradedMap.from_blocks(src, dst, shift, {
         deg: _matrix(block, kptr, dst.dim(deg + shift), src.dim(deg))
-        for deg, kptr, block in _by_degree(raw or {}, ptr)})
+        for deg, kptr, block in _by_degree(raw, ptr)})
 
 
 def _tables(raw, ptr: str, sp: GradedVectorSpace, kind: str) -> dict:
     """Bracket or product tables, ``[(m, n)][i][j]`` the vector of basis
     vectors i of degree m and j of degree n, stored for m <= n only."""
     tables = {}
-    for (m, n), tptr, rows in _by_degree(raw or {}, ptr, _degree_pair):
+    for (m, n), tptr, rows in _by_degree(raw, ptr, _degree_pair):
         if m > n:
             raise ModelError(tptr, f"{kind} tables are stored for m <= n only")
         if not isinstance(rows, list) or len(rows) != sp.dim(m):
@@ -191,7 +195,7 @@ class ModelDocument:
         def build():
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
-            d = _graded_map(entry.get("differential"), f"{ptr}/differential", sp, sp, 1)
+            d = _graded_map(entry.get("differential", {}), f"{ptr}/differential", sp, sp, 1)
             try:
                 return Complex(sp, d)
             except StructuralError as exc:
@@ -207,7 +211,7 @@ class ModelDocument:
                                    f"{ptr}/complex", "complex"))
             if entry.get("abelian"):
                 return abelian_dgla(cx)
-            brackets = _tables(entry.get("brackets"), f"{ptr}/brackets", cx.space, "bracket")
+            brackets = _tables(entry.get("brackets", {}), f"{ptr}/brackets", cx.space, "bracket")
             try:
                 return Dgla(cx, brackets)
             except StructuralError as exc:
@@ -228,7 +232,7 @@ class ModelDocument:
         def build():
             cx = self.complex(_ref(self.section("complexes"), entry.get("complex"),
                                    f"{ptr}/complex", "complex"))
-            products = _tables(entry.get("products"), f"{ptr}/products", cx.space, "product")
+            products = _tables(entry.get("products", {}), f"{ptr}/products", cx.space, "product")
             return CdgaModel(cx, products)
         return self._get("cdga", name, build)
 
@@ -239,8 +243,8 @@ class ModelDocument:
                                  f"{ptr}/space", "space"))
             return FiltrationData(sp, {
                 p: SubSpaceData(sp, {deg: _vectors(vecs, dptr, deg, sp.dim(deg))
-                                     for deg, dptr, vecs in _by_degree(degs or {}, sptr)})
-                for p, sptr, degs in _by_degree(entry.get("steps") or {}, f"{ptr}/steps")})
+                                     for deg, dptr, vecs in _by_degree(degs, sptr)})
+                for p, sptr, degs in _by_degree(entry.get("steps", {}), f"{ptr}/steps")})
         return self._get("filtration", name, build)
 
     def sub_dgla(self, name: str) -> SubDgla:
@@ -252,7 +256,7 @@ class ModelDocument:
                 raise ModelError(f"{ptr}/dgla", f"dangling reference: no dgla named {host!r}")
             g = self.dgla(host)
             span = {deg: _vectors(vecs, kptr, deg, g.space.dim(deg))
-                    for deg, kptr, vecs in _by_degree(entry.get("span") or {}, f"{ptr}/span")}
+                    for deg, kptr, vecs in _by_degree(entry.get("span", {}), f"{ptr}/span")}
             try:
                 return sub_dgla_span(g, span)
             except StructuralError as exc:
@@ -279,7 +283,7 @@ class ModelDocument:
             shift = entry.get("shift", 0)
             if type(shift) is not int:
                 raise ModelError(f"{ptr}/shift", "expected an integer")
-            return _graded_map(entry.get("blocks"), f"{ptr}/blocks", src, dst, shift)
+            return _graded_map(entry.get("blocks", {}), f"{ptr}/blocks", src, dst, shift)
         return self._get("map", name, build)
 
     def contraction(self, name: str) -> tuple[Dgla, CdgaModel, EndDgla, GradedMap]:
@@ -325,7 +329,7 @@ class ModelDocument:
             sp = self.space(_ref(self.section("spaces"), entry.get("space"),
                                  f"{ptr}/space", "space"))
             values: GVec = {}
-            for deg, kptr, raw in _by_degree(entry.get("values") or {}, f"{ptr}/values"):
+            for deg, kptr, raw in _by_degree(entry.get("values", {}), f"{ptr}/values"):
                 v = _vector(raw, kptr)
                 if len(v) != sp.dim(deg):
                     raise ModelError(kptr, f"expected length {sp.dim(deg)}")

@@ -18,7 +18,8 @@ from deforma import fixtures as F
 from deforma.artin import tensor_nilpotent, truncated_polynomial_algebra
 from deforma.convolution import chevalley_eilenberg, hom_dgla_slice
 from deforma.dgla import CdgaModel, Dgla, tensor_dgla, validate_cdga, validate_dgla
-from deforma.graded import Complex
+from deforma.endo import end_dgla
+from deforma.graded import Complex, GradedMap, GradedVectorSpace, zero_map
 from deforma.holim import _interval_forms, path_dgla
 
 DGLAS = {
@@ -28,6 +29,7 @@ DGLAS = {
                                    truncated_polynomial_algebra(1, 3)).dgla,
     "F2 (x) Omega": path_dgla(F.fixture_dgla("F2"), 1).dgla,
     "Hom(F2)": hom_dgla_slice(F.f2_dgla(), F.f2_dgla(), 2),
+    "End(F5)": end_dgla(F.f5_cdga().complex).dgla,
 }
 CDGAS = {
     "F4": F.f4_cdga(),
@@ -133,3 +135,76 @@ def test_jacobi_reads_brackets_present_in_one_order_only():
         ("antisymmetry", ["e11", "e12"], {"0": ["1", "0", "0", "0"]}),
         ("jacobi", ["e11", "e12", "e12"], {"0": ["0", "1", "0", "0"]}),
         ("jacobi", ["e11", "e12", "e22"], {"0": ["1", "0", "0", "0"]})]
+
+
+def small(components: dict, tables: dict, d: dict | None = None):
+    """The complex on ``components`` with d given by sparse columns (zero
+    when absent), and ``tables`` in the JSON form with integer constants."""
+    space = GradedVectorSpace(components)
+    diff = GradedMap(space, space, 1, d) if d else zero_map(space, space, 1)
+    return Complex(space, diff), {key: [[[Q(c) for c in v] for v in row] for row in table]
+                                  for key, table in tables.items()}
+
+
+def dgla_failures(cx, tables) -> list:
+    failures = validate_dgla(Dgla(cx, tables)).failures
+    assert failures == dense.validate_dgla(dense.DenseDgla(cx, tables)).failures
+    return [(f["kind"], f["witness"], f["residual"]) for f in failures]
+
+
+def test_jacobi_on_one_odd_vector_counts_all_three_rotations():
+    # a of degree 1, [a, a] = b and [a, b] = c: the triple (a, a, a) is one
+    # double bracket standing for its three rotations, 3 (-1)^{|a||a|} [b, a]
+    cx, tables = small({1: ("a",), 2: ("b",), 3: ("c",)},
+                       {(1, 1): [[[1]]], (1, 2): [[[1]]]})
+    assert dgla_failures(cx, tables) == [("jacobi", ["a", "a", "a"], {"3": ["3"]})]
+
+
+def test_jacobi_ties_sum_every_rotation():
+    # gl2 with [e11, e12] = e12 + e21: the tied triples (e11, e11, e12) and
+    # (e11, e12, e12) each sum three distinct double brackets
+    g = F.f2_dgla()
+    tables = {key: [[list(v) for v in row] for row in table]
+              for key, table in g.brackets.items()}
+    tables[0, 0][0][1][2] += 1
+    assert dgla_failures(g.underlying, tables) == [
+        ("antisymmetry", ["e11", "e12"], {"0": ["0", "0", "1", "0"]}),
+        ("jacobi", ["e11", "e11", "e12"], {"0": ["0", "0", "1", "0"]}),
+        ("jacobi", ["e11", "e12", "e12"], {"0": ["-1", "0", "0", "1"]}),
+        ("jacobi", ["e11", "e12", "e22"], {"0": ["0", "0", "-1", "0"]})]
+    # the grading derivation e of e + a + b, a odd, [a, a] = b, with [e, b]
+    # moved from 2b to 3b: the tie (e, a, a) has an odd repeated vector
+    cx, tables = small({0: ("e",), 1: ("a",), 2: ("b",)},
+                       {(0, 0): [[[0]]], (0, 1): [[[1]]], (0, 2): [[[3]]],
+                        (1, 1): [[[1]]]})
+    assert dgla_failures(cx, tables) == [("jacobi", ["e", "a", "a"], {"2": ["-1"]})]
+
+
+def test_leibniz_pair_reached_only_through_a_preimage():
+    # d b = k and [a, k] = k, every other bracket zero: on (a, b) neither
+    # [a, b] nor da has a term, and d[a, b] - [da, b] - [a, db] = -k comes
+    # from b, a d-preimage of the k in a's row
+    cx, tables = small({0: ("a", "b"), 1: ("k",)}, {(0, 1): [[[1]], [[0]]]},
+                       {0: [{}, {0: Q(1)}]})
+    assert dgla_failures(cx, tables) == [("leibniz", ["a", "b"], {"1": ["-1"]}),
+                                         ("leibniz", ["b", "a"], {"1": ["1"]})]
+
+
+def test_associativity_failure_seen_only_from_the_right():
+    # bc = e and ae = f, every other product zero: (ab)c = 0, so the
+    # failure of (a, b, c) is a(bc) = f alone
+    names = ("a", "b", "c", "e", "f")
+    unit = {name: [int(n == name) for n in names] for name in names}
+    zero = [0] * len(names)
+    products = {("b", "c"): "e", ("c", "b"): "e", ("a", "e"): "f", ("e", "a"): "f"}
+    cx, tables = small({0: names}, {(0, 0): [[unit[products[x, y]] if (x, y) in products
+                                              else zero for y in names] for x in names]})
+    cdga = CdgaModel(cx, tables)
+    failures = validate_cdga(cdga).failures
+    assert failures == dense.validate_cdga(cdga).failures
+    minus_f, plus_f = {"0": ["0", "0", "0", "0", "-1"]}, {"0": ["0", "0", "0", "0", "1"]}
+    assert [(f["kind"], f["witness"], f["residual"]) for f in failures] == [
+        ("associativity", ["a", "b", "c"], minus_f),
+        ("associativity", ["a", "c", "b"], minus_f),
+        ("associativity", ["b", "c", "a"], plus_f),
+        ("associativity", ["c", "b", "a"], plus_f)]

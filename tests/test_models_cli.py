@@ -175,6 +175,24 @@ def test_repeated_degree_keys_refused():
                     "filtration levels", "subdglas", "maps", "contractions", "elements"}
 
 
+def test_non_object_degree_tables_refused():
+    """Every table keyed by degrees, replaced by a list or by null, is
+    refused at its own pointer, as is a filtration level."""
+    seen = set()
+    for fname in FIXTURE_FILES:
+        for kind, path in _degree_tables(load_raw(fname[:-5])):
+            for value in (["x"], None):
+                raw = load_raw(fname[:-5])
+                _node(raw, path[:-1])[path[-1]] = value
+                with pytest.raises(ModelError) as exc:
+                    parse_model_dict(raw)
+                assert (exc.value.pointer, exc.value.message) == (
+                    "/" + "/".join(map(str, path)), "expected an object")
+            seen.add(kind)
+    assert seen == {"spaces", "complexes", "dglas", "cdgas", "filtrations",
+                    "filtration levels", "subdglas", "maps", "contractions", "elements"}
+
+
 def test_wrong_table_shape_located():
     raw = load_raw("F7")
     raw["dglas"]["g"]["brackets"]["1,1"] = [[["1/1"], ["2/1"]]]
@@ -292,6 +310,19 @@ def test_cli_non_object_entry_is_bad_input(tmp_path):
     assert json.loads(proc.stdout)["payload"]["location"] == "/complexes/g"
 
 
+def test_cli_non_object_degree_table_is_bad_input(tmp_path):
+    f2 = load_raw("F2")
+    f2["dglas"]["g"]["brackets"] = ["x"]
+    f6 = load_raw("F6")
+    f6["filtrations"]["F"]["steps"]["1"] = ["x"]
+    for raw, location in [(f2, "/dglas/g/brackets"), (f6, "/filtrations/F/steps/1")]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        proc = run_cli("validate", "--model", str(bad))
+        assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["payload"]["location"] == location
+
+
 def test_cli_repeated_degree_key_is_bad_input(tmp_path):
     raw = load_raw("F7")
     raw["elements"]["seed"]["values"]["01"] = raw["elements"]["seed"]["values"]["1"]
@@ -384,6 +415,24 @@ def test_cli_validates_a_filtration_against_each_complex_on_its_space(tmp_path):
     doubled = load_raw("F6")
     doubled["complexes"]["a"] = doubled["complexes"]["omega"]
     assert failures(doubled) == same * 2
+
+
+def test_cli_checks_a_filtration_on_a_space_with_no_complex(tmp_path):
+    # F^2 = span{b} is not inside F^1 = span{a}, on a space that no complex
+    # uses: being decreasing needs no differential
+    raw = load_raw("F6")
+    raw["spaces"]["s"] = {"1": ["a", "b"]}
+    raw["filtrations"]["G"] = {"space": "s", "steps": {"1": {"1": [["1/1", "0/1"]]},
+                                                       "2": {"1": [["0/1", "1/1"]]}}}
+    path = tmp_path / "unused.json"
+    path.write_text(json.dumps(raw))
+    proc = run_cli("validate", "--model", str(path))
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "failed"
+    assert doc["payload"]["filtration:G"]["failures"] == [
+        {"kind": "decreasing", "witness": ["F^2 degree 1 vector 0"]}]
+    assert doc["payload"]["filtration:F"]["failures"] == []
 
 
 def test_cli_inconclusive_exit_code(tmp_path):
