@@ -5,8 +5,11 @@
         --seeds 11 12 13 --out BENCH_<n>.json
 
 The base revision is extracted with ``git archive`` into a temporary
-directory under ``$TMPDIR``; the change is the working tree at the
-repository root as it stands.  For every seed and workload it runs
+directory under ``$TMPDIR``, and the change is copied beside it: the
+working tree's files that ``git ls-files --cached --others
+--exclude-standard`` lists, tracked and untracked but not ignored, read as
+they stand (``snapshot``), so both sides run from a fresh directory and
+nothing is registered in ``.git``.  For every seed and workload it runs
 ``bench/run.py --trace 0`` once on each side, for the ``run_seconds`` of
 ``BENCHMARK.json``, alternating which side goes first, and keeps the JSON
 result line and the ``# failed: <task>: <error>`` notes printed before it.
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +52,21 @@ def extract(rev: str, into: str) -> str:
     with tarfile.open(archive) as tar:
         tar.extractall(target)
     os.remove(archive)
+    return target
+
+
+def snapshot(into: str, root: str = ROOT) -> str:
+    """The working tree's files of ``root`` under ``into``, as they stand:
+    the tracked ones and the untracked ones that are not ignored; returns
+    the directory."""
+    target = os.path.join(into, "tree")
+    names = subprocess.run(["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in os.fsdecode(names).split("\0"):
+        src = os.path.join(root, name)
+        if name and os.path.isfile(src):        # a deleted tracked file is left out
+            os.makedirs(os.path.dirname(os.path.join(target, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(target, name))
     return target
 
 
@@ -115,7 +134,8 @@ def main(argv=None) -> int:
         bench = json.load(f)
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": extract(args.base, os.path.join(tmp, "base")), "change": ROOT}
+        trees = {"base": extract(args.base, os.path.join(tmp, "base")),
+                 "change": snapshot(os.path.join(tmp, "change"))}
         result = {
             "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
             "change": {"rev": "WORKTREE", "on_top_of": git("rev-parse", "HEAD")},

@@ -18,17 +18,17 @@ parts are built from i alone.
 
 All three functions read the caller's ``conv`` = convolution(g, h, N), so
 one build serves them; the check reads words of length two and needs N >= 2.
+The transport and the check's flat brackets run on the (D, N) elements of ``linalg``.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 
 from .convolution import from_linear, linear_part, taylor
-from .dgla import Dgla, TensorDgla, ValidationReport, _exact, _residual_repr, ad_exp_terms
-from .graded import GradedMap, GVec, StructuralError, vec_add, vec_is_zero, vec_scale, vec_sub
-from .linalg import Q, combine
+from .dgla import Dgla, TensorDgla, ValidationReport, _residual_repr, ad_exp_terms
+from .graded import GradedMap, GVec, StructuralError, vec_scale, vec_sub
+from .linalg import Q, _bracket, _combine, _d_bracket, _fractions, _num
 
 
 def _require_degree_minus_one(i: GradedMap) -> None:
@@ -60,21 +60,21 @@ def cartan_check(g: Dgla, conv: TensorDgla, i: GradedMap) -> ValidationReport:
                     _residual_repr(val))
 
     sp, ht, basis = g.space, conv.g.table, g.space.basis()
-    irows, lrows = ([_exact(ht.flat(f.apply(sp.basis_element(*key)))) for key in basis]
+    irows, lrows = ([_num(ht.flat(f.apply(sp.basis_element(*key)))) for key in basis]
                     for f in (i, linear_part(g, conv, di, 0)))
     pairs = list(itertools.product(range(len(basis)), repeat=2))
-    inner = {(b, c): ht.flat_product(irows[b], lrows[c]) for b, c in pairs}     # [i_b, l_c]
+    inner = {(b, c): _bracket(ht, irows[b], lrows[c]) for b, c in pairs}     # [i_b, l_c]
     for a, ia in enumerate(irows):
         for b, c in pairs:
-            res = ht.flat_product(ia, inner[b, c])
-            if res:
+            res = _bracket(ht, ia, inner[b, c])
+            if res[1]:
                 report.fail("condition_B", [sp.label(*basis[x]) for x in (a, b, c)],
-                            _residual_repr(ht.graded(res)))
-    report.notes["stronger_bracket_identity"] = all(
-        combine(irows, g.table.row(a).get(b, {}).items()) == ht.flat_product(irows[a], lrows[b])
-        for a, b in pairs)
+                            _residual_repr(ht.graded(_fractions(res))))
+    report.notes["stronger_bracket_identity"] = all(     # (D, N) forms are unique
+        _combine([(c, irows[k]) for k, c in g.table.row(a).get(b, {}).items()])
+        == _bracket(ht, irows[a], lrows[b]) for a, b in pairs)
     report.notes["stronger_square_zero"] = not any(
-        ht.flat_product(irows[a], irows[b]) for a, b in pairs)
+        _bracket(ht, irows[a], irows[b])[1] for a, b in pairs)
     return report
 
 
@@ -86,7 +86,8 @@ def gauge_zero_transport(g: Dgla, conv: TensorDgla, i: GradedMap) -> GVec:
     vanishes.  The series terminates because the bracket raises arity.
     """
     _require_degree_minus_one(i)
-    alpha = vec_scale(Q(-1), from_linear(g, conv, i))
-    return reduce(vec_add, ad_exp_terms(conv.bracket, vec_scale, vec_is_zero, alpha,
-                                        vec_scale(Q(-1), conv.d(alpha)),
-                                        max(conv.weight, default=0) + 2), {})
+    d, t = conv.dgla, conv.dgla.table
+    alpha = _num({k: -c for k, c in t.flat(from_linear(g, conv, i)).items()})
+    terms = ad_exp_terms(t, alpha, _d_bracket(t, d.dcols, alpha, -1, alpha, (1, {})),
+                         max(conv.weight, default=0) + 2)      # s = [alpha, 0] - d alpha
+    return t.graded(_fractions(_combine([(1, s) for s in terms])))

@@ -45,10 +45,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, TensorDgla, tensor_dgla,
-                   validate_morphism)
+from .dgla import (CdgaModel, Dgla, DglaMorphism, FlatBasis, TensorDgla, _residue,
+                   tensor_dgla, validate_morphism)
 from .graded import Complex, GradedMap, GradedVectorSpace, GVec, StructuralError
-from .linalg import Q, sparse
+from .linalg import Q, _fractions, _num, sparse
 
 VKey = tuple  # (g-degree, basis index) of a suspended basis vector
 
@@ -222,7 +222,6 @@ def linf_residual(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, G
 
     There are none iff F is an L-infinity morphism up to arity N.
     """
-    from .mc import mc_residue
     if any(deg != 1 for deg, v in x.items() if any(v)):
         raise StructuralError("a Taylor family lies in degree 1")
     words = _words(g, conv)
@@ -232,4 +231,5 @@ def linf_residual(g: Dgla, conv: TensorDgla, x: GVec) -> dict[int, dict[tuple, G
         found = conv.wider[g] = (wide, {w: j for j, w in enumerate(wide.words)})
     wide, at = found
     y = wide.join({at[words[j]]: s for j, s in conv.split(conv.dgla.table.flat(x)).items()})
-    return taylor(g, wide, mc_residue(wide.dgla, wide.dgla.table.graded(y)))
+    t = wide.dgla.table
+    return taylor(g, wide, t.graded(_fractions(_residue(wide.dgla, _num(y)))))

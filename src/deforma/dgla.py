@@ -1,7 +1,7 @@
 """Differential graded Lie algebras: data type, axiom validation, morphisms,
 sub-dglas and quotients; finite cdga models and their validation; the
 tensor dgla g (x) A; and the exponential series shared by every gauge
-action.
+action and the Maurer-Cartan residue, on the (D, N) elements of ``linalg``.
 
 Structure constants live in one sparse table per dgla (``Dgla.table``, a
 ``StructureTable``): indexed by flat basis position, holding only the
@@ -54,7 +54,8 @@ from functools import cached_property
 from .graded import (_ZERO, CohomologyResult, Complex, GradedMap, GradedVectorSpace,
                      GVec, SubSpaceData, StructuralError, QuotientComplex, cohomology,
                      is_chain_map, quotient_complex, vec_is_zero, vec_sub)
-from .linalg import ColumnSolver, Q, Vector, dense
+from .linalg import (ColumnSolver, Num, Q, Vector, _bracket, _d_bracket, _fractions, _num,
+                     _reduced, dense)
 
 
 class ValidationReport:
@@ -229,13 +230,7 @@ class StructureTable(FlatBasis):
         return self.graded(entry) if entry else {}
 
     def product(self, x: GVec, y: GVec) -> GVec:
-        return self.graded(self.flat_product(self.flat(x), self.flat(y)))
-
-    def flat_product(self, x: Sparse, y: Sparse) -> Sparse:
-        """x * y on flat coordinates, zero coefficients dropped."""
-        acc: Sparse = {}
-        _bracket_into(acc, 1, self, x, y)
-        return {k: c for k, c in acc.items() if c}
+        return self.graded(_fractions(_bracket(self, _num(self.flat(x)), _num(self.flat(y)))))
 
     def dense(self) -> dict[tuple[int, int], list[list[Vector]]]:
         """The dense tables of the JSON form: ``[(m, n)][i][j]`` for the
@@ -264,22 +259,6 @@ def _add_into(acc: Sparse, scale, s: Sparse):
     for k, c in s.items():
         v = c if one else -c if minus else scale if c == 1 else -scale if c == -1 else scale * c
         acc[k] = acc[k] + v if k in acc else v
-
-
-def _bracket_into(acc: Sparse, scale, rows, x: Sparse, y: Sparse):
-    """acc += scale [x, y], ``rows[a]`` the table row of e_a; 1 is not multiplied."""
-    for a, xc in x.items():
-        row = rows[a]
-        if not row:
-            continue
-        if scale != 1:
-            xc = scale * xc
-        if len(row) <= len(y):
-            hits = [(e, y[b]) for b, e in row.items() if b in y]
-        else:
-            hits = [(row[b], yc) for b, yc in y.items() if b in row]
-        for e, yc in hits:
-            _add_into(acc, xc if yc == 1 else xc * yc, e)
 
 
 def _sum_flat(sums: dict, base: int, c, e: Sparse):
@@ -780,23 +759,28 @@ def tensor_dgla(g: Dgla, a: CdgaModel, weight: tuple[int, ...]) -> TensorDgla:
                       factors, weight)
 
 
-def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
-    """The terms ad_alpha^n(s) / (n+1)!, n = 0, 1, ..., up to the first zero.
+def ad_exp_terms(rows, alpha: Num, s: Num, limit: int) -> list[Num]:
+    """The terms ad_alpha^n(s) / (n+1)!, n = 0, 1, ..., up to the first zero,
+    for (D, N) elements and ``rows[a]`` the table row of e_a.
 
     Every gauge action is e^alpha * x = x + (sum of these terms) with
-    s = [alpha, x] - d alpha.  ``bracket``, ``scale`` and ``is_zero`` act on
-    the caller's elements.  ad_alpha must be nilpotent: a nonzero term past
-    the first ``limit`` raises RuntimeError.
+    s = [alpha, x] - d alpha.  ad_alpha must be nilpotent: a nonzero term
+    past the first ``limit`` raises RuntimeError.
     """
     terms = []
     factorial = 1
-    while not is_zero(s):
+    while s[1]:
         if len(terms) == limit:
             raise RuntimeError("exponential series failed to terminate")
         factorial *= len(terms) + 1
-        terms.append(scale(Q(1, factorial), s) if factorial > 1 else s)
-        s = bracket(alpha, s)
+        terms.append(_reduced(s[0] * factorial, dict(s[1])) if factorial > 1 else s)
+        s = _bracket(rows, alpha, s)
     return terms
+
+
+def _residue(g: Dgla, x: Num) -> Num:
+    """dx + [x, x]/2 for a (D, N) element of g."""
+    return _d_bracket(g.table, g.dcols, x, 1, x, x, half=True)
 
 
 class DglaMorphism:
@@ -862,14 +846,15 @@ def _sub_brackets(n: SubDgla, upper: bool):
     if n.parent.is_abelian():
         return
     t, degs = n.parent.table, sorted(n.span.echelon)
-    flat = {deg: [{t.offset[deg] + k: c for k, c in row.items()}
+    flat = {deg: [_num({t.offset[deg] + k: c for k, c in row.items()})
                   for row in n.span.rows(deg)] for deg in degs}
     for m in degs:
         for i, x in enumerate(flat[m]):
             for p in degs[degs.index(m):] if upper else degs:
                 base = t.offset.get(m + p)
                 for j, y in enumerate(flat[p]):
-                    yield m, i, p, j, {k - base: c for k, c in t.flat_product(x, y).items()}
+                    d, b = _bracket(t, x, y)
+                    yield m, i, p, j, {k - base: Q(v, d) for k, v in b.items()}
 
 
 def validate_sub_dgla(n: SubDgla) -> ValidationReport:

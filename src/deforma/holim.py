@@ -11,7 +11,8 @@ dt-component and reduces mod n.  Cohomology computations bound the
 polynomial t-degree by D and report stabilization.  ``holim_bounded`` writes
 that bounded complex down in closed form, on a basis read off h's d, the
 echelon rows of n and the quotient projection, with no elimination; the
-tests check that basis inside the path dgla.
+tests check that basis inside the path dgla.  ``map_into_holim`` computes
+its flow and residual on the (D, N) elements of ``linalg``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla,
-                   _add_into, abelian_dgla, ad_exp_terms, sub_quotient, tensor_dgla)
+from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla, _add_into,
+                   _residue, abelian_dgla, ad_exp_terms, sub_quotient, tensor_dgla)
 from .graded import (CohomologyResult, Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError,
                      cohomology, induced_map_on_cohomology, is_chain_map,
-                     shift_complex, vec_add, vec_degree, vec_is_zero, vec_scale, vec_sub)
-from .linalg import Q, Row, sparse
+                     shift_complex, vec_degree, vec_is_zero)
+from .linalg import Q, Row, _d_bracket, _fractions, _num, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +365,20 @@ def map_into_holim(g: Dgla, i: GradedMap, pair: HolimPair,
                 f"l({g.space.label(deg, idx)}) is not in the sub-dgla")
 
     d = conv.dgla
-    ielem, lelem = from_linear(g, conv, i), from_linear(g, conv, l)
-    flow = [lelem] + ad_exp_terms(d.bracket, vec_scale, vec_is_zero, ielem,
-                                  vec_sub(d.bracket(ielem, lelem), d.d(ielem)),
-                                  tmax + 1)
-    paths, flat = path_dgla(d, tmax), d.table.flat
-    total = join_path(paths, {m: flat(c) for m, c in enumerate(flow)},
-                      {0: {v: -c for v, c in flat(ielem).items()}})
+    t = d.table
+    ielem = t.flat(from_linear(g, conv, i))
+    fi, fl = _num(ielem), _num(t.flat(from_linear(g, conv, l)))
+    flow = [_fractions(c) for c in [fl] + ad_exp_terms(
+        t, fi, _d_bracket(t, d.dcols, fi, -1, fi, fl), tmax + 1)]
+    paths = path_dgla(d, tmax)
+    total = join_path(paths, dict(enumerate(flow)), {0: {v: -c for v, c in ielem.items()}})
     if not vec_is_zero(at_one(paths, total)):
         raise StructuralError("flow endpoint Phi(1) is nonzero; "
                               "the Cartan identities do not close the series")
-    # d total + [total, total]/2 by the path dgla's own d and bracket;
-    # mc.mc_residue computes the same, but importing mc costs a fresh
-    # process more than this witness does
-    residual = vec_add(paths.d(total), vec_scale(Q(1, 2), paths.bracket(total, total)))
-    return HolimMorphism(g, pair, i, l, conv, flow, paths, total, residual)
+    pt = paths.dgla.table
+    residual = pt.graded(_fractions(_residue(paths.dgla, _num(pt.flat(total)))))
+    return HolimMorphism(g, pair, i, l, conv, [t.graded(c) for c in flow], paths, total,
+                         residual)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ in proportion to the nonzeros met.  ``ColumnSolver`` reduces the columns of
 a matrix once and then gives ``solve``'s solution for many right-hand sides,
 in integer numerators.  ``sparse`` and ``dense`` convert one vector between
 a row and a coordinate list.
+
+Flat elements of a dgla are computed on one form, (D, N) (``Num``): int
+numerators N = {flat position: nonzero int} over a positive denominator D
+coprime to them.  ``_bracket``, ``_d_bracket`` and ``_combine`` read table
+rows and flat columns of d as stored, so ``Fraction``s are made only where
+``_fractions`` reads an element back.
 """
 
 from __future__ import annotations
@@ -305,3 +311,102 @@ def extend_to_complement(span: list[Row], dim: int) -> list[int]:
         if e.insert({i: 1}) is not None:
             chosen.append(i)
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# flat elements in integer numerators
+
+Num = tuple[int, dict]      # (D, N): the element N[k] / D
+
+
+def _num(s: Row) -> Num:
+    """s in the (D, N) form, D the least common denominator of its entries."""
+    d = math.lcm(*[c.denominator for c in s.values()])
+    return d, {k: c.numerator * (d // c.denominator) for k, c in s.items()}
+
+
+def _fractions(x: Num) -> Row:
+    """x as a ``Fraction`` row."""
+    d, n = x
+    return {k: Q(v, d) for k, v in n.items()}
+
+
+def _reduced(d: int, acc: dict) -> Num:
+    """acc / d in the (D, N) form: the zero entries of acc are dropped and
+    d and acc divided by their gcd, in place."""
+    for k in [k for k, v in acc.items() if not v]:
+        del acc[k]
+    g = d
+    for v in acc.values():
+        if g == 1:
+            return d, acc
+        g = math.gcd(g, v)
+    if g != 1:
+        for k in acc:
+            acc[k] //= g
+    return d // g, acc
+
+
+def _add_scaled(acc: dict, rest: list, f: int, s: Row):
+    """acc += f s for an int f and a row s of constants, ints or
+    ``Fraction``s; the terms of the constants that are not integers go to
+    ``rest`` as (k, numerator, denominator)."""
+    for k, c in s.items():
+        if type(c) is not int:
+            c, q = c.as_integer_ratio()
+            if q != 1:
+                rest.append((k, f * c, q))
+                continue
+        v = f * c
+        acc[k] = acc[k] + v if k in acc else v
+
+
+def _d_bracket(rows, dcols, s: Num, sign: int, x: Num, y: Num, half: bool = False) -> Num:
+    """sign d(s) + [x, y], or sign d(s) + [x, y]/2 with ``half``, for sign
+    1 or -1, ``rows[a]`` the table row of e_a and ``dcols[a]`` the flat
+    column d(e_a)."""
+    (ds, ns), (dx, nx), (dy, ny) = s, x, y
+    dxy = dx * dy * (2 if half else 1)
+    den = math.lcm(dxy, ds)
+    acc, rest = {}, []
+    f = sign * (den // ds)
+    for a, c in ns.items():
+        _add_scaled(acc, rest, f * c, dcols[a])
+    f = den // dxy
+    for a, xc in nx.items():
+        row = rows[a]
+        if not row:
+            continue
+        if len(row) <= len(ny):
+            hits = [(e, ny[b]) for b, e in row.items() if b in ny]
+        else:
+            hits = [(row[b], yc) for b, yc in ny.items() if b in row]
+        xc *= f
+        for e, yc in hits:
+            _add_scaled(acc, rest, xc * yc, e)
+    if rest:                                        # constants that are not integers
+        m = math.lcm(*[q for _, _, q in rest])
+        for k in acc:
+            acc[k] *= m
+        for k, v, q in rest:
+            v *= m // q
+            acc[k] = acc[k] + v if k in acc else v
+        den *= m
+    return _reduced(den, acc)
+
+
+def _bracket(rows, x: Num, y: Num) -> Num:
+    """[x, y], ``rows[a]`` the table row of e_a."""
+    return _d_bracket(rows, (), (1, {}), 1, x, y)
+
+
+def _combine(terms) -> Num:
+    """The sum of c s over the pairs (c, s) of a rational c and an element s."""
+    parts = [(c.numerator, d * c.denominator, n) for c, (d, n) in terms if n and c]
+    den = math.lcm(*[q for _, q, _ in parts])
+    acc: dict = {}
+    for c, q, n in parts:
+        f = c * (den // q)
+        for k, v in n.items():
+            acc[k] = acc[k] + f * v if k in acc else f * v
+    return _reduced(den, acc)

@@ -6,17 +6,14 @@ exponential group exp((g (x) m_A)^0), irrelevant (stabilizer) gauges, a staged
 gauge-equivalence solver, order-by-order extension with cohomological
 obstruction classes, and the Baker-Campbell-Hausdorff group law.
 
-Elements cross the public API as ``GVec``s.  The kernels compute on one
-form, (D, N): integer numerators N = {flat position of the host's table:
-nonzero int} over one positive common denominator D, with D and N coprime.
-An element is converted once on entry (``table.flat``, then ``_num``) and
-once on exit (``_graded``, where ``Fraction`` comes back); brackets and d
-read the table rows, which hold integral constants as ints, and
-``Dgla.dcols`` as they are, taking the numerator of each integral
-``Fraction`` of d, so no row is copied and the exponential series, the
-residue, the BCH recursion and the staged solvers run on Python ints.  The
-host is the ``TensorDgla`` that ``artin.tensor_nilpotent`` builds, and the
-monomial parts of an element are read by its ``split`` and ``join``.  On
+Elements cross the public API as ``GVec``s and are computed on as the
+(D, N) integer numerators of ``linalg`` (``_num``, ``_bracket``,
+``_d_bracket``, ``_combine``), converted once on entry (``table.flat``,
+then ``_num``) and once on exit (``_graded``), so the exponential series
+and the residue of ``dgla``, the BCH recursion and the staged solvers run
+on Python ints.  The host is the ``TensorDgla`` that
+``artin.tensor_nilpotent`` builds, and the monomial parts of an element
+are read by its ``split`` and ``join``.  On
 g (x) m_A the differential is d(v (x) m) = dv (x) m, so a weight stage
 d xi = r is solved one monomial at a time against one reduction of the
 base d per degree (``TensorDgla.d_solver``).  ``irrelevant_stabilizer``
@@ -28,13 +25,11 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 
-from .dgla import Dgla, Sparse, SubDgla, TensorDgla, _add_into, ad_exp_terms
+from .dgla import Dgla, Sparse, SubDgla, TensorDgla, _add_into, _residue, ad_exp_terms
 from .graded import GVec, StructuralError, vec_add, vec_is_zero, vec_scale
-from .linalg import Q
+from .linalg import Num, Q, _bracket, _combine, _d_bracket, _fractions, _num, _reduced
 
 _ONE = Q(1)
-
-Num = tuple[int, dict]      # (D, N): the element N[k] / D
 
 
 def _entry(t, x: GVec, deg: int, what: str) -> Sparse:
@@ -45,94 +40,8 @@ def _entry(t, x: GVec, deg: int, what: str) -> Sparse:
     return s
 
 
-def _num(s: Sparse) -> Num:
-    """s in the (D, N) form, D the least common denominator of its entries."""
-    d = math.lcm(*[c.denominator for c in s.values()])
-    return d, {k: c.numerator * (d // c.denominator) for k, c in s.items()}
-
-
 def _graded(t, x: Num) -> GVec:
-    d, n = x
-    return t.graded({k: Q(v, d) for k, v in n.items()})
-
-
-def _reduced(d: int, acc: dict) -> Num:
-    """acc / d in the (D, N) form: the zero entries of acc are dropped and
-    d and acc divided by their gcd, in place."""
-    for k in [k for k, v in acc.items() if not v]:
-        del acc[k]
-    g = d
-    for v in acc.values():
-        if g == 1:
-            return d, acc
-        g = math.gcd(g, v)
-    if g != 1:
-        for k in acc:
-            acc[k] //= g
-    return d // g, acc
-
-
-def _add_scaled(acc: dict, rest: list, f: int, s: Sparse):
-    """acc += f s for an int f and a row s of constants, ints or
-    ``Fraction``s; the terms of the constants that are not integers go to
-    ``rest`` as (k, numerator, denominator)."""
-    for k, c in s.items():
-        if type(c) is not int:
-            c, q = c.as_integer_ratio()
-            if q != 1:
-                rest.append((k, f * c, q))
-                continue
-        v = f * c
-        acc[k] = acc[k] + v if k in acc else v
-
-
-def _d_bracket(rows, dcols, s: Num, sign: int, x: Num, y: Num, half: bool = False) -> Num:
-    """sign d(s) + [x, y], or sign d(s) + [x, y]/2 with ``half``, for sign
-    1 or -1 and ``rows[a]`` the table row of e_a."""
-    (ds, ns), (dx, nx), (dy, ny) = s, x, y
-    dxy = dx * dy * (2 if half else 1)
-    den = math.lcm(dxy, ds)
-    acc, rest = {}, []
-    f = sign * (den // ds)
-    for a, c in ns.items():
-        _add_scaled(acc, rest, f * c, dcols[a])
-    f = den // dxy
-    for a, xc in nx.items():
-        row = rows[a]
-        if not row:
-            continue
-        if len(row) <= len(ny):
-            hits = [(e, ny[b]) for b, e in row.items() if b in ny]
-        else:
-            hits = [(row[b], yc) for b, yc in ny.items() if b in row]
-        xc *= f
-        for e, yc in hits:
-            _add_scaled(acc, rest, xc * yc, e)
-    if rest:                                        # constants that are not integers
-        m = math.lcm(*[q for _, _, q in rest])
-        for k in acc:
-            acc[k] *= m
-        for k, v, q in rest:
-            v *= m // q
-            acc[k] = acc[k] + v if k in acc else v
-        den *= m
-    return _reduced(den, acc)
-
-
-def _bracket(rows, x: Num, y: Num) -> Num:
-    return _d_bracket(rows, (), (1, {}), 1, x, y)
-
-
-def _combine(terms) -> Num:
-    """The sum of c s over the pairs (c, s) of a rational c and an element s."""
-    parts = [(c.numerator, d * c.denominator, n) for c, (d, n) in terms if n and c]
-    den = math.lcm(*[q for _, q, _ in parts])
-    acc: dict = {}
-    for c, q, n in parts:
-        f = c * (den // q)
-        for k, v in n.items():
-            acc[k] = acc[k] + f * v if k in acc else f * v
-    return _reduced(den, acc)
+    return t.graded(_fractions(x))
 
 
 def _order(ng: TensorDgla) -> int:
@@ -142,11 +51,6 @@ def _order(ng: TensorDgla) -> int:
 
 def _candidate(g: Dgla, x: GVec) -> Num:
     return _num(_entry(g.table, x, 1, "Maurer-Cartan candidate"))
-
-
-def _residue(g: Dgla, x: Num) -> Num:
-    """dx + [x, x]/2."""
-    return _d_bracket(g.table, g.dcols, x, 1, x, x, half=True)
 
 
 def mc_residue(ng: TensorDgla | Dgla, x: GVec) -> GVec:
@@ -165,10 +69,7 @@ def _gauge_terms(ng: TensorDgla, alpha: Num, x: Num) -> list[Num]:
     The series terminates because alpha has positive coefficient weight.
     """
     t = ng.dgla.table
-    return ad_exp_terms(partial(_bracket, t), lambda c, e: _combine([(c, e)]),
-                        lambda e: not e[1], alpha,
-                        _d_bracket(t, ng.dgla.dcols, alpha, -1, alpha, x),
-                        _order(ng))
+    return ad_exp_terms(t, alpha, _d_bracket(t, ng.dgla.dcols, alpha, -1, alpha, x), _order(ng))
 
 
 def gauge_act(ng: TensorDgla, alpha: GVec, x: GVec) -> GVec:
@@ -445,8 +346,7 @@ def gauge_path(ng: TensorDgla, alpha: GVec, x: GVec) -> GVec:
     fa, fx = _entry(t, alpha, 0, "gauge parameter"), _entry(t, x, 1, "gauge argument")
     terms = _gauge_terms(ng, _num(fa), _num(fx))
     return join_path(path_dgla(ng.dgla, order),
-                     {0: fx, **{m: {k: Q(v, d) for k, v in n.items()}
-                                for m, (d, n) in enumerate(terms, 1)}},
+                     {0: fx, **{m: _fractions(s) for m, s in enumerate(terms, 1)}},
                      {0: {k: -c for k, c in fa.items()}})
 
 

@@ -68,6 +68,8 @@ def _matrix(raw, ptr: str, rows: int, cols: int) -> Matrix:
 def _vectors(raw, ptr: str, deg: int, length: int) -> list[Vector]:
     """The rational vectors of a list, all parsed first, then each checked
     to be a degree-``deg`` vector of ``length`` entries."""
+    if not isinstance(raw, list):
+        raise ModelError(ptr, "expected a list of vectors")
     vecs = [_vector(v, f"{ptr}/{i}") for i, v in enumerate(raw)]
     for i, v in enumerate(vecs):
         if len(v) != length:
@@ -364,6 +366,9 @@ def parse_model_dict(raw: dict, path: str = "") -> ModelDocument:
         if key not in _SECTIONS:
             raise ModelError(f"/{key}", "unknown section")
     doc = ModelDocument(raw, path)
+    for key, name in doc.section("defaults").items():
+        if not isinstance(name, str):
+            raise ModelError(f"/defaults/{key}", "expected a string")
     # force every declared object once so dangling references and dimension
     # mismatches surface at parse time, not at command time
     for name in doc.names("spaces"):

@@ -115,9 +115,8 @@ from fractions import Fraction
 from deforma.convolution import (DEFAULT_ARITY, VKey, canonical_tuples, ce_words,
                                  v_basis, vdeg)
 from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, FlatBasis, SubDgla,
-                          ValidationReport, _ZERO as ZERO, _bracket_into,
-                          _residual_repr, ad_exp_terms, sub_dgla_span, tensor_basis,
-                          validate_morphism)
+                          ValidationReport, _ZERO as ZERO, _residual_repr,
+                          sub_dgla_span, tensor_basis, validate_morphism)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
@@ -350,7 +349,9 @@ def check_nilpotency(a) -> ValidationReport:
         for vec, word in current:
             for t in sorted({b for i in vec for b in rows[i]}):
                 acc: dict = {}
-                _bracket_into(acc, 1, rows, vec, {t: 1})
+                for i, c in vec.items():            # vec e_t = sum_i vec_i e_i e_t
+                    for s, e in rows[i].get(t, {}).items():
+                        acc[s] = acc.get(s, 0) + c * e
                 prod = {s: c for s, c in acc.items() if c}
                 if prod:
                     nxt.append((prod, word + (t,)))
@@ -1422,6 +1423,22 @@ def total_d(a: TotalHomElement) -> TotalHomElement:
 
 def total_mc_residual(a: TotalHomElement) -> TotalHomElement:
     return total_add(total_d(a), total_scale(Q(1, 2), total_bracket(a, a)))
+
+
+def ad_exp_terms(bracket, scale, is_zero, alpha, s, limit: int) -> list:
+    """The terms ad_alpha^n(s) / (n+1)!, n = 0, 1, ..., up to the first zero,
+    on the caller's elements, as ``dgla.ad_exp_terms`` computed before it
+    ran on (D, N) elements; a nonzero term past the first ``limit`` raises
+    RuntimeError."""
+    terms = []
+    factorial = 1
+    while not is_zero(s):
+        if len(terms) == limit:
+            raise RuntimeError("exponential series failed to terminate")
+        factorial *= len(terms) + 1
+        terms.append(scale(Q(1, factorial), s) if factorial > 1 else s)
+        s = bracket(alpha, s)
+    return terms
 
 
 def total_gauge_act(alpha: TotalHomElement, x: TotalHomElement) -> TotalHomElement:

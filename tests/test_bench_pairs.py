@@ -1,9 +1,11 @@
 """``scripts/bench_pairs.py``'s ``compare`` on synthetic pairs: the claim
 rule (nine tenths of the pairs, and a median gap wider than the base
-quartile spread) and the regression bound, in both directions of better."""
+quartile spread) and the regression bound, in both directions of better;
+and its ``snapshot`` of a working tree, on a temporary git repository."""
 
 import importlib.util
 import pathlib
+import subprocess
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -55,3 +57,34 @@ def test_higher_is_better_metrics():
     assert verdict(BASE, [b + 1 for b in BASE], HIGHER) == (10, True, False)
     assert verdict(BASE, [b * 0.95 for b in BASE], HIGHER) == (0, False, False)
     assert verdict(BASE, [b * 0.85 for b in BASE], HIGHER) == (0, False, True)
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], check=True, capture_output=True)
+
+
+def tree_of(path: pathlib.Path) -> dict:
+    return {str(p.relative_to(path)): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def test_snapshot_copies_the_working_tree_as_it_stands(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "src" / "edited.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "edited.py").write_text("modified\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    before = tree_of(repo / ".git")
+    out = pathlib.Path(bench_pairs.snapshot(str(tmp_path / "change"), str(repo)))
+    assert tree_of(out) == {".gitignore": b"*.log\n", "src/edited.py": b"modified\n",
+                            "src/kept.py": b"committed\n", "src/new.py": b"untracked\n"}
+    assert tree_of(repo / ".git") == before

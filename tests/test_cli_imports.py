@@ -98,6 +98,36 @@ def test_holim_ranks_load_no_convolution():
     assert not mods & {"cartan", "convolution", "mc", "artin", "endo"}
 
 
+# linf_residual on the identity of F1 (arity 2) and the quasi-abelian witness
+# of F2's Borel pair compute their Maurer-Cartan residues with dgla._residue;
+# the deforma modules loaded, as JSON on stdout
+_RESIDUE_PROBE = """
+import json, sys
+from deforma import fixtures as F
+from deforma.convolution import convolution, linf_residual, taylor_from_linear
+from deforma.graded import identity_map
+from deforma.holim import holim_pair, quasi_abelian_witness
+g = F.f1_dgla()
+conv = convolution(g, g, 2)
+assert linf_residual(g, conv, taylor_from_linear(g, conv, identity_map(g.space))) == {}
+g2 = F.f2_dgla()
+assert quasi_abelian_witness(holim_pair(g2, F.f2_borel(g2)),
+                             F.f2_lower_left_section()).is_isomorphism
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_residues_outside_mc_load_no_mc():
+    # no shipped fixture reaches linf_residual through the command line, so
+    # the pin is at library level
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", _RESIDUE_PROBE],
+                          capture_output=True, env=env, check=True)
+    mods = set(json.loads(proc.stdout))
+    assert {"deforma.convolution", "deforma.holim", "deforma.cartan"} <= mods
+    assert "deforma.mc" not in mods
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--model", "F1"], ["cohomology", "--model", "F1"],
     ["mc", "--model", "F7"], ["gauge", "--model", "F7"],

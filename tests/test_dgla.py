@@ -9,8 +9,8 @@ from deforma.dgla import (Dgla, DglaMorphism, ad_exp_terms, identity_morphism,
                           inclusion_as_morphism, restrict_to_sub, sub_dgla_span,
                           sub_quotient, tensor_dgla, validate_cdga,
                           validate_dgla, validate_morphism, validate_sub_dgla)
-from deforma.graded import (Complex, GradedMap, GradedVectorSpace, vec_is_zero,
-                            vec_scale, zero_map)
+from deforma.graded import Complex, GradedMap, GradedVectorSpace, zero_map
+from deforma.linalg import _fractions, _num
 
 
 def test_all_fixture_dglas_valid():
@@ -133,7 +133,9 @@ def test_exponential_series_terminates_or_raises():
     e11, e12, e21 = (g.basis_element(0, i) for i in range(3))
 
     def terms(alpha, s, limit):
-        return ad_exp_terms(g.bracket, vec_scale, vec_is_zero, alpha, s, limit)
+        t = g.table
+        return [t.graded(_fractions(c))
+                for c in ad_exp_terms(t, _num(t.flat(alpha)), _num(t.flat(s)), limit)]
 
     # e21 -> [e12, e21] = e11 - e22 -> -2 e12 -> 0: three terms
     assert terms(e12, e21, 3) == [e21, {0: [Q(1, 2), Q(0), Q(0), Q(-1, 2)]},

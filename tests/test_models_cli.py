@@ -333,6 +333,33 @@ def test_cli_repeated_degree_key_is_bad_input(tmp_path):
     assert json.loads(proc.stdout)["payload"]["location"] == "/elements/seed/values/01"
 
 
+def test_cli_vector_list_that_is_not_a_list_is_bad_input(tmp_path):
+    f4 = load_raw("F4")
+    f4["filtrations"]["F"]["steps"]["1"]["1"] = None
+    f2 = load_raw("F2")
+    f2["subdglas"]["n2"]["span"]["0"] = 7
+    for raw, command, location in [(f4, "validate", "/filtrations/F/steps/1/1"),
+                                   (f2, "holim", "/subdglas/n2/span/0")]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        proc = run_cli(command, "--model", str(bad))
+        assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert payload["location"] == location
+        assert payload["error"] == "expected a list of vectors"
+
+
+@pytest.mark.parametrize("value", [["g"], {"name": "g"}, 7, None])
+def test_cli_default_that_is_not_a_string_is_bad_input(tmp_path, value):
+    raw = load_raw("F1")
+    raw["defaults"]["dgla"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    proc = run_cli("cohomology", "--model", str(bad))
+    assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["payload"]["location"] == "/defaults/dgla"
+
+
 @pytest.mark.parametrize("kind", ["directory", "invalid UTF-8"])
 def test_cli_unreadable_model_is_bad_input(tmp_path, kind):
     path = tmp_path
