@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 
 from .convolution import from_linear, linear_part, taylor
-from .dgla import Dgla, TensorDgla, ValidationReport, _residual_repr, ad_exp_terms
+from .dgla import Dgla, TensorDgla, ValidationReport, _residual_repr
 from .graded import GradedMap, GVec, StructuralError, vec_scale, vec_sub
-from .linalg import Q, _bracket, _combine, _d_bracket, _fractions, _num
+from .linalg import Q, _bracket, _combine, _d_bracket, _fractions, _num, ad_exp_terms
 
 
 def _require_degree_minus_one(i: GradedMap) -> None:

@@ -136,11 +136,7 @@ def chevalley_eilenberg(g: Dgla, arity_bound: int) -> CdgaModel:
                 c = c // cw if type(c) is int and not c % cw else Q(c, cw)
                 dcol[t][v] = c.numerator if c.denominator == 1 else c
 
-    d_columns = {k: [{} for _ in range(space.dim(k))] for k in space.degrees}
-    for t, column in enumerate(dcol):
-        k, i = flat.position[t]
-        d_columns[k][i] = {flat.position[v][1]: c for v, c in column.items()}
-    ce = CdgaModel(Complex(space, GradedMap(space, space, 1, d_columns)), table)
+    ce = CdgaModel(Complex(space, flat.graded_map(dcol, 1)), table)
     ce._words = order       # kept on its record by ``convolution``
     return ce
 

@@ -1,61 +1,54 @@
 """Differential graded Lie algebras: data type, axiom validation, morphisms,
 sub-dglas and quotients; finite cdga models and their validation; the
-tensor dgla g (x) A; and the exponential series shared by every gauge
-action and the Maurer-Cartan residue, on the (D, N) elements of ``linalg``.
+product layout and the tensor dgla g (x) A; and the Maurer-Cartan residue
+on the (D, N) elements of ``linalg``.
 
 Structure constants live in one sparse table per dgla (``Dgla.table``, a
-``StructureTable``): indexed by flat basis position, holding only the
-nonzero constants, for both orders of each pair.  Constructors write only
-nonzeros: ``end_dgla``, ``restrict_to_sub``, the Chevalley-Eilenberg cdga,
-the Artin coefficients m_A and the interval forms list them, and
-``tensor_dgla`` composes each row from the rows of its factors the first
-time it is asked for, so no construction allocates a dense table.
-``bracket`` and ``pair_bracket`` cost in proportion to the nonzeros they
-meet.  A ``CdgaModel`` holds its products the same way, with the
-graded-commutative sign in place of the antisymmetric one.
-
-A table stores each integral constant as a Python ``int``, an exact subring
-of the rationals that is cheaper to multiply, and every other constant as a
-``Fraction``; ``table_from_upper``, which every table but the lazy tensor
-table goes through, converts them, and ``tensor_dgla`` multiplies int rows
-into int rows.  ``Fraction`` comes back at the public boundary:
-``FlatBasis.graded`` (so ``bracket``, ``pair_bracket``, ``product``,
-``multiply`` and every residual) and the dense views return ``Fraction``s
-only.
+``StructureTable``) by flat position, holding only nonzero constants,
+for both orders of each pair.  Constructors write only nonzeros,
+and ``tensor_dgla`` composes each row from the rows of its factors when it
+is first asked for, so no construction allocates a dense table; ``bracket``
+and ``pair_bracket`` cost in proportion to the nonzeros they meet.  A
+``CdgaModel`` holds its products the same way, with the graded-commutative
+sign in place of the antisymmetric one.  Integral constants are stored as
+``int``s, which multiply faster, and the others as ``Fraction``s
+(``table_from_upper`` converts them; ``tensor_dgla`` multiplies int rows
+into int rows).  ``Fraction`` comes back at the public boundary:
+``FlatBasis.graded`` (so ``bracket``, ``product`` and every residual) and
+the dense views.
 
 ``validate_dgla`` and ``validate_cdga`` make one pass per axiom over the
-nonzero terms, read from the table rows as stored, and add each term into
-the sum of its basis instance when the pass meets it (``_sum_flat``); the
-nonzero sums are reported in basis order, so their failure lists are those
-of a sweep over every instance.
+nonzero terms of the table rows as stored, and add each term into the sum
+of its basis instance (``_sum_flat``); the nonzero sums are reported in
+basis order, as a sweep over every instance would list them.
 
-Dense tables exist only at the JSON boundary.  The JSON form stores
-``brackets[(m, n)][i][j]`` for degree pairs m <= n only, the other order
-following from graded antisymmetry (which removes a
-redundancy-consistency failure mode).  ``Dgla`` and ``CdgaModel`` take
-that form, a dict, in the place of a table, with its shape checks, and
-give it back as the ``brackets``/``products`` views for emitting JSON.
+Dense tables exist only at the JSON boundary, ``brackets[(m, n)][i][j]``
+for degree pairs m <= n only, the other order following from graded
+antisymmetry.  ``Dgla`` and ``CdgaModel`` take that dict in the place of a
+table, with its shape checks, and give it back as the ``brackets`` and
+``products`` views.
 
-``tensor_dgla(g, C, weight)`` is the one construction of a dgla tensored
-with a finite cdga, and its ``TensorDgla`` the one reader of the tensor
-layout.  The nilpotent coefficient dglas g (x) m_A (``artin``), the path
-objects h (x) Omega(Delta^1) (``holim``) and the convolution dglas
-h (x) CE_{<=N}(g) (``convolution``) are all built by it.  ``validate_cdga``
-is the one check of a cdga's axioms, m_A's included; ``FiltrationData``,
-one ``SubSpaceData`` per level, and ``validate_filtration`` are the
-decreasing filtrations of a complex that the period map reads.
+``ProductLayout`` is the one basis of a product of two graded spaces, read
+by formula: g (x) C and End(C) (``endo``) lie on it.  ``tensor_dgla`` is
+the one construction of a dgla tensored with a finite cdga: g (x) m_A
+(``artin``), the path objects h (x) Omega(Delta^1) (``holim``) and the
+convolution dglas h (x) CE_{<=N}(g) (``convolution``).  ``FiltrationData``
+and ``validate_filtration`` are the decreasing filtrations of a complex
+that the period map reads.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from collections.abc import Callable
 from functools import cached_property
 
 from .graded import (_ZERO, CohomologyResult, Complex, GradedMap, GradedVectorSpace,
                      GVec, SubSpaceData, StructuralError, QuotientComplex, cohomology,
-                     is_chain_map, quotient_complex, vec_is_zero, vec_sub)
-from .linalg import (ColumnSolver, Num, Q, Vector, _bracket, _d_bracket, _fractions, _num,
-                     _reduced, dense)
+                     is_chain_map, quotient_complex)
+from .linalg import (ColumnSolver, Num, Q, Vector, _bracket, _combine, _d_bracket, _fractions,
+                     _num, dense)
 
 
 class ValidationReport:
@@ -137,6 +130,15 @@ class FlatBasis:
             out[src:src + len(cols)] = [{dst + r: c for r, c in col.items()} for col in cols]
         return out
 
+    def graded_map(self, cols: list[Sparse], shift: int) -> GradedMap:
+        """The map of degree ``shift`` with f(e_a) = ``cols[a]`` in flat
+        coordinates: the inverse of ``columns``."""
+        out = {}
+        for deg, dim in self.dims.items():
+            src, base = self.offset[deg], self.offset.get(deg + shift, 0)
+            out[deg] = [{k - base: c for k, c in col.items()} for col in cols[src:src + dim]]
+        return GradedMap(self.space, self.space, shift, out)
+
     def table_from_upper(self, upper, symmetric: bool = False) -> "StructureTable":
         """The table of ``upper``, pairs ((a, b), e_a * e_b) with |a| <= |b|
         (equal degrees in both orders), constants given as ints or
@@ -175,9 +177,7 @@ class StructureTable(FlatBasis):
     def __init__(self, space: GradedVectorSpace, row_of: Callable[[int], Row],
                  is_zero: Callable[[], bool] | None = None, integral: bool = False):
         super().__init__(space)
-        self._row_of = row_of
-        self._is_zero = is_zero
-        self.integral = integral
+        self._row_of, self._is_zero, self.integral = row_of, is_zero, integral
         self._rows: list[Row | None] = [None] * len(self.position)
 
     @staticmethod
@@ -298,9 +298,8 @@ class Dgla:
 
     def __init__(self, underlying: Complex, table: StructureTable):
         self.underlying = underlying
-        self.table = table
-        if isinstance(table, dict):
-            self.table = StructureTable.from_dense(self.space, table)
+        self.table = (StructureTable.from_dense(underlying.space, table)
+                      if isinstance(table, dict) else table)
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], list[list[Vector]]]:
@@ -478,9 +477,8 @@ class CdgaModel:
 
     def __init__(self, complex: Complex, table: StructureTable):
         self.complex = complex
-        self.table = table
-        if isinstance(table, dict):
-            self.table = StructureTable.from_dense(self.space, table, symmetric=True)
+        self.table = (StructureTable.from_dense(complex.space, table, symmetric=True)
+                      if isinstance(table, dict) else table)
 
     @cached_property
     def products(self) -> dict[tuple[int, int], list[list[Vector]]]:
@@ -563,8 +561,7 @@ class FiltrationData:
     (above), each built the first time it is asked for and kept."""
 
     def __init__(self, space: GradedVectorSpace, steps: dict[int, SubSpaceData]):
-        self.space = space
-        self.steps = steps
+        self.space, self.steps = space, steps
         self._subspaces = dict(steps)
 
     def levels(self) -> list[int]:
@@ -588,8 +585,7 @@ def validate_filtration(c: Complex, f: FiltrationData) -> ValidationReport:
     if f.space.components != c.space.components:
         raise StructuralError("filtration declared on a different space")
     for p in f.levels():
-        sub = f.step(p)
-        prev = f.step(p - 1)
+        sub, prev = f.step(p), f.step(p - 1)
         for deg, (rows, _) in sorted(sub.echelon.items()):
             for idx, row in enumerate(rows):
                 if prev.coords(deg, row) is None:
@@ -601,37 +597,60 @@ def validate_filtration(c: Complex, f: FiltrationData) -> ValidationReport:
     return report
 
 
-def tensor_basis(g: GradedVectorSpace, a: GradedVectorSpace) -> dict[int, list]:
-    """The basis of g (x) A by total degree, as pairs ((p, i), (q, j)) for
-    e_i (x) f_j.  Within a total degree the A-degree q ascends; within one
-    q the g index is major and the A index minor."""
-    out: dict[int, list] = {}
-    for q in a.degrees:
-        for p in g.degrees:
-            out.setdefault(p + q, []).extend(
-                ((p, i), (q, j)) for i in range(g.dim(p)) for j in range(a.dim(q)))
-    return out
+class ProductLayout:
+    """The basis of A (x) B by formula, from the dims {degree: dim} of A and
+    B in flat order: in total degree k one block per B-degree q ascending,
+    A index major.  Flat positions (a, b) of degrees (p, q) sit at
+    origin[p, q] + a dim B^q + b (``at``); ``pair`` inverts it by a block
+    lookup and ``divmod``.  ``degree`` is the degree of each position of A
+    and of B, ``blocks[k]`` the (first position, A range, B range) of k."""
+
+    def __init__(self, first: dict[int, int], second: dict[int, int]):
+        self.second = second
+        self.degree = tuple([deg for deg, dim in dims.items() for _ in range(dim)]
+                            for dims in (first, second))
+        self.blocks: dict[int, list] = {}
+        self.origin, size = {}, 0
+        for k in sorted({p + q for p in first for q in second}):
+            for q in sorted(second):
+                if (p := k - q) in first:
+                    a, b = self.degree[0].index(p), self.degree[1].index(q)
+                    self.origin[p, q] = size - a * second[q] - b
+                    self.blocks.setdefault(k, []).append(
+                        (size, range(a, a + first[p]), range(b, b + second[q])))
+                    size += first[p] * second[q]
+        self._all = [block for blocks in self.blocks.values() for block in blocks]
+        self._firsts = [block[0] for block in self._all]
+
+    def at(self, a: int, b: int) -> int:
+        q = self.degree[1][b]
+        return self.origin[self.degree[0][a], q] + a * self.second[q] + b
+
+    def pair(self, t: int) -> tuple[int, int]:
+        first, rows, cols = self._all[bisect_right(self._firsts, t) - 1]
+        i, j = divmod(t - first, len(cols))
+        return rows[i], cols[j]
+
+    def pairs(self, k: int | None = None):
+        """The pairs (a, b) of total degree k, or of every degree, in position
+        order."""
+        for _, rows, cols in self._all if k is None else self.blocks[k]:
+            yield from itertools.product(rows, cols)
 
 
 class TensorDgla:
-    """g (x) C from ``tensor_dgla``.  ``factors[t]`` is the pair (g flat
-    position, C flat position) of flat position t of ``dgla.table``, and
-    ``weight[j]`` the weight of C's basis vector f_j: the monomial degree
-    on m_A, the t-degree on the interval forms (t and dt each of weight
-    1), the word length on CE.  ``d_solver`` and ``base_cohomology``
-    describe g and are made once per host.  On a convolution dgla,
-    ``words`` lists the CE word at each position of C and ``arity`` is the
-    N it was built at, both set once by ``convolution``; ``wider`` holds for
-    each source g the convolution dgla of arity N + 1 and the position of
-    each CE word in it, made by the first ``convolution.linf_residual``."""
+    """g (x) C from ``tensor_dgla``: position t of ``dgla.table`` is the
+    pair (g position, C position) ``layout.pair(t)``.  ``weight[j]`` is the
+    weight of C's f_j: monomial degree on m_A, t-degree on the interval
+    forms (t and dt of weight 1), word length on CE.  ``d_solver`` and
+    ``base_cohomology`` describe g, made once per host.  On a convolution
+    dgla ``words`` lists the CE word at each position of C and ``arity`` is
+    its N (set by ``convolution``); ``wider`` holds for each source g the
+    dgla of arity N + 1 and the position of each CE word in it."""
 
-    def __init__(self, g: Dgla, c: CdgaModel, dgla: Dgla, factors: list[tuple[int, int]],
+    def __init__(self, g: Dgla, c: CdgaModel, dgla: Dgla, layout: ProductLayout,
                  weight: tuple[int, ...]):
-        self.g = g
-        self.c = c
-        self.dgla = dgla
-        self.factors = factors
-        self.weight = weight
+        self.g, self.c, self.dgla, self.layout, self.weight = g, c, dgla, layout, weight
         self._d_solvers: dict[int, ColumnSolver] = {}
         self.words, self.arity = (), 0
         self.wider: dict[Dgla, tuple] = {}
@@ -650,19 +669,14 @@ class TensorDgla:
         """{j: s_j}, each s_j a flat element of g, with x = sum_j s_j (x) f_j."""
         out: dict[int, Sparse] = {}
         for t, c in x.items():
-            v, j = self.factors[t]
+            v, j = self.layout.pair(t)
             out.setdefault(j, {})[v] = c
         return out
 
     def join(self, parts: dict[int, Sparse]) -> Sparse:
         """sum_j s_j (x) f_j for ``parts`` {j: s_j}, the inverse of ``split``."""
-        place = self.place
-        return {place[v, j]: c for j, s in parts.items() for v, c in s.items()}
-
-    @cached_property
-    def place(self) -> dict[tuple[int, int], int]:
-        """The flat position of each factor pair, the inverse of ``factors``."""
-        return {vf: t for t, vf in enumerate(self.factors)}
+        at = self.layout.at
+        return {at(v, j): c for j, s in parts.items() for v, c in s.items()}
 
     def tensor_element(self, x: GVec, j: int) -> GVec:
         """x (x) f_j for an element x of g and C's basis vector f_j."""
@@ -671,7 +685,7 @@ class TensorDgla:
     @cached_property
     def weights(self) -> list[int]:
         """The weight of every flat position: that of its C factor."""
-        return [self.weight[j] for _, j in self.factors]
+        return [self.weight[j] for _, j in self.layout.pairs()]
 
     @cached_property
     def by_weight(self) -> dict[tuple[int, int], list[int]]:
@@ -696,86 +710,59 @@ class TensorDgla:
 
 
 def tensor_dgla(g: Dgla, a: CdgaModel, weight: tuple[int, ...]) -> TensorDgla:
-    """g (x) A for a dgla g and a finite cdga A, on the basis ``tensor_basis``
-    with labels "v@a", and ``weight`` on A's basis:
+    """g (x) A for a dgla g and a finite cdga A, on the ``ProductLayout`` of
+    g and A with labels "v@a", and ``weight`` on A's basis:
 
         d(v (x) a) = dv (x) a + (-1)^{|v|} v (x) da,
         [v (x) a, w (x) b] = (-1)^{|a||w|} [v, w] (x) ab.
 
-    d is written column by column from the flat columns of the two
-    differentials.  The row of v (x) f is composed from the rows of v in
-    ``g.table`` and of f in ``a.table`` when it is first asked for, over
-    both orders at once; integral factor tables give integral rows.
+    The row of v (x) f is composed from the rows of v in ``g.table`` and of
+    f in ``a.table`` when it is first asked for, over both orders at once;
+    integral factor tables give integral rows.
     """
-    gt, at = g.table, a.table
-    basis = tensor_basis(g.space, a.space)
-    space = GradedVectorSpace({
-        k: tuple(f"{g.label(*v)}@{a.space.label(*f)}" for v, f in pairs)
-        for k, pairs in basis.items()})
-    flat = FlatBasis(space)
-    factors: list = [None] * len(flat)
-    for k, pairs in basis.items():
-        for idx, ((p, i), (q, j)) in enumerate(pairs):
-            factors[flat.offset[k] + idx] = gt.offset[p] + i, at.offset[q] + j
-    place = {vf: t for t, vf in enumerate(factors)}
-    gdeg = [deg for deg, _ in gt.position]
-    adeg = [deg for deg, _ in at.position]
+    gt, ct = g.table, a.table
+    layout = ProductLayout(gt.dims, ct.dims)
+    glabels = [g.label(*v) for v in gt.position]
+    clabels = [a.space.label(*f) for f in ct.position]
+    space = GradedVectorSpace({k: tuple(f"{glabels[v]}@{clabels[f]}"
+                                        for v, f in layout.pairs(k)) for k in layout.blocks})
+    at, pair, origin, cdim = layout.at, layout.pair, layout.origin, layout.second
+    gdeg, cdeg = layout.degree
 
     # d(v (x) f) = dv (x) f + (-1)^{|v|} v (x) df, column by column; the two
     # parts lie in different A-degrees, so their entries never meet
-    gcols, acols = g.dcols, at.columns(a.complex.differential)
-    d_columns = {k: [{} for _ in pairs] for k, pairs in basis.items()}
-    for t, (v, f) in enumerate(factors):
-        k, col = flat.position[t]
-        column = d_columns[k][col]
-        for u, c in gcols[v].items():
-            column[flat.position[place[u, f]][1]] = c
-        sign = -1 if gdeg[v] % 2 else 1
-        for h, c in acols[f].items():
-            column[flat.position[place[v, h]][1]] = sign * c
+    gcols, ccols, dcols = g.dcols, ct.columns(a.complex.differential), []
+    for v, f in layout.pairs():
+        column = {at(u, f): c for u, c in gcols[v].items()}
+        column.update((at(v, h), -c if gdeg[v] % 2 else c) for h, c in ccols[f].items())
+        dcols.append(column)
 
-    integral = gt.integral and at.integral
+    integral = gt.integral and ct.integral
 
     def row_of(t: int) -> Row:
-        # [v (x) f, w (x) h] = (-1)^{|f||w|} [v, w] (x) fh, over every w (x) h;
-        # with a Fraction factor, a product that comes out integral is
-        # stored as an int
-        v, f = factors[t]
-        vrow, frow = gt.row(v), at.row(f)
+        # [v (x) f, w (x) h] = (-1)^{|f||w|} [v, w] (x) fh, over every w (x) h,
+        # in the block of their degrees; with a Fraction factor, a product
+        # that comes out integral is stored as an int
+        v, f = pair(t)
+        vrow, frow = gt.row(v), ct.row(f)
         row: Row = {}
         if not vrow or not frow:
             return row
         for w, vw in vrow.items():
-            if adeg[f] * gdeg[w] % 2:
+            if cdeg[f] * gdeg[w] % 2:
                 vw = {u: -c for u, c in vw.items()}
+            p = gdeg[v] + gdeg[w]
             for h, fh in frow.items():
-                entry = {place[u, e]: c if s == 1 else c * s
+                q = cdeg[f] + cdeg[h]
+                o, n = origin[p, q], cdim[q]
+                entry = {o + u * n + e: c if s == 1 else c * s
                          for u, c in vw.items() for e, s in fh.items()}
-                row[place[w, h]] = entry if integral else _exact(entry)
+                row[at(w, h)] = entry if integral else _exact(entry)
         return row
 
-    table = StructureTable(space, row_of, lambda: gt.is_zero() or at.is_zero(), integral)
-    return TensorDgla(g, a, Dgla(Complex(space, GradedMap(space, space, 1, d_columns)), table),
-                      factors, weight)
-
-
-def ad_exp_terms(rows, alpha: Num, s: Num, limit: int) -> list[Num]:
-    """The terms ad_alpha^n(s) / (n+1)!, n = 0, 1, ..., up to the first zero,
-    for (D, N) elements and ``rows[a]`` the table row of e_a.
-
-    Every gauge action is e^alpha * x = x + (sum of these terms) with
-    s = [alpha, x] - d alpha.  ad_alpha must be nilpotent: a nonzero term
-    past the first ``limit`` raises RuntimeError.
-    """
-    terms = []
-    factorial = 1
-    while s[1]:
-        if len(terms) == limit:
-            raise RuntimeError("exponential series failed to terminate")
-        factorial *= len(terms) + 1
-        terms.append(_reduced(s[0] * factorial, dict(s[1])) if factorial > 1 else s)
-        s = _bracket(rows, alpha, s)
-    return terms
+    table = StructureTable(space, row_of, lambda: gt.is_zero() or ct.is_zero(), integral)
+    return TensorDgla(g, a, Dgla(Complex(space, table.graded_map(dcols, 1)), table),
+                      layout, weight)
 
 
 def _residue(g: Dgla, x: Num) -> Num:
@@ -785,9 +772,7 @@ def _residue(g: Dgla, x: Num) -> Num:
 
 class DglaMorphism:
     def __init__(self, source: Dgla, target: Dgla, map: GradedMap):
-        self.source = source
-        self.target = target
-        self.map = map
+        self.source, self.target, self.map = source, target, map
         if self.map.shift != 0:
             raise StructuralError("dgla morphism must have shift 0")
 
@@ -796,22 +781,23 @@ class DglaMorphism:
 
 
 def validate_morphism(f: DglaMorphism) -> ValidationReport:
+    """f is a chain map with f[e_a, e_b] = [f e_a, f e_b] on basis pairs, on
+    (D, N) images, each converted once."""
     report = ValidationReport()
     res = is_chain_map(f.map, f.source.underlying, f.target.underlying)
     for deg in res.columns:
         report.fail("chain_map", [f"degree {deg}"],
                     [[str(x) for x in row] for row in res.block(deg)])
-    sp = f.source.space
-    basis = sp.basis()
-    images = [f.apply(sp.basis_element(m, i)) for (m, i) in basis]
-    for (m, i), fa in zip(basis, images):
-        for (n, j), fb in zip(basis, images):
-            lhs = f.apply(f.source.pair_bracket(m, i, n, j))
-            rhs = f.target.bracket(fa, fb)
-            r = vec_sub(lhs, rhs)
-            if not vec_is_zero(r):
-                report.fail("bracket_compat", [sp.label(m, i), sp.label(n, j)],
-                            _residual_repr(r))
+    s, t = f.source.table, f.target.table
+    images = [_num(t.flat(f.apply(s.space.basis_element(*key)))) for key in s.position]
+    for a, fa in enumerate(images):
+        row = s.row(a)
+        for b, fb in enumerate(images):
+            r = _combine([(c, images[k]) for k, c in row.get(b, {}).items()]
+                         + [(-1, _bracket(t, fa, fb))])
+            if r[1]:
+                report.fail("bracket_compat", [s.space.label(*s.position[x]) for x in (a, b)],
+                            _residual_repr(t.graded(_fractions(r))))
     return report
 
 
@@ -822,8 +808,7 @@ def identity_morphism(g: Dgla) -> DglaMorphism:
 
 class SubDgla:
     def __init__(self, parent: Dgla, span: SubSpaceData):
-        self.parent = parent
-        self.span = span
+        self.parent, self.span = parent, span
         if self.span.parent.components != self.parent.space.components:
             raise StructuralError("sub-dgla span declared on a different space")
 
@@ -875,14 +860,9 @@ def validate_sub_dgla(n: SubDgla) -> ValidationReport:
 
 
 def sub_quotient(h: Dgla, n: SubDgla) -> tuple[ValidationReport, QuotientComplex]:
-    """Validate closure of n inside h and return the quotient complex h/n.
-
-    The bracket does not descend to the quotient in general, so only the
-    complex is returned.
-    """
-    report = validate_sub_dgla(n)
-    quotient = quotient_complex(h.underlying, n.span)
-    return report, quotient
+    """Validate closure of n inside h and return the quotient complex h/n
+    (the bracket does not descend to the quotient in general)."""
+    return validate_sub_dgla(n), quotient_complex(h.underlying, n.span)
 
 
 def inclusion_as_morphism(n: SubDgla) -> DglaMorphism:

@@ -21,12 +21,12 @@ from functools import cached_property
 
 from . import linalg
 from .dgla import (CdgaModel, Dgla, FlatBasis, Sparse, SubDgla, TensorDgla, _add_into,
-                   _residue, abelian_dgla, ad_exp_terms, sub_quotient, tensor_dgla)
+                   _residue, abelian_dgla, sub_quotient, tensor_dgla)
 from .graded import (CohomologyResult, Complex, GradedMap, GradedVectorSpace, GVec,
                      QuotientComplex, StructuralError,
                      cohomology, induced_map_on_cohomology, is_chain_map,
                      shift_complex, vec_degree, vec_is_zero)
-from .linalg import Q, Row, _d_bracket, _fractions, _num, sparse
+from .linalg import Q, Row, _d_bracket, _fractions, _num, ad_exp_terms, sparse
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Flat elements of a dgla are computed on one form, (D, N) (``Num``): int
 numerators N = {flat position: nonzero int} over a positive denominator D
 coprime to them.  ``_bracket``, ``_d_bracket`` and ``_combine`` read table
 rows and flat columns of d as stored, so ``Fraction``s are made only where
-``_fractions`` reads an element back.
+``_fractions`` reads an element back; ``ad_exp_terms`` is the exponential
+series of every gauge action on them.
 """
 
 from __future__ import annotations
@@ -398,6 +399,25 @@ def _d_bracket(rows, dcols, s: Num, sign: int, x: Num, y: Num, half: bool = Fals
 def _bracket(rows, x: Num, y: Num) -> Num:
     """[x, y], ``rows[a]`` the table row of e_a."""
     return _d_bracket(rows, (), (1, {}), 1, x, y)
+
+
+def ad_exp_terms(rows, alpha: Num, s: Num, limit: int) -> list[Num]:
+    """The terms ad_alpha^n(s) / (n+1)!, n = 0, 1, ..., up to the first zero,
+    for (D, N) elements and ``rows[a]`` the table row of e_a.
+
+    Every gauge action is e^alpha * x = x + (sum of these terms) with
+    s = [alpha, x] - d alpha.  ad_alpha must be nilpotent: a nonzero term
+    past the first ``limit`` raises RuntimeError.
+    """
+    terms = []
+    factorial = 1
+    while s[1]:
+        if len(terms) == limit:
+            raise RuntimeError("exponential series failed to terminate")
+        factorial *= len(terms) + 1
+        terms.append(_reduced(s[0] * factorial, dict(s[1])) if factorial > 1 else s)
+        s = _bracket(rows, alpha, s)
+    return terms
 
 
 def _combine(terms) -> Num:

@@ -25,9 +25,10 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 
-from .dgla import Dgla, Sparse, SubDgla, TensorDgla, _add_into, _residue, ad_exp_terms
+from .dgla import Dgla, Sparse, SubDgla, TensorDgla, _add_into, _residue
 from .graded import GVec, StructuralError, vec_add, vec_is_zero, vec_scale
-from .linalg import Num, Q, _bracket, _combine, _d_bracket, _fractions, _num, _reduced
+from .linalg import (Num, Q, _bracket, _combine, _d_bracket, _fractions, _num, _reduced,
+                     ad_exp_terms)
 
 _ONE = Q(1)
 
@@ -100,7 +101,7 @@ def irrelevant_stabilizer(ng: TensorDgla, x: GVec,
         for mon in range(len(ng.weight)):
             acc: Sparse = {}
             for j, hc in v.items():     # h = v (x) m; [x, h] reads the rows of x
-                b = ng.place[base + j, mon]
+                b = ng.layout.at(base + j, mon)
                 _add_into(acc, hc, dcols[b])
                 for c, row in rows:
                     if b in row:

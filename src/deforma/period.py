@@ -49,10 +49,10 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
     report = validate_filtration(omega.complex, f)
     if not report.ok:
         raise StructuralError(f"invalid filtration: {report.failures[:3]}")
-    sp = omega.space
+    sp, off, at = omega.space, end.basis.offset, end.layout.at
     echelon = {}
     for k in end.space.degrees:
-        position = {entry: pos for pos, entry in enumerate(end.index[k])}
+        base = end.dgla.table.offset[k]
         rows: list[Row] = []
         for p in f.levels():
             sub = f.step(p)
@@ -61,7 +61,7 @@ def filtered_subdgla(omega: CdgaModel, f: FiltrationData,
                 # the functionals vanishing exactly on F^p in degree deg + k
                 functionals = linalg.nullspace(sub.rows(tdeg), sp.dim(tdeg))
                 for v in sub.rows(deg):
-                    rows.extend({position[deg, si, di]: c * e
+                    rows.extend({at(off[deg] + si, off[tdeg] + di) - base: c * e
                                  for si, c in v.items() for di, e in func.items()}
                                 for func in functionals)
         echelon[k] = linalg.rref(linalg.nullspace(rows, end.space.dim(k)))

@@ -26,12 +26,26 @@ of the polynomial forms on [0, 1].  They are the oracle for
 ``holim._interval_forms`` in test_sparse_tables.py.  ``tensor_nilpotent``
 reads ``artin_table`` in place of the algebra's own table.
 
+``validate_morphism`` checks bracket compatibility one basis pair at a
+time on GVecs, as ``dgla.validate_morphism`` did before it read (D, N)
+rows; it is the oracle for it in test_sparse_kernel.py.
+
+The product layouts are enumerated here as pair lists, independent of
+``dgla.ProductLayout``: ``tensor_basis`` lists the pairs of g (x) A by
+total degree, ``end_index`` the (source degree, source index, target
+index) triples of End(C), with "v@a" and "src>dst" labels
+(``tensor_space``, ``end_space``), and ``tensor_factors`` and
+``end_pairs`` give the factor pair of every flat position.
+``tensor_construction`` and ``end_construction`` are ``tensor_dgla`` and
+``end_dgla`` as they were built on those pairs, each position found in a
+dict.  They are the oracle for the layout in test_tensor_record.py.
+
 The table oracles build dense bracket tables the way the constructors did
-before they wrote only nonzeros: ``tensor_tables`` fills one dense vector
-per pair of tensor basis vectors, and ``end_tables`` composes two dense
-elementary maps per pair.  They are the oracle for ``tensor_dgla``,
-``path_dgla``, ``hom_dgla_slice`` and ``end_dgla`` in
-test_sparse_tables.py and test_convolution.py.
+before they wrote only nonzeros, on the enumerated pairs:
+``tensor_tables`` fills one dense vector per pair of tensor basis vectors,
+and ``end_tables`` composes two dense elementary maps per pair.  They are
+the oracle for ``tensor_dgla``, ``path_dgla``, ``hom_dgla_slice`` and
+``end_dgla`` in test_sparse_tables.py and test_convolution.py.
 
 The map oracles are the dense matrix products that ``GradedMap`` used
 before it held sparse columns: ``matvec`` and ``matmul`` on its dense
@@ -114,9 +128,9 @@ from fractions import Fraction
 
 from deforma.convolution import (DEFAULT_ARITY, VKey, canonical_tuples, ce_words,
                                  v_basis, vdeg)
-from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, FlatBasis, SubDgla,
-                          ValidationReport, _ZERO as ZERO, _residual_repr,
-                          sub_dgla_span, tensor_basis, validate_morphism)
+from deforma.dgla import (CdgaModel, Dgla, DglaMorphism, FiltrationData, FlatBasis,
+                          StructureTable, SubDgla, ValidationReport, _ZERO as ZERO, _exact,
+                          _residual_repr, sub_dgla_span)
 from deforma.endo import end_dgla
 from deforma.graded import (Complex, GradedMap, GradedVectorSpace, GVec,
                             StructuralError, SubSpaceData, vec_add,
@@ -274,6 +288,29 @@ def validate_dgla(g) -> ValidationReport:
                     report.fail("jacobi",
                                 [sp.label(m, i), sp.label(n, j), sp.label(p, k)],
                                 _residual_repr(res))
+    return report
+
+
+def validate_morphism(f: DglaMorphism) -> ValidationReport:
+    """The chain-map check, then bracket compatibility one basis pair at a
+    time on GVecs: f of the source's ``pair_bracket`` against the target's
+    ``bracket`` of the two images, compared by ``vec_sub``."""
+    report = ValidationReport()
+    res = graded.is_chain_map(f.map, f.source.underlying, f.target.underlying)
+    for deg in res.columns:
+        report.fail("chain_map", [f"degree {deg}"],
+                    [[str(x) for x in row] for row in res.block(deg)])
+    sp = f.source.space
+    basis = sp.basis()
+    images = [f.apply(sp.basis_element(m, i)) for (m, i) in basis]
+    for (m, i), fa in zip(basis, images):
+        for (n, j), fb in zip(basis, images):
+            lhs = f.apply(f.source.pair_bracket(m, i, n, j))
+            rhs = f.target.bracket(fa, fb)
+            r = vec_sub(lhs, rhs)
+            if not vec_is_zero(r):
+                report.fail("bracket_compat", [sp.label(m, i), sp.label(n, j)],
+                            _residual_repr(r))
     return report
 
 
@@ -564,14 +601,13 @@ def tensor_tables(g, a) -> tuple[Complex, dict]:
     bracket tables: every pair of tensor basis vectors with a nonzero
     bracket gets its own dense vector in the (k1 <= k2) table of its total
     degrees, filled from the nonzeros of ``g.table``, ``a.table`` and the
-    two differentials.  Basis and labels as ``dgla.tensor_dgla``.  Zero
-    cells are deforma's own zero object, so that comparing with a derived
-    ``Dgla.brackets`` view short-cuts on identity (values are unaffected)."""
+    two differentials.  Basis and labels are ``tensor_basis``'s, "v@a".
+    Zero cells are deforma's own zero object, so that comparing with a
+    derived ``Dgla.brackets`` view short-cuts on identity (values are
+    unaffected)."""
     gt, at = g.table, a.table
     basis = tensor_basis(g.space, a.space)
-    space = GradedVectorSpace({
-        k: tuple(f"{g.label(*v)}@{a.space.label(*f)}" for v, f in pairs)
-        for k, pairs in basis.items()})
+    space = tensor_space(g.space, a.space, basis)
     place = {}      # (g flat position, A flat position) -> (degree, index)
     for k, pairs in basis.items():
         for idx, ((p, i), (q, j)) in enumerate(pairs):
@@ -611,13 +647,13 @@ def tensor_tables(g, a) -> tuple[Complex, dict]:
 
 
 def end_tables(c: Complex) -> tuple[Complex, dict]:
-    """End(C) as the complex and the dense bracket tables, on the basis of
-    ``endo.end_dgla``: d and every bracket computed by composing two dense
-    elementary maps with ``matmul``; d blocks and (m, n) tables kept only
-    when nonzero."""
+    """End(C) as the complex and the dense bracket tables, on the basis
+    ``end_index`` with its "src>dst" labels: d and every bracket computed by
+    composing two dense elementary maps with ``matmul``; d blocks and (m, n)
+    tables kept only when nonzero."""
     sp = c.space
-    end = end_dgla(c)
-    index, space = end.index, end.space
+    index = end_index(sp)
+    space = end_space(sp, index)
     d = (1, {n: c.differential.block(n) for n in sp.degrees})
 
     def elem_map(k: int, pos: int) -> tuple[int, dict]:
@@ -665,10 +701,11 @@ def end_tables(c: Complex) -> tuple[Complex, dict]:
 
 def assert_same_tables(g: Dgla, cx: Complex, brackets: dict):
     """g equals the oracle (``cx``, dense ``brackets``) entry by entry: the
-    complex, and the derived ``g.brackets``, which holds every row entry
-    e_a * e_b with |a| <= |b|.  Each remaining entry must be the mirror of
-    one of those under graded antisymmetry."""
+    labels of every degree, the complex, and the derived ``g.brackets``,
+    which holds every row entry e_a * e_b with |a| <= |b|.  Each remaining
+    entry must be the mirror of one of those under graded antisymmetry."""
     assert g.space.components == cx.space.components
+    assert all(g.space.labels(k) == cx.space.labels(k) for k in cx.space.degrees)
     assert g.underlying.differential.blocks == cx.differential.blocks
     assert g.brackets == brackets
     t = g.table
@@ -677,6 +714,177 @@ def assert_same_tables(g: Dgla, cx: Complex, brackets: dict):
             n = t.position[b][0]
             sign = 1 if m * n % 2 else -1
             assert t.row(b).get(a) == {k: sign * c for k, c in entry.items()}
+
+
+# ---------------------------------------------------------------------------
+# the product layouts as enumerated pairs
+
+def tensor_basis(g: GradedVectorSpace, a: GradedVectorSpace) -> dict[int, list]:
+    """The basis of g (x) A by total degree, as pairs ((p, i), (q, j)) for
+    e_i (x) f_j.  Within a total degree the A-degree q ascends; within one
+    q the g index is major and the A index minor."""
+    out: dict[int, list] = {}
+    for q in a.degrees:
+        for p in g.degrees:
+            out.setdefault(p + q, []).extend(
+                ((p, i), (q, j)) for i in range(g.dim(p)) for j in range(a.dim(q)))
+    return out
+
+
+def tensor_space(g: GradedVectorSpace, a: GradedVectorSpace,
+                 basis: dict[int, list]) -> GradedVectorSpace:
+    """The space of ``basis`` = tensor_basis(g, a), labelled "v@a"."""
+    return GradedVectorSpace({
+        k: tuple(f"{g.label(*v)}@{a.label(*f)}" for v, f in pairs)
+        for k, pairs in basis.items()})
+
+
+def tensor_factors(ng) -> list[tuple[int, int]]:
+    """The pair (g flat position, C flat position) of every flat position of
+    the tensor record ``ng``, read from ``tensor_basis``: total degree k
+    lists e_i (x) f_j in order."""
+    gt, ct, t = ng.g.table, ng.c.table, ng.dgla.table
+    out = [None] * len(t)
+    for k, pairs in tensor_basis(ng.g.space, ng.c.space).items():
+        for idx, ((p, i), (q, j)) in enumerate(pairs):
+            out[t.offset[k] + idx] = (gt.offset[p] + i, ct.offset[q] + j)
+    return out
+
+
+def end_index(sp: GradedVectorSpace) -> dict[int, tuple]:
+    """The basis of End(C) for C on ``sp``: end degree k -> the triples
+    (source degree, source index, target index), source degree ascending,
+    source index major."""
+    degs = sorted(sp.degrees)
+    index: dict[int, tuple] = {}
+    for k in range(min(degs) - max(degs), max(degs) - min(degs) + 1):
+        entries = []
+        for src_deg in degs:
+            if sp.dim(src_deg + k) == 0:
+                continue
+            for src_idx in range(sp.dim(src_deg)):
+                for dst_idx in range(sp.dim(src_deg + k)):
+                    entries.append((src_deg, src_idx, dst_idx))
+        if entries:
+            index[k] = tuple(entries)
+    return index
+
+
+def end_space(sp: GradedVectorSpace, index: dict[int, tuple]) -> GradedVectorSpace:
+    """The space of ``index`` = end_index(sp), labelled "src>dst"."""
+    return GradedVectorSpace({
+        k: tuple(f"{sp.label(sd, si)}>{sp.label(sd + k, di)}" for (sd, si, di) in entries)
+        for k, entries in index.items()})
+
+
+def end_pairs(sp: GradedVectorSpace) -> list[tuple[int, int]]:
+    """The pair (source, target) of flat positions of C of every flat
+    position of End(C), read from ``end_index``."""
+    cb = FlatBasis(sp)
+    index = end_index(sp)
+    return [(cb.offset[sd] + si, cb.offset[sd + k] + di)
+            for k in sorted(index) for (sd, si, di) in index[k]]
+
+
+def tensor_construction(g: Dgla, a: CdgaModel) -> Dgla:
+    """g (x) A as ``tensor_dgla`` built it on the pairs of ``tensor_basis``,
+    found in a dict: d written by position in its degree, each row composed
+    on demand from the rows of the factors."""
+    gt, at = g.table, a.table
+    basis = tensor_basis(g.space, a.space)
+    space = tensor_space(g.space, a.space, basis)
+    flat = FlatBasis(space)
+    factors: list = [None] * len(flat)
+    for k, pairs in basis.items():
+        for idx, ((p, i), (q, j)) in enumerate(pairs):
+            factors[flat.offset[k] + idx] = gt.offset[p] + i, at.offset[q] + j
+    place = {vf: t for t, vf in enumerate(factors)}
+    gdeg = [deg for deg, _ in gt.position]
+    adeg = [deg for deg, _ in at.position]
+    gcols = differential_columns(gt, g.underlying.differential)
+    acols = differential_columns(at, a.complex.differential)
+    d_columns = {k: [{} for _ in pairs] for k, pairs in basis.items()}
+    for t, (v, f) in enumerate(factors):
+        k, col = flat.position[t]
+        column = d_columns[k][col]
+        for u, c in gcols[v].items():
+            column[flat.position[place[u, f]][1]] = c
+        sign = -1 if gdeg[v] % 2 else 1
+        for h, c in acols[f].items():
+            column[flat.position[place[v, h]][1]] = sign * c
+    integral = gt.integral and at.integral
+
+    def row_of(t: int) -> dict:
+        v, f = factors[t]
+        vrow, frow = gt.row(v), at.row(f)
+        row: dict = {}
+        if not vrow or not frow:
+            return row
+        for w, vw in vrow.items():
+            if adeg[f] * gdeg[w] % 2:
+                vw = {u: -c for u, c in vw.items()}
+            for h, fh in frow.items():
+                entry = {place[u, e]: c if s == 1 else c * s
+                         for u, c in vw.items() for e, s in fh.items()}
+                row[place[w, h]] = entry if integral else _exact(entry)
+        return row
+
+    table = StructureTable(space, row_of, integral=integral)
+    return Dgla(Complex(space, GradedMap(space, space, 1, d_columns)), table)
+
+
+def end_construction(c: Complex) -> Dgla:
+    """End(C) as ``end_dgla`` built it on ``end_index``: every elementary map
+    found in a dict by its (source, target) basis vectors, and the E_b by
+    source and by target in lists."""
+    sp = c.space
+    index = end_index(sp)
+    space = end_space(sp, index)
+    flat = FlatBasis(space)
+    ends = [((sd, si), (sd + k, di)) for k in sorted(index) for (sd, si, di) in index[k]]
+    place = {st: a for a, st in enumerate(ends)}
+    by_source: dict[tuple, list[int]] = {}
+    by_target: dict[tuple, list[int]] = {}
+    for a, (s, t) in enumerate(ends):
+        by_source.setdefault(s, []).append(a)
+        by_target.setdefault(t, []).append(a)
+    d = c.differential.columns
+    d_rows = {deg: [{} for _ in range(sp.dim(deg + 1))] for deg in d}
+    for deg, cols in d.items():
+        for u, col in enumerate(cols):
+            for r, val in col.items():
+                d_rows[deg][r][u] = val
+    d_columns = {}
+    for k in index:
+        if k + 1 not in index:
+            continue
+        cols = d_columns[k] = [{} for _ in index[k]]
+        sign = -1 if k % 2 else 1
+        base = flat.offset[k + 1]
+        for (sd, si, di), col in zip(index[k], cols):
+            s, t = (sd, si), (sd + k, di)
+            if sd + k in d:
+                for r, val in d[sd + k][di].items():
+                    col[place[s, (sd + k + 1, r)] - base] = val
+            if sd - 1 in d:
+                for u, val in d_rows[sd - 1][si].items():
+                    col[place[(sd - 1, u), t] - base] = -sign * val
+    degree = [deg for deg, _ in flat.position]
+    upper = []
+    for a, (s, t) in enumerate(ends):
+        m = degree[a]
+        entries: dict[int, dict] = {}
+        for b in by_target.get(s, ()):          # E_a o E_b
+            if degree[b] >= m:
+                entries.setdefault(b, {})[place[ends[b][0], t]] = 1
+        for b in by_source.get(t, ()):          # -(-1)^{mn} E_b o E_a
+            if degree[b] >= m:
+                entry, k = entries.setdefault(b, {}), place[s, ends[b][1]]
+                entry[k] = entry.get(k, 0) + (1 if m * degree[b] % 2 else -1)
+        upper.extend(((a, b), {k: c for k, c in e.items() if c})
+                     for b, e in entries.items())
+    return Dgla(Complex(space, GradedMap(space, space, 1, d_columns)),
+                flat.table_from_upper(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +1070,8 @@ def holim_constraints(pair, ambient, k: int) -> dict[str, list[dict]]:
     k of ``ambient`` = path_dgla(h, D), as sparse rows on that degree's
     coordinates: p(1) = 0 and p(0) in n.  The third, deg_t q <= D - 1,
     holds in the ambient, whose forms stop at weight D."""
-    t, ht, place = ambient.dgla.table, pair.h.table, ambient.place
+    t, ht = ambient.dgla.table, pair.h.table
+    place = {vf: p for p, vf in enumerate(tensor_factors(ambient))}
     tbound = ambient.c.space.dim(0) - 1
     base, hbase = t.offset[k], ht.offset.get(k)
     qdim = pair.quotient.complex.space.dim(k)
@@ -886,7 +1095,8 @@ def holim_rows(pair, tbound: int):
     from ``holim.holim_bounded``."""
     from deforma.holim import path_dgla
     ambient = path_dgla(pair.h, tbound)
-    t, ht, place, h = ambient.dgla.table, pair.h.table, ambient.place, pair.h
+    t, ht, h = ambient.dgla.table, pair.h.table, pair.h
+    place = {vf: p for p, vf in enumerate(tensor_factors(ambient))}
     dt = tbound + 1                                 # C position of t^0 dt
     rows = {}
     for k in ambient.space.degrees:
@@ -1900,9 +2110,10 @@ def filtered_subdgla(omega: CdgaModel, f) -> SubDgla:
     end = end_dgla(omega.complex)
     sp = omega.space
     span: dict = {}
+    index = end_index(sp)
     for k in end.space.degrees:
         dim = end.space.dim(k)
-        position = {entry: pos for pos, entry in enumerate(end.index[k])}
+        position = {entry: pos for pos, entry in enumerate(index[k])}
         rows = []
         for p in f.levels():
             sub = f.step(p)

@@ -216,7 +216,7 @@ def _oracle_positions(g, conv, oracle):
     labels = {k: {lbl: pos for pos, lbl in enumerate(oracle.space.labels(k))}
               for k in conv.space.degrees}
     assert all(len(labels[k]) == conv.space.dim(k) for k in labels)
-    for t, (v, j) in enumerate(conv.factors):
+    for t, (v, j) in enumerate(dense.tensor_factors(conv)):
         k, pos = conv.dgla.table.position[t]
         glabels = "^".join(g.label(*key) for key in words[j])
         perm[k, pos] = labels[k][f"({glabels})->{h.label(*h.table.position[v])}"]

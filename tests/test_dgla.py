@@ -5,12 +5,12 @@ from fractions import Fraction as Q
 import pytest
 
 from deforma import fixtures as F
-from deforma.dgla import (Dgla, DglaMorphism, ad_exp_terms, identity_morphism,
+from deforma.dgla import (Dgla, DglaMorphism, identity_morphism,
                           inclusion_as_morphism, restrict_to_sub, sub_dgla_span,
                           sub_quotient, tensor_dgla, validate_cdga,
                           validate_dgla, validate_morphism, validate_sub_dgla)
 from deforma.graded import Complex, GradedMap, GradedVectorSpace, zero_map
-from deforma.linalg import _fractions, _num
+from deforma.linalg import _fractions, _num, ad_exp_terms
 
 
 def test_all_fixture_dglas_valid():

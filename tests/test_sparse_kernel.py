@@ -117,6 +117,7 @@ def morphism_cases():
     cases = [identity_morphism(F.fixture_dgla(name)) for name in F.FIXTURE_NAMES]
     g = F.f2_dgla()
     cases.append(inclusion_as_morphism(F.f2_borel(g)))
+    cases.append(DglaMorphism(g, g, scaled_identity(g, 1)))
     transpose = [[Q(int(r == c)) for c in (0, 2, 1, 3)] for r in range(4)]
     cases.append(DglaMorphism(g, g, GradedMap.from_blocks(g.space, g.space, 0, {0: transpose})))
     end = endo.end_dgla(F.f5_cdga().complex)
@@ -139,7 +140,26 @@ def test_morphism_and_sub_dgla_reports_match_reference(monkeypatch):
               [validate_sub_dgla(n).failures for n in subs])
     monkeypatch.setattr(Dgla, "bracket", dense.bracket)
     monkeypatch.setattr(Dgla, "pair_bracket", dense.pair_bracket)
-    reference = ([validate_morphism(f).failures for f in morphisms],
+    reference = ([dense.validate_morphism(f).failures for f in morphisms],
                  [validate_sub_dgla(n).failures for n in subs])
     assert sparse == reference
-    assert sparse[0][-2] and sparse[1][-1]   # the failing cases do fail
+    assert sparse[0][-2] and sparse[0][-3] and sparse[1][-1]   # the failing cases do fail
+
+
+def scaled_identity(g, column: int) -> GradedMap:
+    """The identity of g's degree 0 with basis vector ``column`` sent to
+    twice itself: a chain map that breaks bracket compatibility."""
+    n = g.space.dim(0)
+    return GradedMap(g.space, g.space, 0, {0: [{r: Q(2 if r == column else 1)}
+                                               for r in range(n)]})
+
+
+@pytest.mark.parametrize("column", range(4))
+def test_morphism_report_matches_the_pairwise_route(column):
+    # F2 = gl_2 with e_column scaled by 2: the (D, N) rows and the per-pair
+    # GVec route give the same failures, witnesses and residual strings
+    g = F.f2_dgla()
+    f = DglaMorphism(g, g, scaled_identity(g, column))
+    got = validate_morphism(f)
+    assert got.failures and got.failures == dense.validate_morphism(f).failures
+    assert all(entry["kind"] == "bracket_compat" for entry in got.failures)
